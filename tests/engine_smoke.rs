@@ -9,6 +9,7 @@ use hop::data::Dataset;
 use hop::graph::Topology;
 use hop::model::svm::Svm;
 use hop::sim::{ClusterSpec, LinkModel, SlowdownModel};
+use hop::tensor::CompressionConfig;
 
 /// Every protocol variant the engine drives: Hop standard / token /
 /// NOTIFY-ACK / backup / staleness / skip, PS BSP / SSP / Async,
@@ -38,10 +39,14 @@ fn all_variants() -> Vec<(&'static str, Protocol)> {
 }
 
 fn run_variant(protocol: Protocol, seed: u64) -> TrainingReport {
+    run_on(Topology::ring(6), protocol, seed)
+}
+
+fn run_on(topology: Topology, protocol: Protocol, seed: u64) -> TrainingReport {
     let dataset = SyntheticWebspam::generate(192, 5);
     let model = Svm::log_loss(dataset.feature_dim());
     SimExperiment {
-        topology: Topology::ring(6),
+        topology,
         cluster: ClusterSpec::uniform(6, 2, 0.01, LinkModel::ethernet_1gbps()),
         slowdown: SlowdownModel::paper_random(6),
         protocol,
@@ -206,6 +211,53 @@ fn digest_table_is_stable_and_distinguishes_variants() {
         seen.push((name, a));
     }
     assert_eq!(seen.len(), 13, "digest table must cover all variants");
+}
+
+#[test]
+fn compressed_runs_match_their_golden_digests() {
+    // Literal digests of small compressed runs, pinned before the codec
+    // kernels were fused and vectorised: the parameter-stream step
+    // (`encode_params`: Hop backup + skip, QGM) and the gradient-stream
+    // step (`encode_grad`: PS async pushes) under both lossy codecs. A
+    // kernel change that moves one bit of one parameter, one wire byte or
+    // one virtual timestamp moves these.
+    let int8 = CompressionConfig::Int8Uniform;
+    let topk = CompressionConfig::TopK { ratio: 0.01 };
+    let hop = |codec| {
+        Protocol::Hop(
+            HopConfig::backup(1, 5)
+                .with_skip(SkipConfig::with_max_jump(6))
+                .with_compression(codec),
+        )
+    };
+    let ps_async = |compression| {
+        Protocol::Ps(PsConfig {
+            compression,
+            ..PsConfig::new(PsMode::Async)
+        })
+    };
+    let qgm = |compression| {
+        Protocol::Qgm(QgmConfig {
+            compression,
+            ..QgmConfig::default()
+        })
+    };
+    let golden: [(&str, Protocol, u64); 6] = [
+        ("hop_skip/int8", hop(int8), 0x03c4_3c1f_ab68_273c),
+        ("hop_skip/topk", hop(topk), 0xeedf_86d1_b6dc_d68b),
+        ("ps_async/int8", ps_async(int8), 0xb822_fa8d_fab5_4488),
+        ("ps_async/topk", ps_async(topk), 0x23cb_7805_bc44_e31f),
+        ("qgm/int8", qgm(int8), 0x5c4d_6746_acb3_8ac1),
+        ("qgm/topk", qgm(topk), 0x95e5_21ff_1628_66bf),
+    ];
+    let moved: Vec<String> = golden
+        .into_iter()
+        .filter_map(|(name, protocol, want)| {
+            let got = run_on(Topology::ring_based(6), protocol, 29).digest();
+            (got != want).then(|| format!("{name}: {got:#018x}, golden {want:#018x}"))
+        })
+        .collect();
+    assert!(moved.is_empty(), "digests moved: {moved:#?}");
 }
 
 #[test]
