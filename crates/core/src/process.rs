@@ -1431,6 +1431,9 @@ fn update_reader(
     move || {
         let mut plane = CompressionPlane::new(compression);
         plane.add_param_streams(1, &init);
+        // The mirror's buffers cycle through here: a reconstruction the
+        // worker has consumed and dropped is the next one's storage.
+        let mut pool = BufferPool::new();
         loop {
             match read_message(&mut stream) {
                 Ok(Message::Update {
@@ -1463,10 +1466,12 @@ fn update_reader(
                             ));
                             return;
                         }
-                        plane.apply_params_block(0, &block).to_vec()
+                        plane.apply_params_block(0, &block, &mut pool)
                     } else {
                         match block {
-                            CompressedBlock::Dense { values } if values.len() == dim => values,
+                            CompressedBlock::Dense { values } if values.len() == dim => {
+                                ParamBlock::from_vec(values)
+                            }
                             other => {
                                 state.fail(format!(
                                     "identity stream expected a dense block of {dim} values, \
@@ -1477,7 +1482,7 @@ fn update_reader(
                         }
                     };
                     clock.fetch_max(c, Ordering::SeqCst);
-                    queue.enqueue(ParamBlock::from_vec(values), tag);
+                    queue.enqueue(values, tag);
                 }
                 Ok(Message::Finished { .. }) => {
                     state.finished.store(true, Ordering::SeqCst);

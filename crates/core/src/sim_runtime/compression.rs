@@ -10,8 +10,11 @@
 //!   `x − x̂`, advances `x̂` by the decoded delta, and ships the
 //!   reconstruction `x̂` itself. The delta carries every bit the
 //!   previous messages failed to move, so the reference *is* the error
-//!   feedback — the codec's own residual is reset before each encode to
-//!   avoid counting unsent mass twice. Every receiver of the stream sees
+//!   feedback and no residual takes part. The step is
+//!   [`Codec::encode_step`] on a [`ParamStream`] — two fused sweeps for
+//!   int8, a threshold select and a k-entry advance for top-k — and the
+//!   reference it leaves behind is shared with the message, not copied
+//!   into it. Every receiver of the stream sees
 //!   the identical reconstruction, so a top-k message still moves *all*
 //!   replicas — it just moves them by a sparse, quantized step — and the
 //!   Reduce semantics of each protocol are untouched.
@@ -36,25 +39,31 @@
 //! is never driven in identity mode, which is what keeps every pinned
 //! digest byte-identical under the default configuration.
 
+use hop_tensor::compress::ParamStream;
 use hop_tensor::{
-    ops, BufferPool, Codec, CompressedBlock, CompressionConfig, Compressor, ErrorFeedback,
-    ParamBlock,
+    BufferPool, Codec, CompressedBlock, CompressionConfig, Compressor, ErrorFeedback, ParamBlock,
 };
 
-/// Per-stream codec state: the receivers' reference copy (parameter
-/// streams) or the error-feedback residual (gradient streams).
-#[derive(Debug, Default)]
-struct Stream {
-    /// The reconstruction every receiver of this stream holds; empty for
-    /// gradient streams.
-    reference: Vec<f32>,
-    /// Error feedback for gradient streams; parameter streams re-inject
-    /// unsent mass through the reference delta instead.
-    ef: ErrorFeedback,
+/// Per-stream codec state.
+#[derive(Debug)]
+enum Stream {
+    /// A parameter stream: the reconstruction every receiver holds.
+    Params(ParamStream),
+    /// A gradient stream: the error-feedback residual.
+    Grads(ErrorFeedback),
+}
+
+/// Parameter stream `slot` of an active plane.
+fn param_stream(cfg: CompressionConfig, streams: &mut [Stream], slot: usize) -> &mut ParamStream {
+    assert!(!cfg.is_identity(), "identity plane must not be driven");
+    match &mut streams[slot] {
+        Stream::Params(stream) => stream,
+        Stream::Grads(_) => panic!("stream {slot} is a gradient stream"),
+    }
 }
 
 /// Stream-compression state for one protocol run: a codec, per-stream
-/// reference/residual state, and reusable encode/decode scratch.
+/// reference/residual state, and the reusable wire-format block.
 #[derive(Debug)]
 pub struct CompressionPlane {
     cfg: CompressionConfig,
@@ -62,12 +71,6 @@ pub struct CompressionPlane {
     streams: Vec<Stream>,
     /// Wire-format scratch, reused across encodes.
     block: CompressedBlock,
-    /// Delta / decoded-value scratch, reused across encodes.
-    delta: Vec<f32>,
-    decoded: Vec<f32>,
-    /// Always-zero residual handed to parameter-stream encodes (reset
-    /// each call): the reference delta already re-injects unsent mass.
-    param_ef: ErrorFeedback,
     bytes_saved: u64,
 }
 
@@ -80,9 +83,6 @@ impl CompressionPlane {
             codec: Codec::new(cfg),
             streams: Vec::new(),
             block: CompressedBlock::default(),
-            delta: Vec::new(),
-            decoded: Vec::new(),
-            param_ef: ErrorFeedback::new(),
             bytes_saved: 0,
         }
     }
@@ -102,26 +102,29 @@ impl CompressionPlane {
     /// `init` (every runtime initializes all replicas identically, so the
     /// reference starts in sync by construction). No-op when inactive.
     pub fn add_param_streams(&mut self, n: usize, init: &[f32]) {
-        if !self.is_active() {
-            return;
-        }
-        for _ in 0..n {
-            self.streams.push(Stream {
-                reference: init.to_vec(),
-                ef: ErrorFeedback::new(),
-            });
+        if self.is_active() {
+            let streams = (0..n).map(|_| Stream::Params(ParamStream::new(init)));
+            self.streams.extend(streams);
         }
     }
 
     /// Appends `n` gradient streams (error feedback only, no reference).
     /// No-op when inactive.
     pub fn add_grad_streams(&mut self, n: usize) {
-        if !self.is_active() {
-            return;
+        if self.is_active() {
+            let streams = (0..n).map(|_| Stream::Grads(ErrorFeedback::new()));
+            self.streams.extend(streams);
         }
-        for _ in 0..n {
-            self.streams.push(Stream::default());
-        }
+    }
+
+    /// One sender step of parameter stream `slot` ([`Codec::encode_step`]):
+    /// the block lands in `self.block`, and the stream's reference is
+    /// now the reconstruction to ship.
+    fn step(&mut self, slot: usize, params: &[f32], pool: &mut BufferPool) -> &ParamStream {
+        let stream = param_stream(self.cfg, &mut self.streams, slot);
+        self.codec
+            .encode_step(params, stream, pool, &mut self.block);
+        stream
     }
 
     /// Encodes parameter stream `slot`'s step from its reference to
@@ -139,30 +142,8 @@ impl CompressionPlane {
         params: &[f32],
         pool: &mut BufferPool,
     ) -> (ParamBlock, u64) {
-        assert!(self.is_active(), "identity plane must not be driven");
-        let stream = &mut self.streams[slot];
-        assert_eq!(
-            stream.reference.len(),
-            params.len(),
-            "parameter stream {slot} sized for {} elements, got {}",
-            stream.reference.len(),
-            params.len()
-        );
-        // delta = params - reference: everything prior messages did not
-        // move, so no extra residual may be added on top.
-        self.delta.clear();
-        self.delta.extend_from_slice(params);
-        ops::axpy(-1.0, &stream.reference, &mut self.delta);
-        self.param_ef.reset();
-        self.codec
-            .encode_into(&self.delta, &mut self.param_ef, pool, &mut self.block);
-        self.decoded.clear();
-        self.decoded.resize(params.len(), 0.0);
-        self.codec.decode_into(&self.block, &mut self.decoded);
-        ops::axpy(1.0, &self.decoded, &mut stream.reference);
-        let mut buf = pool.acquire(params.len());
-        buf.copy_from_slice(&stream.reference);
-        (ParamBlock::from_vec(buf), self.block.encoded_bytes())
+        let recon = self.step(slot, params, pool).reference().snapshot();
+        (recon, self.block.encoded_bytes())
     }
 
     /// Like [`Self::encode_params`], but returns the encoded wire block
@@ -181,27 +162,8 @@ impl CompressionPlane {
         params: &[f32],
         pool: &mut BufferPool,
     ) -> (&CompressedBlock, u64) {
-        assert!(self.is_active(), "identity plane must not be driven");
-        let stream = &mut self.streams[slot];
-        assert_eq!(
-            stream.reference.len(),
-            params.len(),
-            "parameter stream {slot} sized for {} elements, got {}",
-            stream.reference.len(),
-            params.len()
-        );
-        self.delta.clear();
-        self.delta.extend_from_slice(params);
-        ops::axpy(-1.0, &stream.reference, &mut self.delta);
-        self.param_ef.reset();
-        self.codec
-            .encode_into(&self.delta, &mut self.param_ef, pool, &mut self.block);
-        self.decoded.clear();
-        self.decoded.resize(params.len(), 0.0);
-        self.codec.decode_into(&self.block, &mut self.decoded);
-        ops::axpy(1.0, &self.decoded, &mut stream.reference);
-        let wire = self.block.encoded_bytes();
-        (&self.block, wire)
+        self.step(slot, params, pool);
+        (&self.block, self.block.encoded_bytes())
     }
 
     /// Applies a received parameter-stream block to the local mirror of
@@ -212,16 +174,17 @@ impl CompressionPlane {
     ///
     /// # Panics
     ///
-    /// Panics if the plane is inactive, `slot` is out of range, or the
-    /// block's decoded length does not match the stream.
-    pub fn apply_params_block(&mut self, slot: usize, block: &CompressedBlock) -> &[f32] {
-        assert!(self.is_active(), "identity plane must not be driven");
-        let stream = &mut self.streams[slot];
-        self.decoded.clear();
-        self.decoded.resize(stream.reference.len(), 0.0);
-        self.codec.decode_into(block, &mut self.decoded);
-        ops::axpy(1.0, &self.decoded, &mut stream.reference);
-        &stream.reference
+    /// Panics if the plane is inactive, `slot` is not a parameter
+    /// stream, or the block's decoded length does not match the stream.
+    pub fn apply_params_block(
+        &mut self,
+        slot: usize,
+        block: &CompressedBlock,
+        pool: &mut BufferPool,
+    ) -> ParamBlock {
+        let stream = param_stream(self.cfg, &mut self.streams, slot);
+        stream.apply(block, pool);
+        stream.reference().snapshot()
     }
 
     /// Encodes gradient stream `slot`'s message, replacing `grad` with
@@ -230,12 +193,13 @@ impl CompressionPlane {
     ///
     /// # Panics
     ///
-    /// Panics if the plane is inactive or `slot` is out of range.
+    /// Panics if the plane is inactive or `slot` is not a gradient stream.
     pub fn encode_grad(&mut self, slot: usize, grad: &mut [f32], pool: &mut BufferPool) -> u64 {
         assert!(self.is_active(), "identity plane must not be driven");
-        let stream = &mut self.streams[slot];
-        self.codec
-            .encode_into(grad, &mut stream.ef, pool, &mut self.block);
+        let Stream::Grads(ef) = &mut self.streams[slot] else {
+            panic!("stream {slot} is a parameter stream");
+        };
+        self.codec.encode_into(grad, ef, pool, &mut self.block);
         self.codec.decode_into(&self.block, grad);
         self.block.encoded_bytes()
     }

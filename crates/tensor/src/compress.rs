@@ -10,32 +10,53 @@
 //!   so the identity configuration cannot perturb a single bit of an
 //!   uncompressed run.
 //! * [`TopK`] — keeps exactly `k = ceil(ratio * len)` entries of largest
-//!   magnitude. Selection uses a *total* order on `(|v|, index)` —
-//!   magnitudes compared with `f32::total_cmp`, ties broken by the lower
-//!   index — so the kept set is a pure function of the input, never of
-//!   allocator or partitioning luck. The magnitude scan itself is the
-//!   SIMD-dispatched [`ops::abs_into`], which is bitwise identical to
-//!   scalar `f32::abs` on every backend.
+//!   magnitude under the *total* order `(|v|, index)` — magnitudes
+//!   compared as `f32::total_cmp` does, ties broken by the lower index —
+//!   so the kept set is a pure function of the input. The order is
+//!   realised on the magnitude *bits* (`to_bits() & 0x7FFF_FFFF`, which
+//!   sorts exactly like `total_cmp` on `|v|`): one histogram over their
+//!   top 12 bits finds the bucket holding the k-th largest, a
+//!   `select_nth` inside that bucket alone finds the threshold, and one
+//!   ascending gather emits the entries above it (plus the lowest-index
+//!   ties) already in canonical wire order — no index permutation, no
+//!   indirect comparator, no sort.
 //! * [`Int8Uniform`] — per-block uniform quantization to `i8` at
 //!   `scale = max|v| / 127`, rounding half to even
 //!   (`f32::round_ties_even`). The reconstruction error of each entry is
-//!   at most half a quantization step.
+//!   at most half a quantization step. Two fused SIMD sweeps
+//!   ([`kernels`]): the magnitude scan, then quantize + state refresh.
 //!
-//! Lossy codecs compound with [`ErrorFeedback`] (EF-SGD style): the
-//! encoder compresses `input + residual` and stores what the decoder
-//! will *not* reconstruct back into the residual, so dropped mass
-//! re-enters the next message instead of biasing convergence. The
-//! invariant, tested property-style in `tests/compress_props.rs`:
-//! after `encode_into`, `decoded + residual == input + old_residual`
-//! for every element.
+//! Two kinds of stream use the codecs, one step function each:
 //!
-//! Encode scratch comes from a [`BufferPool`] and the output
-//! [`CompressedBlock`] reuses its buffers across calls, so the hot path
-//! allocates nothing after warmup (asserted by `compress_bench` through
-//! [`BufferPool::stats`](crate::pool::BufferPool::stats)).
+//! * [`Compressor::encode_into`] is the **error-feedback** step (EF-SGD
+//!   style): it compresses `input + residual` and stores what the
+//!   decoder will *not* reconstruct back into the [`ErrorFeedback`], so
+//!   dropped mass re-enters the next message instead of biasing
+//!   convergence. The invariant, tested property-style in
+//!   `tests/compress_props.rs`: after `encode_into`,
+//!   `decoded + residual == input + old_residual` for every element.
+//! * [`Codec::encode_step`] is the **parameter-stream** step (CHOCO-SGD
+//!   style): the sender keeps in a [`ParamStream`] the reconstruction
+//!   its receivers hold, encodes `params - reference`, and advances the
+//!   reference by exactly what the block decodes to;
+//!   [`ParamStream::apply`] is the receiving half. The reference *is*
+//!   the error feedback here, so no residual is involved.
+//!
+//! Both are single fused passes per arithmetic stage, bit-identical to
+//! the composed sweep-per-step sequences in [`mod@reference`] (pinned by
+//! `tests/compress_props.rs` over many rounds, NaN, ±inf, −0.0 and
+//! subnormals included, and by the golden digests in
+//! `tests/engine_smoke.rs`). Nothing on the hot path allocates after
+//! warm-up: the output [`CompressedBlock`], the residual and the top-k
+//! scratch keep their capacity, and a stream's next reference comes from
+//! the caller's [`BufferPool`].
 
 use crate::ops;
+use crate::param_block::ParamBlock;
 use crate::pool::BufferPool;
+
+pub mod kernels;
+pub mod reference;
 
 /// Which codec a runtime should apply to its parameter/update messages.
 ///
@@ -250,14 +271,6 @@ impl ErrorFeedback {
         &self.residual
     }
 
-    /// Zeroes the residual (keeping its allocation). Callers whose
-    /// message stream already re-injects unsent mass on its own — e.g. a
-    /// reference-tracking parameter stream encoding `x - x̂` — reset
-    /// before each encode so the dropped mass is not counted twice.
-    pub fn reset(&mut self) {
-        self.residual.iter_mut().for_each(|r| *r = 0.0);
-    }
-
     fn ensure(&mut self, len: usize) {
         if self.residual.len() != len {
             self.residual.clear();
@@ -266,11 +279,99 @@ impl ErrorFeedback {
     }
 }
 
+/// One parameter stream's reference copy `x̂`: the reconstruction every
+/// receiver of the stream currently holds. The sender advances it with
+/// [`Codec::encode_step`], each receiver mirrors that with
+/// [`ParamStream::apply`]; fed the same blocks in the same order the two
+/// stay bit-identical.
+///
+/// The reference is a [`ParamBlock`], replaced (never mutated) on every
+/// step, so [`Self::reference`]`.snapshot()` is the message to ship and
+/// the step writes the next reference straight into a recycled buffer
+/// instead of updating in place and copying out.
+///
+/// Invariant: the reference never holds `-0.0`. [`Self::new`]
+/// establishes it and every advance preserves it (`a + b` is `-0.0`
+/// only when both are, and no decoded value is `-0.0`). That is what
+/// lets a sparse block advance only its `k` kept entries: the dense
+/// advance it replaces added `+0.0` everywhere else, which changes
+/// `-0.0` and nothing but `-0.0`.
+#[derive(Debug, Clone)]
+pub struct ParamStream {
+    reference: ParamBlock,
+}
+
+impl ParamStream {
+    /// A stream whose receivers start out holding `init`. A `-0.0` in
+    /// `init` is stored as `+0.0`; the first step yields the same block
+    /// and the same next reference either way.
+    pub fn new(init: &[f32]) -> Self {
+        Self {
+            reference: ParamBlock::from_vec(init.iter().map(|&v| v + 0.0).collect()),
+        }
+    }
+
+    /// What every receiver holds after the last step.
+    pub fn reference(&self) -> &ParamBlock {
+        &self.reference
+    }
+
+    /// The receiving half of [`Codec::encode_step`]: advances the
+    /// reference by what `block` decodes to, straight from the block.
+    /// A sparse block's indices must be strictly ascending (as
+    /// `hop_wire` enforces on decode): each is applied once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block's decoded length differs from the stream's,
+    /// or on a dense block (identity messages need no stream).
+    pub fn apply(&mut self, block: &CompressedBlock, pool: &mut BufferPool) {
+        let old = self.reference.as_slice();
+        assert_eq!(
+            block.decoded_len(),
+            old.len(),
+            "block sized for another stream"
+        );
+        let mut next = pool.acquire_stale(old.len());
+        match block {
+            CompressedBlock::Dense { .. } => panic!("a dense block is not a stream step"),
+            CompressedBlock::Sparse {
+                indices, values, ..
+            } => {
+                next.copy_from_slice(old);
+                advance_sparse(&mut next, indices, values);
+            }
+            CompressedBlock::Quantized { scale, values } => {
+                for ((n, &o), &q) in next.iter_mut().zip(old).zip(values) {
+                    *n = o + q as f32 * scale;
+                }
+            }
+        }
+        self.replace(next, pool);
+    }
+
+    /// Installs `next` as the reference, recycling the previous buffer
+    /// if no receiver still holds it.
+    fn replace(&mut self, next: Vec<f32>, pool: &mut BufferPool) {
+        pool.reclaim(std::mem::replace(
+            &mut self.reference,
+            ParamBlock::from_vec(next),
+        ));
+    }
+}
+
+/// `reference[i] += v` for each kept `(i, v)` of a sparse block.
+fn advance_sparse(reference: &mut [f32], indices: &[u32], values: &[f32]) {
+    for (&i, &v) in indices.iter().zip(values) {
+        reference[i as usize] += v;
+    }
+}
+
 /// A deterministic message codec with error feedback.
 ///
 /// `encode_into` compresses `input + ef.residual` into `out` and updates
-/// `ef` with what `decode_into` will not reconstruct; scratch comes from
-/// `pool` so steady state allocates nothing. `decode_into` writes the
+/// `ef` with what `decode_into` will not reconstruct; `pool` is there for
+/// codecs that need scratch (none of the built-in ones draws from it). `decode_into` writes the
 /// reconstruction of `block` over `out` (which must have
 /// [`CompressedBlock::decoded_len`] elements).
 pub trait Compressor {
@@ -324,9 +425,30 @@ impl Compressor for Identity {
 #[derive(Debug, Clone)]
 pub struct TopK {
     ratio: f32,
-    /// Index permutation scratch, reused across encodes.
-    order: Vec<u32>,
+    /// Scratch reused across encodes: the parameter-stream delta, the
+    /// magnitude histogram, the candidates' keys and positions (in index
+    /// order), and a copy of the keys for `select_nth` to permute.
+    work: Vec<f32>,
+    histogram: Vec<u32>,
+    keys: Vec<u32>,
+    positions: Vec<u32>,
+    ranked: Vec<u32>,
 }
+
+/// The selection key of a value: its magnitude bits. Unsigned order on
+/// keys is `f32::total_cmp` order on `|v|` (NaN above infinity).
+#[inline(always)]
+fn magnitude_key(v: f32) -> u32 {
+    v.to_bits() & 0x7FFF_FFFF
+}
+
+/// Histogram resolution: the top 12 of a key's 31 bits — the exponent
+/// and four mantissa bits, 4096 counters that stay in L1.
+const BUCKET_SHIFT: u32 = 19;
+const BUCKETS: usize = 1 << (31 - BUCKET_SHIFT);
+
+/// Elements per candidate-scan test: two 8-lane vectors share a branch.
+const SCAN: usize = 2 * ops::simd::LANES;
 
 impl TopK {
     /// A top-k encoder keeping `ceil(ratio * len)` entries per block.
@@ -337,8 +459,117 @@ impl TopK {
         );
         Self {
             ratio,
-            order: Vec::new(),
+            work: Vec::new(),
+            histogram: Vec::new(),
+            keys: Vec::new(),
+            positions: Vec::new(),
+            ranked: Vec::new(),
         }
+    }
+
+    fn k_for(&self, len: usize) -> usize {
+        CompressionConfig::TopK { ratio: self.ratio }.k_for(len)
+    }
+
+    /// Writes into `indices`, ascending, the `k` positions of `work`
+    /// that come first in the total order (larger magnitude, then lower
+    /// index). `k <= work.len()`.
+    fn select(&mut self, work: &[f32], k: usize, indices: &mut Vec<u32>) {
+        indices.clear();
+        if k == work.len() {
+            indices.extend(0..k as u32);
+            return;
+        }
+        self.histogram.clear();
+        self.histogram.resize(BUCKETS, 0);
+        for &v in work {
+            self.histogram[(magnitude_key(v) >> BUCKET_SHIFT) as usize] += 1;
+        }
+        // Walk down from the largest magnitudes to the bucket that holds
+        // the k-th largest key: nothing below its floor can be kept.
+        let (mut bucket, mut seen) = (BUCKETS - 1, self.histogram[BUCKETS - 1] as usize);
+        while seen < k {
+            bucket -= 1;
+            seen += self.histogram[bucket] as usize;
+        }
+        let floor = (bucket as u32) << BUCKET_SHIFT;
+
+        // Gather the `seen` candidates at or above the floor, in index
+        // order. The per-chunk test is branch-free so it vectorises; a
+        // chunk that passes is compacted without branches too (write
+        // the slot always, advance it only for a candidate).
+        if self.keys.len() < work.len() {
+            self.keys.resize(work.len(), 0);
+            self.positions.resize(work.len(), 0);
+        }
+        let (keys, positions) = (&mut self.keys, &mut self.positions);
+        let mut count = 0;
+        let mut visit = |i: usize, v: f32| {
+            keys[count] = magnitude_key(v);
+            positions[count] = i as u32;
+            count += usize::from(magnitude_key(v) >= floor);
+        };
+        let mut chunks = work.chunks_exact(SCAN);
+        let mut base = 0;
+        for chunk in chunks.by_ref() {
+            let mut any = 0u32;
+            for &v in chunk {
+                any |= u32::from(magnitude_key(v) >= floor);
+            }
+            if any != 0 {
+                for (l, &v) in chunk.iter().enumerate() {
+                    visit(base + l, v);
+                }
+            }
+            base += SCAN;
+        }
+        for (l, &v) in chunks.remainder().iter().enumerate() {
+            visit(base + l, v);
+        }
+        debug_assert_eq!(count, seen);
+        let (keys, positions) = (&keys[..count], &positions[..count]);
+
+        // The threshold is the k-th largest key; every key above it is
+        // kept, and so are the lowest-index `ties` entries equal to it.
+        self.ranked.clear();
+        self.ranked.extend_from_slice(keys);
+        let (greater, &mut threshold, _) =
+            self.ranked.select_nth_unstable_by(k - 1, |a, b| b.cmp(a));
+        let mut ties = k - greater.iter().filter(|&&key| key > threshold).count();
+        for (&key, &i) in keys.iter().zip(positions) {
+            if key > threshold || (key == threshold && ties > 0) {
+                ties -= usize::from(key == threshold);
+                indices.push(i);
+            }
+        }
+        debug_assert_eq!(indices.len(), k);
+    }
+
+    /// The parameter-stream step (see [`Codec::encode_step`]).
+    fn encode_step(
+        &mut self,
+        params: &[f32],
+        stream: &mut ParamStream,
+        pool: &mut BufferPool,
+        out: &mut CompressedBlock,
+    ) {
+        let old = stream.reference.as_slice();
+        // The delta, through the zero-residual add of the composed encode
+        // (which is what turns a -0.0 difference into +0.0).
+        let mut work = std::mem::take(&mut self.work);
+        work.clear();
+        work.extend(params.iter().zip(old).map(|(&p, &r)| (p - r) + 0.0));
+        let (indices, values) = out.make_sparse(params.len() as u32);
+        self.select(&work, self.k_for(params.len()), indices);
+        values.clear();
+        values.extend(indices.iter().map(|&i| work[i as usize]));
+        self.work = work;
+        // Kept entries move by their exact delta; the rest stay put (see
+        // the `ParamStream` invariant).
+        let mut next = pool.acquire_stale(old.len());
+        next.copy_from_slice(old);
+        advance_sparse(&mut next, indices, values);
+        stream.replace(next, pool);
     }
 }
 
@@ -347,48 +578,21 @@ impl Compressor for TopK {
         &mut self,
         input: &[f32],
         ef: &mut ErrorFeedback,
-        pool: &mut BufferPool,
+        _pool: &mut BufferPool,
         out: &mut CompressedBlock,
     ) {
         let len = input.len();
         ef.ensure(len);
-        let mut work = pool.acquire(len);
-        work.copy_from_slice(input);
-        ops::axpy(1.0, &ef.residual, &mut work);
-        let mut abs = pool.acquire(len);
-        ops::abs_into(&work, &mut abs);
-        let k = CompressionConfig::TopK { ratio: self.ratio }.k_for(len);
-        self.order.clear();
-        self.order.extend(0..len as u32);
-        if k < len {
-            // Total order: larger magnitude first, lower index on ties —
-            // the kept set is unique, so selection is deterministic even
-            // though select_nth itself is "unstable".
-            let a = &abs;
-            self.order.select_nth_unstable_by(k, |&i, &j| {
-                a[j as usize]
-                    .total_cmp(&a[i as usize])
-                    .then_with(|| i.cmp(&j))
-            });
-            self.order.truncate(k);
-        }
-        // Canonical wire order: ascending index.
-        self.order.sort_unstable();
+        // Compensate in place: a dropped entry's new residual is its
+        // compensated value, so only the kept ones need another write.
+        ops::axpby(1.0, input, 1.0, &mut ef.residual);
         let (indices, values) = out.make_sparse(len as u32);
-        indices.clear();
+        self.select(&ef.residual, self.k_for(len), indices);
         values.clear();
-        for &i in &self.order {
-            indices.push(i);
-            values.push(work[i as usize]);
+        for &i in indices.iter() {
+            // Kept entries decode exactly: their residual is zero.
+            values.push(std::mem::replace(&mut ef.residual[i as usize], 0.0));
         }
-        // Kept entries decode exactly, so their residual is zero; every
-        // dropped entry carries its full (feedback-compounded) value.
-        ef.residual.copy_from_slice(&work);
-        for &i in &self.order {
-            ef.residual[i as usize] = 0.0;
-        }
-        pool.release(abs);
-        pool.release(work);
     }
 
     fn decode_into(&self, block: &CompressedBlock, out: &mut [f32]) {
@@ -414,38 +618,46 @@ impl Compressor for TopK {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Int8Uniform;
 
+impl Int8Uniform {
+    /// The block's dequantization step for a given `max|v|`.
+    fn scale_for(max_abs: f32) -> f32 {
+        if max_abs > 0.0 {
+            max_abs / 127.0
+        } else {
+            0.0
+        }
+    }
+
+    /// The parameter-stream step (see [`Codec::encode_step`]).
+    fn encode_step(
+        params: &[f32],
+        stream: &mut ParamStream,
+        pool: &mut BufferPool,
+        out: &mut CompressedBlock,
+    ) {
+        let old = stream.reference.as_slice();
+        let scale = Self::scale_for(kernels::max_abs_sum(-1.0, old, params));
+        let values = out.make_quantized(scale);
+        values.resize(params.len(), 0);
+        let mut next = pool.acquire_stale(old.len());
+        kernels::quantize_advance(params, scale, old, &mut next, values);
+        stream.replace(next, pool);
+    }
+}
+
 impl Compressor for Int8Uniform {
     fn encode_into(
         &mut self,
         input: &[f32],
         ef: &mut ErrorFeedback,
-        pool: &mut BufferPool,
+        _pool: &mut BufferPool,
         out: &mut CompressedBlock,
     ) {
-        let len = input.len();
-        ef.ensure(len);
-        let mut work = pool.acquire(len);
-        work.copy_from_slice(input);
-        ops::axpy(1.0, &ef.residual, &mut work);
-        let mut abs = pool.acquire(len);
-        ops::abs_into(&work, &mut abs);
-        // Scalar sequential max: the reduction feeds the wire format, so
-        // it must not reassociate (same rule as `ops::dot`).
-        let max_abs = abs.iter().copied().fold(0.0f32, f32::max);
-        let scale = if max_abs > 0.0 { max_abs / 127.0 } else { 0.0 };
+        ef.ensure(input.len());
+        let scale = Self::scale_for(kernels::max_abs_sum(1.0, &ef.residual, input));
         let values = out.make_quantized(scale);
-        values.clear();
-        for (r, &w) in ef.residual.iter_mut().zip(work.iter()) {
-            let q = if scale > 0.0 {
-                (w / scale).round_ties_even().clamp(-127.0, 127.0) as i8
-            } else {
-                0
-            };
-            values.push(q);
-            *r = w - q as f32 * scale;
-        }
-        pool.release(abs);
-        pool.release(work);
+        values.resize(input.len(), 0);
+        kernels::quantize_feedback(input, scale, &mut ef.residual, values);
     }
 
     fn decode_into(&self, block: &CompressedBlock, out: &mut [f32]) {
@@ -477,6 +689,39 @@ impl Codec {
     /// The codec for `cfg` (alias of [`CompressionConfig::codec`]).
     pub fn new(cfg: CompressionConfig) -> Self {
         cfg.codec()
+    }
+
+    /// The sender's parameter-stream step: encodes `params -
+    /// stream.reference()` into `out` and advances the reference by
+    /// exactly what `out` decodes to, so afterwards
+    /// [`ParamStream::reference`] is the reconstruction to ship. No
+    /// residual takes part — what a block fails to move is still in the
+    /// next step's delta. The next reference is written into a buffer
+    /// from `pool`; the previous one goes back to it once unshared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params` and the stream have different lengths, or on
+    /// the identity codec (whose messages need no stream).
+    pub fn encode_step(
+        &mut self,
+        params: &[f32],
+        stream: &mut ParamStream,
+        pool: &mut BufferPool,
+        out: &mut CompressedBlock,
+    ) {
+        assert_eq!(
+            stream.reference.len(),
+            params.len(),
+            "parameter stream sized for {} elements, got {}",
+            stream.reference.len(),
+            params.len()
+        );
+        match self {
+            Codec::Identity(_) => panic!("identity messages are the parameters themselves"),
+            Codec::TopK(c) => c.encode_step(params, stream, pool, out),
+            Codec::Int8(_) => Int8Uniform::encode_step(params, stream, pool, out),
+        }
     }
 }
 

@@ -5,8 +5,8 @@
 //! without copying into tensor objects.
 //!
 //! The elementwise vector kernels ([`axpy`], [`axpby`], [`scale`],
-//! [`fill`], [`abs_into`], [`relu`], [`relu_backward`], and
-//! [`mean_into`]/[`weighted_mean_into`] built on them) dispatch at runtime
+//! [`fill`], [`abs_into`], [`relu`], [`relu_backward`], and the Reduce
+//! kernels [`mean_into`]/[`weighted_mean_into`]) dispatch at runtime
 //! to the widest SIMD backend the host supports (see [`simd`]): 256-bit
 //! AVX2 intrinsics on capable x86-64, otherwise an 8-lane unrolled
 //! portable path. Every element is still computed by exactly the same
@@ -16,12 +16,22 @@
 //! backend: vectorization is a speed, not a semantics, change
 //! (property-tested per backend in `tests/chunked_kernels.rs`).
 //!
+//! The Reduce kernels are one sweep: each output element is accumulated
+//! in a register across the inputs — `0.0`, then `+ w_j * x_j[i]` in
+//! input order, then `* 1/Σw` — which is the per-element order of the
+//! composed `fill` + n × `axpy` + `scale` they replace (still the
+//! [`reference::scaled_sum`] oracle), without its n + 2 passes over the
+//! destination. The destination is written, never read, so callers hand
+//! it a buffer that was not zeroed first.
+//!
 //! The reductions ([`dot`], [`norm2`], and the per-row dots inside
 //! [`gemv`]) deliberately stay scalar-sequential: a vectorized reduction
 //! reassociates the floating-point sum, and those results feed the
-//! experiment digests. [`gemv_t`], [`gemm`] and the mean kernels compose
-//! [`axpy`]/[`scale`], so they ride the SIMD backends for free without
-//! changing any accumulation order.
+//! experiment digests. Only a *maximum* may be vectorised as a reduction
+//! — it is exact under any association — which is what the int8 codec's
+//! `max|v|` scan in [`crate::compress::kernels`] does. [`gemv_t`] and
+//! [`gemm`] compose [`axpy`], so they ride the SIMD backends for free
+//! without changing any accumulation order.
 
 /// `y += alpha * x` (AXPY), SIMD-dispatched.
 ///
@@ -115,19 +125,16 @@ pub fn norm2(x: &[f32]) -> f32 {
 /// Elementwise mean of several equally sized slices into `out`.
 ///
 /// This is the Reduce of Fig. 4 line 15: `temp = sum(x_recv) / n`.
-/// Composed from the SIMD-dispatched [`axpy`]/[`scale`] kernels; the per-element
+/// One SIMD-dispatched sweep ([`scaled_sum`]); the per-element
 /// accumulation order over `inputs` matches the naive reference exactly.
+/// `out` is only written: its previous contents do not matter.
 ///
 /// # Panics
 ///
 /// Panics if `inputs` is empty or any input length differs from `out`.
 pub fn mean_into(inputs: &[&[f32]], out: &mut [f32]) {
     assert!(!inputs.is_empty(), "mean of zero slices");
-    fill(0.0, out);
-    for input in inputs {
-        axpy(1.0, input, out);
-    }
-    scale(1.0 / inputs.len() as f32, out);
+    scaled_sum(inputs, None, 1.0 / inputs.len() as f32, out);
 }
 
 /// Weighted elementwise average: `out = sum(w_i * x_i) / sum(w_i)`.
@@ -143,11 +150,25 @@ pub fn weighted_mean_into(inputs: &[&[f32]], weights: &[f32], out: &mut [f32]) {
     assert!(!inputs.is_empty(), "weighted mean of zero slices");
     let wsum: f32 = weights.iter().sum();
     assert!(wsum > 0.0, "weight sum must be positive, got {wsum}");
-    fill(0.0, out);
-    for (input, &w) in inputs.iter().zip(weights) {
-        axpy(w, input, out);
+    scaled_sum(inputs, Some(weights), 1.0 / wsum, out);
+}
+
+/// `out[i] = (0.0 + w_0 * x_0[i] + w_1 * x_1[i] + …) * factor` in one
+/// sweep, SIMD-dispatched; `weights: None` means every `w_j` is 1 (and
+/// the exact `1.0 * x` is skipped). The sum runs left to right per
+/// element, each product and each addition rounded on its own.
+///
+/// # Panics
+///
+/// Panics if any input length differs from `out`, or `weights` is given
+/// with a length other than `inputs.len()`.
+pub fn scaled_sum(inputs: &[&[f32]], weights: Option<&[f32]>, factor: f32, out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if simd::avx2_available() {
+        simd::avx2::scaled_sum(inputs, weights, factor, out);
+        return;
     }
-    scale(1.0 / wsum, out);
+    simd::portable::scaled_sum(inputs, weights, factor, out);
 }
 
 /// Row-major GEMV: `y = A x` where `A` is `m x n`.
@@ -304,9 +325,75 @@ pub mod simd {
         }
     }
 
+    /// The shape check every [`scaled_sum`](crate::ops::scaled_sum)
+    /// backend runs first: all inputs as long as `out`, one weight per
+    /// input. The AVX2 kernel's loads rely on it.
+    fn check_scaled_sum(inputs: &[&[f32]], weights: Option<&[f32]>, out: &[f32]) {
+        for x in inputs {
+            assert_eq!(x.len(), out.len(), "scaled_sum length mismatch");
+        }
+        if let Some(w) = weights {
+            assert_eq!(w.len(), inputs.len(), "inputs/weights mismatch");
+        }
+    }
+
     /// Portable 8-lane unrolled kernels — the fallback backend.
     pub mod portable {
         use super::LANES;
+
+        /// One-sweep `out = (Σ w_j * x_j) * factor`, 8-lane unrolled
+        /// (see [`scaled_sum`](crate::ops::scaled_sum)).
+        ///
+        /// # Panics
+        ///
+        /// Panics on a length mismatch.
+        pub fn scaled_sum(
+            inputs: &[&[f32]],
+            weights: Option<&[f32]>,
+            factor: f32,
+            out: &mut [f32],
+        ) {
+            super::check_scaled_sum(inputs, weights, out);
+            match weights {
+                Some(w) => scaled_sum_impl::<true>(inputs, w, factor, out),
+                None => scaled_sum_impl::<false>(inputs, &[], factor, out),
+            }
+        }
+
+        fn scaled_sum_impl<const WEIGHTED: bool>(
+            inputs: &[&[f32]],
+            weights: &[f32],
+            factor: f32,
+            out: &mut [f32],
+        ) {
+            let weight = |j: usize| if WEIGHTED { weights[j] } else { 1.0 };
+            let mut oc = out.chunks_exact_mut(LANES);
+            let mut base = 0;
+            for oo in oc.by_ref() {
+                let mut acc = [0.0f32; LANES];
+                for (j, x) in inputs.iter().enumerate() {
+                    let (w, xx) = (weight(j), &x[base..base + LANES]);
+                    for l in 0..LANES {
+                        acc[l] += if WEIGHTED { w * xx[l] } else { xx[l] };
+                    }
+                }
+                for l in 0..LANES {
+                    oo[l] = acc[l] * factor;
+                }
+                base += LANES;
+            }
+            for (i, oi) in oc.into_remainder().iter_mut().enumerate() {
+                let mut acc = 0.0f32;
+                for (j, x) in inputs.iter().enumerate() {
+                    acc += if WEIGHTED {
+                        weight(j) * x[base + i]
+                    } else {
+                        x[base + i]
+                    };
+                }
+                *oi = acc * factor;
+            }
+        }
 
         /// `y += alpha * x`, 8-lane unrolled.
         ///
@@ -445,11 +532,36 @@ pub mod simd {
 
         use core::arch::x86_64::{
             _mm256_add_ps, _mm256_and_ps, _mm256_andnot_ps, _mm256_castsi256_ps, _mm256_cmp_ps,
-            _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_epi32, _mm256_set1_ps, _mm256_storeu_ps,
-            _CMP_LE_OQ, _CMP_LT_OQ,
+            _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setzero_ps,
+            _mm256_storeu_ps, _CMP_LE_OQ, _CMP_LT_OQ,
         };
 
         use super::LANES;
+
+        /// One-sweep `out = (Σ w_j * x_j) * factor` via 256-bit lanes
+        /// (see [`scaled_sum`](crate::ops::scaled_sum)).
+        ///
+        /// # Panics
+        ///
+        /// Panics on a length mismatch or if the host lacks AVX2.
+        pub fn scaled_sum(
+            inputs: &[&[f32]],
+            weights: Option<&[f32]>,
+            factor: f32,
+            out: &mut [f32],
+        ) {
+            super::check_scaled_sum(inputs, weights, out);
+            assert!(super::avx2_available(), "host CPU lacks AVX2");
+            // SAFETY: AVX2 support was just verified at runtime, and
+            // `check_scaled_sum` established the kernels' precondition
+            // (every input as long as `out`, one weight per input).
+            unsafe {
+                match weights {
+                    Some(w) => scaled_sum_impl::<true>(inputs, w, factor, out),
+                    None => scaled_sum_impl::<false>(inputs, &[], factor, out),
+                }
+            }
+        }
 
         /// `y += alpha * x` via 256-bit lanes.
         ///
@@ -531,6 +643,61 @@ pub mod simd {
             assert!(super::avx2_available(), "host CPU lacks AVX2");
             // SAFETY: AVX2 support was just verified at runtime.
             unsafe { relu_backward_impl(forward_input, grad) }
+        }
+
+        /// # Safety
+        ///
+        /// Requires AVX2, `x.len() == out.len()` for every input `x`, and
+        /// (when `WEIGHTED`) `weights.len() == inputs.len()`.
+        #[target_feature(enable = "avx2")]
+        unsafe fn scaled_sum_impl<const WEIGHTED: bool>(
+            inputs: &[&[f32]],
+            weights: &[f32],
+            factor: f32,
+            out: &mut [f32],
+        ) {
+            let n = out.len();
+            let vf = _mm256_set1_ps(factor);
+            let mut i = 0;
+            // Two independent accumulator chains per pass hide the add
+            // latency; each lane still sums its inputs left to right.
+            while i + 2 * LANES <= n {
+                let mut acc0 = _mm256_setzero_ps();
+                let mut acc1 = _mm256_setzero_ps();
+                for (j, x) in inputs.iter().enumerate() {
+                    // SAFETY: `x.len() == n` (precondition) and
+                    // `i + 2 * LANES <= n` bound both loads.
+                    let (mut v0, mut v1) = unsafe {
+                        (
+                            _mm256_loadu_ps(x.as_ptr().add(i)),
+                            _mm256_loadu_ps(x.as_ptr().add(i + LANES)),
+                        )
+                    };
+                    if WEIGHTED {
+                        // mul then add, two rounding steps (never FMA).
+                        let vw = _mm256_set1_ps(weights[j]);
+                        v0 = _mm256_mul_ps(vw, v0);
+                        v1 = _mm256_mul_ps(vw, v1);
+                    }
+                    acc0 = _mm256_add_ps(acc0, v0);
+                    acc1 = _mm256_add_ps(acc1, v1);
+                }
+                // SAFETY: `i + 2 * LANES <= n == out.len()` bounds both
+                // stores.
+                unsafe {
+                    _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_mul_ps(acc0, vf));
+                    _mm256_storeu_ps(out.as_mut_ptr().add(i + LANES), _mm256_mul_ps(acc1, vf));
+                }
+                i += 2 * LANES;
+            }
+            while i < n {
+                let mut acc = 0.0f32;
+                for (j, x) in inputs.iter().enumerate() {
+                    acc += if WEIGHTED { weights[j] * x[i] } else { x[i] };
+                }
+                out[i] = acc * factor;
+                i += 1;
+            }
         }
 
         #[target_feature(enable = "avx2")]
@@ -698,10 +865,10 @@ pub mod simd {
 /// Naive scalar implementations of the vectorized kernels.
 ///
 /// These are the bit-exactness oracles: the dispatched [`axpy`],
-/// [`axpby`], [`scale`] and [`mean_into`] — and both [`simd`] backends
-/// individually — must produce identical bits for every input (see
-/// `tests/chunked_kernels.rs`). They are also the "scalar" side of the
-/// `hot_path` benchmark.
+/// [`axpby`], [`scale`], [`mean_into`] and [`weighted_mean_into`] — and
+/// both [`simd`] backends individually — must produce identical bits for
+/// every input (see `tests/chunked_kernels.rs`). They are also the
+/// "scalar" side of the `hot_path` benchmark.
 pub mod reference {
     /// Scalar `y += alpha * x`.
     ///
@@ -783,11 +950,22 @@ pub mod reference {
     /// Panics if `inputs` is empty or any input length differs from `out`.
     pub fn mean_into(inputs: &[&[f32]], out: &mut [f32]) {
         assert!(!inputs.is_empty(), "mean of zero slices");
+        scaled_sum(inputs, None, 1.0 / inputs.len() as f32, out);
+    }
+
+    /// The composed Reduce the one-sweep [`scaled_sum`](super::scaled_sum)
+    /// replaced: zero-fill, one scalar `axpy` per input (weight 1 when
+    /// `weights` is `None`), one `scale`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a length mismatch.
+    pub fn scaled_sum(inputs: &[&[f32]], weights: Option<&[f32]>, factor: f32, out: &mut [f32]) {
         fill(0.0, out);
-        for input in inputs {
-            axpy(1.0, input, out);
+        for (j, input) in inputs.iter().enumerate() {
+            axpy(weights.map_or(1.0, |w| w[j]), input, out);
         }
-        scale(1.0 / inputs.len() as f32, out);
+        scale(factor, out);
     }
 }
 

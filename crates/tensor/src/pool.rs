@@ -9,9 +9,14 @@
 //! and [`BufferPool::reclaim`] recycles the allocation behind a
 //! [`ParamBlock`] once it is no longer shared.
 //!
-//! Determinism contract: acquired buffers are always zero-filled, so a
-//! recycled buffer is indistinguishable from a fresh `vec![0.0; len]` —
-//! pooling cannot change any computed value.
+//! Determinism contract: buffers from [`BufferPool::acquire`] are always
+//! zero-filled, so a recycled buffer is indistinguishable from a fresh
+//! `vec![0.0; len]` — pooling cannot change any computed value.
+//! [`BufferPool::acquire_stale`] skips that fill for destinations a
+//! kernel overwrites in full (a Reduce output, a stream's next
+//! reference); its contents are unspecified, and debug builds poison it
+//! with NaN so a caller that leaves an element unwritten fails a digest
+//! instead of silently reading its predecessor's values.
 
 use crate::param_block::ParamBlock;
 
@@ -65,16 +70,38 @@ impl BufferPool {
     /// Hands out a zero-filled buffer of length `len`, recycling a
     /// released one when available.
     pub fn acquire(&mut self, len: usize) -> Vec<f32> {
-        self.acquires += 1;
-        match self.free.pop() {
+        match self.recycle() {
             Some(mut buf) => {
-                self.reuses += 1;
                 buf.clear();
                 buf.resize(len, 0.0);
                 buf
             }
             None => vec![0.0; len],
         }
+    }
+
+    /// Hands out a buffer of length `len` with *unspecified* contents
+    /// (a recycled buffer keeps whatever its last holder wrote), for
+    /// destinations the caller overwrites in full: same-length reuse —
+    /// the steady state of every runtime — touches no memory at all.
+    pub fn acquire_stale(&mut self, len: usize) -> Vec<f32> {
+        match self.recycle() {
+            Some(mut buf) => {
+                buf.resize(len, 0.0);
+                #[cfg(debug_assertions)]
+                buf.fill(f32::NAN);
+                buf
+            }
+            None => vec![0.0; len],
+        }
+    }
+
+    /// Pops a free buffer, keeping the acquire/reuse counters.
+    fn recycle(&mut self) -> Option<Vec<f32>> {
+        self.acquires += 1;
+        let buf = self.free.pop();
+        self.reuses += u64::from(buf.is_some());
+        buf
     }
 
     /// Returns a buffer to the free list.
@@ -129,6 +156,21 @@ mod tests {
         buf.copy_from_slice(&[1.0, 2.0, 3.0]);
         pool.release(buf);
         assert_eq!(pool.acquire(5), vec![0.0; 5]);
+    }
+
+    #[test]
+    fn acquire_stale_reuses_without_promising_contents() {
+        let mut pool = BufferPool::new();
+        pool.release(vec![1.0, 2.0, 3.0]);
+        let buf = pool.acquire_stale(2);
+        assert_eq!(buf.len(), 2);
+        pool.release(buf);
+        // Growth is zero-extended like any `Vec::resize`; the counters
+        // treat both acquire flavours alike.
+        assert_eq!(pool.acquire_stale(5).len(), 5);
+        assert_eq!(pool.acquire_stale(4), vec![0.0; 4]);
+        let s = pool.stats();
+        assert_eq!((s.acquires, s.reuses, s.fresh), (3, 2, 1));
     }
 
     #[test]

@@ -7,8 +7,13 @@
 //! references in `ops::reference` for every length, in particular
 //! across the remainder boundary (lengths that are not lane multiples).
 //! Lengths 0–67 cover empty, sub-lane, exact-multiple and remainder
-//! cases.
+//! cases. The same holds for the fused kernels — the one-sweep
+//! `scaled_sum` behind both Reduce flavours, and the int8 stream-step
+//! kernels in `compress::kernels` — against the composed sequences they
+//! replaced (`ops::reference::scaled_sum`, `compress::reference`), on
+//! inputs that include NaN, ±inf, ±0.0 and subnormals.
 
+use hop_tensor::compress::{kernels, reference as composed};
 use hop_tensor::{ops, ParamBlock};
 use proptest::prelude::*;
 
@@ -27,6 +32,36 @@ fn values(mut seed: u64, len: usize) -> Vec<f32> {
 
 fn bits(x: &[f32]) -> Vec<u32> {
     x.iter().map(|v| v.to_bits()).collect()
+}
+
+/// [`values`] with every class of awkward float sprinkled in: NaN, both
+/// infinities, both zeros, subnormals and near-overflow magnitudes.
+fn hostile(seed: u64, len: usize) -> Vec<f32> {
+    let mut out = values(seed, len);
+    for (i, v) in out.iter_mut().enumerate() {
+        match (seed as usize + i * 7) % 23 {
+            0 => *v = f32::NAN,
+            2 => *v = f32::INFINITY,
+            4 => *v = f32::NEG_INFINITY,
+            6 => *v = -0.0,
+            8 => *v = 0.0,
+            10 => *v = f32::from_bits(1 + (seed as u32 ^ i as u32) % 0x7F_FFFF),
+            12 => *v = -f32::from_bits(1 + (i as u32 * 977) % 0x7F_FFFF),
+            14 => *v *= 1e38,
+            _ => {}
+        }
+    }
+    out
+}
+
+/// Bit patterns with all NaNs folded into one: Rust leaves the sign and
+/// payload of an arithmetic NaN unspecified (the compiler may commute or
+/// fold the operation that produced it), and no non-NaN result of these
+/// kernels depends on them. Everything else — signed zeros, subnormals,
+/// infinities — compares exactly.
+fn bits_nan_folded(x: &[f32]) -> Vec<u32> {
+    let fold = |v: &f32| if v.is_nan() { u32::MAX } else { v.to_bits() };
+    x.iter().map(fold).collect()
 }
 
 proptest! {
@@ -304,6 +339,183 @@ fn elementwise_kernels_are_bit_identical_up_to_67() {
             f(&x, &mut out);
             ops::reference::relu_backward(&x, &mut expect);
             assert_eq!(bits(&out), bits(&expect), "relu_backward/{name} len {len}");
+        }
+    }
+}
+
+/// Exhaustive 0..=67 sweep for the one-sweep Reduce kernel: dispatch and
+/// both backends against the composed `fill` + `axpy`… + `scale`, with
+/// and without weights, on hostile inputs, into a destination holding
+/// junk (the kernel must not read it).
+#[test]
+fn scaled_sum_backends_match_the_composed_reduce_up_to_67() {
+    type SumFn = fn(&[&[f32]], Option<&[f32]>, f32, &mut [f32]);
+    let impls: Vec<(&str, SumFn)> = vec![
+        ("dispatch", ops::scaled_sum),
+        ("portable", ops::simd::portable::scaled_sum),
+        #[cfg(target_arch = "x86_64")]
+        ("avx2", ops::simd::avx2::scaled_sum),
+    ];
+    for len in 0..=67usize {
+        for n_inputs in 1..=5usize {
+            let inputs: Vec<Vec<f32>> = (0..n_inputs)
+                .map(|j| match (len + j) % 3 {
+                    0 => hostile((len * 31 + j) as u64 + 5, len),
+                    _ => values((len * 17 + j) as u64 + 9, len),
+                })
+                .collect();
+            let views: Vec<&[f32]> = inputs.iter().map(Vec::as_slice).collect();
+            // 1/3 is inexact: a fused multiply-add would show.
+            let mut weights = values(len as u64 + 77, n_inputs);
+            weights[0] = 1.0 / 3.0;
+            let factor = 1.0 / weights.iter().sum::<f32>();
+            for w in [None, Some(weights.as_slice())] {
+                let mut expect = vec![f32::NAN; len];
+                ops::reference::scaled_sum(&views, w, factor, &mut expect);
+                for &(name, f) in &impls {
+                    #[cfg(target_arch = "x86_64")]
+                    if name == "avx2" && !ops::simd::avx2_available() {
+                        continue;
+                    }
+                    let mut out = vec![-7.5f32; len];
+                    f(&views, w, factor, &mut out);
+                    assert_eq!(
+                        bits_nan_folded(&out),
+                        bits_nan_folded(&expect),
+                        "scaled_sum/{name} len {len} inputs {n_inputs} weighted {}",
+                        w.is_some()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The two public Reduce entry points ride `scaled_sum`; pin them to the
+/// composed reference too (weights 3:1 as in Eq. 2).
+#[test]
+fn weighted_mean_matches_the_composed_reduce() {
+    for len in [0usize, 5, 8, 23, 64, 67] {
+        let a = values(len as u64 + 1, len);
+        let b = hostile(len as u64 + 2, len);
+        let views = [a.as_slice(), b.as_slice()];
+        let weights = [3.0f32, 1.0];
+        let mut out = vec![9.0f32; len];
+        let mut expect = vec![9.0f32; len];
+        ops::weighted_mean_into(&views, &weights, &mut out);
+        ops::reference::scaled_sum(&views, Some(&weights), 1.0 / 4.0, &mut expect);
+        assert_eq!(bits_nan_folded(&out), bits_nan_folded(&expect), "len {len}");
+    }
+}
+
+/// Exhaustive 0..=67 sweep for the int8 stream-step kernels: dispatch,
+/// portable and AVX2 against the composed scalar sequence, on ordinary,
+/// hostile and all-zero blocks, at the block's own scale and at the
+/// degenerate ones (zero, infinite, subnormal).
+#[test]
+fn int8_stream_kernels_match_the_composed_reference_up_to_67() {
+    type MaxFn = fn(f32, &[f32], &[f32]) -> f32;
+    type FeedbackFn = fn(&[f32], f32, &mut [f32], &mut [i8]);
+    type AdvanceFn = fn(&[f32], f32, &[f32], &mut [f32], &mut [i8]);
+    let impls: Vec<(&str, MaxFn, FeedbackFn, AdvanceFn)> = vec![
+        (
+            "dispatch",
+            kernels::max_abs_sum,
+            kernels::quantize_feedback,
+            kernels::quantize_advance,
+        ),
+        (
+            "portable",
+            kernels::portable::max_abs_sum,
+            kernels::portable::quantize_feedback,
+            kernels::portable::quantize_advance,
+        ),
+        #[cfg(target_arch = "x86_64")]
+        (
+            "avx2",
+            kernels::avx2::max_abs_sum,
+            kernels::avx2::quantize_feedback,
+            kernels::avx2::quantize_advance,
+        ),
+    ];
+    for len in 0..=67usize {
+        let blocks = [
+            (values(len as u64 + 3, len), values(len as u64 + 41, len)),
+            (hostile(len as u64 + 5, len), hostile(len as u64 + 43, len)),
+            (hostile(len as u64 + 7, len), values(len as u64 + 47, len)),
+            (vec![0.0; len], vec![-0.0; len]),
+            (vec![-0.0; len], vec![-0.0; len]),
+        ];
+        for (case, (x, state)) in blocks.iter().enumerate() {
+            for &(name, max_abs, feedback, advance) in &impls {
+                #[cfg(target_arch = "x86_64")]
+                if name == "avx2" && !ops::simd::avx2_available() {
+                    continue;
+                }
+                let at = format!("{name} len {len} case {case}");
+                let mut scales = vec![0.0f32, f32::INFINITY, f32::from_bits(3), 0.013];
+                for alpha in [1.0f32, -1.0] {
+                    let got = max_abs(alpha, state, x);
+                    let expect = composed::max_abs_sum(alpha, state, x);
+                    assert_eq!(got.to_bits(), expect.to_bits(), "max_abs_sum({alpha}) {at}");
+                    scales.push(if expect > 0.0 { expect / 127.0 } else { 0.0 });
+                }
+                for scale in scales {
+                    let (mut r, mut r_expect) = (state.clone(), state.clone());
+                    let (mut q, mut q_expect) = (vec![99i8; len], vec![-99i8; len]);
+                    feedback(x, scale, &mut r, &mut q);
+                    composed::quantize_feedback(x, scale, &mut r_expect, &mut q_expect);
+                    assert_eq!(q, q_expect, "feedback q, scale {scale:e} {at}");
+                    assert_eq!(
+                        bits_nan_folded(&r),
+                        bits_nan_folded(&r_expect),
+                        "feedback residual, scale {scale:e} {at}"
+                    );
+
+                    let (mut new, mut new_expect) = (vec![5.5f32; len], vec![-5.5f32; len]);
+                    advance(x, scale, state, &mut new, &mut q);
+                    composed::quantize_advance(x, scale, state, &mut new_expect, &mut q_expect);
+                    assert_eq!(q, q_expect, "advance q, scale {scale:e} {at}");
+                    assert_eq!(
+                        bits_nan_folded(&new),
+                        bits_nan_folded(&new_expect),
+                        "advance reference, scale {scale:e} {at}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// `max_abs_sum` must skip a NaN wherever it falls relative to the
+/// maximum: 72 elements put two passes of the 4-accumulator loop and one
+/// 8-wide pass behind every lane, and every (maximum, NaN) placement is
+/// tried — a vector max with its operands the wrong way round forgets
+/// the running maximum of the lane a NaN lands in.
+#[test]
+fn max_abs_sum_skips_nan_at_every_position() {
+    type MaxFn = fn(f32, &[f32], &[f32]) -> f32;
+    let impls: Vec<(&str, MaxFn)> = vec![
+        ("dispatch", kernels::max_abs_sum),
+        ("portable", kernels::portable::max_abs_sum),
+        #[cfg(target_arch = "x86_64")]
+        ("avx2", kernels::avx2::max_abs_sum),
+    ];
+    let len = 72;
+    let state = vec![0.25f32; len];
+    for max_at in 0..len {
+        for nan_at in (0..len).filter(|&i| i != max_at) {
+            let mut x = values(max_at as u64 + 19, len);
+            x[max_at] = -1e6;
+            x[nan_at] = f32::NAN;
+            for &(name, f) in &impls {
+                #[cfg(target_arch = "x86_64")]
+                if name == "avx2" && !ops::simd::avx2_available() {
+                    continue;
+                }
+                let got = f(1.0, &state, &x);
+                assert_eq!(got, 1e6 - 0.25, "{name}: max at {max_at}, NaN at {nan_at}");
+            }
         }
     }
 }

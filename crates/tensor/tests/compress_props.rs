@@ -8,7 +8,15 @@
 //! int8 reconstruction stays within half a quantization step, and ties
 //! break deterministically by index. Lengths 0..=67 exercise empty,
 //! sub-lane, lane-multiple and remainder blocks.
+//!
+//! The second half pins the fused production paths to the composed
+//! sequences they replaced (`compress::reference`): over several rounds
+//! of either stream step, the wire block, the residual, the sender's
+//! reference (= the reconstruction shipped) and a receiver's mirror are
+//! the same bits, on blocks that include NaN, ±inf, −0.0, subnormals,
+//! all-zero and all-equal-magnitude inputs.
 
+use hop_tensor::compress::{reference as composed, ParamStream};
 use hop_tensor::{
     BufferPool, Codec, CompressedBlock, CompressionConfig, Compressor, ErrorFeedback,
 };
@@ -202,5 +210,171 @@ fn empty_blocks_are_harmless() {
         let (block, decoded) = encode(&mut Codec::new(cfg), &[], &mut ErrorFeedback::new());
         assert_eq!(block.decoded_len(), 0);
         assert!(decoded.is_empty());
+    }
+}
+
+/// A block of one of six kinds: ordinary values, values laced with every
+/// awkward float class, all `+0.0`, all `-0.0`, one magnitude with mixed
+/// signs, or subnormals only.
+fn block(kind: u32, seed: u64, len: usize) -> Vec<f32> {
+    let base = values(seed, len);
+    let pick = |i: usize| (seed as usize).wrapping_add(i * 7) % 19;
+    match kind % 6 {
+        0 => base,
+        1 => base
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| match pick(i) {
+                0 => f32::NAN,
+                2 => f32::INFINITY,
+                4 => f32::NEG_INFINITY,
+                6 => -0.0,
+                8 => f32::from_bits(1 + (i as u32 * 7919) % 0x7F_FFFF),
+                10 => v * 1e38,
+                12 => v * 1e-38,
+                _ => v,
+            })
+            .collect(),
+        2 => vec![0.0; len],
+        3 => vec![-0.0; len],
+        4 => base.iter().map(|v| 1.5f32.copysign(*v)).collect(),
+        _ => base
+            .iter()
+            .map(|v| f32::from_bits(v.to_bits() & 0x807F_FFFF))
+            .collect(),
+    }
+}
+
+/// A float's bits with all NaNs folded into one pattern: Rust leaves an
+/// arithmetic NaN's sign and payload unspecified, and nothing non-NaN in
+/// a codec depends on them. Signed zeros, subnormals and infinities
+/// compare exactly.
+fn word(v: f32) -> u32 {
+    if v.is_nan() {
+        u32::MAX
+    } else {
+        v.to_bits()
+    }
+}
+
+fn words(x: &[f32]) -> Vec<u32> {
+    x.iter().copied().map(word).collect()
+}
+
+/// The wire content of a block as words (kind, header, payload).
+fn block_words(block: &CompressedBlock) -> Vec<u32> {
+    match block {
+        CompressedBlock::Dense { values } => [vec![0], words(values)].concat(),
+        CompressedBlock::Sparse {
+            len,
+            indices,
+            values,
+        } => [vec![1, *len], indices.clone(), words(values)].concat(),
+        CompressedBlock::Quantized { scale, values } => {
+            let q = values.iter().map(|&q| q as u32);
+            [1u32 << 31, word(*scale)].into_iter().chain(q).collect()
+        }
+    }
+}
+
+const LOSSY: [CompressionConfig; 4] = [
+    CompressionConfig::Int8Uniform,
+    CompressionConfig::TopK { ratio: 0.01 },
+    CompressionConfig::TopK { ratio: 0.3 },
+    CompressionConfig::TopK { ratio: 1.0 },
+];
+
+/// `rounds` error-feedback steps of the fused codec and of the composed
+/// reference on the same inputs: same block, same residual, each round.
+fn check_feedback_rounds(cfg: CompressionConfig, kind: u32, seed: u64, len: usize, rounds: u64) {
+    let mut codec = Codec::new(cfg);
+    let (mut ef, mut ef_composed) = (ErrorFeedback::new(), ErrorFeedback::new());
+    let (mut out, mut out_composed) = (CompressedBlock::default(), CompressedBlock::default());
+    let mut pool = BufferPool::new();
+    for round in 0..rounds {
+        // Alternate the block kind so residuals meet fresh specials.
+        let input = block(kind + round as u32 % 2, seed ^ (round * 0x9E37), len);
+        codec.encode_into(&input, &mut ef, &mut pool, &mut out);
+        composed::encode_into(cfg, &input, &mut ef_composed, &mut out_composed);
+        let at = format!("{} kind {kind} len {len} round {round}", cfg.label());
+        assert_eq!(block_words(&out), block_words(&out_composed), "block, {at}");
+        assert_eq!(
+            words(ef.residual()),
+            words(ef_composed.residual()),
+            "residual, {at}"
+        );
+    }
+}
+
+/// `rounds` parameter-stream steps: the fused sender, a receiver mirror
+/// fed the sender's blocks, and the composed reference stay bit-equal in
+/// block, reference and reconstruction.
+fn check_stream_rounds(cfg: CompressionConfig, kind: u32, seed: u64, len: usize, rounds: u64) {
+    let init = block(kind + 1, seed ^ 0xABCD, len);
+    let mut codec = Codec::new(cfg);
+    let (mut sender, mut receiver) = (ParamStream::new(&init), ParamStream::new(&init));
+    let mut reference = init;
+    let (mut out, mut out_composed) = (CompressedBlock::default(), CompressedBlock::default());
+    let mut pool = BufferPool::new();
+    for round in 0..rounds {
+        let params = block(kind + round as u32 % 3, seed ^ (round * 0x51ED), len);
+        codec.encode_step(&params, &mut sender, &mut pool, &mut out);
+        let shipped = sender.reference().snapshot();
+        receiver.apply(&out, &mut pool);
+        composed::param_step(cfg, &params, &mut reference, &mut out_composed);
+        let at = format!("{} kind {kind} len {len} round {round}", cfg.label());
+        assert_eq!(block_words(&out), block_words(&out_composed), "block, {at}");
+        assert_eq!(words(&shipped), words(&reference), "reference, {at}");
+        assert_eq!(
+            words(receiver.reference()),
+            words(&reference),
+            "mirror, {at}"
+        );
+        // The invariant the sparse advance rests on.
+        assert!(
+            shipped.iter().all(|v| v.to_bits() != (-0.0f32).to_bits()),
+            "reference holds -0.0, {at}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn fused_feedback_step_equals_the_composed_reference(
+        len in 0usize..68,
+        seed in 0u64..1_000_000_000,
+        kind in 0u32..6,
+    ) {
+        for cfg in LOSSY {
+            check_feedback_rounds(cfg, kind, seed, len, 5);
+        }
+    }
+
+    #[test]
+    fn fused_stream_step_equals_the_composed_reference(
+        len in 0usize..68,
+        seed in 0u64..1_000_000_000,
+        kind in 0u32..6,
+    ) {
+        for cfg in LOSSY {
+            check_stream_rounds(cfg, kind, seed, len, 5);
+        }
+    }
+}
+
+/// The same two equalities on blocks long enough for the top-k histogram
+/// to spread over many buckets and for every kernel to run its main
+/// loop, its 8-wide loop and its scalar tail.
+#[test]
+fn fused_steps_equal_the_composed_reference_on_long_blocks() {
+    for (len, seed) in [(1000usize, 11u64), (4099, 12), (8192 + 37, 13)] {
+        for kind in 0..6 {
+            for cfg in LOSSY {
+                check_feedback_rounds(cfg, kind, seed, len, 3);
+                check_stream_rounds(cfg, kind, seed, len, 3);
+            }
+        }
     }
 }

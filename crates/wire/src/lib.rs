@@ -70,7 +70,8 @@ pub enum WireError {
         kind: u8,
     },
     /// The payload parsed but its structure is inconsistent (short
-    /// body, misaligned array region, out-of-range sparse index, ...).
+    /// body, misaligned array region, out-of-range or non-ascending
+    /// sparse index, ...).
     Malformed(&'static str),
     /// A socket read timeout elapsed. Between frames this is retryable;
     /// mid-frame it poisons the stream.
@@ -605,11 +606,17 @@ fn decode_block(b: &mut Body<'_>) -> Result<CompressedBlock, WireError> {
                 return Err(WireError::Malformed("sparse block pairs misaligned"));
             }
             let k = b.remaining() / 8;
-            let mut indices = Vec::with_capacity(k);
+            // Canonical order is strictly ascending: a receiver advances
+            // its reference by each entry once, so a repeated index must
+            // not get through.
+            let mut indices: Vec<u32> = Vec::with_capacity(k);
             for _ in 0..k {
                 let i = b.u32()?;
                 if i >= len {
                     return Err(WireError::Malformed("sparse index out of range"));
+                }
+                if indices.last().is_some_and(|&prev| prev >= i) {
+                    return Err(WireError::Malformed("sparse indices not ascending"));
                 }
                 indices.push(i);
             }
@@ -802,6 +809,24 @@ mod tests {
             read_message(&mut frame.as_slice()),
             Err(WireError::Malformed("sparse index out of range"))
         ));
+
+        // Sparse indices repeated or out of canonical ascending order.
+        for indices in [vec![1, 1], vec![2, 1]] {
+            let msg = Message::Update {
+                tag: Tag { iter: 0, w_id: 0 },
+                clock: 0,
+                block: CompressedBlock::Sparse {
+                    len: 4,
+                    indices,
+                    values: vec![1.0, 2.0],
+                },
+            };
+            encode_frame(&msg, &mut frame);
+            assert!(matches!(
+                read_message(&mut frame.as_slice()),
+                Err(WireError::Malformed("sparse indices not ascending"))
+            ));
+        }
 
         // Quantized length word disagreeing with the frame remainder.
         let mut payload = vec![TAG_UPDATE];
