@@ -14,10 +14,10 @@
 //!   [`Codec::encode_step`] on a [`ParamStream`] — two fused sweeps for
 //!   int8, a threshold select and a k-entry advance for top-k — and the
 //!   reference it leaves behind is shared with the message, not copied
-//!   into it. Every receiver of the stream sees
-//!   the identical reconstruction, so a top-k message still moves *all*
-//!   replicas — it just moves them by a sparse, quantized step — and the
-//!   Reduce semantics of each protocol are untouched.
+//!   into it. Every receiver of the stream sees the identical
+//!   reconstruction, so a top-k message still moves *all* replicas — it
+//!   just moves them by a sparse, quantized step — and the Reduce
+//!   semantics of each protocol are untouched.
 //! * **Gradient streams** (worker → server pushes) are plain EF-SGD: the
 //!   gradient plus residual is encoded, the decoded value replaces the
 //!   gradient in place, and the residual keeps what was dropped.
@@ -39,9 +39,9 @@
 //! is never driven in identity mode, which is what keeps every pinned
 //! digest byte-identical under the default configuration.
 
-use hop_tensor::compress::ParamStream;
 use hop_tensor::{
     BufferPool, Codec, CompressedBlock, CompressionConfig, Compressor, ErrorFeedback, ParamBlock,
+    ParamStream,
 };
 
 /// Per-stream codec state.

@@ -54,8 +54,10 @@
 //! `(seed, worker, iteration)` — so one seed yields one report,
 //! bit-for-bit. Sharing never changes values: snapshots are immutable,
 //! copy-on-write detaches before any write, and pooled buffers are
-//! handed out zero-filled — so reports are bit-identical to an
-//! implementation that deep-copied every message.
+//! handed out zero-filled, or — for a `Reduce` output or a stream's next
+//! reference, which a kernel overwrites in full — never read before
+//! they are written; so reports are bit-identical to an implementation
+//! that deep-copied every message.
 
 use crate::choreography::{self, Idle, Step};
 use crate::conformance::ConformanceSink;

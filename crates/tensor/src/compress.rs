@@ -371,9 +371,9 @@ fn advance_sparse(reference: &mut [f32], indices: &[u32], values: &[f32]) {
 ///
 /// `encode_into` compresses `input + ef.residual` into `out` and updates
 /// `ef` with what `decode_into` will not reconstruct; `pool` is there for
-/// codecs that need scratch (none of the built-in ones draws from it). `decode_into` writes the
-/// reconstruction of `block` over `out` (which must have
-/// [`CompressedBlock::decoded_len`] elements).
+/// codecs that need scratch (none of the built-in ones draws from it).
+/// `decode_into` writes the reconstruction of `block` over `out` (which
+/// must have [`CompressedBlock::decoded_len`] elements).
 pub trait Compressor {
     /// Encodes one block, consuming and refreshing the error feedback.
     fn encode_into(

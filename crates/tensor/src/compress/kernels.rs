@@ -44,9 +44,9 @@
 //! matches for `/` and `f32::round_ties_even`; multiply-then-add stays
 //! two roundings, never an FMA. The composed sequence's `axpy(±1.0, …)`
 //! steps appear here as plain `+` / `-`: multiplying by ±1 is exact, and
-//! `a - b` is `a + (-b)` bit for bit. NaN *payloads* are outside the contract:
-//! Rust does not specify which NaN an arithmetic result carries, and no
-//! non-NaN output of a codec depends on one.
+//! `a - b` is `a + (-b)` bit for bit. NaN *payloads* are outside the
+//! contract: Rust does not specify which NaN an arithmetic result
+//! carries, and no non-NaN output of a codec depends on one.
 
 use crate::ops::simd::avx2_available;
 

@@ -14,7 +14,9 @@
 //! otherwise) that are bit-identical to their scalar references, and the
 //! deterministic update-compression codecs in [`compress`] (top-k
 //! sparsification, int8 quantization, identity — all with error
-//! feedback) that shrink every message path in the runtimes.
+//! feedback) that shrink every message path in the runtimes, as fused
+//! single-pass stream steps pinned bitwise to the composed sequences in
+//! [`compress::reference`].
 //!
 //! # Examples
 //!
@@ -33,7 +35,9 @@ pub mod param_block;
 pub mod pool;
 pub mod tensor;
 
-pub use compress::{Codec, CompressedBlock, CompressionConfig, Compressor, ErrorFeedback};
+pub use compress::{
+    Codec, CompressedBlock, CompressionConfig, Compressor, ErrorFeedback, ParamStream,
+};
 pub use param_block::ParamBlock;
 pub use pool::{BufferPool, PoolStats};
 pub use tensor::Tensor;

@@ -16,9 +16,9 @@
 //! the same bits, on blocks that include NaN, ±inf, −0.0, subnormals,
 //! all-zero and all-equal-magnitude inputs.
 
-use hop_tensor::compress::{reference as composed, ParamStream};
+use hop_tensor::compress::reference as composed;
 use hop_tensor::{
-    BufferPool, Codec, CompressedBlock, CompressionConfig, Compressor, ErrorFeedback,
+    BufferPool, Codec, CompressedBlock, CompressionConfig, Compressor, ErrorFeedback, ParamStream,
 };
 use proptest::prelude::*;
 
