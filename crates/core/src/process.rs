@@ -1448,7 +1448,7 @@ fn update_reader(
                         ));
                         return;
                     }
-                    let values = if plane.is_active() {
+                    let update = if plane.is_active() {
                         let kind_ok = matches!(
                             (compression, &block),
                             (
@@ -1482,7 +1482,7 @@ fn update_reader(
                         }
                     };
                     clock.fetch_max(c, Ordering::SeqCst);
-                    queue.enqueue(values, tag);
+                    queue.enqueue(update, tag);
                 }
                 Ok(Message::Finished { .. }) => {
                     state.finished.store(true, Ordering::SeqCst);

@@ -332,20 +332,29 @@ impl ParamStream {
             old.len(),
             "block sized for another stream"
         );
-        let mut next = pool.acquire_stale(old.len());
         match block {
             CompressedBlock::Dense { .. } => panic!("a dense block is not a stream step"),
             CompressedBlock::Sparse {
                 indices, values, ..
-            } => {
-                next.copy_from_slice(old);
-                advance_sparse(&mut next, indices, values);
-            }
+            } => self.advance_sparse(indices, values, pool),
             CompressedBlock::Quantized { scale, values } => {
+                let mut next = pool.acquire_stale(old.len());
                 for ((n, &o), &q) in next.iter_mut().zip(old).zip(values) {
                     *n = o + q as f32 * scale;
                 }
+                self.replace(next, pool);
             }
+        }
+    }
+
+    /// Advances the reference by a sparse block: each kept `(i, v)`
+    /// moves entry `i` by `v`, the rest stay put (exact because of the
+    /// type's invariant).
+    fn advance_sparse(&mut self, indices: &[u32], values: &[f32], pool: &mut BufferPool) {
+        let mut next = pool.acquire_stale(self.reference.len());
+        next.copy_from_slice(&self.reference);
+        for (&i, &v) in indices.iter().zip(values) {
+            next[i as usize] += v;
         }
         self.replace(next, pool);
     }
@@ -357,13 +366,6 @@ impl ParamStream {
             &mut self.reference,
             ParamBlock::from_vec(next),
         ));
-    }
-}
-
-/// `reference[i] += v` for each kept `(i, v)` of a sparse block.
-fn advance_sparse(reference: &mut [f32], indices: &[u32], values: &[f32]) {
-    for (&i, &v) in indices.iter().zip(values) {
-        reference[i as usize] += v;
     }
 }
 
@@ -564,12 +566,7 @@ impl TopK {
         values.clear();
         values.extend(indices.iter().map(|&i| work[i as usize]));
         self.work = work;
-        // Kept entries move by their exact delta; the rest stay put (see
-        // the `ParamStream` invariant).
-        let mut next = pool.acquire_stale(old.len());
-        next.copy_from_slice(old);
-        advance_sparse(&mut next, indices, values);
-        stream.replace(next, pool);
+        stream.advance_sparse(indices, values, pool);
     }
 }
 

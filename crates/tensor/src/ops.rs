@@ -337,9 +337,21 @@ pub mod simd {
         }
     }
 
+    /// Input `j`'s contribution to one element of a
+    /// [`scaled_sum`](crate::ops::scaled_sum): `w_j * x`, or `x` itself
+    /// when unweighted.
+    #[inline(always)]
+    fn term<const WEIGHTED: bool>(weights: &[f32], j: usize, x: f32) -> f32 {
+        if WEIGHTED {
+            weights[j] * x
+        } else {
+            x
+        }
+    }
+
     /// Portable 8-lane unrolled kernels — the fallback backend.
     pub mod portable {
-        use super::LANES;
+        use super::{term, LANES};
 
         /// One-sweep `out = (Σ w_j * x_j) * factor`, 8-lane unrolled
         /// (see [`scaled_sum`](crate::ops::scaled_sum)).
@@ -366,15 +378,14 @@ pub mod simd {
             factor: f32,
             out: &mut [f32],
         ) {
-            let weight = |j: usize| if WEIGHTED { weights[j] } else { 1.0 };
             let mut oc = out.chunks_exact_mut(LANES);
             let mut base = 0;
             for oo in oc.by_ref() {
                 let mut acc = [0.0f32; LANES];
                 for (j, x) in inputs.iter().enumerate() {
-                    let (w, xx) = (weight(j), &x[base..base + LANES]);
+                    let xx = &x[base..base + LANES];
                     for l in 0..LANES {
-                        acc[l] += if WEIGHTED { w * xx[l] } else { xx[l] };
+                        acc[l] += term::<WEIGHTED>(weights, j, xx[l]);
                     }
                 }
                 for l in 0..LANES {
@@ -385,11 +396,7 @@ pub mod simd {
             for (i, oi) in oc.into_remainder().iter_mut().enumerate() {
                 let mut acc = 0.0f32;
                 for (j, x) in inputs.iter().enumerate() {
-                    acc += if WEIGHTED {
-                        weight(j) * x[base + i]
-                    } else {
-                        x[base + i]
-                    };
+                    acc += term::<WEIGHTED>(weights, j, x[base + i]);
                 }
                 *oi = acc * factor;
             }
@@ -536,7 +543,7 @@ pub mod simd {
             _mm256_storeu_ps, _CMP_LE_OQ, _CMP_LT_OQ,
         };
 
-        use super::LANES;
+        use super::{term, LANES};
 
         /// One-sweep `out = (Σ w_j * x_j) * factor` via 256-bit lanes
         /// (see [`scaled_sum`](crate::ops::scaled_sum)).
@@ -693,7 +700,7 @@ pub mod simd {
             while i < n {
                 let mut acc = 0.0f32;
                 for (j, x) in inputs.iter().enumerate() {
-                    acc += if WEIGHTED { weights[j] * x[i] } else { x[i] };
+                    acc += term::<WEIGHTED>(weights, j, x[i]);
                 }
                 out[i] = acc * factor;
                 i += 1;
