@@ -21,12 +21,12 @@
 //! * [`sim_runtime`] — deterministic discrete-event execution on
 //!   [`hop_sim`]'s virtual cluster; produces timing traces, gap
 //!   statistics and loss curves for every figure in the paper.
-//! * [`threaded`] — the same protocol on real OS threads with blocking
-//!   queues from [`hop_queue`].
-//! * [`process`] — the same protocol on real OS *processes* over
-//!   localhost TCP, speaking [`hop_wire`] length-prefixed frames; its
-//!   measured socket bytes equal the simulator's `bytes_sent` by
-//!   construction.
+//! * [`threaded`] / [`process`] — the same protocol executed for real:
+//!   one worker iteration loop (the private `worker` module) over two
+//!   transports, OS threads sharing blocking queues from [`hop_queue`]
+//!   and OS *processes* over localhost TCP speaking [`hop_wire`]
+//!   length-prefixed frames (measured socket bytes equal the simulator's
+//!   `bytes_sent` by construction).
 //! * [`trainer`] — the high-level [`trainer::SimExperiment`] API.
 //! * [`sweep`] — cartesian experiment grids ([`sweep::SweepGrid`])
 //!   executed across all cores by [`sweep::SweepRunner`], bit-identical
@@ -70,6 +70,7 @@ pub mod sim_runtime;
 pub mod sweep;
 pub mod threaded;
 pub mod trainer;
+mod worker;
 
 pub use choreography::ChoreographySpec;
 pub use config::{
@@ -77,8 +78,8 @@ pub use config::{
 };
 pub use conformance::{ConformanceSummary, Oracle, ProtocolEvent, ProtocolTrace, Violation};
 pub use hop_tensor::CompressionConfig;
-pub use process::{ProcessError, ProcessExperiment, ProcessReport};
-pub use report::TrainingReport;
+pub use process::{ProcessError, ProcessExperiment};
+pub use report::{RuntimeReport, TrainingReport};
 pub use sim_runtime::recorder::EvalConfig;
 pub use sweep::{SweepGrid, SweepResult, SweepRunner, SweepSummary};
 pub use trainer::{Hyper, SimExperiment};

@@ -4,14 +4,17 @@
 //!
 //! A [`ProcessExperiment`] plays coordinator: it binds a listener,
 //! re-execs the worker binary (`hop_worker --worker <addr> <id>`) once
-//! per worker, hands each its spec text and peer ports, and
-//! collects one [`Message::Summary`] per worker at the end. Workers
-//! connect to each other directly — one TCP connection per directed
-//! external edge `w -> o`, carrying `w`'s updates one way and `o`'s
-//! token grants the other — and drive the *same* iteration loop as the
-//! threaded runtime ([`crate::threaded`]), through the same
-//! [`crate::choreography`] typestate handles, over socket-fed mirrors
-//! of the blocking queues.
+//! per worker, hands each its spec text and peer ports, and collects one
+//! [`Message::Summary`] per worker at the end. Workers connect to each
+//! other directly — one TCP connection per directed external edge
+//! `w -> o`, carrying `w`'s updates one way and `o`'s token grants the
+//! other — and drive the one worker iteration loop (`crate::worker`,
+//! shared with [`crate::threaded`]) over the socket transport defined
+//! here. Outbound, delivering an update is one encoded frame fanned out
+//! to the out-links and a token grant is a frame on an in-link; inbound,
+//! one reader thread per link feeds the same blocking queues the threads
+//! use (the worker's tagged inbox, a `TokenQ(o -> w)` mirror per
+//! out-link), so the loop cannot tell the runtimes apart.
 //!
 //! # Wire accounting
 //!
@@ -19,7 +22,7 @@
 //! [`CompressedBlock::encoded_bytes`] payload bytes, and a worker counts
 //! every *attempted* external send (exactly like the simulator's charge
 //! to its virtual network), so the summed
-//! [`ProcessReport::update_wire_bytes`] equals the simulator's
+//! [`RuntimeReport::update_wire_bytes`] equals the simulator's
 //! `bytes_sent` for the same grid point by construction — the number is
 //! measured on a real socket, not modeled.
 //!
@@ -35,65 +38,78 @@
 //!
 //! # Failure semantics
 //!
-//! Everything fails closed. A peer that dies mid-run surfaces as a
-//! typed [`hop_wire::WireError`] on its readers (EOF without a
-//! `Finished` frame), which the survivors report as a peer loss instead
-//! of a bare stall; the coordinator turns missing summaries into
+//! Everything fails closed. The spec a worker receives is validated key
+//! by key and against its own topology before anything runs; a rejected
+//! spec comes back as a typed summary error, not a panic.
+//!
+//! Links close by handshake. A finished worker floods its final tokens,
+//! writes `Finished` on every link, half-closes it (`shutdown(Write)`)
+//! and keeps every link's reader draining until the peer's own
+//! `Finished` arrives (bounded by `stall_timeout`) before the process
+//! exits: exiting with unread frames in a receive buffer resets the
+//! connection, and the reset can destroy that very `Finished` in the
+//! peer's buffer. Each link's reader settles exactly one verdict — the
+//! peer finished, or the link broke (EOF without `Finished`, corrupt or
+//! unexpected frame) — and a write error is classified from that
+//! verdict, waited for rather than sampled: a late token grant to a peer
+//! that finished first is benign, while a peer that died mid-run
+//! surfaces as a peer loss naming it, not as a bare I/O string or a
+//! stall. The coordinator turns missing summaries into
 //! [`ProcessError::PeerLost`] and — when
 //! [`ProcessExperiment::failure_label`] is set — serializes the partial
 //! merged trace to `target/conformance-failures/<label>.trace` for
 //! offline replay.
 
-use crate::choreography::{self, t, ChoreographySpec, SeqSink, Transition};
+use crate::choreography::{self, t, ChoreographySpec, EventKind, SeqSink, Transition};
 use crate::config::{ComputeOrder, ConfigError, HopConfig, SkipConfig, SyncMode};
 use crate::conformance::{ProtocolEvent, ProtocolTrace};
-use crate::semantics::{self, StalenessWeighting};
+use crate::report::RuntimeReport;
+use crate::semantics::StalenessWeighting;
 use crate::sim_runtime::compression::CompressionPlane;
-use crate::threaded::{jump_renew, stale_recv, WorkerCtx};
+use crate::threaded::ThreadedError;
 use crate::trainer::Hyper;
+use crate::worker::{worker_loop, Transport, WorkerJob, WorkerOutcome};
 use hop_data::webspam::SyntheticWebspam;
-use hop_data::{BatchSampler, Dataset};
+use hop_data::Dataset;
 use hop_graph::Topology;
 use hop_model::svm::Svm;
-use hop_model::{GradScratch, Model, Sgd};
+use hop_model::Model;
 use hop_queue::blocking::{SharedTaggedQueue, SharedTokenQueue};
-use hop_queue::tagged::{Tag, TagFilter};
+use hop_queue::tagged::Tag;
+use hop_sim::FaultPlan;
 use hop_tensor::{BufferPool, CompressedBlock, CompressionConfig, ParamBlock};
 use hop_wire::{read_message, write_message, Message, WireError};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::io::ErrorKind;
-use std::net::{TcpListener, TcpStream};
+use std::io::{ErrorKind, Write as _};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// The process runtime's transition table: the full grammar minus the
 /// fault plane — a real dead process cannot be choreographed as a
 /// polite `Crash` event; it surfaces as a connection error instead.
 pub const PROCESS_TRANSITIONS: &[Transition] = &[
-    t("Reduced", choreography::EventKind::Advance, "Idle"),
-    t("Idle", choreography::EventKind::Send, "Idle"),
-    t("Idle", choreography::EventKind::ComputeBegin, "Computing"),
-    t(
-        "Computing",
-        choreography::EventKind::ComputeEnd,
-        "Exchanging",
-    ),
-    t("Exchanging", choreography::EventKind::Send, "Exchanging"),
-    t("Exchanging", choreography::EventKind::Consume, "Exchanging"),
-    t("Exchanging", choreography::EventKind::Reduce, "Reduced"),
-    t("Reduced", choreography::EventKind::TokenTake, "Reduced"),
-    t("Reduced", choreography::EventKind::Jump, "Renewing"),
-    t("Renewing", choreography::EventKind::TokenTake, "Renewing"),
-    t("Renewing", choreography::EventKind::Consume, "Renewing"),
-    t("Renewing", choreography::EventKind::RenewReduce, "Reduced"),
-    t("*", choreography::EventKind::TokenPass, "*"),
-    t("*", choreography::EventKind::StaleAdmit, "*"),
-    t("*", choreography::EventKind::StaleReject, "*"),
-    t("*", choreography::EventKind::Drop, "*"),
+    t("Reduced", EventKind::Advance, "Idle"),
+    t("Idle", EventKind::Send, "Idle"),
+    t("Idle", EventKind::ComputeBegin, "Computing"),
+    t("Computing", EventKind::ComputeEnd, "Exchanging"),
+    t("Exchanging", EventKind::Send, "Exchanging"),
+    t("Exchanging", EventKind::Consume, "Exchanging"),
+    t("Exchanging", EventKind::Reduce, "Reduced"),
+    t("Reduced", EventKind::TokenTake, "Reduced"),
+    t("Reduced", EventKind::Jump, "Renewing"),
+    t("Renewing", EventKind::TokenTake, "Renewing"),
+    t("Renewing", EventKind::Consume, "Renewing"),
+    t("Renewing", EventKind::RenewReduce, "Reduced"),
+    t("*", EventKind::TokenPass, "*"),
+    t("*", EventKind::StaleAdmit, "*"),
+    t("*", EventKind::StaleReject, "*"),
+    t("*", EventKind::Drop, "*"),
 ];
 
 /// The declared choreography of the process runtime: the threaded
@@ -187,43 +203,6 @@ impl From<ConfigError> for ProcessError {
     }
 }
 
-/// Result of a process-runtime run.
-#[derive(Debug, Clone)]
-pub struct ProcessReport {
-    /// Final parameters per worker.
-    pub final_params: Vec<Vec<f32>>,
-    /// Per-worker minibatch losses by iteration (skipped iterations have
-    /// no loss entry).
-    pub losses: Vec<Vec<f32>>,
-    /// Per-worker update-block payload bytes actually framed onto the
-    /// sockets — comparable 1:1 with the simulator's `bytes_sent`.
-    pub update_wire_bytes: Vec<u64>,
-    /// Wall-clock duration of the run (spawn to last summary).
-    pub elapsed: Duration,
-}
-
-impl ProcessReport {
-    /// Total update bytes across all workers — the number that must
-    /// equal the simulator's `bytes_sent` for the same grid point.
-    #[must_use]
-    pub fn total_update_wire_bytes(&self) -> u64 {
-        self.update_wire_bytes.iter().sum()
-    }
-
-    /// Elementwise average of the final parameters (empty for an empty
-    /// report).
-    #[must_use]
-    pub fn averaged_params(&self) -> Vec<f32> {
-        let views: Vec<&[f32]> = self.final_params.iter().map(Vec::as_slice).collect();
-        let Some(first) = views.first() else {
-            return Vec::new();
-        };
-        let mut out = vec![0.0f32; first.len()];
-        hop_tensor::ops::mean_into(&views, &mut out);
-        out
-    }
-}
-
 /// A process-per-worker decentralized training run over localhost TCP.
 ///
 /// The workload is the conformance suite's synthetic webspam SVM,
@@ -299,7 +278,7 @@ impl ProcessExperiment {
     /// assembles, [`ProcessError::PeerLost`] when a worker process dies
     /// mid-run, and [`ProcessError::WorkerFailed`] when a worker
     /// reports a protocol failure (e.g. a stall) in its summary.
-    pub fn run(&self) -> Result<ProcessReport, ProcessError> {
+    pub fn run(&self) -> Result<RuntimeReport, ProcessError> {
         Ok(self.run_inner(false)?.0)
     }
 
@@ -311,7 +290,7 @@ impl ProcessExperiment {
     ///
     /// Exactly [`Self::run`]'s errors, plus [`ProcessError::Protocol`]
     /// if the merged event log fails to parse.
-    pub fn run_traced(&self) -> Result<(ProcessReport, ProtocolTrace), ProcessError> {
+    pub fn run_traced(&self) -> Result<(RuntimeReport, ProtocolTrace), ProcessError> {
         let (report, trace) = self.run_inner(true)?;
         Ok((report, trace.expect("tracing was enabled")))
     }
@@ -319,7 +298,7 @@ impl ProcessExperiment {
     fn run_inner(
         &self,
         traced: bool,
-    ) -> Result<(ProcessReport, Option<ProtocolTrace>), ProcessError> {
+    ) -> Result<(RuntimeReport, Option<ProtocolTrace>), ProcessError> {
         self.config.validate(&self.topology)?;
         if self.config.order != ComputeOrder::Parallel {
             return Err(ProcessError::Unsupported("the serial compute order"));
@@ -328,14 +307,13 @@ impl ProcessExperiment {
             return Err(ProcessError::Unsupported("NOTIFY-ACK synchronization"));
         }
         let n = self.topology.len();
-        let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(|error| ProcessError::Io {
-            context: "bind coordinator listener",
-            error,
-        })?;
-        let addr = listener.local_addr().map_err(|error| ProcessError::Io {
-            context: "read coordinator address",
-            error,
-        })?;
+        let (listener, addr) = TcpListener::bind(("127.0.0.1", 0))
+            .and_then(|listener| Ok((listener.local_addr()?, listener)))
+            .map(|(addr, listener)| (listener, addr))
+            .map_err(|error| ProcessError::Io {
+                context: "bind coordinator listener",
+                error,
+            })?;
         let start = Instant::now();
         let mut children = Fleet(Vec::with_capacity(n));
         for w in 0..n {
@@ -351,7 +329,19 @@ impl ProcessExperiment {
                 })?;
             children.0.push(child);
         }
-        let mut conns = accept_fleet(&listener, &mut children, n)?;
+        // Accept and identify the whole fleet, watching for children that
+        // die before saying hello.
+        let ids: Vec<usize> = (0..n).collect();
+        let handshake_deadline = Instant::now() + Duration::from_secs(60);
+        let mut conns = accept_hellos(&listener, &ids, handshake_deadline, |slots| {
+            for (w, child) in children.0.iter_mut().enumerate() {
+                if let (None, Ok(Some(status))) = (&slots[w], child.try_wait()) {
+                    return Err(format!("worker {w} exited during handshake ({status})"));
+                }
+            }
+            Ok(())
+        })
+        .map_err(ProcessError::Handshake)?;
         // Hand every worker its spec and the listener ports of its
         // update receivers, then let the fleet run.
         for w in 0..n {
@@ -359,22 +349,18 @@ impl ProcessExperiment {
                 .topology
                 .external_out_neighbors(w)
                 .iter()
-                .map(|&o| (o as u32, conns_port(&conns, o)))
+                .map(|&o| (o as u32, conns[o].1))
                 .collect();
             let spec = Message::Spec {
                 text: self.spec_text(w, traced),
             };
-            let (stream, _) = conns[w].as_mut().expect("handshake filled every slot");
-            write_message(stream, &spec).map_err(|error| ProcessError::Wire {
-                context: "send worker spec",
-                error,
-            })?;
-            write_message(stream, &Message::Peers { peers }).map_err(|error| {
-                ProcessError::Wire {
-                    context: "send peer table",
+            let stream = &mut conns[w].0;
+            write_message(stream, &spec)
+                .and_then(|_| write_message(stream, &Message::Peers { peers }))
+                .map_err(|error| ProcessError::Wire {
+                    context: "send worker spec and peer table",
                     error,
-                }
-            })?;
+                })?;
         }
         // Collect one summary per worker within a budget derived from
         // the run's own knobs; a missing summary is a lost peer.
@@ -383,10 +369,14 @@ impl ProcessExperiment {
         let budget =
             self.compute_sleep * slow * iter_cap + self.stall_timeout * 4 + Duration::from_secs(30);
         let deadline = Instant::now() + budget;
-        let mut summaries: Vec<Option<Summary>> = (0..n).map(|_| None).collect();
+        // Per-worker stamped event logs (empty for a worker that never
+        // reported), the report as it fills in worker order, lost workers,
+        // and the first worker that reported a protocol failure.
+        let mut logs = vec![String::new(); n];
+        let mut report = RuntimeReport::default();
         let mut failures: Vec<(usize, String)> = Vec::new();
-        for (w, slot) in conns.iter_mut().enumerate() {
-            let (stream, _) = slot.as_mut().expect("handshake filled every slot");
+        let mut failed: Option<(usize, String)> = None;
+        for (w, (stream, _)) in conns.iter_mut().enumerate() {
             let remaining = deadline
                 .saturating_duration_since(Instant::now())
                 .max(Duration::from_millis(10));
@@ -401,14 +391,13 @@ impl ProcessExperiment {
                     losses,
                     events_text,
                 }) if worker as usize == w => {
-                    summaries[w] = Some(Summary {
-                        ok,
-                        error,
-                        update_wire_bytes,
-                        final_params,
-                        losses,
-                        events_text,
-                    });
+                    logs[w] = events_text;
+                    report.final_params.push(final_params);
+                    report.losses.push(losses);
+                    report.update_wire_bytes.push(update_wire_bytes);
+                    if !ok {
+                        failed.get_or_insert((w, error));
+                    }
                 }
                 Ok(other) => {
                     failures.push((w, format!("sent {other:?} instead of its summary")));
@@ -417,24 +406,19 @@ impl ProcessExperiment {
             }
         }
         drop(children); // reap the fleet before reporting
-        let elapsed = start.elapsed();
-        let merged_text = traced
-            .then(|| merge_stamped_events(&summaries))
-            .transpose()?;
-        let first_failed = summaries
-            .iter()
-            .enumerate()
-            .find_map(|(w, s)| s.as_ref().filter(|s| !s.ok).map(|s| (w, s.error.clone())));
-        if !failures.is_empty() || first_failed.is_some() {
+        report.elapsed = start.elapsed();
+        let merged_text = traced.then(|| merge_stamped_events(&logs)).transpose()?;
+        if !failures.is_empty() || failed.is_some() {
             if let (Some(label), Some(text)) = (&self.failure_label, &merged_text) {
                 let dir = std::path::Path::new("target/conformance-failures");
                 let _ = std::fs::create_dir_all(dir);
                 let _ = std::fs::write(dir.join(format!("{label}.trace")), text);
             }
-            if !failures.is_empty() {
-                return Err(ProcessError::PeerLost { failures });
-            }
-            let (worker, error) = first_failed.expect("checked above");
+        }
+        if !failures.is_empty() {
+            return Err(ProcessError::PeerLost { failures });
+        }
+        if let Some((worker, error)) = failed {
             return Err(ProcessError::WorkerFailed { worker, error });
         }
         let trace = merged_text
@@ -442,18 +426,6 @@ impl ProcessExperiment {
                 ProtocolTrace::from_text(&text).map_err(|e| ProcessError::Protocol(e.to_string()))
             })
             .transpose()?;
-        let mut report = ProcessReport {
-            final_params: Vec::with_capacity(n),
-            losses: Vec::with_capacity(n),
-            update_wire_bytes: Vec::with_capacity(n),
-            elapsed,
-        };
-        for s in summaries {
-            let s = s.expect("no failure implies every summary arrived");
-            report.final_params.push(s.final_params);
-            report.losses.push(s.losses);
-            report.update_wire_bytes.push(s.update_wire_bytes);
-        }
         Ok((report, trace))
     }
 
@@ -462,83 +434,70 @@ impl ProcessExperiment {
     /// values.
     fn spec_text(&self, w: usize, traced: bool) -> String {
         let cfg = &self.config;
-        let mut out = String::new();
-        let _ = writeln!(out, "w={w}");
-        let _ = writeln!(out, "n={}", self.topology.len());
-        let _ = writeln!(out, "max_iters={}", self.max_iters);
-        let _ = writeln!(out, "seed={}", self.seed);
+        let opt = |v: Option<u64>| v.map_or_else(|| "none".to_string(), |x| x.to_string());
+        let hex = |v: f32| format!("{:08x}", v.to_bits());
         let edges: Vec<String> = self
             .topology
             .external_edges()
             .iter()
             .map(|(u, v)| format!("{u}>{v}"))
             .collect();
-        let _ = writeln!(out, "edges={}", edges.join(";"));
-        let _ = writeln!(out, "max_ig={}", opt_u64(cfg.max_ig()));
-        let _ = writeln!(out, "n_backup={}", cfg.n_backup);
-        let _ = writeln!(out, "staleness={}", opt_u64(cfg.staleness));
-        let _ = writeln!(
-            out,
-            "skip={}",
-            cfg.skip.as_ref().map_or_else(
-                || "none".into(),
-                |s| format!("{}:{}", s.max_jump, s.trigger_behind)
-            )
-        );
-        let _ = writeln!(
-            out,
-            "send_inquiry={}",
-            cfg.send_inquiry
-                .map_or_else(|| "none".into(), |b| u8::from(b).to_string())
-        );
-        let weighting = match cfg.staleness_weighting {
-            StalenessWeighting::Linear => "linear".to_string(),
-            StalenessWeighting::Uniform => "uniform".to_string(),
-            StalenessWeighting::Exponential { decay } => format!("exp:{:08x}", decay.to_bits()),
-        };
-        let _ = writeln!(out, "weighting={weighting}");
-        let compression = match cfg.compression {
-            CompressionConfig::Identity => "identity".to_string(),
-            CompressionConfig::TopK { ratio } => format!("topk:{:08x}", ratio.to_bits()),
-            CompressionConfig::Int8Uniform => "int8".to_string(),
-        };
-        let _ = writeln!(out, "compression={compression}");
-        let _ = writeln!(out, "lr={:08x}", self.hyper.lr.to_bits());
-        let _ = writeln!(out, "momentum={:08x}", self.hyper.momentum.to_bits());
-        let _ = writeln!(
-            out,
-            "weight_decay={:08x}",
-            self.hyper.weight_decay.to_bits()
-        );
-        let _ = writeln!(out, "batch_size={}", self.hyper.batch_size);
-        let _ = writeln!(out, "examples={}", self.examples);
-        let _ = writeln!(out, "data_seed={}", self.data_seed);
         let sleep = match self.slow_worker {
             Some((slow, factor)) if slow == w => self.compute_sleep * factor,
             _ => self.compute_sleep,
         };
-        let _ = writeln!(
-            out,
-            "sleep_us={}",
-            u64::try_from(sleep.as_micros()).unwrap_or(u64::MAX)
-        );
-        let _ = writeln!(
-            out,
-            "stall_ms={}",
-            u64::try_from(self.stall_timeout.as_millis()).unwrap_or(u64::MAX)
-        );
-        let _ = writeln!(out, "traced={}", u8::from(traced));
-        let die = match self.die_at {
-            Some((dw, iter)) if dw == w => opt_u64(Some(iter)),
-            _ => "none".to_string(),
-        };
-        let _ = writeln!(out, "die_at={die}");
-        out
+        let fields = [
+            ("w", w.to_string()),
+            ("n", self.topology.len().to_string()),
+            ("max_iters", self.max_iters.to_string()),
+            ("seed", self.seed.to_string()),
+            ("edges", edges.join(";")),
+            ("max_ig", opt(cfg.max_ig())),
+            ("n_backup", cfg.n_backup.to_string()),
+            ("staleness", opt(cfg.staleness)),
+            (
+                "skip",
+                cfg.skip.as_ref().map_or_else(
+                    || "none".into(),
+                    |s| format!("{}:{}", s.max_jump, s.trigger_behind),
+                ),
+            ),
+            ("send_inquiry", opt(cfg.send_inquiry.map(u64::from))),
+            (
+                "weighting",
+                match cfg.staleness_weighting {
+                    StalenessWeighting::Linear => "linear".into(),
+                    StalenessWeighting::Uniform => "uniform".into(),
+                    StalenessWeighting::Exponential { decay } => format!("exp:{}", hex(decay)),
+                },
+            ),
+            (
+                "compression",
+                match cfg.compression {
+                    CompressionConfig::Identity => "identity".into(),
+                    CompressionConfig::TopK { ratio } => format!("topk:{}", hex(ratio)),
+                    CompressionConfig::Int8Uniform => "int8".into(),
+                },
+            ),
+            ("lr", hex(self.hyper.lr)),
+            ("momentum", hex(self.hyper.momentum)),
+            ("weight_decay", hex(self.hyper.weight_decay)),
+            ("batch_size", self.hyper.batch_size.to_string()),
+            ("examples", self.examples.to_string()),
+            ("data_seed", self.data_seed.to_string()),
+            ("sleep_us", sleep.as_micros().to_string()),
+            ("stall_ms", self.stall_timeout.as_millis().to_string()),
+            ("traced", u8::from(traced).to_string()),
+            (
+                "die_at",
+                opt(self.die_at.and_then(|(dw, iter)| (dw == w).then_some(iter))),
+            ),
+        ];
+        fields.iter().fold(String::new(), |mut out, (key, value)| {
+            let _ = writeln!(out, "{key}={value}");
+            out
+        })
     }
-}
-
-fn opt_u64(v: Option<u64>) -> String {
-    v.map_or_else(|| "none".to_string(), |x| x.to_string())
 }
 
 /// The worker fleet, killed and reaped on drop so no code path leaks
@@ -554,113 +513,13 @@ impl Drop for Fleet {
     }
 }
 
-/// Accepts and identifies all `n` worker connections, watching for
-/// children that die before saying hello.
-fn accept_fleet(
-    listener: &TcpListener,
-    children: &mut Fleet,
-    n: usize,
-) -> Result<Vec<Option<(TcpStream, u16)>>, ProcessError> {
-    listener
-        .set_nonblocking(true)
-        .map_err(|error| ProcessError::Io {
-            context: "poll coordinator listener",
-            error,
-        })?;
-    let deadline = Instant::now() + Duration::from_secs(60);
-    let mut conns: Vec<Option<(TcpStream, u16)>> = (0..n).map(|_| None).collect();
-    let mut have = 0;
-    while have < n {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                stream
-                    .set_nonblocking(false)
-                    .map_err(|error| ProcessError::Io {
-                        context: "configure worker socket",
-                        error,
-                    })?;
-                stream.set_nodelay(true).ok();
-                stream.set_read_timeout(Some(Duration::from_secs(10))).ok();
-                let mut stream = stream;
-                match read_message(&mut stream) {
-                    Ok(Message::Hello { worker, port }) => {
-                        let w = worker as usize;
-                        if w >= n {
-                            return Err(ProcessError::Handshake(format!(
-                                "hello from out-of-range worker {w}"
-                            )));
-                        }
-                        if conns[w].is_some() {
-                            return Err(ProcessError::Handshake(format!(
-                                "two hellos from worker {w}"
-                            )));
-                        }
-                        conns[w] = Some((stream, port));
-                        have += 1;
-                    }
-                    Ok(other) => {
-                        return Err(ProcessError::Handshake(format!(
-                            "expected a hello, got {other:?}"
-                        )));
-                    }
-                    Err(e) => return Err(ProcessError::Handshake(format!("bad hello: {e}"))),
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                if Instant::now() > deadline {
-                    let missing: Vec<usize> = (0..n).filter(|&w| conns[w].is_none()).collect();
-                    return Err(ProcessError::Handshake(format!(
-                        "timed out waiting for workers {missing:?}"
-                    )));
-                }
-                for (w, child) in children.0.iter_mut().enumerate() {
-                    if conns[w].is_none() {
-                        if let Ok(Some(status)) = child.try_wait() {
-                            return Err(ProcessError::Handshake(format!(
-                                "worker {w} exited during handshake ({status})"
-                            )));
-                        }
-                    }
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(error) => {
-                return Err(ProcessError::Io {
-                    context: "accept worker connection",
-                    error,
-                })
-            }
-        }
-    }
-    Ok(conns)
-}
-
-fn conns_port(conns: &[Option<(TcpStream, u16)>], w: usize) -> u16 {
-    conns[w].as_ref().expect("handshake filled every slot").1
-}
-
-/// One worker's final report, as decoded from its summary frame.
-struct Summary {
-    ok: bool,
-    error: String,
-    update_wire_bytes: u64,
-    final_params: Vec<f32>,
-    losses: Vec<f32>,
-    events_text: String,
-}
-
 /// Merges the per-worker `<stamp> <event>` logs into one event-per-line
 /// text, ordered by Lamport stamp (ties broken by worker order, which
 /// keeps the merge deterministic).
-fn merge_stamped_events(summaries: &[Option<Summary>]) -> Result<String, ProcessError> {
+fn merge_stamped_events(logs: &[String]) -> Result<String, ProcessError> {
     let mut lines: Vec<(u64, usize, &str)> = Vec::new();
-    for (idx, summary) in summaries.iter().enumerate() {
-        let Some(summary) = summary else { continue };
-        for line in summary.events_text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
+    for (idx, log) in logs.iter().enumerate() {
+        for line in log.lines().map(str::trim).filter(|l| !l.is_empty()) {
             let (stamp, rest) = line.split_once(' ').ok_or_else(|| {
                 ProcessError::Protocol(format!("worker {idx} sent unstamped event `{line}`"))
             })?;
@@ -671,12 +530,65 @@ fn merge_stamped_events(summaries: &[Option<Summary>]) -> Result<String, Process
         }
     }
     lines.sort_by_key(|&(stamp, idx, _)| (stamp, idx));
-    let mut out = String::new();
-    for (_, _, line) in lines {
-        out.push_str(line);
-        out.push('\n');
+    Ok(lines
+        .iter()
+        .fold(String::new(), |out, (_, _, line)| out + line + "\n"))
+}
+
+/// Accepts connections on `listener` until every worker id in `expected`
+/// has identified itself with a [`Message::Hello`], returning the
+/// `(stream, advertised port)` pairs in `expected` order. Ids outside
+/// `expected` and repeated ids are rejected. `idle` runs whenever no
+/// connection is pending, with the slots filled so far.
+fn accept_hellos(
+    listener: &TcpListener,
+    expected: &[usize],
+    deadline: Instant,
+    mut idle: impl FnMut(&[Option<(TcpStream, u16)>]) -> Result<(), String>,
+) -> Result<Vec<(TcpStream, u16)>, String> {
+    listener
+        .set_nonblocking(true)
+        .map_err(|e| format!("poll listener: {e}"))?;
+    let mut slots: Vec<Option<(TcpStream, u16)>> = expected.iter().map(|_| None).collect();
+    while slots.iter().any(Option::is_none) {
+        match listener.accept() {
+            Ok((mut stream, _)) => {
+                stream
+                    .set_nonblocking(false)
+                    .map_err(|e| format!("configure accepted socket: {e}"))?;
+                stream.set_nodelay(true).ok();
+                stream.set_read_timeout(Some(Duration::from_secs(10))).ok();
+                let (id, port) = match read_message(&mut stream) {
+                    Ok(Message::Hello { worker, port }) => (worker as usize, port),
+                    Ok(other) => return Err(format!("expected a hello, got {other:?}")),
+                    Err(e) => return Err(format!("bad hello: {e}")),
+                };
+                let slot = expected
+                    .iter()
+                    .position(|&x| x == id)
+                    .ok_or_else(|| format!("hello from unexpected worker {id}"))?;
+                if slots[slot].is_some() {
+                    return Err(format!("two hellos from worker {id}"));
+                }
+                stream.set_read_timeout(None).ok();
+                slots[slot] = Some((stream, port));
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                if Instant::now() > deadline {
+                    let missing: Vec<usize> = expected
+                        .iter()
+                        .zip(&slots)
+                        .filter_map(|(&id, slot)| slot.is_none().then_some(id))
+                        .collect();
+                    return Err(format!("timed out waiting for workers {missing:?}"));
+                }
+                idle(&slots)?;
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            Err(e) => return Err(format!("accept connection: {e}")),
+        }
     }
-    Ok(out)
+    Ok(slots.into_iter().flatten().collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -684,14 +596,13 @@ fn merge_stamped_events(summaries: &[Option<Summary>]) -> Result<String, Process
 // ---------------------------------------------------------------------------
 
 /// Everything a worker needs to run its half of the experiment, parsed
-/// from the coordinator's spec text.
+/// and validated from the coordinator's spec text.
 #[derive(Debug, PartialEq)]
 struct WorkerSpec {
     w: usize,
-    n: usize,
+    topology: Topology,
     max_iters: u64,
     seed: u64,
-    edges: Vec<(usize, usize)>,
     cfg: HopConfig,
     hyper: Hyper,
     examples: usize,
@@ -702,71 +613,83 @@ struct WorkerSpec {
     die_at: Option<u64>,
 }
 
+/// A float shipped as its hex bit pattern.
+fn hex_f32(raw: &str, what: &str) -> Result<f32, String> {
+    u32::from_str_radix(raw, 16)
+        .map(f32::from_bits)
+        .map_err(|e| format!("spec `{what}`: {e}"))
+}
+
 impl WorkerSpec {
+    /// Parses the spec text, failing closed: unknown, repeated or missing
+    /// keys, out-of-range ids and sizes, and a config that does not
+    /// validate against the shipped topology are all rejected with a
+    /// message naming the offending key.
+    #[allow(clippy::too_many_lines)]
     fn parse(text: &str) -> Result<Self, String> {
         let mut fields: HashMap<&str, &str> = HashMap::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
+        for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
             let (k, v) = line
                 .split_once('=')
                 .ok_or_else(|| format!("spec line `{line}` is not key=value"))?;
-            fields.insert(k, v);
+            if fields.insert(k, v).is_some() {
+                return Err(format!("spec repeats `{k}`"));
+            }
         }
+        // Every key is taken exactly once; whatever is left over at the
+        // end is a key this parser does not know.
+        let fields = RefCell::new(fields);
         let get = |key: &str| -> Result<&str, String> {
             fields
-                .get(key)
-                .copied()
+                .borrow_mut()
+                .remove(key)
                 .ok_or_else(|| format!("spec is missing `{key}`"))
         };
-        let get_u64 = |key: &str| -> Result<u64, String> {
-            get(key)?
-                .parse::<u64>()
-                .map_err(|e| format!("spec `{key}`: {e}"))
+        let parse_u64 = |key: &str, raw: &str| -> Result<u64, String> {
+            raw.parse::<u64>().map_err(|e| format!("spec `{key}`: {e}"))
         };
+        let get_u64 = |key: &str| parse_u64(key, get(key)?);
         let get_opt_u64 = |key: &str| -> Result<Option<u64>, String> {
-            let raw = get(key)?;
-            if raw == "none" {
-                Ok(None)
-            } else {
-                raw.parse::<u64>()
-                    .map(Some)
-                    .map_err(|e| format!("spec `{key}`: {e}"))
+            match get(key)? {
+                "none" => Ok(None),
+                raw => parse_u64(key, raw).map(Some),
             }
         };
-        let get_f32 = |key: &str| -> Result<f32, String> {
-            let raw = get(key)?;
-            u32::from_str_radix(raw, 16)
-                .map(f32::from_bits)
-                .map_err(|e| format!("spec `{key}`: {e}"))
+        let get_usize = |key: &str| -> Result<usize, String> {
+            usize::try_from(get_u64(key)?).map_err(|e| format!("spec `{key}`: {e}"))
         };
+        let get_positive = |key: &str| -> Result<usize, String> {
+            match get_usize(key)? {
+                0 => Err(format!("spec `{key}` must be positive")),
+                v => Ok(v),
+            }
+        };
+        let n = get_positive("n")?;
+        let w = get_usize("w")?;
+        if w >= n {
+            return Err(format!("spec `w`={w} is out of range for n={n}"));
+        }
         let mut edges = Vec::new();
-        let raw_edges = get("edges")?;
-        if !raw_edges.is_empty() {
-            for part in raw_edges.split(';') {
-                let (u, v) = part
-                    .split_once('>')
-                    .ok_or_else(|| format!("spec edge `{part}` is not u>v"))?;
-                let u = u
-                    .parse::<usize>()
-                    .map_err(|e| format!("spec edge `{part}`: {e}"))?;
-                let v = v
-                    .parse::<usize>()
-                    .map_err(|e| format!("spec edge `{part}`: {e}"))?;
-                edges.push((u, v));
+        for part in get("edges")?.split(';').filter(|p| !p.is_empty()) {
+            let endpoints = part
+                .split_once('>')
+                .and_then(|(u, v)| Some((u.parse::<usize>().ok()?, v.parse::<usize>().ok()?)));
+            match endpoints {
+                Some((u, v)) if u < n && v < n => edges.push((u, v)),
+                Some(_) => return Err(format!("spec edge `{part}` is out of range for n={n}")),
+                None => return Err(format!("spec edge `{part}` is not u>v")),
             }
         }
+        let topology = Topology::from_edges(n, &edges);
         let skip = match get("skip")? {
             "none" => None,
             raw => {
                 let (j, b) = raw
                     .split_once(':')
-                    .ok_or_else(|| format!("spec skip `{raw}` is not max_jump:trigger"))?;
+                    .ok_or_else(|| format!("spec `skip`=`{raw}` is not max_jump:trigger"))?;
                 Some(SkipConfig {
-                    max_jump: j.parse().map_err(|e| format!("spec skip: {e}"))?,
-                    trigger_behind: b.parse().map_err(|e| format!("spec skip: {e}"))?,
+                    max_jump: parse_u64("skip", j)?,
+                    trigger_behind: parse_u64("skip", b)?,
                 })
             }
         };
@@ -774,18 +697,16 @@ impl WorkerSpec {
             "none" => None,
             "0" => Some(false),
             "1" => Some(true),
-            other => return Err(format!("spec send_inquiry `{other}` is not none/0/1")),
+            other => return Err(format!("spec `send_inquiry`=`{other}` is not none/0/1")),
         };
         let staleness_weighting = match get("weighting")? {
             "linear" => StalenessWeighting::Linear,
             "uniform" => StalenessWeighting::Uniform,
             raw => match raw.strip_prefix("exp:") {
                 Some(bits) => StalenessWeighting::Exponential {
-                    decay: u32::from_str_radix(bits, 16)
-                        .map(f32::from_bits)
-                        .map_err(|e| format!("spec weighting: {e}"))?,
+                    decay: hex_f32(bits, "weighting")?,
                 },
-                None => return Err(format!("unknown weighting `{raw}`")),
+                None => return Err(format!("spec has unknown `weighting`=`{raw}`")),
             },
         };
         let compression = match get("compression")? {
@@ -793,11 +714,9 @@ impl WorkerSpec {
             "int8" => CompressionConfig::Int8Uniform,
             raw => match raw.strip_prefix("topk:") {
                 Some(bits) => CompressionConfig::TopK {
-                    ratio: u32::from_str_radix(bits, 16)
-                        .map(f32::from_bits)
-                        .map_err(|e| format!("spec compression: {e}"))?,
+                    ratio: hex_f32(bits, "compression")?,
                 },
-                None => return Err(format!("unknown compression `{raw}`")),
+                None => return Err(format!("spec has unknown `compression`=`{raw}`")),
             },
         };
         let cfg = HopConfig {
@@ -805,104 +724,361 @@ impl WorkerSpec {
             sync: SyncMode::Queues {
                 max_ig: get_opt_u64("max_ig")?,
             },
-            n_backup: usize::try_from(get_u64("n_backup")?).map_err(|e| e.to_string())?,
+            n_backup: get_usize("n_backup")?,
             staleness: get_opt_u64("staleness")?,
             skip,
             send_inquiry,
             staleness_weighting,
             compression,
         };
-        Ok(WorkerSpec {
-            w: usize::try_from(get_u64("w")?).map_err(|e| e.to_string())?,
-            n: usize::try_from(get_u64("n")?).map_err(|e| e.to_string())?,
+        cfg.validate(&topology)
+            .map_err(|e| format!("spec config is invalid for its topology: {e}"))?;
+        let spec = WorkerSpec {
+            w,
+            topology,
             max_iters: get_u64("max_iters")?,
             seed: get_u64("seed")?,
-            edges,
             cfg,
             hyper: Hyper {
-                lr: get_f32("lr")?,
-                momentum: get_f32("momentum")?,
-                weight_decay: get_f32("weight_decay")?,
-                batch_size: usize::try_from(get_u64("batch_size")?).map_err(|e| e.to_string())?,
+                lr: hex_f32(get("lr")?, "lr")?,
+                momentum: hex_f32(get("momentum")?, "momentum")?,
+                weight_decay: hex_f32(get("weight_decay")?, "weight_decay")?,
+                batch_size: get_positive("batch_size")?,
             },
-            examples: usize::try_from(get_u64("examples")?).map_err(|e| e.to_string())?,
+            examples: get_positive("examples")?,
             data_seed: get_u64("data_seed")?,
             compute_sleep: Duration::from_micros(get_u64("sleep_us")?),
             stall_timeout: Duration::from_millis(get_u64("stall_ms")?),
             traced: get_u64("traced")? != 0,
             die_at: get_opt_u64("die_at")?,
-        })
+        };
+        let unknown = fields.borrow().keys().min().copied();
+        match unknown {
+            Some(k) => Err(format!("spec has unknown key `{k}`")),
+            None => Ok(spec),
+        }
     }
 }
 
-/// Shared status of one peer link, written by its reader thread.
+/// Status of one peer link, settled exactly once by its reader thread.
 struct LinkState {
     peer: usize,
-    /// The peer sent `Finished`: subsequent write errors on this link
-    /// are benign (the simulator likewise keeps charging sends to
-    /// finished workers — delivery is the receiver's problem).
-    finished: AtomicBool,
-    /// Why the link failed, if it did (EOF without `Finished`, corrupt
-    /// frame, unexpected message).
-    failed: Mutex<Option<String>>,
+    /// `None` while the link is open; `Ok` once the peer said `Finished`
+    /// (its last frame before half-closing); `Err(why)`, naming the
+    /// peer, if the link broke first (EOF without `Finished`, corrupt or
+    /// unexpected frame).
+    verdict: Mutex<Option<Result<(), String>>>,
+    settled: Condvar,
 }
 
 impl LinkState {
-    fn new(peer: usize) -> Arc<Self> {
-        Arc::new(LinkState {
-            peer,
-            finished: AtomicBool::new(false),
-            failed: Mutex::new(None),
-        })
-    }
-
-    fn fail(&self, why: String) {
-        let mut slot = self.failed.lock().expect("link state lock");
-        if slot.is_none() {
-            *slot = Some(why);
-        }
-    }
-
+    /// Why the link failed, if it did.
     fn failure(&self) -> Option<String> {
-        self.failed.lock().expect("link state lock").clone()
+        let verdict = self.verdict.lock().expect("link state lock");
+        verdict.as_ref()?.as_ref().err().cloned()
+    }
+
+    /// Blocks until the reader reaches its verdict or `deadline` passes.
+    fn await_verdict(&self, deadline: Instant) -> Option<Result<(), String>> {
+        let mut verdict = self.verdict.lock().expect("link state lock");
+        while verdict.is_none() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            verdict = self
+                .settled
+                .wait_timeout(verdict, left)
+                .expect("link state lock")
+                .0;
+        }
+        verdict.clone()
     }
 }
 
-/// An outgoing-update link `w -> o`: this worker writes update frames;
-/// a reader thread mirrors `o`'s token grants into `tokens`.
-struct OutLink {
-    o: usize,
+/// One TCP connection to a peer. On an out-link `w -> o` this worker
+/// writes update frames and its reader mirrors `o`'s token grants; on an
+/// in-link `u -> w` the reader feeds `u`'s updates into the inbox and
+/// this worker writes token grants back.
+struct Link {
     stream: TcpStream,
-    tokens: Option<Arc<SharedTokenQueue>>,
     state: Arc<LinkState>,
 }
 
-/// An incoming-update link `u -> w`: a reader thread feeds `u`'s
-/// updates into the worker's own tagged queue; this worker writes token
-/// grants back.
-struct InLink {
+impl Link {
+    /// Wraps a connected, identified stream and starts its reader
+    /// thread, which hands every frame to `on_frame` until the peer says
+    /// `Finished` or the link breaks, then settles the verdict. Readers
+    /// emit no events; they only max-merge the Lamport clock carried by
+    /// the frames they accept.
+    fn open(
+        peer: usize,
+        stream: TcpStream,
+        write_timeout: Duration,
+        mut on_frame: impl FnMut(Message) -> Result<(), String> + Send + 'static,
+    ) -> Result<Link, String> {
+        stream.set_write_timeout(Some(write_timeout)).ok();
+        let mut reader = stream
+            .try_clone()
+            .map_err(|e| format!("clone peer socket: {e}"))?;
+        let state = Arc::new(LinkState {
+            peer,
+            verdict: Mutex::new(None),
+            settled: Condvar::new(),
+        });
+        let reader_state = Arc::clone(&state);
+        std::thread::spawn(move || {
+            let broke = loop {
+                match read_message(&mut reader) {
+                    Ok(Message::Finished { .. }) => break None,
+                    Ok(msg) => {
+                        if let Err(why) = on_frame(msg) {
+                            break Some(why);
+                        }
+                    }
+                    Err(e) => break Some(format!("worker {peer} died mid-stream: {e}")),
+                }
+            };
+            let verdict = broke.map_or(Ok(()), |why| {
+                Err(format!("peer link to worker {peer}: {why}"))
+            });
+            *reader_state.verdict.lock().expect("link state lock") = Some(verdict);
+            reader_state.settled.notify_all();
+        });
+        Ok(Link { stream, state })
+    }
+
+    /// Writes one pre-encoded frame. A write error means the write raced
+    /// the link's teardown, and only the reader knows which way: wait
+    /// (bounded) for its verdict instead of sampling it at the instant
+    /// of the error. A peer that finished first makes the loss benign
+    /// (the simulator likewise keeps charging sends to finished workers —
+    /// delivery is the receiver's problem); anything else is a peer loss.
+    fn write(&mut self, frame: &[u8], what: &str, patience: Duration) -> Result<(), String> {
+        let Err(e) = self.stream.write_all(frame) else {
+            return Ok(());
+        };
+        self.state
+            .await_verdict(Instant::now() + patience)
+            .unwrap_or_else(|| Err(format!("writing {what} to worker {}: {e}", self.state.peer)))
+    }
+}
+
+/// The frame handler of an in-link `u -> w`: validates each update
+/// against the configured codec, reconstructs compressed payloads
+/// through a per-sender reference stream, and enqueues into the worker's
+/// inbox — or recycles the block once the worker is `done` and nobody
+/// will consume it. Fails closed on any mistyped or mis-sized frame.
+fn update_handler(
     u: usize,
-    stream: TcpStream,
-    state: Arc<LinkState>,
+    compression: CompressionConfig,
+    init: &[f32],
+    inbox: Arc<SharedTaggedQueue<ParamBlock>>,
+    clock: Arc<AtomicU64>,
+    done: Arc<AtomicBool>,
+) -> impl FnMut(Message) -> Result<(), String> + Send + 'static {
+    let dim = init.len();
+    let mut plane = CompressionPlane::new(compression);
+    plane.add_param_streams(1, init);
+    // The mirror's buffers cycle through here: a reconstruction the
+    // worker has consumed and dropped is the next one's storage.
+    let mut pool = BufferPool::new();
+    move |msg| {
+        let Message::Update {
+            tag,
+            clock: c,
+            block,
+        } = msg
+        else {
+            return Err(format!("unexpected {msg:?} on an update link"));
+        };
+        if tag.w_id != u {
+            return Err(format!(
+                "update tagged from worker {}, expected {u}",
+                tag.w_id
+            ));
+        }
+        let kind_ok = matches!(
+            (compression, &block),
+            (CompressionConfig::Identity, CompressedBlock::Dense { .. })
+                | (
+                    CompressionConfig::TopK { .. },
+                    CompressedBlock::Sparse { .. }
+                )
+                | (
+                    CompressionConfig::Int8Uniform,
+                    CompressedBlock::Quantized { .. }
+                )
+        );
+        if !kind_ok || block.decoded_len() != dim {
+            return Err(format!(
+                "update block kind/size does not match the configured codec \
+                 (got {block:?} for dim {dim})"
+            ));
+        }
+        let update = match block {
+            CompressedBlock::Dense { values } => ParamBlock::from_vec(values),
+            block => plane.apply_params_block(0, &block, &mut pool),
+        };
+        clock.fetch_max(c, Ordering::SeqCst);
+        if done.load(Ordering::SeqCst) {
+            pool.reclaim(update);
+        } else {
+            inbox.enqueue(update, tag);
+        }
+        Ok(())
+    }
 }
 
-/// The first failure across all links, if any — preferred over a bare
-/// stall diagnosis, because a dead peer *causes* the stall.
-fn link_failure(out_links: &[OutLink], in_links: &[InLink]) -> Option<String> {
-    out_links
-        .iter()
-        .map(|l| &l.state)
-        .chain(in_links.iter().map(|l| &l.state))
-        .find_map(|s| {
-            s.failure()
-                .map(|why| format!("peer link to worker {}: {why}", s.peer))
-        })
+/// The frame handler of an out-link `w -> o`: mirrors `o`'s token grants
+/// into the local [`SharedTokenQueue`] after max-merging the Lamport
+/// clock.
+fn token_handler(
+    o: usize,
+    mirror: Option<Arc<SharedTokenQueue>>,
+    clock: Arc<AtomicU64>,
+) -> impl FnMut(Message) -> Result<(), String> + Send + 'static {
+    move |msg| match (msg, &mirror) {
+        (Message::Token { count, clock: c }, Some(mirror)) => {
+            clock.fetch_max(c, Ordering::SeqCst);
+            mirror.insert(count);
+            Ok(())
+        }
+        (Message::Token { .. }, None) => Err(format!(
+            "worker {o} granted tokens but the config has no token queues"
+        )),
+        (other, _) => Err(format!("unexpected {other:?} on a token link")),
+    }
+}
+
+/// The socket [`Transport`]: one [`Link`] per directed external edge.
+struct SocketTransport {
+    w: usize,
+    /// Fault hook (see [`ProcessExperiment::die_at`]).
+    die_at: Option<u64>,
+    /// Bound on every teardown wait (`stall_timeout`).
+    patience: Duration,
+    inbox: Arc<SharedTaggedQueue<ParamBlock>>,
+    /// Lamport clock, shared with the event sink and the readers.
+    clock: Arc<AtomicU64>,
+    /// Set at `finish`: in-link readers stop filling the inbox.
+    done: Arc<AtomicBool>,
+    /// In [`Topology::external_out_neighbors`] order, each with its
+    /// `TokenQ(o -> w)` mirror in `mirrors` (empty without `max_ig`).
+    out_links: Vec<Link>,
+    mirrors: Vec<Arc<SharedTokenQueue>>,
+    /// In [`Topology::external_in_neighbors`] order.
+    in_links: Vec<Link>,
+    dense_scratch: CompressedBlock,
+    frame: Vec<u8>,
+    /// Block payload bytes of every *attempted* external send.
+    wire_bytes: u64,
+}
+
+impl SocketTransport {
+    fn links(&self) -> impl Iterator<Item = &Link> {
+        self.out_links.iter().chain(&self.in_links)
+    }
+}
+
+impl Transport for SocketTransport {
+    type Error = String;
+
+    fn inbox(&self) -> &SharedTaggedQueue<ParamBlock> {
+        &self.inbox
+    }
+
+    fn tokens(&self, idx: usize) -> &SharedTokenQueue {
+        &self.mirrors[idx]
+    }
+
+    fn check(&self, k: u64) -> Result<(), String> {
+        if self.die_at == Some(k) {
+            // Fault hook: vanish without a Finished frame or a summary —
+            // exactly what a crashed process looks like.
+            std::process::exit(101);
+        }
+        self.links()
+            .find_map(|l| l.state.failure())
+            .map_or(Ok(()), Err)
+    }
+
+    fn deliver(
+        &mut self,
+        tag: Tag,
+        params: &ParamBlock,
+        receivers: &[usize],
+        plane: &mut CompressionPlane,
+        pool: &mut BufferPool,
+    ) -> Result<(), String> {
+        if self.out_links.is_empty() {
+            return Ok(());
+        }
+        // One frame, encoded once (reading the clock after every Send
+        // of this iteration was stamped) and fanned out.
+        let block: &CompressedBlock = if plane.is_active() {
+            plane.encode_params_block(0, params.as_slice(), pool).0
+        } else {
+            if let CompressedBlock::Dense { values } = &mut self.dense_scratch {
+                values.clear();
+                values.extend_from_slice(params.as_slice());
+            }
+            &self.dense_scratch
+        };
+        let clock = self.clock.load(Ordering::SeqCst);
+        let block_bytes = hop_wire::encode_update_frame(tag, clock, block, &mut self.frame);
+        for &r in receivers {
+            self.wire_bytes += block_bytes;
+            self.out_links[r].write(&self.frame, "an update", self.patience)?;
+        }
+        Ok(())
+    }
+
+    fn grant(&mut self, idx: usize, n: u64) -> Result<(), String> {
+        let grant = Message::Token {
+            count: n,
+            clock: self.clock.load(Ordering::SeqCst),
+        };
+        hop_wire::encode_frame(&grant, &mut self.frame);
+        self.in_links[idx].write(&self.frame, "a token grant", self.patience)
+    }
+
+    fn explain(&self, stall: ThreadedError) -> String {
+        self.links()
+            .find_map(|l| l.state.failure())
+            .unwrap_or_else(|| stall.to_string())
+    }
+
+    /// The close handshake: say `Finished` on every link, half-close it,
+    /// then keep every reader draining until the peer's own `Finished`
+    /// (or `patience` runs out). Exiting with unread frames in a receive
+    /// buffer would turn the close into a reset, which can destroy our
+    /// `Finished` in the peer's buffer and make its legal late token
+    /// grant look like a peer loss.
+    fn finish(&mut self) -> Result<(), String> {
+        self.done.store(true, Ordering::SeqCst);
+        hop_wire::encode_frame(
+            &Message::Finished {
+                worker: self.w as u32,
+            },
+            &mut self.frame,
+        );
+        for link in self.out_links.iter_mut().chain(&mut self.in_links) {
+            // Best-effort: a peer that is already gone has its verdict.
+            let _ = link.stream.write_all(&self.frame);
+            let _ = link.stream.shutdown(Shutdown::Write);
+        }
+        let deadline = Instant::now() + self.patience;
+        self.links()
+            .try_for_each(|link| link.state.await_verdict(deadline).unwrap_or(Ok(())))
+    }
 }
 
 /// Entry point for `hop_worker --worker <coordinator> <id>`: runs the
-/// worker half and returns the process exit code. Protocol failures are
-/// reported to the coordinator in the summary frame (exit 0); only a
-/// failure to reach the coordinator at all is a nonzero exit.
+/// worker half and returns the process exit code. Protocol failures —
+/// a rejected spec included — are reported to the coordinator in the
+/// summary frame (exit 0); only a failure to reach the coordinator at
+/// all is a nonzero exit.
 #[must_use]
 pub fn worker_main(coordinator: &str, worker: usize) -> i32 {
     match worker_session(coordinator, worker) {
@@ -924,59 +1100,33 @@ fn worker_session(coordinator: &str, w: usize) -> Result<(), String> {
         .local_addr()
         .map_err(|e| format!("peer listener addr: {e}"))?
         .port();
-    write_message(
-        &mut coord,
-        &Message::Hello {
-            worker: w as u32,
-            port,
-        },
-    )
-    .map_err(|e| format!("send hello: {e}"))?;
+    let hello = Message::Hello {
+        worker: w as u32,
+        port,
+    };
+    write_message(&mut coord, &hello).map_err(|e| format!("send hello: {e}"))?;
     coord.set_read_timeout(Some(Duration::from_secs(60))).ok();
-    let spec = match read_message(&mut coord).map_err(|e| format!("read spec: {e}"))? {
-        Message::Spec { text } => WorkerSpec::parse(&text)?,
-        other => return Err(format!("expected the spec, got {other:?}")),
+    let mut events = Vec::new();
+    let run = worker_run(&mut coord, w, &listener, &mut events);
+    let (error, update_wire_bytes, final_params, losses) = match run {
+        Ok((outcome, wire_bytes)) => (None, wire_bytes, outcome.params, outcome.losses),
+        Err(error) => (Some(error), 0, Vec::new(), Vec::new()),
     };
-    if spec.w != w {
-        return Err(format!(
-            "spec addressed to worker {}, but this is worker {w}",
-            spec.w
-        ));
+    let mut events_text = String::new();
+    for (stamp, ev) in &events {
+        let _ = writeln!(events_text, "{stamp} {ev}");
     }
-    let peers = match read_message(&mut coord).map_err(|e| format!("read peer table: {e}"))? {
-        Message::Peers { peers } => peers,
-        other => return Err(format!("expected the peer table, got {other:?}")),
-    };
-    let summary = match worker_run(&spec, &listener, &peers) {
-        Ok((final_params, losses, update_wire_bytes, events)) => Message::Summary {
-            worker: w as u32,
-            ok: true,
-            error: String::new(),
-            update_wire_bytes,
-            final_params,
-            losses,
-            events_text: events_to_text(&events),
-        },
-        Err((error, events)) => Message::Summary {
-            worker: w as u32,
-            ok: false,
-            error,
-            update_wire_bytes: 0,
-            final_params: Vec::new(),
-            losses: Vec::new(),
-            events_text: events_to_text(&events),
-        },
+    let summary = Message::Summary {
+        worker: w as u32,
+        ok: error.is_none(),
+        error: error.unwrap_or_default(),
+        update_wire_bytes,
+        final_params,
+        losses,
+        events_text,
     };
     write_message(&mut coord, &summary).map_err(|e| format!("send summary: {e}"))?;
     Ok(())
-}
-
-fn events_to_text(events: &[(u64, ProtocolEvent)]) -> String {
-    let mut out = String::new();
-    for (stamp, ev) in events {
-        let _ = writeln!(out, "{stamp} {ev}");
-    }
-    out
 }
 
 /// Dials `addr` until it accepts or the deadline passes (peers bind
@@ -996,552 +1146,120 @@ fn connect_peer(addr: (&str, u16), deadline: Instant) -> Result<TcpStream, Strin
     }
 }
 
-type RunOutput = (Vec<f32>, Vec<f32>, u64, Vec<(u64, ProtocolEvent)>);
-type RunFailure = (String, Vec<(u64, ProtocolEvent)>);
-
-/// The worker's whole run: wire up the peer links, then drive the same
-/// iteration loop as the threaded runtime over the socket-fed queues.
-#[allow(clippy::too_many_lines)]
+/// The worker's whole run: receive and validate the spec, wire up the
+/// peer links, then drive the shared iteration loop over the socket
+/// transport. The stamped event log lands in `events` whether or not the
+/// run succeeds; on success also returns the update bytes put on the
+/// wire.
 fn worker_run(
-    spec: &WorkerSpec,
+    coord: &mut TcpStream,
+    w: usize,
     listener: &TcpListener,
-    peers: &[(u32, u16)],
-) -> Result<RunOutput, RunFailure> {
-    let setup = |e: String| (e, Vec::new());
-    let w = spec.w;
-    let topo = Topology::from_edges(spec.n, &spec.edges);
-    let externals_out: Vec<usize> = topo.external_out_neighbors(w).to_vec();
-    let externals_in: Vec<usize> = topo.external_in_neighbors(w).to_vec();
-    let max_ig = spec.cfg.max_ig();
+    events: &mut Vec<(u64, ProtocolEvent)>,
+) -> Result<(WorkerOutcome, u64), String> {
+    let spec = match read_message(coord).map_err(|e| format!("read spec: {e}"))? {
+        Message::Spec { text } => WorkerSpec::parse(&text)?,
+        other => return Err(format!("expected the spec, got {other:?}")),
+    };
+    if spec.w != w {
+        return Err(format!(
+            "spec addressed to worker {}, but this is worker {w}",
+            spec.w
+        ));
+    }
+    let peers = match read_message(coord).map_err(|e| format!("read peer table: {e}"))? {
+        Message::Peers { peers } => peers,
+        other => return Err(format!("expected the peer table, got {other:?}")),
+    };
+    let topo = &spec.topology;
     let deadline = Instant::now() + Duration::from_secs(30);
+    let write_timeout = spec.stall_timeout + Duration::from_secs(5);
 
     // Reconstruct the workload and the shared initial parameters.
     let dataset = SyntheticWebspam::generate(spec.examples, spec.data_seed);
     let model = Svm::log_loss(dataset.feature_dim());
     let mut init_rng = hop_util::Xoshiro256::seed_from_u64(spec.seed);
-    let init = model.init_params(&mut init_rng);
-    let dim = init.len();
+    let init_params = ParamBlock::from_vec(model.init_params(&mut init_rng));
+
+    // The worker's own inbox (fed by its self-send and the in-link
+    // readers) and the Lamport clock shared with every reader.
+    let inbox: Arc<SharedTaggedQueue<ParamBlock>> = Arc::new(SharedTaggedQueue::new());
+    let clock = Arc::new(AtomicU64::new(0));
+    let done = Arc::new(AtomicBool::new(false));
 
     // Dial every update receiver; their listener ports came from the
     // coordinator (which collected them during the hello round).
     let port_of: HashMap<u32, u16> = peers.iter().copied().collect();
-    let mut out_links = Vec::with_capacity(externals_out.len());
-    for &o in &externals_out {
+    let mirrors: Vec<Arc<SharedTokenQueue>> = spec.cfg.max_ig().map_or_else(Vec::new, |ig| {
+        topo.external_out_neighbors(w)
+            .iter()
+            .map(|_| Arc::new(SharedTokenQueue::new(ig)))
+            .collect()
+    });
+    let mut out_links = Vec::new();
+    for (idx, &o) in topo.external_out_neighbors(w).iter().enumerate() {
         let port = *port_of
             .get(&(o as u32))
-            .ok_or_else(|| setup(format!("peer table is missing worker {o}")))?;
-        let mut stream = connect_peer(("127.0.0.1", port), deadline).map_err(setup)?;
+            .ok_or_else(|| format!("peer table is missing worker {o}"))?;
+        let mut stream = connect_peer(("127.0.0.1", port), deadline)?;
         stream.set_nodelay(true).ok();
-        stream
-            .set_write_timeout(Some(spec.stall_timeout + Duration::from_secs(5)))
-            .ok();
-        write_message(
-            &mut stream,
-            &Message::Hello {
-                worker: w as u32,
-                port: 0,
-            },
-        )
-        .map_err(|e| setup(format!("hello to peer {o}: {e}")))?;
-        out_links.push(OutLink {
-            o,
-            stream,
-            tokens: max_ig.map(|ig| Arc::new(SharedTokenQueue::new(ig))),
-            state: LinkState::new(o),
-        });
+        let hello = Message::Hello {
+            worker: w as u32,
+            port: 0,
+        };
+        write_message(&mut stream, &hello).map_err(|e| format!("hello to peer {o}: {e}"))?;
+        let handler = token_handler(o, mirrors.get(idx).cloned(), Arc::clone(&clock));
+        out_links.push(Link::open(o, stream, write_timeout, handler)?);
     }
-
     // Accept one connection per update sender and identify it.
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| setup(format!("poll peer listener: {e}")))?;
-    let mut in_links: Vec<InLink> = Vec::with_capacity(externals_in.len());
-    while in_links.len() < externals_in.len() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                stream
-                    .set_nonblocking(false)
-                    .map_err(|e| setup(format!("configure peer socket: {e}")))?;
-                stream.set_nodelay(true).ok();
-                stream.set_read_timeout(Some(Duration::from_secs(10))).ok();
-                let mut stream = stream;
-                let u = match read_message(&mut stream) {
-                    Ok(Message::Hello { worker, .. }) => worker as usize,
-                    Ok(other) => {
-                        return Err(setup(format!("expected a peer hello, got {other:?}")))
-                    }
-                    Err(e) => return Err(setup(format!("bad peer hello: {e}"))),
-                };
-                if !externals_in.contains(&u) || in_links.iter().any(|l| l.u == u) {
-                    return Err(setup(format!("unexpected peer hello from worker {u}")));
-                }
-                stream.set_read_timeout(None).ok();
-                stream
-                    .set_write_timeout(Some(spec.stall_timeout + Duration::from_secs(5)))
-                    .ok();
-                in_links.push(InLink {
-                    u,
-                    stream,
-                    state: LinkState::new(u),
-                });
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                if Instant::now() > deadline {
-                    let have: Vec<usize> = in_links.iter().map(|l| l.u).collect();
-                    return Err(setup(format!(
-                        "timed out accepting peers (have {have:?}, want {externals_in:?})"
-                    )));
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) => return Err(setup(format!("accept peer connection: {e}"))),
-        }
-    }
-
-    // The worker's own tagged update queue (fed by its self-send and the
-    // reader threads) and the Lamport clock shared with them.
-    let queue: Arc<SharedTaggedQueue<ParamBlock>> = Arc::new(SharedTaggedQueue::new());
-    let clock = Arc::new(AtomicU64::new(0));
-    for link in &out_links {
-        let stream = link
-            .stream
-            .try_clone()
-            .map_err(|e| setup(format!("clone peer socket: {e}")))?;
-        std::thread::spawn(token_reader(
-            stream,
-            link.o,
-            link.tokens.clone(),
-            Arc::clone(&clock),
-            Arc::clone(&link.state),
-        ));
-    }
-    for link in &in_links {
-        let stream = link
-            .stream
-            .try_clone()
-            .map_err(|e| setup(format!("clone peer socket: {e}")))?;
-        std::thread::spawn(update_reader(
-            stream,
-            link.u,
-            dim,
+    let externals_in = topo.external_in_neighbors(w);
+    let mut in_links = Vec::new();
+    let accepted = accept_hellos(listener, externals_in, deadline, |_| Ok(()))?;
+    for (&u, (stream, _)) in externals_in.iter().zip(accepted) {
+        let handler = update_handler(
+            u,
             spec.cfg.compression,
-            init.clone(),
-            Arc::clone(&queue),
+            init_params.as_slice(),
+            Arc::clone(&inbox),
             Arc::clone(&clock),
-            Arc::clone(&link.state),
-        ));
+            Arc::clone(&done),
+        );
+        in_links.push(Link::open(u, stream, write_timeout, handler)?);
     }
 
-    // --- the iteration loop, mirroring crate::threaded::worker_loop ---
-    let cfg = spec.cfg.clone();
-    let init_params = ParamBlock::from_vec(init);
-    let mut params = init_params.snapshot();
-    let mut opt = Sgd::new(
-        spec.hyper.lr,
-        spec.hyper.momentum,
-        spec.hyper.weight_decay,
-        dim,
-    );
-    let mut sampler = BatchSampler::for_worker(dataset.len(), spec.hyper.batch_size, spec.seed, w);
-    let mut grad = vec![0.0f32; dim];
-    let mut delta = vec![0.0f32; dim];
-    let mut scratch = GradScratch::new();
-    let mut losses = Vec::with_capacity(spec.max_iters as usize);
-    let in_deg = topo.in_degree(w);
-    let in_neighbors: Vec<usize> = topo.in_neighbors(w).to_vec();
-    let mut plane = CompressionPlane::new(cfg.compression);
-    plane.add_param_streams(1, init_params.as_slice());
-    let mut ctx = WorkerCtx {
+    let mut transport = SocketTransport {
         w,
-        cfg: &cfg,
-        timeout: spec.stall_timeout,
-        pool: BufferPool::new(),
-        newest_from: HashMap::new(),
-        last_consumed: None,
+        die_at: spec.die_at,
+        patience: spec.stall_timeout,
+        inbox,
+        clock: Arc::clone(&clock),
+        done,
+        out_links,
+        mirrors,
+        in_links,
+        dense_scratch: CompressedBlock::Dense { values: Vec::new() },
+        frame: Vec::new(),
+        wire_bytes: 0,
     };
-    let mut conf = spec.traced.then(|| SeqSink::new(&clock));
-    let mut wire_bytes: u64 = 0;
-    let mut dense_scratch = CompressedBlock::Dense { values: Vec::new() };
-    let mut frame = Vec::new();
-    let max_iters = spec.max_iters;
-
-    let loop_result: Result<(), String> = (|| {
-        let mut k: u64 = 0;
-        let mut entry_tokens: u64 = 0;
-        while k < max_iters {
-            if spec.die_at == Some(k) {
-                // Fault hook: vanish without a Finished frame or a
-                // summary — exactly what a crashed process looks like.
-                std::process::exit(101);
-            }
-            if let Some(why) = link_failure(&out_links, &in_links) {
-                return Err(why);
-            }
-            let step = choreography::begin_step(&mut conf, w, k);
-            if max_ig.is_some() && entry_tokens > 0 {
-                for link in &mut in_links {
-                    choreography::token_grant(&mut conf, w, link.u, entry_tokens);
-                    send_tokens(link, entry_tokens, &clock)?;
-                }
-            }
-            // Send (parallel order): the self-send shares the exact
-            // block; external receivers get one encoded frame fanned out
-            // to every out-link, counted per *attempted* send.
-            step.send(&mut conf, w);
-            queue.enqueue(params.snapshot(), Tag { iter: k, w_id: w });
-            for link in &out_links {
-                step.send(&mut conf, link.o);
-            }
-            if !out_links.is_empty() {
-                let block: &CompressedBlock = if plane.is_active() {
-                    plane
-                        .encode_params_block(0, params.as_slice(), &mut ctx.pool)
-                        .0
-                } else {
-                    if let CompressedBlock::Dense { values } = &mut dense_scratch {
-                        values.clear();
-                        values.extend_from_slice(params.as_slice());
-                    }
-                    &dense_scratch
-                };
-                let block_bytes = hop_wire::encode_update_frame(
-                    Tag { iter: k, w_id: w },
-                    clock.load(Ordering::SeqCst),
-                    block,
-                    &mut frame,
-                );
-                for link in &mut out_links {
-                    wire_bytes += block_bytes;
-                    write_frame(&mut link.stream, &frame, &link.state, "an update")?;
-                }
-            }
-            // Compute.
-            let step = step.begin_compute(&mut conf);
-            if !spec.compute_sleep.is_zero() {
-                std::thread::sleep(spec.compute_sleep);
-            }
-            let batch = sampler.next_batch(&dataset);
-            let loss = model.loss_grad_with(params.as_slice(), &batch, &mut grad, &mut scratch);
-            let mut step = step.end_compute(&mut conf);
-            losses.push(loss);
-            opt.delta(params.as_slice(), &grad, &mut delta);
-            // Recv + Reduce, exactly as in the threaded runtime.
-            let step = if let Some(s) = cfg.staleness {
-                stale_recv(
-                    &mut ctx,
-                    &queue,
-                    &in_neighbors,
-                    k,
-                    s,
-                    "a satisfactory update",
-                    &mut conf,
-                )
-                .map_err(|e| stall_or_peer(&out_links, &in_links, &e))?;
-                let collected = ctx.collect_newest(&in_neighbors, &mut step, &mut conf);
-                let step = step.reduce(&mut conf);
-                let views: Vec<(u64, &[f32])> = collected
-                    .iter()
-                    .map(|(iter, p)| (*iter, p.as_slice()))
-                    .collect();
-                semantics::reduce_staleness_with(
-                    cfg.staleness_weighting,
-                    &views,
-                    k,
-                    s,
-                    params.overwrite_mut(&mut ctx.pool),
-                );
-                step
-            } else {
-                let quota = semantics::backup_quota(in_deg, cfg.n_backup);
-                let mut entries = queue
-                    .dequeue(quota, TagFilter::iter(k), spec.stall_timeout)
-                    .map_err(|_| {
-                        stall_or_peer(&out_links, &in_links, &ctx.stall(k, "updates", &queue))
-                    })?;
-                entries.extend(queue.dequeue_up_to(in_deg - quota, TagFilter::iter(k)));
-                for entry in &entries {
-                    ctx.last_consumed = Some(entry.tag);
-                    step.consume(&mut conf, entry.tag.w_id, entry.tag.iter);
-                }
-                let step = step.reduce(&mut conf);
-                let views: Vec<&[f32]> = entries.iter().map(|e| e.value.as_slice()).collect();
-                semantics::reduce_mean(&views, params.overwrite_mut(&mut ctx.pool));
-                drop(views);
-                for entry in entries {
-                    ctx.pool.reclaim(entry.value);
-                }
-                step
-            };
-            semantics::apply_parallel(params.make_mut(), &delta);
-            // Advance: the §5 skip decision over the token mirrors, else
-            // one token from every out-going neighbor's mirror.
-            let mut next = k + 1;
-            entry_tokens = 1;
-            if let (Some(ig), false) = (max_ig, out_links.is_empty()) {
-                let decision = cfg.skip.as_ref().and_then(|skip| {
-                    let counts: Vec<u64> =
-                        out_links.iter().map(|l| mirror(l).available()).collect();
-                    semantics::jump_decision(&counts, ig, skip)
-                        .map(|j| j.min(max_iters - k))
-                        .filter(|&j| j >= 2)
-                        .map(|jump| (jump, counts))
-                });
-                if let Some((jump, counts)) = decision {
-                    let renew = step.jump(&mut conf, k + jump, &counts);
-                    for link in &out_links {
-                        // Only this loop removes from the mirror, so the
-                        // observed count cannot shrink under us.
-                        assert!(
-                            mirror(link).try_remove(jump),
-                            "observed tokens vanished from the TokenQ({} -> {w}) mirror",
-                            link.o
-                        );
-                        renew.take_tokens(&mut conf, link.o);
-                    }
-                    for link in &mut in_links {
-                        choreography::token_grant(&mut conf, w, link.u, jump);
-                        send_tokens(link, jump, &clock)?;
-                    }
-                    entry_tokens = 0;
-                    next = k + jump;
-                    jump_renew(
-                        &mut ctx,
-                        &queue,
-                        &externals_in,
-                        &mut params,
-                        &mut opt,
-                        k,
-                        renew,
-                        &mut conf,
-                    )
-                    .map_err(|e| stall_or_peer(&out_links, &in_links, &e))?;
-                } else {
-                    for link in &out_links {
-                        mirror(link).remove(1, spec.stall_timeout).map_err(|_| {
-                            let available: Vec<(usize, u64)> = out_links
-                                .iter()
-                                .map(|l| (l.o, mirror(l).available()))
-                                .collect();
-                            stall_or_peer(&out_links, &in_links, &ctx.stall_tokens(k, available))
-                        })?;
-                        step.take_token(&mut conf, link.o);
-                    }
-                    step.complete();
-                }
-            } else {
-                step.complete();
-            }
-            k = next;
-        }
-        choreography::advance_only(&mut conf, w, max_iters);
-        // Final courtesy: flood tokens so lagging neighbors can finish
-        // without waiting on this (now finished) worker, then say
-        // goodbye on every link. Both are best-effort — a peer that
-        // already left cannot need them.
-        if max_ig.is_some() {
-            for link in &mut in_links {
-                choreography::token_grant(&mut conf, w, link.u, max_iters);
-                let c = clock.load(Ordering::SeqCst);
-                let _ = write_message(
-                    &mut link.stream,
-                    &Message::Token {
-                        count: max_iters,
-                        clock: c,
-                    },
-                );
-            }
-        }
-        for link in &mut out_links {
-            let _ = write_message(&mut link.stream, &Message::Finished { worker: w as u32 });
-        }
-        for link in &mut in_links {
-            let _ = write_message(&mut link.stream, &Message::Finished { worker: w as u32 });
-        }
-        Ok(())
-    })();
-
-    let events = conf.map(SeqSink::into_events).unwrap_or_default();
-    match loop_result {
-        Ok(()) => Ok((params.to_vec(), losses, wire_bytes, events)),
-        Err(why) => Err((why, events)),
-    }
-}
-
-/// The out-link's token mirror (present whenever the config has token
-/// queues; the advance paths are only reached under `max_ig`).
-fn mirror(link: &OutLink) -> &SharedTokenQueue {
-    link.tokens
-        .as_ref()
-        .expect("token mirror exists when max_ig is set")
-}
-
-/// Prefers a peer-loss diagnosis over the bare stall `e` — a dead peer
-/// is the cause; the stall is the symptom.
-fn stall_or_peer(
-    out_links: &[OutLink],
-    in_links: &[InLink],
-    e: &crate::threaded::ThreadedError,
-) -> String {
-    link_failure(out_links, in_links).unwrap_or_else(|| e.to_string())
-}
-
-/// Writes one token-grant frame on an in-link (grants flow against the
-/// update direction). Errors to peers that already said `Finished` are
-/// benign.
-fn send_tokens(link: &mut InLink, count: u64, clock: &AtomicU64) -> Result<(), String> {
-    let c = clock.load(Ordering::SeqCst);
-    match write_message(&mut link.stream, &Message::Token { count, clock: c }) {
-        Ok(_) => Ok(()),
-        Err(_) if link.state.finished.load(Ordering::SeqCst) => Ok(()),
-        Err(e) => Err(format!("token grant to worker {}: {e}", link.u)),
-    }
-}
-
-/// Writes a pre-encoded frame on an out-link, tolerating only peers
-/// that already finished.
-fn write_frame(
-    stream: &mut TcpStream,
-    frame: &[u8],
-    state: &Arc<LinkState>,
-    what: &str,
-) -> Result<(), String> {
-    use std::io::Write;
-    match stream.write_all(frame).and_then(|()| stream.flush()) {
-        Ok(()) => Ok(()),
-        Err(_) if state.finished.load(Ordering::SeqCst) => Ok(()),
-        Err(e) => Err(format!("writing {what} to worker {}: {e}", state.peer)),
-    }
-}
-
-/// Reader thread for an in-link: decodes update frames, max-merges the
-/// Lamport clock, reconstructs compressed payloads through a per-sender
-/// reference stream, and enqueues into the worker's own tagged queue.
-/// Fails closed on any malformed, mistyped, or mis-sized frame.
-#[allow(clippy::too_many_arguments)]
-fn update_reader(
-    mut stream: TcpStream,
-    u: usize,
-    dim: usize,
-    compression: CompressionConfig,
-    init: Vec<f32>,
-    queue: Arc<SharedTaggedQueue<ParamBlock>>,
-    clock: Arc<AtomicU64>,
-    state: Arc<LinkState>,
-) -> impl FnOnce() + Send + 'static {
-    move || {
-        let mut plane = CompressionPlane::new(compression);
-        plane.add_param_streams(1, &init);
-        // The mirror's buffers cycle through here: a reconstruction the
-        // worker has consumed and dropped is the next one's storage.
-        let mut pool = BufferPool::new();
-        loop {
-            match read_message(&mut stream) {
-                Ok(Message::Update {
-                    tag,
-                    clock: c,
-                    block,
-                }) => {
-                    if tag.w_id != u {
-                        state.fail(format!(
-                            "update tagged from worker {}, expected {u}",
-                            tag.w_id
-                        ));
-                        return;
-                    }
-                    let update = if plane.is_active() {
-                        let kind_ok = matches!(
-                            (compression, &block),
-                            (
-                                CompressionConfig::TopK { .. },
-                                CompressedBlock::Sparse { .. }
-                            ) | (
-                                CompressionConfig::Int8Uniform,
-                                CompressedBlock::Quantized { .. }
-                            )
-                        );
-                        if !kind_ok || block.decoded_len() != dim {
-                            state.fail(format!(
-                                "update block kind/size does not match the configured codec \
-                                 (got {block:?} for dim {dim})"
-                            ));
-                            return;
-                        }
-                        plane.apply_params_block(0, &block, &mut pool)
-                    } else {
-                        match block {
-                            CompressedBlock::Dense { values } if values.len() == dim => {
-                                ParamBlock::from_vec(values)
-                            }
-                            other => {
-                                state.fail(format!(
-                                    "identity stream expected a dense block of {dim} values, \
-                                     got {other:?}"
-                                ));
-                                return;
-                            }
-                        }
-                    };
-                    clock.fetch_max(c, Ordering::SeqCst);
-                    queue.enqueue(update, tag);
-                }
-                Ok(Message::Finished { .. }) => {
-                    state.finished.store(true, Ordering::SeqCst);
-                    return;
-                }
-                Ok(other) => {
-                    state.fail(format!("unexpected {other:?} on an update link"));
-                    return;
-                }
-                Err(e) => {
-                    if !state.finished.load(Ordering::SeqCst) {
-                        state.fail(format!("worker {u} died mid-stream: {e}"));
-                    }
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// Reader thread for an out-link: mirrors the peer's token grants into
-/// the local [`SharedTokenQueue`] after max-merging the Lamport clock.
-fn token_reader(
-    mut stream: TcpStream,
-    o: usize,
-    tokens: Option<Arc<SharedTokenQueue>>,
-    clock: Arc<AtomicU64>,
-    state: Arc<LinkState>,
-) -> impl FnOnce() + Send + 'static {
-    move || loop {
-        match read_message(&mut stream) {
-            Ok(Message::Token { count, clock: c }) => {
-                clock.fetch_max(c, Ordering::SeqCst);
-                match &tokens {
-                    Some(q) => q.insert(count),
-                    None => {
-                        state.fail(format!(
-                            "worker {o} granted tokens but the config has no token queues"
-                        ));
-                        return;
-                    }
-                }
-            }
-            Ok(Message::Finished { .. }) => {
-                state.finished.store(true, Ordering::SeqCst);
-                return;
-            }
-            Ok(other) => {
-                state.fail(format!("unexpected {other:?} on a token link"));
-                return;
-            }
-            Err(e) => {
-                if !state.finished.load(Ordering::SeqCst) {
-                    state.fail(format!("worker {o} died mid-stream: {e}"));
-                }
-                return;
-            }
-        }
-    }
+    let job = WorkerJob {
+        w,
+        cfg: &spec.cfg,
+        topo,
+        model: &model,
+        dataset: &dataset,
+        hyper: spec.hyper,
+        max_iters: spec.max_iters,
+        seed: spec.seed,
+        compute_sleep: spec.compute_sleep,
+        timeout: spec.stall_timeout,
+        init_params: &init_params,
+        // Faults here are real connection failures, not a plan.
+        faults: &FaultPlan::none(),
+    };
+    let mut sink = spec.traced.then(|| SeqSink::new(&clock));
+    let result = worker_loop(&job, &mut transport, &mut sink);
+    *events = sink.map(SeqSink::into_events).unwrap_or_default();
+    Ok((result?, transport.wire_bytes))
 }
 
 #[cfg(test)]
@@ -1594,7 +1312,7 @@ mod tests {
                 let spec = WorkerSpec::parse(&exp.spec_text(w, true))
                     .unwrap_or_else(|e| panic!("{cfg:?}: {e}"));
                 assert_eq!(spec.w, w);
-                assert_eq!(spec.n, 5);
+                assert_eq!(spec.topology.len(), 5);
                 assert_eq!(spec.cfg, cfg, "config round trip for worker {w}");
                 assert_eq!(spec.hyper, exp.hyper);
                 assert_eq!(spec.max_iters, 12);
@@ -1612,26 +1330,51 @@ mod tests {
                 };
                 assert_eq!(spec.compute_sleep, expected_sleep, "worker {w}");
                 assert_eq!(spec.die_at, (w == 3).then_some(7), "worker {w}");
-                let topo = Topology::from_edges(spec.n, &spec.edges);
-                assert_eq!(topo.external_edges(), exp.topology.external_edges());
+                assert_eq!(
+                    spec.topology.external_edges(),
+                    exp.topology.external_edges()
+                );
             }
         }
     }
 
     #[test]
     fn malformed_specs_are_rejected_with_context() {
+        let good = experiment().spec_text(0, false);
+        let swap = |from: &str, to: &str| {
+            assert!(good.contains(from), "spec text lost its `{from}` line");
+            good.replace(from, to)
+        };
         for (broken, needle) in [
-            ("w=0", "missing"),
-            ("w=0\nnot a line", "key=value"),
-            (&experiment().spec_text(0, false).replace('>', "&"), "edge"),
+            ("w=0".to_string(), "missing `n`"),
+            ("w=0\nnot a line".to_string(), "key=value"),
+            (good.replace('>', "&"), "edge"),
             (
-                &experiment()
-                    .spec_text(0, false)
-                    .replace("compression=identity", "compression=zip"),
+                swap("compression=identity", "compression=zip"),
                 "compression",
             ),
+            // Fail closed: repeated and unknown keys, ids and sizes out
+            // of range, and a config its own topology cannot carry.
+            (format!("{good}seed=3\n"), "repeats `seed`"),
+            (format!("{good}colour=blue\n"), "unknown key `colour`"),
+            (swap("n=5", "n=0"), "`n` must be positive"),
+            (swap("w=0", "w=5"), "`w`=5 is out of range"),
+            (
+                swap("edges=0>1", "edges=0>9;0>1"),
+                "edge `0>9` is out of range",
+            ),
+            (
+                swap("batch_size=24", "batch_size=0"),
+                "`batch_size` must be positive",
+            ),
+            (
+                swap("examples=96", "examples=0"),
+                "`examples` must be positive",
+            ),
+            (swap("n_backup=1", "n_backup=3"), "config is invalid"),
+            (swap("max_ig=4", "max_ig=none"), "config is invalid"),
         ] {
-            let err = WorkerSpec::parse(broken).expect_err("must reject");
+            let err = WorkerSpec::parse(&broken).expect_err("must reject");
             assert!(err.contains(needle), "`{err}` should mention `{needle}`");
         }
     }
@@ -1643,19 +1386,9 @@ mod tests {
 
     #[test]
     fn stamped_event_merge_orders_by_lamport_stamp() {
-        let mk = |events: &str| {
-            Some(Summary {
-                ok: true,
-                error: String::new(),
-                update_wire_bytes: 0,
-                final_params: Vec::new(),
-                losses: Vec::new(),
-                events_text: events.to_string(),
-            })
-        };
-        let summaries = vec![
-            mk("0 advance w=0 iter=0\n5 send from=0 to=1 iter=0\n"),
-            mk("7 consume w=1 from=0 iter=0 at=0\n0 advance w=1 iter=0\n"),
+        let summaries = [
+            "0 advance w=0 iter=0\n5 send from=0 to=1 iter=0\n".to_string(),
+            "7 consume w=1 from=0 iter=0 at=0\n0 advance w=1 iter=0\n".to_string(),
         ];
         let text = merge_stamped_events(&summaries).expect("merges");
         let lines: Vec<&str> = text.lines().collect();
@@ -1672,12 +1405,12 @@ mod tests {
         assert_eq!(trace.len(), 4);
         // A worker that never reported (lost peer) just contributes
         // nothing; an unstamped line is a protocol error.
-        let with_hole = vec![mk("3 advance w=0 iter=1\n"), None];
+        let with_hole = ["3 advance w=0 iter=1\n".to_string(), String::new()];
         assert_eq!(
             merge_stamped_events(&with_hole).unwrap(),
             "advance w=0 iter=1\n"
         );
-        let bad = vec![mk("advance w=0 iter=0\n")];
+        let bad = ["advance w=0 iter=0\n".to_string()];
         assert!(matches!(
             merge_stamped_events(&bad),
             Err(ProcessError::Protocol(_))

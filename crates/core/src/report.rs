@@ -3,6 +3,7 @@
 use crate::conformance::ProtocolTrace;
 use hop_metrics::TimeSeries;
 use hop_sim::{FaultLog, Trace};
+use std::time::Duration;
 
 /// The outcome of one simulated (or threaded) training run.
 #[derive(Debug, Clone, Default)]
@@ -156,10 +157,56 @@ impl TrainingReport {
     /// Elementwise average of all workers' final parameters.
     pub fn averaged_params(&self) -> Vec<f32> {
         assert!(!self.final_params.is_empty(), "no final parameters");
-        let mut out = vec![0.0f32; self.final_params[0].len()];
-        let views: Vec<&[f32]> = self.final_params.iter().map(Vec::as_slice).collect();
+        mean_params(&self.final_params)
+    }
+}
+
+/// Elementwise mean of per-worker parameter vectors (empty for none).
+fn mean_params(params: &[Vec<f32>]) -> Vec<f32> {
+    let views: Vec<&[f32]> = params.iter().map(Vec::as_slice).collect();
+    let mut out = vec![0.0f32; views.first().map_or(0, |v| v.len())];
+    if !views.is_empty() {
         hop_tensor::ops::mean_into(&views, &mut out);
-        out
+    }
+    out
+}
+
+/// The outcome of a run on a runtime that executes workers for real:
+/// OS threads ([`crate::threaded`]) or OS processes ([`crate::process`]).
+#[derive(Debug, Clone, Default)]
+pub struct RuntimeReport {
+    /// Final parameters per worker.
+    pub final_params: Vec<Vec<f32>>,
+    /// Per-worker minibatch losses by iteration (skipped iterations have
+    /// no loss entry).
+    pub losses: Vec<Vec<f32>>,
+    /// Wall-clock duration of the run.
+    pub elapsed: Duration,
+    /// Every fault the threaded runtime's shim injected, merged across
+    /// workers; feed it to [`crate::conformance::Oracle::check_with_faults`]
+    /// alongside the run's trace. Empty on the process runtime, where a
+    /// fault is a real connection failure and fails the run.
+    pub fault_log: FaultLog,
+    /// Per-worker update-block payload bytes framed onto the sockets —
+    /// comparable 1:1 with the simulator's `bytes_sent`. All zero on the
+    /// threaded runtime, where nothing crosses a wire.
+    pub update_wire_bytes: Vec<u64>,
+}
+
+impl RuntimeReport {
+    /// Elementwise average of the final parameters. Empty when the report
+    /// holds no workers (no run produces that — configs validate against
+    /// a non-empty topology — but a hand-built report must not panic).
+    #[must_use]
+    pub fn averaged_params(&self) -> Vec<f32> {
+        mean_params(&self.final_params)
+    }
+
+    /// Total update bytes across all workers — the number that must
+    /// equal the simulator's `bytes_sent` for the same grid point.
+    #[must_use]
+    pub fn total_update_wire_bytes(&self) -> u64 {
+        self.update_wire_bytes.iter().sum()
     }
 }
 

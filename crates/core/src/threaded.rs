@@ -1,13 +1,16 @@
-//! The real multi-threaded runtime: Hop's queue-based protocol on OS
-//! threads with genuinely blocking queues.
+//! The threaded runtime: Hop's queue-based protocol on OS threads with
+//! genuinely blocking queues.
 //!
-//! This runtime demonstrates that the protocol as specified — tagged
-//! update queues, token queues, backup workers, bounded staleness and
-//! skipping iterations — runs correctly with true concurrency,
-//! complementing the deterministic simulator used for the timing figures.
-//! Workers are `std::thread`s; update queues are
-//! [`hop_queue::blocking::SharedTaggedQueue`]s and token queues are
-//! [`hop_queue::blocking::SharedTokenQueue`]s. All blocking calls carry a
+//! Workers are `std::thread`s driving the one worker iteration loop
+//! (`crate::worker`, shared with [`crate::process`]) over the in-memory
+//! transport defined here: delivering an update is an enqueue of a
+//! zero-copy snapshot into the receiver's
+//! [`hop_queue::blocking::SharedTaggedQueue`] inbox, granting tokens is an
+//! insert into a shared [`hop_queue::blocking::SharedTokenQueue`]. It
+//! shows that the protocol as specified — tagged update queues, token
+//! queues, backup workers, bounded staleness and skipping iterations —
+//! runs correctly under true concurrency, complementing the deterministic
+//! simulator used for the timing figures. All blocking calls carry a
 //! timeout so protocol bugs show up as errors, not hangs.
 //!
 //! # Conformance
@@ -17,36 +20,37 @@
 //! [`crate::conformance::Oracle`]. Each worker logs its events locally
 //! with a shared atomic sequence number; *grant* events (sends, token
 //! passes) take their number **before** the queue operation and *observe*
-//! events (consumes, token takes) **after** it, which makes the merged
-//! order consistent with real-time causality (see the
+//! events (consumes, token takes, drops) **after** it, which makes the
+//! merged order consistent with real-time causality (see the
 //! [`crate::conformance`] module docs).
 //!
 //! # Fault injection
 //!
 //! [`ThreadedExperiment::faults`] installs a thread-local shim of the
-//! simulator's fault plane: probabilistic message loss (same keyed
-//! [`hop_sim::faults::loss_draw`] as the simulator, so draws are a pure
-//! function of `(seed, from, to, iter)` across both runtimes) and crashes
-//! modeled as *send omission* — a crashed worker's thread keeps running
-//! but its external sends are dropped for the `down_iters` window, which
-//! is how a dead peer looks from the outside. Every omission is
-//! choreographed as a Send + Lost pair and logged to the report's
-//! [`FaultLog`], so the fault-aware oracle can license each loss.
-//! Time-window faults (cuts, partitions) and byzantine corruption are
-//! simulator-only and ignored here.
+//! simulator's fault plane in front of per-receiver delivery:
+//! probabilistic message loss (same keyed [`hop_sim::faults::loss_draw`]
+//! as the simulator, so draws are a pure function of `(seed, from, to,
+//! iter)` across both runtimes) and crashes modeled as *send omission* —
+//! a crashed worker's thread keeps running but its external sends are
+//! dropped for the `down_iters` window, which is how a dead peer looks
+//! from the outside. Every omission is choreographed as a Send + Lost
+//! pair and logged to the report's [`hop_sim::FaultLog`], so the fault-aware
+//! oracle can license each loss. Time-window faults (cuts, partitions)
+//! and byzantine corruption are simulator-only and ignored here.
 
-use crate::choreography::{self, Arrival, ChoreographySpec, Consuming, EventSink, Renew, SeqSink};
+use crate::choreography::{self, ChoreographySpec, SeqSink};
 use crate::config::{ComputeOrder, ConfigError, HopConfig, SyncMode};
-use crate::conformance::{ProtocolEvent, ProtocolTrace};
-use crate::semantics;
+use crate::conformance::ProtocolTrace;
+use crate::report::RuntimeReport;
 use crate::sim_runtime::compression::CompressionPlane;
 use crate::trainer::Hyper;
-use hop_data::{BatchSampler, Dataset, InMemoryDataset};
+use crate::worker::{worker_loop, Transport, WorkerJob};
+use hop_data::InMemoryDataset;
 use hop_graph::Topology;
-use hop_model::{GradScratch, Model, Sgd};
+use hop_model::Model;
 use hop_queue::blocking::{SharedTaggedQueue, SharedTokenQueue};
-use hop_queue::tagged::{Tag, TagFilter};
-use hop_sim::{FaultEvent, FaultLog, FaultPlan};
+use hop_queue::tagged::Tag;
+use hop_sim::FaultPlan;
 use hop_tensor::{BufferPool, ParamBlock};
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
@@ -65,38 +69,6 @@ pub const CHOREOGRAPHY: ChoreographySpec = ChoreographySpec {
     jumps: true,
     churn: true,
 };
-
-/// Result of a threaded run.
-#[derive(Debug, Clone)]
-pub struct ThreadedReport {
-    /// Final parameters per worker.
-    pub final_params: Vec<Vec<f32>>,
-    /// Per-worker minibatch losses by iteration (skipped iterations have
-    /// no loss entry).
-    pub losses: Vec<Vec<f32>>,
-    /// Wall-clock duration of the run.
-    pub elapsed: Duration,
-    /// Every fault the shim injected, merged across worker threads; feed
-    /// it to [`crate::conformance::Oracle::check_with_faults`] alongside
-    /// the trace from [`ThreadedExperiment::run_traced`].
-    pub fault_log: FaultLog,
-}
-
-impl ThreadedReport {
-    /// Elementwise average of the final parameters. Empty when the report
-    /// holds no workers (an empty worker set cannot come out of
-    /// [`ThreadedExperiment::run`] — configs validate against a non-empty
-    /// topology — but a hand-built report must not panic).
-    pub fn averaged_params(&self) -> Vec<f32> {
-        let views: Vec<&[f32]> = self.final_params.iter().map(Vec::as_slice).collect();
-        let Some(first) = views.first() else {
-            return Vec::new();
-        };
-        let mut out = vec![0.0f32; first.len()];
-        hop_tensor::ops::mean_into(&views, &mut out);
-        out
-    }
-}
 
 /// The queue state a stalled worker reports: the snapshot of whichever
 /// queue the timed-out wait was actually blocked on. A token stall shows
@@ -238,18 +210,6 @@ pub struct ThreadedExperiment {
     pub faults: FaultPlan,
 }
 
-/// Final `(params, train-loss curve, conformance events, injected
-/// faults)` of one worker thread.
-type WorkerOutcome = Result<
-    (
-        Vec<f32>,
-        Vec<f32>,
-        Vec<(u64, ProtocolEvent)>,
-        Vec<FaultEvent>,
-    ),
-    ThreadedError,
->;
-
 impl ThreadedExperiment {
     /// Runs the experiment with one OS thread per worker.
     ///
@@ -263,7 +223,7 @@ impl ThreadedExperiment {
         &self,
         model: Arc<dyn Model>,
         dataset: Arc<InMemoryDataset>,
-    ) -> Result<ThreadedReport, ThreadedError> {
+    ) -> Result<RuntimeReport, ThreadedError> {
         Ok(self.run_inner(model, dataset, false)?.0)
     }
 
@@ -277,7 +237,7 @@ impl ThreadedExperiment {
         &self,
         model: Arc<dyn Model>,
         dataset: Arc<InMemoryDataset>,
-    ) -> Result<(ThreadedReport, ProtocolTrace), ThreadedError> {
+    ) -> Result<(RuntimeReport, ProtocolTrace), ThreadedError> {
         let (report, trace) = self.run_inner(model, dataset, true)?;
         Ok((report, trace.expect("tracing was enabled")))
     }
@@ -287,7 +247,7 @@ impl ThreadedExperiment {
         model: Arc<dyn Model>,
         dataset: Arc<InMemoryDataset>,
         traced: bool,
-    ) -> Result<(ThreadedReport, Option<ProtocolTrace>), ThreadedError> {
+    ) -> Result<(RuntimeReport, Option<ProtocolTrace>), ThreadedError> {
         self.config.validate(&self.topology)?;
         self.faults
             .validate()
@@ -295,86 +255,76 @@ impl ThreadedExperiment {
         if self.config.order != ComputeOrder::Parallel || self.config.sync == SyncMode::NotifyAck {
             return Err(ThreadedError::SerialUnsupported);
         }
-        let n = self.topology.len();
-        // Update queues carry zero-copy parameter snapshots: an enqueue is
-        // a refcount bump on the sender's current block.
-        let update_queues: Vec<SharedTaggedQueue<ParamBlock>> =
+        let topo = &self.topology;
+        let n = topo.len();
+        let inboxes: Vec<SharedTaggedQueue<ParamBlock>> =
             (0..n).map(|_| SharedTaggedQueue::new()).collect();
         // TokenQ(owner -> consumer) for every external edge: worker `i`
         // owns TokenQ(i -> j) for each in-coming neighbor `j`; `j` removes
         // from it to advance.
-        let max_ig = self.config.max_ig();
         let mut token_queues: HashMap<(usize, usize), SharedTokenQueue> = HashMap::new();
-        if let Some(ig) = max_ig {
+        if let Some(ig) = self.config.max_ig() {
             for i in 0..n {
-                for &j in self.topology.external_in_neighbors(i) {
+                for &j in topo.external_in_neighbors(i) {
                     token_queues.insert((i, j), SharedTokenQueue::new(ig));
                 }
             }
         }
-        let token_queues = Arc::new(token_queues);
         let seq = AtomicU64::new(0);
         let mut init_rng = hop_util::Xoshiro256::seed_from_u64(self.seed);
         let init_params = ParamBlock::from_vec(model.init_params(&mut init_rng));
         let start = Instant::now();
-        let results: Vec<WorkerOutcome> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for w in 0..n {
-                let update_queues = &update_queues;
-                let token_queues = Arc::clone(&token_queues);
-                let model = Arc::clone(&model);
-                let dataset = Arc::clone(&dataset);
-                let init = init_params.snapshot();
-                let cfg = self.config.clone();
-                let topo = self.topology.clone();
-                let hyper = self.hyper;
-                let max_iters = self.max_iters;
-                let seed = self.seed;
-                let sleep = match self.slow_worker {
-                    Some((slow, factor)) if slow == w => self.compute_sleep * factor,
-                    _ => self.compute_sleep,
-                };
-                let timeout = self.stall_timeout;
-                let faults = &self.faults;
-                let conf = traced.then(|| SeqSink::new(&seq));
-                handles.push(scope.spawn(move || {
-                    worker_loop(
+        let results: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..n)
+                .map(|w| {
+                    let job = WorkerJob {
                         w,
-                        cfg,
+                        cfg: &self.config,
                         topo,
-                        model.as_ref(),
-                        dataset.as_ref(),
-                        hyper,
-                        max_iters,
-                        seed,
-                        sleep,
-                        timeout,
-                        &init,
-                        update_queues,
-                        &token_queues,
-                        faults,
-                        conf,
-                    )
-                }));
-            }
+                        model: model.as_ref(),
+                        dataset: dataset.as_ref(),
+                        hyper: self.hyper,
+                        max_iters: self.max_iters,
+                        seed: self.seed,
+                        compute_sleep: match self.slow_worker {
+                            Some((slow, factor)) if slow == w => self.compute_sleep * factor,
+                            _ => self.compute_sleep,
+                        },
+                        timeout: self.stall_timeout,
+                        init_params: &init_params,
+                        faults: &self.faults,
+                    };
+                    let mut transport = InMemoryTransport {
+                        w,
+                        topo,
+                        inboxes: &inboxes,
+                        token_queues: &token_queues,
+                    };
+                    let mut sink = traced.then(|| SeqSink::new(&seq));
+                    scope.spawn(move || {
+                        let result = worker_loop(&job, &mut transport, &mut sink);
+                        (result, sink.map(SeqSink::into_events).unwrap_or_default())
+                    })
+                })
+                .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("worker thread panicked"))
                 .collect()
         });
-        let mut final_params = Vec::with_capacity(n);
-        let mut losses = Vec::with_capacity(n);
+        let mut report = RuntimeReport::default();
         let mut all_events = Vec::new();
-        let mut fault_log = FaultLog::new();
-        for r in results {
-            let (p, l, ev, faults) = r?;
-            final_params.push(p);
-            losses.push(l);
-            all_events.extend(ev);
-            for fault in faults {
-                fault_log.push(fault);
+        for (result, events) in results {
+            let outcome = result?;
+            report.final_params.push(outcome.params);
+            report.losses.push(outcome.losses);
+            report.update_wire_bytes.push(0);
+            all_events.extend(events);
+            for fault in outcome.faults {
+                report.fault_log.push(fault);
             }
         }
+        report.elapsed = start.elapsed();
         let trace = traced.then(|| {
             all_events.sort_by_key(|&(s, _)| s);
             let mut trace = ProtocolTrace::new();
@@ -383,500 +333,68 @@ impl ThreadedExperiment {
             }
             trace
         });
-        Ok((
-            ThreadedReport {
-                final_params,
-                losses,
-                elapsed: start.elapsed(),
-                fault_log,
-            },
-            trace,
-        ))
+        Ok((report, trace))
     }
 }
 
-/// Keeps only the newest update per sender: superseded or stale-on-arrival
-/// blocks are recycled into the worker's pool so the staleness path stays
-/// allocation-free in steady state. Returns whether the entry was
-/// admitted as the new newest.
-fn note_newest(
-    newest_from: &mut HashMap<usize, (u64, ParamBlock)>,
-    pool: &mut BufferPool,
-    entry: hop_queue::tagged::TaggedEntry<ParamBlock>,
-) -> bool {
-    let newer = newest_from
-        .get(&entry.tag.w_id)
-        .is_none_or(|&(have, _)| entry.tag.iter > have);
-    if newer {
-        if let Some((_, old)) = newest_from.insert(entry.tag.w_id, (entry.tag.iter, entry.value)) {
-            pool.reclaim(old);
-        }
-    } else {
-        pool.reclaim(entry.value);
-    }
-    newer
-}
-
-/// Shared per-worker loop state passed between the recv/renew helpers
-/// (also driven by the process runtime, whose worker half runs the same
-/// loop over socket-fed queues).
-pub(crate) struct WorkerCtx<'a> {
-    pub(crate) w: usize,
-    pub(crate) cfg: &'a HopConfig,
-    pub(crate) timeout: Duration,
-    pub(crate) pool: BufferPool,
-    pub(crate) newest_from: HashMap<usize, (u64, ParamBlock)>,
-    pub(crate) last_consumed: Option<Tag>,
-}
-
-impl WorkerCtx<'_> {
-    /// Builds the enriched stall error from the update queue the wait was
-    /// blocked on.
-    pub(crate) fn stall(
-        &self,
-        iter: u64,
-        waiting_for: &'static str,
-        queue: &SharedTaggedQueue<ParamBlock>,
-    ) -> ThreadedError {
-        let mut pending = queue.tags();
-        pending.truncate(8);
-        ThreadedError::Stalled {
-            worker: self.w,
-            iter,
-            waiting_for,
-            diag: StallDiag::Updates {
-                queue_depth: queue.len(),
-                pending,
-                last_consumed: self.last_consumed,
-            },
-        }
-    }
-
-    /// Builds the stall error for a token wait: reports the availability
-    /// of every `TokenQ(owner -> w)` the worker advances through, not the
-    /// update queue (whose pending tags are irrelevant to a token stall).
-    pub(crate) fn stall_tokens(&self, iter: u64, available: Vec<(usize, u64)>) -> ThreadedError {
-        ThreadedError::Stalled {
-            worker: self.w,
-            iter,
-            waiting_for: "tokens",
-            diag: StallDiag::Tokens { available },
-        }
-    }
-
-    /// Folds one queue arrival into `newest_from`; the staleness verdict
-    /// is choreographed as a delivery-plane [`Arrival`] judgement.
-    fn admit_entry(
-        &mut self,
-        entry: hop_queue::tagged::TaggedEntry<ParamBlock>,
-        at_iter: u64,
-        sink: &mut impl EventSink,
-    ) {
-        let arrival = Arrival {
-            worker: self.w,
-            from: entry.tag.w_id,
-            iter: entry.tag.iter,
-        };
-        let admitted = note_newest(&mut self.newest_from, &mut self.pool, entry);
-        arrival.judge(sink, admitted, at_iter);
-    }
-
-    /// Drains every queued arrival into `newest_from`, judging each.
-    fn drain_arrivals(
-        &mut self,
-        queue: &SharedTaggedQueue<ParamBlock>,
-        at_iter: u64,
-        sink: &mut impl EventSink,
-    ) {
-        for entry in queue.dequeue_up_to(usize::MAX, TagFilter::any()) {
-            self.admit_entry(entry, at_iter, sink);
-        }
-    }
-
-    /// The staleness-mode snapshot collection for the newest updates of
-    /// `neighbors`; each is consumed through `step` (an exchanging
-    /// [`Step`](choreography::Step) or a [`Renew`]), which is what pins
-    /// the Consume events to the handle's iteration.
-    pub(crate) fn collect_newest(
-        &mut self,
-        neighbors: &[usize],
-        step: &mut impl Consuming,
-        sink: &mut impl EventSink,
-    ) -> Vec<(u64, ParamBlock)> {
-        neighbors
-            .iter()
-            .map(|j| {
-                let (iter, p) = &self.newest_from[j];
-                let (iter, snap) = (*iter, p.snapshot());
-                self.last_consumed = Some(Tag { iter, w_id: *j });
-                step.consume(sink, *j, iter);
-                (iter, snap)
-            })
-            .collect()
-    }
-}
-
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-fn worker_loop(
+/// The in-memory [`Transport`]: every worker's inbox and token queues
+/// live in one address space, so nothing can fail and nothing is
+/// encoded onto a wire.
+struct InMemoryTransport<'a> {
     w: usize,
-    cfg: HopConfig,
-    topo: Topology,
-    model: &dyn Model,
-    dataset: &InMemoryDataset,
-    hyper: Hyper,
-    max_iters: u64,
-    seed: u64,
-    compute_sleep: Duration,
-    timeout: Duration,
-    init_params: &ParamBlock,
-    update_queues: &[SharedTaggedQueue<ParamBlock>],
-    token_queues: &HashMap<(usize, usize), SharedTokenQueue>,
-    faults: &FaultPlan,
-    mut conf: Option<SeqSink<'_>>,
-) -> WorkerOutcome {
-    // All workers start on one shared allocation; the first write
-    // detaches copy-on-write.
-    let mut params = init_params.snapshot();
-    let mut opt = Sgd::new(hyper.lr, hyper.momentum, hyper.weight_decay, params.len());
-    let mut sampler = BatchSampler::for_worker(dataset.len(), hyper.batch_size, seed, w);
-    let mut grad = vec![0.0f32; params.len()];
-    let mut delta = vec![0.0f32; params.len()];
-    let mut scratch = GradScratch::new();
-    let mut losses = Vec::with_capacity(max_iters as usize);
-    let in_deg = topo.in_degree(w);
-    let in_neighbors = topo.in_neighbors(w);
-    let externals_in = topo.external_in_neighbors(w);
-    let externals_out = topo.external_out_neighbors(w);
-    let max_ig = cfg.max_ig();
-    // One outgoing parameter stream per worker: every external receiver
-    // of `w` gets the identical reconstruction, so the codec state is
-    // thread-local and lock-free. The own-queue self-send stays exact.
-    let mut plane = CompressionPlane::new(cfg.compression);
-    plane.add_param_streams(1, init_params.as_slice());
-    let mut ctx = WorkerCtx {
-        w,
-        cfg: &cfg,
-        timeout,
-        pool: BufferPool::new(),
-        newest_from: HashMap::new(),
-        last_consumed: None,
-    };
-    let mut fault_events: Vec<FaultEvent> = Vec::new();
-    let mut k: u64 = 0;
-    // Tokens granted to in-neighbors at the next iteration entry: the
-    // k = 0 allotment is pre-loaded in the queues, a normal advance grants
-    // 1, and a jump grants its whole distance immediately (so neighbors
-    // are never starved during the renew) and zeroes this.
-    let mut entry_tokens: u64 = 0;
-    while k < max_iters {
-        let step = choreography::begin_step(&mut conf, w, k);
-        if max_ig.is_some() && entry_tokens > 0 {
-            for j in externals_in {
-                choreography::token_grant(&mut conf, w, *j, entry_tokens);
-                token_queues[&(w, *j)].insert(entry_tokens);
-            }
-        }
-        // Send (parallel order): own queue and all out-neighbors. Each
-        // enqueue shares the current block — zero parameter bytes copied.
-        step.send(&mut conf, w);
-        update_queues[w].enqueue(params.snapshot(), Tag { iter: k, w_id: w });
+    topo: &'a Topology,
+    /// One inbox per worker; carries zero-copy parameter snapshots (an
+    /// enqueue is a refcount bump on the sender's block).
+    inboxes: &'a [SharedTaggedQueue<ParamBlock>],
+    /// `TokenQ(owner -> consumer)` by `(owner, consumer)`; empty without
+    /// `max_ig`.
+    token_queues: &'a HashMap<(usize, usize), SharedTokenQueue>,
+}
+
+impl Transport for InMemoryTransport<'_> {
+    type Error = ThreadedError;
+
+    fn inbox(&self) -> &SharedTaggedQueue<ParamBlock> {
+        &self.inboxes[self.w]
+    }
+
+    fn tokens(&self, idx: usize) -> &SharedTokenQueue {
+        &self.token_queues[&(self.topo.external_out_neighbors(self.w)[idx], self.w)]
+    }
+
+    fn deliver(
+        &mut self,
+        tag: Tag,
+        params: &ParamBlock,
+        receivers: &[usize],
+        plane: &mut CompressionPlane,
+        pool: &mut BufferPool,
+    ) -> Result<(), ThreadedError> {
         // Under a lossy codec the external sends carry the stream's
-        // reconstruction (encoded once per iteration, shared across
-        // receivers); identity sends share the exact block.
-        let wire = if plane.is_active() && !externals_out.is_empty() {
-            let (recon, _) = plane.encode_params(0, params.as_slice(), &mut ctx.pool);
-            Some(recon)
-        } else {
-            None
-        };
-        for &o in externals_out {
-            step.send(&mut conf, o);
-            // Fault shim: a crash window omits every external send (the
-            // thread keeps running — from the outside that is what a dead
-            // worker looks like); otherwise the keyed loss draw decides.
-            // Each omission stays in the ledger as a Send + Lost pair and
-            // is logged so the oracle can license it.
-            if !faults.is_empty() {
-                let crashed = faults
-                    .crashes()
-                    .iter()
-                    .any(|c| c.worker == w && k >= c.at_iter && k < c.at_iter + c.down_iters);
-                let rate = faults.loss_rate(w, o);
-                if crashed || (rate > 0.0 && hop_sim::faults::loss_draw(seed, w, o, k) < rate) {
-                    choreography::lost_update(&mut conf, o, w, k);
-                    fault_events.push(FaultEvent::Loss {
-                        from: w,
-                        to: o,
-                        iter: k,
-                    });
-                    continue;
-                }
-            }
-            let payload = match &wire {
-                Some(recon) => recon.snapshot(),
-                None => params.snapshot(),
-            };
-            update_queues[o].enqueue(payload, Tag { iter: k, w_id: w });
+        // reconstruction (encoded once per iteration — also when the
+        // fault shim ate every receiver, so the stream state does not
+        // depend on the plan); identity sends share the exact block.
+        let externals_out = self.topo.external_out_neighbors(self.w);
+        let recon = (plane.is_active() && !externals_out.is_empty())
+            .then(|| plane.encode_params(0, params.as_slice(), pool).0);
+        let payload = recon.as_ref().unwrap_or(params);
+        for &r in receivers {
+            self.inboxes[externals_out[r]].enqueue(payload.snapshot(), tag);
         }
-        if let Some(recon) = wire {
-            ctx.pool.reclaim(recon);
+        if let Some(recon) = recon {
+            pool.reclaim(recon);
         }
-        // Compute.
-        let step = step.begin_compute(&mut conf);
-        if !compute_sleep.is_zero() {
-            std::thread::sleep(compute_sleep);
-        }
-        let batch = sampler.next_batch(dataset);
-        let loss = model.loss_grad_with(params.as_slice(), &batch, &mut grad, &mut scratch);
-        let mut step = step.end_compute(&mut conf);
-        losses.push(loss);
-        opt.delta(params.as_slice(), &grad, &mut delta);
-        // Recv + Reduce: both paths funnel through the handle, whose
-        // `reduce` is the only way to emit the Reduce event.
-        let step = if let Some(s) = cfg.staleness {
-            stale_recv(
-                &mut ctx,
-                &update_queues[w],
-                in_neighbors,
-                k,
-                s,
-                "a satisfactory update",
-                &mut conf,
-            )?;
-            let collected = ctx.collect_newest(in_neighbors, &mut step, &mut conf);
-            let step = step.reduce(&mut conf);
-            let views: Vec<(u64, &[f32])> = collected
-                .iter()
-                .map(|(iter, p)| (*iter, p.as_slice()))
-                .collect();
-            // Full overwrite: shared blocks detach without copying.
-            semantics::reduce_staleness_with(
-                cfg.staleness_weighting,
-                &views,
-                k,
-                s,
-                params.overwrite_mut(&mut ctx.pool),
-            );
-            step
-        } else {
-            let quota = semantics::backup_quota(in_deg, cfg.n_backup);
-            let mut entries = update_queues[w]
-                .dequeue(quota, TagFilter::iter(k), timeout)
-                .map_err(|_| ctx.stall(k, "updates", &update_queues[w]))?;
-            // Fig. 8 line 5: grab extras that happen to be here already.
-            entries.extend(update_queues[w].dequeue_up_to(in_deg - quota, TagFilter::iter(k)));
-            for entry in &entries {
-                ctx.last_consumed = Some(entry.tag);
-                step.consume(&mut conf, entry.tag.w_id, entry.tag.iter);
-            }
-            let step = step.reduce(&mut conf);
-            let views: Vec<&[f32]> = entries.iter().map(|e| e.value.as_slice()).collect();
-            semantics::reduce_mean(&views, params.overwrite_mut(&mut ctx.pool));
-            drop(views);
-            for entry in entries {
-                ctx.pool.reclaim(entry.value);
-            }
-            step
-        };
-        semantics::apply_parallel(params.make_mut(), &delta);
-        // Advance: the §5 skip decision over the real token queues, else
-        // one token from every out-going neighbor's queue.
-        let mut next = k + 1;
-        entry_tokens = 1;
-        if let (Some(ig), false) = (max_ig, externals_out.is_empty()) {
-            let decision = cfg.skip.as_ref().and_then(|skip| {
-                let counts: Vec<u64> = externals_out
-                    .iter()
-                    .map(|o| token_queues[&(*o, w)].available())
-                    .collect();
-                // Never jump past the end of training: finished neighbors
-                // flood their token queues (see below), which would
-                // otherwise inflate the jump distance.
-                semantics::jump_decision(&counts, ig, skip)
-                    .map(|j| j.min(max_iters - k))
-                    .filter(|&j| j >= 2)
-                    .map(|jump| (jump, counts))
-            });
-            if let Some((jump, counts)) = decision {
-                let renew = step.jump(&mut conf, k + jump, &counts);
-                for &o in externals_out {
-                    // Only this worker removes from TokenQ(o -> w), so
-                    // the observed count cannot shrink under us.
-                    assert!(
-                        token_queues[&(o, w)].try_remove(jump),
-                        "observed tokens vanished from TokenQ({o} -> {w})"
-                    );
-                    renew.take_tokens(&mut conf, o);
-                }
-                // Grant the same number to in-neighbors right away so
-                // they are never starved while we renew parameters.
-                for j in externals_in {
-                    choreography::token_grant(&mut conf, w, *j, jump);
-                    token_queues[&(w, *j)].insert(jump);
-                }
-                entry_tokens = 0;
-                next = k + jump;
-                jump_renew(
-                    &mut ctx,
-                    &update_queues[w],
-                    externals_in,
-                    &mut params,
-                    &mut opt,
-                    k,
-                    renew,
-                    &mut conf,
-                )?;
-            } else {
-                for &o in externals_out {
-                    token_queues[&(o, w)].remove(1, timeout).map_err(|_| {
-                        // Snapshot every out-edge token queue, not the
-                        // update queue: this wait is on tokens.
-                        let available = externals_out
-                            .iter()
-                            .map(|&q| (q, token_queues[&(q, w)].available()))
-                            .collect();
-                        ctx.stall_tokens(k, available)
-                    })?;
-                    step.take_token(&mut conf, o);
-                }
-                step.complete();
-            }
-        } else {
-            step.complete();
-        }
-        k = next;
+        Ok(())
     }
-    choreography::advance_only(&mut conf, w, max_iters);
-    // Final courtesy: release tokens so lagging neighbors can finish their
-    // last iterations without waiting on a finished worker.
-    if max_ig.is_some() {
-        for j in externals_in {
-            choreography::token_grant(&mut conf, w, *j, max_iters);
-            token_queues[&(w, *j)].insert(max_iters);
-        }
-    }
-    Ok((
-        params.to_vec(),
-        losses,
-        conf.map(SeqSink::into_events).unwrap_or_default(),
-        fault_events,
-    ))
-}
 
-/// The staleness-mode Recv: block until every listed neighbor's newest
-/// update satisfies the window at `k` (the Recv's iteration, or
-/// `target - 1` for a jump renew — `waiting_for` labels the stall).
-pub(crate) fn stale_recv(
-    ctx: &mut WorkerCtx<'_>,
-    queue: &SharedTaggedQueue<ParamBlock>,
-    neighbors: &[usize],
-    k: u64,
-    s: u64,
-    waiting_for: &'static str,
-    sink: &mut impl EventSink,
-) -> Result<(), ThreadedError> {
-    loop {
-        ctx.drain_arrivals(queue, k, sink);
-        let satisfied = neighbors.iter().all(|j| {
-            ctx.newest_from
-                .get(j)
-                .is_some_and(|&(iter, _)| semantics::staleness_satisfied(iter, k, s))
-        });
-        if satisfied {
-            return Ok(());
-        }
-        // Wait for at least one new arrival, then re-scan.
-        match queue.dequeue(1, TagFilter::any(), ctx.timeout) {
-            Ok(entries) => {
-                for entry in entries {
-                    ctx.admit_entry(entry, k, sink);
-                }
-            }
-            Err(_) => return Err(ctx.stall(k, waiting_for, queue)),
-        }
+    fn grant(&mut self, idx: usize, n: u64) -> Result<(), ThreadedError> {
+        self.token_queues[&(self.w, self.topo.external_in_neighbors(self.w)[idx])].insert(n);
+        Ok(())
     }
-}
 
-/// The §5 pre-jump renewal: `Recv(target - 1)` + Reduce so the
-/// straggler's future updates are not hopelessly stale, then reset the
-/// momentum (its history refers to an abandoned trajectory) and discard
-/// queued updates for the skipped iterations.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn jump_renew(
-    ctx: &mut WorkerCtx<'_>,
-    queue: &SharedTaggedQueue<ParamBlock>,
-    externals_in: &[usize],
-    params: &mut ParamBlock,
-    opt: &mut Sgd,
-    k: u64,
-    mut renew: Renew,
-    sink: &mut impl EventSink,
-) -> Result<(), ThreadedError> {
-    let w = ctx.w;
-    let target = renew.target();
-    let renew_iter = target - 1;
-    if let Some(s) = ctx.cfg.staleness {
-        stale_recv(
-            ctx,
-            queue,
-            externals_in,
-            renew_iter,
-            s,
-            "jump-renew updates",
-            sink,
-        )?;
-        let mut collected = ctx.collect_newest(externals_in, &mut renew, sink);
-        // Own (stale) parameters participate with clamped weight; the
-        // snapshot keeps them readable while the replica is rewritten
-        // (the renewing handle counts them into the Reduce itself).
-        collected.push((k, params.snapshot()));
-        renew.renew_reduce(sink);
-        let views: Vec<(u64, &[f32])> = collected
-            .iter()
-            .map(|(iter, p)| (*iter, p.as_slice()))
-            .collect();
-        semantics::reduce_staleness_with(
-            ctx.cfg.staleness_weighting,
-            &views,
-            renew_iter,
-            s,
-            params.overwrite_mut(&mut ctx.pool),
-        );
-    } else {
-        // Backup mode: collect the quota of iteration `target - 1` updates
-        // from external in-neighbors (self never sent one).
-        let ext = externals_in.len();
-        let quota = semantics::backup_quota(ext + 1, ctx.cfg.n_backup)
-            .saturating_sub(1)
-            .max(1);
-        let mut entries = queue
-            .dequeue(quota, TagFilter::iter(renew_iter), ctx.timeout)
-            .map_err(|_| ctx.stall(k, "jump-renew updates", queue))?;
-        entries.extend(queue.dequeue_up_to(ext - quota, TagFilter::iter(renew_iter)));
-        for entry in &entries {
-            ctx.last_consumed = Some(entry.tag);
-            renew.consume(sink, entry.tag.w_id, entry.tag.iter);
-        }
-        renew.renew_reduce(sink);
-        let own = params.snapshot();
-        let mut views: Vec<&[f32]> = entries.iter().map(|e| e.value.as_slice()).collect();
-        views.push(own.as_slice());
-        semantics::reduce_mean(&views, params.overwrite_mut(&mut ctx.pool));
-        drop(views);
-        ctx.pool.reclaim(own);
-        for entry in entries {
-            ctx.pool.reclaim(entry.value);
-        }
-        // Updates for the skipped iterations will never be consumed;
-        // recycle them (conformance records the drops).
-        for entry in queue.drain_older_than(target) {
-            choreography::drop_update(sink, w, entry.tag.w_id, entry.tag.iter);
-            ctx.pool.reclaim(entry.value);
-        }
+    fn explain(&self, stall: ThreadedError) -> ThreadedError {
+        stall
     }
-    // Momentum history refers to a trajectory this worker abandoned.
-    opt.reset_velocity();
-    Ok(())
 }
 
 #[cfg(test)]
@@ -900,7 +418,7 @@ mod tests {
         }
     }
 
-    fn run(config: HopConfig) -> ThreadedReport {
+    fn run(config: HopConfig) -> RuntimeReport {
         let dataset = Arc::new(SyntheticWebspam::generate(256, 3));
         let model = Arc::new(Svm::log_loss(hop_data::Dataset::feature_dim(
             dataset.as_ref(),
@@ -910,14 +428,19 @@ mod tests {
             .expect("run succeeds")
     }
 
+    /// Loss of the report's averaged replica on the first 128 examples.
+    fn averaged_loss(report: &RuntimeReport) -> f32 {
+        let dataset = SyntheticWebspam::generate(256, 3);
+        let model = Svm::log_loss(hop_data::Dataset::feature_dim(&dataset));
+        let eval: Vec<usize> = (0..128).collect();
+        let batch = hop_data::Dataset::batch(&dataset, &eval);
+        hop_model::Model::loss(&model, &report.averaged_params(), &batch)
+    }
+
     #[test]
     fn standard_converges_on_threads() {
         let report = run(HopConfig::standard());
-        let dataset = SyntheticWebspam::generate(256, 3);
-        let model = Svm::log_loss(hop_data::Dataset::feature_dim(&dataset));
-        let avg = report.averaged_params();
-        let eval: Vec<usize> = (0..128).collect();
-        let loss = hop_model::Model::loss(&model, &avg, &hop_data::Dataset::batch(&dataset, &eval));
+        let loss = averaged_loss(&report);
         assert!(loss < 0.6, "final averaged loss {loss}");
         for w in 0..4 {
             assert_eq!(report.losses[w].len(), 30);
@@ -931,12 +454,7 @@ mod tests {
         // re-injects dropped mass message by message).
         let cfg = HopConfig::standard()
             .with_compression(hop_tensor::CompressionConfig::TopK { ratio: 0.25 });
-        let report = run(cfg);
-        let dataset = SyntheticWebspam::generate(256, 3);
-        let model = Svm::log_loss(hop_data::Dataset::feature_dim(&dataset));
-        let avg = report.averaged_params();
-        let eval: Vec<usize> = (0..128).collect();
-        let loss = hop_model::Model::loss(&model, &avg, &hop_data::Dataset::batch(&dataset, &eval));
+        let loss = averaged_loss(&run(cfg));
         assert!(loss < 0.65, "final averaged loss {loss}");
     }
 
@@ -1005,12 +523,7 @@ mod tests {
     #[test]
     fn averaged_params_of_empty_report_is_empty() {
         // Regression: this used to index `views[0]` and panic.
-        let report = ThreadedReport {
-            final_params: Vec::new(),
-            losses: Vec::new(),
-            elapsed: Duration::ZERO,
-            fault_log: FaultLog::new(),
-        };
+        let report = RuntimeReport::default();
         assert!(report.averaged_params().is_empty());
     }
 

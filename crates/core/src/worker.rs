@@ -1,0 +1,704 @@
+//! The Hop worker iteration, written once.
+//!
+//! One iteration is Send → Compute → Recv/Reduce → token advance (or the
+//! §5 jump-and-renew). [`worker_loop`] is that iteration for every
+//! runtime that executes workers for real; what differs between threads
+//! and OS processes is only how an update and a token grant *leave* the
+//! worker, and that is the [`Transport`] the loop is generic over
+//! (static dispatch). The inbound side needs no abstraction: both
+//! runtimes receive into a [`SharedTaggedQueue`] inbox and take tokens
+//! from [`SharedTokenQueue`]s, which the loop borrows from the transport.
+//!
+//! The loop owns everything protocol-shaped — the choreography handles,
+//! the fault shim in front of per-receiver delivery, the §6.2(a)
+//! receiver-side stale discard, the skip decision — so the transports
+//! emit no events and make no protocol decisions.
+//!
+//! # Linearization
+//!
+//! Every `Send` of iteration `k` is stamped before
+//! [`Transport::deliver`] runs (a socket transport encodes one frame,
+//! reading the Lamport clock once, and fans it out), token grants are
+//! stamped before [`Transport::grant`], and consumes / token takes /
+//! drops after the queue operation they observe — the grant-before-op,
+//! observe-after-op discipline of [`crate::conformance`].
+
+use crate::choreography::{self, Arrival, Consuming, EventSink, Renew};
+use crate::config::HopConfig;
+use crate::semantics;
+use crate::sim_runtime::compression::CompressionPlane;
+use crate::threaded::{StallDiag, ThreadedError};
+use crate::trainer::Hyper;
+use hop_data::{BatchSampler, Dataset, InMemoryDataset};
+use hop_graph::Topology;
+use hop_model::{GradScratch, Model, Sgd};
+use hop_queue::blocking::{SharedTaggedQueue, SharedTokenQueue};
+use hop_queue::tagged::{Tag, TagFilter, TaggedEntry};
+use hop_sim::{FaultEvent, FaultPlan};
+use hop_tensor::{BufferPool, ParamBlock};
+use std::collections::HashMap;
+use std::time::Duration;
+
+/// How updates and token grants leave a worker, plus the two inbound
+/// queues the loop blocks on. Indices are positions in the worker's
+/// [`Topology::external_out_neighbors`] (`tokens`, `deliver`) and
+/// [`Topology::external_in_neighbors`] (`grant`) lists.
+pub(crate) trait Transport {
+    /// What a failed operation or an explained stall becomes.
+    type Error;
+
+    /// The worker's own tagged inbox: its self-sends and every
+    /// in-neighbor's updates land here.
+    fn inbox(&self) -> &SharedTaggedQueue<ParamBlock>;
+
+    /// `TokenQ(o -> w)` of the `idx`-th external out-neighbor `o`. Only
+    /// called when the config has token queues.
+    fn tokens(&self, idx: usize) -> &SharedTokenQueue;
+
+    /// Per-iteration health check at the entry of iteration `k`.
+    fn check(&self, _k: u64) -> Result<(), Self::Error> {
+        Ok(())
+    }
+
+    /// Delivers this iteration's update, tagged `tag`, to the listed
+    /// external out-neighbors (the ones the fault shim let through),
+    /// stepping the worker's codec `plane` once however the transport
+    /// ships the result.
+    fn deliver(
+        &mut self,
+        tag: Tag,
+        params: &ParamBlock,
+        receivers: &[usize],
+        plane: &mut CompressionPlane,
+        pool: &mut BufferPool,
+    ) -> Result<(), Self::Error>;
+
+    /// Grants `n` tokens to the `idx`-th external in-neighbor.
+    fn grant(&mut self, idx: usize, n: u64) -> Result<(), Self::Error>;
+
+    /// Turns a timed-out wait into the transport's diagnosis (a dead
+    /// peer is the cause; the stall is the symptom).
+    fn explain(&self, stall: ThreadedError) -> Self::Error;
+
+    /// Called once after the final token flood.
+    fn finish(&mut self) -> Result<(), Self::Error> {
+        Ok(())
+    }
+}
+
+/// One worker's share of an experiment.
+pub(crate) struct WorkerJob<'a> {
+    pub(crate) w: usize,
+    pub(crate) cfg: &'a HopConfig,
+    pub(crate) topo: &'a Topology,
+    pub(crate) model: &'a dyn Model,
+    pub(crate) dataset: &'a InMemoryDataset,
+    pub(crate) hyper: Hyper,
+    pub(crate) max_iters: u64,
+    pub(crate) seed: u64,
+    pub(crate) compute_sleep: Duration,
+    pub(crate) timeout: Duration,
+    /// Shared by all workers; the first write detaches copy-on-write.
+    pub(crate) init_params: &'a ParamBlock,
+    /// Loss + crash-as-send-omission shim (see [`crate::threaded`]); the
+    /// empty plan injects nothing.
+    pub(crate) faults: &'a FaultPlan,
+}
+
+/// What a worker that ran to completion hands back.
+pub(crate) struct WorkerOutcome {
+    pub(crate) params: Vec<f32>,
+    /// Minibatch loss per computed (not skipped) iteration.
+    pub(crate) losses: Vec<f32>,
+    /// Every send the fault shim omitted.
+    pub(crate) faults: Vec<FaultEvent>,
+}
+
+/// Per-worker receive-side state shared by the Recv and renew helpers.
+struct WorkerCtx<'a> {
+    w: usize,
+    cfg: &'a HopConfig,
+    timeout: Duration,
+    /// Fig. 8: how many iteration-`k` updates (own included) a
+    /// backup-mode Recv blocks for.
+    quota: usize,
+    pool: BufferPool,
+    /// Staleness mode keeps only the newest update per sender.
+    newest_from: HashMap<usize, (u64, ParamBlock)>,
+    last_consumed: Option<Tag>,
+}
+
+impl WorkerCtx<'_> {
+    /// The stall error for a wait on the update queue, with enough queue
+    /// state to debug it from the error alone.
+    fn stall(
+        &self,
+        iter: u64,
+        waiting_for: &'static str,
+        queue: &SharedTaggedQueue<ParamBlock>,
+    ) -> ThreadedError {
+        let mut pending = queue.tags();
+        pending.truncate(8);
+        ThreadedError::Stalled {
+            worker: self.w,
+            iter,
+            waiting_for,
+            diag: StallDiag::Updates {
+                queue_depth: queue.len(),
+                pending,
+                last_consumed: self.last_consumed,
+            },
+        }
+    }
+
+    /// Folds one queue arrival into `newest_from`, recycling the
+    /// superseded (or stale-on-arrival) block; the staleness verdict is
+    /// choreographed as a delivery-plane [`Arrival`] judgement.
+    fn admit_entry(
+        &mut self,
+        entry: TaggedEntry<ParamBlock>,
+        at_iter: u64,
+        sink: &mut impl EventSink,
+    ) {
+        let Tag { iter, w_id: from } = entry.tag;
+        let arrival = Arrival {
+            worker: self.w,
+            from,
+            iter,
+        };
+        let admitted = self
+            .newest_from
+            .get(&from)
+            .is_none_or(|&(have, _)| iter > have);
+        let superseded = if admitted {
+            self.newest_from
+                .insert(from, (iter, entry.value))
+                .map(|(_, old)| old)
+        } else {
+            Some(entry.value)
+        };
+        if let Some(block) = superseded {
+            self.pool.reclaim(block);
+        }
+        arrival.judge(sink, admitted, at_iter);
+    }
+
+    /// The staleness-mode snapshot collection for the newest updates of
+    /// `neighbors`; each is consumed through `step` (an exchanging
+    /// [`Step`](choreography::Step) or a [`Renew`]), which is what pins
+    /// the Consume events to the handle's iteration.
+    fn collect_newest(
+        &mut self,
+        neighbors: &[usize],
+        step: &mut impl Consuming,
+        sink: &mut impl EventSink,
+    ) -> Vec<(u64, ParamBlock)> {
+        neighbors
+            .iter()
+            .map(|j| {
+                let (iter, p) = &self.newest_from[j];
+                let (iter, snap) = (*iter, p.snapshot());
+                self.last_consumed = Some(Tag { iter, w_id: *j });
+                step.consume(sink, *j, iter);
+                (iter, snap)
+            })
+            .collect()
+    }
+
+    /// §6.2(a) receiver-side discard: queued updates tagged older than
+    /// `iter` will never be consumed (a backup worker's late update, or
+    /// the iterations a jump skipped), so recycle them instead of
+    /// letting each pin a full block. Observe-after-op.
+    fn discard_older_than(
+        &mut self,
+        queue: &SharedTaggedQueue<ParamBlock>,
+        iter: u64,
+        sink: &mut impl EventSink,
+    ) {
+        for entry in queue.drain_older_than(iter) {
+            choreography::drop_update(sink, self.w, entry.tag.w_id, entry.tag.iter);
+            self.pool.reclaim(entry.value);
+        }
+    }
+
+    /// The backup-mode Recv of `quota` updates tagged `iter` (blocking),
+    /// plus up to `extra` more that happen to be here already (Fig. 8
+    /// line 5); each is consumed through `step`.
+    fn recv_tagged(
+        &mut self,
+        queue: &SharedTaggedQueue<ParamBlock>,
+        iter: u64,
+        (quota, extra): (usize, usize),
+        step: &mut impl Consuming,
+        sink: &mut impl EventSink,
+    ) -> Option<Vec<TaggedEntry<ParamBlock>>> {
+        let mut entries = queue
+            .dequeue(quota, TagFilter::iter(iter), self.timeout)
+            .ok()?;
+        entries.extend(queue.dequeue_up_to(extra, TagFilter::iter(iter)));
+        for entry in &entries {
+            self.last_consumed = Some(entry.tag);
+            step.consume(sink, entry.tag.w_id, entry.tag.iter);
+        }
+        Some(entries)
+    }
+
+    /// `params ← mean(entries ∪ own)`, recycling every consumed block.
+    /// Full overwrite: shared blocks detach without copying.
+    fn reduce_mean(
+        &mut self,
+        entries: Vec<TaggedEntry<ParamBlock>>,
+        own: Option<ParamBlock>,
+        params: &mut ParamBlock,
+    ) {
+        let mut views: Vec<&[f32]> = entries.iter().map(|e| e.value.as_slice()).collect();
+        views.extend(own.as_ref().map(ParamBlock::as_slice));
+        semantics::reduce_mean(&views, params.overwrite_mut(&mut self.pool));
+        drop(views);
+        for block in entries.into_iter().map(|e| e.value).chain(own) {
+            self.pool.reclaim(block);
+        }
+    }
+
+    /// `params ← staleness-weighted mean(collected)` at Recv iteration
+    /// `k` under window `s`.
+    fn reduce_stale(
+        &mut self,
+        collected: &[(u64, ParamBlock)],
+        k: u64,
+        s: u64,
+        params: &mut ParamBlock,
+    ) {
+        let views: Vec<(u64, &[f32])> = collected
+            .iter()
+            .map(|(iter, p)| (*iter, p.as_slice()))
+            .collect();
+        semantics::reduce_staleness_with(
+            self.cfg.staleness_weighting,
+            &views,
+            k,
+            s,
+            params.overwrite_mut(&mut self.pool),
+        );
+    }
+}
+
+/// Stamps and performs a grant of `n` tokens to every external
+/// in-neighbor.
+fn grant_all<T: Transport>(
+    transport: &mut T,
+    sink: &mut impl EventSink,
+    w: usize,
+    externals_in: &[usize],
+    n: u64,
+) -> Result<(), T::Error> {
+    for (idx, &j) in externals_in.iter().enumerate() {
+        choreography::token_grant(sink, w, j, n);
+        transport.grant(idx, n)?;
+    }
+    Ok(())
+}
+
+/// Runs worker `job.w` to `job.max_iters` over `transport`, emitting its
+/// protocol events into `sink` (which the caller keeps, so a failed
+/// run's partial log survives).
+#[allow(clippy::too_many_lines)]
+pub(crate) fn worker_loop<T: Transport>(
+    job: &WorkerJob<'_>,
+    transport: &mut T,
+    sink: &mut impl EventSink,
+) -> Result<WorkerOutcome, T::Error> {
+    let (w, cfg, topo, hyper) = (job.w, job.cfg, job.topo, job.hyper);
+    let (model, dataset, max_iters, seed) = (job.model, job.dataset, job.max_iters, job.seed);
+    let mut params = job.init_params.snapshot();
+    let mut opt = Sgd::new(hyper.lr, hyper.momentum, hyper.weight_decay, params.len());
+    let mut sampler = BatchSampler::for_worker(dataset.len(), hyper.batch_size, seed, w);
+    let mut grad = vec![0.0f32; params.len()];
+    let mut delta = vec![0.0f32; params.len()];
+    let mut scratch = GradScratch::new();
+    let mut losses = Vec::with_capacity(max_iters as usize);
+    let in_deg = topo.in_degree(w);
+    let in_neighbors = topo.in_neighbors(w);
+    let externals_in = topo.external_in_neighbors(w);
+    let externals_out = topo.external_out_neighbors(w);
+    let max_ig = cfg.max_ig();
+    let mut ctx = WorkerCtx {
+        w,
+        cfg,
+        timeout: job.timeout,
+        quota: semantics::backup_quota(in_deg, cfg.n_backup),
+        pool: BufferPool::new(),
+        newest_from: HashMap::new(),
+        last_consumed: None,
+    };
+    // One outgoing parameter stream per worker: every external receiver
+    // gets the identical encoding, so the codec state is worker-local and
+    // lock-free. The self-send stays exact.
+    let mut plane = CompressionPlane::new(cfg.compression);
+    plane.add_param_streams(1, job.init_params.as_slice());
+    let mut fault_events: Vec<FaultEvent> = Vec::new();
+    let mut receivers: Vec<usize> = Vec::with_capacity(externals_out.len());
+    let mut k: u64 = 0;
+    // Tokens granted to in-neighbors at the next iteration entry: the
+    // k = 0 allotment is pre-loaded in the queues, a normal advance grants
+    // 1, and a jump grants its whole distance immediately (so neighbors
+    // are never starved during the renew) and zeroes this.
+    let mut entry_tokens: u64 = 0;
+    while k < max_iters {
+        let step = choreography::begin_step(sink, w, k);
+        // After the entry is on record, so that even a run that dies at
+        // its first check leaves a non-empty partial trace.
+        transport.check(k)?;
+        if max_ig.is_some() && entry_tokens > 0 {
+            grant_all(transport, sink, w, externals_in, entry_tokens)?;
+        }
+        // Send (parallel order): own inbox and all out-neighbors. The
+        // self-send shares the current block — zero bytes copied.
+        let tag = Tag { iter: k, w_id: w };
+        step.send(sink, w);
+        transport.inbox().enqueue(params.snapshot(), tag);
+        // Fault shim: a crash window omits every external send (the
+        // worker keeps running — from the outside that is what a dead
+        // worker looks like); otherwise the keyed loss draw decides.
+        // Each omission stays in the ledger as a Send + Lost pair and is
+        // logged so the oracle can license it.
+        let crashed = job
+            .faults
+            .crashes()
+            .iter()
+            .any(|c| c.worker == w && k >= c.at_iter && k < c.at_iter + c.down_iters);
+        receivers.clear();
+        for (idx, &o) in externals_out.iter().enumerate() {
+            step.send(sink, o);
+            let rate = job.faults.loss_rate(w, o);
+            if crashed || (rate > 0.0 && hop_sim::faults::loss_draw(seed, w, o, k) < rate) {
+                choreography::lost_update(sink, o, w, k);
+                fault_events.push(FaultEvent::Loss {
+                    from: w,
+                    to: o,
+                    iter: k,
+                });
+            } else {
+                receivers.push(idx);
+            }
+        }
+        transport.deliver(tag, &params, &receivers, &mut plane, &mut ctx.pool)?;
+        // Compute.
+        let step = step.begin_compute(sink);
+        if !job.compute_sleep.is_zero() {
+            std::thread::sleep(job.compute_sleep);
+        }
+        let batch = sampler.next_batch(dataset);
+        let loss = model.loss_grad_with(params.as_slice(), &batch, &mut grad, &mut scratch);
+        let mut step = step.end_compute(sink);
+        losses.push(loss);
+        opt.delta(params.as_slice(), &grad, &mut delta);
+        // Recv + Reduce: both paths funnel through the handle, whose
+        // `reduce` is the only way to emit the Reduce event.
+        let inbox = transport.inbox();
+        let step = if let Some(s) = cfg.staleness {
+            stale_recv(
+                &mut ctx,
+                inbox,
+                in_neighbors,
+                k,
+                s,
+                "a satisfactory update",
+                sink,
+            )
+            .map_err(|e| transport.explain(e))?;
+            let collected = ctx.collect_newest(in_neighbors, &mut step, sink);
+            let step = step.reduce(sink);
+            ctx.reduce_stale(&collected, k, s, &mut params);
+            step
+        } else {
+            ctx.discard_older_than(inbox, k, sink);
+            let entries = ctx
+                .recv_tagged(inbox, k, (ctx.quota, in_deg - ctx.quota), &mut step, sink)
+                .ok_or_else(|| transport.explain(ctx.stall(k, "updates", inbox)))?;
+            let step = step.reduce(sink);
+            ctx.reduce_mean(entries, None, &mut params);
+            step
+        };
+        semantics::apply_parallel(params.make_mut(), &delta);
+        // Advance: the §5 skip decision over the token queues, else one
+        // token from every out-going neighbor's queue.
+        let mut next = k + 1;
+        entry_tokens = 1;
+        if let (Some(ig), false) = (max_ig, externals_out.is_empty()) {
+            let available = |transport: &T| -> Vec<u64> {
+                (0..externals_out.len())
+                    .map(|i| transport.tokens(i).available())
+                    .collect()
+            };
+            let decision = cfg.skip.as_ref().and_then(|skip| {
+                let counts = available(transport);
+                // Never jump past the end of training: finished neighbors
+                // flood their token queues (see below), which would
+                // otherwise inflate the jump distance.
+                semantics::jump_decision(&counts, ig, skip)
+                    .map(|j| j.min(max_iters - k))
+                    .filter(|&j| j >= 2)
+                    .map(|jump| (jump, counts))
+            });
+            if let Some((jump, counts)) = decision {
+                let renew = step.jump(sink, k + jump, &counts);
+                for (i, &o) in externals_out.iter().enumerate() {
+                    // Only this worker removes from TokenQ(o -> w), so
+                    // the observed count cannot shrink under us.
+                    assert!(
+                        transport.tokens(i).try_remove(jump),
+                        "observed tokens vanished from TokenQ({o} -> {w})"
+                    );
+                    renew.take_tokens(sink, o);
+                }
+                grant_all(transport, sink, w, externals_in, jump)?;
+                entry_tokens = 0;
+                next = k + jump;
+                jump_renew(
+                    &mut ctx,
+                    transport.inbox(),
+                    externals_in,
+                    &mut params,
+                    &mut opt,
+                    k,
+                    renew,
+                    sink,
+                )
+                .map_err(|e| transport.explain(e))?;
+            } else {
+                for (i, &o) in externals_out.iter().enumerate() {
+                    transport.tokens(i).remove(1, job.timeout).map_err(|_| {
+                        // Snapshot every out-edge token queue, not the
+                        // update queue: this wait is on tokens.
+                        let counts = available(transport);
+                        transport.explain(ThreadedError::Stalled {
+                            worker: w,
+                            iter: k,
+                            waiting_for: "tokens",
+                            diag: StallDiag::Tokens {
+                                available: externals_out.iter().copied().zip(counts).collect(),
+                            },
+                        })
+                    })?;
+                    step.take_token(sink, o);
+                }
+                step.complete();
+            }
+        } else {
+            step.complete();
+        }
+        k = next;
+    }
+    choreography::advance_only(sink, w, max_iters);
+    // Final courtesy: release tokens so lagging neighbors can finish their
+    // last iterations without waiting on a finished worker.
+    if max_ig.is_some() {
+        grant_all(transport, sink, w, externals_in, max_iters)?;
+    }
+    transport.finish()?;
+    Ok(WorkerOutcome {
+        params: params.to_vec(),
+        losses,
+        faults: fault_events,
+    })
+}
+
+/// The staleness-mode Recv: block until every listed neighbor's newest
+/// update satisfies the window at `k` (the Recv's iteration, or
+/// `target - 1` for a jump renew — `waiting_for` labels the stall).
+fn stale_recv(
+    ctx: &mut WorkerCtx<'_>,
+    queue: &SharedTaggedQueue<ParamBlock>,
+    neighbors: &[usize],
+    k: u64,
+    s: u64,
+    waiting_for: &'static str,
+    sink: &mut impl EventSink,
+) -> Result<(), ThreadedError> {
+    loop {
+        for entry in queue.dequeue_up_to(usize::MAX, TagFilter::any()) {
+            ctx.admit_entry(entry, k, sink);
+        }
+        let satisfied = neighbors.iter().all(|j| {
+            ctx.newest_from
+                .get(j)
+                .is_some_and(|&(iter, _)| semantics::staleness_satisfied(iter, k, s))
+        });
+        if satisfied {
+            return Ok(());
+        }
+        // Wait for at least one new arrival, then re-scan.
+        let arrived = queue
+            .dequeue(1, TagFilter::any(), ctx.timeout)
+            .map_err(|_| ctx.stall(k, waiting_for, queue))?;
+        for entry in arrived {
+            ctx.admit_entry(entry, k, sink);
+        }
+    }
+}
+
+/// The §5 pre-jump renewal: `Recv(target - 1)` + Reduce so the
+/// straggler's future updates are not hopelessly stale, then reset the
+/// momentum (its history refers to an abandoned trajectory) and discard
+/// queued updates for the skipped iterations.
+#[allow(clippy::too_many_arguments)]
+fn jump_renew(
+    ctx: &mut WorkerCtx<'_>,
+    queue: &SharedTaggedQueue<ParamBlock>,
+    externals_in: &[usize],
+    params: &mut ParamBlock,
+    opt: &mut Sgd,
+    k: u64,
+    mut renew: Renew,
+    sink: &mut impl EventSink,
+) -> Result<(), ThreadedError> {
+    let target = renew.target();
+    let renew_iter = target - 1;
+    if let Some(s) = ctx.cfg.staleness {
+        stale_recv(
+            ctx,
+            queue,
+            externals_in,
+            renew_iter,
+            s,
+            "jump-renew updates",
+            sink,
+        )?;
+        let mut collected = ctx.collect_newest(externals_in, &mut renew, sink);
+        // Own (stale) parameters participate with clamped weight; the
+        // snapshot keeps them readable while the replica is rewritten
+        // (the renewing handle counts them into the Reduce itself).
+        collected.push((k, params.snapshot()));
+        renew.renew_reduce(sink);
+        ctx.reduce_stale(&collected, renew_iter, s, params);
+    } else {
+        // Backup mode: collect the quota of iteration `target - 1` updates
+        // from external in-neighbors (self never sent one).
+        let ext = externals_in.len();
+        let quota = ctx.quota.saturating_sub(1).max(1);
+        let entries = ctx
+            .recv_tagged(queue, renew_iter, (quota, ext - quota), &mut renew, sink)
+            .ok_or_else(|| ctx.stall(k, "jump-renew updates", queue))?;
+        renew.renew_reduce(sink);
+        let own = params.snapshot();
+        ctx.reduce_mean(entries, Some(own), params);
+        ctx.discard_older_than(queue, target, sink);
+    }
+    // Momentum history refers to a trajectory this worker abandoned.
+    opt.reset_velocity();
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::conformance::ProtocolTrace;
+    use hop_data::webspam::SyntheticWebspam;
+    use hop_model::svm::Svm;
+
+    /// Worker 0 of a 2-ring whose peer exists only as this transport:
+    /// tokens are never scarce, outbound traffic goes nowhere, and the
+    /// peer's update for iteration `k - 1` shows up *late* — at the entry
+    /// of iteration `k`, after the Recv that could have used it.
+    struct LatePeer {
+        inbox: SharedTaggedQueue<ParamBlock>,
+        tokens: SharedTokenQueue,
+        dim: usize,
+    }
+
+    impl Transport for LatePeer {
+        type Error = ThreadedError;
+
+        fn inbox(&self) -> &SharedTaggedQueue<ParamBlock> {
+            &self.inbox
+        }
+
+        fn tokens(&self, _idx: usize) -> &SharedTokenQueue {
+            &self.tokens
+        }
+
+        fn check(&self, k: u64) -> Result<(), ThreadedError> {
+            if let Some(iter) = k.checked_sub(1) {
+                let late = ParamBlock::from_vec(vec![0.0; self.dim]);
+                self.inbox.enqueue(late, Tag { iter, w_id: 1 });
+            }
+            Ok(())
+        }
+
+        fn deliver(
+            &mut self,
+            _tag: Tag,
+            _params: &ParamBlock,
+            _receivers: &[usize],
+            _plane: &mut CompressionPlane,
+            _pool: &mut BufferPool,
+        ) -> Result<(), ThreadedError> {
+            Ok(())
+        }
+
+        fn grant(&mut self, _idx: usize, _n: u64) -> Result<(), ThreadedError> {
+            Ok(())
+        }
+
+        fn explain(&self, stall: ThreadedError) -> ThreadedError {
+            stall
+        }
+    }
+
+    #[test]
+    fn late_backup_updates_are_dropped_not_hoarded() {
+        // Regression: the backup-mode Recv only ever dequeued tag `k`, so
+        // every update that arrived after its iteration stayed in the
+        // inbox for the rest of the run, pinning a full block each.
+        let max_iters = 6;
+        let dataset = SyntheticWebspam::generate(64, 3);
+        let model = Svm::log_loss(dataset.feature_dim());
+        let init = ParamBlock::from_vec(vec![0.0; model.param_len()]);
+        // Quota 1 of in-degree 2: the worker reduces on its own update
+        // and never waits for the (always late) peer.
+        let cfg = HopConfig::backup(1, 4);
+        let topo = Topology::ring(2);
+        let job = WorkerJob {
+            w: 0,
+            cfg: &cfg,
+            topo: &topo,
+            model: &model,
+            dataset: &dataset,
+            hyper: Hyper::svm(),
+            max_iters,
+            seed: 9,
+            compute_sleep: Duration::ZERO,
+            timeout: Duration::from_secs(5),
+            init_params: &init,
+            faults: &FaultPlan::none(),
+        };
+        let mut transport = LatePeer {
+            inbox: SharedTaggedQueue::new(),
+            tokens: SharedTokenQueue::new(4),
+            dim: init.len(),
+        };
+        transport.tokens.insert(max_iters);
+        let mut trace = ProtocolTrace::new();
+        let outcome = worker_loop(&job, &mut transport, &mut trace).expect("runs");
+        assert_eq!(outcome.losses.len(), max_iters as usize);
+        let drops: Vec<String> = trace
+            .events()
+            .iter()
+            .map(ToString::to_string)
+            .filter(|line| line.starts_with("drop "))
+            .collect();
+        let expected: Vec<String> = (0..5)
+            .map(|i| format!("drop w=0 from=1 iter={i}"))
+            .collect();
+        assert_eq!(drops, expected, "one Drop per late tag, in order");
+        // At exit nothing older than the last iteration is left behind.
+        let stale: Vec<Tag> = transport
+            .inbox
+            .tags()
+            .into_iter()
+            .filter(|t| t.iter < max_iters - 1)
+            .collect();
+        assert!(stale.is_empty(), "inbox still holds {stale:?}");
+    }
+}

@@ -4,19 +4,20 @@
 //!
 //! The conformance grid lives in `tests/conformance.rs`; this file
 //! covers the lifecycle edges — does a fleet of OS processes actually
-//! learn, and does a killed worker surface as a clean peer-loss error
-//! (with the partial trace serialized for offline replay) instead of a
-//! hang or a bare stall.
+//! learn, does teardown survive peers that finish at very different
+//! times, and does a worker killed at any point surface as a clean
+//! peer-loss error (with the partial trace serialized for offline
+//! replay) instead of a hang, a bare stall or a bare I/O string.
 
 use hop::core::process::{ProcessError, ProcessExperiment};
-use hop::core::HopConfig;
+use hop::core::{HopConfig, Oracle, SkipConfig};
 use hop::data::webspam::SyntheticWebspam;
 use hop::data::Dataset;
 use hop::graph::Topology;
 use hop::model::svm::Svm;
 use hop::model::Model;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn worker_bin() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_hop_worker"))
@@ -47,54 +48,115 @@ fn a_process_fleet_learns_the_synthetic_workload() {
 }
 
 #[test]
-fn a_killed_worker_surfaces_as_peer_loss_with_a_partial_trace() {
-    let label = "process-killed-worker";
-    let trace_path = PathBuf::from(format!("target/conformance-failures/{label}.trace"));
-    let _ = std::fs::remove_file(&trace_path);
-    let mut exp = ProcessExperiment::new(
-        HopConfig::standard_with_tokens(2),
-        Topology::ring(3),
-        6,
-        worker_bin(),
-    );
-    exp.examples = 64;
-    // Worker 1 exits(101) at iteration 2 — no Finished frame, no
-    // summary: exactly what a crashed process looks like to its peers.
-    exp.die_at = Some((1, 2));
-    exp.stall_timeout = Duration::from_millis(500);
-    exp.failure_label = Some(label.to_string());
-    let err = exp
-        .run_traced()
-        .expect_err("a killed worker must fail the run");
-    match &err {
-        ProcessError::PeerLost { failures } => {
-            assert!(
-                failures.iter().any(|(w, _)| *w == 1),
-                "worker 1 was the one killed, got {failures:?}"
-            );
-        }
-        other => panic!("expected PeerLost, got {other}"),
-    }
-    // Survivors report rather than hang, and the coordinator serialized
-    // whatever trace fragments it collected for offline replay.
-    let text = std::fs::read_to_string(&trace_path)
-        .expect("partial trace was serialized for the failed run");
-    assert!(
-        !text.trim().is_empty(),
-        "partial trace should contain the events recorded before the crash"
-    );
-    assert!(
-        text.lines().any(|l| l.starts_with("advance")),
-        "partial trace should hold real protocol events, got:\n{text}"
-    );
-}
-
-#[test]
 fn unsupported_configs_are_rejected_up_front() {
     let mut exp = ProcessExperiment::new(HopConfig::standard(), Topology::ring(3), 4, worker_bin());
     exp.config.order = hop::core::ComputeOrder::Serial;
     match exp.run() {
         Err(ProcessError::Unsupported(_)) => {}
         other => panic!("serial order must be rejected, got {other:?}"),
+    }
+}
+
+#[test]
+fn teardown_survives_peers_finishing_far_apart() {
+    // The close handshake under stress. With no compute time the whole
+    // fleet tears down at once; with a 50x straggler the fast peers
+    // finish, say `Finished` and half-close while the straggler is still
+    // granting them tokens — the shape of the old teardown race, where a
+    // finished peer's exit reset the link and the straggler's legal late
+    // grant came back as `Connection reset by peer`. Token-gated modes
+    // only: they are the ones that write to a peer after it may be done.
+    let topo = Topology::ring(6);
+    let iters = 8;
+    let skip = SkipConfig {
+        max_jump: 6,
+        trigger_behind: 2,
+    };
+    let modes = [
+        ("staleness", HopConfig::staleness(2, 4)),
+        ("backup", HopConfig::backup(1, 4)),
+        ("skip", HopConfig::backup(1, 4).with_skip(skip)),
+    ];
+    let mut fleets = 0;
+    for round in 0..5 {
+        for (mode, cfg) in &modes {
+            for straggle in [false, true] {
+                let label = format!("process-teardown-{mode}-{straggle}-{round}");
+                let mut exp =
+                    ProcessExperiment::new(cfg.clone(), topo.clone(), iters, worker_bin());
+                exp.examples = 64;
+                exp.stall_timeout = Duration::from_secs(30);
+                exp.failure_label = Some(label.clone());
+                if straggle {
+                    exp.compute_sleep = Duration::from_micros(200);
+                    exp.slow_worker = Some((0, 50));
+                }
+                let (report, trace) = exp.run_traced().unwrap_or_else(|e| panic!("{label}: {e}"));
+                assert_eq!(report.final_params.len(), topo.len(), "{label}");
+                Oracle::new(cfg, &topo, iters)
+                    .check(&trace)
+                    .unwrap_or_else(|v| panic!("{label}: {v}"));
+                fleets += 1;
+            }
+        }
+    }
+    assert!(fleets >= 25, "only {fleets} fleet runs");
+}
+
+#[test]
+fn a_killed_worker_surfaces_as_peer_loss_with_a_partial_trace() {
+    // `die_at` swept over every (worker, iteration) of a 3-ring x 4
+    // iterations. The victim exits(101) at that iteration entry — no
+    // Finished frame, no summary: exactly what a crashed process looks
+    // like to its peers. Whenever it vanishes, the coordinator must come
+    // back promptly with a typed error naming the lost peer — never a
+    // hang, never a bare socket error — and leave the survivors' partial
+    // trace behind for offline replay.
+    let iters = 4;
+    for worker in 0..3 {
+        for iter in 0..iters {
+            let label = format!("process-killed-worker-w{worker}-k{iter}");
+            let trace_path = PathBuf::from(format!("target/conformance-failures/{label}.trace"));
+            let _ = std::fs::remove_file(&trace_path);
+            let mut exp = ProcessExperiment::new(
+                HopConfig::standard_with_tokens(2),
+                Topology::ring(3),
+                iters,
+                worker_bin(),
+            );
+            exp.examples = 64;
+            exp.die_at = Some((worker, iter));
+            exp.stall_timeout = Duration::from_millis(500);
+            exp.failure_label = Some(label.clone());
+            let started = Instant::now();
+            let err = exp
+                .run_traced()
+                .expect_err("a killed worker must fail the run");
+            // Survivors notice within one stall_timeout (usually at once,
+            // from the dead link's reader); the rest is fleet spawn.
+            assert!(
+                started.elapsed() < Duration::from_secs(15),
+                "{label}: took {:?} to report {err}",
+                started.elapsed()
+            );
+            match &err {
+                ProcessError::PeerLost { failures } => assert!(
+                    failures.iter().any(|(w, _)| *w == worker),
+                    "{label}: the killed worker is not among {failures:?}"
+                ),
+                other => panic!("{label}: expected PeerLost, got {other}"),
+            }
+            let text = err.to_string();
+            assert!(
+                !text.contains("i/o error"),
+                "{label}: bare I/O error: {text}"
+            );
+            let partial = std::fs::read_to_string(&trace_path)
+                .unwrap_or_else(|e| panic!("{label}: no partial trace: {e}"));
+            assert!(
+                partial.lines().any(|l| l.starts_with("advance")),
+                "{label}: partial trace holds no protocol events:\n{partial}"
+            );
+        }
     }
 }

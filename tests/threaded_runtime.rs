@@ -145,3 +145,32 @@ fn threaded_with_simulated_compute_jitter() {
     let report = exp.run(model, dataset).expect("runs with jitter");
     assert_eq!(report.final_params.len(), 4);
 }
+
+#[test]
+fn threaded_backup_drops_the_stragglers_late_updates() {
+    // §6.2(a) receiver-side discard on real threads: under backup(1, ·)
+    // the straggler's neighbors reduce without it, its update for that
+    // iteration arrives late, and the next Recv must drop it (a `Drop`
+    // event the oracle accepts) instead of leaving it in the inbox.
+    let dataset = Arc::new(SyntheticWebspam::generate(256, 5));
+    let model = Arc::new(Svm::log_loss(dataset.feature_dim()));
+    let cfg = HopConfig::backup(1, 4);
+    let topo = Topology::ring(6);
+    let mut exp = experiment(cfg.clone(), topo.clone());
+    exp.compute_sleep = Duration::from_micros(300);
+    exp.slow_worker = Some((0, 15));
+    exp.max_iters = 40;
+    let (_, trace) = exp.run_traced(model, dataset).expect("runs");
+    hop::core::Oracle::new(&cfg, &topo, 40)
+        .check(&trace)
+        .expect("trace with drops replays clean");
+    let late_from_straggler = trace
+        .events()
+        .iter()
+        .filter(|ev| matches!(ev, hop::core::ProtocolEvent::Drop { from: 0, .. }))
+        .count();
+    assert!(
+        late_from_straggler > 0,
+        "a 15x straggler's late updates were never dropped"
+    );
+}
