@@ -72,7 +72,7 @@ fn bench_reduce(c: &mut Criterion) {
         .collect();
     let mut out = vec![0.0f32; 4096];
     c.bench_function("reduce_mean_5x4096", |b| {
-        b.iter(|| hop_core::semantics::reduce_mean(black_box(&views), &mut out))
+        b.iter(|| hop_core::semantics::reduce_mean(black_box(&views), None, &mut out))
     });
     c.bench_function("reduce_staleness_eq2_5x4096", |b| {
         b.iter(|| {

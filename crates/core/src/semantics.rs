@@ -7,7 +7,7 @@
 //! unit-tested in isolation.
 
 use crate::config::SkipConfig;
-use hop_tensor::ops;
+use hop_tensor::ops::{self, Tail};
 
 /// Number of updates a `Recv` must collect with backup workers (Fig. 8):
 /// `|Nin(i)| - N_buw(i)`.
@@ -22,13 +22,17 @@ pub fn backup_quota(in_degree: usize, n_backup: usize) -> usize {
 }
 
 /// Uniform Reduce (Fig. 4 line 15): elementwise mean of the received
-/// parameter vectors.
+/// parameter vectors. The parallel-order Apply (Fig. 2b / Fig. 4 line 17)
+/// rides the same sweep: `apply` is `Sgd::step_term` — `(-lr, v)` from the
+/// pre-reduce parameters — and `out` becomes `mean + (-lr) * v`, bit for
+/// bit the separate `axpy` pass over the mean.
 ///
 /// # Panics
 ///
 /// Panics if `updates` is empty or lengths mismatch.
-pub fn reduce_mean(updates: &[&[f32]], out: &mut [f32]) {
-    ops::mean_into(updates, out);
+pub fn reduce_mean(updates: &[&[f32]], apply: Tail<'_>, out: &mut [f32]) {
+    assert!(!updates.is_empty(), "reduce of zero updates");
+    ops::scaled_sum(updates, None, 1.0 / updates.len() as f32, apply, out);
 }
 
 /// Whether an update of iteration `update_iter` is *satisfactory* for a
@@ -90,10 +94,11 @@ pub fn staleness_weight_with(scheme: StalenessWeighting, update_iter: u64, k: u6
 ///
 /// Panics if `updates` is empty or lengths mismatch.
 pub fn reduce_staleness(updates: &[(u64, &[f32])], k: u64, s: u64, out: &mut [f32]) {
-    reduce_staleness_with(StalenessWeighting::Linear, updates, k, s, out);
+    reduce_staleness_with(StalenessWeighting::Linear, updates, k, s, None, out);
 }
 
-/// [`reduce_staleness`] under an explicit weighting scheme.
+/// [`reduce_staleness`] under an explicit weighting scheme, with the
+/// parallel-order Apply folded in as in [`reduce_mean`].
 ///
 /// # Panics
 ///
@@ -103,6 +108,7 @@ pub fn reduce_staleness_with(
     updates: &[(u64, &[f32])],
     k: u64,
     s: u64,
+    apply: Tail<'_>,
     out: &mut [f32],
 ) {
     assert!(!updates.is_empty(), "reduce of zero updates");
@@ -111,7 +117,9 @@ pub fn reduce_staleness_with(
         .map(|&(iter, _)| staleness_weight_with(scheme, iter, k, s))
         .collect();
     let slices: Vec<&[f32]> = updates.iter().map(|&(_, x)| x).collect();
-    ops::weighted_mean_into(&slices, &weights, out);
+    let wsum: f32 = weights.iter().sum();
+    assert!(wsum > 0.0, "weight sum must be positive, got {wsum}");
+    ops::scaled_sum(&slices, Some(&weights), 1.0 / wsum, apply, out);
 }
 
 /// The skip decision of §5, made while acquiring tokens at the end of an
@@ -135,18 +143,6 @@ pub fn jump_decision(token_counts: &[u64], max_ig: u64, skip: &SkipConfig) -> Op
     (jump >= 2).then_some(jump)
 }
 
-/// The parallel-order Apply (Fig. 2b / Fig. 4 line 17): the new parameters
-/// are the reduced average plus the locally computed update `delta`
-/// (`delta = -lr * v` from the optimizer, computed on the pre-reduce
-/// parameters).
-///
-/// # Panics
-///
-/// Panics on length mismatch.
-pub fn apply_parallel(reduced: &mut [f32], delta: &[f32]) {
-    ops::axpy(1.0, delta, reduced);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,8 +164,10 @@ mod tests {
         let a = [2.0, 0.0];
         let b = [0.0, 4.0];
         let mut out = [9.0, 9.0];
-        reduce_mean(&[&a, &b], &mut out);
+        reduce_mean(&[&a, &b], None, &mut out);
         assert_eq!(out, [1.0, 2.0]);
+        reduce_mean(&[&a, &b], Some((-0.5, &[1.0, -1.0])), &mut out);
+        assert_eq!(out, [0.5, 2.5]);
     }
 
     #[test]
@@ -213,6 +211,7 @@ mod tests {
             &[(9, &a), (5, &b)],
             9,
             4,
+            None,
             &mut weighted,
         );
         assert_eq!(weighted, [1.0, 2.0]);
@@ -369,12 +368,5 @@ mod tests {
         // would divide by zero in the reduce).
         let w = staleness_weight_with(StalenessWeighting::Exponential { decay: 0.1 }, 0, 200, 3);
         assert!(w > 0.0, "weight must stay positive, got {w}");
-    }
-
-    #[test]
-    fn parallel_apply_adds_delta() {
-        let mut reduced = [1.0f32, 2.0];
-        apply_parallel(&mut reduced, &[0.5, -0.5]);
-        assert_eq!(reduced, [1.5, 1.5]);
     }
 }

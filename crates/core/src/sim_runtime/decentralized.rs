@@ -105,11 +105,8 @@ enum Ev {
 /// Protocol-specific per-worker state; common state (params, optimizer,
 /// sampler, iteration counter) lives in the engine's [`WorkerCommon`].
 struct WorkerSt {
-    /// Parameter snapshot gradients are computed on (parallel order) — a
-    /// refcount bump of the replica, not a copy.
-    compute_params: ParamBlock,
+    /// Gradient buffer; travels with the worker's compute job.
     grad: Vec<f32>,
-    delta: Vec<f32>,
     queue: RotatingQueues<ParamBlock>,
     /// Newest update seen per in-neighbor (staleness mode, incl. self),
     /// dense: slot `p` is the update from `topology.in_neighbors(w)[p]`.
@@ -192,9 +189,7 @@ impl<'a> Decentralized<'a> {
                     None => Vec::new(),
                 };
                 WorkerSt {
-                    compute_params: eng.init_block(),
                     grad: vec![0.0; dim],
-                    delta: vec![0.0; dim],
                     queue: RotatingQueues::new(window),
                     newest_from: vec![None; topology.in_neighbors(w).len()],
                     tokens_from,
@@ -238,8 +233,17 @@ impl<'a> Decentralized<'a> {
             self.finish_worker(eng, w, now);
             return;
         }
-        self.workers[w].compute_params = eng.workers[w].params.snapshot();
-        if self.cfg.order == ComputeOrder::Parallel {
+        // The gradient depends only on the replica as it stands now: the
+        // job starts here, before this worker's own Send (the helper
+        // overlaps that too), and is joined at the virtual completion
+        // time. Crashes fire only in `enter_step`, so a job begins iff
+        // its `ComputeDone` will be accepted.
+        let parallel = self.cfg.order == ComputeOrder::Parallel;
+        if !eng.faults.is_dead(w) {
+            let grad = std::mem::take(&mut self.workers[w].grad);
+            eng.begin_compute(w, grad, parallel);
+        }
+        if parallel {
             self.do_send(eng, w, new_iter, &step, now);
         }
         self.workers[w].phase = Phase::Computing(step.begin_compute(&mut eng.conformance));
@@ -466,29 +470,21 @@ impl<'a> Decentralized<'a> {
             unreachable!("ComputeDone for a worker that is not computing");
         };
         let step = step.end_compute(&mut eng.conformance);
-        // Do the real gradient math at the virtual completion time.
-        let state = &mut self.workers[w];
-        let loss = eng.sample_grad(w, &state.compute_params, &mut state.grad);
+        // The gradient math began with the virtual compute phase and may
+        // have run beside the pump since; its result enters the
+        // simulation only here, at the virtual completion time.
+        let (loss, grad) = eng.join_compute(w);
         eng.recorder.train_loss(w, iter, now, loss);
+        self.workers[w].grad = grad;
         match self.cfg.order {
-            ComputeOrder::Parallel => {
-                // Fig. 2(b): the update is applied later, onto the reduced
-                // parameters.
-                let WorkerSt {
-                    compute_params,
-                    grad,
-                    delta,
-                    ..
-                } = state;
-                eng.workers[w].opt.delta(compute_params, grad, delta);
-                self.try_recv(eng, w, step, now);
-            }
+            // Fig. 2(b): the update is applied onto the reduced parameters.
+            ComputeOrder::Parallel => self.try_recv(eng, w, step, now),
             ComputeOrder::Serial => {
                 // Fig. 2(a): apply to the same parameters, then send.
                 // Copy-on-write: snapshots still in flight keep their
                 // values.
                 let WorkerCommon { opt, params, .. } = &mut eng.workers[w];
-                opt.step_block(params, &state.grad);
+                opt.step_block(params, &self.workers[w].grad);
                 let needs_ack = self.cfg.sync == SyncMode::NotifyAck
                     && iter > 0
                     && self.workers[w].acks_received
@@ -553,6 +549,8 @@ impl<'a> Decentralized<'a> {
         let k = eng.iters[w];
         debug_assert_eq!(step.iter(), k, "recv handle is for another iteration");
         let in_deg = self.topology.in_degree(w);
+        // Parallel order: the Apply rides the Reduce sweep as its tail.
+        let parallel = self.cfg.order == ComputeOrder::Parallel;
         let step = if let Some(s) = self.cfg.staleness {
             // Fig. 9: newest satisfactory update per in-neighbor.
             let neighbors = self.topology.in_neighbors(w).to_vec();
@@ -569,19 +567,17 @@ impl<'a> Decentralized<'a> {
                 .iter()
                 .map(|(iter, p)| (*iter, p.as_slice()))
                 .collect();
-            let state = &self.workers[w];
             // Full overwrite: the old contents are not read, so a shared
             // replica detaches without copying.
+            let WorkerCommon { opt, params, .. } = &mut eng.workers[w];
             semantics::reduce_staleness_with(
                 self.cfg.staleness_weighting,
                 &views,
                 k,
                 s,
-                eng.workers[w].params.overwrite_mut(&mut eng.pool),
+                parallel.then(|| opt.step_term()),
+                params.overwrite_mut(&mut eng.pool),
             );
-            if self.cfg.order == ComputeOrder::Parallel {
-                semantics::apply_parallel(eng.workers[w].params.make_mut(), &state.delta);
-            }
             step
         } else {
             let quota = semantics::backup_quota(in_deg, self.cfg.n_backup);
@@ -596,10 +592,12 @@ impl<'a> Decentralized<'a> {
             }
             let step = step.reduce(&mut eng.conformance);
             let views: Vec<&[f32]> = entries.iter().map(|e| e.value.as_slice()).collect();
-            semantics::reduce_mean(&views, eng.workers[w].params.overwrite_mut(&mut eng.pool));
-            if self.cfg.order == ComputeOrder::Parallel {
-                semantics::apply_parallel(eng.workers[w].params.make_mut(), &self.workers[w].delta);
-            }
+            let WorkerCommon { opt, params, .. } = &mut eng.workers[w];
+            semantics::reduce_mean(
+                &views,
+                parallel.then(|| opt.step_term()),
+                params.overwrite_mut(&mut eng.pool),
+            );
             // The dequeued snapshots are done; recycle any whose last
             // holder this was.
             for entry in entries {
@@ -702,6 +700,7 @@ impl<'a> Decentralized<'a> {
                 &views,
                 renew_iter,
                 s,
+                None,
                 eng.workers[w].params.overwrite_mut(&mut eng.pool),
             );
         } else {
@@ -725,7 +724,11 @@ impl<'a> Decentralized<'a> {
             let own = eng.workers[w].params.snapshot();
             let mut views: Vec<&[f32]> = entries.iter().map(|e| e.value.as_slice()).collect();
             views.push(own.as_slice());
-            semantics::reduce_mean(&views, eng.workers[w].params.overwrite_mut(&mut eng.pool));
+            semantics::reduce_mean(
+                &views,
+                None,
+                eng.workers[w].params.overwrite_mut(&mut eng.pool),
+            );
             drop(views);
             eng.pool.reclaim(own);
             for entry in entries {

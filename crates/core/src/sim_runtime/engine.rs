@@ -48,11 +48,45 @@
 //! steady state performs no heap allocation. Per-example forward/backward
 //! intermediates live in each worker's [`GradScratch`].
 //!
+//! # Compute futures
+//!
+//! Hop's parallel computation graph (Fig. 2b) overlaps an iteration's
+//! gradient with its Send/Recv. The simulator models that overlap in
+//! virtual time and, for models wide enough to pay for the hand-off
+//! (`OFFLOAD_MIN_PARAMS`), also runs it that way on the host: a protocol
+//! calls `begin_compute` when a worker's virtual compute phase *starts*
+//! — the snapshot the gradient is taken at is fixed from then on — and
+//! `join_compute` when its completion event pops. In between, the job
+//! (draw the batch, `loss_grad_with`, advance the velocity) belongs to
+//! one helper thread scoped to [`SimEngine::drive`], which moves the
+//! engine into the scope: however the pump ends — a report, or a panic
+//! unwinding through — the engine and its job sender drop inside, the
+//! helper sees the closed channel and exits, and the scope joins it
+//! before `drive` returns. Without a helper (see `OFFLOAD_MIN_PARAMS`)
+//! the same job runs on the pump at the join.
+//!
+//! While in flight a job owns the worker's sampler, optimizer, scratch
+//! and gradient buffer (an empty optimizer keeps the seat in
+//! [`WorkerCommon`]; using it trips `Sgd`'s length asserts) and an
+//! immutable snapshot of the replica. The pump owns everything else,
+//! always: event order, virtual time, queues, tokens, recorder,
+//! conformance sink, fault plane, buffer pool — and every snapshot's
+//! drop, so pool recycling is schedule-independent too. There is no
+//! cancel path: crashes fire only at iteration entry, so a worker alive
+//! when its compute begins is alive when it completes, and
+//! `join_compute` asserts that a job was begun.
+//!
 //! Determinism: the engine introduces no randomness of its own. Event
 //! order is total (time, then insertion sequence), per-worker RNGs are
 //! seeded from the master seed, and slowdowns are sampled from
 //! `(seed, worker, iteration)` — so one seed yields one report,
-//! bit-for-bit. Sharing never changes values: snapshots are immutable,
+//! bit-for-bit. The helper cannot change that: a job's inputs are fixed
+//! when it begins and untouched until the join, its result enters the
+//! simulation only at the join — an event the pump orders like any
+//! other — and the arithmetic is the same sequential code on either
+//! thread: the schedule decides *when* a gradient is ready, never *what*
+//! it is or who sees it.
+//! Sharing never changes values: snapshots are immutable,
 //! copy-on-write detaches before any write, and pooled buffers are
 //! handed out zero-filled, or — for a `Reduce` output or a stream's next
 //! reference, which a kernel overwrites in full — never read before
@@ -71,6 +105,75 @@ use hop_sim::{
 };
 use hop_tensor::{BufferPool, ParamBlock};
 use hop_util::Xoshiro256;
+use std::cell::Cell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{channel, Receiver, RecvError, Sender, TryRecvError};
+use std::time::{Duration, Instant};
+
+/// How long either end of the hand-off polls before parking: in steady
+/// state the next message is this close, so nobody pays a futex wake for it.
+const SPIN: Duration = Duration::from_micros(200);
+
+thread_local! {
+    /// Fewest parameters at which a run driven on this thread gets a
+    /// compute helper (a smaller job costs less than its hand-off).
+    /// `usize::MAX` — never — on a single-core host and on the threads of
+    /// a multi-threaded [`crate::sweep::SweepRunner`], where run-level
+    /// parallelism already fills the cores; tests force it.
+    pub(crate) static OFFLOAD_MIN_PARAMS: Cell<usize> = Cell::new(
+        match std::thread::available_parallelism().map_or(1, usize::from) {
+            1 => usize::MAX,
+            _ => 4096,
+        },
+    );
+}
+
+/// `rx.recv()` that polls for [`SPIN`] before it parks.
+fn recv_spinning<T>(rx: &Receiver<T>) -> Result<T, RecvError> {
+    let start = Instant::now();
+    while start.elapsed() < SPIN {
+        match rx.try_recv() {
+            Err(TryRecvError::Empty) => std::hint::spin_loop(),
+            settled => return settled.map_err(|_| RecvError),
+        }
+    }
+    rx.recv()
+}
+
+/// One iteration's gradient work for one worker, owning all it mutates.
+struct GradJob {
+    w: usize,
+    /// The snapshot the gradient is taken at.
+    params: ParamBlock,
+    sampler: BatchSampler,
+    opt: Sgd,
+    scratch: GradScratch,
+    grad: Vec<f32>,
+    /// Parallel order: also advance the velocity.
+    advance: bool,
+    loss: f32,
+}
+
+impl GradJob {
+    fn run(&mut self, model: &dyn Model, dataset: &InMemoryDataset) {
+        let batch = self.sampler.next_batch(dataset);
+        self.loss = model.loss_grad_with(&self.params, &batch, &mut self.grad, &mut self.scratch);
+        if self.advance {
+            self.opt.advance(&self.params, &self.grad);
+        }
+    }
+}
+
+/// Where worker `w`'s gradient job is.
+enum Slot {
+    Idle,
+    /// Begun without a helper: runs on the pump at the join.
+    Inline(GradJob),
+    /// With the helper, or on its way back.
+    InFlight,
+    /// Came back while the pump was joining another worker.
+    Done(GradJob),
+}
 
 /// Protocol-independent per-worker state owned by the engine.
 ///
@@ -247,6 +350,11 @@ pub struct SimEngine<'a, E> {
     pub conformance: ConformanceSink,
     init_params: ParamBlock,
     aborted: bool,
+    /// Per-worker gradient-job state (module docs, "Compute futures").
+    slots: Vec<Slot>,
+    /// The pump's ends of the hand-off (a result is the job, or its
+    /// panic's payload); `None` runs every job inline.
+    helper: Option<(Sender<GradJob>, Receiver<std::thread::Result<GradJob>>)>,
 }
 
 impl<'a, E> SimEngine<'a, E> {
@@ -337,6 +445,8 @@ impl<'a, E> SimEngine<'a, E> {
             conformance: ConformanceSink::disabled(),
             init_params,
             aborted: false,
+            slots: (0..n_workers).map(|_| Slot::Idle).collect(),
+            helper: None,
         }
     }
 
@@ -407,18 +517,75 @@ impl<'a, E> SimEngine<'a, E> {
         loss
     }
 
+    /// Begins worker `w`'s gradient job at its current replica (module
+    /// docs, "Compute futures"); `advance` also advances the velocity.
+    /// Begin a job only if its completion will be accepted.
+    pub(crate) fn begin_compute(&mut self, w: usize, grad: Vec<f32>, advance: bool) {
+        // An empty optimizer (no allocation) keeps the seat meanwhile.
+        let seat = Sgd::new(self.hyper.lr, 0.0, 0.0, 0);
+        let wc = &mut self.workers[w];
+        let job = GradJob {
+            w,
+            params: wc.params.snapshot(),
+            sampler: wc.sampler.clone(),
+            opt: std::mem::replace(&mut wc.opt, seat),
+            scratch: std::mem::take(&mut wc.scratch),
+            grad,
+            advance,
+            loss: 0.0,
+        };
+        self.slots[w] = match &self.helper {
+            Some((jobs, _)) => {
+                // Fails only once a panic killed the helper; the next join
+                // finds the payload waiting and re-raises it.
+                let _ = jobs.send(job);
+                Slot::InFlight
+            }
+            None => Slot::Inline(job),
+        };
+    }
+
+    /// Completes the job begun for `w` — waiting for the helper if it
+    /// still has it, stashing other workers' results — puts the worker's
+    /// sampler, optimizer and scratch back, and returns the minibatch loss
+    /// (for the caller to record) and the gradient buffer.
+    ///
+    /// # Panics
+    ///
+    /// If no job was begun for `w`; re-raises the job's own panic (a
+    /// model's assert) with its original payload.
+    pub(crate) fn join_compute(&mut self, w: usize) -> (f32, Vec<f32>) {
+        let job = match std::mem::replace(&mut self.slots[w], Slot::Idle) {
+            Slot::Idle => panic!("worker {w} joined a compute phase it never began"),
+            Slot::Inline(mut job) => {
+                job.run(self.model, self.dataset);
+                job
+            }
+            Slot::Done(job) => job,
+            Slot::InFlight => loop {
+                let (_, results) = self.helper.as_ref().expect("a job in flight has a helper");
+                match recv_spinning(results) {
+                    Ok(Ok(job)) if job.w == w => break job,
+                    Ok(Ok(job)) => {
+                        let other = job.w;
+                        self.slots[other] = Slot::Done(job);
+                    }
+                    Ok(Err(payload)) => resume_unwind(payload),
+                    Err(RecvError) => panic!("compute helper gone, worker {w}'s job with it"),
+                }
+            },
+        };
+        let wc = &mut self.workers[w];
+        (wc.sampler, wc.opt, wc.scratch) = (job.sampler, job.opt, job.scratch);
+        (job.loss, job.grad)
+    }
+
     /// Evaluates the element-wise average of all worker replicas at
-    /// `(now, iter)`, averaging into pool-backed scratch — no slice-vector
-    /// or averaged-buffer allocation per evaluation. The accumulation is
-    /// bit-identical to `ops::mean_into` over the replica slices: the
-    /// acquired buffer is zero-filled, each replica is `axpy`-accumulated
-    /// in worker order, then the sum is scaled once.
+    /// `(now, iter)`: one `mean_into` sweep into a recycled buffer.
     pub fn evaluate_worker_average(&mut self, now: f64, iter: u64) {
-        let mut avg = self.pool.acquire(self.workers[0].params.len());
-        for wc in &self.workers {
-            hop_tensor::ops::axpy(1.0, wc.params.as_slice(), &mut avg);
-        }
-        hop_tensor::ops::scale(1.0 / self.workers.len() as f32, &mut avg);
+        let mut avg = self.pool.acquire_stale(self.workers[0].params.len());
+        let replicas: Vec<&[f32]> = self.workers.iter().map(|wc| wc.params.as_slice()).collect();
+        hop_tensor::ops::mean_into(&replicas, &mut avg);
         self.recorder
             .evaluate_params(self.model, self.dataset, &avg, now, iter);
         self.pool.release(avg);
@@ -531,7 +698,35 @@ impl<'a, E> SimEngine<'a, E> {
     /// [`TrainingReport::budget_exhausted`] (with
     /// [`TrainingReport::deadlocked`] also set, since the run did not
     /// complete).
+    /// A compute helper (module docs, "Compute futures") is joined before
+    /// this returns, on every one of those exits.
     pub fn drive<P: WorkerProtocol<Event = E>>(mut self, proto: &mut P) -> TrainingReport {
+        let (model, dataset) = (self.model, self.dataset);
+        let offload = self.init_params.len() >= OFFLOAD_MIN_PARAMS.get();
+        std::thread::scope(move |scope| {
+            if offload {
+                let ((job_tx, jobs), (done, done_rx)) = (channel::<GradJob>(), channel());
+                self.helper = Some((job_tx, done_rx));
+                // Until the engine drops its sender. A panicking job goes
+                // back as its payload and ends the helper.
+                scope.spawn(move || {
+                    while let Ok(mut job) = recv_spinning(&jobs) {
+                        let result = catch_unwind(AssertUnwindSafe(|| {
+                            job.run(model, dataset);
+                            job
+                        }));
+                        let failed = result.is_err();
+                        if done.send(result).is_err() || failed {
+                            return;
+                        }
+                    }
+                });
+            }
+            self.pump(proto)
+        })
+    }
+
+    fn pump<P: WorkerProtocol<Event = E>>(mut self, proto: &mut P) -> TrainingReport {
         proto.start(&mut self);
         let n = self.workers.len() as u64;
         let mut budget = self
@@ -640,12 +835,20 @@ mod tests {
     use hop_model::svm::Svm;
     use hop_sim::LinkModel;
 
-    /// A trivial protocol: every worker computes, applies its own
-    /// gradient, and loops — no communication at all.
+    /// A trivial protocol: every worker computes (as a compute future),
+    /// applies its own gradient, and loops — no communication at all.
     struct LocalSgd;
 
     struct Step {
         w: usize,
+    }
+
+    impl LocalSgd {
+        fn compute(eng: &mut SimEngine<'_, Step>, w: usize, grad: Vec<f32>, now: f64) {
+            eng.begin_compute(w, grad, false);
+            let at = now + eng.compute_duration(w, eng.iters[w]);
+            eng.events.push(at, Step { w });
+        }
     }
 
     impl WorkerProtocol for LocalSgd {
@@ -654,27 +857,23 @@ mod tests {
         fn start(&mut self, eng: &mut SimEngine<'_, Step>) {
             for w in 0..eng.workers.len() {
                 eng.record_enter(w, 0, 0.0);
-                let at = eng.compute_duration(w, 0);
-                eng.events.push(at, Step { w });
+                Self::compute(eng, w, vec![0.0; eng.init_params().len()], 0.0);
             }
         }
 
         fn on_event(&mut self, eng: &mut SimEngine<'_, Step>, now: f64, ev: Step) {
             let w = ev.w;
-            let mut grad = eng.pool.acquire(eng.workers[w].params.len());
-            eng.local_grad(w, now, &mut grad);
-            let wc = &mut eng.workers[w];
-            let WorkerCommon { opt, params, .. } = wc;
+            let (loss, grad) = eng.join_compute(w);
+            eng.recorder.train_loss(w, eng.iters[w], now, loss);
+            let WorkerCommon { opt, params, .. } = &mut eng.workers[w];
             opt.step_block(params, &grad);
-            eng.pool.release(grad);
             eng.iters[w] += 1;
             let k = eng.iters[w];
             eng.record_enter(w, k, now);
             if k >= eng.max_iters {
                 eng.finish_worker(w);
             } else {
-                let at = now + eng.compute_duration(w, k);
-                eng.events.push(at, Step { w });
+                Self::compute(eng, w, grad, now);
             }
         }
 
@@ -727,6 +926,9 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_is_distinct_and_processes_every_popped_event() {
+        // With a compute helper: both budgets below leave begun jobs
+        // unjoined, and `drive` must still join the helper and return.
+        OFFLOAD_MIN_PARAMS.set(0);
         let dataset = SyntheticWebspam::generate(128, 3);
         let model = Svm::log_loss(hop_data::Dataset::feature_dim(&dataset));
         let cluster = ClusterSpec::uniform(4, 2, 0.01, LinkModel::ethernet_1gbps());

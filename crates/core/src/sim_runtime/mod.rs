@@ -2,8 +2,8 @@
 //!
 //! Each submodule drives [`hop_sim`]'s event queue and network model with
 //! the corresponding protocol's state machine, doing the *actual* gradient
-//! math at virtual-time events so a run yields both timing (Figs. 12–21)
-//! and loss curves, deterministically.
+//! math — its results entering at virtual-time events — so a run yields
+//! both timing (Figs. 12–21) and loss curves, deterministically.
 //!
 //! Conformance events are emitted exclusively through the
 //! [`crate::choreography`] typestate handles (obtained from
@@ -21,3 +21,8 @@ pub mod qgm;
 pub mod ring;
 
 pub mod recorder;
+
+/// In-crate (it forces the private `engine::OFFLOAD_MIN_PARAMS`).
+#[cfg(test)]
+#[path = "../../tests/unit/compute_offload.rs"]
+mod compute_offload;

@@ -236,7 +236,11 @@ impl Qgm<'_> {
             views.extend(received.iter().map(ParamBlock::as_slice));
             // Full overwrite: the old contents are not read, so snapshots
             // still in flight detach without copying.
-            semantics::reduce_mean(&views, eng.workers[w].params.overwrite_mut(&mut eng.pool));
+            semantics::reduce_mean(
+                &views,
+                None,
+                eng.workers[w].params.overwrite_mut(&mut eng.pool),
+            );
         }
         eng.pool.reclaim(own);
         for p in received {

@@ -65,6 +65,7 @@
 
 use crate::config::{ConfigError, PragueConfig, Protocol, QgmConfig};
 use crate::report::TrainingReport;
+use crate::sim_runtime::engine::OFFLOAD_MIN_PARAMS;
 use crate::trainer::{Hyper, SimExperiment};
 use hop_data::InMemoryDataset;
 use hop_graph::Topology;
@@ -451,6 +452,10 @@ impl SweepRunner {
                     let next = &next;
                     let points = &points;
                     scope.spawn(move || {
+                        // Side-by-side points fill the cores: no helpers.
+                        if n_threads > 1 {
+                            OFFLOAD_MIN_PARAMS.set(usize::MAX);
+                        }
                         let mut claimed = Vec::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);

@@ -35,6 +35,7 @@ use hop_model::{GradScratch, Model, Sgd};
 use hop_queue::blocking::{SharedTaggedQueue, SharedTokenQueue};
 use hop_queue::tagged::{Tag, TagFilter, TaggedEntry};
 use hop_sim::{FaultEvent, FaultPlan};
+use hop_tensor::ops::Tail;
 use hop_tensor::{BufferPool, ParamBlock};
 use std::collections::HashMap;
 use std::time::Duration;
@@ -243,30 +244,32 @@ impl WorkerCtx<'_> {
         Some(entries)
     }
 
-    /// `params ← mean(entries ∪ own)`, recycling every consumed block.
-    /// Full overwrite: shared blocks detach without copying.
+    /// `params ← mean(entries ∪ own) [+ apply]`, recycling every consumed
+    /// block. Full overwrite: shared blocks detach without copying.
     fn reduce_mean(
         &mut self,
         entries: Vec<TaggedEntry<ParamBlock>>,
         own: Option<ParamBlock>,
+        apply: Tail<'_>,
         params: &mut ParamBlock,
     ) {
         let mut views: Vec<&[f32]> = entries.iter().map(|e| e.value.as_slice()).collect();
         views.extend(own.as_ref().map(ParamBlock::as_slice));
-        semantics::reduce_mean(&views, params.overwrite_mut(&mut self.pool));
+        semantics::reduce_mean(&views, apply, params.overwrite_mut(&mut self.pool));
         drop(views);
         for block in entries.into_iter().map(|e| e.value).chain(own) {
             self.pool.reclaim(block);
         }
     }
 
-    /// `params ← staleness-weighted mean(collected)` at Recv iteration
-    /// `k` under window `s`.
+    /// `params ← staleness-weighted mean(collected) [+ apply]` at Recv
+    /// iteration `k` under window `s`.
     fn reduce_stale(
         &mut self,
         collected: &[(u64, ParamBlock)],
         k: u64,
         s: u64,
+        apply: Tail<'_>,
         params: &mut ParamBlock,
     ) {
         let views: Vec<(u64, &[f32])> = collected
@@ -278,6 +281,7 @@ impl WorkerCtx<'_> {
             &views,
             k,
             s,
+            apply,
             params.overwrite_mut(&mut self.pool),
         );
     }
@@ -314,7 +318,6 @@ pub(crate) fn worker_loop<T: Transport>(
     let mut opt = Sgd::new(hyper.lr, hyper.momentum, hyper.weight_decay, params.len());
     let mut sampler = BatchSampler::for_worker(dataset.len(), hyper.batch_size, seed, w);
     let mut grad = vec![0.0f32; params.len()];
-    let mut delta = vec![0.0f32; params.len()];
     let mut scratch = GradScratch::new();
     let mut losses = Vec::with_capacity(max_iters as usize);
     let in_deg = topo.in_degree(w);
@@ -392,9 +395,11 @@ pub(crate) fn worker_loop<T: Transport>(
         let loss = model.loss_grad_with(params.as_slice(), &batch, &mut grad, &mut scratch);
         let mut step = step.end_compute(sink);
         losses.push(loss);
-        opt.delta(params.as_slice(), &grad, &mut delta);
+        opt.advance(params.as_slice(), &grad);
         // Recv + Reduce: both paths funnel through the handle, whose
-        // `reduce` is the only way to emit the Reduce event.
+        // `reduce` is the only way to emit the Reduce event; the Apply
+        // (Fig. 2b: onto the reduced parameters) rides its sweep.
+        let apply = Some(opt.step_term());
         let inbox = transport.inbox();
         let step = if let Some(s) = cfg.staleness {
             stale_recv(
@@ -409,7 +414,7 @@ pub(crate) fn worker_loop<T: Transport>(
             .map_err(|e| transport.explain(e))?;
             let collected = ctx.collect_newest(in_neighbors, &mut step, sink);
             let step = step.reduce(sink);
-            ctx.reduce_stale(&collected, k, s, &mut params);
+            ctx.reduce_stale(&collected, k, s, apply, &mut params);
             step
         } else {
             ctx.discard_older_than(inbox, k, sink);
@@ -417,10 +422,9 @@ pub(crate) fn worker_loop<T: Transport>(
                 .recv_tagged(inbox, k, (ctx.quota, in_deg - ctx.quota), &mut step, sink)
                 .ok_or_else(|| transport.explain(ctx.stall(k, "updates", inbox)))?;
             let step = step.reduce(sink);
-            ctx.reduce_mean(entries, None, &mut params);
+            ctx.reduce_mean(entries, None, apply, &mut params);
             step
         };
-        semantics::apply_parallel(params.make_mut(), &delta);
         // Advance: the §5 skip decision over the token queues, else one
         // token from every out-going neighbor's queue.
         let mut next = k + 1;
@@ -571,7 +575,7 @@ fn jump_renew(
         // (the renewing handle counts them into the Reduce itself).
         collected.push((k, params.snapshot()));
         renew.renew_reduce(sink);
-        ctx.reduce_stale(&collected, renew_iter, s, params);
+        ctx.reduce_stale(&collected, renew_iter, s, None, params);
     } else {
         // Backup mode: collect the quota of iteration `target - 1` updates
         // from external in-neighbors (self never sent one).
@@ -582,7 +586,7 @@ fn jump_renew(
             .ok_or_else(|| ctx.stall(k, "jump-renew updates", queue))?;
         renew.renew_reduce(sink);
         let own = params.snapshot();
-        ctx.reduce_mean(entries, Some(own), params);
+        ctx.reduce_mean(entries, Some(own), None, params);
         ctx.discard_older_than(queue, target, sink);
     }
     // Momentum history refers to a trajectory this worker abandoned.

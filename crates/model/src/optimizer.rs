@@ -78,28 +78,26 @@ impl Sgd {
         }
     }
 
-    /// Computes the raw update `delta = -lr * v_next` *without* mutating
-    /// `params`, writing it into `delta`. Used by protocols that apply
-    /// gradients to a *different* parameter vector than the one they were
-    /// computed on (the parallel computation graph of Fig. 2b).
+    /// The velocity half of [`Self::step`], for protocols that apply the
+    /// update to a *different* vector than the `params` it was computed
+    /// on (the parallel computation graph of Fig. 2b): they add
+    /// [`Self::step_term`] there.
     ///
     /// # Panics
     ///
     /// Panics on length mismatch.
-    pub fn delta(&mut self, params: &[f32], grad: &[f32], delta: &mut [f32]) {
+    pub fn advance(&mut self, params: &[f32], grad: &[f32]) {
         assert_eq!(params.len(), self.velocity.len(), "params length mismatch");
         assert_eq!(grad.len(), self.velocity.len(), "grad length mismatch");
-        assert_eq!(delta.len(), self.velocity.len(), "delta length mismatch");
-        for (((v, &p), &g), d) in self
-            .velocity
-            .iter_mut()
-            .zip(params.iter())
-            .zip(grad)
-            .zip(delta.iter_mut())
-        {
+        for ((v, &p), &g) in self.velocity.iter_mut().zip(params).zip(grad) {
             *v = self.momentum * *v + g + self.weight_decay * p;
-            *d = -self.lr * *v;
         }
+    }
+
+    /// The other half: adding `alpha * v` of the returned `(alpha, v)`,
+    /// `alpha = -lr`, to a parameter vector (`hop_tensor::ops::Tail`).
+    pub fn step_term(&self) -> (f32, &[f32]) {
+        (-self.lr, &self.velocity)
     }
 
     /// [`Self::step`] on a shared [`ParamBlock`]: copy-on-write, so
@@ -254,17 +252,18 @@ mod tests {
     }
 
     #[test]
-    fn delta_matches_step() {
+    fn advance_plus_step_term_is_step() {
         let mut a = Sgd::new(0.2, 0.9, 0.01, 3);
         let mut b = a.clone();
         let mut p1 = vec![1.0f32, -2.0, 0.5];
         let p2 = p1.clone();
         let g = vec![0.3, -0.1, 0.0];
         a.step(&mut p1, &g);
-        let mut d = vec![0.0; 3];
-        b.delta(&p2, &g, &mut d);
+        b.advance(&p2, &g);
+        assert_eq!(a, b, "same velocity, parameters untouched");
+        let (alpha, v) = b.step_term();
         for i in 0..3 {
-            assert!((p2[i] + d[i] - p1[i]).abs() < 1e-7);
+            assert_eq!(p2[i] + alpha * v[i], p1[i]);
         }
     }
 

@@ -134,7 +134,7 @@ pub fn norm2(x: &[f32]) -> f32 {
 /// Panics if `inputs` is empty or any input length differs from `out`.
 pub fn mean_into(inputs: &[&[f32]], out: &mut [f32]) {
     assert!(!inputs.is_empty(), "mean of zero slices");
-    scaled_sum(inputs, None, 1.0 / inputs.len() as f32, out);
+    scaled_sum(inputs, None, 1.0 / inputs.len() as f32, None, out);
 }
 
 /// Weighted elementwise average: `out = sum(w_i * x_i) / sum(w_i)`.
@@ -150,25 +150,36 @@ pub fn weighted_mean_into(inputs: &[&[f32]], weights: &[f32], out: &mut [f32]) {
     assert!(!inputs.is_empty(), "weighted mean of zero slices");
     let wsum: f32 = weights.iter().sum();
     assert!(wsum > 0.0, "weight sum must be positive, got {wsum}");
-    scaled_sum(inputs, Some(weights), 1.0 / wsum, out);
+    scaled_sum(inputs, Some(weights), 1.0 / wsum, None, out);
 }
+
+/// A [`scaled_sum`]'s optional last term: `+ alpha * addend[i]`.
+pub type Tail<'a> = Option<(f32, &'a [f32])>;
 
 /// `out[i] = (0.0 + w_0 * x_0[i] + w_1 * x_1[i] + …) * factor` in one
 /// sweep, SIMD-dispatched; `weights: None` means every `w_j` is 1 (and
 /// the exact `1.0 * x` is skipped). The sum runs left to right per
-/// element, each product and each addition rounded on its own.
+/// element, each product and each addition rounded on its own. A `tail`
+/// then adds `alpha * addend[i]`, product rounded before the sum: bit for
+/// bit the `axpy(alpha, addend, out)` pass it saves (Fig. 2b's Apply).
 ///
 /// # Panics
 ///
-/// Panics if any input length differs from `out`, or `weights` is given
-/// with a length other than `inputs.len()`.
-pub fn scaled_sum(inputs: &[&[f32]], weights: Option<&[f32]>, factor: f32, out: &mut [f32]) {
+/// Panics if any input or the addend differs in length from `out`, or
+/// `weights` is given with a length other than `inputs.len()`.
+pub fn scaled_sum(
+    inputs: &[&[f32]],
+    weights: Option<&[f32]>,
+    factor: f32,
+    tail: Tail<'_>,
+    out: &mut [f32],
+) {
     #[cfg(target_arch = "x86_64")]
     if simd::avx2_available() {
-        simd::avx2::scaled_sum(inputs, weights, factor, out);
+        simd::avx2::scaled_sum(inputs, weights, factor, tail, out);
         return;
     }
-    simd::portable::scaled_sum(inputs, weights, factor, out);
+    simd::portable::scaled_sum(inputs, weights, factor, tail, out);
 }
 
 /// Row-major GEMV: `y = A x` where `A` is `m x n`.
@@ -311,6 +322,8 @@ pub mod simd {
     /// count of a 256-bit AVX2 register).
     pub const LANES: usize = 8;
 
+    use super::Tail;
+
     /// Whether the public kernels will take the AVX2 backend on this
     /// host. Always `false` off x86-64.
     #[inline]
@@ -326,10 +339,10 @@ pub mod simd {
     }
 
     /// The shape check every [`scaled_sum`](crate::ops::scaled_sum)
-    /// backend runs first: all inputs as long as `out`, one weight per
-    /// input. The AVX2 kernel's loads rely on it.
-    fn check_scaled_sum(inputs: &[&[f32]], weights: Option<&[f32]>, out: &[f32]) {
-        for x in inputs {
+    /// backend runs first: all inputs and the addend as long as `out`,
+    /// one weight per input. The AVX2 kernel's loads rely on it.
+    fn check_scaled_sum(inputs: &[&[f32]], weights: Option<&[f32]>, tail: Tail<'_>, out: &[f32]) {
+        for x in inputs.iter().chain(tail.iter().map(|(_, addend)| addend)) {
             assert_eq!(x.len(), out.len(), "scaled_sum length mismatch");
         }
         if let Some(w) = weights {
@@ -349,11 +362,21 @@ pub mod simd {
         }
     }
 
+    /// The last step of scalar [`scaled_sum`](crate::ops::scaled_sum)
+    /// element `i`: scale the sum, then add the tail's product.
+    #[inline(always)]
+    fn finish(acc: f32, factor: f32, tail: Tail<'_>, i: usize) -> f32 {
+        match tail {
+            Some((alpha, addend)) => acc * factor + alpha * addend[i],
+            None => acc * factor,
+        }
+    }
+
     /// Portable 8-lane unrolled kernels — the fallback backend.
     pub mod portable {
-        use super::{term, LANES};
+        use super::{finish, term, Tail, LANES};
 
-        /// One-sweep `out = (Σ w_j * x_j) * factor`, 8-lane unrolled
+        /// One-sweep `out = (Σ w_j * x_j) * factor [+ tail]`, 8-lane unrolled
         /// (see [`scaled_sum`](crate::ops::scaled_sum)).
         ///
         /// # Panics
@@ -363,12 +386,13 @@ pub mod simd {
             inputs: &[&[f32]],
             weights: Option<&[f32]>,
             factor: f32,
+            tail: Tail<'_>,
             out: &mut [f32],
         ) {
-            super::check_scaled_sum(inputs, weights, out);
+            super::check_scaled_sum(inputs, weights, tail, out);
             match weights {
-                Some(w) => scaled_sum_impl::<true>(inputs, w, factor, out),
-                None => scaled_sum_impl::<false>(inputs, &[], factor, out),
+                Some(w) => scaled_sum_impl::<true>(inputs, w, factor, tail, out),
+                None => scaled_sum_impl::<false>(inputs, &[], factor, tail, out),
             }
         }
 
@@ -376,6 +400,7 @@ pub mod simd {
             inputs: &[&[f32]],
             weights: &[f32],
             factor: f32,
+            tail: Tail<'_>,
             out: &mut [f32],
         ) {
             let mut oc = out.chunks_exact_mut(LANES);
@@ -391,6 +416,12 @@ pub mod simd {
                 for l in 0..LANES {
                     oo[l] = acc[l] * factor;
                 }
+                if let Some((alpha, addend)) = tail {
+                    let aa = &addend[base..base + LANES];
+                    for l in 0..LANES {
+                        oo[l] += alpha * aa[l];
+                    }
+                }
                 base += LANES;
             }
             for (i, oi) in oc.into_remainder().iter_mut().enumerate() {
@@ -398,7 +429,7 @@ pub mod simd {
                 for (j, x) in inputs.iter().enumerate() {
                     acc += term::<WEIGHTED>(weights, j, x[base + i]);
                 }
-                *oi = acc * factor;
+                *oi = finish(acc, factor, tail, base + i);
             }
         }
 
@@ -543,9 +574,9 @@ pub mod simd {
             _mm256_storeu_ps, _CMP_LE_OQ, _CMP_LT_OQ,
         };
 
-        use super::{term, LANES};
+        use super::{finish, term, Tail, LANES};
 
-        /// One-sweep `out = (Σ w_j * x_j) * factor` via 256-bit lanes
+        /// One-sweep `out = (Σ w_j * x_j) * factor [+ tail]` via 256-bit lanes
         /// (see [`scaled_sum`](crate::ops::scaled_sum)).
         ///
         /// # Panics
@@ -555,17 +586,18 @@ pub mod simd {
             inputs: &[&[f32]],
             weights: Option<&[f32]>,
             factor: f32,
+            tail: Tail<'_>,
             out: &mut [f32],
         ) {
-            super::check_scaled_sum(inputs, weights, out);
+            super::check_scaled_sum(inputs, weights, tail, out);
             assert!(super::avx2_available(), "host CPU lacks AVX2");
             // SAFETY: AVX2 support was just verified at runtime, and
             // `check_scaled_sum` established the kernels' precondition
-            // (every input as long as `out`, one weight per input).
+            // (inputs and addend as long as `out`, one weight per input).
             unsafe {
                 match weights {
-                    Some(w) => scaled_sum_impl::<true>(inputs, w, factor, out),
-                    None => scaled_sum_impl::<false>(inputs, &[], factor, out),
+                    Some(w) => scaled_sum_impl::<true>(inputs, w, factor, tail, out),
+                    None => scaled_sum_impl::<false>(inputs, &[], factor, tail, out),
                 }
             }
         }
@@ -654,13 +686,14 @@ pub mod simd {
 
         /// # Safety
         ///
-        /// Requires AVX2, `x.len() == out.len()` for every input `x`, and
-        /// (when `WEIGHTED`) `weights.len() == inputs.len()`.
+        /// Requires AVX2, `x.len() == out.len()` for every input `x` and the
+        /// tail's addend, and (when `WEIGHTED`) `weights.len() == inputs.len()`.
         #[target_feature(enable = "avx2")]
         unsafe fn scaled_sum_impl<const WEIGHTED: bool>(
             inputs: &[&[f32]],
             weights: &[f32],
             factor: f32,
+            tail: Tail<'_>,
             out: &mut [f32],
         ) {
             let n = out.len();
@@ -689,11 +722,24 @@ pub mod simd {
                     acc0 = _mm256_add_ps(acc0, v0);
                     acc1 = _mm256_add_ps(acc1, v1);
                 }
+                let (mut r0, mut r1) = (_mm256_mul_ps(acc0, vf), _mm256_mul_ps(acc1, vf));
+                if let Some((alpha, addend)) = tail {
+                    let va = _mm256_set1_ps(alpha);
+                    // `r + alpha * a`, the product rounded first: `axpy`'s
+                    // expression, operands in its order.
+                    // SAFETY: `addend.len() == n` (precondition) and
+                    // `i + 2 * LANES <= n` bound both loads.
+                    unsafe {
+                        let a = addend.as_ptr().add(i);
+                        r0 = _mm256_add_ps(r0, _mm256_mul_ps(va, _mm256_loadu_ps(a)));
+                        r1 = _mm256_add_ps(r1, _mm256_mul_ps(va, _mm256_loadu_ps(a.add(LANES))));
+                    }
+                }
                 // SAFETY: `i + 2 * LANES <= n == out.len()` bounds both
                 // stores.
                 unsafe {
-                    _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_mul_ps(acc0, vf));
-                    _mm256_storeu_ps(out.as_mut_ptr().add(i + LANES), _mm256_mul_ps(acc1, vf));
+                    _mm256_storeu_ps(out.as_mut_ptr().add(i), r0);
+                    _mm256_storeu_ps(out.as_mut_ptr().add(i + LANES), r1);
                 }
                 i += 2 * LANES;
             }
@@ -702,7 +748,7 @@ pub mod simd {
                 for (j, x) in inputs.iter().enumerate() {
                     acc += term::<WEIGHTED>(weights, j, x[i]);
                 }
-                out[i] = acc * factor;
+                out[i] = finish(acc, factor, tail, i);
                 i += 1;
             }
         }
@@ -962,7 +1008,7 @@ pub mod reference {
 
     /// The composed Reduce the one-sweep [`scaled_sum`](super::scaled_sum)
     /// replaced: zero-fill, one scalar `axpy` per input (weight 1 when
-    /// `weights` is `None`), one `scale`.
+    /// `weights` is `None`), one `scale` (and one more `axpy` for a tail).
     ///
     /// # Panics
     ///

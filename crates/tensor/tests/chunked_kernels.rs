@@ -343,13 +343,24 @@ fn elementwise_kernels_are_bit_identical_up_to_67() {
     }
 }
 
+/// The parallel-order Apply as it ran before it was folded into the
+/// Reduce sweep, kept alive as this file's oracle: `Sgd::delta`'s
+/// `d = -lr * v` into a buffer of its own, then `apply_parallel`'s
+/// `axpy(1.0, d, reduced)`.
+fn composed_apply(lr: f32, velocity: &[f32], reduced: &mut [f32]) {
+    let delta: Vec<f32> = velocity.iter().map(|v| -lr * v).collect();
+    ops::reference::axpy(1.0, &delta, reduced);
+}
+
 /// Exhaustive 0..=67 sweep for the one-sweep Reduce kernel: dispatch and
-/// both backends against the composed `fill` + `axpy`… + `scale`, with
-/// and without weights, on hostile inputs, into a destination holding
-/// junk (the kernel must not read it).
+/// both backends against the composed `fill` + `axpy`… + `scale` (the
+/// scalar `mean_into` / `weighted_mean_into`), with and without weights,
+/// on hostile inputs, into a destination holding junk (the kernel must
+/// not read it) — and, with the `(-lr, velocity)` tail, against that
+/// followed by [`composed_apply`], on ordinary and hostile velocities.
 #[test]
 fn scaled_sum_backends_match_the_composed_reduce_up_to_67() {
-    type SumFn = fn(&[&[f32]], Option<&[f32]>, f32, &mut [f32]);
+    type SumFn = fn(&[&[f32]], Option<&[f32]>, f32, ops::Tail<'_>, &mut [f32]);
     let impls: Vec<(&str, SumFn)> = vec![
         ("dispatch", ops::scaled_sum),
         ("portable", ops::simd::portable::scaled_sum),
@@ -369,22 +380,34 @@ fn scaled_sum_backends_match_the_composed_reduce_up_to_67() {
             let mut weights = values(len as u64 + 77, n_inputs);
             weights[0] = 1.0 / 3.0;
             let factor = 1.0 / weights.iter().sum::<f32>();
+            // Inexact too, and unlike `factor`: swapping the two shows.
+            let lr = 0.1f32;
+            let velocity = match (len + n_inputs) % 2 {
+                0 => hostile((len * 13 + n_inputs) as u64 + 3, len),
+                _ => values((len * 11 + n_inputs) as u64 + 7, len),
+            };
             for w in [None, Some(weights.as_slice())] {
-                let mut expect = vec![f32::NAN; len];
-                ops::reference::scaled_sum(&views, w, factor, &mut expect);
-                for &(name, f) in &impls {
-                    #[cfg(target_arch = "x86_64")]
-                    if name == "avx2" && !ops::simd::avx2_available() {
-                        continue;
+                for tail in [None, Some((-lr, velocity.as_slice()))] {
+                    let mut expect = vec![f32::NAN; len];
+                    ops::reference::scaled_sum(&views, w, factor, &mut expect);
+                    if tail.is_some() {
+                        composed_apply(lr, &velocity, &mut expect);
                     }
-                    let mut out = vec![-7.5f32; len];
-                    f(&views, w, factor, &mut out);
-                    assert_eq!(
-                        bits_nan_folded(&out),
-                        bits_nan_folded(&expect),
-                        "scaled_sum/{name} len {len} inputs {n_inputs} weighted {}",
-                        w.is_some()
-                    );
+                    for &(name, f) in &impls {
+                        #[cfg(target_arch = "x86_64")]
+                        if name == "avx2" && !ops::simd::avx2_available() {
+                            continue;
+                        }
+                        let mut out = vec![-7.5f32; len];
+                        f(&views, w, factor, tail, &mut out);
+                        assert_eq!(
+                            bits_nan_folded(&out),
+                            bits_nan_folded(&expect),
+                            "scaled_sum/{name} len {len} inputs {n_inputs} weighted {} tail {}",
+                            w.is_some(),
+                            tail.is_some()
+                        );
+                    }
                 }
             }
         }

@@ -78,6 +78,52 @@ fn parallel_sweep_is_bit_identical_to_sequential_runs_at_any_thread_count() {
 }
 
 #[test]
+fn wide_models_digest_the_same_with_and_without_the_compute_helper() {
+    // At 8K parameters a directly run experiment — and a 1-thread sweep —
+    // hands its gradient jobs to the engine's compute helper (on a
+    // multi-core host), while a 2-thread sweep keeps every run's math on
+    // its own pump: run-level parallelism already fills the cores. Which
+    // of the two a run got must never show in its report.
+    use hop::core::{CompressionConfig, SkipConfig};
+    use hop::data::webspam::WebspamConfig;
+    let wide = WebspamConfig {
+        dim: 8192,
+        nnz_per_example: 64,
+        label_noise: 0.05,
+    };
+    let dataset = SyntheticWebspam::generate_with(192, 5, wide);
+    let model = Svm::log_loss(dataset.feature_dim());
+    let skip_int8 = HopConfig::backup(1, 5)
+        .with_skip(SkipConfig::with_max_jump(6))
+        .with_compression(CompressionConfig::Int8Uniform);
+    let grid = SweepGrid::new(Hyper::svm(), 12)
+        .protocol("hop_standard", Protocol::Hop(HopConfig::standard()))
+        .protocol("hop_skip_int8", Protocol::Hop(skip_int8))
+        .cluster(
+            "uniform",
+            Topology::ring_based(6),
+            ClusterSpec::uniform(6, 2, 0.01, LinkModel::ethernet_1gbps()),
+        )
+        .slowdown("straggler", SlowdownModel::paper_straggler(6, 0, 6.0))
+        .seeds([5, 9])
+        .eval(6, 32);
+    let direct: Vec<u64> = grid
+        .points()
+        .iter()
+        .map(|p| p.experiment.run(&model, &dataset).expect("valid").digest())
+        .collect();
+    for threads in [1, 2] {
+        let swept: Vec<u64> = SweepRunner::new(threads)
+            .run(&grid, &model, &dataset)
+            .expect("grid must be valid")
+            .iter()
+            .map(|r| r.digest())
+            .collect();
+        assert_eq!(swept, direct, "digests diverged at {threads} threads");
+    }
+}
+
+#[test]
 fn summary_artifacts_are_thread_count_independent() {
     // Everything downstream of the reports — the rendered table, CSV and
     // JSON — must also be byte-identical at any thread count.
