@@ -41,8 +41,15 @@
 
 use hop_tensor::{
     BufferPool, Codec, CompressedBlock, CompressionConfig, Compressor, ErrorFeedback, ParamBlock,
-    ParamStream,
+    ParamStream, SelectionHint,
 };
+
+#[cfg(test)]
+thread_local! {
+    /// Tests set this to make every parameter-stream step on this thread
+    /// start without a selection floor: a run's digest must not notice.
+    pub(crate) static FORGET_FLOORS: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
 
 /// Per-stream codec state.
 #[derive(Debug)]
@@ -122,6 +129,10 @@ impl CompressionPlane {
     /// now the reconstruction to ship.
     fn step(&mut self, slot: usize, params: &[f32], pool: &mut BufferPool) -> &ParamStream {
         let stream = param_stream(self.cfg, &mut self.streams, slot);
+        #[cfg(test)]
+        if FORGET_FLOORS.get() {
+            stream.selection_mut().set_floor(None);
+        }
         self.codec
             .encode_step(params, stream, pool, &mut self.block);
         stream
@@ -202,6 +213,16 @@ impl CompressionPlane {
         self.codec.encode_into(grad, ef, pool, &mut self.block);
         self.codec.decode_into(&self.block, grad);
         self.block.encoded_bytes()
+    }
+
+    /// Stream `slot`'s top-k selection hint: how many selections it
+    /// made and how many of them needed a histogram pass (all zero under
+    /// int8). Not part of any report or digest.
+    pub fn selection(&self, slot: usize) -> &SelectionHint {
+        match &self.streams[slot] {
+            Stream::Params(stream) => stream.selection(),
+            Stream::Grads(ef) => ef.selection(),
+        }
     }
 
     /// Credits the saving for `receivers` network messages that were

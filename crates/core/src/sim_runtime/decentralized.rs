@@ -874,9 +874,10 @@ impl WorkerProtocol for Decentralized<'_> {
 mod tests {
     use super::*;
     use crate::config::SkipConfig;
-    use hop_data::webspam::SyntheticWebspam;
+    use hop_data::webspam::{SyntheticWebspam, WebspamConfig};
     use hop_model::svm::Svm;
     use hop_sim::LinkModel;
+    use hop_tensor::CompressionConfig;
 
     fn quick_setup() -> (Topology, ClusterSpec, InMemoryDataset, Svm, Hyper) {
         let topo = Topology::ring(4);
@@ -1104,6 +1105,71 @@ mod tests {
             proto.skipped_send_count() > 0,
             "straggler should have skipped at least one stale send"
         );
+    }
+
+    /// The reference run's shape under top-1 %: after its cold encode a
+    /// stream's selection floor serves at least 95 % of its Sends (each
+    /// miss is one full-length histogram sweep), and — the exactness
+    /// argument, end to end — forgetting the floor before every encode
+    /// changes the sweep count and not one bit of the report.
+    #[test]
+    fn topk_floor_serves_the_reference_run_and_cannot_move_its_digest() {
+        use super::super::compression::FORGET_FLOORS;
+
+        let topo = Topology::ring_based(16);
+        let cluster = ClusterSpec::uniform(16, 4, 0.05, LinkModel::ethernet_1gbps());
+        let slow = SlowdownModel::paper_straggler(16, 0, 6.0);
+        let config = WebspamConfig {
+            dim: 64 * 1024,
+            nnz_per_example: 32,
+            label_noise: 0.05,
+        };
+        let dataset = SyntheticWebspam::generate_with(256, 1, config);
+        let model = Svm::log_loss(hop_data::Dataset::feature_dim(&dataset));
+        let cfg = HopConfig::backup(1, 5)
+            .with_skip(SkipConfig::with_max_jump(10))
+            .with_compression(CompressionConfig::TopK { ratio: 0.01 });
+        let run = |forget: bool| {
+            let eval = EvalConfig {
+                every: 20,
+                examples: 64,
+            };
+            let hyper = Hyper::svm();
+            let engine = SimEngine::new(
+                cluster.clone(),
+                16,
+                &slow,
+                &model,
+                &dataset,
+                &hyper,
+                60,
+                1,
+                eval,
+            );
+            let mut proto = Decentralized::new(&cfg, &topo, &engine);
+            FORGET_FLOORS.set(forget);
+            let report = engine.drive(&mut proto);
+            FORGET_FLOORS.set(false);
+            assert!(!report.deadlocked && !report.budget_exhausted);
+            let hints: Vec<_> = (0..16).map(|w| *proto.plane.selection(w)).collect();
+            (report.digest(), hints)
+        };
+        let (digest, hints) = run(false);
+        for (w, hint) in hints.iter().enumerate() {
+            // The straggler skips ahead and sends a dozen times only, so
+            // its cold encode is counted apart from the 5 %.
+            let (encodes, misses) = (hint.encodes(), hint.histogram_passes() - 1);
+            assert!(encodes >= 10, "worker {w} sent {encodes} times");
+            assert!(
+                20 * misses <= encodes,
+                "worker {w}: {misses} warm misses in {encodes} encodes"
+            );
+        }
+        let (forgetful_digest, forgetful) = run(true);
+        for hint in &forgetful {
+            assert_eq!(hint.histogram_passes(), hint.encodes());
+        }
+        assert_eq!(digest, forgetful_digest);
     }
 
     #[test]

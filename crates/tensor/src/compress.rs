@@ -14,12 +14,16 @@
 //!   compared as `f32::total_cmp` does, ties broken by the lower index —
 //!   so the kept set is a pure function of the input. The order is
 //!   realised on the magnitude *bits* (`to_bits() & 0x7FFF_FFFF`, which
-//!   sorts exactly like `total_cmp` on `|v|`): one histogram over their
-//!   top 12 bits finds the bucket holding the k-th largest, a
-//!   `select_nth` inside that bucket alone finds the threshold, and one
-//!   ascending gather emits the entries above it (plus the lowest-index
-//!   ties) already in canonical wire order — no index permutation, no
-//!   indirect comparator, no sort.
+//!   sorts exactly like `total_cmp` on `|v|`): one vectorised scan
+//!   gathers the candidates at or above a *floor* key, a `select_nth`
+//!   among those alone finds the threshold, and one ascending gather
+//!   emits the entries above it (plus the lowest-index ties) already in
+//!   canonical wire order — no index permutation, no indirect
+//!   comparator, no sort. The floor is the stream's own, kept from its
+//!   previous encode ([`SelectionHint`]); only when it admits fewer than
+//!   `k` entries does a histogram over the keys' top 12 bits find the
+//!   bucket holding the k-th largest and the scan run again from that
+//!   bucket's floor. Either way the kept set is the same.
 //! * [`Int8Uniform`] — per-block uniform quantization to `i8` at
 //!   `scale = max|v| / 127`, rounding half to even
 //!   (`f32::round_ties_even`). The reconstruction error of each entry is
@@ -258,6 +262,7 @@ impl CompressedBlock {
 #[derive(Debug, Clone, Default)]
 pub struct ErrorFeedback {
     residual: Vec<f32>,
+    selection: SelectionHint,
 }
 
 impl ErrorFeedback {
@@ -269,6 +274,16 @@ impl ErrorFeedback {
     /// The current residual (empty before the first encode).
     pub fn residual(&self) -> &[f32] {
         &self.residual
+    }
+
+    /// This stream's top-k selection hint and its counters.
+    pub fn selection(&self) -> &SelectionHint {
+        &self.selection
+    }
+
+    /// Mutable access to the hint, for tests that plant or clear a floor.
+    pub fn selection_mut(&mut self) -> &mut SelectionHint {
+        &mut self.selection
     }
 
     fn ensure(&mut self, len: usize) {
@@ -299,6 +314,7 @@ impl ErrorFeedback {
 #[derive(Debug, Clone)]
 pub struct ParamStream {
     reference: ParamBlock,
+    selection: SelectionHint,
 }
 
 impl ParamStream {
@@ -308,12 +324,24 @@ impl ParamStream {
     pub fn new(init: &[f32]) -> Self {
         Self {
             reference: ParamBlock::from_vec(init.iter().map(|&v| v + 0.0).collect()),
+            selection: SelectionHint::default(),
         }
     }
 
     /// What every receiver holds after the last step.
     pub fn reference(&self) -> &ParamBlock {
         &self.reference
+    }
+
+    /// This stream's top-k selection hint and its counters (sender side;
+    /// [`Self::apply`] never touches it).
+    pub fn selection(&self) -> &SelectionHint {
+        &self.selection
+    }
+
+    /// Mutable access to the hint, for tests that plant or clear a floor.
+    pub fn selection_mut(&mut self) -> &mut SelectionHint {
+        &mut self.selection
     }
 
     /// The receiving half of [`Codec::encode_step`]: advances the
@@ -424,12 +452,16 @@ impl Compressor for Identity {
 
 /// Exact top-`k` magnitude sparsification with a stable `(|v|, index)`
 /// tie-break and error feedback.
+///
+/// Holds only scratch. What carries over from one encode to the next —
+/// the [`SelectionHint`] — belongs to the stream being encoded, because
+/// one codec serves every stream of a plane.
 #[derive(Debug, Clone)]
 pub struct TopK {
     ratio: f32,
     /// Scratch reused across encodes: the parameter-stream delta, the
-    /// magnitude histogram, the candidates' keys and positions (in index
-    /// order), and a copy of the keys for `select_nth` to permute.
+    /// magnitude sub-histograms, the candidates' keys and positions (in
+    /// index order), and a copy of the keys for `select_nth` to permute.
     work: Vec<f32>,
     histogram: Vec<u32>,
     keys: Vec<u32>,
@@ -445,12 +477,86 @@ fn magnitude_key(v: f32) -> u32 {
 }
 
 /// Histogram resolution: the top 12 of a key's 31 bits — the exponent
-/// and four mantissa bits, 4096 counters that stay in L1.
+/// and four mantissa bits, 4096 buckets.
 const BUCKET_SHIFT: u32 = 19;
 const BUCKETS: usize = 1 << (31 - BUCKET_SHIFT);
 
+/// Counters per bucket, one per input position modulo 4. A block's keys
+/// crowd into a few buckets, and consecutive `+= 1` on one counter wait
+/// on each other's store; four counters side by side do not.
+const SUB_HISTOGRAMS: usize = 4;
+
 /// Elements per candidate-scan test: two 8-lane vectors share a branch.
 const SCAN: usize = 2 * ops::simd::LANES;
+
+/// What one stream remembers of its last top-k selection: the candidate
+/// **floor**, a magnitude key its next block's `k` largest will very
+/// likely sit at or above, because a stream's deltas change scale slowly.
+///
+/// [`TopK`] gathers the entries at or above the floor in one vectorised
+/// scan and selects among those; a stream without a usable floor pays a
+/// full-length histogram pass to find one. The floor is a hint and never
+/// an input to the result: every entry it excludes is smaller than every
+/// entry it admits, so whenever it admits at least `k` the `k` first in
+/// `(|v|, index)` order are among them and the kept set is the one any
+/// other such floor gives; when it admits fewer the encode discards the
+/// attempt and takes the histogram. Blocks, residuals, references and
+/// wire bytes are therefore the same bits whatever the hint holds —
+/// cleared, stale, or left by another stream (`tests/compress_props.rs`).
+///
+/// It lives beside the stream's state ([`ParamStream`],
+/// [`ErrorFeedback`]) rather than in the [`Codec`]: a plane drives all
+/// its streams through one codec, and the floor one worker's deltas
+/// leave is wrong for the next worker's about one time in four.
+///
+/// The counters make "how often was the hint useless" a number that
+/// repeats exactly; no report or digest includes them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SelectionHint {
+    floor: u32,
+    encodes: u64,
+    histogram_passes: u64,
+}
+
+impl SelectionHint {
+    /// Above every key (they have 31 bits): the scan admits nothing and
+    /// the encode derives a floor from the histogram.
+    const NO_FLOOR: u32 = u32::MAX;
+
+    /// The floor the next encode will try, `None` when there is none.
+    pub fn floor(&self) -> Option<u32> {
+        (self.floor != Self::NO_FLOOR).then_some(self.floor)
+    }
+
+    /// Plants a floor (any `u32`: magnitude keys stop at `0x7FFF_FFFF`)
+    /// or, with `None`, forgets it. Cannot change what an encode
+    /// produces, only what it costs.
+    pub fn set_floor(&mut self, floor: Option<u32>) {
+        self.floor = floor.unwrap_or(Self::NO_FLOOR);
+    }
+
+    /// Top-k selections made on this stream.
+    pub fn encodes(&self) -> u64 {
+        self.encodes
+    }
+
+    /// Selections the floor did not serve — the stream's first, and
+    /// every one whose floor admitted fewer than `k` entries — each of
+    /// which swept the whole block into the histogram.
+    pub fn histogram_passes(&self) -> u64 {
+        self.histogram_passes
+    }
+}
+
+impl Default for SelectionHint {
+    fn default() -> Self {
+        Self {
+            floor: Self::NO_FLOOR,
+            encodes: 0,
+            histogram_passes: 0,
+        }
+    }
+}
 
 impl TopK {
     /// A top-k encoder keeping `ceil(ratio * len)` entries per block.
@@ -473,33 +579,12 @@ impl TopK {
         CompressionConfig::TopK { ratio: self.ratio }.k_for(len)
     }
 
-    /// Writes into `indices`, ascending, the `k` positions of `work`
-    /// that come first in the total order (larger magnitude, then lower
-    /// index). `k <= work.len()`.
-    fn select(&mut self, work: &[f32], k: usize, indices: &mut Vec<u32>) {
-        indices.clear();
-        if k == work.len() {
-            indices.extend(0..k as u32);
-            return;
-        }
-        self.histogram.clear();
-        self.histogram.resize(BUCKETS, 0);
-        for &v in work {
-            self.histogram[(magnitude_key(v) >> BUCKET_SHIFT) as usize] += 1;
-        }
-        // Walk down from the largest magnitudes to the bucket that holds
-        // the k-th largest key: nothing below its floor can be kept.
-        let (mut bucket, mut seen) = (BUCKETS - 1, self.histogram[BUCKETS - 1] as usize);
-        while seen < k {
-            bucket -= 1;
-            seen += self.histogram[bucket] as usize;
-        }
-        let floor = (bucket as u32) << BUCKET_SHIFT;
-
-        // Gather the `seen` candidates at or above the floor, in index
-        // order. The per-chunk test is branch-free so it vectorises; a
-        // chunk that passes is compacted without branches too (write
-        // the slot always, advance it only for a candidate).
+    /// Gathers into `self.keys` / `self.positions`, in index order, the
+    /// entries of `work` whose key is at least `floor`; returns how many.
+    /// The per-chunk test is branch-free so it vectorises; a chunk that
+    /// passes is compacted without branches too (write the slot always,
+    /// advance it only for a candidate).
+    fn scan(&mut self, work: &[f32], floor: u32) -> usize {
         if self.keys.len() < work.len() {
             self.keys.resize(work.len(), 0);
             self.positions.resize(work.len(), 0);
@@ -528,14 +613,66 @@ impl TopK {
         for (l, &v) in chunks.remainder().iter().enumerate() {
             visit(base + l, v);
         }
-        debug_assert_eq!(count, seen);
-        let (keys, positions) = (&keys[..count], &positions[..count]);
+        count
+    }
+
+    /// The floor of the histogram bucket that holds `work`'s `k`-th
+    /// largest key: at least `k` entries are at or above it and nothing
+    /// below it can be kept. One full-length scalar pass.
+    fn histogram_floor(&mut self, work: &[f32], k: usize) -> u32 {
+        self.histogram.clear();
+        self.histogram.resize(SUB_HISTOGRAMS * BUCKETS, 0);
+        let mut groups = work.chunks_exact(SUB_HISTOGRAMS);
+        for group in groups.by_ref() {
+            for (sub, &v) in group.iter().enumerate() {
+                let bucket = (magnitude_key(v) >> BUCKET_SHIFT) as usize;
+                self.histogram[SUB_HISTOGRAMS * bucket + sub] += 1;
+            }
+        }
+        for &v in groups.remainder() {
+            let bucket = (magnitude_key(v) >> BUCKET_SHIFT) as usize;
+            self.histogram[SUB_HISTOGRAMS * bucket] += 1;
+        }
+        // Walk down from the largest magnitudes.
+        let (mut bucket, mut seen) = (BUCKETS, 0);
+        while seen < k {
+            bucket -= 1;
+            let counters = &self.histogram[SUB_HISTOGRAMS * bucket..][..SUB_HISTOGRAMS];
+            seen += counters.iter().sum::<u32>() as usize;
+        }
+        (bucket as u32) << BUCKET_SHIFT
+    }
+
+    /// Writes into `indices`, ascending, the `k` positions of `work`
+    /// that come first in the total order (larger magnitude, then lower
+    /// index). `k <= work.len()`. `hint` is the encoded stream's: it
+    /// decides which passes run, never which positions come out.
+    fn select(&mut self, work: &[f32], k: usize, hint: &mut SelectionHint, indices: &mut Vec<u32>) {
+        indices.clear();
+        hint.encodes += 1;
+        if k == work.len() {
+            indices.extend(0..k as u32);
+            return;
+        }
+        // Candidates at or above the stream's last floor. Fewer than `k`
+        // (always, without a floor) is a miss, and only then is the
+        // histogram worth a sweep: accepting a short scan would drop
+        // entries that belong in the block.
+        let mut floor = hint.floor;
+        let mut count = self.scan(work, floor);
+        if count < k {
+            floor = self.histogram_floor(work, k);
+            hint.histogram_passes += 1;
+            count = self.scan(work, floor);
+        }
+        debug_assert!(count >= k);
+        let (keys, positions) = (&self.keys[..count], &self.positions[..count]);
 
         // The threshold is the k-th largest key; every key above it is
         // kept, and so are the lowest-index `ties` entries equal to it.
         self.ranked.clear();
         self.ranked.extend_from_slice(keys);
-        let (greater, &mut threshold, _) =
+        let (greater, &mut threshold, smaller) =
             self.ranked.select_nth_unstable_by(k - 1, |a, b| b.cmp(a));
         let mut ties = k - greater.iter().filter(|&&key| key > threshold).count();
         for (&key, &i) in keys.iter().zip(positions) {
@@ -545,6 +682,23 @@ impl TopK {
             }
         }
         debug_assert_eq!(indices.len(), k);
+
+        // Next encode's floor, with hysteresis so that it rarely moves
+        // and more rarely misses: hold it while it admits between 1.5k
+        // and 6k entries; above that re-centre it on the 3k-th largest
+        // key, below that lower it one bucket (4 % in magnitude). The
+        // band is in multiples of `k` because a fixed margin under the
+        // threshold admits a block's worth where keys are dense. At
+        // large ratios the band is wider than the block: `count` cannot
+        // exceed `len`, and a floor that admits all of it is low enough.
+        hint.floor = if count > 6 * k {
+            let (_, &mut recentred, _) = smaller.select_nth_unstable_by(2 * k - 1, |a, b| b.cmp(a));
+            recentred
+        } else if count < (k + k / 2).min(work.len()) {
+            floor.saturating_sub(1 << BUCKET_SHIFT)
+        } else {
+            floor
+        };
     }
 
     /// The parameter-stream step (see [`Codec::encode_step`]).
@@ -562,7 +716,8 @@ impl TopK {
         work.clear();
         work.extend(params.iter().zip(old).map(|(&p, &r)| (p - r) + 0.0));
         let (indices, values) = out.make_sparse(params.len() as u32);
-        self.select(&work, self.k_for(params.len()), indices);
+        let k = self.k_for(params.len());
+        self.select(&work, k, &mut stream.selection, indices);
         values.clear();
         values.extend(indices.iter().map(|&i| work[i as usize]));
         self.work = work;
@@ -584,7 +739,8 @@ impl Compressor for TopK {
         // compensated value, so only the kept ones need another write.
         ops::axpby(1.0, input, 1.0, &mut ef.residual);
         let (indices, values) = out.make_sparse(len as u32);
-        self.select(&ef.residual, self.k_for(len), indices);
+        let k = self.k_for(len);
+        self.select(&ef.residual, k, &mut ef.selection, indices);
         values.clear();
         for &i in indices.iter() {
             // Kept entries decode exactly: their residual is zero.

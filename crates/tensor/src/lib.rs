@@ -37,6 +37,7 @@ pub mod tensor;
 
 pub use compress::{
     Codec, CompressedBlock, CompressionConfig, Compressor, ErrorFeedback, ParamStream,
+    SelectionHint,
 };
 pub use param_block::ParamBlock;
 pub use pool::{BufferPool, PoolStats};

@@ -378,3 +378,242 @@ fn fused_steps_equal_the_composed_reference_on_long_blocks() {
         }
     }
 }
+
+// --- The top-k selection floor ------------------------------------------
+//
+// A stream carries a `SelectionHint` from one encode to the next. The
+// suites below pin the one property that makes that safe — the hint
+// decides what an encode costs, never what it produces — and the policy
+// that makes it worthwhile (few histogram passes, streams that share a
+// codec do not share a floor).
+
+/// `block`'s six kinds plus a seventh with a handful of distinct
+/// magnitudes, so that the k-th largest is tied with its neighbours on
+/// both sides.
+fn hint_block(kind: u32, seed: u64, len: usize) -> Vec<f32> {
+    match kind {
+        6 => values(seed, len)
+            .iter()
+            .map(|v| (v * 2.0).round() / 2.0)
+            .collect(),
+        _ => block(kind, seed, len),
+    }
+}
+
+fn key(v: f32) -> u32 {
+    v.to_bits() & 0x7FFF_FFFF
+}
+
+/// The selection rule stated directly: positions by key descending, then
+/// index ascending; the first `k`, reported in ascending order.
+fn oracle_kept(w: &[f32], k: usize) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..w.len() as u32).collect();
+    order.sort_by_key(|&i| (std::cmp::Reverse(key(w[i as usize])), i));
+    order.truncate(k);
+    order.sort_unstable();
+    order
+}
+
+fn sparse_words(len: usize, kept: &[u32], w: &[f32]) -> Vec<u32> {
+    let values: Vec<f32> = kept.iter().map(|&i| w[i as usize]).collect();
+    [vec![1, len as u32], kept.to_vec(), words(&values)].concat()
+}
+
+/// The floor a stream of the same shape but a thousandth of the scale
+/// leaves behind.
+fn unrelated_floor(cfg: CompressionConfig, seed: u64, len: usize) -> Option<u32> {
+    let tiny: Vec<f32> = values(seed ^ 0xF00, len).iter().map(|v| v * 1e-3).collect();
+    let mut ef = ErrorFeedback::new();
+    encode(&mut Codec::new(cfg), &tiny, &mut ef);
+    ef.selection().floor()
+}
+
+/// One error-feedback encode and one parameter-stream step of `input`
+/// from a warmed-up state, once per planted hint: every hint must give
+/// the oracle's block, residual and next reference.
+fn check_hint_independence(cfg: CompressionConfig, kind: u32, seed: u64, len: usize) {
+    let k = cfg.k_for(len);
+    let warmup = hint_block(kind + 1, seed ^ 0x77, len);
+    let input = hint_block(kind, seed, len);
+    let mut pool = BufferPool::new();
+    let mut out = CompressedBlock::default();
+
+    let mut codec = Codec::new(cfg);
+    let mut ef = ErrorFeedback::new();
+    codec.encode_into(&warmup, &mut ef, &mut pool, &mut out);
+    let mut stream = ParamStream::new(&hint_block(kind + 2, seed ^ 0x99, len));
+    codec.encode_step(&warmup, &mut stream, &mut pool, &mut out);
+
+    // Error feedback: w = input + residual; kept entries ship verbatim
+    // and leave a zero residual, the rest stay whole.
+    let w: Vec<f32> = input
+        .iter()
+        .zip(ef.residual())
+        .map(|(x, r)| x + r)
+        .collect();
+    let kept = oracle_kept(&w, k);
+    let mut residual = w.clone();
+    for &i in &kept {
+        residual[i as usize] = 0.0;
+    }
+    // Parameter stream: the delta through its zero-residual add; the
+    // reference advances by the kept entries only.
+    let old = stream.reference().as_slice().to_vec();
+    let delta: Vec<f32> = input.iter().zip(&old).map(|(p, r)| (p - r) + 0.0).collect();
+    let kept_delta = oracle_kept(&delta, k);
+    let mut next = old;
+    for &i in &kept_delta {
+        next[i as usize] += delta[i as usize];
+    }
+
+    let hints = [
+        None,
+        Some(0x8000_0000),
+        Some(0),
+        unrelated_floor(cfg, seed, len),
+        ef.selection().floor(),
+    ];
+    for hint in hints {
+        let at = format!("{} kind {kind} len {len} hint {hint:?}", cfg.label());
+        let mut ef = ef.clone();
+        ef.selection_mut().set_floor(hint);
+        codec.encode_into(&input, &mut ef, &mut pool, &mut out);
+        assert_eq!(
+            block_words(&out),
+            sparse_words(len, &kept, &w),
+            "block, {at}"
+        );
+        assert_eq!(words(ef.residual()), words(&residual), "residual, {at}");
+
+        let mut stream = stream.clone();
+        stream.selection_mut().set_floor(hint);
+        codec.encode_step(&input, &mut stream, &mut pool, &mut out);
+        assert_eq!(
+            block_words(&out),
+            sparse_words(len, &kept_delta, &delta),
+            "step block, {at}"
+        );
+        assert_eq!(words(stream.reference()), words(&next), "reference, {at}");
+    }
+}
+
+/// No floor, a floor above every key, a floor of zero, another stream's
+/// floor, the stream's own: same bits, equal to the sort oracle — on
+/// ordinary blocks, NaN / ±inf / ±0.0 / subnormal ones, all-zero,
+/// all-equal and heavily tied ones.
+#[test]
+fn topk_output_does_not_depend_on_the_selection_hint() {
+    for ratio in [0.001f32, 0.01, 0.1, 0.5, 1.0] {
+        let cfg = CompressionConfig::TopK { ratio };
+        for len in 1..=67usize {
+            for kind in 0..7 {
+                check_hint_independence(cfg, kind, 1000 * len as u64 + kind as u64, len);
+            }
+        }
+        // At the ledger's block length: ordinary, special and tied.
+        for kind in [0, 1, 6] {
+            check_hint_independence(cfg, kind, 64 + kind as u64, 64 * 1024);
+        }
+    }
+}
+
+/// The mutation trap for the one comparison exactness rests on: a floor
+/// that admits some entries but fewer than `k` must be discarded for the
+/// histogram, not selected from. (Accepting it makes `select_nth` index
+/// past the candidates, or ships a short block.)
+#[test]
+fn a_warm_scan_short_of_k_falls_back_to_the_histogram() {
+    let cfg = CompressionConfig::TopK { ratio: 0.1 };
+    for len in [30usize, 67, 1000, 4099] {
+        let k = cfg.k_for(len);
+        let input = values(len as u64, len);
+        let mut sorted: Vec<u32> = input.iter().map(|&v| key(v)).collect();
+        sorted.sort_unstable_by(|a, b| b.cmp(a));
+        // Admits the two largest magnitudes (and their ties) only.
+        let short = sorted[1];
+        assert!(sorted.iter().filter(|&&key| key >= short).count() < k);
+
+        let mut stream = ParamStream::new(&vec![0.0; len]);
+        stream.selection_mut().set_floor(Some(short));
+        let mut pool = BufferPool::new();
+        let mut out = CompressedBlock::default();
+        Codec::new(cfg).encode_step(&input, &mut stream, &mut pool, &mut out);
+        let kept = oracle_kept(&input, k);
+        assert_eq!(block_words(&out), sparse_words(len, &kept, &input));
+        assert_eq!(stream.selection().histogram_passes(), 1, "len {len}");
+    }
+}
+
+/// A stream whose deltas change scale abruptly: ×0.25 a third of the way
+/// in (every key falls under the floor — a miss) and ×4 two thirds in
+/// (every key clears it — a re-centre). Each step is checked against the
+/// composed reference; the floor costs one histogram pass at the start
+/// and fewer than two after each jump.
+#[test]
+fn the_floor_stays_exact_and_recovers_across_scale_jumps() {
+    let cfg = CompressionConfig::TopK { ratio: 0.01 };
+    let len = 8192;
+    let mut codec = Codec::new(cfg);
+    let mut stream = ParamStream::new(&vec![0.0; len]);
+    let mut reference = vec![0.0f32; len];
+    let (mut out, mut out_composed) = (CompressedBlock::default(), CompressedBlock::default());
+    let mut pool = BufferPool::new();
+    let mut passes_at = Vec::new();
+    for step in 0..200u64 {
+        let scale = match step {
+            0..=69 => 1.0,
+            70..=139 => 0.25,
+            _ => 1.0,
+        };
+        // The delta to the receivers' copy is exactly this step's noise.
+        let params: Vec<f32> = values(step + 1, len)
+            .iter()
+            .zip(&reference)
+            .map(|(v, r)| r + scale * v)
+            .collect();
+        codec.encode_step(&params, &mut stream, &mut pool, &mut out);
+        composed::param_step(cfg, &params, &mut reference, &mut out_composed);
+        assert_eq!(block_words(&out), block_words(&out_composed), "step {step}");
+        assert_eq!(words(stream.reference()), words(&reference), "step {step}");
+        passes_at.push(stream.selection().histogram_passes());
+    }
+    assert_eq!(stream.selection().encodes(), 200);
+    assert_eq!(passes_at[69], 1, "steady state: the cold encode only");
+    assert!(passes_at[139] - passes_at[69] < 2, "after the x0.25 jump");
+    assert!(passes_at[199] - passes_at[139] < 2, "after the x4 jump");
+}
+
+/// Two streams a thousandfold apart in scale, interleaved through one
+/// `Codec` as a simulated plane drives them: each ends with the blocks,
+/// the reference and the hint — floor and pass count — it has when
+/// encoded alone, and neither pays a histogram pass after its first.
+#[test]
+fn streams_sharing_a_codec_keep_their_own_floor() {
+    let cfg = CompressionConfig::TopK { ratio: 0.01 };
+    let len = 4096;
+    let scales = [1.0f32, 1e-3];
+    let mut shared = Codec::new(cfg);
+    let mut alone = [Codec::new(cfg), Codec::new(cfg)];
+    let init = vec![0.0f32; len];
+    let mut together = [ParamStream::new(&init), ParamStream::new(&init)];
+    let mut apart = together.clone();
+    let (mut out, mut out_alone) = (CompressedBlock::default(), CompressedBlock::default());
+    let mut pool = BufferPool::new();
+    for step in 0..50u64 {
+        for s in 0..2 {
+            let params: Vec<f32> = values(2 * step + s as u64 + 1, len)
+                .iter()
+                .zip(together[s].reference().as_slice())
+                .map(|(v, r)| r + scales[s] * v)
+                .collect();
+            shared.encode_step(&params, &mut together[s], &mut pool, &mut out);
+            alone[s].encode_step(&params, &mut apart[s], &mut pool, &mut out_alone);
+            assert_eq!(block_words(&out), block_words(&out_alone), "step {step}");
+            assert_eq!(together[s].selection(), apart[s].selection(), "step {step}");
+        }
+    }
+    for stream in &together {
+        assert_eq!(stream.selection().encodes(), 50);
+        assert_eq!(stream.selection().histogram_passes(), 1);
+    }
+}

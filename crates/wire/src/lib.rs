@@ -335,16 +335,23 @@ fn encode_payload(msg: &Message, out: &mut Vec<u8>) -> u64 {
             out.extend_from_slice(&(error.len() as u32).to_le_bytes());
             out.extend_from_slice(error.as_bytes());
             out.extend_from_slice(&(final_params.len() as u32).to_le_bytes());
-            for v in final_params {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
+            extend_le(out, final_params, f32::to_le_bytes);
             out.extend_from_slice(&(losses.len() as u32).to_le_bytes());
-            for v in losses {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
+            extend_le(out, losses, f32::to_le_bytes);
             out.extend_from_slice(events_text.as_bytes());
             0
         }
+    }
+}
+
+/// Appends `words` as little-endian 4-byte groups: one exact-size grow,
+/// then a fill the compiler turns into a block copy (appending word by
+/// word re-checks the capacity 64K times per dense block).
+fn extend_le<T: Copy>(out: &mut Vec<u8>, words: &[T], le_bytes: impl Fn(T) -> [u8; 4]) {
+    let start = out.len();
+    out.resize(start + 4 * words.len(), 0);
+    for (dst, &word) in out[start..].chunks_exact_mut(4).zip(words) {
+        dst.copy_from_slice(&le_bytes(word));
     }
 }
 
@@ -354,9 +361,7 @@ fn encode_block(block: &CompressedBlock, out: &mut Vec<u8>) {
     match block {
         CompressedBlock::Dense { values } => {
             out.push(KIND_DENSE);
-            for v in values {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
+            extend_le(out, values, f32::to_le_bytes);
         }
         CompressedBlock::Sparse {
             len,
@@ -365,20 +370,15 @@ fn encode_block(block: &CompressedBlock, out: &mut Vec<u8>) {
         } => {
             out.push(KIND_SPARSE);
             out.extend_from_slice(&len.to_le_bytes());
-            for i in indices {
-                out.extend_from_slice(&i.to_le_bytes());
-            }
-            for v in values {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
+            extend_le(out, indices, u32::to_le_bytes);
+            extend_le(out, values, f32::to_le_bytes);
         }
         CompressedBlock::Quantized { scale, values } => {
             out.push(KIND_QUANTIZED);
             out.extend_from_slice(&(values.len() as u32).to_le_bytes());
             out.extend_from_slice(&scale.to_le_bytes());
-            for &q in values {
-                out.push(q as u8);
-            }
+            // A slice iterator reports its exact length: one reserve.
+            out.extend(values.iter().map(|&q| q as u8));
         }
     }
 }
