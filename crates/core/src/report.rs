@@ -57,6 +57,18 @@ pub struct TrainingReport {
     /// digests must stay comparable across engine-internal changes that
     /// alter event counts without altering results.
     pub events_processed: u64,
+    /// Hand-offs of gradient jobs the simulator's pump shipped to its
+    /// compute helper (`sim_runtime::engine`, "Compute futures"); 0 for
+    /// a run without one. A function of event order alone — the same on
+    /// every run of a seed on hosts that give the run a helper — and
+    /// excluded from [`TrainingReport::digest`], which must not depend
+    /// on whether a helper ran.
+    pub compute_handoffs: u64,
+    /// Gradient jobs the pump ran itself because their join came before
+    /// their hand-off shipped: every job of a run without a helper, the
+    /// tail of one with. Deterministic and digest-excluded like
+    /// [`TrainingReport::compute_handoffs`].
+    pub inline_joins: u64,
     /// Payload messages dropped by the fault plane (loss draws, cut/dead
     /// links). Diagnostic accounting, excluded from
     /// [`TrainingReport::digest`]: with an empty [`hop_sim::FaultPlan`]
@@ -318,7 +330,8 @@ mod tests {
         // Excluded: engine scheduling internals.
         let mut pumped = report.clone();
         pumped.events_processed = 12_345;
-        assert_eq!(base, pumped.digest(), "events_processed must be excluded");
+        (pumped.compute_handoffs, pumped.inline_joins) = (3124, 64);
+        assert_eq!(base, pumped.digest(), "pump counters must be excluded");
         // Excluded: compression bookkeeping.
         let mut saved = report.clone();
         saved.bytes_saved = 9_876;

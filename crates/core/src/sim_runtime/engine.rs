@@ -52,29 +52,46 @@
 //!
 //! Hop's parallel computation graph (Fig. 2b) overlaps an iteration's
 //! gradient with its Send/Recv. The simulator models that overlap in
-//! virtual time and, for models wide enough to pay for the hand-off
-//! (`OFFLOAD_MIN_PARAMS`), also runs it that way on the host: a protocol
-//! calls `begin_compute` when a worker's virtual compute phase *starts*
-//! — the snapshot the gradient is taken at is fixed from then on — and
+//! virtual time and also runs it that way on the host: a protocol calls
+//! `begin_compute` when a worker's virtual compute phase *starts* — the
+//! snapshot the gradient is taken at is fixed from then on — and
 //! `join_compute` when its completion event pops. In between, the job
-//! (draw the batch, `loss_grad_with`, advance the velocity) belongs to
-//! one helper thread scoped to [`SimEngine::drive`], which moves the
-//! engine into the scope: however the pump ends — a report, or a panic
-//! unwinding through — the engine and its job sender drop inside, the
-//! helper sees the closed channel and exits, and the scope joins it
-//! before `drive` returns. Without a helper (see `OFFLOAD_MIN_PARAMS`)
-//! the same job runs on the pump at the join.
+//! (draw the batch, `loss_grad_with`, advance the velocity) waits in the
+//! pump's outbox, and the outbox goes to one helper thread as a single
+//! message — a *hand-off* — once the gradient work queued in it reaches
+//! `OFFLOAD_MIN_PARAMS` parameters: a 64K-parameter job ships alone,
+//! 65-parameter jobs ship 64 at a time, so the channel's cost is paid
+//! per hand-off, never per small job. The helper runs a hand-off front
+//! to back (begin order, which is roughly join order) and returns it as
+//! one message; a join files returned jobs until its own is among them.
+//! A join that finds its job still in the outbox takes it out and runs
+//! it on the pump, so a run too small or too sparse to fill a hand-off
+//! never waits for one; a run whose every worker together could not
+//! fill one (`workers × params` below the threshold), a single-core
+//! host, and the side-by-side points of a multi-threaded sweep get no
+//! helper at all, and every job takes that route.
 //!
-//! While in flight a job owns the worker's sampler, optimizer, scratch
-//! and gradient buffer (an empty optimizer keeps the seat in
-//! [`WorkerCommon`]; using it trips `Sgd`'s length asserts) and an
-//! immutable snapshot of the replica. The pump owns everything else,
-//! always: event order, virtual time, queues, tokens, recorder,
-//! conformance sink, fault plane, buffer pool — and every snapshot's
-//! drop, so pool recycling is schedule-independent too. There is no
-//! cancel path: crashes fire only at iteration entry, so a worker alive
-//! when its compute begins is alive when it completes, and
-//! `join_compute` asserts that a job was begun.
+//! The helper is scoped to [`SimEngine::drive`], which moves the engine
+//! into the scope: however the pump ends — a report, or a panic
+//! unwinding through — the engine and its sender drop inside, the helper
+//! sees the closed channel and exits, and the scope joins it before
+//! `drive` returns. A job that panics ends the helper: the jobs ahead of
+//! it in the hand-off come back done, the panic's payload comes back
+//! with them, and the first join of a job that went down with it (its
+//! own, or one behind it) re-raises that payload on the pump.
+//!
+//! While begun a job owns the worker's optimizer, scratch and gradient
+//! buffer (an empty optimizer keeps the seat in [`WorkerCommon`]; using
+//! it trips `Sgd`'s length asserts), the sampler's stream (the join
+//! writes the advanced sampler back; `sample_grad` / `local_grad` refuse
+//! a worker whose job is begun) and an immutable snapshot of the
+//! replica. The pump owns everything else, always: event order, virtual
+//! time, queues, tokens, recorder, conformance sink, fault plane, buffer
+//! pool — and every snapshot's drop, so pool recycling is
+//! schedule-independent too. There is no cancel path: crashes fire only
+//! at iteration entry, so a worker alive when its compute begins is
+//! alive when it completes, and `join_compute` asserts that a job was
+//! begun.
 //!
 //! Determinism: the engine introduces no randomness of its own. Event
 //! order is total (time, then insertion sequence), per-worker RNGs are
@@ -105,6 +122,7 @@ use hop_sim::{
 };
 use hop_tensor::{BufferPool, ParamBlock};
 use hop_util::Xoshiro256;
+use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, RecvError, Sender, TryRecvError};
@@ -115,10 +133,11 @@ use std::time::{Duration, Instant};
 const SPIN: Duration = Duration::from_micros(200);
 
 thread_local! {
-    /// Fewest parameters at which a run driven on this thread gets a
-    /// compute helper (a smaller job costs less than its hand-off).
-    /// `usize::MAX` — never — on a single-core host and on the threads of
-    /// a multi-threaded [`crate::sweep::SweepRunner`], where run-level
+    /// Fewest parameters of gradient work a hand-off to the compute
+    /// helper carries, for runs driven on this thread (a smaller message
+    /// costs more to pass than to compute). `usize::MAX` — never, so no
+    /// helper — on a single-core host and on the threads of a
+    /// multi-threaded [`crate::sweep::SweepRunner`], where run-level
     /// parallelism already fills the cores; tests force it.
     pub(crate) static OFFLOAD_MIN_PARAMS: Cell<usize> = Cell::new(
         match std::thread::available_parallelism().map_or(1, usize::from) {
@@ -167,12 +186,30 @@ impl GradJob {
 /// Where worker `w`'s gradient job is.
 enum Slot {
     Idle,
-    /// Begun without a helper: runs on the pump at the join.
-    Inline(GradJob),
-    /// With the helper, or on its way back.
+    /// Begun and not shipped: in the outbox if there is a helper. Runs on
+    /// the pump if the join comes first.
+    Queued(GradJob),
+    /// In a hand-off: with the helper, or on its way back.
     InFlight,
-    /// Came back while the pump was joining another worker.
+    /// Came back in a hand-off the pump received while joining another
+    /// worker.
     Done(GradJob),
+}
+
+/// A panic's payload, as `catch_unwind` hands it over.
+type Payload = Box<dyn Any + Send>;
+
+/// The pump's end of the hand-off. What comes back is the jobs the
+/// helper ran and, if the next one panicked, that panic's payload.
+struct Helper {
+    jobs: Sender<Vec<GradJob>>,
+    results: Receiver<(Vec<GradJob>, Option<Payload>)>,
+    /// Jobs to a hand-off: `OFFLOAD_MIN_PARAMS` in units of this model.
+    per_handoff: usize,
+    /// The workers whose job is [`Slot::Queued`], in begin order.
+    outbox: Vec<usize>,
+    /// A job's panic, for the first join that misses a job it took down.
+    panic: Option<Payload>,
 }
 
 /// Protocol-independent per-worker state owned by the engine.
@@ -352,9 +389,12 @@ pub struct SimEngine<'a, E> {
     aborted: bool,
     /// Per-worker gradient-job state (module docs, "Compute futures").
     slots: Vec<Slot>,
-    /// The pump's ends of the hand-off (a result is the job, or its
-    /// panic's payload); `None` runs every job inline.
-    helper: Option<(Sender<GradJob>, Receiver<std::thread::Result<GradJob>>)>,
+    /// `None` runs every job on the pump, at its join.
+    helper: Option<Helper>,
+    /// [`TrainingReport::compute_handoffs`] so far.
+    handoffs: u64,
+    /// [`TrainingReport::inline_joins`] so far.
+    inline_joins: u64,
 }
 
 impl<'a, E> SimEngine<'a, E> {
@@ -447,6 +487,8 @@ impl<'a, E> SimEngine<'a, E> {
             aborted: false,
             slots: (0..n_workers).map(|_| Slot::Idle).collect(),
             helper: None,
+            handoffs: 0,
+            inline_joins: 0,
         }
     }
 
@@ -495,7 +537,13 @@ impl<'a, E> SimEngine<'a, E> {
     /// worker's [`GradScratch`]. Does not record the loss — pair with
     /// [`Recorder::train_loss`] at the time that fits the protocol's
     /// semantics.
+    ///
+    /// # Panics
+    ///
+    /// If a gradient job is begun for `w`: the job draws from the
+    /// sampler's stream, and the join would overwrite this draw.
     pub fn sample_grad(&mut self, w: usize, params: &[f32], grad_out: &mut [f32]) -> f32 {
+        self.assert_idle(w);
         let wc = &mut self.workers[w];
         let batch = wc.sampler.next_batch(self.dataset);
         self.model
@@ -505,6 +553,7 @@ impl<'a, E> SimEngine<'a, E> {
     /// [`Self::sample_grad`] on the worker's own replica, recording the
     /// minibatch loss at `now`.
     pub fn local_grad(&mut self, w: usize, now: f64, grad_out: &mut [f32]) -> f32 {
+        self.assert_idle(w);
         let wc = &mut self.workers[w];
         let batch = wc.sampler.next_batch(self.dataset);
         let WorkerCommon {
@@ -517,63 +566,99 @@ impl<'a, E> SimEngine<'a, E> {
         loss
     }
 
+    fn assert_idle(&self, w: usize) {
+        assert!(
+            matches!(self.slots[w], Slot::Idle),
+            "worker {w}'s sampler, optimizer and scratch are with its begun gradient job"
+        );
+    }
+
     /// Begins worker `w`'s gradient job at its current replica (module
     /// docs, "Compute futures"); `advance` also advances the velocity.
     /// Begin a job only if its completion will be accepted.
+    ///
+    /// # Panics
+    ///
+    /// If `w`'s previous job was not joined.
     pub(crate) fn begin_compute(&mut self, w: usize, grad: Vec<f32>, advance: bool) {
+        self.assert_idle(w);
         // An empty optimizer (no allocation) keeps the seat meanwhile.
         let seat = Sgd::new(self.hyper.lr, 0.0, 0.0, 0);
         let wc = &mut self.workers[w];
-        let job = GradJob {
+        self.slots[w] = Slot::Queued(GradJob {
             w,
             params: wc.params.snapshot(),
+            // A copy: the join writes the advanced stream back.
             sampler: wc.sampler.clone(),
             opt: std::mem::replace(&mut wc.opt, seat),
             scratch: std::mem::take(&mut wc.scratch),
             grad,
             advance,
             loss: 0.0,
+        });
+        let Some(helper) = &mut self.helper else {
+            return;
         };
-        self.slots[w] = match &self.helper {
-            Some((jobs, _)) => {
-                // Fails only once a panic killed the helper; the next join
-                // finds the payload waiting and re-raises it.
-                let _ = jobs.send(job);
-                Slot::InFlight
-            }
-            None => Slot::Inline(job),
-        };
+        helper.outbox.push(w);
+        if helper.outbox.len() >= helper.per_handoff {
+            let slots = &mut self.slots;
+            let jobs = helper.outbox.drain(..).map(|o| {
+                match std::mem::replace(&mut slots[o], Slot::InFlight) {
+                    Slot::Queued(job) => job,
+                    _ => unreachable!("the outbox lists exactly the queued jobs"),
+                }
+            });
+            // Fails only once a panic killed the helper; the next join of
+            // a job in flight finds the payload and re-raises it.
+            let _ = helper.jobs.send(jobs.collect());
+            self.handoffs += 1;
+        }
     }
 
-    /// Completes the job begun for `w` — waiting for the helper if it
-    /// still has it, stashing other workers' results — puts the worker's
-    /// sampler, optimizer and scratch back, and returns the minibatch loss
-    /// (for the caller to record) and the gradient buffer.
+    /// Completes the job begun for `w` — running it here if it is still
+    /// in the outbox, waiting for the helper if it is in flight (and
+    /// filing the other jobs that come back meanwhile) — puts the
+    /// worker's sampler, optimizer and scratch back, and returns the
+    /// minibatch loss (for the caller to record) and the gradient buffer.
     ///
     /// # Panics
     ///
-    /// If no job was begun for `w`; re-raises the job's own panic (a
-    /// model's assert) with its original payload.
+    /// If no job was begun for `w`; re-raises, with its original payload,
+    /// the panic (a model's assert) that took `w`'s job down.
     pub(crate) fn join_compute(&mut self, w: usize) -> (f32, Vec<f32>) {
-        let job = match std::mem::replace(&mut self.slots[w], Slot::Idle) {
-            Slot::Idle => panic!("worker {w} joined a compute phase it never began"),
-            Slot::Inline(mut job) => {
-                job.run(self.model, self.dataset);
-                job
-            }
-            Slot::Done(job) => job,
-            Slot::InFlight => loop {
-                let (_, results) = self.helper.as_ref().expect("a job in flight has a helper");
-                match recv_spinning(results) {
-                    Ok(Ok(job)) if job.w == w => break job,
-                    Ok(Ok(job)) => {
+        let job = loop {
+            match std::mem::replace(&mut self.slots[w], Slot::Idle) {
+                Slot::Idle => panic!("worker {w} joined a compute phase it never began"),
+                Slot::Queued(mut job) => {
+                    if let Some(helper) = &mut self.helper {
+                        // Joins come roughly in begin order: near the front.
+                        let at = helper.outbox.iter().position(|&o| o == w);
+                        helper
+                            .outbox
+                            .remove(at.expect("a queued job is in the outbox"));
+                    }
+                    self.inline_joins += 1;
+                    job.run(self.model, self.dataset);
+                    break job;
+                }
+                Slot::Done(job) => break job,
+                Slot::InFlight => {
+                    self.slots[w] = Slot::InFlight;
+                    let helper = self.helper.as_mut().expect("a job in flight has a helper");
+                    // Hand-offs come back in order and a panic's is the
+                    // last: `w`'s job went down with it.
+                    if let Some(payload) = helper.panic.take() {
+                        resume_unwind(payload);
+                    }
+                    let (done, panic) = recv_spinning(&helper.results)
+                        .expect("the helper outlives the pump unless a job panics");
+                    helper.panic = panic;
+                    for job in done {
                         let other = job.w;
                         self.slots[other] = Slot::Done(job);
                     }
-                    Ok(Err(payload)) => resume_unwind(payload),
-                    Err(RecvError) => panic!("compute helper gone, worker {w}'s job with it"),
                 }
-            },
+            }
         };
         let wc = &mut self.workers[w];
         (wc.sampler, wc.opt, wc.scratch) = (job.sampler, job.opt, job.scratch);
@@ -702,21 +787,38 @@ impl<'a, E> SimEngine<'a, E> {
     /// this returns, on every one of those exits.
     pub fn drive<P: WorkerProtocol<Event = E>>(mut self, proto: &mut P) -> TrainingReport {
         let (model, dataset) = (self.model, self.dataset);
-        let offload = self.init_params.len() >= OFFLOAD_MIN_PARAMS.get();
+        let per_handoff = OFFLOAD_MIN_PARAMS
+            .get()
+            .div_ceil(self.init_params.len().max(1))
+            .max(1);
+        // Fewer workers than that could never fill a hand-off.
+        let offload = self.workers.len() >= per_handoff;
         std::thread::scope(move |scope| {
             if offload {
-                let ((job_tx, jobs), (done, done_rx)) = (channel::<GradJob>(), channel());
-                self.helper = Some((job_tx, done_rx));
-                // Until the engine drops its sender. A panicking job goes
-                // back as its payload and ends the helper.
+                let ((jobs, job_rx), (done, results)) = (channel::<Vec<GradJob>>(), channel());
+                self.helper = Some(Helper {
+                    jobs,
+                    results,
+                    per_handoff,
+                    outbox: Vec::with_capacity(per_handoff),
+                    panic: None,
+                });
+                // Until the engine drops its sender. A panicking job ends
+                // the hand-off there — it and the jobs behind it are
+                // dropped, its payload goes back — and ends the helper.
                 scope.spawn(move || {
-                    while let Ok(mut job) = recv_spinning(&jobs) {
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            job.run(model, dataset);
-                            job
-                        }));
-                        let failed = result.is_err();
-                        if done.send(result).is_err() || failed {
+                    while let Ok(mut batch) = recv_spinning(&job_rx) {
+                        let mut ran = 0;
+                        let panic = catch_unwind(AssertUnwindSafe(|| {
+                            for job in &mut batch {
+                                job.run(model, dataset);
+                                ran += 1;
+                            }
+                        }))
+                        .err();
+                        batch.truncate(ran);
+                        let failed = panic.is_some();
+                        if done.send((batch, panic)).is_err() || failed {
                             return;
                         }
                     }
@@ -779,6 +881,8 @@ impl<'a, E> SimEngine<'a, E> {
             deadlocked,
             budget_exhausted,
             events_processed,
+            compute_handoffs: self.handoffs,
+            inline_joins: self.inline_joins,
             messages_dropped,
             crashes,
             rejoins,
@@ -980,6 +1084,46 @@ mod tests {
         let report = eng.drive(&mut LocalSgd);
         assert!(report.budget_exhausted);
         assert_eq!(report.trace.len(), 4, "only the start() records remain");
+    }
+
+    #[test]
+    #[should_panic(expected = "worker 1's sampler, optimizer and scratch are with its begun")]
+    fn a_gradient_beside_a_begun_job_is_refused() {
+        /// Begins worker 1's job, then asks for a second gradient from
+        /// the sampler the job already holds a copy of: the batch would
+        /// be drawn twice, and the join would overwrite this draw.
+        struct Greedy;
+        impl WorkerProtocol for Greedy {
+            type Event = ();
+            fn start(&mut self, eng: &mut SimEngine<'_, ()>) {
+                let mut grad = vec![0.0; eng.init_params().len()];
+                eng.begin_compute(1, grad.clone(), false);
+                eng.local_grad(0, 0.0, &mut grad);
+                eng.local_grad(1, 0.0, &mut grad);
+            }
+            fn on_event(&mut self, _eng: &mut SimEngine<'_, ()>, _now: f64, _ev: ()) {}
+            fn final_params(&mut self, _eng: &SimEngine<'_, ()>) -> Vec<Vec<f32>> {
+                Vec::new()
+            }
+        }
+        let dataset = SyntheticWebspam::generate(64, 0);
+        let model = Svm::log_loss(hop_data::Dataset::feature_dim(&dataset));
+        let cluster = ClusterSpec::uniform(2, 1, 0.01, LinkModel::ethernet_1gbps());
+        let eng = SimEngine::new(
+            cluster,
+            2,
+            &SlowdownModel::None,
+            &model,
+            &dataset,
+            &Hyper::svm(),
+            5,
+            0,
+            EvalConfig {
+                every: 0,
+                examples: 16,
+            },
+        );
+        eng.drive(&mut Greedy);
     }
 
     #[test]

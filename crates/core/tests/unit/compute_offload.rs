@@ -1,10 +1,12 @@
-//! Forced-offload determinism: with the engine's parameter-count
-//! threshold forced to 0 every run gets a compute helper; forced to
-//! `usize::MAX` none does. Each recipe below — the `engine_smoke`
-//! variants and golden digests, the simulator cells of the conformance
-//! grid, the whole chaos grid — must give the same digest, event
-//! sequence and fault log both ways, whatever the two threads' schedule
-//! (CI loops this module ×20).
+//! Forced-offload determinism: the engine's hand-off threshold forced
+//! to `usize::MAX` runs every gradient job on the pump, forced to 0
+//! ships every job to the compute helper alone, and forced to a few
+//! models' worth of parameters ships them several at a time. Each recipe
+//! below — the `engine_smoke` variants and golden digests, the simulator
+//! cells of the conformance grid, the whole chaos grid, a scaled cut of
+//! the 10k-worker ledger workload — must give the same digest, event
+//! sequence and fault log all three ways, whatever the two threads'
+//! schedule (CI loops this module ×20, and once under `--release`).
 //!
 //! Compiled into `hop_core`'s unit-test target (`#[path]` in
 //! `src/sim_runtime/mod.rs`): the threshold is crate-private.
@@ -12,13 +14,15 @@
 use super::engine::OFFLOAD_MIN_PARAMS;
 use crate::config::{PsConfig, PsMode, QgmConfig};
 use crate::{HopConfig, Hyper, Protocol, SimExperiment, SkipConfig, TrainingReport};
-use hop_data::webspam::SyntheticWebspam;
+use hop_data::webspam::{SyntheticWebspam, WebspamConfig};
 use hop_graph::Topology;
 use hop_model::svm::Svm;
 use hop_model::{GradScratch, Model};
 use hop_sim::{ByzSpec, ByzVariant, ClusterSpec, CrashSpec, FaultPlan, LinkModel, SlowdownModel};
 use hop_tensor::CompressionConfig;
 use hop_util::Xoshiro256;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 fn experiment(topology: Topology, protocol: Protocol, max_iters: u64, seed: u64) -> SimExperiment {
     let n = topology.len();
@@ -35,20 +39,60 @@ fn experiment(topology: Topology, protocol: Protocol, max_iters: u64, seed: u64)
     }
 }
 
-/// Runs `exp` inline and with a helper; returns the (identical) report.
-fn same_both_ways(label: &str, exp: &SimExperiment, examples: usize) -> TrainingReport {
+/// Jobs per hand-off of the batched leg: below every recipe's worker
+/// count (so the run gets a helper), above one (so a hand-off is a batch).
+const BATCH: usize = 3;
+
+/// Gradient jobs a finished, fault-free run joined: one per iteration a
+/// worker computed.
+fn jobs(exp: &SimExperiment) -> u64 {
+    exp.topology.len() as u64 * exp.max_iters
+}
+
+/// Runs `exp` inline, every job shipped alone, and [`BATCH`] jobs to a
+/// hand-off; returns the (identical) report, as the batched leg gave it.
+fn same_three_ways(label: &str, exp: &SimExperiment, examples: usize) -> TrainingReport {
     let dataset = SyntheticWebspam::generate(examples, 5);
     let model = Svm::log_loss(hop_data::Dataset::feature_dim(&dataset));
     let run = |min| {
         OFFLOAD_MIN_PARAMS.set(min);
         exp.run_conformance(&model, &dataset).expect("valid")
     };
-    let (inline, offload) = (run(usize::MAX), run(0));
-    assert_eq!(inline.digest(), offload.digest(), "{label}: digest");
-    assert_eq!(inline.conformance, offload.conformance, "{label}: events");
-    assert_eq!(inline.fault_log, offload.fault_log, "{label}: fault log");
-    assert_eq!(inline.events_processed, offload.events_processed, "{label}");
-    offload
+    let inline = run(usize::MAX);
+    assert_eq!(inline.compute_handoffs, 0, "{label}: inline ships nothing");
+    let alone = run(0);
+    assert_eq!(alone.inline_joins, 0, "{label}: a job alone ships at once");
+    assert_eq!(
+        alone.compute_handoffs, inline.inline_joins,
+        "{label}: one hand-off per job"
+    );
+    let batched = run(BATCH * model.param_len());
+    assert_eq!(
+        batched.compute_handoffs * BATCH as u64 + batched.inline_joins,
+        inline.inline_joins,
+        "{label}: every job is in a full hand-off or joined from the outbox"
+    );
+    // (The PS and QGM recipes compute inside their events: no jobs.)
+    assert!(
+        batched.compute_handoffs > 0 || inline.inline_joins == 0,
+        "{label}: nothing was batched"
+    );
+    for (way, offload) in [("alone", &alone), ("batched", &batched)] {
+        assert_eq!(inline.digest(), offload.digest(), "{label}/{way}: digest");
+        assert_eq!(
+            inline.conformance, offload.conformance,
+            "{label}/{way}: events"
+        );
+        assert_eq!(
+            inline.fault_log, offload.fault_log,
+            "{label}/{way}: fault log"
+        );
+        assert_eq!(
+            inline.events_processed, offload.events_processed,
+            "{label}/{way}"
+        );
+    }
+    batched
 }
 
 fn skip(max_ig: u64) -> HopConfig {
@@ -72,14 +116,14 @@ fn engine_smoke_variants_and_golden_digests() {
         hop_skip.clone(),
     ] {
         let label = format!("{cfg:?}");
-        let report = same_both_ways(
+        let report = same_three_ways(
             &label,
             &experiment(Topology::ring(6), Protocol::Hop(cfg), 20, 29),
             192,
         );
         assert!(!report.deadlocked, "{label}");
     }
-    // `tests/engine_smoke.rs`'s literals, reproduced with a helper.
+    // `tests/engine_smoke.rs`'s literals, reproduced all three ways.
     let ps = |compression| PsConfig {
         compression,
         ..PsConfig::new(PsMode::Async)
@@ -112,7 +156,7 @@ fn engine_smoke_variants_and_golden_digests() {
         ("qgm/int8", Protocol::Qgm(qgm(int8)), 0x5c4d_6746_acb3_8ac1),
         ("qgm/topk", Protocol::Qgm(qgm(topk)), 0x95e5_21ff_1628_66bf),
     ] {
-        let report = same_both_ways(
+        let report = same_three_ways(
             label,
             &experiment(Topology::ring_based(6), protocol, 20, 29),
             192,
@@ -141,7 +185,7 @@ fn conformance_grid_simulator_cells() {
             if mode == "skip" {
                 exp.slowdown = SlowdownModel::paper_straggler(exp.topology.len(), 0, 6.0);
             }
-            let report = same_both_ways(&label, &exp, 128);
+            let report = same_three_ways(&label, &exp, 128);
             assert!(!report.deadlocked, "{label}");
         }
     }
@@ -176,7 +220,7 @@ fn chaos_grid_under_crash_rejoin_loss_and_byzantine_plans() {
         for (p, plan) in plans.iter().enumerate() {
             let mut exp = experiment(Topology::ring(6), Protocol::Hop(cfg.clone()), 40, 29);
             exp.cluster = exp.cluster.with_faults(plan.clone());
-            let report = same_both_ways(&format!("chaos-{mode}-plan{p}"), &exp, 256);
+            let report = same_three_ways(&format!("chaos-{mode}-plan{p}"), &exp, 256);
             // The cells `tests/chaos_grid.rs` designs: the full plan
             // stalls standard mode and plays a whole crash/rejoin cycle
             // in the other two.
@@ -189,40 +233,190 @@ fn chaos_grid_under_crash_rejoin_loss_and_byzantine_plans() {
 }
 
 #[test]
-#[should_panic(expected = "gradient of a broken model")]
-fn a_helper_panic_reraises_on_the_caller_with_its_message() {
-    /// An SVM whose gradient panics, as a model's length assert would.
-    struct Broken(Svm);
-    impl Model for Broken {
-        fn param_len(&self) -> usize {
-            self.0.param_len()
-        }
-        fn init_params(&self, rng: &mut Xoshiro256) -> Vec<f32> {
-            self.0.init_params(rng)
-        }
-        fn loss_grad_with(
-            &self,
-            _: &[f32],
-            _: &hop_data::Batch<'_>,
-            _: &mut [f32],
-            _: &mut GradScratch,
-        ) -> f32 {
-            panic!("gradient of a broken model")
-        }
-        fn predict(&self, params: &[f32], features: &hop_data::Features) -> u32 {
-            self.0.predict(params, features)
-        }
+fn a_rejoin_gets_its_fresh_optimizer_under_batching() {
+    // The revive replaces the optimizer in the worker's seat: it must be
+    // the worker's own, not the stand-in a begun job leaves there.
+    let crash = CrashSpec {
+        worker: 2,
+        at_iter: 8,
+        down_iters: 4,
+    };
+    for (mode, cfg) in [("backup", HopConfig::backup(1, 4)), ("skip", skip(4))] {
+        let mut exp = experiment(Topology::ring(6), Protocol::Hop(cfg), 40, 29);
+        exp.cluster = exp.cluster.with_faults(FaultPlan::none().with_crash(crash));
+        let report = same_three_ways(&format!("rejoin-{mode}"), &exp, 256);
+        assert!(!report.deadlocked, "{mode}");
+        assert_eq!((report.crashes, report.rejoins), (1, 1), "{mode}");
     }
+}
+
+/// `sim_exp10k_ident`'s recipe (`benchmark/src/workloads.rs`) at
+/// `workers` workers.
+fn expander_cut(workers: usize, max_iters: u64) -> SimExperiment {
+    SimExperiment {
+        topology: Topology::expander(workers, 4, 1),
+        cluster: ClusterSpec::uniform(workers, 4, 0.05, LinkModel::ethernet_1gbps()),
+        slowdown: SlowdownModel::paper_random(workers),
+        protocol: Protocol::Hop(HopConfig::standard_with_tokens(4)),
+        hyper: Hyper::svm(),
+        max_iters,
+        seed: 1,
+        eval_every: 0,
+        eval_examples: 32,
+    }
+}
+
+#[test]
+fn the_10k_worker_shape_batches_64_jobs_to_a_hand_off_and_joins_under_1_percent_inline() {
+    let exp = expander_cut(3000, 3);
+    let narrow = WebspamConfig {
+        dim: 64,
+        nnz_per_example: 8,
+        label_noise: 0.05,
+    };
+    let dataset = SyntheticWebspam::generate_with(512, 1, narrow);
+    let model = Svm::log_loss(hop_data::Dataset::feature_dim(&dataset));
+    assert_eq!(model.param_len(), 65);
+    let run = |min| {
+        OFFLOAD_MIN_PARAMS.set(min);
+        exp.run_conformance(&model, &dataset).expect("valid")
+    };
+    // The shipped threshold, whatever this host's core count set it to.
+    let (inline, batched) = (run(usize::MAX), run(4096));
+    assert!(!inline.deadlocked);
+    assert_eq!(inline.digest(), batched.digest());
+    assert_eq!(inline.conformance, batched.conformance);
+    assert_eq!(inline.events_processed, batched.events_processed);
+    // 65 parameters: 64 jobs reach 4096, and only a full outbox ships.
+    assert_eq!(
+        (inline.compute_handoffs, inline.inline_joins),
+        (0, jobs(&exp))
+    );
+    assert_eq!(
+        batched.compute_handoffs * 64 + batched.inline_joins,
+        jobs(&exp)
+    );
+    assert!(
+        batched.inline_joins * 100 < jobs(&exp),
+        "{} of {} joins ran on the pump",
+        batched.inline_joins,
+        jobs(&exp)
+    );
+}
+
+#[test]
+fn the_counters_repeat_exactly_per_seed() {
+    // A function of event order alone: pinned, not merely compared.
+    let exp = experiment(
+        Topology::torus(3, 3),
+        Protocol::Hop(HopConfig::standard_with_tokens(3)),
+        20,
+        17,
+    );
+    let dataset = SyntheticWebspam::generate(128, 5);
+    let model = Svm::log_loss(hop_data::Dataset::feature_dim(&dataset));
+    for _ in 0..2 {
+        OFFLOAD_MIN_PARAMS.set(BATCH * model.param_len());
+        let report = exp.run(&model, &dataset).expect("valid");
+        assert_eq!((report.compute_handoffs, report.inline_joins), (57, 9));
+    }
+}
+
+/// An SVM that calls `before` ahead of every gradient it evaluates.
+struct Spied<F>(Svm, F);
+
+impl<F: Fn() + Send + Sync> Model for Spied<F> {
+    fn param_len(&self) -> usize {
+        self.0.param_len()
+    }
+    fn init_params(&self, rng: &mut Xoshiro256) -> Vec<f32> {
+        self.0.init_params(rng)
+    }
+    fn loss_grad_with(
+        &self,
+        params: &[f32],
+        batch: &hop_data::Batch<'_>,
+        grad: &mut [f32],
+        scratch: &mut GradScratch,
+    ) -> f32 {
+        (self.1)();
+        self.0.loss_grad_with(params, batch, grad, scratch)
+    }
+    fn predict(&self, params: &[f32], features: &hop_data::Features) -> u32 {
+        self.0.predict(params, features)
+    }
+}
+
+#[test]
+fn a_run_that_could_never_fill_a_hand_off_gets_no_helper() {
+    let dataset = SyntheticWebspam::generate(128, 5);
+    // Which thread evaluates each gradient.
+    let threads = Mutex::new(Vec::new());
+    let model = Spied(
+        Svm::log_loss(hop_data::Dataset::feature_dim(&dataset)),
+        || threads.lock().unwrap().push(std::thread::current().id()),
+    );
+    let exp = experiment(
+        Topology::ring(6),
+        Protocol::Hop(HopConfig::standard()),
+        10,
+        3,
+    );
+    // Seven jobs to a hand-off, six workers.
+    OFFLOAD_MIN_PARAMS.set(7 * model.param_len());
+    let report = exp.run(&model, &dataset).expect("valid");
+    assert_eq!(
+        (report.compute_handoffs, report.inline_joins),
+        (0, jobs(&exp))
+    );
+    let here = std::thread::current().id();
+    assert!(threads.lock().unwrap().iter().all(|&t| t == here));
+    // One job fewer to a hand-off and the same run ships.
+    OFFLOAD_MIN_PARAMS.set(6 * model.param_len());
+    let report = exp.run(&model, &dataset).expect("valid");
+    assert!(report.compute_handoffs > 0);
+    assert!(threads.lock().unwrap().iter().any(|&t| t != here));
+}
+
+/// Runs a model whose `fails`-th gradient (counted from 0, over both
+/// threads) panics, as a model's length assert would, with `batch` jobs
+/// to a hand-off (0: every job alone).
+fn run_broken(fails: usize, batch: usize) {
     let dataset = SyntheticWebspam::generate(64, 5);
-    let model = Broken(Svm::log_loss(hop_data::Dataset::feature_dim(&dataset)));
+    let calls = AtomicUsize::new(0);
+    let model = Spied(
+        Svm::log_loss(hop_data::Dataset::feature_dim(&dataset)),
+        || {
+            let call = calls.fetch_add(1, Ordering::Relaxed);
+            assert!(call != fails, "gradient {call} of a broken model");
+        },
+    );
     let exp = experiment(
         Topology::ring(4),
         Protocol::Hop(HopConfig::standard()),
         5,
         1,
     );
+    OFFLOAD_MIN_PARAMS.set(batch * model.param_len());
+    let _ = exp.run(&model, &dataset);
+}
+
+#[test]
+#[should_panic(expected = "gradient 0 of a broken model")]
+fn a_helper_panic_reraises_on_the_caller_with_its_message() {
     // Not a hang on the dead helper's channel, nor the scope's anonymous
     // "a scoped thread panicked": the job's own payload, on this thread.
-    OFFLOAD_MIN_PARAMS.set(0);
-    let _ = exp.run(&model, &dataset);
+    run_broken(0, 0);
+}
+
+#[test]
+#[should_panic(expected = "gradient 2 of a broken model")]
+fn a_panic_in_the_middle_of_a_hand_off_reraises_at_the_join_that_misses_its_job() {
+    // All four workers begin at time 0: one hand-off of four. Jobs 0 and
+    // 1 come back done and are joined as if nothing happened, job 2's
+    // payload comes back with them, job 3 is dropped unrun — and the
+    // first join of either re-raises job 2's panic. That this test
+    // returns at all is the helper joined: `drive`'s scope cannot end
+    // before it.
+    run_broken(2, 4);
 }

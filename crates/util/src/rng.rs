@@ -6,6 +6,8 @@
 //! weighted choice. The generator is intentionally independent of the
 //! `rand` crate so results are stable across toolchain upgrades.
 
+use std::cell::RefCell;
+
 /// SplitMix64 step used to expand a 64-bit seed into generator state.
 ///
 /// This is the seeding procedure recommended by the xoshiro authors: it
@@ -166,22 +168,43 @@ impl Xoshiro256 {
         &items[self.index(items.len())]
     }
 
-    /// Samples `k` distinct indices from `[0, n)` (reservoir-free, via a
-    /// partial Fisher–Yates over an index vector).
+    /// Samples `k` distinct indices from `[0, n)`: the first `k` entries
+    /// of a Fisher–Yates shuffle of `0..n`, in O(`k`) per call.
+    ///
+    /// The index vector is not built per call. Each thread keeps one
+    /// identity table (`table[p] == p`, grown to the largest `n` it has
+    /// seen — 8 bytes per index, until the thread ends); a call swaps in
+    /// it as the shuffle would, reads the sample off its front, and puts
+    /// back the at most `2k` positions it displaced.
     ///
     /// # Panics
     ///
     /// Panics if `k > n`.
     pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
         assert!(k <= n, "cannot sample {k} distinct indices from {n}");
-        let mut idx: Vec<usize> = (0..n).collect();
-        for i in 0..k {
-            let j = i + self.index(n - i);
-            idx.swap(i, j);
-        }
-        idx.truncate(k);
-        idx
+        // Every draw (and the allocation) before the table is touched:
+        // nothing below can unwind and leave it displaced.
+        let mut out: Vec<usize> = (0..k).map(|i| i + self.index(n - i)).collect();
+        IDENTITY.with_borrow_mut(|table| {
+            let have = table.len();
+            table.extend(have..n);
+            for (i, &j) in out.iter().enumerate() {
+                table.swap(i, j);
+            }
+            // Back to front: no later step touched position `i`, so it
+            // still holds the sample's `i`-th entry.
+            for (i, o) in out.iter_mut().enumerate().rev() {
+                let j = std::mem::replace(o, table[i]);
+                (table[i], table[j]) = (i, j);
+            }
+        });
+        out
     }
+}
+
+thread_local! {
+    /// [`Xoshiro256::sample_indices`]'s identity table.
+    static IDENTITY: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
 }
 
 #[cfg(test)]
@@ -268,6 +291,42 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
+    }
+
+    /// [`Xoshiro256::sample_indices`] as first written: a partial
+    /// Fisher–Yates over the whole index vector.
+    fn sample_indices_dense(rng: &mut Xoshiro256, n: usize, k: usize) -> Vec<usize> {
+        let mut idx: Vec<usize> = (0..n).collect();
+        for i in 0..k {
+            let j = i + rng.index(n - i);
+            idx.swap(i, j);
+        }
+        idx.truncate(k);
+        idx
+    }
+
+    #[test]
+    fn sample_indices_matches_the_dense_shuffle_draw_for_draw() {
+        // Up and back down: the thread's identity table outlives a call,
+        // so every call must leave it as it found it.
+        for n in [1, 2, 33, 512, 1024, 512, 33, 2, 1] {
+            for k in [1, n / 2, n] {
+                for seed in 0..50 {
+                    let mut sparse = Xoshiro256::seed_from_u64(seed);
+                    let mut dense = sparse.clone();
+                    // Back to back: a second sample starts from the state
+                    // the first left.
+                    for round in 0..3 {
+                        assert_eq!(
+                            sparse.sample_indices(n, k),
+                            sample_indices_dense(&mut dense, n, k),
+                            "n {n} k {k} seed {seed} round {round}"
+                        );
+                    }
+                    assert_eq!(sparse.next_u64(), dense.next_u64(), "same draws");
+                }
+            }
+        }
     }
 
     #[test]
