@@ -11,10 +11,17 @@
 //! other — and drive the one worker iteration loop (`crate::worker`,
 //! shared with [`crate::threaded`]) over the socket transport defined
 //! here. Outbound, delivering an update is one encoded frame fanned out
-//! to the out-links and a token grant is a frame on an in-link; inbound,
-//! one reader thread per link feeds the same blocking queues the threads
-//! use (the worker's tagged inbox, a `TokenQ(o -> w)` mirror per
-//! out-link), so the loop cannot tell the runtimes apart.
+//! to the out-links and a token grant is a frame on an in-link. After
+//! set-up a worker process runs one thread: its sockets are
+//! non-blocking, a write the kernel cannot take whole keeps its tail in
+//! the link's buffer, and whenever the loop waits — for its quota of
+//! updates, the next staleness-mode arrival, or a token — the transport
+//! pumps every link (`poll(2)`, one read per readable link, frames
+//! decoded in place, unsent tails flushed) into the worker's own tagged
+//! inbox and `TokenQ(o -> w)` counters until the wait is satisfied. No
+//! write can block the loop, so two peers writing at each other cannot
+//! deadlock. A wait first polls without blocking a few times, yielding
+//! the core in between, and only then parks.
 //!
 //! # Wire accounting
 //!
@@ -44,17 +51,18 @@
 //!
 //! Links close by handshake. A finished worker floods its final tokens,
 //! writes `Finished` on every link, half-closes it (`shutdown(Write)`)
-//! and keeps every link's reader draining until the peer's own
-//! `Finished` arrives (bounded by `stall_timeout`) before the process
-//! exits: exiting with unread frames in a receive buffer resets the
-//! connection, and the reset can destroy that very `Finished` in the
-//! peer's buffer. Each link's reader settles exactly one verdict — the
-//! peer finished, or the link broke (EOF without `Finished`, corrupt or
-//! unexpected frame) — and a write error is classified from that
-//! verdict, waited for rather than sampled: a late token grant to a peer
-//! that finished first is benign, while a peer that died mid-run
-//! surfaces as a peer loss naming it, not as a bare I/O string or a
-//! stall. The coordinator turns missing summaries into
+//! once that is flushed, and keeps pumping every link until the peer's
+//! own `Finished` arrives (bounded by `stall_timeout`) before the
+//! process exits: exiting with unread frames in a receive buffer resets
+//! the connection, and the reset can destroy that very `Finished` in the
+//! peer's buffer. The pump gives each link its verdict — the peer
+//! finished, or the link broke (EOF without `Finished`, a read error, a
+//! corrupt or unexpected frame) — and the first broken link fails the
+//! wait in progress and every later transport call, naming the peer. A
+//! write error is classified by reading that link once: a late token
+//! grant to a peer that finished first is benign, while a peer that died
+//! mid-run surfaces as a peer loss naming it, not as a bare I/O string
+//! or a stall. The coordinator turns missing summaries into
 //! [`ProcessError::PeerLost`] and — when
 //! [`ProcessExperiment::failure_label`] is set — serializes the partial
 //! merged trace to `target/conformance-failures/<label>.trace` for
@@ -74,20 +82,19 @@ use hop_data::Dataset;
 use hop_graph::Topology;
 use hop_model::svm::Svm;
 use hop_model::Model;
-use hop_queue::blocking::{SharedTaggedQueue, SharedTokenQueue};
-use hop_queue::tagged::Tag;
+use hop_queue::tagged::{Tag, TagFilter, TaggedEntry};
+use hop_queue::TaggedQueue;
 use hop_sim::FaultPlan;
 use hop_tensor::{BufferPool, CompressedBlock, CompressionConfig, ParamBlock};
 use hop_wire::{read_message, write_message, Message, WireError};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::io::{ErrorKind, Write as _};
+use std::io::{self, ErrorKind, Read as _, Write as _};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// The process runtime's transition table: the full grammar minus the
@@ -539,13 +546,17 @@ fn merge_stamped_events(logs: &[String]) -> Result<String, ProcessError> {
 /// has identified itself with a [`Message::Hello`], returning the
 /// `(stream, advertised port)` pairs in `expected` order. Ids outside
 /// `expected` and repeated ids are rejected. `idle` runs whenever no
-/// connection is pending, with the slots filled so far.
+/// connection is pending, with the slots filled so far, and at least
+/// every `IDLE_EVERY` while none arrives.
 fn accept_hellos(
     listener: &TcpListener,
     expected: &[usize],
     deadline: Instant,
     mut idle: impl FnMut(&[Option<(TcpStream, u16)>]) -> Result<(), String>,
 ) -> Result<Vec<(TcpStream, u16)>, String> {
+    /// How long a quiet listener waits before `idle` looks again (the
+    /// coordinator's check for a worker that died before its hello).
+    const IDLE_EVERY: Duration = Duration::from_millis(50);
     listener
         .set_nonblocking(true)
         .map_err(|e| format!("poll listener: {e}"))?;
@@ -574,7 +585,8 @@ fn accept_hellos(
                 slots[slot] = Some((stream, port));
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                if Instant::now() > deadline {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
                     let missing: Vec<usize> = expected
                         .iter()
                         .zip(&slots)
@@ -583,7 +595,9 @@ fn accept_hellos(
                     return Err(format!("timed out waiting for workers {missing:?}"));
                 }
                 idle(&slots)?;
-                std::thread::sleep(Duration::from_millis(2));
+                let mut pending = [sys::poll_fd(listener, sys::POLLIN)];
+                sys::wait(&mut pending, left.min(IDLE_EVERY))
+                    .map_err(|e| format!("poll listener: {e}"))?;
             }
             Err(e) => return Err(format!("accept connection: {e}")),
         }
@@ -760,247 +774,588 @@ impl WorkerSpec {
     }
 }
 
-/// Status of one peer link, settled exactly once by its reader thread.
-struct LinkState {
-    peer: usize,
-    /// `None` while the link is open; `Ok` once the peer said `Finished`
-    /// (its last frame before half-closing); `Err(why)`, naming the
-    /// peer, if the link broke first (EOF without `Finished`, corrupt or
-    /// unexpected frame).
-    verdict: Mutex<Option<Result<(), String>>>,
-    settled: Condvar,
-}
+/// `poll(2)`, the one readiness call the worker's pump needs and std
+/// does not wrap.
+#[cfg(unix)]
+mod sys {
+    use std::ffi::c_int;
+    use std::io;
+    use std::os::fd::AsRawFd;
+    use std::time::Duration;
 
-impl LinkState {
-    /// Why the link failed, if it did.
-    fn failure(&self) -> Option<String> {
-        let verdict = self.verdict.lock().expect("link state lock");
-        verdict.as_ref()?.as_ref().err().cloned()
+    pub(super) const POLLIN: i16 = 0x1;
+    pub(super) const POLLOUT: i16 = 0x4;
+
+    /// `struct pollfd`.
+    #[repr(C)]
+    pub(super) struct PollFd {
+        fd: c_int,
+        events: i16,
+        pub(super) revents: i16,
     }
 
-    /// Blocks until the reader reaches its verdict or `deadline` passes.
-    fn await_verdict(&self, deadline: Instant) -> Option<Result<(), String>> {
-        let mut verdict = self.verdict.lock().expect("link state lock");
-        while verdict.is_none() {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                break;
-            }
-            verdict = self
-                .settled
-                .wait_timeout(verdict, left)
-                .expect("link state lock")
-                .0;
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type Nfds = std::ffi::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type Nfds = std::ffi::c_uint;
+
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+    }
+
+    /// Interest in `events` on `socket`.
+    pub(super) fn poll_fd(socket: &impl AsRawFd, events: i16) -> PollFd {
+        PollFd {
+            fd: socket.as_raw_fd(),
+            events,
+            revents: 0,
         }
-        verdict.clone()
-    }
-}
-
-/// One TCP connection to a peer. On an out-link `w -> o` this worker
-/// writes update frames and its reader mirrors `o`'s token grants; on an
-/// in-link `u -> w` the reader feeds `u`'s updates into the inbox and
-/// this worker writes token grants back.
-struct Link {
-    stream: TcpStream,
-    state: Arc<LinkState>,
-}
-
-impl Link {
-    /// Wraps a connected, identified stream and starts its reader
-    /// thread, which hands every frame to `on_frame` until the peer says
-    /// `Finished` or the link breaks, then settles the verdict. Readers
-    /// emit no events; they only max-merge the Lamport clock carried by
-    /// the frames they accept.
-    fn open(
-        peer: usize,
-        stream: TcpStream,
-        write_timeout: Duration,
-        mut on_frame: impl FnMut(Message) -> Result<(), String> + Send + 'static,
-    ) -> Result<Link, String> {
-        stream.set_write_timeout(Some(write_timeout)).ok();
-        let mut reader = stream
-            .try_clone()
-            .map_err(|e| format!("clone peer socket: {e}"))?;
-        let state = Arc::new(LinkState {
-            peer,
-            verdict: Mutex::new(None),
-            settled: Condvar::new(),
-        });
-        let reader_state = Arc::clone(&state);
-        std::thread::spawn(move || {
-            let broke = loop {
-                match read_message(&mut reader) {
-                    Ok(Message::Finished { .. }) => break None,
-                    Ok(msg) => {
-                        if let Err(why) = on_frame(msg) {
-                            break Some(why);
-                        }
-                    }
-                    Err(e) => break Some(format!("worker {peer} died mid-stream: {e}")),
-                }
-            };
-            let verdict = broke.map_or(Ok(()), |why| {
-                Err(format!("peer link to worker {peer}: {why}"))
-            });
-            *reader_state.verdict.lock().expect("link state lock") = Some(verdict);
-            reader_state.settled.notify_all();
-        });
-        Ok(Link { stream, state })
     }
 
-    /// Writes one pre-encoded frame. A write error means the write raced
-    /// the link's teardown, and only the reader knows which way: wait
-    /// (bounded) for its verdict instead of sampling it at the instant
-    /// of the error. A peer that finished first makes the loss benign
-    /// (the simulator likewise keeps charging sends to finished workers —
-    /// delivery is the receiver's problem); anything else is a peer loss.
-    fn write(&mut self, frame: &[u8], what: &str, patience: Duration) -> Result<(), String> {
-        let Err(e) = self.stream.write_all(frame) else {
+    /// Blocks until one of `fds` is ready or `timeout` (rounded up to a
+    /// whole millisecond) passes, and fills in every `revents`. A signal
+    /// ends the wait early, as if nothing were ready.
+    pub(super) fn wait(fds: &mut [PollFd], timeout: Duration) -> io::Result<()> {
+        let ms = c_int::try_from(timeout.as_micros().div_ceil(1000)).unwrap_or(c_int::MAX);
+        let nfds = Nfds::try_from(fds.len()).map_err(|_| io::ErrorKind::InvalidInput)?;
+        // SAFETY: `fds` is an exclusively borrowed slice of `#[repr(C)]`
+        // `struct pollfd`s and `nfds` is its length, so poll(2) reads and
+        // writes only inside it and keeps no pointer to it after it
+        // returns. An `fd` that is no longer open comes back as POLLNVAL;
+        // it cannot make the call touch other memory.
+        if unsafe { poll(fds.as_mut_ptr(), nfds, ms) } >= 0 {
             return Ok(());
-        };
-        self.state
-            .await_verdict(Instant::now() + patience)
-            .unwrap_or_else(|| Err(format!("writing {what} to worker {}: {e}", self.state.peer)))
+        }
+        match io::Error::last_os_error() {
+            e if e.kind() == io::ErrorKind::Interrupted => Ok(()),
+            e => Err(e),
+        }
     }
 }
 
-/// The frame handler of an in-link `u -> w`: validates each update
-/// against the configured codec, reconstructs compressed payloads
-/// through a per-sender reference stream, and enqueues into the worker's
-/// inbox — or recycles the block once the worker is `done` and nobody
-/// will consume it. Fails closed on any mistyped or mis-sized frame.
-fn update_handler(
-    u: usize,
-    compression: CompressionConfig,
-    init: &[f32],
-    inbox: Arc<SharedTaggedQueue<ParamBlock>>,
-    clock: Arc<AtomicU64>,
-    done: Arc<AtomicBool>,
-) -> impl FnMut(Message) -> Result<(), String> + Send + 'static {
-    let dim = init.len();
-    let mut plane = CompressionPlane::new(compression);
-    plane.add_param_streams(1, init);
-    // The mirror's buffers cycle through here: a reconstruction the
-    // worker has consumed and dropped is the next one's storage.
-    let mut pool = BufferPool::new();
-    move |msg| {
-        let Message::Update {
-            tag,
-            clock: c,
-            block,
-        } = msg
-        else {
-            return Err(format!("unexpected {msg:?} on an update link"));
-        };
-        if tag.w_id != u {
-            return Err(format!(
-                "update tagged from worker {}, expected {u}",
-                tag.w_id
-            ));
-        }
-        let kind_ok = matches!(
-            (compression, &block),
-            (CompressionConfig::Identity, CompressedBlock::Dense { .. })
-                | (
-                    CompressionConfig::TopK { .. },
-                    CompressedBlock::Sparse { .. }
-                )
-                | (
-                    CompressionConfig::Int8Uniform,
-                    CompressedBlock::Quantized { .. }
-                )
-        );
-        if !kind_ok || block.decoded_len() != dim {
-            return Err(format!(
-                "update block kind/size does not match the configured codec \
-                 (got {block:?} for dim {dim})"
-            ));
-        }
-        let update = match block {
-            CompressedBlock::Dense { values } => ParamBlock::from_vec(values),
-            block => plane.apply_params_block(0, &block, &mut pool),
-        };
-        clock.fetch_max(c, Ordering::SeqCst);
-        if done.load(Ordering::SeqCst) {
-            pool.reclaim(update);
-        } else {
-            inbox.enqueue(update, tag);
+/// Without `poll(2)` every requested event is reported after a short
+/// nap; the non-blocking calls that follow find out which were real.
+#[cfg(not(unix))]
+mod sys {
+    use std::io;
+    use std::time::Duration;
+
+    pub(super) const POLLIN: i16 = 0x1;
+    pub(super) const POLLOUT: i16 = 0x4;
+
+    pub(super) struct PollFd {
+        events: i16,
+        pub(super) revents: i16,
+    }
+
+    pub(super) fn poll_fd<S>(_socket: &S, events: i16) -> PollFd {
+        PollFd { events, revents: 0 }
+    }
+
+    pub(super) fn wait(fds: &mut [PollFd], timeout: Duration) -> io::Result<()> {
+        std::thread::sleep(timeout.min(Duration::from_millis(1)));
+        for fd in fds {
+            fd.revents = fd.events;
         }
         Ok(())
     }
 }
 
-/// The frame handler of an out-link `w -> o`: mirrors `o`'s token grants
-/// into the local [`SharedTokenQueue`] after max-merging the Lamport
-/// clock.
-fn token_handler(
-    o: usize,
-    mirror: Option<Arc<SharedTokenQueue>>,
-    clock: Arc<AtomicU64>,
-) -> impl FnMut(Message) -> Result<(), String> + Send + 'static {
-    move |msg| match (msg, &mirror) {
-        (Message::Token { count, clock: c }, Some(mirror)) => {
-            clock.fetch_max(c, Ordering::SeqCst);
-            mirror.insert(count);
-            Ok(())
+/// Empty pump rounds — a `poll` that does not block, then
+/// `thread::yield_now` — a wait makes before it parks in a blocking
+/// `poll`. In steady state the frame a worker waits for is this close:
+/// catching it here spares both processes a sleep and a wake-up, and
+/// yielding leaves the core to whoever is about to send it. Chosen from
+/// the perf ledger's `proc_ring4_int8` on a 2-core host (worker
+/// iterations per second, median of 4 runs; 42.9 k with a reader thread
+/// per link): 0 rounds 51.6 k, 5 → 73.0 k, 20 → 79.3 k, 50 → 79.6 k,
+/// 200 → 74.8 k.
+const SPIN_ROUNDS: u32 = 20;
+
+/// Free space a link's read buffer keeps for the next `read`: one read
+/// takes in every small frame the kernel holds, a large frame arrives
+/// over several.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// Which frames a link carries to this worker.
+#[allow(clippy::large_enum_variant)] // a few per worker, set up once
+enum Inbound {
+    /// An out-link `w -> o`: `o`'s grants into `TokenQ(o -> w)`.
+    Tokens,
+    /// An in-link `u -> w`: `u`'s updates, compressed ones reconstructed
+    /// through this worker's mirror of `u`'s reference stream.
+    Updates {
+        plane: CompressionPlane,
+        /// The mirror's buffers: a reconstruction the worker has consumed
+        /// and dropped is the next one's storage.
+        pool: BufferPool,
+    },
+}
+
+/// One non-blocking TCP connection to a peer. On an out-link `w -> o`
+/// this worker writes update frames and reads `o`'s token grants; on an
+/// in-link `u -> w` it reads `u`'s updates and writes token grants back.
+struct Link {
+    peer: usize,
+    stream: TcpStream,
+    inbound: Inbound,
+    /// Bytes read so far; `read[decoded..filled]` is not a whole frame
+    /// yet.
+    read: Vec<u8>,
+    decoded: usize,
+    filled: usize,
+    /// Frame bytes the kernel has not taken yet, from `out[sent..]`.
+    out: Vec<u8>,
+    sent: usize,
+    /// The peer said `Finished`: nothing more will arrive.
+    finished: bool,
+    /// This worker writes nothing more here: its own `Finished` is out
+    /// and the link half-closed, or the peer finished and left.
+    shut: bool,
+    /// The link failed (the transport keeps why): neither read nor
+    /// written again.
+    broken: bool,
+}
+
+impl Link {
+    fn new(peer: usize, stream: TcpStream, inbound: Inbound) -> Result<Link, String> {
+        stream
+            .set_nonblocking(true)
+            .map_err(|e| format!("configure peer socket: {e}"))?;
+        stream.set_nodelay(true).ok();
+        Ok(Link {
+            peer,
+            stream,
+            inbound,
+            read: Vec::new(),
+            decoded: 0,
+            filled: 0,
+            out: Vec::new(),
+            sent: 0,
+            finished: false,
+            shut: false,
+            broken: false,
+        })
+    }
+
+    fn reading(&self) -> bool {
+        !self.finished && !self.broken
+    }
+
+    fn writing(&self) -> bool {
+        !self.out.is_empty() && !self.broken
+    }
+
+    /// Queues `frame` behind any bytes still unsent and writes what the
+    /// kernel takes now. Never waits: the pump flushes the rest.
+    fn send(&mut self, frame: &[u8]) -> io::Result<()> {
+        if self.shut || self.broken {
+            return Ok(());
         }
-        (Message::Token { .. }, None) => Err(format!(
-            "worker {o} granted tokens but the config has no token queues"
-        )),
-        (other, _) => Err(format!("unexpected {other:?} on a token link")),
+        if !self.out.is_empty() {
+            self.out.extend_from_slice(frame);
+            return self.flush();
+        }
+        let n = match (&self.stream).write(frame) {
+            Ok(n) => n,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => 0,
+            Err(e) => return Err(e),
+        };
+        self.out.extend_from_slice(&frame[n..]);
+        Ok(())
+    }
+
+    /// Writes as much unsent output as the kernel takes now.
+    fn flush(&mut self) -> io::Result<()> {
+        while self.sent < self.out.len() {
+            match (&self.stream).write(&self.out[self.sent..]) {
+                Ok(0) => return Err(ErrorKind::WriteZero.into()),
+                Ok(n) => self.sent += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        self.out.clear();
+        self.sent = 0;
+        Ok(())
+    }
+
+    /// One `read` into the buffer behind the undecoded bytes; `Ok(0)` is
+    /// EOF.
+    fn read_once(&mut self) -> io::Result<usize> {
+        if self.read.len() - self.filled < READ_CHUNK {
+            self.read.copy_within(self.decoded..self.filled, 0);
+            self.filled -= self.decoded;
+            self.decoded = 0;
+            if self.read.len() < self.filled + READ_CHUNK {
+                self.read.resize(self.filled + READ_CHUNK, 0);
+            }
+        }
+        let n = (&self.stream).read(&mut self.read[self.filled..])?;
+        self.filled += n;
+        Ok(n)
+    }
+
+    /// What EOF now means, as [`read_message`] would have said it.
+    fn eof(&self) -> WireError {
+        match &self.read[self.decoded..self.filled] {
+            [] => WireError::Closed,
+            unread => WireError::Truncated {
+                expected: unread
+                    .first_chunk::<4>()
+                    .map_or(4, |&prefix| 4 + u32::from_le_bytes(prefix) as usize),
+                got: unread.len(),
+            },
+        }
+    }
+
+    /// Once this worker's `Finished` is queued: half-closes the link as
+    /// soon as it is flushed, and says whether it is settled — shut with
+    /// the peer's `Finished` in, or broken.
+    fn settle(&mut self) -> bool {
+        if !self.shut && !self.broken && self.out.is_empty() {
+            let _ = self.stream.shutdown(Shutdown::Write);
+            self.shut = true;
+        }
+        self.broken || (self.shut && self.finished)
     }
 }
 
-/// The socket [`Transport`]: one [`Link`] per directed external edge.
-struct SocketTransport {
+/// The socket [`Transport`]: one [`Link`] per directed external edge,
+/// and no thread but the worker's own. Whenever the loop waits, the
+/// transport pumps every link — reads what arrived into the inbox and
+/// the token counts, flushes what is still unsent — until the wait is
+/// satisfied, a link fails, or the wait times out.
+struct SocketTransport<'a> {
     w: usize,
     /// Fault hook (see [`ProcessExperiment::die_at`]).
     die_at: Option<u64>,
-    /// Bound on every teardown wait (`stall_timeout`).
+    /// Bound on the teardown drain (`stall_timeout`).
     patience: Duration,
-    inbox: Arc<SharedTaggedQueue<ParamBlock>>,
-    /// Lamport clock, shared with the event sink and the readers.
-    clock: Arc<AtomicU64>,
-    /// Set at `finish`: in-link readers stop filling the inbox.
-    done: Arc<AtomicBool>,
-    /// In [`Topology::external_out_neighbors`] order, each with its
-    /// `TokenQ(o -> w)` mirror in `mirrors` (empty without `max_ig`).
-    out_links: Vec<Link>,
-    mirrors: Vec<Arc<SharedTokenQueue>>,
-    /// In [`Topology::external_in_neighbors`] order.
-    in_links: Vec<Link>,
+    /// Lamport clock, shared with the event sink.
+    clock: &'a AtomicU64,
+    /// The worker's self-sends and every update its in-links carried.
+    inbox: TaggedQueue<ParamBlock>,
+    /// `TokenQ(o -> w)` per out-link (empty without `max_ig`).
+    tokens: Vec<u64>,
+    /// Out-links in [`Topology::external_out_neighbors`] order, then
+    /// in-links in [`Topology::external_in_neighbors`] order.
+    links: Vec<Link>,
+    out_links: usize,
+    /// Parameters every update decodes to.
+    dim: usize,
+    /// The first link failure, naming the peer. Every later call fails
+    /// with it.
+    failure: Option<String>,
+    /// The pump's `poll` set, and the link each entry watches.
+    fds: Vec<sys::PollFd>,
+    polled: Vec<usize>,
     dense_scratch: CompressedBlock,
     frame: Vec<u8>,
     /// Block payload bytes of every *attempted* external send.
     wire_bytes: u64,
 }
 
-impl SocketTransport {
-    fn links(&self) -> impl Iterator<Item = &Link> {
-        self.out_links.iter().chain(&self.in_links)
+impl<'a> SocketTransport<'a> {
+    /// Worker `w`'s transport over `links`, the first `out_links` of them
+    /// its out-links, for `dim`-parameter updates; no token queues, no
+    /// fault hook and no teardown patience until set.
+    fn new(w: usize, clock: &'a AtomicU64, links: Vec<Link>, out_links: usize, dim: usize) -> Self {
+        SocketTransport {
+            w,
+            die_at: None,
+            patience: Duration::ZERO,
+            clock,
+            inbox: TaggedQueue::unbounded(),
+            tokens: Vec::new(),
+            links,
+            out_links,
+            dim,
+            failure: None,
+            fds: Vec::new(),
+            polled: Vec::new(),
+            dense_scratch: CompressedBlock::Dense { values: Vec::new() },
+            frame: Vec::new(),
+            wire_bytes: 0,
+        }
+    }
+
+    fn failed(&self) -> Result<(), String> {
+        self.failure.clone().map_or(Ok(()), Err)
+    }
+
+    /// Records why link `i` failed (the first failure of the run is the
+    /// one reported) and stops using the link.
+    fn fail(&mut self, i: usize, why: impl std::fmt::Display) {
+        let link = &mut self.links[i];
+        link.broken = true;
+        let peer = link.peer;
+        self.failure
+            .get_or_insert_with(|| format!("peer link to worker {peer}: {why}"));
+    }
+
+    /// Writes the encoded `frame` to link `i`.
+    fn send_frame(&mut self, i: usize) {
+        if let Err(e) = self.links[i].send(&self.frame) {
+            self.write_failed(i, &e);
+        }
+    }
+
+    /// A write to link `i` failed, and only the peer's side of the link
+    /// says what that means: read it once. A peer that said `Finished`
+    /// has since left on its own, so the rest of what this worker writes
+    /// there is dropped (the simulator likewise keeps charging sends to
+    /// finished workers — delivery is the receiver's problem); otherwise
+    /// the peer is lost.
+    fn write_failed(&mut self, i: usize, e: &io::Error) {
+        self.read_link(i);
+        let link = &mut self.links[i];
+        link.out.clear();
+        link.sent = 0;
+        link.shut = true;
+        if !link.finished {
+            let peer = link.peer;
+            self.fail(i, format_args!("writing to worker {peer}: {e}"));
+        }
+    }
+
+    /// Pumps until `ready` holds (asked before every round), a link
+    /// fails, or `timeout` passes; says whether `ready` came to hold.
+    /// The first [`SPIN_ROUNDS`] rounds that move nothing do not block.
+    fn wait(&mut self, timeout: Duration, mut ready: impl FnMut(&mut Self) -> bool) -> bool {
+        let deadline = Instant::now() + timeout;
+        let mut spins = 0;
+        loop {
+            if ready(self) {
+                return true;
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if self.failure.is_some() || left.is_zero() {
+                return false;
+            }
+            if spins < SPIN_ROUNDS {
+                if !self.pump(Duration::ZERO) {
+                    spins += 1;
+                    std::thread::yield_now();
+                }
+            } else {
+                self.pump(left);
+            }
+        }
+    }
+
+    /// One pump round: waits up to `timeout` for a link with something to
+    /// read (until the peer's `Finished`) or room for its unsent output,
+    /// then reads each readable link once and flushes each writable one.
+    /// Says whether any bytes moved.
+    fn pump(&mut self, timeout: Duration) -> bool {
+        self.fds.clear();
+        self.polled.clear();
+        for (i, link) in self.links.iter().enumerate() {
+            let events = (if link.reading() { sys::POLLIN } else { 0 })
+                | (if link.writing() { sys::POLLOUT } else { 0 });
+            if events != 0 {
+                self.fds.push(sys::poll_fd(&link.stream, events));
+                self.polled.push(i);
+            }
+        }
+        if let Err(e) = sys::wait(&mut self.fds, timeout) {
+            self.failure
+                .get_or_insert_with(|| format!("polling peer links: {e}"));
+            return false;
+        }
+        let mut moved = false;
+        for j in 0..self.polled.len() {
+            let (i, ready) = (self.polled[j], self.fds[j].revents);
+            // An error or a hang-up is reported whatever was asked for;
+            // the read or write it wakes says which.
+            if ready & !sys::POLLOUT != 0 {
+                moved |= self.read_link(i);
+            }
+            if ready & !sys::POLLIN != 0 && self.links[i].writing() {
+                moved = true;
+                if let Err(e) = self.links[i].flush() {
+                    self.write_failed(i, &e);
+                }
+            }
+        }
+        moved
+    }
+
+    /// Reads link `i` once (if it is still being read) and takes in every
+    /// whole frame it has. EOF before the peer's `Finished` is a peer
+    /// loss. Says whether anything arrived.
+    fn read_link(&mut self, i: usize) -> bool {
+        let link = &mut self.links[i];
+        if !link.reading() {
+            return false;
+        }
+        let peer = link.peer;
+        match link.read_once() {
+            Ok(0) => {
+                let e = link.eof();
+                self.fail(i, format_args!("worker {peer} died mid-stream: {e}"));
+            }
+            Ok(_) => {
+                while self.links[i].reading() {
+                    let link = &mut self.links[i];
+                    match hop_wire::next_frame(&link.read[link.decoded..link.filled]) {
+                        Ok(Some((msg, used))) => {
+                            link.decoded += used;
+                            if let Err(why) = self.take(i, msg) {
+                                self.fail(i, why);
+                            }
+                        }
+                        Ok(None) => break,
+                        Err(e) => self.fail(i, e),
+                    }
+                }
+            }
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {
+                return false;
+            }
+            Err(e) => {
+                let e = WireError::Io(e);
+                self.fail(i, format_args!("worker {peer} died mid-stream: {e}"));
+            }
+        }
+        true
+    }
+
+    /// Takes one frame from link `i` into the inbox or the token counts,
+    /// max-merging the Lamport clock it carries. Fails closed on a frame
+    /// the link may not carry: a mistyped, mis-sized or misattributed
+    /// update, or a grant without token queues.
+    fn take(&mut self, i: usize, msg: Message) -> Result<(), String> {
+        let Self {
+            links,
+            inbox,
+            tokens,
+            clock,
+            dim,
+            ..
+        } = self;
+        let link = &mut links[i];
+        let u = link.peer;
+        match (msg, &mut link.inbound) {
+            (Message::Finished { .. }, _) => link.finished = true,
+            (Message::Token { count, clock: c }, Inbound::Tokens) => {
+                let queue = tokens.get_mut(i).ok_or_else(|| {
+                    format!("worker {u} granted tokens but the config has no token queues")
+                })?;
+                clock.fetch_max(c, Ordering::SeqCst);
+                *queue += count;
+            }
+            (
+                Message::Update {
+                    tag,
+                    clock: c,
+                    block,
+                },
+                Inbound::Updates { plane, pool },
+            ) => {
+                if tag.w_id != u {
+                    return Err(format!(
+                        "update tagged from worker {}, expected {u}",
+                        tag.w_id
+                    ));
+                }
+                let kind_ok = matches!(
+                    (plane.config(), &block),
+                    (CompressionConfig::Identity, CompressedBlock::Dense { .. })
+                        | (
+                            CompressionConfig::TopK { .. },
+                            CompressedBlock::Sparse { .. }
+                        )
+                        | (
+                            CompressionConfig::Int8Uniform,
+                            CompressedBlock::Quantized { .. }
+                        )
+                );
+                if !kind_ok || block.decoded_len() != *dim {
+                    return Err(format!(
+                        "update block kind/size does not match the configured codec \
+                         (got {block:?} for dim {dim})"
+                    ));
+                }
+                let update = match block {
+                    CompressedBlock::Dense { values } => ParamBlock::from_vec(values),
+                    block => plane.apply_params_block(0, &block, pool),
+                };
+                clock.fetch_max(c, Ordering::SeqCst);
+                inbox.enqueue(update, tag).expect("the inbox is unbounded");
+            }
+            (other, Inbound::Tokens) => {
+                return Err(format!("unexpected {other:?} on a token link"));
+            }
+            (other, Inbound::Updates { .. }) => {
+                return Err(format!("unexpected {other:?} on an update link"));
+            }
+        }
+        Ok(())
     }
 }
 
-impl Transport for SocketTransport {
+impl Transport for SocketTransport<'_> {
     type Error = String;
 
-    fn inbox(&self) -> &SharedTaggedQueue<ParamBlock> {
-        &self.inbox
+    fn enqueue(&mut self, block: ParamBlock, tag: Tag) {
+        self.inbox
+            .enqueue(block, tag)
+            .expect("the inbox is unbounded");
     }
 
-    fn tokens(&self, idx: usize) -> &SharedTokenQueue {
-        &self.mirrors[idx]
+    fn dequeue(
+        &mut self,
+        filter: TagFilter,
+        quota: usize,
+        extra: usize,
+        timeout: Duration,
+    ) -> Option<Vec<TaggedEntry<ParamBlock>>> {
+        let met = |t: &mut Self| t.inbox.size(filter) >= quota;
+        if met(self) {
+            if extra > 0 {
+                // The extras are what has arrived by now, as on threads.
+                self.pump(Duration::ZERO);
+            }
+        } else if !self.wait(timeout, met) {
+            return None;
+        }
+        Some(
+            self.inbox
+                .dequeue_up_to(quota.saturating_add(extra), filter),
+        )
     }
 
-    fn check(&self, k: u64) -> Result<(), String> {
+    fn drain_older_than(&mut self, iter: u64) -> Vec<TaggedEntry<ParamBlock>> {
+        self.inbox.drain_older_than(iter)
+    }
+
+    fn pending(&self) -> Vec<Tag> {
+        self.inbox.iter().map(|e| e.tag).collect()
+    }
+
+    fn token_counts(&mut self) -> Vec<u64> {
+        self.pump(Duration::ZERO);
+        self.tokens.clone()
+    }
+
+    fn take_tokens(&mut self, idx: usize, n: u64, timeout: Duration) -> bool {
+        let taken = self.wait(timeout, |t| t.tokens[idx] >= n);
+        if taken {
+            self.tokens[idx] -= n;
+        }
+        taken
+    }
+
+    fn check(&mut self, k: u64) -> Result<(), String> {
         if self.die_at == Some(k) {
             // Fault hook: vanish without a Finished frame or a summary —
             // exactly what a crashed process looks like.
             std::process::exit(101);
         }
-        self.links()
-            .find_map(|l| l.state.failure())
-            .map_or(Ok(()), Err)
+        self.failed()
     }
 
     fn deliver(
@@ -1011,7 +1366,7 @@ impl Transport for SocketTransport {
         plane: &mut CompressionPlane,
         pool: &mut BufferPool,
     ) -> Result<(), String> {
-        if self.out_links.is_empty() {
+        if self.out_links == 0 {
             return Ok(());
         }
         // One frame, encoded once (reading the clock after every Send
@@ -1029,9 +1384,9 @@ impl Transport for SocketTransport {
         let block_bytes = hop_wire::encode_update_frame(tag, clock, block, &mut self.frame);
         for &r in receivers {
             self.wire_bytes += block_bytes;
-            self.out_links[r].write(&self.frame, "an update", self.patience)?;
+            self.send_frame(r);
         }
-        Ok(())
+        self.failed()
     }
 
     fn grant(&mut self, idx: usize, n: u64) -> Result<(), String> {
@@ -1040,37 +1395,41 @@ impl Transport for SocketTransport {
             clock: self.clock.load(Ordering::SeqCst),
         };
         hop_wire::encode_frame(&grant, &mut self.frame);
-        self.in_links[idx].write(&self.frame, "a token grant", self.patience)
+        self.send_frame(self.out_links + idx);
+        self.failed()
     }
 
     fn explain(&self, stall: ThreadedError) -> String {
-        self.links()
-            .find_map(|l| l.state.failure())
-            .unwrap_or_else(|| stall.to_string())
+        self.failure.clone().unwrap_or_else(|| stall.to_string())
     }
 
-    /// The close handshake: say `Finished` on every link, half-close it,
-    /// then keep every reader draining until the peer's own `Finished`
-    /// (or `patience` runs out). Exiting with unread frames in a receive
-    /// buffer would turn the close into a reset, which can destroy our
-    /// `Finished` in the peer's buffer and make its legal late token
-    /// grant look like a peer loss.
+    /// The close handshake: say `Finished` on every link, half-close it
+    /// once that is flushed, and keep pumping until every peer's own
+    /// `Finished` is in (or `patience` runs out). Exiting with unread
+    /// frames in a receive buffer would turn the close into a reset,
+    /// which can destroy our `Finished` in the peer's buffer and make its
+    /// legal late token grant look like a peer loss.
     fn finish(&mut self) -> Result<(), String> {
-        self.done.store(true, Ordering::SeqCst);
         hop_wire::encode_frame(
             &Message::Finished {
                 worker: self.w as u32,
             },
             &mut self.frame,
         );
-        for link in self.out_links.iter_mut().chain(&mut self.in_links) {
-            // Best-effort: a peer that is already gone has its verdict.
-            let _ = link.stream.write_all(&self.frame);
-            let _ = link.stream.shutdown(Shutdown::Write);
+        for i in 0..self.links.len() {
+            self.send_frame(i);
         }
-        let deadline = Instant::now() + self.patience;
-        self.links()
-            .try_for_each(|link| link.state.await_verdict(deadline).unwrap_or(Ok(())))
+        let patience = self.patience;
+        self.wait(patience, |t| {
+            // Every link, not up to the first unsettled one: each gets
+            // its half-close as soon as it is flushed.
+            let mut settled = true;
+            for link in &mut t.links {
+                settled &= link.settle();
+            }
+            settled
+        });
+        self.failed()
     }
 }
 
@@ -1173,7 +1532,6 @@ fn worker_run(
     };
     let topo = &spec.topology;
     let deadline = Instant::now() + Duration::from_secs(30);
-    let write_timeout = spec.stall_timeout + Duration::from_secs(5);
 
     // Reconstruct the workload and the shared initial parameters.
     let dataset = SyntheticWebspam::generate(spec.examples, spec.data_seed);
@@ -1181,65 +1539,43 @@ fn worker_run(
     let mut init_rng = hop_util::Xoshiro256::seed_from_u64(spec.seed);
     let init_params = ParamBlock::from_vec(model.init_params(&mut init_rng));
 
-    // The worker's own inbox (fed by its self-send and the in-link
-    // readers) and the Lamport clock shared with every reader.
-    let inbox: Arc<SharedTaggedQueue<ParamBlock>> = Arc::new(SharedTaggedQueue::new());
-    let clock = Arc::new(AtomicU64::new(0));
-    let done = Arc::new(AtomicBool::new(false));
-
     // Dial every update receiver; their listener ports came from the
     // coordinator (which collected them during the hello round).
     let port_of: HashMap<u32, u16> = peers.iter().copied().collect();
-    let mirrors: Vec<Arc<SharedTokenQueue>> = spec.cfg.max_ig().map_or_else(Vec::new, |ig| {
-        topo.external_out_neighbors(w)
-            .iter()
-            .map(|_| Arc::new(SharedTokenQueue::new(ig)))
-            .collect()
-    });
-    let mut out_links = Vec::new();
-    for (idx, &o) in topo.external_out_neighbors(w).iter().enumerate() {
+    let mut links = Vec::new();
+    for &o in topo.external_out_neighbors(w) {
         let port = *port_of
             .get(&(o as u32))
             .ok_or_else(|| format!("peer table is missing worker {o}"))?;
         let mut stream = connect_peer(("127.0.0.1", port), deadline)?;
-        stream.set_nodelay(true).ok();
         let hello = Message::Hello {
             worker: w as u32,
             port: 0,
         };
         write_message(&mut stream, &hello).map_err(|e| format!("hello to peer {o}: {e}"))?;
-        let handler = token_handler(o, mirrors.get(idx).cloned(), Arc::clone(&clock));
-        out_links.push(Link::open(o, stream, write_timeout, handler)?);
+        links.push(Link::new(o, stream, Inbound::Tokens)?);
     }
+    let out_links = links.len();
     // Accept one connection per update sender and identify it.
     let externals_in = topo.external_in_neighbors(w);
-    let mut in_links = Vec::new();
     let accepted = accept_hellos(listener, externals_in, deadline, |_| Ok(()))?;
     for (&u, (stream, _)) in externals_in.iter().zip(accepted) {
-        let handler = update_handler(
-            u,
-            spec.cfg.compression,
-            init_params.as_slice(),
-            Arc::clone(&inbox),
-            Arc::clone(&clock),
-            Arc::clone(&done),
-        );
-        in_links.push(Link::open(u, stream, write_timeout, handler)?);
+        let mut plane = CompressionPlane::new(spec.cfg.compression);
+        plane.add_param_streams(1, init_params.as_slice());
+        let pool = BufferPool::new();
+        links.push(Link::new(u, stream, Inbound::Updates { plane, pool })?);
     }
 
+    // The Lamport clock: the sink bumps it, every frame max-merges into it.
+    let clock = AtomicU64::new(0);
     let mut transport = SocketTransport {
-        w,
         die_at: spec.die_at,
         patience: spec.stall_timeout,
-        inbox,
-        clock: Arc::clone(&clock),
-        done,
-        out_links,
-        mirrors,
-        in_links,
-        dense_scratch: CompressedBlock::Dense { values: Vec::new() },
-        frame: Vec::new(),
-        wire_bytes: 0,
+        tokens: spec
+            .cfg
+            .max_ig()
+            .map_or_else(Vec::new, |ig| vec![ig; out_links]),
+        ..SocketTransport::new(w, &clock, links, out_links, init_params.len())
     };
     let job = WorkerJob {
         w,
@@ -1377,6 +1713,59 @@ mod tests {
             let err = WorkerSpec::parse(&broken).expect_err("must reject");
             assert!(err.contains(needle), "`{err}` should mention `{needle}`");
         }
+    }
+
+    #[test]
+    fn peers_writing_megabytes_at_each_other_both_drain() {
+        // Both ends of one loopback link queue 32 dense 64K-parameter
+        // update frames (8 MB) before either reads — far more than the
+        // two kernel socket buffers hold. A blocking write would wait for
+        // a reader that is itself blocked writing; the pump keeps the
+        // unsent tail and flushes it while it reads, so both drain, and
+        // the close handshake completes.
+        const FRAMES: usize = 32;
+        const DIM: usize = 64 * 1024;
+        let timeout = Duration::from_secs(20);
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let dialed = TcpStream::connect(listener.local_addr().expect("addr")).expect("dial");
+        let (accepted, _) = listener.accept().expect("accept");
+        let both_queued = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for (me, stream) in [(0, dialed), (1, accepted)] {
+                let both_queued = &both_queued;
+                scope.spawn(move || {
+                    let clock = AtomicU64::new(0);
+                    let inbound = Inbound::Updates {
+                        plane: CompressionPlane::new(CompressionConfig::Identity),
+                        pool: BufferPool::new(),
+                    };
+                    let link = Link::new(1 - me, stream, inbound).expect("non-blocking");
+                    let mut end = SocketTransport {
+                        patience: timeout,
+                        ..SocketTransport::new(me, &clock, vec![link], 0, DIM)
+                    };
+                    let block = CompressedBlock::Dense {
+                        values: vec![1.0; DIM],
+                    };
+                    for iter in 0..FRAMES as u64 {
+                        let tag = Tag { iter, w_id: me };
+                        hop_wire::encode_update_frame(tag, 0, &block, &mut end.frame);
+                        end.send_frame(0);
+                    }
+                    both_queued.wait();
+                    assert_eq!(end.failed(), Ok(()), "end {me}");
+                    assert!(!end.links[0].out.is_empty(), "end {me} never had to queue");
+                    let started = Instant::now();
+                    let got = end
+                        .dequeue(TagFilter::any(), FRAMES, 0, timeout)
+                        .unwrap_or_else(|| panic!("end {me} stalled: {:?}", end.failure));
+                    assert_eq!(got.len(), FRAMES, "end {me}");
+                    assert_eq!(end.finish(), Ok(()), "end {me}");
+                    assert!(end.links[0].finished && end.links[0].out.is_empty());
+                    assert!(started.elapsed() < timeout, "end {me} drained too late");
+                });
+            }
+        });
     }
 
     #[test]

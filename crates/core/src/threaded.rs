@@ -49,7 +49,7 @@ use hop_data::InMemoryDataset;
 use hop_graph::Topology;
 use hop_model::Model;
 use hop_queue::blocking::{SharedTaggedQueue, SharedTokenQueue};
-use hop_queue::tagged::Tag;
+use hop_queue::tagged::{Tag, TagFilter, TaggedEntry};
 use hop_sim::FaultPlan;
 use hop_tensor::{BufferPool, ParamBlock};
 use std::collections::HashMap;
@@ -351,15 +351,51 @@ struct InMemoryTransport<'a> {
     token_queues: &'a HashMap<(usize, usize), SharedTokenQueue>,
 }
 
-impl Transport for InMemoryTransport<'_> {
-    type Error = ThreadedError;
-
+impl InMemoryTransport<'_> {
     fn inbox(&self) -> &SharedTaggedQueue<ParamBlock> {
         &self.inboxes[self.w]
     }
 
+    /// `TokenQ(o -> w)` of the `idx`-th external out-neighbor `o`.
     fn tokens(&self, idx: usize) -> &SharedTokenQueue {
         &self.token_queues[&(self.topo.external_out_neighbors(self.w)[idx], self.w)]
+    }
+}
+
+impl Transport for InMemoryTransport<'_> {
+    type Error = ThreadedError;
+
+    fn enqueue(&mut self, block: ParamBlock, tag: Tag) {
+        self.inbox().enqueue(block, tag);
+    }
+
+    fn dequeue(
+        &mut self,
+        filter: TagFilter,
+        quota: usize,
+        extra: usize,
+        timeout: Duration,
+    ) -> Option<Vec<TaggedEntry<ParamBlock>>> {
+        let mut entries = self.inbox().dequeue(quota, filter, timeout).ok()?;
+        entries.extend(self.inbox().dequeue_up_to(extra, filter));
+        Some(entries)
+    }
+
+    fn drain_older_than(&mut self, iter: u64) -> Vec<TaggedEntry<ParamBlock>> {
+        self.inbox().drain_older_than(iter)
+    }
+
+    fn pending(&self) -> Vec<Tag> {
+        self.inbox().tags()
+    }
+
+    fn token_counts(&mut self) -> Vec<u64> {
+        let n = self.topo.external_out_neighbors(self.w).len();
+        (0..n).map(|idx| self.tokens(idx).available()).collect()
+    }
+
+    fn take_tokens(&mut self, idx: usize, n: u64, timeout: Duration) -> bool {
+        self.tokens(idx).remove(n, timeout).is_ok()
     }
 
     fn deliver(

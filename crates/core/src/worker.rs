@@ -3,11 +3,16 @@
 //! One iteration is Send → Compute → Recv/Reduce → token advance (or the
 //! §5 jump-and-renew). [`worker_loop`] is that iteration for every
 //! runtime that executes workers for real; what differs between threads
-//! and OS processes is only how an update and a token grant *leave* the
-//! worker, and that is the [`Transport`] the loop is generic over
-//! (static dispatch). The inbound side needs no abstraction: both
-//! runtimes receive into a [`SharedTaggedQueue`] inbox and take tokens
-//! from [`SharedTokenQueue`]s, which the loop borrows from the transport.
+//! and OS processes is how an update and a token grant leave the worker
+//! and how the loop waits for them to arrive, and that is the
+//! [`Transport`] the loop is generic over (static dispatch). The loop
+//! waits in exactly three places — the Recv's quota of tagged updates
+//! (also the jump renew's), the staleness Recv's next arrival, and a
+//! token — and all three are transport calls: threads block on shared
+//! queues that other threads fill, while a worker process owns its inbox
+//! and fills it itself by pumping its sockets for as long as it waits.
+//! The simulated compute time is the only other wait, and it is the
+//! loop's own.
 //!
 //! The loop owns everything protocol-shaped — the choreography handles,
 //! the fault shim in front of per-receiver delivery, the §6.2(a)
@@ -32,7 +37,6 @@ use crate::trainer::Hyper;
 use hop_data::{BatchSampler, Dataset, InMemoryDataset};
 use hop_graph::Topology;
 use hop_model::{GradScratch, Model, Sgd};
-use hop_queue::blocking::{SharedTaggedQueue, SharedTokenQueue};
 use hop_queue::tagged::{Tag, TagFilter, TaggedEntry};
 use hop_sim::{FaultEvent, FaultPlan};
 use hop_tensor::ops::Tail;
@@ -40,24 +44,51 @@ use hop_tensor::{BufferPool, ParamBlock};
 use std::collections::HashMap;
 use std::time::Duration;
 
-/// How updates and token grants leave a worker, plus the two inbound
-/// queues the loop blocks on. Indices are positions in the worker's
-/// [`Topology::external_out_neighbors`] (`tokens`, `deliver`) and
-/// [`Topology::external_in_neighbors`] (`grant`) lists.
+/// How updates and token grants leave a worker, and how the loop reads
+/// and waits on what arrives: the worker's tagged inbox (its self-sends
+/// and every in-neighbor's updates) and its `TokenQ(o -> w)` per
+/// external out-neighbor `o` (only used when the config has token
+/// queues). Indices are positions in the worker's
+/// [`Topology::external_out_neighbors`] (`token_counts`, `take_tokens`,
+/// `deliver`) and [`Topology::external_in_neighbors`] (`grant`) lists.
+///
+/// A wait that comes back unsatisfied — `None` or `false` — timed out,
+/// or the transport knows it never will be satisfied; the loop turns it
+/// into a stall and asks [`Transport::explain`] which.
 pub(crate) trait Transport {
     /// What a failed operation or an explained stall becomes.
     type Error;
 
-    /// The worker's own tagged inbox: its self-sends and every
-    /// in-neighbor's updates land here.
-    fn inbox(&self) -> &SharedTaggedQueue<ParamBlock>;
+    /// Puts one of the worker's own updates into its inbox.
+    fn enqueue(&mut self, block: ParamBlock, tag: Tag);
 
-    /// `TokenQ(o -> w)` of the `idx`-th external out-neighbor `o`. Only
-    /// called when the config has token queues.
-    fn tokens(&self, idx: usize) -> &SharedTokenQueue;
+    /// The Recv (Fig. 8): waits up to `timeout` for `quota` inbox entries
+    /// matching `filter`, then takes them plus up to `extra` more that
+    /// have arrived by then.
+    fn dequeue(
+        &mut self,
+        filter: TagFilter,
+        quota: usize,
+        extra: usize,
+        timeout: Duration,
+    ) -> Option<Vec<TaggedEntry<ParamBlock>>>;
+
+    /// Removes and returns every inbox entry tagged older than `iter`.
+    fn drain_older_than(&mut self, iter: u64) -> Vec<TaggedEntry<ParamBlock>>;
+
+    /// The tags in the inbox, in arrival order (stall diagnostics).
+    fn pending(&self) -> Vec<Tag>;
+
+    /// Tokens available in every `TokenQ(o -> w)`, counting every grant
+    /// that has arrived. Never waits.
+    fn token_counts(&mut self) -> Vec<u64>;
+
+    /// Waits up to `timeout` for `n` tokens in the `idx`-th queue and
+    /// takes them.
+    fn take_tokens(&mut self, idx: usize, n: u64, timeout: Duration) -> bool;
 
     /// Per-iteration health check at the entry of iteration `k`.
-    fn check(&self, _k: u64) -> Result<(), Self::Error> {
+    fn check(&mut self, _k: u64) -> Result<(), Self::Error> {
         Ok(())
     }
 
@@ -130,26 +161,22 @@ struct WorkerCtx<'a> {
 }
 
 impl WorkerCtx<'_> {
-    /// The stall error for a wait on the update queue, with enough queue
-    /// state to debug it from the error alone.
-    fn stall(
-        &self,
-        iter: u64,
-        waiting_for: &'static str,
-        queue: &SharedTaggedQueue<ParamBlock>,
-    ) -> ThreadedError {
-        let mut pending = queue.tags();
+    /// The explained stall of a wait on the update queue, with enough
+    /// queue state to debug it from the error alone.
+    fn stall<T: Transport>(&self, iter: u64, waiting_for: &'static str, transport: &T) -> T::Error {
+        let mut pending = transport.pending();
+        let queue_depth = pending.len();
         pending.truncate(8);
-        ThreadedError::Stalled {
+        transport.explain(ThreadedError::Stalled {
             worker: self.w,
             iter,
             waiting_for,
             diag: StallDiag::Updates {
-                queue_depth: queue.len(),
+                queue_depth,
                 pending,
                 last_consumed: self.last_consumed,
             },
-        }
+        })
     }
 
     /// Folds one queue arrival into `newest_from`, recycling the
@@ -212,11 +239,11 @@ impl WorkerCtx<'_> {
     /// letting each pin a full block. Observe-after-op.
     fn discard_older_than(
         &mut self,
-        queue: &SharedTaggedQueue<ParamBlock>,
+        transport: &mut impl Transport,
         iter: u64,
         sink: &mut impl EventSink,
     ) {
-        for entry in queue.drain_older_than(iter) {
+        for entry in transport.drain_older_than(iter) {
             choreography::drop_update(sink, self.w, entry.tag.w_id, entry.tag.iter);
             self.pool.reclaim(entry.value);
         }
@@ -227,16 +254,13 @@ impl WorkerCtx<'_> {
     /// line 5); each is consumed through `step`.
     fn recv_tagged(
         &mut self,
-        queue: &SharedTaggedQueue<ParamBlock>,
+        transport: &mut impl Transport,
         iter: u64,
         (quota, extra): (usize, usize),
         step: &mut impl Consuming,
         sink: &mut impl EventSink,
     ) -> Option<Vec<TaggedEntry<ParamBlock>>> {
-        let mut entries = queue
-            .dequeue(quota, TagFilter::iter(iter), self.timeout)
-            .ok()?;
-        entries.extend(queue.dequeue_up_to(extra, TagFilter::iter(iter)));
+        let entries = transport.dequeue(TagFilter::iter(iter), quota, extra, self.timeout)?;
         for entry in &entries {
             self.last_consumed = Some(entry.tag);
             step.consume(sink, entry.tag.w_id, entry.tag.iter);
@@ -359,7 +383,7 @@ pub(crate) fn worker_loop<T: Transport>(
         // self-send shares the current block — zero bytes copied.
         let tag = Tag { iter: k, w_id: w };
         step.send(sink, w);
-        transport.inbox().enqueue(params.snapshot(), tag);
+        transport.enqueue(params.snapshot(), tag);
         // Fault shim: a crash window omits every external send (the
         // worker keeps running — from the outside that is what a dead
         // worker looks like); otherwise the keyed loss draw decides.
@@ -400,27 +424,31 @@ pub(crate) fn worker_loop<T: Transport>(
         // `reduce` is the only way to emit the Reduce event; the Apply
         // (Fig. 2b: onto the reduced parameters) rides its sweep.
         let apply = Some(opt.step_term());
-        let inbox = transport.inbox();
         let step = if let Some(s) = cfg.staleness {
             stale_recv(
                 &mut ctx,
-                inbox,
+                transport,
                 in_neighbors,
                 k,
                 s,
                 "a satisfactory update",
                 sink,
-            )
-            .map_err(|e| transport.explain(e))?;
+            )?;
             let collected = ctx.collect_newest(in_neighbors, &mut step, sink);
             let step = step.reduce(sink);
             ctx.reduce_stale(&collected, k, s, apply, &mut params);
             step
         } else {
-            ctx.discard_older_than(inbox, k, sink);
+            ctx.discard_older_than(transport, k, sink);
             let entries = ctx
-                .recv_tagged(inbox, k, (ctx.quota, in_deg - ctx.quota), &mut step, sink)
-                .ok_or_else(|| transport.explain(ctx.stall(k, "updates", inbox)))?;
+                .recv_tagged(
+                    transport,
+                    k,
+                    (ctx.quota, in_deg - ctx.quota),
+                    &mut step,
+                    sink,
+                )
+                .ok_or_else(|| ctx.stall(k, "updates", transport))?;
             let step = step.reduce(sink);
             ctx.reduce_mean(entries, None, apply, &mut params);
             step
@@ -430,13 +458,8 @@ pub(crate) fn worker_loop<T: Transport>(
         let mut next = k + 1;
         entry_tokens = 1;
         if let (Some(ig), false) = (max_ig, externals_out.is_empty()) {
-            let available = |transport: &T| -> Vec<u64> {
-                (0..externals_out.len())
-                    .map(|i| transport.tokens(i).available())
-                    .collect()
-            };
             let decision = cfg.skip.as_ref().and_then(|skip| {
-                let counts = available(transport);
+                let counts = transport.token_counts();
                 // Never jump past the end of training: finished neighbors
                 // flood their token queues (see below), which would
                 // otherwise inflate the jump distance.
@@ -451,7 +474,7 @@ pub(crate) fn worker_loop<T: Transport>(
                     // Only this worker removes from TokenQ(o -> w), so
                     // the observed count cannot shrink under us.
                     assert!(
-                        transport.tokens(i).try_remove(jump),
+                        transport.take_tokens(i, jump, Duration::ZERO),
                         "observed tokens vanished from TokenQ({o} -> {w})"
                     );
                     renew.take_tokens(sink, o);
@@ -461,30 +484,29 @@ pub(crate) fn worker_loop<T: Transport>(
                 next = k + jump;
                 jump_renew(
                     &mut ctx,
-                    transport.inbox(),
+                    transport,
                     externals_in,
                     &mut params,
                     &mut opt,
                     k,
                     renew,
                     sink,
-                )
-                .map_err(|e| transport.explain(e))?;
+                )?;
             } else {
                 for (i, &o) in externals_out.iter().enumerate() {
-                    transport.tokens(i).remove(1, job.timeout).map_err(|_| {
+                    if !transport.take_tokens(i, 1, job.timeout) {
                         // Snapshot every out-edge token queue, not the
                         // update queue: this wait is on tokens.
-                        let counts = available(transport);
-                        transport.explain(ThreadedError::Stalled {
+                        let counts = transport.token_counts();
+                        return Err(transport.explain(ThreadedError::Stalled {
                             worker: w,
                             iter: k,
                             waiting_for: "tokens",
                             diag: StallDiag::Tokens {
                                 available: externals_out.iter().copied().zip(counts).collect(),
                             },
-                        })
-                    })?;
+                        }));
+                    }
                     step.take_token(sink, o);
                 }
                 step.complete();
@@ -511,17 +533,23 @@ pub(crate) fn worker_loop<T: Transport>(
 /// The staleness-mode Recv: block until every listed neighbor's newest
 /// update satisfies the window at `k` (the Recv's iteration, or
 /// `target - 1` for a jump renew — `waiting_for` labels the stall).
-fn stale_recv(
+fn stale_recv<T: Transport>(
     ctx: &mut WorkerCtx<'_>,
-    queue: &SharedTaggedQueue<ParamBlock>,
+    transport: &mut T,
     neighbors: &[usize],
     k: u64,
     s: u64,
     waiting_for: &'static str,
     sink: &mut impl EventSink,
-) -> Result<(), ThreadedError> {
+) -> Result<(), T::Error> {
+    // Everything here already, then — until the window is satisfied — at
+    // least one new arrival at a time.
+    let mut quota = 0;
     loop {
-        for entry in queue.dequeue_up_to(usize::MAX, TagFilter::any()) {
+        let arrived = transport
+            .dequeue(TagFilter::any(), quota, usize::MAX, ctx.timeout)
+            .ok_or_else(|| ctx.stall(k, waiting_for, transport))?;
+        for entry in arrived {
             ctx.admit_entry(entry, k, sink);
         }
         let satisfied = neighbors.iter().all(|j| {
@@ -532,13 +560,7 @@ fn stale_recv(
         if satisfied {
             return Ok(());
         }
-        // Wait for at least one new arrival, then re-scan.
-        let arrived = queue
-            .dequeue(1, TagFilter::any(), ctx.timeout)
-            .map_err(|_| ctx.stall(k, waiting_for, queue))?;
-        for entry in arrived {
-            ctx.admit_entry(entry, k, sink);
-        }
+        quota = 1;
     }
 }
 
@@ -547,22 +569,22 @@ fn stale_recv(
 /// momentum (its history refers to an abandoned trajectory) and discard
 /// queued updates for the skipped iterations.
 #[allow(clippy::too_many_arguments)]
-fn jump_renew(
+fn jump_renew<T: Transport>(
     ctx: &mut WorkerCtx<'_>,
-    queue: &SharedTaggedQueue<ParamBlock>,
+    transport: &mut T,
     externals_in: &[usize],
     params: &mut ParamBlock,
     opt: &mut Sgd,
     k: u64,
     mut renew: Renew,
     sink: &mut impl EventSink,
-) -> Result<(), ThreadedError> {
+) -> Result<(), T::Error> {
     let target = renew.target();
     let renew_iter = target - 1;
     if let Some(s) = ctx.cfg.staleness {
         stale_recv(
             ctx,
-            queue,
+            transport,
             externals_in,
             renew_iter,
             s,
@@ -582,12 +604,18 @@ fn jump_renew(
         let ext = externals_in.len();
         let quota = ctx.quota.saturating_sub(1).max(1);
         let entries = ctx
-            .recv_tagged(queue, renew_iter, (quota, ext - quota), &mut renew, sink)
-            .ok_or_else(|| ctx.stall(k, "jump-renew updates", queue))?;
+            .recv_tagged(
+                transport,
+                renew_iter,
+                (quota, ext - quota),
+                &mut renew,
+                sink,
+            )
+            .ok_or_else(|| ctx.stall(k, "jump-renew updates", transport))?;
         renew.renew_reduce(sink);
         let own = params.snapshot();
         ctx.reduce_mean(entries, Some(own), None, params);
-        ctx.discard_older_than(queue, target, sink);
+        ctx.discard_older_than(transport, target, sink);
     }
     // Momentum history refers to a trajectory this worker abandoned.
     opt.reset_velocity();
@@ -600,32 +628,56 @@ mod tests {
     use crate::conformance::ProtocolTrace;
     use hop_data::webspam::SyntheticWebspam;
     use hop_model::svm::Svm;
+    use hop_queue::TaggedQueue;
 
     /// Worker 0 of a 2-ring whose peer exists only as this transport:
     /// tokens are never scarce, outbound traffic goes nowhere, and the
     /// peer's update for iteration `k - 1` shows up *late* — at the entry
     /// of iteration `k`, after the Recv that could have used it.
     struct LatePeer {
-        inbox: SharedTaggedQueue<ParamBlock>,
-        tokens: SharedTokenQueue,
+        inbox: TaggedQueue<ParamBlock>,
         dim: usize,
     }
 
     impl Transport for LatePeer {
         type Error = ThreadedError;
 
-        fn inbox(&self) -> &SharedTaggedQueue<ParamBlock> {
-            &self.inbox
+        fn enqueue(&mut self, block: ParamBlock, tag: Tag) {
+            self.inbox.enqueue(block, tag).expect("unbounded");
         }
 
-        fn tokens(&self, _idx: usize) -> &SharedTokenQueue {
-            &self.tokens
+        fn dequeue(
+            &mut self,
+            filter: TagFilter,
+            quota: usize,
+            extra: usize,
+            _timeout: Duration,
+        ) -> Option<Vec<TaggedEntry<ParamBlock>>> {
+            let mut entries = self.inbox.try_dequeue(quota, filter)?;
+            entries.extend(self.inbox.dequeue_up_to(extra, filter));
+            Some(entries)
         }
 
-        fn check(&self, k: u64) -> Result<(), ThreadedError> {
+        fn drain_older_than(&mut self, iter: u64) -> Vec<TaggedEntry<ParamBlock>> {
+            self.inbox.drain_older_than(iter)
+        }
+
+        fn pending(&self) -> Vec<Tag> {
+            self.inbox.iter().map(|e| e.tag).collect()
+        }
+
+        fn token_counts(&mut self) -> Vec<u64> {
+            unreachable!("the config has no skip")
+        }
+
+        fn take_tokens(&mut self, _idx: usize, _n: u64, _timeout: Duration) -> bool {
+            true
+        }
+
+        fn check(&mut self, k: u64) -> Result<(), ThreadedError> {
             if let Some(iter) = k.checked_sub(1) {
                 let late = ParamBlock::from_vec(vec![0.0; self.dim]);
-                self.inbox.enqueue(late, Tag { iter, w_id: 1 });
+                self.enqueue(late, Tag { iter, w_id: 1 });
             }
             Ok(())
         }
@@ -678,11 +730,9 @@ mod tests {
             faults: &FaultPlan::none(),
         };
         let mut transport = LatePeer {
-            inbox: SharedTaggedQueue::new(),
-            tokens: SharedTokenQueue::new(4),
+            inbox: TaggedQueue::unbounded(),
             dim: init.len(),
         };
-        transport.tokens.insert(max_iters);
         let mut trace = ProtocolTrace::new();
         let outcome = worker_loop(&job, &mut transport, &mut trace).expect("runs");
         assert_eq!(outcome.losses.len(), max_iters as usize);
@@ -698,8 +748,7 @@ mod tests {
         assert_eq!(drops, expected, "one Drop per late tag, in order");
         // At exit nothing older than the last iteration is left behind.
         let stale: Vec<Tag> = transport
-            .inbox
-            .tags()
+            .pending()
             .into_iter()
             .filter(|t| t.iter < max_iters - 1)
             .collect();

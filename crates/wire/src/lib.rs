@@ -2,9 +2,11 @@
 //!
 //! Every socket in the process runtime carries a stream of *frames*:
 //! a little-endian `u32` payload length followed by exactly that many
-//! payload bytes, written with `write_all` and read with `read_exact`
-//! semantics. The first payload byte is a [`Message`] discriminant; the
-//! rest is the fixed per-variant body described on each variant.
+//! payload bytes. The first payload byte is a [`Message`] discriminant;
+//! the rest is the fixed per-variant body described on each variant. A
+//! blocking reader takes one frame at a time with [`read_message`]; a
+//! reader that buffers whatever a non-blocking socket had parses frames
+//! off the front of its buffer with [`next_frame`].
 //!
 //! The format exists to make the simulated byte accounting *true on a
 //! real wire*: an [`Message::Update`] frame embeds a
@@ -409,13 +411,39 @@ pub fn write_message<W: Write>(w: &mut W, msg: &Message) -> Result<u64, WireErro
 pub fn read_message<R: Read>(r: &mut R) -> Result<Message, WireError> {
     let mut prefix = [0u8; 4];
     read_full(r, &mut prefix, true)?;
-    let len = u32::from_le_bytes(prefix);
-    if len > MAX_FRAME_LEN {
-        return Err(WireError::FrameTooLarge { len });
-    }
-    let mut payload = vec![0u8; len as usize];
+    let mut payload = vec![0u8; payload_len(prefix)?];
     read_full(r, &mut payload, false)?;
     decode_payload(&payload)
+}
+
+/// Parses the frame at the front of `buf`, a byte stream read so far:
+/// `Ok(None)` while `buf` holds only a proper prefix of a frame, else
+/// the message and the bytes it used (length prefix included).
+///
+/// # Errors
+///
+/// Fails closed exactly like [`read_message`]:
+/// [`WireError::FrameTooLarge`] as soon as the 4 prefix bytes are in
+/// (nothing is sized from them), then the decode errors documented on
+/// [`WireError`] once the whole frame is.
+pub fn next_frame(buf: &[u8]) -> Result<Option<(Message, usize)>, WireError> {
+    let Some(&prefix) = buf.first_chunk::<4>() else {
+        return Ok(None);
+    };
+    let end = 4 + payload_len(prefix)?;
+    match buf.get(4..end) {
+        Some(payload) => Ok(Some((decode_payload(payload)?, end))),
+        None => Ok(None),
+    }
+}
+
+/// The payload length a frame's prefix declares, capped at
+/// [`MAX_FRAME_LEN`].
+fn payload_len(prefix: [u8; 4]) -> Result<usize, WireError> {
+    match u32::from_le_bytes(prefix) {
+        len if len > MAX_FRAME_LEN => Err(WireError::FrameTooLarge { len }),
+        len => Ok(len as usize),
+    }
 }
 
 /// `read_exact` with typed boundary semantics: EOF before the first
@@ -747,11 +775,69 @@ mod tests {
     }
 
     #[test]
+    fn every_proper_prefix_is_incomplete_never_an_error() {
+        // A stream cut at any offset inside a frame: the buffer parser
+        // waits for more, the stream reader reports the truncation, and
+        // neither panics. Two frames back to back parse one at a time.
+        let messages = [
+            Message::Token { count: 3, clock: 8 },
+            Message::Finished { worker: 2 },
+            Message::Update {
+                tag: Tag { iter: 4, w_id: 1 },
+                clock: 11,
+                block: CompressedBlock::Quantized {
+                    scale: 0.5,
+                    values: vec![-3, 0, 7],
+                },
+            },
+        ];
+        for msg in messages {
+            let mut frame = Vec::new();
+            encode_frame(&msg, &mut frame);
+            for cut in 0..frame.len() {
+                let prefix = &frame[..cut];
+                assert!(
+                    matches!(next_frame(prefix), Ok(None)),
+                    "{msg:?} cut at {cut}"
+                );
+                let expected_closed = cut == 0;
+                match read_message(&mut &prefix[..]) {
+                    Err(WireError::Closed) => assert!(expected_closed, "cut at {cut}"),
+                    Err(WireError::Truncated { .. }) => assert!(!expected_closed, "cut at {cut}"),
+                    other => panic!("{msg:?} cut at {cut}: {other:?}"),
+                }
+            }
+            let mut two = frame.clone();
+            two.extend_from_slice(&frame);
+            let (first, used) = next_frame(&two).unwrap().expect("a whole frame");
+            assert_eq!((first, used), (msg.clone(), frame.len()));
+            assert_eq!(next_frame(&two[used..]).unwrap(), Some((msg, frame.len())));
+        }
+    }
+
+    #[test]
     fn oversized_prefix_is_rejected_before_allocation() {
         let bytes = (MAX_FRAME_LEN + 1).to_le_bytes();
         assert!(matches!(
             read_message(&mut &bytes[..]),
             Err(WireError::FrameTooLarge { .. })
+        ));
+        // The buffer parser rejects it at its 4th byte, not when (never)
+        // 64 MiB more have arrived; shorter than that it cannot tell.
+        for cut in 0..4 {
+            assert!(matches!(next_frame(&bytes[..cut]), Ok(None)));
+        }
+        assert!(matches!(
+            next_frame(&bytes),
+            Err(WireError::FrameTooLarge { len }) if len == MAX_FRAME_LEN + 1
+        ));
+        // A complete frame with a bad body is a typed decode error.
+        let mut frame = Vec::new();
+        encode_frame(&Message::Token { count: 1, clock: 0 }, &mut frame);
+        frame[4] = 0xEE;
+        assert!(matches!(
+            next_frame(&frame),
+            Err(WireError::UnknownDiscriminant { tag: 0xEE })
         ));
     }
 

@@ -351,6 +351,34 @@ fn threaded_skip_jumps_and_conforms() {
 }
 
 #[test]
+fn process_skip_jumps_and_conforms() {
+    // The same straggler as a worker process: its skip decision reads
+    // token counts the socket transport takes in from the wire, and the
+    // jump must actually happen and pass the oracle.
+    let cfg = HopConfig::backup(1, 4).with_skip(SkipConfig {
+        max_jump: 6,
+        trigger_behind: 2,
+    });
+    let topo = Topology::ring(6);
+    let mut exp = process_experiment(&cfg, &topo, true);
+    exp.compute_sleep = Duration::from_micros(500);
+    exp.slow_worker = Some((0, 20));
+    exp.max_iters = 30;
+    let mut jumps = 0;
+    for attempt in 0..3 {
+        let label = format!("process-skip-jump-attempt{attempt}");
+        exp.failure_label = Some(label.clone());
+        let (_, trace) = exp.run_traced().unwrap_or_else(|e| panic!("{label}: {e}"));
+        let summary = oracle_check(&label, &cfg, &topo, 30, &trace);
+        jumps = summary.jumps;
+        if jumps > 0 {
+            break;
+        }
+    }
+    assert!(jumps > 0, "the 20x straggler never jumped as a process");
+}
+
+#[test]
 fn both_runtimes_learn_on_every_mode() {
     // The loss-parity leg of the differential suite: the same mode on the
     // same workload must learn in both runtimes (skip mode included, now

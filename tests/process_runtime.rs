@@ -132,8 +132,9 @@ fn a_killed_worker_surfaces_as_peer_loss_with_a_partial_trace() {
             let err = exp
                 .run_traced()
                 .expect_err("a killed worker must fail the run");
-            // Survivors notice within one stall_timeout (usually at once,
-            // from the dead link's reader); the rest is fleet spawn.
+            // Survivors notice within one stall_timeout (usually at once:
+            // the next wait's pump reads the dead link's EOF); the rest is
+            // fleet spawn.
             assert!(
                 started.elapsed() < Duration::from_secs(15),
                 "{label}: took {:?} to report {err}",
