@@ -14,23 +14,22 @@
 //!    also the reconstruction shipped to every receiver) is written out
 //!    of place from the old one.
 //!
-//! Like [`crate::ops::simd`], every kernel exists twice — [`portable`]
-//! (8-lane unrolled, safe, what runs off x86-64) and [`avx2`] (256-bit
-//! intrinsics behind the runtime check) — and both evaluate, lane by
-//! lane, the scalar expressions of the composed sequence they replaced,
-//! which survives as the oracle in [`super::reference`]. Three places
-//! where the obvious vector instruction is *not* the scalar semantics:
+//! Like the kernels of [`crate::ops`], each is one body over eight lanes
+//! (see [`crate::ops::simd`]), run on either [`Backend`], and evaluates
+//! lane by lane the scalar expressions of the composed sequence it
+//! replaced, which survives as the oracle in [`super::reference`]. Three
+//! places where the obvious vector instruction is *not* the scalar
+//! semantics:
 //!
 //! * **The maximum skips NaN.** `fold(0.0, f32::max)` ignores NaN
-//!   operands; `_mm256_max_ps(v, acc)` returns its *second* operand when
-//!   either is NaN, so the candidate goes first and the (never-NaN)
-//!   accumulator second. A maximum is exact under any association, which
-//!   is why this one reduction may be vectorised while sums
-//!   ([`crate::ops::dot`]) may not.
+//!   operands; the lanes' `max(a, b)` returns `b` when either is NaN, so
+//!   the candidate goes first and the (never-NaN) accumulator second. A
+//!   maximum is exact under any association, which is why this one
+//!   reduction may be vectorised while sums ([`crate::ops::dot`]) may not.
 //! * **NaN quantizes to 0.** `f32::clamp` propagates NaN and
-//!   `NaN as i8 == 0`, but `_mm256_cvtps_epi32(NaN)` is `i32::MIN`. The
-//!   kernel clamps with NaN-discarding min/max and then clears unordered
-//!   lanes to `+0.0` before converting.
+//!   `NaN as i8 == 0`, but the x86 float-to-int convert of NaN is
+//!   `i32::MIN`. The kernel clears unordered lanes to `+0.0` before the
+//!   clamp and the convert.
 //! * **Adding zero is not a no-op.** `-0.0 + 0.0 == +0.0`, so neither
 //!   kernel drops an add just because an operand is zero — with one
 //!   exception that is argued, not assumed: the composed encode passed a
@@ -38,17 +37,19 @@
 //!   only turn a `-0.0` delta into `+0.0`. Both quantize to `0` and the
 //!   delta reaches nothing else in [`quantize_advance`] (the reference
 //!   advances by the *dequantized* value), so that add is omitted there.
-//!   The top-k step ships the delta itself and keeps it.
+//!   The top-k step ships the delta itself and keeps it. Conversely, the
+//!   quantize sweep *adds* `+ 0.0` once: rounding a small negative gives
+//!   `-0.0`, and the `i8` it stores dequantizes as `0i8 as f32 == +0.0`.
 //!
-//! `_mm256_div_ps` and `_mm256_round_ps` (nearest-even) are exact
-//! matches for `/` and `f32::round_ties_even`; multiply-then-add stays
-//! two roundings, never an FMA. The composed sequence's `axpy(±1.0, …)`
-//! steps appear here as plain `+` / `-`: multiplying by ±1 is exact, and
-//! `a - b` is `a + (-b)` bit for bit. NaN *payloads* are outside the
-//! contract: Rust does not specify which NaN an arithmetic result
-//! carries, and no non-NaN output of a codec depends on one.
+//! Division and `round_ties_even` on lanes are exact matches for `/` and
+//! `f32::round_ties_even`; multiply-then-add stays two roundings, never an
+//! FMA. The composed sequence's `axpy(±1.0, …)` steps appear here as
+//! plain `+` / `-`: multiplying by ±1 is exact, and `a - b` is `a + (-b)`
+//! bit for bit. NaN *payloads* are outside the contract: Rust does not
+//! specify which NaN an arithmetic result carries, and no non-NaN output
+//! of a codec depends on one.
 
-use crate::ops::simd::avx2_available;
+use crate::ops::simd::{on_backend, Backend, Lanes, LANES};
 
 /// `max_i |x[i] + alpha * r[i]|` over the non-NaN values, at least `0.0`
 /// (so `0.0` for an empty or all-NaN block). SIMD-dispatched.
@@ -57,11 +58,7 @@ use crate::ops::simd::avx2_available;
 ///
 /// Panics if `r` and `x` have different lengths.
 pub fn max_abs_sum(alpha: f32, r: &[f32], x: &[f32]) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        return avx2::max_abs_sum(alpha, r, x);
-    }
-    portable::max_abs_sum(alpha, r, x)
+    Backend::host().max_abs_sum(alpha, r, x)
 }
 
 /// The error-feedback quantize sweep: with `w = x[i] + residual[i]`,
@@ -72,12 +69,7 @@ pub fn max_abs_sum(alpha: f32, r: &[f32], x: &[f32]) -> f32 {
 ///
 /// Panics if the three slices have different lengths.
 pub fn quantize_feedback(x: &[f32], scale: f32, residual: &mut [f32], q: &mut [i8]) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        avx2::quantize_feedback(x, scale, residual, q);
-        return;
-    }
-    portable::quantize_feedback(x, scale, residual, q);
+    Backend::host().quantize_feedback(x, scale, residual, q);
 }
 
 /// The parameter-stream quantize sweep: with `w = x[i] - old[i]`, writes
@@ -88,12 +80,40 @@ pub fn quantize_feedback(x: &[f32], scale: f32, residual: &mut [f32], q: &mut [i
 ///
 /// Panics if the four slices have different lengths.
 pub fn quantize_advance(x: &[f32], scale: f32, old: &[f32], new: &mut [f32], q: &mut [i8]) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        avx2::quantize_advance(x, scale, old, new, q);
-        return;
+    Backend::host().quantize_advance(x, scale, old, new, q);
+}
+
+/// The int8 kernels on an explicit backend: the shape checks, then the
+/// kernel's one body on this backend's lanes. Each panics as its free
+/// function does.
+impl Backend {
+    /// [`max_abs_sum`] on this backend.
+    pub fn max_abs_sum(self, alpha: f32, r: &[f32], x: &[f32]) -> f32 {
+        assert_eq!(r.len(), x.len(), "max_abs_sum length mismatch");
+        on_backend!(self, max_abs_sum_body(alpha, r, x))
     }
-    portable::quantize_advance(x, scale, old, new, q);
+
+    /// [`quantize_feedback`] on this backend.
+    pub fn quantize_feedback(self, x: &[f32], scale: f32, residual: &mut [f32], q: &mut [i8]) {
+        assert_eq!(x.len(), residual.len(), "quantize_feedback length mismatch");
+        assert_eq!(x.len(), q.len(), "quantize_feedback length mismatch");
+        on_backend!(self, feedback_body(x, scale, residual, q));
+    }
+
+    /// [`quantize_advance`] on this backend.
+    pub fn quantize_advance(
+        self,
+        x: &[f32],
+        scale: f32,
+        old: &[f32],
+        new: &mut [f32],
+        q: &mut [i8],
+    ) {
+        assert_eq!(x.len(), old.len(), "quantize_advance length mismatch");
+        assert_eq!(x.len(), new.len(), "quantize_advance length mismatch");
+        assert_eq!(x.len(), q.len(), "quantize_advance length mismatch");
+        on_backend!(self, advance_body(x, scale, old, new, q));
+    }
 }
 
 /// One entry of the int8 quantizer: `w / scale` rounded half to even and
@@ -107,318 +127,86 @@ fn quantize(w: f32, scale: f32) -> i8 {
     }
 }
 
-/// One entry of [`quantize_feedback`]: `(q, new residual)`.
+/// [`max_abs_sum`] on `V`. The candidate `|x + alpha * r|` (product
+/// rounded before the add) is the first operand of every `max`, so a NaN
+/// candidate yields the accumulator, which starts at `0.0` and so is never
+/// NaN: the NaN skip of `f32::max`. Four accumulators, since the max chain
+/// is latency-bound otherwise; any grouping of a maximum gives the same
+/// value.
 #[inline(always)]
-fn feedback_entry(x: f32, residual: f32, scale: f32) -> (i8, f32) {
-    let w = x + residual;
-    let q = quantize(w, scale);
-    (q, w - q as f32 * scale)
+fn max_abs_sum_body<V: Lanes>(alpha: f32, r: &[f32], x: &[f32]) -> f32 {
+    let va = V::splat(alpha);
+    let candidate = |x: &[f32], r: &[f32]| V::load(x).add(va.mul(V::load(r))).abs();
+    let (xs, x_tail) = x.as_chunks::<LANES>();
+    let (rs, r_tail) = r.as_chunks::<LANES>();
+    let (mut x4, mut r4) = (xs.chunks_exact(4), rs.chunks_exact(4));
+    let mut acc = [V::splat(0.0); 4];
+    for (xx, rr) in x4.by_ref().zip(r4.by_ref()) {
+        for u in 0..4 {
+            acc[u] = candidate(&xx[u], &rr[u]).max(acc[u]);
+        }
+    }
+    for (xx, rr) in x4.remainder().iter().zip(r4.remainder()) {
+        acc[0] = candidate(xx, rr).max(acc[0]);
+    }
+    let mut lanes = [0.0; LANES];
+    acc[0].max(acc[1]).max(acc[2].max(acc[3])).store(&mut lanes);
+    let mut max = lanes.into_iter().fold(0.0f32, f32::max);
+    for (xi, ri) in x_tail.iter().zip(r_tail) {
+        max = max.max((xi + alpha * ri).abs());
+    }
+    max
 }
 
-/// One entry of [`quantize_advance`]: `(q, new reference)`.
+/// [`quantize`] on lanes: writes the `i8`s to `q` and returns
+/// `q as f32 * scale`. A scale that is not
+/// positive divides by `+inf` instead, which sends every `w` to `±0.0` or
+/// NaN: `0` once unordered lanes are cleared to `+0.0` — the scalar
+/// `NaN as i8 == 0` — before the clamp. The `+ 0.0` turns the `-0.0` that
+/// a small negative rounds to into the `+0.0` of `0i8 as f32`.
 #[inline(always)]
-fn advance_entry(x: f32, old: f32, scale: f32) -> (i8, f32) {
-    let q = quantize(x - old, scale);
-    (q, old + q as f32 * scale)
+fn quantize_lanes<V: Lanes>(w: V, scale: f32, q: &mut [i8]) -> V {
+    let divisor = V::splat(if scale > 0.0 { scale } else { f32::INFINITY });
+    let rounded = w.div(divisor).round_ties_even().zero_nan();
+    let clamped = rounded.max(V::splat(-127.0)).min(V::splat(127.0));
+    clamped.store_i8(q);
+    clamped.add(V::splat(0.0)).mul(V::splat(scale))
 }
 
-/// Portable 8-lane unrolled kernels — the fallback backend.
-pub mod portable {
-    use super::{advance_entry, feedback_entry};
-    use crate::ops::simd::LANES;
-
-    /// [`max_abs_sum`](super::max_abs_sum), 8 independent lane maxima.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` and `x` have different lengths.
-    pub fn max_abs_sum(alpha: f32, r: &[f32], x: &[f32]) -> f32 {
-        assert_eq!(r.len(), x.len(), "max_abs_sum length mismatch");
-        let mut lanes = [0.0f32; LANES];
-        let mut xc = x.chunks_exact(LANES);
-        let mut rc = r.chunks_exact(LANES);
-        for (xx, rr) in xc.by_ref().zip(rc.by_ref()) {
-            for l in 0..LANES {
-                // `f32::max` ignores a NaN argument; the lane itself
-                // starts at 0.0 and so never becomes one.
-                lanes[l] = lanes[l].max((xx[l] + alpha * rr[l]).abs());
-            }
-        }
-        let mut max = lanes.iter().copied().fold(0.0f32, f32::max);
-        for (xi, ri) in xc.remainder().iter().zip(rc.remainder()) {
-            max = max.max((xi + alpha * ri).abs());
-        }
-        max
+/// [`quantize_feedback`] on `V`: per lane `w = x + r`, then
+/// [`quantize_lanes`], then `w - q * scale`: the scalar tail's order.
+#[inline(always)]
+fn feedback_body<V: Lanes>(x: &[f32], scale: f32, residual: &mut [f32], q: &mut [i8]) {
+    let (xs, x_tail) = x.as_chunks::<LANES>();
+    let (rs, r_tail) = residual.as_chunks_mut::<LANES>();
+    let (qs, q_tail) = q.as_chunks_mut::<LANES>();
+    for ((xx, rr), qq) in xs.iter().zip(rs.iter_mut()).zip(qs) {
+        let w = V::load(xx).add(V::load(rr));
+        w.sub(quantize_lanes(w, scale, qq)).store(rr);
     }
-
-    /// [`quantize_feedback`](super::quantize_feedback), 8-lane unrolled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn quantize_feedback(x: &[f32], scale: f32, residual: &mut [f32], q: &mut [i8]) {
-        assert_eq!(x.len(), residual.len(), "quantize_feedback length mismatch");
-        assert_eq!(x.len(), q.len(), "quantize_feedback length mismatch");
-        let mut xc = x.chunks_exact(LANES);
-        let mut rc = residual.chunks_exact_mut(LANES);
-        let mut qc = q.chunks_exact_mut(LANES);
-        for ((xx, rr), qq) in xc.by_ref().zip(rc.by_ref()).zip(qc.by_ref()) {
-            for l in 0..LANES {
-                (qq[l], rr[l]) = feedback_entry(xx[l], rr[l], scale);
-            }
-        }
-        let tail = xc.remainder().iter().zip(rc.into_remainder());
-        for ((&xi, ri), qi) in tail.zip(qc.into_remainder()) {
-            (*qi, *ri) = feedback_entry(xi, *ri, scale);
-        }
-    }
-
-    /// [`quantize_advance`](super::quantize_advance), 8-lane unrolled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn quantize_advance(x: &[f32], scale: f32, old: &[f32], new: &mut [f32], q: &mut [i8]) {
-        assert_eq!(x.len(), old.len(), "quantize_advance length mismatch");
-        assert_eq!(x.len(), new.len(), "quantize_advance length mismatch");
-        assert_eq!(x.len(), q.len(), "quantize_advance length mismatch");
-        let mut xc = x.chunks_exact(LANES);
-        let mut oc = old.chunks_exact(LANES);
-        let mut nc = new.chunks_exact_mut(LANES);
-        let mut qc = q.chunks_exact_mut(LANES);
-        for (((xx, oo), nn), qq) in xc
-            .by_ref()
-            .zip(oc.by_ref())
-            .zip(nc.by_ref())
-            .zip(qc.by_ref())
-        {
-            for l in 0..LANES {
-                (qq[l], nn[l]) = advance_entry(xx[l], oo[l], scale);
-            }
-        }
-        let tail = xc.remainder().iter().zip(oc.remainder());
-        for (((&xi, &oi), ni), qi) in tail.zip(nc.into_remainder()).zip(qc.into_remainder()) {
-            (*qi, *ni) = advance_entry(xi, oi, scale);
-        }
+    for ((&xi, ri), qi) in x_tail.iter().zip(r_tail).zip(q_tail) {
+        let w = xi + *ri;
+        *qi = quantize(w, scale);
+        *ri = w - *qi as f32 * scale;
     }
 }
 
-/// Hand-written AVX2 kernels (256-bit, 8 × f32 per operation); the tail
-/// (< 8 elements) and zero-scale blocks run the scalar expressions.
-#[cfg(target_arch = "x86_64")]
-pub mod avx2 {
-    #![deny(unsafe_op_in_unsafe_fn)]
-
-    use core::arch::x86_64::{
-        __m128i, _mm256_add_ps, _mm256_and_ps, _mm256_castsi256_ps, _mm256_castsi256_si128,
-        _mm256_cmp_ps, _mm256_cvtepi32_ps, _mm256_cvtps_epi32, _mm256_div_ps,
-        _mm256_extracti128_si256, _mm256_loadu_ps, _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps,
-        _mm256_round_ps, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi8, _mm256_setzero_ps,
-        _mm256_shuffle_epi8, _mm256_storeu_ps, _mm256_sub_ps, _mm_storel_epi64, _mm_unpacklo_epi32,
-        _CMP_ORD_Q, _MM_FROUND_NO_EXC, _MM_FROUND_TO_NEAREST_INT,
-    };
-
-    use super::{advance_entry, avx2_available, feedback_entry};
-    use crate::ops::simd::LANES;
-
-    /// [`max_abs_sum`](super::max_abs_sum) via 256-bit lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths mismatch or the host lacks AVX2.
-    pub fn max_abs_sum(alpha: f32, r: &[f32], x: &[f32]) -> f32 {
-        assert_eq!(r.len(), x.len(), "max_abs_sum length mismatch");
-        assert!(avx2_available(), "host CPU lacks AVX2");
-        // SAFETY: AVX2 support was just verified at runtime, and the
-        // kernel's precondition `r.len() == x.len()` was just asserted.
-        unsafe { max_abs_sum_impl(alpha, r, x) }
+/// [`quantize_advance`] on `V`: per lane `x - old`, then
+/// [`quantize_lanes`], then `old + q * scale`: the scalar tail's order.
+#[inline(always)]
+fn advance_body<V: Lanes>(x: &[f32], scale: f32, old: &[f32], new: &mut [f32], q: &mut [i8]) {
+    let (xs, x_tail) = x.as_chunks::<LANES>();
+    let (os, o_tail) = old.as_chunks::<LANES>();
+    let (ns, n_tail) = new.as_chunks_mut::<LANES>();
+    let (qs, q_tail) = q.as_chunks_mut::<LANES>();
+    for (((xx, oo), nn), qq) in xs.iter().zip(os).zip(ns).zip(qs) {
+        let vo = V::load(oo);
+        let d = quantize_lanes(V::load(xx).sub(vo), scale, qq);
+        vo.add(d).store(nn);
     }
-
-    /// [`quantize_feedback`](super::quantize_feedback) via 256-bit lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths mismatch or the host lacks AVX2.
-    pub fn quantize_feedback(x: &[f32], scale: f32, residual: &mut [f32], q: &mut [i8]) {
-        assert_eq!(x.len(), residual.len(), "quantize_feedback length mismatch");
-        assert_eq!(x.len(), q.len(), "quantize_feedback length mismatch");
-        assert!(avx2_available(), "host CPU lacks AVX2");
-        if scale > 0.0 {
-            let (state, n) = (residual.as_mut_ptr(), x.len());
-            // SAFETY: AVX2 support was just verified at runtime; `x`,
-            // `residual` and `q` are live slices of `n` elements each
-            // (asserted above), and the state is updated in place:
-            // `state_in == state_out`, the aliasing the kernel allows.
-            unsafe { quantize_impl::<false>(x.as_ptr(), state, state, q.as_mut_ptr(), n, scale) }
-        } else {
-            super::portable::quantize_feedback(x, scale, residual, q);
-        }
-    }
-
-    /// [`quantize_advance`](super::quantize_advance) via 256-bit lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths mismatch or the host lacks AVX2.
-    pub fn quantize_advance(x: &[f32], scale: f32, old: &[f32], new: &mut [f32], q: &mut [i8]) {
-        assert_eq!(x.len(), old.len(), "quantize_advance length mismatch");
-        assert_eq!(x.len(), new.len(), "quantize_advance length mismatch");
-        assert_eq!(x.len(), q.len(), "quantize_advance length mismatch");
-        assert!(avx2_available(), "host CPU lacks AVX2");
-        if scale > 0.0 {
-            let n = x.len();
-            // SAFETY: AVX2 support was just verified at runtime; `x`,
-            // `old`, `new` and `q` are live slices of `n` elements each
-            // (asserted above), and `new` is a `&mut` borrow, so it is
-            // disjoint from `old`.
-            unsafe {
-                quantize_impl::<true>(
-                    x.as_ptr(),
-                    old.as_ptr(),
-                    new.as_mut_ptr(),
-                    q.as_mut_ptr(),
-                    n,
-                    scale,
-                );
-            }
-        } else {
-            super::portable::quantize_advance(x, scale, old, new, q);
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX2 and `r.len() == x.len()`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn max_abs_sum_impl(alpha: f32, r: &[f32], x: &[f32]) -> f32 {
-        let n = x.len();
-        let va = _mm256_set1_ps(alpha);
-        let abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFF_FFFF));
-        // Four accumulators: the max chain is latency-bound otherwise.
-        // Any grouping of a maximum gives the same value.
-        let mut acc = [_mm256_setzero_ps(); 4];
-        let mut i = 0;
-        while i + 4 * LANES <= n {
-            for (u, a) in acc.iter_mut().enumerate() {
-                // SAFETY: `u < 4` and `i + 4 * LANES <= n` (the length of
-                // both slices) bound the two loads.
-                let (vx, vr) = unsafe {
-                    (
-                        _mm256_loadu_ps(x.as_ptr().add(i + u * LANES)),
-                        _mm256_loadu_ps(r.as_ptr().add(i + u * LANES)),
-                    )
-                };
-                let w = _mm256_add_ps(vx, _mm256_mul_ps(va, vr));
-                // Candidate first: a NaN candidate yields the second
-                // operand, i.e. is skipped, as `f32::max` does.
-                *a = _mm256_max_ps(_mm256_and_ps(w, abs_mask), *a);
-            }
-            i += 4 * LANES;
-        }
-        while i + LANES <= n {
-            // SAFETY: `i + LANES <= n` bounds the two loads.
-            let (vx, vr) = unsafe {
-                (
-                    _mm256_loadu_ps(x.as_ptr().add(i)),
-                    _mm256_loadu_ps(r.as_ptr().add(i)),
-                )
-            };
-            let w = _mm256_add_ps(vx, _mm256_mul_ps(va, vr));
-            acc[0] = _mm256_max_ps(_mm256_and_ps(w, abs_mask), acc[0]);
-            i += LANES;
-        }
-        let mut lanes = [0.0f32; 4 * LANES];
-        for (u, a) in acc.iter().enumerate() {
-            // SAFETY: `u < 4`, so the 8-float store ends inside `lanes`.
-            unsafe { _mm256_storeu_ps(lanes.as_mut_ptr().add(u * LANES), *a) };
-        }
-        let mut max = lanes.iter().copied().fold(0.0f32, f32::max);
-        while i < n {
-            max = max.max((x[i] + alpha * r[i]).abs());
-            i += 1;
-        }
-        max
-    }
-
-    /// The quantize sweep for `scale > 0`. `ADVANCE` selects the stream
-    /// flavour: `false` is [`feedback_entry`] (state = residual), `true`
-    /// is [`advance_entry`] (state = reference).
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2. `x` and `state_in` must be valid for reads of `n`
-    /// floats, `state_out` for writes of `n` floats and `q` for writes of
-    /// `n` bytes. `state_out` may equal `state_in` (element `i` is read
-    /// before it is written) and must otherwise not overlap any input.
-    #[target_feature(enable = "avx2")]
-    unsafe fn quantize_impl<const ADVANCE: bool>(
-        x: *const f32,
-        state_in: *const f32,
-        state_out: *mut f32,
-        q: *mut i8,
-        n: usize,
-        scale: f32,
-    ) {
-        let vscale = _mm256_set1_ps(scale);
-        let vmax = _mm256_set1_ps(127.0);
-        let vmin = _mm256_set1_ps(-127.0);
-        // Per 128-bit half: the low byte of each of its four i32s.
-        #[rustfmt::skip]
-        let low_bytes = _mm256_setr_epi8(
-            0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-            0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-        );
-        let mut i = 0;
-        while i + LANES <= n {
-            // SAFETY: `i + LANES <= n` bounds the two 8-float loads, the
-            // 8-float store and the 8-byte store below; when the state is
-            // updated in place its lanes were loaded before the store.
-            unsafe {
-                let vx = _mm256_loadu_ps(x.add(i));
-                let vs = _mm256_loadu_ps(state_in.add(i));
-                let w = if ADVANCE {
-                    _mm256_sub_ps(vx, vs)
-                } else {
-                    _mm256_add_ps(vx, vs)
-                };
-                let rounded = _mm256_round_ps::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(
-                    _mm256_div_ps(w, vscale),
-                );
-                // min/max drop a NaN first operand, so the clamp itself
-                // cannot propagate it; unordered lanes are then cleared
-                // to +0.0, the `NaN as i8 == 0` of the scalar cast.
-                let clamped = _mm256_min_ps(_mm256_max_ps(rounded, vmin), vmax);
-                let ordered = _mm256_cmp_ps::<_CMP_ORD_Q>(rounded, rounded);
-                let qi = _mm256_cvtps_epi32(_mm256_and_ps(clamped, ordered));
-                let dequantized = _mm256_mul_ps(_mm256_cvtepi32_ps(qi), vscale);
-                let state = if ADVANCE {
-                    _mm256_add_ps(vs, dequantized)
-                } else {
-                    _mm256_sub_ps(w, dequantized)
-                };
-                _mm256_storeu_ps(state_out.add(i), state);
-                // |q| <= 127, so the low byte of each i32 is the i8.
-                let bytes = _mm256_shuffle_epi8(qi, low_bytes);
-                let packed = _mm_unpacklo_epi32(
-                    _mm256_castsi256_si128(bytes),
-                    _mm256_extracti128_si256::<1>(bytes),
-                );
-                _mm_storel_epi64(q.add(i).cast::<__m128i>(), packed);
-            }
-            i += LANES;
-        }
-        while i < n {
-            // SAFETY: `i < n` bounds the two reads and the two writes.
-            unsafe {
-                let (qv, state) = if ADVANCE {
-                    advance_entry(*x.add(i), *state_in.add(i), scale)
-                } else {
-                    feedback_entry(*x.add(i), *state_in.add(i), scale)
-                };
-                *q.add(i) = qv;
-                *state_out.add(i) = state;
-            }
-            i += 1;
-        }
+    let tail = x_tail.iter().zip(o_tail).zip(n_tail);
+    for (((&xi, &oi), ni), qi) in tail.zip(q_tail) {
+        *qi = quantize(xi - oi, scale);
+        *ni = oi + *qi as f32 * scale;
     }
 }

@@ -9,14 +9,14 @@
 //! The crate also provides the zero-copy parameter plane used by every
 //! runtime in `hop-core`: [`ParamBlock`] (an `Arc`-shared flat buffer with
 //! O(1) snapshots and copy-on-write mutation) and [`BufferPool`] (recycled
-//! zeroed scratch buffers), plus SIMD-dispatched elementwise kernels in
-//! [`ops`] (runtime-selected AVX2 on capable x86-64, 8-lane portable
-//! otherwise) that are bit-identical to their scalar references, and the
-//! deterministic update-compression codecs in [`compress`] (top-k
-//! sparsification, int8 quantization, identity — all with error
-//! feedback) that shrink every message path in the runtimes, as fused
-//! single-pass stream steps pinned bitwise to the composed sequences in
-//! [`compress::reference`].
+//! zeroed scratch buffers), plus SIMD elementwise kernels in [`ops`]
+//! (each written once over eight lanes, run as AVX2 on capable x86-64
+//! and as portable `[f32; 8]` arrays otherwise) that are bit-identical
+//! to their scalar references, and the deterministic update-compression
+//! codecs in [`compress`] (top-k sparsification, int8 quantization,
+//! identity — all with error feedback) that shrink every message path in
+//! the runtimes, as fused single-pass stream steps pinned bitwise to the
+//! composed sequences in [`compress::reference`].
 //!
 //! # Examples
 //!
@@ -28,6 +28,9 @@
 //! let c = a.matmul(&b);
 //! assert_eq!(c.data(), a.data());
 //! ```
+
+#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod compress;
 pub mod ops;

@@ -5,16 +5,16 @@
 //! without copying into tensor objects.
 //!
 //! The elementwise vector kernels ([`axpy`], [`axpby`], [`scale`],
-//! [`fill`], [`abs_into`], [`relu`], [`relu_backward`], and the Reduce
-//! kernels [`mean_into`]/[`weighted_mean_into`]) dispatch at runtime
-//! to the widest SIMD backend the host supports (see [`simd`]): 256-bit
-//! AVX2 intrinsics on capable x86-64, otherwise an 8-lane unrolled
-//! portable path. Every element is still computed by exactly the same
-//! scalar expression — multiply then add as two separate rounding steps,
-//! never fused — in the same order as the naive loop, so results are
-//! *bit-identical* to the [`mod@reference`] implementations on every
-//! backend: vectorization is a speed, not a semantics, change
-//! (property-tested per backend in `tests/chunked_kernels.rs`).
+//! [`fill`], [`relu`], [`relu_backward`]) and the Reduce sweep
+//! [`scaled_sum`] behind [`mean_into`] are each written once, over eight
+//! lanes (see [`simd`]), and run on the widest [`Backend`] the host has:
+//! `__m256` under AVX2 on capable x86-64, `[f32; 8]` elsewhere. Every
+//! element is still computed by exactly the scalar expression of the
+//! [`mod@reference`] oracle — multiply then add as two separate rounding
+//! steps, never fused — in the same order as the naive loop, so results
+//! are *bit-identical* to it on every backend: vectorization is a speed,
+//! not a semantics, change (tested per backend in
+//! `tests/chunked_kernels.rs`).
 //!
 //! The Reduce kernels are one sweep: each output element is accumulated
 //! in a register across the inputs — `0.0`, then `+ w_j * x_j[i]` in
@@ -33,19 +33,17 @@
 //! [`gemm`] compose [`axpy`], so they ride the SIMD backends for free
 //! without changing any accumulation order.
 
+pub mod simd;
+
+use simd::{on_backend, Backend, Lanes, LANES};
+
 /// `y += alpha * x` (AXPY), SIMD-dispatched.
 ///
 /// # Panics
 ///
 /// Panics if `x` and `y` have different lengths.
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-    assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if simd::avx2_available() {
-        simd::avx2::axpy(alpha, x, y);
-        return;
-    }
-    simd::portable::axpy(alpha, x, y);
+    Backend::host().axpy(alpha, x, y);
 }
 
 /// `y = alpha * x + beta * y`, SIMD-dispatched.
@@ -54,13 +52,7 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
 ///
 /// Panics if `x` and `y` have different lengths.
 pub fn axpby(alpha: f32, x: &[f32], beta: f32, y: &mut [f32]) {
-    assert_eq!(x.len(), y.len(), "axpby length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if simd::avx2_available() {
-        simd::avx2::axpby(alpha, x, beta, y);
-        return;
-    }
-    simd::portable::axpby(alpha, x, beta, y);
+    Backend::host().axpby(alpha, x, beta, y);
 }
 
 /// Dot product.
@@ -79,42 +71,12 @@ pub fn dot(x: &[f32], y: &[f32]) -> f32 {
 
 /// Scales a slice in place: `x *= alpha`, SIMD-dispatched.
 pub fn scale(alpha: f32, x: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if simd::avx2_available() {
-        simd::avx2::scale(alpha, x);
-        return;
-    }
-    simd::portable::scale(alpha, x);
+    Backend::host().scale(alpha, x);
 }
 
 /// Fills a slice with a constant, SIMD-dispatched.
 pub fn fill(value: f32, x: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if simd::avx2_available() {
-        simd::avx2::fill(value, x);
-        return;
-    }
-    simd::portable::fill(value, x);
-}
-
-/// Elementwise magnitude: `out[i] = |x[i]|`, SIMD-dispatched.
-///
-/// Clearing the sign bit is the same single bit operation on every
-/// backend (`f32::abs` scalar, sign-mask AND under AVX2), so the scan is
-/// bitwise deterministic — the property the top-k codec's selection
-/// order relies on.
-///
-/// # Panics
-///
-/// Panics if `x` and `out` have different lengths.
-pub fn abs_into(x: &[f32], out: &mut [f32]) {
-    assert_eq!(x.len(), out.len(), "abs_into length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if simd::avx2_available() {
-        simd::avx2::abs_into(x, out);
-        return;
-    }
-    simd::portable::abs_into(x, out);
+    Backend::host().fill(value, x);
 }
 
 /// Euclidean norm.
@@ -137,22 +99,6 @@ pub fn mean_into(inputs: &[&[f32]], out: &mut [f32]) {
     scaled_sum(inputs, None, 1.0 / inputs.len() as f32, None, out);
 }
 
-/// Weighted elementwise average: `out = sum(w_i * x_i) / sum(w_i)`.
-///
-/// This is the bounded-staleness Reduce of Eq. (2) in the paper.
-///
-/// # Panics
-///
-/// Panics if inputs/weights lengths mismatch, the weight sum is not
-/// positive, or any input length differs from `out`.
-pub fn weighted_mean_into(inputs: &[&[f32]], weights: &[f32], out: &mut [f32]) {
-    assert_eq!(inputs.len(), weights.len(), "inputs/weights mismatch");
-    assert!(!inputs.is_empty(), "weighted mean of zero slices");
-    let wsum: f32 = weights.iter().sum();
-    assert!(wsum > 0.0, "weight sum must be positive, got {wsum}");
-    scaled_sum(inputs, Some(weights), 1.0 / wsum, None, out);
-}
-
 /// A [`scaled_sum`]'s optional last term: `+ alpha * addend[i]`.
 pub type Tail<'a> = Option<(f32, &'a [f32])>;
 
@@ -162,6 +108,8 @@ pub type Tail<'a> = Option<(f32, &'a [f32])>;
 /// element, each product and each addition rounded on its own. A `tail`
 /// then adds `alpha * addend[i]`, product rounded before the sum: bit for
 /// bit the `axpy(alpha, addend, out)` pass it saves (Fig. 2b's Apply).
+/// With `weights` and `factor = 1 / Σw` this is the bounded-staleness
+/// Reduce of Eq. (2).
 ///
 /// # Panics
 ///
@@ -174,12 +122,7 @@ pub fn scaled_sum(
     tail: Tail<'_>,
     out: &mut [f32],
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if simd::avx2_available() {
-        simd::avx2::scaled_sum(inputs, weights, factor, tail, out);
-        return;
-    }
-    simd::portable::scaled_sum(inputs, weights, factor, tail, out);
+    Backend::host().scaled_sum(inputs, weights, factor, tail, out);
 }
 
 /// Row-major GEMV: `y = A x` where `A` is `m x n`.
@@ -244,12 +187,7 @@ pub fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
 /// pass through unchanged (which rules out a `max(x, 0)` formulation —
 /// `max(-0.0, 0.0)` would flip the sign bit).
 pub fn relu(x: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if simd::avx2_available() {
-        simd::avx2::relu(x);
-        return;
-    }
-    simd::portable::relu(x);
+    Backend::host().relu(x);
 }
 
 /// Backward of ReLU: zeroes `grad` wherever the forward input was
@@ -261,13 +199,7 @@ pub fn relu(x: &mut [f32]) {
 ///
 /// Panics if lengths mismatch.
 pub fn relu_backward(forward_input: &[f32], grad: &mut [f32]) {
-    assert_eq!(forward_input.len(), grad.len(), "relu_backward mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if simd::avx2_available() {
-        simd::avx2::relu_backward(forward_input, grad);
-        return;
-    }
-    simd::portable::relu_backward(forward_input, grad);
+    Backend::host().relu_backward(forward_input, grad);
 }
 
 /// Numerically stable in-place softmax over a single row.
@@ -299,629 +231,197 @@ pub fn argmax(x: &[f32]) -> usize {
     best
 }
 
-/// SIMD backends for the elementwise kernels.
-///
-/// Two implementations of each kernel live here:
-///
-/// * [`simd::portable`] — 8-lane manually unrolled code that compiles on
-///   every target and that the autovectorizer can widen to whatever
-///   vector ISA the build targets.
-/// * [`simd::avx2`] (x86-64 only) — hand-written 256-bit intrinsics,
-///   selected by the public dispatchers at runtime via
-///   [`simd::avx2_available`].
-///
-/// Both backends compute every element with exactly the scalar
-/// expression of [`mod@reference`]: multiply then add as
-/// two separate rounding steps (never FMA, which fuses them and changes
-/// the low bits), elements visited in ascending order. The dispatchers
-/// are therefore bit-identical no matter which backend runs; the suite
-/// in `tests/chunked_kernels.rs` pins each backend against the scalar
-/// oracle independently.
-pub mod simd {
-    /// Lane width of the portable unrolled kernels (also the f32 lane
-    /// count of a 256-bit AVX2 register).
-    pub const LANES: usize = 8;
-
-    use super::Tail;
-
-    /// Whether the public kernels will take the AVX2 backend on this
-    /// host. Always `false` off x86-64.
-    #[inline]
-    pub fn avx2_available() -> bool {
-        #[cfg(target_arch = "x86_64")]
-        {
-            std::arch::is_x86_feature_detected!("avx2")
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            false
-        }
-    }
-
-    /// The shape check every [`scaled_sum`](crate::ops::scaled_sum)
-    /// backend runs first: all inputs and the addend as long as `out`,
-    /// one weight per input. The AVX2 kernel's loads rely on it.
-    fn check_scaled_sum(inputs: &[&[f32]], weights: Option<&[f32]>, tail: Tail<'_>, out: &[f32]) {
+/// The dispatched kernels on an explicit backend: the shape checks, then
+/// the kernel's one body on this backend's lanes. Each panics as its free
+/// function does.
+impl Backend {
+    /// [`scaled_sum`] on this backend.
+    pub fn scaled_sum(
+        self,
+        inputs: &[&[f32]],
+        weights: Option<&[f32]>,
+        factor: f32,
+        tail: Tail<'_>,
+        out: &mut [f32],
+    ) {
         for x in inputs.iter().chain(tail.iter().map(|(_, addend)| addend)) {
             assert_eq!(x.len(), out.len(), "scaled_sum length mismatch");
         }
         if let Some(w) = weights {
             assert_eq!(w.len(), inputs.len(), "inputs/weights mismatch");
         }
+        on_backend!(self, scaled_sum_body(inputs, weights, factor, tail, out));
     }
 
-    /// Input `j`'s contribution to one element of a
-    /// [`scaled_sum`](crate::ops::scaled_sum): `w_j * x`, or `x` itself
-    /// when unweighted.
-    #[inline(always)]
-    fn term<const WEIGHTED: bool>(weights: &[f32], j: usize, x: f32) -> f32 {
-        if WEIGHTED {
-            weights[j] * x
-        } else {
-            x
+    /// [`axpy`] on this backend.
+    pub fn axpy(self, alpha: f32, x: &[f32], y: &mut [f32]) {
+        assert_eq!(x.len(), y.len(), "axpy length mismatch");
+        on_backend!(self, axpy_body(alpha, x, y));
+    }
+
+    /// [`axpby`] on this backend.
+    pub fn axpby(self, alpha: f32, x: &[f32], beta: f32, y: &mut [f32]) {
+        assert_eq!(x.len(), y.len(), "axpby length mismatch");
+        on_backend!(self, axpby_body(alpha, x, beta, y));
+    }
+
+    /// [`scale`] on this backend.
+    pub fn scale(self, alpha: f32, x: &mut [f32]) {
+        on_backend!(self, scale_body(alpha, x));
+    }
+
+    /// [`fill`] on this backend.
+    pub fn fill(self, value: f32, x: &mut [f32]) {
+        on_backend!(self, fill_body(value, x));
+    }
+
+    /// [`relu`] on this backend.
+    pub fn relu(self, x: &mut [f32]) {
+        on_backend!(self, relu_body(x));
+    }
+
+    /// [`relu_backward`] on this backend.
+    pub fn relu_backward(self, forward_input: &[f32], grad: &mut [f32]) {
+        assert_eq!(forward_input.len(), grad.len(), "relu_backward mismatch");
+        on_backend!(self, relu_backward_body(forward_input, grad));
+    }
+}
+
+/// [`scaled_sum`] on `V`. Each lane starts at `0.0` and adds its inputs
+/// left to right (`w_j * x_j` rounded before the add), then `* factor`,
+/// then `+ alpha * addend`, the product rounded first: the scalar tail's
+/// expression, which is the composed reference's per-element order. Four
+/// accumulator chains per group hide the add latency without reordering
+/// any lane's sum, and cost one bounds check per input per 32 elements.
+#[inline(always)]
+fn scaled_sum_body<V: Lanes>(
+    inputs: &[&[f32]],
+    weights: Option<&[f32]>,
+    factor: f32,
+    tail: Tail<'_>,
+    out: &mut [f32],
+) {
+    const CHAINS: usize = 4;
+    let (groups, rest) = out.as_chunks_mut::<{ CHAINS * LANES }>();
+    let done = groups.len() * CHAINS * LANES;
+    for (g, o) in groups.iter_mut().enumerate() {
+        let i = g * CHAINS * LANES;
+        let mut acc = [V::splat(0.0); CHAINS];
+        for (j, x) in inputs.iter().enumerate() {
+            let x = x[i..i + CHAINS * LANES].as_chunks::<LANES>().0;
+            for (a, xx) in acc.iter_mut().zip(x) {
+                let v = V::load(xx);
+                *a = a.add(weights.map_or(v, |w| V::splat(w[j]).mul(v)));
+            }
+        }
+        let addend = tail.map(|(alpha, a)| (V::splat(alpha), &a[i..i + CHAINS * LANES]));
+        let o = o.as_chunks_mut::<LANES>().0;
+        for (k, (a, oo)) in acc.into_iter().zip(o).enumerate() {
+            let r = a.mul(V::splat(factor));
+            match addend {
+                Some((va, aa)) => r.add(va.mul(V::load(&aa[k * LANES..]))).store(oo),
+                None => r.store(oo),
+            }
         }
     }
-
-    /// The last step of scalar [`scaled_sum`](crate::ops::scaled_sum)
-    /// element `i`: scale the sum, then add the tail's product.
-    #[inline(always)]
-    fn finish(acc: f32, factor: f32, tail: Tail<'_>, i: usize) -> f32 {
-        match tail {
+    for (k, oi) in rest.iter_mut().enumerate() {
+        let i = done + k;
+        let mut acc = 0.0f32;
+        for (j, x) in inputs.iter().enumerate() {
+            acc += weights.map_or(x[i], |w| w[j] * x[i]);
+        }
+        *oi = match tail {
             Some((alpha, addend)) => acc * factor + alpha * addend[i],
             None => acc * factor,
-        }
-    }
-
-    /// Portable 8-lane unrolled kernels — the fallback backend.
-    pub mod portable {
-        use super::{finish, term, Tail, LANES};
-
-        /// One-sweep `out = (Σ w_j * x_j) * factor [+ tail]`, 8-lane unrolled
-        /// (see [`scaled_sum`](crate::ops::scaled_sum)).
-        ///
-        /// # Panics
-        ///
-        /// Panics on a length mismatch.
-        pub fn scaled_sum(
-            inputs: &[&[f32]],
-            weights: Option<&[f32]>,
-            factor: f32,
-            tail: Tail<'_>,
-            out: &mut [f32],
-        ) {
-            super::check_scaled_sum(inputs, weights, tail, out);
-            match weights {
-                Some(w) => scaled_sum_impl::<true>(inputs, w, factor, tail, out),
-                None => scaled_sum_impl::<false>(inputs, &[], factor, tail, out),
-            }
-        }
-
-        fn scaled_sum_impl<const WEIGHTED: bool>(
-            inputs: &[&[f32]],
-            weights: &[f32],
-            factor: f32,
-            tail: Tail<'_>,
-            out: &mut [f32],
-        ) {
-            let mut oc = out.chunks_exact_mut(LANES);
-            let mut base = 0;
-            for oo in oc.by_ref() {
-                let mut acc = [0.0f32; LANES];
-                for (j, x) in inputs.iter().enumerate() {
-                    let xx = &x[base..base + LANES];
-                    for l in 0..LANES {
-                        acc[l] += term::<WEIGHTED>(weights, j, xx[l]);
-                    }
-                }
-                for l in 0..LANES {
-                    oo[l] = acc[l] * factor;
-                }
-                if let Some((alpha, addend)) = tail {
-                    let aa = &addend[base..base + LANES];
-                    for l in 0..LANES {
-                        oo[l] += alpha * aa[l];
-                    }
-                }
-                base += LANES;
-            }
-            for (i, oi) in oc.into_remainder().iter_mut().enumerate() {
-                let mut acc = 0.0f32;
-                for (j, x) in inputs.iter().enumerate() {
-                    acc += term::<WEIGHTED>(weights, j, x[base + i]);
-                }
-                *oi = finish(acc, factor, tail, base + i);
-            }
-        }
-
-        /// `y += alpha * x`, 8-lane unrolled.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `x` and `y` have different lengths.
-        pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-            assert_eq!(x.len(), y.len(), "axpy length mismatch");
-            let mut yc = y.chunks_exact_mut(LANES);
-            let mut xc = x.chunks_exact(LANES);
-            for (yy, xx) in yc.by_ref().zip(xc.by_ref()) {
-                for l in 0..LANES {
-                    yy[l] += alpha * xx[l];
-                }
-            }
-            for (yi, xi) in yc.into_remainder().iter_mut().zip(xc.remainder()) {
-                *yi += alpha * xi;
-            }
-        }
-
-        /// `y = alpha * x + beta * y`, 8-lane unrolled.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `x` and `y` have different lengths.
-        pub fn axpby(alpha: f32, x: &[f32], beta: f32, y: &mut [f32]) {
-            assert_eq!(x.len(), y.len(), "axpby length mismatch");
-            let mut yc = y.chunks_exact_mut(LANES);
-            let mut xc = x.chunks_exact(LANES);
-            for (yy, xx) in yc.by_ref().zip(xc.by_ref()) {
-                for l in 0..LANES {
-                    yy[l] = alpha * xx[l] + beta * yy[l];
-                }
-            }
-            for (yi, xi) in yc.into_remainder().iter_mut().zip(xc.remainder()) {
-                *yi = alpha * xi + beta * *yi;
-            }
-        }
-
-        /// `x *= alpha`, 8-lane unrolled.
-        pub fn scale(alpha: f32, x: &mut [f32]) {
-            let mut xc = x.chunks_exact_mut(LANES);
-            for xx in xc.by_ref() {
-                for l in 0..LANES {
-                    xx[l] *= alpha;
-                }
-            }
-            for xi in xc.into_remainder() {
-                *xi *= alpha;
-            }
-        }
-
-        /// `x[i] = value`, 8-lane unrolled.
-        pub fn fill(value: f32, x: &mut [f32]) {
-            let mut xc = x.chunks_exact_mut(LANES);
-            for xx in xc.by_ref() {
-                for l in 0..LANES {
-                    xx[l] = value;
-                }
-            }
-            for xi in xc.into_remainder() {
-                *xi = value;
-            }
-        }
-
-        /// `out[i] = |x[i]|`, 8-lane unrolled.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `x` and `out` have different lengths.
-        pub fn abs_into(x: &[f32], out: &mut [f32]) {
-            assert_eq!(x.len(), out.len(), "abs_into length mismatch");
-            let mut oc = out.chunks_exact_mut(LANES);
-            let mut xc = x.chunks_exact(LANES);
-            for (oo, xx) in oc.by_ref().zip(xc.by_ref()) {
-                for l in 0..LANES {
-                    oo[l] = xx[l].abs();
-                }
-            }
-            for (oi, xi) in oc.into_remainder().iter_mut().zip(xc.remainder()) {
-                *oi = xi.abs();
-            }
-        }
-
-        /// In-place ReLU, 8-lane unrolled (`-0.0` and NaN pass through).
-        pub fn relu(x: &mut [f32]) {
-            let mut xc = x.chunks_exact_mut(LANES);
-            for xx in xc.by_ref() {
-                for l in 0..LANES {
-                    if xx[l] < 0.0 {
-                        xx[l] = 0.0;
-                    }
-                }
-            }
-            for xi in xc.into_remainder() {
-                if *xi < 0.0 {
-                    *xi = 0.0;
-                }
-            }
-        }
-
-        /// ReLU backward, 8-lane unrolled.
-        ///
-        /// # Panics
-        ///
-        /// Panics if the lengths mismatch.
-        pub fn relu_backward(forward_input: &[f32], grad: &mut [f32]) {
-            assert_eq!(forward_input.len(), grad.len(), "relu_backward mismatch");
-            let mut gc = grad.chunks_exact_mut(LANES);
-            let mut xc = forward_input.chunks_exact(LANES);
-            for (gg, xx) in gc.by_ref().zip(xc.by_ref()) {
-                for l in 0..LANES {
-                    if xx[l] <= 0.0 {
-                        gg[l] = 0.0;
-                    }
-                }
-            }
-            for (gi, xi) in gc.into_remainder().iter_mut().zip(xc.remainder()) {
-                if *xi <= 0.0 {
-                    *gi = 0.0;
-                }
-            }
-        }
-    }
-
-    /// Hand-written AVX2 kernels (256-bit, 8 × f32 per operation).
-    ///
-    /// Each vector lane evaluates the exact scalar expression — separate
-    /// `_mm256_mul_ps` and `_mm256_add_ps`, never an FMA — so the result
-    /// is bit-identical to [`portable`] and
-    /// [`reference`](crate::ops::reference). The tail (< 8 elements) runs
-    /// the scalar expression directly.
-    #[cfg(target_arch = "x86_64")]
-    pub mod avx2 {
-        #![deny(unsafe_op_in_unsafe_fn)]
-
-        use core::arch::x86_64::{
-            _mm256_add_ps, _mm256_and_ps, _mm256_andnot_ps, _mm256_castsi256_ps, _mm256_cmp_ps,
-            _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setzero_ps,
-            _mm256_storeu_ps, _CMP_LE_OQ, _CMP_LT_OQ,
         };
-
-        use super::{finish, term, Tail, LANES};
-
-        /// One-sweep `out = (Σ w_j * x_j) * factor [+ tail]` via 256-bit lanes
-        /// (see [`scaled_sum`](crate::ops::scaled_sum)).
-        ///
-        /// # Panics
-        ///
-        /// Panics on a length mismatch or if the host lacks AVX2.
-        pub fn scaled_sum(
-            inputs: &[&[f32]],
-            weights: Option<&[f32]>,
-            factor: f32,
-            tail: Tail<'_>,
-            out: &mut [f32],
-        ) {
-            super::check_scaled_sum(inputs, weights, tail, out);
-            assert!(super::avx2_available(), "host CPU lacks AVX2");
-            // SAFETY: AVX2 support was just verified at runtime, and
-            // `check_scaled_sum` established the kernels' precondition
-            // (inputs and addend as long as `out`, one weight per input).
-            unsafe {
-                match weights {
-                    Some(w) => scaled_sum_impl::<true>(inputs, w, factor, tail, out),
-                    None => scaled_sum_impl::<false>(inputs, &[], factor, tail, out),
-                }
-            }
-        }
-
-        /// `y += alpha * x` via 256-bit lanes.
-        ///
-        /// # Panics
-        ///
-        /// Panics if the lengths mismatch or the host lacks AVX2.
-        pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-            assert_eq!(x.len(), y.len(), "axpy length mismatch");
-            assert!(super::avx2_available(), "host CPU lacks AVX2");
-            // SAFETY: AVX2 support was just verified at runtime.
-            unsafe { axpy_impl(alpha, x, y) }
-        }
-
-        /// `y = alpha * x + beta * y` via 256-bit lanes.
-        ///
-        /// # Panics
-        ///
-        /// Panics if the lengths mismatch or the host lacks AVX2.
-        pub fn axpby(alpha: f32, x: &[f32], beta: f32, y: &mut [f32]) {
-            assert_eq!(x.len(), y.len(), "axpby length mismatch");
-            assert!(super::avx2_available(), "host CPU lacks AVX2");
-            // SAFETY: AVX2 support was just verified at runtime.
-            unsafe { axpby_impl(alpha, x, beta, y) }
-        }
-
-        /// `x *= alpha` via 256-bit lanes.
-        ///
-        /// # Panics
-        ///
-        /// Panics if the host lacks AVX2.
-        pub fn scale(alpha: f32, x: &mut [f32]) {
-            assert!(super::avx2_available(), "host CPU lacks AVX2");
-            // SAFETY: AVX2 support was just verified at runtime.
-            unsafe { scale_impl(alpha, x) }
-        }
-
-        /// `x[i] = value` via 256-bit lanes.
-        ///
-        /// # Panics
-        ///
-        /// Panics if the host lacks AVX2.
-        pub fn fill(value: f32, x: &mut [f32]) {
-            assert!(super::avx2_available(), "host CPU lacks AVX2");
-            // SAFETY: AVX2 support was just verified at runtime.
-            unsafe { fill_impl(value, x) }
-        }
-
-        /// `out[i] = |x[i]|` via 256-bit lanes (sign-bit AND — the exact
-        /// bit operation of scalar `f32::abs`, including on NaN).
-        ///
-        /// # Panics
-        ///
-        /// Panics if the lengths mismatch or the host lacks AVX2.
-        pub fn abs_into(x: &[f32], out: &mut [f32]) {
-            assert_eq!(x.len(), out.len(), "abs_into length mismatch");
-            assert!(super::avx2_available(), "host CPU lacks AVX2");
-            // SAFETY: AVX2 support was just verified at runtime.
-            unsafe { abs_into_impl(x, out) }
-        }
-
-        /// In-place ReLU via 256-bit lanes.
-        ///
-        /// # Panics
-        ///
-        /// Panics if the host lacks AVX2.
-        pub fn relu(x: &mut [f32]) {
-            assert!(super::avx2_available(), "host CPU lacks AVX2");
-            // SAFETY: AVX2 support was just verified at runtime.
-            unsafe { relu_impl(x) }
-        }
-
-        /// ReLU backward via 256-bit lanes.
-        ///
-        /// # Panics
-        ///
-        /// Panics if the lengths mismatch or the host lacks AVX2.
-        pub fn relu_backward(forward_input: &[f32], grad: &mut [f32]) {
-            assert_eq!(forward_input.len(), grad.len(), "relu_backward mismatch");
-            assert!(super::avx2_available(), "host CPU lacks AVX2");
-            // SAFETY: AVX2 support was just verified at runtime.
-            unsafe { relu_backward_impl(forward_input, grad) }
-        }
-
-        /// # Safety
-        ///
-        /// Requires AVX2, `x.len() == out.len()` for every input `x` and the
-        /// tail's addend, and (when `WEIGHTED`) `weights.len() == inputs.len()`.
-        #[target_feature(enable = "avx2")]
-        unsafe fn scaled_sum_impl<const WEIGHTED: bool>(
-            inputs: &[&[f32]],
-            weights: &[f32],
-            factor: f32,
-            tail: Tail<'_>,
-            out: &mut [f32],
-        ) {
-            let n = out.len();
-            let vf = _mm256_set1_ps(factor);
-            let mut i = 0;
-            // Two independent accumulator chains per pass hide the add
-            // latency; each lane still sums its inputs left to right.
-            while i + 2 * LANES <= n {
-                let mut acc0 = _mm256_setzero_ps();
-                let mut acc1 = _mm256_setzero_ps();
-                for (j, x) in inputs.iter().enumerate() {
-                    // SAFETY: `x.len() == n` (precondition) and
-                    // `i + 2 * LANES <= n` bound both loads.
-                    let (mut v0, mut v1) = unsafe {
-                        (
-                            _mm256_loadu_ps(x.as_ptr().add(i)),
-                            _mm256_loadu_ps(x.as_ptr().add(i + LANES)),
-                        )
-                    };
-                    if WEIGHTED {
-                        // mul then add, two rounding steps (never FMA).
-                        let vw = _mm256_set1_ps(weights[j]);
-                        v0 = _mm256_mul_ps(vw, v0);
-                        v1 = _mm256_mul_ps(vw, v1);
-                    }
-                    acc0 = _mm256_add_ps(acc0, v0);
-                    acc1 = _mm256_add_ps(acc1, v1);
-                }
-                let (mut r0, mut r1) = (_mm256_mul_ps(acc0, vf), _mm256_mul_ps(acc1, vf));
-                if let Some((alpha, addend)) = tail {
-                    let va = _mm256_set1_ps(alpha);
-                    // `r + alpha * a`, the product rounded first: `axpy`'s
-                    // expression, operands in its order.
-                    // SAFETY: `addend.len() == n` (precondition) and
-                    // `i + 2 * LANES <= n` bound both loads.
-                    unsafe {
-                        let a = addend.as_ptr().add(i);
-                        r0 = _mm256_add_ps(r0, _mm256_mul_ps(va, _mm256_loadu_ps(a)));
-                        r1 = _mm256_add_ps(r1, _mm256_mul_ps(va, _mm256_loadu_ps(a.add(LANES))));
-                    }
-                }
-                // SAFETY: `i + 2 * LANES <= n == out.len()` bounds both
-                // stores.
-                unsafe {
-                    _mm256_storeu_ps(out.as_mut_ptr().add(i), r0);
-                    _mm256_storeu_ps(out.as_mut_ptr().add(i + LANES), r1);
-                }
-                i += 2 * LANES;
-            }
-            while i < n {
-                let mut acc = 0.0f32;
-                for (j, x) in inputs.iter().enumerate() {
-                    acc += term::<WEIGHTED>(weights, j, x[i]);
-                }
-                out[i] = finish(acc, factor, tail, i);
-                i += 1;
-            }
-        }
-
-        #[target_feature(enable = "avx2")]
-        unsafe fn axpy_impl(alpha: f32, x: &[f32], y: &mut [f32]) {
-            let n = x.len();
-            let va = _mm256_set1_ps(alpha);
-            let mut i = 0;
-            while i + LANES <= n {
-                // SAFETY: `i + LANES <= n` bounds both loads and the store.
-                unsafe {
-                    let vx = _mm256_loadu_ps(x.as_ptr().add(i));
-                    let vy = _mm256_loadu_ps(y.as_ptr().add(i));
-                    // mul then add, two rounding steps: matches scalar
-                    // `y + alpha * x` bitwise (an FMA would not).
-                    _mm256_storeu_ps(
-                        y.as_mut_ptr().add(i),
-                        _mm256_add_ps(vy, _mm256_mul_ps(va, vx)),
-                    );
-                }
-                i += LANES;
-            }
-            while i < n {
-                y[i] += alpha * x[i];
-                i += 1;
-            }
-        }
-
-        #[target_feature(enable = "avx2")]
-        unsafe fn axpby_impl(alpha: f32, x: &[f32], beta: f32, y: &mut [f32]) {
-            let n = x.len();
-            let va = _mm256_set1_ps(alpha);
-            let vb = _mm256_set1_ps(beta);
-            let mut i = 0;
-            while i + LANES <= n {
-                // SAFETY: `i + LANES <= n` bounds both loads and the store.
-                unsafe {
-                    let vx = _mm256_loadu_ps(x.as_ptr().add(i));
-                    let vy = _mm256_loadu_ps(y.as_ptr().add(i));
-                    // alpha*x and beta*y each round once, then one add:
-                    // the exact scalar evaluation order of `axpby`.
-                    let r = _mm256_add_ps(_mm256_mul_ps(va, vx), _mm256_mul_ps(vb, vy));
-                    _mm256_storeu_ps(y.as_mut_ptr().add(i), r);
-                }
-                i += LANES;
-            }
-            while i < n {
-                y[i] = alpha * x[i] + beta * y[i];
-                i += 1;
-            }
-        }
-
-        #[target_feature(enable = "avx2")]
-        unsafe fn scale_impl(alpha: f32, x: &mut [f32]) {
-            let n = x.len();
-            let va = _mm256_set1_ps(alpha);
-            let mut i = 0;
-            while i + LANES <= n {
-                // SAFETY: `i + LANES <= n` bounds the load and the store.
-                unsafe {
-                    let vx = _mm256_loadu_ps(x.as_ptr().add(i));
-                    _mm256_storeu_ps(x.as_mut_ptr().add(i), _mm256_mul_ps(vx, va));
-                }
-                i += LANES;
-            }
-            while i < n {
-                x[i] *= alpha;
-                i += 1;
-            }
-        }
-
-        #[target_feature(enable = "avx2")]
-        unsafe fn fill_impl(value: f32, x: &mut [f32]) {
-            let n = x.len();
-            let vv = _mm256_set1_ps(value);
-            let mut i = 0;
-            while i + LANES <= n {
-                // SAFETY: `i + LANES <= n` bounds the store.
-                unsafe {
-                    _mm256_storeu_ps(x.as_mut_ptr().add(i), vv);
-                }
-                i += LANES;
-            }
-            while i < n {
-                x[i] = value;
-                i += 1;
-            }
-        }
-
-        #[target_feature(enable = "avx2")]
-        unsafe fn abs_into_impl(x: &[f32], out: &mut [f32]) {
-            let n = x.len();
-            // Clearing the sign bit is exactly what scalar `f32::abs`
-            // does, for every input including NaN payloads.
-            let mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFF_FFFF));
-            let mut i = 0;
-            while i + LANES <= n {
-                // SAFETY: `i + LANES <= n` bounds the load and the store.
-                unsafe {
-                    let vx = _mm256_loadu_ps(x.as_ptr().add(i));
-                    _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_and_ps(vx, mask));
-                }
-                i += LANES;
-            }
-            while i < n {
-                out[i] = x[i].abs();
-                i += 1;
-            }
-        }
-
-        #[target_feature(enable = "avx2")]
-        unsafe fn relu_impl(x: &mut [f32]) {
-            let n = x.len();
-            let zero = _mm256_set1_ps(0.0);
-            let mut i = 0;
-            while i + LANES <= n {
-                // SAFETY: `i + LANES <= n` bounds the load and the store.
-                unsafe {
-                    let vx = _mm256_loadu_ps(x.as_ptr().add(i));
-                    // Mask of lanes with x < 0 (ordered: NaN compares
-                    // false, so NaN lanes pass through — the scalar
-                    // semantics). andnot zeroes exactly those lanes,
-                    // leaving -0.0 and NaN untouched where a max() would
-                    // not.
-                    let neg = _mm256_cmp_ps::<_CMP_LT_OQ>(vx, zero);
-                    _mm256_storeu_ps(x.as_mut_ptr().add(i), _mm256_andnot_ps(neg, vx));
-                }
-                i += LANES;
-            }
-            while i < n {
-                if x[i] < 0.0 {
-                    x[i] = 0.0;
-                }
-                i += 1;
-            }
-        }
-
-        #[target_feature(enable = "avx2")]
-        unsafe fn relu_backward_impl(forward_input: &[f32], grad: &mut [f32]) {
-            let n = grad.len();
-            let zero = _mm256_set1_ps(0.0);
-            let mut i = 0;
-            while i + LANES <= n {
-                // SAFETY: `i + LANES <= n` bounds both loads and the store.
-                unsafe {
-                    let vx = _mm256_loadu_ps(forward_input.as_ptr().add(i));
-                    let vg = _mm256_loadu_ps(grad.as_ptr().add(i));
-                    // x <= 0 (ordered) selects the lanes to zero; NaN
-                    // forward inputs compare false and keep their
-                    // gradient, matching the scalar loop.
-                    let dead = _mm256_cmp_ps::<_CMP_LE_OQ>(vx, zero);
-                    _mm256_storeu_ps(grad.as_mut_ptr().add(i), _mm256_andnot_ps(dead, vg));
-                }
-                i += LANES;
-            }
-            while i < n {
-                if forward_input[i] <= 0.0 {
-                    grad[i] = 0.0;
-                }
-                i += 1;
-            }
-        }
     }
+}
+
+/// The loop of the elementwise kernels that rewrite `y` from `x` and
+/// itself: `lanes` on every full group of eight, then `scalar`, the same
+/// expression per element, on the tail.
+#[inline(always)]
+fn zip_update<V: Lanes>(
+    x: &[f32],
+    y: &mut [f32],
+    lanes: impl Fn(V, V) -> V,
+    scalar: impl Fn(f32, f32) -> f32,
+) {
+    let (xs, x_tail) = x.as_chunks::<LANES>();
+    let (ys, y_tail) = y.as_chunks_mut::<LANES>();
+    for (yy, xx) in ys.iter_mut().zip(xs) {
+        lanes(V::load(xx), V::load(yy)).store(yy);
+    }
+    for (yi, &xi) in y_tail.iter_mut().zip(x_tail) {
+        *yi = scalar(xi, *yi);
+    }
+}
+
+/// [`zip_update`] for the kernels that rewrite `x` from itself alone.
+#[inline(always)]
+fn update<V: Lanes>(x: &mut [f32], lanes: impl Fn(V) -> V, scalar: impl Fn(f32) -> f32) {
+    let (xs, tail) = x.as_chunks_mut::<LANES>();
+    for xx in xs {
+        lanes(V::load(xx)).store(xx);
+    }
+    for xi in tail {
+        *xi = scalar(*xi);
+    }
+}
+
+/// [`axpy`] on `V`: `y + alpha * x`, the product rounded before the add.
+#[inline(always)]
+fn axpy_body<V: Lanes>(alpha: f32, x: &[f32], y: &mut [f32]) {
+    let va = V::splat(alpha);
+    zip_update(x, y, |x: V, y| y.add(va.mul(x)), |x, y| y + alpha * x);
+}
+
+/// [`axpby`] on `V`: `alpha * x` and `beta * y` each rounded, then added.
+#[inline(always)]
+fn axpby_body<V: Lanes>(alpha: f32, x: &[f32], beta: f32, y: &mut [f32]) {
+    let (va, vb) = (V::splat(alpha), V::splat(beta));
+    let lanes = |x: V, y: V| va.mul(x).add(vb.mul(y));
+    zip_update(x, y, lanes, |x, y| alpha * x + beta * y);
+}
+
+/// [`scale`] on `V`: `x * alpha`.
+#[inline(always)]
+fn scale_body<V: Lanes>(alpha: f32, x: &mut [f32]) {
+    let va = V::splat(alpha);
+    update(x, |x: V| x.mul(va), |x| x * alpha);
+}
+
+/// [`fill`] on `V`.
+#[inline(always)]
+fn fill_body<V: Lanes>(value: f32, x: &mut [f32]) {
+    let vv = V::splat(value);
+    update(x, |_: V| vv, |_| value);
+}
+
+/// [`relu`] on `V`: a select, not a `max(x, 0)`, so `-0.0` and NaN keep
+/// their bits.
+#[inline(always)]
+fn relu_body<V: Lanes>(x: &mut [f32]) {
+    let scalar = |x: f32| if x < 0.0 { 0.0 } else { x };
+    update(x, |x: V| x.zero_where_negative(x), scalar);
+}
+
+/// [`relu_backward`] on `V`: `grad` zeroed where `forward_input <= 0.0`,
+/// which is false for NaN.
+#[inline(always)]
+fn relu_backward_body<V: Lanes>(forward_input: &[f32], grad: &mut [f32]) {
+    let lanes = |x: V, g: V| g.zero_where_nonpositive(x);
+    let scalar = |x: f32, g: f32| if x <= 0.0 { 0.0 } else { g };
+    zip_update(forward_input, grad, lanes, scalar);
 }
 
 /// Naive scalar implementations of the vectorized kernels.
 ///
 /// These are the bit-exactness oracles: the dispatched [`axpy`],
-/// [`axpby`], [`scale`], [`mean_into`] and [`weighted_mean_into`] — and
-/// both [`simd`] backends individually — must produce identical bits for
-/// every input (see `tests/chunked_kernels.rs`). They are also the
-/// "scalar" side of the `hot_path` benchmark.
+/// [`axpby`], [`scale`], [`mean_into`] and [`scaled_sum`] — on every
+/// [`Backend`] — must produce identical bits for every input (see
+/// `tests/chunked_kernels.rs`). They are also the "scalar" side of the
+/// `hot_path` benchmark.
 pub mod reference {
     /// Scalar `y += alpha * x`.
     ///
@@ -1063,16 +563,8 @@ mod tests {
         let a = [4.0, 0.0];
         let b = [0.0, 4.0];
         let mut out = [0.0; 2];
-        weighted_mean_into(&[&a, &b], &[3.0, 1.0], &mut out);
+        scaled_sum(&[&a, &b], Some(&[3.0, 1.0]), 1.0 / 4.0, None, &mut out);
         assert_eq!(out, [3.0, 1.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "weight sum must be positive")]
-    fn weighted_mean_rejects_zero_weights() {
-        let a = [1.0];
-        let mut out = [0.0];
-        weighted_mean_into(&[&a[..]], &[0.0], &mut out);
     }
 
     #[test]

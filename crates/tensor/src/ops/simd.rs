@@ -1,0 +1,370 @@
+//! The eight-lane vector type every SIMD kernel is written against.
+//!
+//! Each kernel of [`crate::ops`] and [`crate::compress::kernels`] is one
+//! `#[inline(always)]` body generic over the crate-private `Lanes` trait,
+//! scalar tail included, run on a [`Backend`]: with `[f32; 8]` lanes
+//! (plain Rust, every target) or with `__m256` lanes inside a
+//! `#[target_feature(enable = "avx2")]` function, where each `Lanes` op
+//! inlines to one 256-bit instruction. Every op is defined by the scalar
+//! expression it computes per lane, which the `[f32; 8]` impl writes
+//! literally and this module's tests pin the `__m256` impl to, bit for
+//! bit: a body gives the same bits on both backends.
+
+/// Lanes per vector: the width of both lane types.
+pub const LANES: usize = 8;
+
+/// Whether this CPU runs the AVX2 backend. Always `false` off x86-64.
+#[inline]
+pub fn avx2_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Which lane type a kernel runs on. Every kernel gives the same bits on
+/// both.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Backend {
+    /// `[f32; 8]` lanes: runs everywhere.
+    Portable,
+    /// `__m256` lanes: a kernel run on it panics unless
+    /// [`avx2_available`].
+    Avx2,
+}
+
+impl Backend {
+    /// The widest backend this CPU runs, which the free-function kernels
+    /// use.
+    #[inline]
+    pub fn host() -> Self {
+        if avx2_available() {
+            Self::Avx2
+        } else {
+            Self::Portable
+        }
+    }
+}
+
+/// Runs a kernel body on a [`Backend`]: `body::<[f32; 8]>(args)`, or
+/// `body::<__m256>(args)` compiled with AVX2 enabled.
+macro_rules! on_backend {
+    ($backend:expr, $body:ident($($arg:expr),* $(,)?)) => {
+        match $backend {
+            $crate::ops::simd::Backend::Portable => {
+                $body::<[f32; $crate::ops::simd::LANES]>($($arg),*)
+            }
+            #[cfg(target_arch = "x86_64")]
+            $crate::ops::simd::Backend::Avx2 => {
+                assert!($crate::ops::simd::avx2_available(), "host CPU lacks AVX2");
+                // SAFETY: the CPU has AVX2, as just asserted.
+                unsafe {
+                    $crate::ops::simd::with_avx2(|| {
+                        $body::<core::arch::x86_64::__m256>($($arg),*)
+                    })
+                }
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            $crate::ops::simd::Backend::Avx2 => panic!("host CPU lacks AVX2"),
+        }
+    };
+}
+pub(crate) use on_backend;
+
+/// Calls `kernel` in a function compiled with AVX2, so the `__m256`
+/// `Lanes` ops it reaches inline into 256-bit instructions.
+///
+/// # Safety
+///
+/// The CPU must have AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn with_avx2<R>(kernel: impl FnOnce() -> R) -> R {
+    kernel()
+}
+
+/// Eight `f32` lanes. Each op is documented by the scalar expression it
+/// computes in every lane (`a` is `self`'s lane, `b` the argument's), and
+/// rounds once, on its own: no two ops fuse (no FMA).
+///
+/// The `__m256` impl assumes AVX2: a body reaches it only through
+/// [`on_backend`], which checks.
+pub(crate) trait Lanes: Copy {
+    /// `v` in every lane.
+    fn splat(v: f32) -> Self;
+    /// `x[l]`. Panics if `x` has fewer than 8 elements.
+    fn load(x: &[f32]) -> Self;
+    /// `out[l] = a`. Panics if `out` has fewer than 8 elements.
+    fn store(self, out: &mut [f32]);
+    /// `a + b` (so `-0.0 + 0.0` is `+0.0`: adding zero is not a no-op).
+    fn add(self, b: Self) -> Self;
+    /// `a - b`.
+    fn sub(self, b: Self) -> Self;
+    /// `a * b`.
+    fn mul(self, b: Self) -> Self;
+    /// `a / b`.
+    fn div(self, b: Self) -> Self;
+    /// `a.abs()`: the sign bit cleared, also on NaN.
+    fn abs(self) -> Self;
+    /// `if a > b { a } else { b }`: `b` when either is NaN, and `b` for
+    /// `(+0.0, -0.0)` in either order — x86 `maxps`, not `f32::max`.
+    fn max(self, b: Self) -> Self;
+    /// `if a < b { a } else { b }`: `b` when either is NaN or both are
+    /// zeros — x86 `minps`, not `f32::min`.
+    fn min(self, b: Self) -> Self;
+    /// `if b < 0.0 { 0.0 } else { a }`: NaN and `-0.0` in `b` keep `a`.
+    fn zero_where_negative(self, b: Self) -> Self;
+    /// `if b <= 0.0 { 0.0 } else { a }`: NaN in `b` keeps `a`.
+    fn zero_where_nonpositive(self, b: Self) -> Self;
+    /// `if a.is_nan() { 0.0 } else { a }`.
+    fn zero_nan(self) -> Self;
+    /// `a.round_ties_even()`.
+    fn round_ties_even(self) -> Self;
+    /// `out[l] = a as i8`, for lanes holding integers in `-128..=127`
+    /// (other lanes store unspecified bytes). Panics if `out` has fewer
+    /// than 8 elements.
+    fn store_i8(self, out: &mut [i8]);
+}
+
+/// `[f(a[l], b[l]); 8]`.
+fn zip(a: [f32; LANES], b: [f32; LANES], f: impl Fn(f32, f32) -> f32) -> [f32; LANES] {
+    std::array::from_fn(|l| f(a[l], b[l]))
+}
+
+impl Lanes for [f32; LANES] {
+    fn splat(v: f32) -> Self {
+        [v; LANES]
+    }
+    fn load(x: &[f32]) -> Self {
+        let mut v = [0.0; LANES];
+        v.copy_from_slice(&x[..LANES]);
+        v
+    }
+    fn store(self, out: &mut [f32]) {
+        out[..LANES].copy_from_slice(&self);
+    }
+    fn add(self, b: Self) -> Self {
+        zip(self, b, |a, b| a + b)
+    }
+    fn sub(self, b: Self) -> Self {
+        zip(self, b, |a, b| a - b)
+    }
+    fn mul(self, b: Self) -> Self {
+        zip(self, b, |a, b| a * b)
+    }
+    fn div(self, b: Self) -> Self {
+        zip(self, b, |a, b| a / b)
+    }
+    fn abs(self) -> Self {
+        self.map(f32::abs)
+    }
+    fn max(self, b: Self) -> Self {
+        zip(self, b, |a, b| if a > b { a } else { b })
+    }
+    fn min(self, b: Self) -> Self {
+        zip(self, b, |a, b| if a < b { a } else { b })
+    }
+    fn zero_where_negative(self, b: Self) -> Self {
+        zip(self, b, |a, b| if b < 0.0 { 0.0 } else { a })
+    }
+    fn zero_where_nonpositive(self, b: Self) -> Self {
+        zip(self, b, |a, b| if b <= 0.0 { 0.0 } else { a })
+    }
+    fn zero_nan(self) -> Self {
+        self.map(|a| if a.is_nan() { 0.0 } else { a })
+    }
+    fn round_ties_even(self) -> Self {
+        self.map(f32::round_ties_even)
+    }
+    fn store_i8(self, out: &mut [i8]) {
+        for (o, a) in out[..LANES].iter_mut().zip(self) {
+            *o = a as i8;
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use core::arch::x86_64::*;
+
+    use super::{Lanes, LANES};
+
+    // Every SAFETY comment below leans on the trait's contract: a `__m256`
+    // op runs only on a CPU with AVX2.
+    impl Lanes for __m256 {
+        #[inline(always)]
+        fn splat(v: f32) -> Self {
+            // SAFETY: AVX2 is present.
+            unsafe { _mm256_set1_ps(v) }
+        }
+        #[inline(always)]
+        fn load(x: &[f32]) -> Self {
+            let x = &x[..LANES];
+            // SAFETY: AVX2 is present; `x` holds the 8 floats read.
+            unsafe { _mm256_loadu_ps(x.as_ptr()) }
+        }
+        #[inline(always)]
+        fn store(self, out: &mut [f32]) {
+            let out = &mut out[..LANES];
+            // SAFETY: AVX2 is present; `out` holds the 8 floats written.
+            unsafe { _mm256_storeu_ps(out.as_mut_ptr(), self) }
+        }
+        #[inline(always)]
+        fn add(self, b: Self) -> Self {
+            // SAFETY: AVX2 is present.
+            unsafe { _mm256_add_ps(self, b) }
+        }
+        #[inline(always)]
+        fn sub(self, b: Self) -> Self {
+            // SAFETY: AVX2 is present.
+            unsafe { _mm256_sub_ps(self, b) }
+        }
+        #[inline(always)]
+        fn mul(self, b: Self) -> Self {
+            // SAFETY: AVX2 is present.
+            unsafe { _mm256_mul_ps(self, b) }
+        }
+        #[inline(always)]
+        fn div(self, b: Self) -> Self {
+            // SAFETY: AVX2 is present.
+            unsafe { _mm256_div_ps(self, b) }
+        }
+        #[inline(always)]
+        fn abs(self) -> Self {
+            // SAFETY: AVX2 is present.
+            unsafe { _mm256_and_ps(self, _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFF_FFFF))) }
+        }
+        #[inline(always)]
+        fn max(self, b: Self) -> Self {
+            // SAFETY: AVX2 is present.
+            unsafe { _mm256_max_ps(self, b) }
+        }
+        #[inline(always)]
+        fn min(self, b: Self) -> Self {
+            // SAFETY: AVX2 is present.
+            unsafe { _mm256_min_ps(self, b) }
+        }
+        #[inline(always)]
+        fn zero_where_negative(self, b: Self) -> Self {
+            // SAFETY: AVX2 is present.
+            unsafe { _mm256_andnot_ps(_mm256_cmp_ps::<_CMP_LT_OQ>(b, _mm256_setzero_ps()), self) }
+        }
+        #[inline(always)]
+        fn zero_where_nonpositive(self, b: Self) -> Self {
+            // SAFETY: AVX2 is present.
+            unsafe { _mm256_andnot_ps(_mm256_cmp_ps::<_CMP_LE_OQ>(b, _mm256_setzero_ps()), self) }
+        }
+        #[inline(always)]
+        fn zero_nan(self) -> Self {
+            // SAFETY: AVX2 is present.
+            unsafe { _mm256_and_ps(self, _mm256_cmp_ps::<_CMP_ORD_Q>(self, self)) }
+        }
+        #[inline(always)]
+        fn round_ties_even(self) -> Self {
+            const NEAREST: i32 = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
+            // SAFETY: AVX2 is present.
+            unsafe { _mm256_round_ps::<NEAREST>(self) }
+        }
+        #[inline(always)]
+        fn store_i8(self, out: &mut [i8]) {
+            let out = &mut out[..LANES];
+            // SAFETY: AVX2 is present; `out` holds the 8 bytes written.
+            unsafe {
+                // Per 128-bit half: the low byte of each of its four i32s.
+                #[rustfmt::skip]
+                let low_bytes = _mm256_setr_epi8(
+                    0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+                    0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+                );
+                // A lane holding an integer in -128..=127 converts exactly,
+                // and the i8 is its low byte.
+                let bytes = _mm256_shuffle_epi8(_mm256_cvtps_epi32(self), low_bytes);
+                let packed = _mm_unpacklo_epi32(
+                    _mm256_castsi256_si128(bytes),
+                    _mm256_extracti128_si256::<1>(bytes),
+                );
+                _mm_storel_epi64(out.as_mut_ptr().cast::<__m128i>(), packed);
+            }
+        }
+    }
+}
+
+#[cfg(all(test, target_arch = "x86_64"))]
+mod tests {
+    use core::arch::x86_64::__m256;
+
+    use super::{avx2_available, Lanes, LANES};
+
+    /// Lane values where x86 and the obvious scalar code can part ways:
+    /// NaN, both zeros, x.5 ties, the ±127 clamp and its neighbours,
+    /// infinities and subnormals. Every ordered pair of them fills
+    /// 28 × 28 / 8 whole vectors.
+    #[rustfmt::skip]
+    const EDGES: [f32; 28] = [
+        f32::NAN, 0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 4.5,
+        126.5, -126.5, 127.0, -127.0, 127.5, -127.5, 128.0, -128.0,
+        f32::INFINITY, f32::NEG_INFINITY, 1e-45, -1e-45, 3.0, -7.25, 1e38,
+        -1e38, 0.1, -0.75,
+    ];
+
+    /// `v`'s lanes as bits, every NaN folded to one pattern if `fold_nan`.
+    fn bits(v: impl Lanes, fold_nan: bool) -> [u32; LANES] {
+        let mut out = [0.0; LANES];
+        v.store(&mut out);
+        out.map(|x| if x.is_nan() && fold_nan { f32::NAN } else { x }.to_bits())
+    }
+
+    /// Every op, `[f32; 8]` against `__m256`, on every ordered pair of
+    /// [`EDGES`]: NaN in either operand of `max` / `min`, `(+0.0, -0.0)`
+    /// both ways, NaN and `-0.0` through `abs` and the zeroing selects.
+    #[test]
+    fn every_op_gives_the_same_bits_on_both_lane_types() {
+        if !avx2_available() {
+            return;
+        }
+        let pairs: Vec<(f32, f32)> = EDGES.iter().flat_map(|&a| EDGES.map(|b| (a, b))).collect();
+        for group in pairs.chunks(LANES) {
+            let a: [f32; LANES] = std::array::from_fn(|l| group[l].0);
+            let b: [f32; LANES] = std::array::from_fn(|l| group[l].1);
+            let (va, vb) = (__m256::load(&a), __m256::load(&b));
+            // Arithmetic may return any NaN (Rust leaves the payload
+            // open); the selects and bit ops must match exactly.
+            let check = |op: &str, p: [f32; LANES], v: __m256, fold_nan: bool| {
+                assert_eq!(bits(p, fold_nan), bits(v, fold_nan), "{op} on {a:?}, {b:?}");
+            };
+            check("splat", Lanes::splat(b[0]), Lanes::splat(b[0]), false);
+            check("load/store", a, va, false);
+            check("add", a.add(b), va.add(vb), true);
+            check("sub", a.sub(b), va.sub(vb), true);
+            check("mul", a.mul(b), va.mul(vb), true);
+            check("div", a.div(b), va.div(vb), true);
+            check("abs", a.abs(), va.abs(), false);
+            check("max", a.max(b), va.max(vb), false);
+            check("min", a.min(b), va.min(vb), false);
+            let (p, v) = (a.zero_where_negative(b), va.zero_where_negative(vb));
+            check("< 0 select", p, v, false);
+            let (p, v) = (a.zero_where_nonpositive(b), va.zero_where_nonpositive(vb));
+            check("<= 0 select", p, v, false);
+            check("zero_nan", a.zero_nan(), va.zero_nan(), false);
+            check(
+                "round_ties_even",
+                a.round_ties_even(),
+                va.round_ties_even(),
+                true,
+            );
+        }
+        for ints in [
+            [127.0, -127.0, 0.0, -0.0, -128.0, 1.0, -1.0, 64.0],
+            [126.0, -126.0, 100.0, -100.0, 5.0, -5.0, 2.0, -3.0],
+        ] {
+            let (mut p, mut v) = ([0i8; LANES], [0i8; LANES]);
+            ints.store_i8(&mut p);
+            __m256::load(&ints).store_i8(&mut v);
+            assert_eq!(p, v, "store_i8 on {ints:?}");
+        }
+    }
+}

@@ -1,8 +1,8 @@
 //! Bit-exactness properties of the SIMD-dispatched vector kernels and
 //! the sharing guarantees of [`ParamBlock`].
 //!
-//! The dispatched `axpy`/`axpby`/`scale`/`mean_into` — and both
-//! `ops::simd` backends (portable 8-lane, AVX2 where the host supports
+//! The dispatched `axpy`/`axpby`/`scale`/`mean_into` — and each
+//! `ops::simd::Backend` (portable `[f32; 8]`, AVX2 where the host supports
 //! it) individually — must produce the *same bits* as the naive scalar
 //! references in `ops::reference` for every length, in particular
 //! across the remainder boundary (lengths that are not lane multiples).
@@ -13,9 +13,23 @@
 //! replaced (`ops::reference::scaled_sum`, `compress::reference`), on
 //! inputs that include NaN, ±inf, ±0.0 and subnormals.
 
-use hop_tensor::compress::{kernels, reference as composed};
+use hop_tensor::compress::reference as composed;
+use hop_tensor::ops::simd::Backend;
 use hop_tensor::{ops, ParamBlock};
 use proptest::prelude::*;
+
+/// Every kernel backend this host can run, by name: the free functions'
+/// pick, then each one explicitly (AVX2 only where the CPU has it).
+fn backends() -> Vec<(&'static str, Backend)> {
+    let mut all = vec![
+        ("dispatch", Backend::host()),
+        ("portable", Backend::Portable),
+    ];
+    if ops::simd::avx2_available() {
+        all.push(("avx2", Backend::Avx2));
+    }
+    all
+}
 
 /// Deterministic pseudo-random values in roughly [-4, 4].
 fn values(mut seed: u64, len: usize) -> Vec<f32> {
@@ -133,24 +147,23 @@ proptest! {
 
         let mut simd = y0.clone();
         let mut scalar = y0.clone();
-        ops::simd::portable::axpy(alpha, &x, &mut simd);
+        Backend::Portable.axpy(alpha, &x, &mut simd);
         ops::reference::axpy(alpha, &x, &mut scalar);
         prop_assert_eq!(bits(&simd), bits(&scalar));
 
         let mut simd = y0.clone();
         let mut scalar = y0.clone();
-        ops::simd::portable::axpby(alpha, &x, beta, &mut simd);
+        Backend::Portable.axpby(alpha, &x, beta, &mut simd);
         ops::reference::axpby(alpha, &x, beta, &mut scalar);
         prop_assert_eq!(bits(&simd), bits(&scalar));
 
         let mut simd = y0.clone();
         let mut scalar = y0;
-        ops::simd::portable::scale(alpha, &mut simd);
+        Backend::Portable.scale(alpha, &mut simd);
         ops::reference::scale(alpha, &mut scalar);
         prop_assert_eq!(bits(&simd), bits(&scalar));
     }
 
-    #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx2_backend_matches_reference_bitwise(len in 0usize..68, seed in 0u64..1_000_000_000) {
         if ops::simd::avx2_available() {
@@ -161,19 +174,19 @@ proptest! {
 
             let mut simd = y0.clone();
             let mut scalar = y0.clone();
-            ops::simd::avx2::axpy(alpha, &x, &mut simd);
+            Backend::Avx2.axpy(alpha, &x, &mut simd);
             ops::reference::axpy(alpha, &x, &mut scalar);
             prop_assert_eq!(bits(&simd), bits(&scalar));
 
             let mut simd = y0.clone();
             let mut scalar = y0.clone();
-            ops::simd::avx2::axpby(alpha, &x, beta, &mut simd);
+            Backend::Avx2.axpby(alpha, &x, beta, &mut simd);
             ops::reference::axpby(alpha, &x, beta, &mut scalar);
             prop_assert_eq!(bits(&simd), bits(&scalar));
 
             let mut simd = y0.clone();
             let mut scalar = y0;
-            ops::simd::avx2::scale(alpha, &mut simd);
+            Backend::Avx2.scale(alpha, &mut simd);
             ops::reference::scale(alpha, &mut scalar);
             prop_assert_eq!(bits(&simd), bits(&scalar));
         }
@@ -183,7 +196,6 @@ proptest! {
 /// The two explicit backends must agree with each other bitwise on an
 /// AVX2 host (skipped, trivially, elsewhere) — including values where an
 /// FMA-contracted kernel would diverge from mul-then-add.
-#[cfg(target_arch = "x86_64")]
 #[test]
 fn avx2_and_portable_backends_agree_bitwise() {
     if !ops::simd::avx2_available() {
@@ -199,20 +211,20 @@ fn avx2_and_portable_backends_agree_bitwise() {
 
         let mut a = y0.clone();
         let mut b = y0.clone();
-        ops::simd::avx2::axpy(alpha, &x, &mut a);
-        ops::simd::portable::axpy(alpha, &x, &mut b);
+        Backend::Avx2.axpy(alpha, &x, &mut a);
+        Backend::Portable.axpy(alpha, &x, &mut b);
         assert_eq!(bits(&a), bits(&b), "axpy len {len}");
 
         let mut a = y0.clone();
         let mut b = y0.clone();
-        ops::simd::avx2::axpby(alpha, &x, beta, &mut a);
-        ops::simd::portable::axpby(alpha, &x, beta, &mut b);
+        Backend::Avx2.axpby(alpha, &x, beta, &mut a);
+        Backend::Portable.axpby(alpha, &x, beta, &mut b);
         assert_eq!(bits(&a), bits(&b), "axpby len {len}");
 
         let mut a = y0.clone();
         let mut b = y0;
-        ops::simd::avx2::scale(alpha, &mut a);
-        ops::simd::portable::scale(alpha, &mut b);
+        Backend::Avx2.scale(alpha, &mut a);
+        Backend::Portable.scale(alpha, &mut b);
         assert_eq!(bits(&a), bits(&b), "scale len {len}");
     }
 }
@@ -246,11 +258,10 @@ fn every_length_up_to_67_is_bit_identical() {
 }
 
 /// Exhaustive 0..=67 sweep for the elementwise kernels added to the
-/// dispatch layer (`fill`, `abs_into`, `relu`, `relu_backward`): the
-/// dispatched entry point and both explicit backends must match the
-/// scalar reference bit for bit, including at remainder lengths and on
-/// negative zeros (where a naive `max(0, x)` and a sign-mask select can
-/// legally disagree).
+/// dispatch layer (`fill`, `relu`, `relu_backward`): the dispatched pick
+/// and every explicit backend must match the scalar reference bit for
+/// bit, including at remainder lengths and on negative zeros (where a
+/// naive `max(0, x)` and a sign-mask select can legally disagree).
 #[test]
 fn elementwise_kernels_are_bit_identical_up_to_67() {
     for len in 0..=67usize {
@@ -265,78 +276,22 @@ fn elementwise_kernels_are_bit_identical_up_to_67() {
         }
         let g0 = values(len as u64 + 131, len);
 
-        type FillFn = fn(f32, &mut [f32]);
-        let fill_impls: Vec<(&str, FillFn)> = vec![
-            ("dispatch", ops::fill),
-            ("portable", ops::simd::portable::fill),
-            #[cfg(target_arch = "x86_64")]
-            ("avx2", ops::simd::avx2::fill),
-        ];
-        for (name, f) in fill_impls {
-            #[cfg(target_arch = "x86_64")]
-            if name == "avx2" && !ops::simd::avx2_available() {
-                continue;
-            }
+        for (name, backend) in backends() {
             let mut out = g0.clone();
             let mut expect = g0.clone();
-            f(-1.25, &mut out);
+            backend.fill(-1.25, &mut out);
             ops::reference::fill(-1.25, &mut expect);
             assert_eq!(bits(&out), bits(&expect), "fill/{name} len {len}");
-        }
 
-        type AbsFn = fn(&[f32], &mut [f32]);
-        let abs_impls: Vec<(&str, AbsFn)> = vec![
-            ("dispatch", ops::abs_into),
-            ("portable", ops::simd::portable::abs_into),
-            #[cfg(target_arch = "x86_64")]
-            ("avx2", ops::simd::avx2::abs_into),
-        ];
-        for (name, f) in abs_impls {
-            #[cfg(target_arch = "x86_64")]
-            if name == "avx2" && !ops::simd::avx2_available() {
-                continue;
-            }
-            let mut out = vec![9.0f32; len];
-            let mut expect = vec![9.0f32; len];
-            f(&x, &mut out);
-            ops::reference::abs_into(&x, &mut expect);
-            assert_eq!(bits(&out), bits(&expect), "abs_into/{name} len {len}");
-        }
-
-        type ReluFn = fn(&mut [f32]);
-        let relu_impls: Vec<(&str, ReluFn)> = vec![
-            ("dispatch", ops::relu),
-            ("portable", ops::simd::portable::relu),
-            #[cfg(target_arch = "x86_64")]
-            ("avx2", ops::simd::avx2::relu),
-        ];
-        for (name, f) in relu_impls {
-            #[cfg(target_arch = "x86_64")]
-            if name == "avx2" && !ops::simd::avx2_available() {
-                continue;
-            }
             let mut out = x.clone();
             let mut expect = x.clone();
-            f(&mut out);
+            backend.relu(&mut out);
             ops::reference::relu(&mut expect);
             assert_eq!(bits(&out), bits(&expect), "relu/{name} len {len}");
-        }
 
-        type ReluBackFn = fn(&[f32], &mut [f32]);
-        let relu_back_impls: Vec<(&str, ReluBackFn)> = vec![
-            ("dispatch", ops::relu_backward),
-            ("portable", ops::simd::portable::relu_backward),
-            #[cfg(target_arch = "x86_64")]
-            ("avx2", ops::simd::avx2::relu_backward),
-        ];
-        for (name, f) in relu_back_impls {
-            #[cfg(target_arch = "x86_64")]
-            if name == "avx2" && !ops::simd::avx2_available() {
-                continue;
-            }
             let mut out = g0.clone();
             let mut expect = g0.clone();
-            f(&x, &mut out);
+            backend.relu_backward(&x, &mut out);
             ops::reference::relu_backward(&x, &mut expect);
             assert_eq!(bits(&out), bits(&expect), "relu_backward/{name} len {len}");
         }
@@ -353,20 +308,13 @@ fn composed_apply(lr: f32, velocity: &[f32], reduced: &mut [f32]) {
 }
 
 /// Exhaustive 0..=67 sweep for the one-sweep Reduce kernel: dispatch and
-/// both backends against the composed `fill` + `axpy`… + `scale` (the
-/// scalar `mean_into` / `weighted_mean_into`), with and without weights,
+/// every backend against the composed `fill` + `axpy`… + `scale` (the
+/// scalar `mean_into`, and Eq. 2's weighted Reduce), with and without weights,
 /// on hostile inputs, into a destination holding junk (the kernel must
 /// not read it) — and, with the `(-lr, velocity)` tail, against that
 /// followed by [`composed_apply`], on ordinary and hostile velocities.
 #[test]
 fn scaled_sum_backends_match_the_composed_reduce_up_to_67() {
-    type SumFn = fn(&[&[f32]], Option<&[f32]>, f32, ops::Tail<'_>, &mut [f32]);
-    let impls: Vec<(&str, SumFn)> = vec![
-        ("dispatch", ops::scaled_sum),
-        ("portable", ops::simd::portable::scaled_sum),
-        #[cfg(target_arch = "x86_64")]
-        ("avx2", ops::simd::avx2::scaled_sum),
-    ];
     for len in 0..=67usize {
         for n_inputs in 1..=5usize {
             let inputs: Vec<Vec<f32>> = (0..n_inputs)
@@ -393,13 +341,9 @@ fn scaled_sum_backends_match_the_composed_reduce_up_to_67() {
                     if tail.is_some() {
                         composed_apply(lr, &velocity, &mut expect);
                     }
-                    for &(name, f) in &impls {
-                        #[cfg(target_arch = "x86_64")]
-                        if name == "avx2" && !ops::simd::avx2_available() {
-                            continue;
-                        }
+                    for (name, backend) in backends() {
                         let mut out = vec![-7.5f32; len];
-                        f(&views, w, factor, tail, &mut out);
+                        backend.scaled_sum(&views, w, factor, tail, &mut out);
                         assert_eq!(
                             bits_nan_folded(&out),
                             bits_nan_folded(&expect),
@@ -414,53 +358,12 @@ fn scaled_sum_backends_match_the_composed_reduce_up_to_67() {
     }
 }
 
-/// The two public Reduce entry points ride `scaled_sum`; pin them to the
-/// composed reference too (weights 3:1 as in Eq. 2).
-#[test]
-fn weighted_mean_matches_the_composed_reduce() {
-    for len in [0usize, 5, 8, 23, 64, 67] {
-        let a = values(len as u64 + 1, len);
-        let b = hostile(len as u64 + 2, len);
-        let views = [a.as_slice(), b.as_slice()];
-        let weights = [3.0f32, 1.0];
-        let mut out = vec![9.0f32; len];
-        let mut expect = vec![9.0f32; len];
-        ops::weighted_mean_into(&views, &weights, &mut out);
-        ops::reference::scaled_sum(&views, Some(&weights), 1.0 / 4.0, &mut expect);
-        assert_eq!(bits_nan_folded(&out), bits_nan_folded(&expect), "len {len}");
-    }
-}
-
 /// Exhaustive 0..=67 sweep for the int8 stream-step kernels: dispatch,
 /// portable and AVX2 against the composed scalar sequence, on ordinary,
 /// hostile and all-zero blocks, at the block's own scale and at the
 /// degenerate ones (zero, infinite, subnormal).
 #[test]
 fn int8_stream_kernels_match_the_composed_reference_up_to_67() {
-    type MaxFn = fn(f32, &[f32], &[f32]) -> f32;
-    type FeedbackFn = fn(&[f32], f32, &mut [f32], &mut [i8]);
-    type AdvanceFn = fn(&[f32], f32, &[f32], &mut [f32], &mut [i8]);
-    let impls: Vec<(&str, MaxFn, FeedbackFn, AdvanceFn)> = vec![
-        (
-            "dispatch",
-            kernels::max_abs_sum,
-            kernels::quantize_feedback,
-            kernels::quantize_advance,
-        ),
-        (
-            "portable",
-            kernels::portable::max_abs_sum,
-            kernels::portable::quantize_feedback,
-            kernels::portable::quantize_advance,
-        ),
-        #[cfg(target_arch = "x86_64")]
-        (
-            "avx2",
-            kernels::avx2::max_abs_sum,
-            kernels::avx2::quantize_feedback,
-            kernels::avx2::quantize_advance,
-        ),
-    ];
     for len in 0..=67usize {
         let blocks = [
             (values(len as u64 + 3, len), values(len as u64 + 41, len)),
@@ -470,15 +373,11 @@ fn int8_stream_kernels_match_the_composed_reference_up_to_67() {
             (vec![-0.0; len], vec![-0.0; len]),
         ];
         for (case, (x, state)) in blocks.iter().enumerate() {
-            for &(name, max_abs, feedback, advance) in &impls {
-                #[cfg(target_arch = "x86_64")]
-                if name == "avx2" && !ops::simd::avx2_available() {
-                    continue;
-                }
+            for (name, backend) in backends() {
                 let at = format!("{name} len {len} case {case}");
                 let mut scales = vec![0.0f32, f32::INFINITY, f32::from_bits(3), 0.013];
                 for alpha in [1.0f32, -1.0] {
-                    let got = max_abs(alpha, state, x);
+                    let got = backend.max_abs_sum(alpha, state, x);
                     let expect = composed::max_abs_sum(alpha, state, x);
                     assert_eq!(got.to_bits(), expect.to_bits(), "max_abs_sum({alpha}) {at}");
                     scales.push(if expect > 0.0 { expect / 127.0 } else { 0.0 });
@@ -486,7 +385,7 @@ fn int8_stream_kernels_match_the_composed_reference_up_to_67() {
                 for scale in scales {
                     let (mut r, mut r_expect) = (state.clone(), state.clone());
                     let (mut q, mut q_expect) = (vec![99i8; len], vec![-99i8; len]);
-                    feedback(x, scale, &mut r, &mut q);
+                    backend.quantize_feedback(x, scale, &mut r, &mut q);
                     composed::quantize_feedback(x, scale, &mut r_expect, &mut q_expect);
                     assert_eq!(q, q_expect, "feedback q, scale {scale:e} {at}");
                     assert_eq!(
@@ -496,7 +395,7 @@ fn int8_stream_kernels_match_the_composed_reference_up_to_67() {
                     );
 
                     let (mut new, mut new_expect) = (vec![5.5f32; len], vec![-5.5f32; len]);
-                    advance(x, scale, state, &mut new, &mut q);
+                    backend.quantize_advance(x, scale, state, &mut new, &mut q);
                     composed::quantize_advance(x, scale, state, &mut new_expect, &mut q_expect);
                     assert_eq!(q, q_expect, "advance q, scale {scale:e} {at}");
                     assert_eq!(
@@ -517,13 +416,6 @@ fn int8_stream_kernels_match_the_composed_reference_up_to_67() {
 /// the running maximum of the lane a NaN lands in.
 #[test]
 fn max_abs_sum_skips_nan_at_every_position() {
-    type MaxFn = fn(f32, &[f32], &[f32]) -> f32;
-    let impls: Vec<(&str, MaxFn)> = vec![
-        ("dispatch", kernels::max_abs_sum),
-        ("portable", kernels::portable::max_abs_sum),
-        #[cfg(target_arch = "x86_64")]
-        ("avx2", kernels::avx2::max_abs_sum),
-    ];
     let len = 72;
     let state = vec![0.25f32; len];
     for max_at in 0..len {
@@ -531,12 +423,8 @@ fn max_abs_sum_skips_nan_at_every_position() {
             let mut x = values(max_at as u64 + 19, len);
             x[max_at] = -1e6;
             x[nan_at] = f32::NAN;
-            for &(name, f) in &impls {
-                #[cfg(target_arch = "x86_64")]
-                if name == "avx2" && !ops::simd::avx2_available() {
-                    continue;
-                }
-                let got = f(1.0, &state, &x);
+            for (name, backend) in backends() {
+                let got = backend.max_abs_sum(1.0, &state, &x);
                 assert_eq!(got, 1e6 - 0.25, "{name}: max at {max_at}, NaN at {nan_at}");
             }
         }
