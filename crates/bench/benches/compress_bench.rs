@@ -34,7 +34,7 @@ use hop_data::{Dataset, InMemoryDataset};
 use hop_graph::Topology;
 use hop_model::svm::Svm;
 use hop_sim::SlowdownModel;
-use hop_tensor::{BufferPool, Codec, CompressedBlock, Compressor, ErrorFeedback};
+use hop_tensor::{ops, BufferPool, Codec, CompressedBlock, Compressor, ErrorFeedback, ParamStream};
 use std::time::Instant;
 
 /// Block size for the codec microbenchmarks and the model dimension of
@@ -226,6 +226,34 @@ fn bench_encode_topk(c: &mut Criterion) {
     });
 }
 
+/// The path the threaded runtime takes under top-k: a parameter-stream
+/// step on a drifting block. Each call first moves the block by 1e-3
+/// times one of eight rotations of itself (one `axpy`, timed with the
+/// step), so the delta to the reference is drift the stream has not yet
+/// shipped, as a training worker's is.
+fn bench_encode_step_topk(c: &mut Criterion) {
+    let mut params = block_values(DIM);
+    let noise: Vec<Vec<f32>> = (0..8)
+        .map(|s| {
+            let mut v = params.clone();
+            v.rotate_left(s * 4099);
+            v
+        })
+        .collect();
+    let mut stream = ParamStream::new(&params);
+    let mut codec = Codec::new(CompressionConfig::TopK { ratio: 0.01 });
+    let mut pool = BufferPool::new();
+    let mut block = CompressedBlock::default();
+    let mut step = 0;
+    c.bench_function("compress/encode_step_topk_1pct_64k", |b| {
+        b.iter(|| {
+            step += 1;
+            ops::axpy(1e-3, &noise[step % noise.len()], &mut params);
+            codec.encode_step(&params, &mut stream, &mut pool, &mut block)
+        })
+    });
+}
+
 fn bench_encode_int8(c: &mut Criterion) {
     let input = block_values(DIM);
     let mut codec = Codec::new(CompressionConfig::Int8Uniform);
@@ -244,6 +272,7 @@ fn bench_summary(_c: &mut Criterion) {
 criterion_group!(
     compress,
     bench_encode_topk,
+    bench_encode_step_topk,
     bench_encode_int8,
     bench_summary
 );

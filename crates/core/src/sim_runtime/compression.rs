@@ -12,7 +12,8 @@
 //!   previous messages failed to move, so the reference *is* the error
 //!   feedback and no residual takes part. The step is
 //!   [`Codec::encode_step`] on a [`ParamStream`] — two fused sweeps for
-//!   int8, a threshold select and a k-entry advance for top-k — and the
+//!   int8; for top-k one candidate scan that computes the delta as it
+//!   reads, a threshold select and a k-entry advance — and the
 //!   reference it leaves behind is shared with the message, not copied
 //!   into it. Every receiver of the stream sees the identical
 //!   reconstruction, so a top-k message still moves *all* replicas — it
@@ -216,8 +217,9 @@ impl CompressionPlane {
     }
 
     /// Stream `slot`'s top-k selection hint: how many selections it
-    /// made and how many of them needed a histogram pass (all zero under
-    /// int8). Not part of any report or digest.
+    /// made, how many of them needed a histogram pass and how many
+    /// candidates their scans admitted (all zero under int8). Not part
+    /// of any report or digest.
     pub fn selection(&self, slot: usize) -> &SelectionHint {
         match &self.streams[slot] {
             Stream::Params(stream) => stream.selection(),

@@ -14,8 +14,9 @@
 //!   compared as `f32::total_cmp` does, ties broken by the lower index —
 //!   so the kept set is a pure function of the input. The order is
 //!   realised on the magnitude *bits* (`to_bits() & 0x7FFF_FFFF`, which
-//!   sorts exactly like `total_cmp` on `|v|`): one vectorised scan
-//!   gathers the candidates at or above a *floor* key, a `select_nth`
+//!   sorts exactly like `total_cmp` on `|v|`): one branch-free SIMD scan
+//!   left-packs the candidates at or above a *floor* key (computing a
+//!   parameter stream's delta as it reads, [`kernels`]), a `select_nth`
 //!   among those alone finds the threshold, and one ascending gather
 //!   emits the entries above it (plus the lowest-index ties) already in
 //!   canonical wire order — no index permutation, no indirect
@@ -56,11 +57,14 @@
 //! the caller's [`BufferPool`].
 
 use crate::ops;
+use crate::ops::simd::Backend;
 use crate::param_block::ParamBlock;
 use crate::pool::BufferPool;
 
 pub mod kernels;
 pub mod reference;
+
+use kernels::ScanSource;
 
 /// Which codec a runtime should apply to its parameter/update messages.
 ///
@@ -459,10 +463,9 @@ impl Compressor for Identity {
 #[derive(Debug, Clone)]
 pub struct TopK {
     ratio: f32,
-    /// Scratch reused across encodes: the parameter-stream delta, the
-    /// magnitude sub-histograms, the candidates' keys and positions (in
-    /// index order), and a copy of the keys for `select_nth` to permute.
-    work: Vec<f32>,
+    /// Scratch reused across encodes: the magnitude sub-histograms, the
+    /// candidates' keys and positions (in index order), and a copy of the
+    /// keys for `select_nth` to permute.
     histogram: Vec<u32>,
     keys: Vec<u32>,
     positions: Vec<u32>,
@@ -486,9 +489,6 @@ const BUCKETS: usize = 1 << (31 - BUCKET_SHIFT);
 /// on each other's store; four counters side by side do not.
 const SUB_HISTOGRAMS: usize = 4;
 
-/// Elements per candidate-scan test: two 8-lane vectors share a branch.
-const SCAN: usize = 2 * ops::simd::LANES;
-
 /// What one stream remembers of its last top-k selection: the candidate
 /// **floor**, a magnitude key its next block's `k` largest will very
 /// likely sit at or above, because a stream's deltas change scale slowly.
@@ -509,13 +509,15 @@ const SCAN: usize = 2 * ops::simd::LANES;
 /// its streams through one codec, and the floor one worker's deltas
 /// leave is wrong for the next worker's about one time in four.
 ///
-/// The counters make "how often was the hint useless" a number that
-/// repeats exactly; no report or digest includes them.
+/// The counters make "how often was the hint useless" and "how much did
+/// it admit" numbers that repeat exactly; no report or digest includes
+/// them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SelectionHint {
     floor: u32,
     encodes: u64,
     histogram_passes: u64,
+    candidates: u64,
 }
 
 impl SelectionHint {
@@ -546,6 +548,13 @@ impl SelectionHint {
     pub fn histogram_passes(&self) -> u64 {
         self.histogram_passes
     }
+
+    /// Entries the selections' scans admitted, summed: what `select_nth`
+    /// ran on (an encode that keeps the whole block scans nothing). A
+    /// floor decides it; the block never depends on it.
+    pub fn candidates(&self) -> u64 {
+        self.candidates
+    }
 }
 
 impl Default for SelectionHint {
@@ -554,6 +563,7 @@ impl Default for SelectionHint {
             floor: Self::NO_FLOOR,
             encodes: 0,
             histogram_passes: 0,
+            candidates: 0,
         }
     }
 }
@@ -567,7 +577,6 @@ impl TopK {
         );
         Self {
             ratio,
-            work: Vec::new(),
             histogram: Vec::new(),
             keys: Vec::new(),
             positions: Vec::new(),
@@ -580,58 +589,27 @@ impl TopK {
     }
 
     /// Gathers into `self.keys` / `self.positions`, in index order, the
-    /// entries of `work` whose key is at least `floor`; returns how many.
-    /// The per-chunk test is branch-free so it vectorises; a chunk that
-    /// passes is compacted without branches too (write the slot always,
-    /// advance it only for a candidate).
-    fn scan(&mut self, work: &[f32], floor: u32) -> usize {
-        if self.keys.len() < work.len() {
-            self.keys.resize(work.len(), 0);
-            self.positions.resize(work.len(), 0);
+    /// entries of `source` whose key is at least `floor`; returns how
+    /// many. One branch-free pass ([`Backend::topk_candidates`]) that
+    /// computes a parameter stream's delta as it reads, so no delta is
+    /// written.
+    fn scan(&mut self, source: ScanSource<'_>, floor: u32) -> usize {
+        if self.keys.len() < source.len() {
+            self.keys.resize(source.len(), 0);
+            self.positions.resize(source.len(), 0);
         }
-        let (keys, positions) = (&mut self.keys, &mut self.positions);
-        let mut count = 0;
-        let mut visit = |i: usize, v: f32| {
-            keys[count] = magnitude_key(v);
-            positions[count] = i as u32;
-            count += usize::from(magnitude_key(v) >= floor);
-        };
-        let mut chunks = work.chunks_exact(SCAN);
-        let mut base = 0;
-        for chunk in chunks.by_ref() {
-            let mut any = 0u32;
-            for &v in chunk {
-                any |= u32::from(magnitude_key(v) >= floor);
-            }
-            if any != 0 {
-                for (l, &v) in chunk.iter().enumerate() {
-                    visit(base + l, v);
-                }
-            }
-            base += SCAN;
-        }
-        for (l, &v) in chunks.remainder().iter().enumerate() {
-            visit(base + l, v);
-        }
-        count
+        Backend::host().topk_candidates(source, floor, &mut self.keys, &mut self.positions)
     }
 
-    /// The floor of the histogram bucket that holds `work`'s `k`-th
+    /// The floor of the histogram bucket that holds `source`'s `k`-th
     /// largest key: at least `k` entries are at or above it and nothing
     /// below it can be kept. One full-length scalar pass.
-    fn histogram_floor(&mut self, work: &[f32], k: usize) -> u32 {
+    fn histogram_floor(&mut self, source: ScanSource<'_>, k: usize) -> u32 {
         self.histogram.clear();
         self.histogram.resize(SUB_HISTOGRAMS * BUCKETS, 0);
-        let mut groups = work.chunks_exact(SUB_HISTOGRAMS);
-        for group in groups.by_ref() {
-            for (sub, &v) in group.iter().enumerate() {
-                let bucket = (magnitude_key(v) >> BUCKET_SHIFT) as usize;
-                self.histogram[SUB_HISTOGRAMS * bucket + sub] += 1;
-            }
-        }
-        for &v in groups.remainder() {
-            let bucket = (magnitude_key(v) >> BUCKET_SHIFT) as usize;
-            self.histogram[SUB_HISTOGRAMS * bucket] += 1;
+        for i in 0..source.len() {
+            let bucket = (magnitude_key(source.value(i)) >> BUCKET_SHIFT) as usize;
+            self.histogram[SUB_HISTOGRAMS * bucket + i % SUB_HISTOGRAMS] += 1;
         }
         // Walk down from the largest magnitudes.
         let (mut bucket, mut seen) = (BUCKETS, 0);
@@ -643,14 +621,21 @@ impl TopK {
         (bucket as u32) << BUCKET_SHIFT
     }
 
-    /// Writes into `indices`, ascending, the `k` positions of `work`
+    /// Writes into `indices`, ascending, the `k` positions of `source`
     /// that come first in the total order (larger magnitude, then lower
-    /// index). `k <= work.len()`. `hint` is the encoded stream's: it
+    /// index). `k <= source.len()`. `hint` is the encoded stream's: it
     /// decides which passes run, never which positions come out.
-    fn select(&mut self, work: &[f32], k: usize, hint: &mut SelectionHint, indices: &mut Vec<u32>) {
+    fn select(
+        &mut self,
+        source: ScanSource<'_>,
+        k: usize,
+        hint: &mut SelectionHint,
+        indices: &mut Vec<u32>,
+    ) {
         indices.clear();
         hint.encodes += 1;
-        if k == work.len() {
+        let len = source.len();
+        if k == len {
             indices.extend(0..k as u32);
             return;
         }
@@ -659,13 +644,14 @@ impl TopK {
         // histogram worth a sweep: accepting a short scan would drop
         // entries that belong in the block.
         let mut floor = hint.floor;
-        let mut count = self.scan(work, floor);
+        let mut count = self.scan(source, floor);
         if count < k {
-            floor = self.histogram_floor(work, k);
+            floor = self.histogram_floor(source, k);
             hint.histogram_passes += 1;
-            count = self.scan(work, floor);
+            count = self.scan(source, floor);
         }
         debug_assert!(count >= k);
+        hint.candidates += count as u64;
         let (keys, positions) = (&self.keys[..count], &self.positions[..count]);
 
         // The threshold is the k-th largest key; every key above it is
@@ -694,7 +680,7 @@ impl TopK {
         hint.floor = if count > 6 * k {
             let (_, &mut recentred, _) = smaller.select_nth_unstable_by(2 * k - 1, |a, b| b.cmp(a));
             recentred
-        } else if count < (k + k / 2).min(work.len()) {
+        } else if count < (k + k / 2).min(len) {
             floor.saturating_sub(1 << BUCKET_SHIFT)
         } else {
             floor
@@ -709,18 +695,19 @@ impl TopK {
         pool: &mut BufferPool,
         out: &mut CompressedBlock,
     ) {
-        let old = stream.reference.as_slice();
-        // The delta, through the zero-residual add of the composed encode
-        // (which is what turns a -0.0 difference into +0.0).
-        let mut work = std::mem::take(&mut self.work);
-        work.clear();
-        work.extend(params.iter().zip(old).map(|(&p, &r)| (p - r) + 0.0));
+        // The delta is never written out: the scan computes it in lanes
+        // and the gather recomputes it at the `k` kept indices, each time
+        // through the zero-residual add of the composed encode (which is
+        // what turns a -0.0 difference into +0.0).
+        let delta = ScanSource::Delta {
+            params,
+            reference: stream.reference.as_slice(),
+        };
         let (indices, values) = out.make_sparse(params.len() as u32);
         let k = self.k_for(params.len());
-        self.select(&work, k, &mut stream.selection, indices);
+        self.select(delta, k, &mut stream.selection, indices);
         values.clear();
-        values.extend(indices.iter().map(|&i| work[i as usize]));
-        self.work = work;
+        values.extend(indices.iter().map(|&i| delta.value(i as usize)));
         stream.advance_sparse(indices, values, pool);
     }
 }
@@ -740,7 +727,8 @@ impl Compressor for TopK {
         ops::axpby(1.0, input, 1.0, &mut ef.residual);
         let (indices, values) = out.make_sparse(len as u32);
         let k = self.k_for(len);
-        self.select(&ef.residual, k, &mut ef.selection, indices);
+        let compensated = ScanSource::Values(&ef.residual);
+        self.select(compensated, k, &mut ef.selection, indices);
         values.clear();
         for &i in indices.iter() {
             // Kept entries decode exactly: their residual is zero.

@@ -1,4 +1,7 @@
-//! Fused SIMD kernels of the int8 stream step.
+//! Fused SIMD kernels of the int8 stream step and of top-k's candidate
+//! scan, [`Backend::topk_candidates`]: one branch-free pass that computes
+//! a parameter stream's delta as it reads ([`ScanSource`]) and left-packs
+//! the entries at or above the floor.
 //!
 //! An int8 encode is two sweeps over the block, whichever stream it
 //! serves:
@@ -114,6 +117,67 @@ impl Backend {
         assert_eq!(x.len(), q.len(), "quantize_advance length mismatch");
         on_backend!(self, advance_body(x, scale, old, new, q));
     }
+
+    /// Top-k's candidate scan: writes to the front of `keys` /
+    /// `positions`, in index order, the magnitude key (`to_bits() &
+    /// 0x7FFF_FFFF`) and the index of every entry of `source` whose key is
+    /// at least `floor`, and returns how many (later entries get
+    /// unspecified values).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keys` or `positions` is shorter than the block, or if a
+    /// delta's two slices differ in length.
+    pub fn topk_candidates(
+        self,
+        source: ScanSource<'_>,
+        floor: u32,
+        keys: &mut [u32],
+        positions: &mut [u32],
+    ) -> usize {
+        let len = source.len();
+        assert!(keys.len().min(positions.len()) >= len, "short scan buffers");
+        on_backend!(self, candidates_body(source, floor, keys, positions))
+    }
+}
+
+/// Where a top-k scan reads entry `i`'s value.
+#[derive(Clone, Copy, Debug)]
+pub enum ScanSource<'a> {
+    /// The values as stored: an error-feedback stream's compensated block.
+    Values(&'a [f32]),
+    /// A parameter stream's delta to its reference, `(params[i] -
+    /// reference[i]) + 0.0`: the zero-residual add of the composed encode,
+    /// which turns a `-0.0` difference into `+0.0`.
+    Delta {
+        /// The sender's parameters.
+        params: &'a [f32],
+        /// What the stream's receivers hold.
+        reference: &'a [f32],
+    },
+}
+
+impl ScanSource<'_> {
+    /// Entries in the block. Panics if a delta's two slices differ in
+    /// length.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            ScanSource::Values(x) => x.len(),
+            ScanSource::Delta { params, reference } => {
+                assert_eq!(params.len(), reference.len(), "delta length mismatch");
+                params.len()
+            }
+        }
+    }
+
+    /// Entry `i`'s value. Panics if `i` is out of range.
+    #[inline(always)]
+    pub fn value(&self, i: usize) -> f32 {
+        match *self {
+            ScanSource::Values(x) => x[i],
+            ScanSource::Delta { params, reference } => (params[i] - reference[i]) + 0.0,
+        }
+    }
 }
 
 /// One entry of the int8 quantizer: `w / scale` rounded half to even and
@@ -209,4 +273,47 @@ fn advance_body<V: Lanes>(x: &[f32], scale: f32, old: &[f32], new: &mut [f32], q
         *qi = quantize(xi - oi, scale);
         *ni = oi + *qi as f32 * scale;
     }
+}
+
+/// [`Backend::topk_candidates`] on `V`: each full group of eight is read
+/// as lanes (a delta as `(p - r) + 0.0`, [`ScanSource::value`]'s
+/// expression) and left-packed; the scalar tail writes every entry and
+/// advances past the candidates. Neither writes past the entry it reads,
+/// so buffers as long as the block suffice.
+#[inline(always)]
+fn candidates_body<V: Lanes>(
+    source: ScanSource<'_>,
+    floor: u32,
+    keys: &mut [u32],
+    positions: &mut [u32],
+) -> usize {
+    let mut count = 0;
+    let done = match source {
+        ScanSource::Values(x) => {
+            let xs = x.as_chunks::<LANES>().0;
+            for (g, xx) in xs.iter().enumerate() {
+                let v = V::load(xx);
+                let (k, p) = (&mut keys[count..], &mut positions[count..]);
+                count += v.pack_keys(v.key_mask(floor), (g * LANES) as u32, k, p);
+            }
+            xs.len() * LANES
+        }
+        ScanSource::Delta { params, reference } => {
+            let ps = params.as_chunks::<LANES>().0;
+            let rs = reference.as_chunks::<LANES>().0;
+            for (g, (pp, rr)) in ps.iter().zip(rs).enumerate() {
+                let v = V::load(pp).sub(V::load(rr)).add(V::splat(0.0));
+                let (k, p) = (&mut keys[count..], &mut positions[count..]);
+                count += v.pack_keys(v.key_mask(floor), (g * LANES) as u32, k, p);
+            }
+            ps.len() * LANES
+        }
+    };
+    for i in done..source.len() {
+        let key = super::magnitude_key(source.value(i));
+        keys[count] = key;
+        positions[count] = i as u32;
+        count += usize::from(key >= floor);
+    }
+    count
 }

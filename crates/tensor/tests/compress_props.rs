@@ -16,7 +16,9 @@
 //! the same bits, on blocks that include NaN, ±inf, −0.0, subnormals,
 //! all-zero and all-equal-magnitude inputs.
 
+use hop_tensor::compress::kernels::ScanSource;
 use hop_tensor::compress::reference as composed;
+use hop_tensor::ops::simd::{avx2_available, Backend};
 use hop_tensor::{
     BufferPool, Codec, CompressedBlock, CompressionConfig, Compressor, ErrorFeedback, ParamStream,
 };
@@ -513,6 +515,126 @@ fn topk_output_does_not_depend_on_the_selection_hint() {
         // At the ledger's block length: ordinary, special and tied.
         for kind in [0, 1, 6] {
             check_hint_independence(cfg, kind, 64 + kind as u64, 64 * 1024);
+        }
+    }
+}
+
+/// `SelectionHint::candidates` counts what the floor admitted: a floor of
+/// zero admits the whole block, the stream's own a few times `k`, and the
+/// block is the same bits either way.
+#[test]
+fn a_planted_floor_changes_the_candidates_but_not_the_block() {
+    let cfg = CompressionConfig::TopK { ratio: 0.01 };
+    let len = 4099;
+    let mut pool = BufferPool::new();
+    let mut codec = Codec::new(cfg);
+    let mut stream = ParamStream::new(&vec![0.0; len]);
+    let mut out = CompressedBlock::default();
+    codec.encode_step(&values(1, len), &mut stream, &mut pool, &mut out);
+    let params = values(2, len);
+    let mut step = |floor: Option<u32>| {
+        let mut stream = stream.clone();
+        stream.selection_mut().set_floor(floor);
+        codec.encode_step(&params, &mut stream, &mut pool, &mut out);
+        let hint = stream.selection();
+        (
+            block_words(&out),
+            hint.candidates(),
+            hint.histogram_passes(),
+        )
+    };
+    let (own_block, own, own_passes) = step(stream.selection().floor());
+    let (zero_block, zero, zero_passes) = step(Some(0));
+    let before = stream.selection().candidates();
+    assert_eq!(own_block, zero_block);
+    assert_eq!((own_passes, zero_passes), (1, 1), "neither floor missed");
+    assert_eq!(zero - before, len as u64);
+    let k = cfg.k_for(len) as u64;
+    assert!(
+        (k..len as u64 / 4).contains(&(own - before)),
+        "{}",
+        own - before
+    );
+}
+
+// --- The candidate scan ---------------------------------------------------
+
+/// Every kernel backend this host can run.
+fn backends() -> Vec<Backend> {
+    let mut all = vec![Backend::host(), Backend::Portable];
+    if avx2_available() {
+        all.push(Backend::Avx2);
+    }
+    all
+}
+
+/// A parameter stream's inputs whose delta holds `-0.0` (`-0.0 - 0.0`),
+/// subnormals and NaN every sixth entry each, among `block`'s specials.
+fn delta_inputs(seed: u64, len: usize) -> (Vec<f32>, Vec<f32>) {
+    let (mut params, mut reference) = (block(1, seed, len), values(seed ^ 0x5A, len));
+    for i in 0..len {
+        match i % 6 {
+            0 => (params[i], reference[i]) = (-0.0, 0.0),
+            1 => (params[i], reference[i]) = (f32::from_bits(1 + i as u32), 0.0),
+            2 => reference[i] = f32::NAN,
+            _ => {}
+        }
+    }
+    (params, reference)
+}
+
+/// The scan stated directly: `(key, index)` of every entry whose key is
+/// at least `floor`, ascending by index.
+fn scan_oracle(w: &[f32], floor: u32) -> Vec<(u32, u32)> {
+    let keyed = w.iter().enumerate().map(|(i, &v)| (key(v), i as u32));
+    keyed.filter(|&(key, _)| key >= floor).collect()
+}
+
+/// Both value sources on every backend, at no floor, floor 0, a key in
+/// the block and a floor above every key: the scalar gather's candidates,
+/// from buffers exactly as long as the block. The delta source reads
+/// `(p - r) + 0.0`, so a `-0.0` difference is `+0.0`.
+#[test]
+fn the_candidate_scan_equals_a_scalar_gather_on_every_backend() {
+    for len in (0..=67usize).chain([4099]) {
+        let stored = block(1, len as u64, len);
+        let (params, reference) = delta_inputs(len as u64, len);
+        let delta: Vec<f32> = params
+            .iter()
+            .zip(&reference)
+            .map(|(p, r)| (p - r) + 0.0)
+            .collect();
+        let sources = [
+            ("values", ScanSource::Values(&stored), &stored),
+            (
+                "delta",
+                ScanSource::Delta {
+                    params: &params,
+                    reference: &reference,
+                },
+                &delta,
+            ),
+        ];
+        for (name, source, w) in sources {
+            for (i, &v) in w.iter().enumerate() {
+                assert_eq!(word(source.value(i)), word(v), "{name} value {i}");
+            }
+            let mut sorted: Vec<u32> = w.iter().map(|&v| key(v)).collect();
+            sorted.sort_unstable();
+            let present = sorted.get(len / 3).copied();
+            let above = sorted.last().map(|&max| max + 1);
+            for floor in [Some(u32::MAX), Some(0), present, above]
+                .into_iter()
+                .flatten()
+            {
+                for backend in backends() {
+                    let (mut keys, mut positions) = (vec![0; len], vec![0; len]);
+                    let n = backend.topk_candidates(source, floor, &mut keys, &mut positions);
+                    let got: Vec<(u32, u32)> = keys.into_iter().zip(positions).take(n).collect();
+                    let at = format!("{backend:?} {name} len {len} floor {floor:#x}");
+                    assert_eq!(got, scan_oracle(w, floor), "{at}");
+                }
+            }
         }
     }
 }
