@@ -58,8 +58,8 @@
 //!
 //! ```compile_fail
 //! use hop_core::choreography::begin_step;
-//! use hop_core::conformance::ConformanceSink;
-//! let mut sink = ConformanceSink::disabled();
+//! use hop_core::conformance::ProtocolTrace;
+//! let mut sink = ProtocolTrace::new();
 //! let mut step = begin_step(&mut sink, 0, 0);
 //! step.consume(&mut sink, 1, 0); // ERROR: not Exchanging yet
 //! ```
@@ -68,8 +68,8 @@
 //!
 //! ```compile_fail
 //! use hop_core::choreography::begin_step;
-//! use hop_core::conformance::ConformanceSink;
-//! let mut sink = ConformanceSink::disabled();
+//! use hop_core::conformance::ProtocolTrace;
+//! let mut sink = ProtocolTrace::new();
 //! let step = begin_step(&mut sink, 0, 0).begin_compute(&mut sink);
 //! let _ = step.reduce(&mut sink); // ERROR: no reduce on Step<Computing>
 //! ```
@@ -78,8 +78,8 @@
 //!
 //! ```compile_fail
 //! use hop_core::choreography::begin_step;
-//! use hop_core::conformance::ConformanceSink;
-//! let mut sink = ConformanceSink::disabled();
+//! use hop_core::conformance::ProtocolTrace;
+//! let mut sink = ProtocolTrace::new();
 //! let step = begin_step(&mut sink, 0, 0)
 //!     .begin_compute(&mut sink)
 //!     .end_compute(&mut sink);
@@ -92,8 +92,8 @@
 //!
 //! ```compile_fail
 //! use hop_core::choreography::begin_step;
-//! use hop_core::conformance::ConformanceSink;
-//! let mut sink = ConformanceSink::disabled();
+//! use hop_core::conformance::ProtocolTrace;
+//! let mut sink = ProtocolTrace::new();
 //! let step = begin_step(&mut sink, 0, 0)
 //!     .begin_compute(&mut sink)
 //!     .end_compute(&mut sink);
@@ -105,8 +105,8 @@
 //!
 //! ```compile_fail
 //! use hop_core::choreography::begin_step;
-//! use hop_core::conformance::ConformanceSink;
-//! let mut sink = ConformanceSink::disabled();
+//! use hop_core::conformance::ProtocolTrace;
+//! let mut sink = ProtocolTrace::new();
 //! let step = begin_step(&mut sink, 0, 0)
 //!     .begin_compute(&mut sink)
 //!     .end_compute(&mut sink)
@@ -120,8 +120,8 @@
 //!
 //! ```compile_fail
 //! use hop_core::choreography::begin_step;
-//! use hop_core::conformance::ConformanceSink;
-//! let mut sink = ConformanceSink::disabled();
+//! use hop_core::conformance::ProtocolTrace;
+//! let mut sink = ProtocolTrace::new();
 //! let step = begin_step(&mut sink, 0, 0)
 //!     .begin_compute(&mut sink)
 //!     .end_compute(&mut sink)
@@ -136,7 +136,7 @@
 
 #![warn(clippy::must_use_candidate)]
 
-use crate::conformance::{ConformanceSink, ProtocolEvent, ProtocolTrace};
+use crate::conformance::{ProtocolEvent, ProtocolTrace};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -146,23 +146,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Where choreography handles emit their events.
 ///
-/// `f` is only called when the sink actually records (the same laziness
-/// contract as [`ConformanceSink::record`]), so untraced runs never build
-/// event payloads.
+/// `f` is only called when the sink actually records, so untraced runs
+/// never build event payloads.
 pub trait EventSink {
     /// Emits the event produced by `f` if this sink records.
     fn emit(&mut self, f: impl FnOnce() -> ProtocolEvent);
 }
 
-impl EventSink for ConformanceSink {
-    #[inline]
-    fn emit(&mut self, f: impl FnOnce() -> ProtocolEvent) {
-        self.record(f);
-    }
-}
-
-/// Collecting straight into a trace (tests, the `choreo_check` reference
-/// run).
+/// Collecting straight into a trace (the simulator's recorder, tests,
+/// the `choreo_check` reference run).
 impl EventSink for ProtocolTrace {
     #[inline]
     fn emit(&mut self, f: impl FnOnce() -> ProtocolEvent) {
@@ -170,8 +162,8 @@ impl EventSink for ProtocolTrace {
     }
 }
 
-/// `None` is a disabled sink: untraced threaded runs drive the same
-/// handles with no recording.
+/// `None` is a disabled sink: untraced runs drive the same handles with
+/// no recording.
 impl<S: EventSink> EventSink for Option<S> {
     #[inline]
     fn emit(&mut self, f: impl FnOnce() -> ProtocolEvent) {
@@ -1094,12 +1086,12 @@ mod tests {
 
     #[test]
     fn disabled_sinks_never_build_payloads() {
-        let mut sink = ConformanceSink::disabled();
+        let mut sink: Option<ProtocolTrace> = None;
         let step = begin_step(&mut sink, 0, 0);
         step.send(&mut sink, 1);
         let step = step.begin_compute(&mut sink).end_compute(&mut sink);
         step.reduce(&mut sink).complete();
-        assert!(sink.take().is_none());
+        assert!(sink.is_none());
 
         let mut none: Option<SeqSink<'_>> = None;
         advance_only(&mut none, 0, 0);

@@ -482,44 +482,6 @@ fn parse_event(line: &str) -> Result<ProtocolEvent, String> {
     })
 }
 
-/// The recorder both runtimes write through: a no-op unless enabled, so
-/// untraced runs pay one branch per hook.
-#[derive(Debug, Default)]
-pub struct ConformanceSink {
-    trace: Option<ProtocolTrace>,
-}
-
-impl ConformanceSink {
-    /// A disabled sink (the default: recording is opt-in).
-    pub fn disabled() -> Self {
-        Self::default()
-    }
-
-    /// Starts recording (from an empty trace).
-    pub fn enable(&mut self) {
-        self.trace = Some(ProtocolTrace::new());
-    }
-
-    /// Whether events are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.trace.is_some()
-    }
-
-    /// Records the event produced by `f` if enabled; `f` is not called
-    /// otherwise (so hooks can build payloads lazily).
-    #[inline]
-    pub fn record(&mut self, f: impl FnOnce() -> ProtocolEvent) {
-        if let Some(trace) = &mut self.trace {
-            trace.push(f());
-        }
-    }
-
-    /// Takes the recorded trace, leaving the sink disabled.
-    pub fn take(&mut self) -> Option<ProtocolTrace> {
-        self.trace.take()
-    }
-}
-
 /// What the oracle found wrong, with enough context to debug from the
 /// message alone.
 #[derive(Debug, Clone, PartialEq)]

@@ -22,9 +22,10 @@
 //!   [`hop_sim`]'s virtual cluster; produces timing traces, gap
 //!   statistics and loss curves for every figure in the paper.
 //! * [`threaded`] / [`process`] — the same protocol executed for real:
-//!   one worker iteration loop (the private `worker` module) over two
-//!   transports, OS threads sharing blocking queues from [`hop_queue`]
-//!   and OS *processes* over localhost TCP speaking [`hop_wire`]
+//!   one worker iteration loop (the private `worker` module), each
+//!   worker owning its [`hop_queue`] inbox, over two transports: OS
+//!   threads posting to each other's mailboxes and OS *processes* over
+//!   localhost TCP speaking [`hop_wire`]
 //!   length-prefixed frames (measured socket bytes equal the simulator's
 //!   `bytes_sent` by construction).
 //! * [`trainer`] — the high-level [`trainer::SimExperiment`] API.

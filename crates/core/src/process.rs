@@ -4,24 +4,23 @@
 //!
 //! A [`ProcessExperiment`] plays coordinator: it binds a listener,
 //! re-execs the worker binary (`hop_worker --worker <addr> <id>`) once
-//! per worker, hands each its spec text and peer ports, and collects one
-//! [`Message::Summary`] per worker at the end. Workers connect to each
-//! other directly — one TCP connection per directed external edge
-//! `w -> o`, carrying `w`'s updates one way and `o`'s token grants the
-//! other — and drive the one worker iteration loop (`crate::worker`,
-//! shared with [`crate::threaded`]) over the socket transport defined
-//! here. Outbound, delivering an update is one encoded frame fanned out
-//! to the out-links and a token grant is a frame on an in-link. After
-//! set-up a worker process runs one thread: its sockets are
-//! non-blocking, a write the kernel cannot take whole keeps its tail in
-//! the link's buffer, and whenever the loop waits — for its quota of
-//! updates, the next staleness-mode arrival, or a token — the transport
-//! pumps every link (`poll(2)`, one read per readable link, frames
-//! decoded in place, unsent tails flushed) into the worker's own tagged
-//! inbox and `TokenQ(o -> w)` counters until the wait is satisfied. No
-//! write can block the loop, so two peers writing at each other cannot
-//! deadlock. A wait first polls without blocking a few times, yielding
-//! the core in between, and only then parks.
+//! per worker, hands each its spec — a [`Message::Spec`] frame holding
+//! the run and the listener ports of the worker's update receivers — and
+//! collects one [`Message::Summary`] per worker at the end. Workers
+//! connect to each other directly — one TCP connection per directed
+//! external edge `w -> o`, carrying `w`'s updates one way and `o`'s token
+//! grants the other — and drive the one worker iteration loop
+//! (`crate::worker`, shared with [`crate::threaded`]) over the socket
+//! transport defined here. Outbound, delivering an update is one encoded
+//! frame fanned out to the out-links and a token grant is a frame on an
+//! in-link. After set-up a worker process runs one thread: its sockets
+//! are non-blocking, a write the kernel cannot take whole keeps its tail
+//! in the link's buffer, and whenever the loop waits it pumps every link
+//! (`poll(2)`, one read per readable link, frames decoded in place,
+//! unsent tails flushed) into the worker's own inbox until the wait is
+//! satisfied. No write can block the loop, so two peers writing at each
+//! other cannot deadlock. A wait first pumps without blocking a few
+//! times, yielding the core in between, and only then parks.
 //!
 //! # Wire accounting
 //!
@@ -45,9 +44,10 @@
 //!
 //! # Failure semantics
 //!
-//! Everything fails closed. The spec a worker receives is validated key
-//! by key and against its own topology before anything runs; a rejected
-//! spec comes back as a typed summary error, not a panic.
+//! Everything fails closed. The spec a worker receives is read with
+//! [`hop_wire::Body`]'s bounds-checks, field by field, and validated
+//! against its own topology before anything runs; a rejected spec comes
+//! back as a typed summary error naming the field, not a panic.
 //!
 //! Links close by handshake. A finished worker floods its final tokens,
 //! writes `Finished` on every link, half-closes it (`shutdown(Write)`)
@@ -55,14 +55,15 @@
 //! own `Finished` arrives (bounded by `stall_timeout`) before the
 //! process exits: exiting with unread frames in a receive buffer resets
 //! the connection, and the reset can destroy that very `Finished` in the
-//! peer's buffer. The pump gives each link its verdict — the peer
-//! finished, or the link broke (EOF without `Finished`, a read error, a
-//! corrupt or unexpected frame) — and the first broken link fails the
-//! wait in progress and every later transport call, naming the peer. A
-//! write error is classified by reading that link once: a late token
-//! grant to a peer that finished first is benign, while a peer that died
-//! mid-run surfaces as a peer loss naming it, not as a bare I/O string
-//! or a stall. The coordinator turns missing summaries into
+//! peer's buffer. Only the pump's reads give a link its verdict — the
+//! peer finished, or the link broke (EOF without `Finished`, a read
+//! error, a corrupt or unexpected frame) — and the first broken link
+//! fails the wait in progress and every later transport call, naming the
+//! peer. A failed write only stops the writing and leaves the verdict to
+//! the next read: a late token grant to a peer that finished first is
+//! benign, while a peer that died mid-run surfaces as a peer loss naming
+//! it, not as a bare I/O string or a stall. The coordinator turns missing
+//! summaries into
 //! [`ProcessError::PeerLost`] and — when
 //! [`ProcessExperiment::failure_label`] is set — serializes the partial
 //! merged trace to `target/conformance-failures/<label>.trace` for
@@ -76,19 +77,16 @@ use crate::semantics::StalenessWeighting;
 use crate::sim_runtime::compression::CompressionPlane;
 use crate::threaded::ThreadedError;
 use crate::trainer::Hyper;
-use crate::worker::{worker_loop, Transport, WorkerJob, WorkerOutcome};
+use crate::worker::{worker_loop, Inbox, Transport, WorkerJob, WorkerOutcome};
 use hop_data::webspam::SyntheticWebspam;
 use hop_data::Dataset;
 use hop_graph::Topology;
 use hop_model::svm::Svm;
 use hop_model::Model;
-use hop_queue::tagged::{Tag, TagFilter, TaggedEntry};
-use hop_queue::TaggedQueue;
+use hop_queue::tagged::Tag;
 use hop_sim::FaultPlan;
 use hop_tensor::{BufferPool, CompressedBlock, CompressionConfig, ParamBlock};
-use hop_wire::{read_message, write_message, Message, WireError};
-use std::cell::RefCell;
-use std::collections::HashMap;
+use hop_wire::{read_message, write_message, Body, Message, WireError};
 use std::fmt::Write as _;
 use std::io::{self, ErrorKind, Read as _, Write as _};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -238,8 +236,7 @@ pub struct ProcessExperiment {
     /// Makes one worker a deterministic straggler: `(worker, factor)`
     /// multiplies its `compute_sleep`.
     pub slow_worker: Option<(usize, u32)>,
-    /// Timeout for any single blocking queue operation in a worker
-    /// before declaring a stall.
+    /// Timeout for any single wait in a worker before declaring a stall.
     pub stall_timeout: Duration,
     /// The worker binary to re-exec (`hop_worker`; tests use
     /// `env!("CARGO_BIN_EXE_hop_worker")`, the smoke mode uses
@@ -349,25 +346,18 @@ impl ProcessExperiment {
             Ok(())
         })
         .map_err(ProcessError::Handshake)?;
-        // Hand every worker its spec and the listener ports of its
+        // Hand every worker its spec, with the listener ports of its
         // update receivers, then let the fleet run.
         for w in 0..n {
-            let peers: Vec<(u32, u16)> = self
-                .topology
-                .external_out_neighbors(w)
-                .iter()
-                .map(|&o| (o as u32, conns[o].1))
-                .collect();
+            let ports = self.topology.external_out_neighbors(w);
+            let ports = ports.iter().map(|&o| conns[o].1).collect();
             let spec = Message::Spec {
-                text: self.spec_text(w, traced),
+                body: self.worker_spec(w, traced, ports).encode(),
             };
-            let stream = &mut conns[w].0;
-            write_message(stream, &spec)
-                .and_then(|_| write_message(stream, &Message::Peers { peers }))
-                .map_err(|error| ProcessError::Wire {
-                    context: "send worker spec and peer table",
-                    error,
-                })?;
+            write_message(&mut conns[w].0, &spec).map_err(|error| ProcessError::Wire {
+                context: "send worker spec",
+                error,
+            })?;
         }
         // Collect one summary per worker within a budget derived from
         // the run's own knobs; a missing summary is a lost peer.
@@ -436,74 +426,27 @@ impl ProcessExperiment {
         Ok((report, trace))
     }
 
-    /// The text `key=value` specification shipped to worker `w`. Floats
-    /// travel as hex bit patterns so both sides compute on identical
-    /// values.
-    fn spec_text(&self, w: usize, traced: bool) -> String {
-        let cfg = &self.config;
-        let opt = |v: Option<u64>| v.map_or_else(|| "none".to_string(), |x| x.to_string());
-        let hex = |v: f32| format!("{:08x}", v.to_bits());
-        let edges: Vec<String> = self
-            .topology
-            .external_edges()
-            .iter()
-            .map(|(u, v)| format!("{u}>{v}"))
-            .collect();
-        let sleep = match self.slow_worker {
-            Some((slow, factor)) if slow == w => self.compute_sleep * factor,
-            _ => self.compute_sleep,
-        };
-        let fields = [
-            ("w", w.to_string()),
-            ("n", self.topology.len().to_string()),
-            ("max_iters", self.max_iters.to_string()),
-            ("seed", self.seed.to_string()),
-            ("edges", edges.join(";")),
-            ("max_ig", opt(cfg.max_ig())),
-            ("n_backup", cfg.n_backup.to_string()),
-            ("staleness", opt(cfg.staleness)),
-            (
-                "skip",
-                cfg.skip.as_ref().map_or_else(
-                    || "none".into(),
-                    |s| format!("{}:{}", s.max_jump, s.trigger_behind),
-                ),
-            ),
-            ("send_inquiry", opt(cfg.send_inquiry.map(u64::from))),
-            (
-                "weighting",
-                match cfg.staleness_weighting {
-                    StalenessWeighting::Linear => "linear".into(),
-                    StalenessWeighting::Uniform => "uniform".into(),
-                    StalenessWeighting::Exponential { decay } => format!("exp:{}", hex(decay)),
-                },
-            ),
-            (
-                "compression",
-                match cfg.compression {
-                    CompressionConfig::Identity => "identity".into(),
-                    CompressionConfig::TopK { ratio } => format!("topk:{}", hex(ratio)),
-                    CompressionConfig::Int8Uniform => "int8".into(),
-                },
-            ),
-            ("lr", hex(self.hyper.lr)),
-            ("momentum", hex(self.hyper.momentum)),
-            ("weight_decay", hex(self.hyper.weight_decay)),
-            ("batch_size", self.hyper.batch_size.to_string()),
-            ("examples", self.examples.to_string()),
-            ("data_seed", self.data_seed.to_string()),
-            ("sleep_us", sleep.as_micros().to_string()),
-            ("stall_ms", self.stall_timeout.as_millis().to_string()),
-            ("traced", u8::from(traced).to_string()),
-            (
-                "die_at",
-                opt(self.die_at.and_then(|(dw, iter)| (dw == w).then_some(iter))),
-            ),
-        ];
-        fields.iter().fold(String::new(), |mut out, (key, value)| {
-            let _ = writeln!(out, "{key}={value}");
-            out
-        })
+    /// The spec worker `w` runs, given the listener `ports` of its
+    /// external out-neighbors.
+    fn worker_spec(&self, w: usize, traced: bool, ports: Vec<u16>) -> WorkerSpec {
+        WorkerSpec {
+            w,
+            topology: self.topology.clone(),
+            ports,
+            max_iters: self.max_iters,
+            seed: self.seed,
+            cfg: self.config.clone(),
+            hyper: self.hyper,
+            examples: self.examples,
+            data_seed: self.data_seed,
+            compute_sleep: match self.slow_worker {
+                Some((slow, factor)) if slow == w => self.compute_sleep * factor,
+                _ => self.compute_sleep,
+            },
+            stall_timeout: self.stall_timeout,
+            traced,
+            die_at: self.die_at.and_then(|(dw, iter)| (dw == w).then_some(iter)),
+        }
     }
 }
 
@@ -609,12 +552,16 @@ fn accept_hellos(
 // Worker half
 // ---------------------------------------------------------------------------
 
-/// Everything a worker needs to run its half of the experiment, parsed
-/// and validated from the coordinator's spec text.
+/// Everything a worker runs: what the coordinator encodes into the
+/// [`Message::Spec`] frame, and what the worker decodes from it, failing
+/// closed.
 #[derive(Debug, PartialEq)]
 struct WorkerSpec {
     w: usize,
     topology: Topology,
+    /// Listener ports of `w`'s external out-neighbors, in
+    /// [`Topology::external_out_neighbors`] order.
+    ports: Vec<u16>,
     max_iters: u64,
     seed: u64,
     cfg: HopConfig,
@@ -627,150 +574,190 @@ struct WorkerSpec {
     die_at: Option<u64>,
 }
 
-/// A float shipped as its hex bit pattern.
-fn hex_f32(raw: &str, what: &str) -> Result<f32, String> {
-    u32::from_str_radix(raw, 16)
-        .map(f32::from_bits)
-        .map_err(|e| format!("spec `{what}`: {e}"))
+/// Appends each value's little-endian bytes.
+fn put<const N: usize>(out: &mut Vec<u8>, values: impl IntoIterator<Item = [u8; N]>) {
+    out.extend(values.into_iter().flatten());
+}
+
+/// Appends an optional `u64` as a presence byte and, if present, the
+/// value.
+fn put_opt(out: &mut Vec<u8>, value: Option<u64>) {
+    out.push(u8::from(value.is_some()));
+    put(out, value.map(u64::to_le_bytes));
+}
+
+/// Names the spec field a failed read was after.
+fn field<T>(name: &str, read: Result<T, WireError>) -> Result<T, String> {
+    read.map_err(|e| format!("spec `{name}`: {e}"))
+}
+
+/// Reads a `u64` count or id.
+fn size(b: &mut Body<'_>, name: &str) -> Result<usize, String> {
+    field(name, b.u64()).map(|v| v as usize)
+}
+
+/// Reads a count that must be positive.
+fn positive(b: &mut Body<'_>, name: &str) -> Result<usize, String> {
+    match size(b, name)? {
+        0 => Err(format!("spec `{name}` must be positive")),
+        v => Ok(v),
+    }
+}
+
+/// Reads a presence (or flag) byte: 0 or 1.
+fn present(b: &mut Body<'_>, name: &str) -> Result<bool, String> {
+    match field(name, b.u8())? {
+        0 => Ok(false),
+        1 => Ok(true),
+        byte => Err(format!("spec `{name}` has presence byte {byte}")),
+    }
+}
+
+/// Reads what [`put_opt`] wrote.
+fn opt(b: &mut Body<'_>, name: &str) -> Result<Option<u64>, String> {
+    present(b, name)?.then(|| field(name, b.u64())).transpose()
 }
 
 impl WorkerSpec {
-    /// Parses the spec text, failing closed: unknown, repeated or missing
-    /// keys, out-of-range ids and sizes, and a config that does not
-    /// validate against the shipped topology are all rejected with a
-    /// message naming the offending key.
-    #[allow(clippy::too_many_lines)]
-    fn parse(text: &str) -> Result<Self, String> {
-        let mut fields: HashMap<&str, &str> = HashMap::new();
-        for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
-            let (k, v) = line
-                .split_once('=')
-                .ok_or_else(|| format!("spec line `{line}` is not key=value"))?;
-            if fields.insert(k, v).is_some() {
-                return Err(format!("spec repeats `{k}`"));
-            }
-        }
-        // Every key is taken exactly once; whatever is left over at the
-        // end is a key this parser does not know.
-        let fields = RefCell::new(fields);
-        let get = |key: &str| -> Result<&str, String> {
-            fields
-                .borrow_mut()
-                .remove(key)
-                .ok_or_else(|| format!("spec is missing `{key}`"))
+    /// The spec as a [`Message::Spec`] body: little-endian fields in
+    /// [`Self::decode`]'s order, integers as `u64` (ports as `u16`),
+    /// durations in nanoseconds, an option as a presence byte before its
+    /// value, and each enum as a kind byte before its payload.
+    fn encode(&self) -> Vec<u8> {
+        let (cfg, hyper, mut out) = (&self.cfg, &self.hyper, Vec::new());
+        let nanos = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+        let edges = self.topology.external_edges();
+        let ids = edges.iter().flat_map(|&(u, v)| [u, v]);
+        let head = [self.topology.len(), self.w, edges.len()].into_iter();
+        put(&mut out, head.chain(ids).map(|v| (v as u64).to_le_bytes()));
+        put(&mut out, [self.ports.len() as u64].map(u64::to_le_bytes));
+        put(&mut out, self.ports.iter().map(|p| p.to_le_bytes()));
+        put(&mut out, [self.max_iters, self.seed].map(u64::to_le_bytes));
+        put_opt(&mut out, cfg.max_ig());
+        put(&mut out, [cfg.n_backup as u64].map(u64::to_le_bytes));
+        put_opt(&mut out, cfg.staleness);
+        let skip = cfg.skip.as_ref();
+        put_opt(&mut out, skip.map(|s| s.max_jump));
+        put(&mut out, skip.map(|s| s.trigger_behind.to_le_bytes()));
+        out.push(cfg.send_inquiry.map_or(0, |ask| 1 + u8::from(ask)));
+        let (weighting, decay) = match cfg.staleness_weighting {
+            StalenessWeighting::Linear => (0, None),
+            StalenessWeighting::Uniform => (1, None),
+            StalenessWeighting::Exponential { decay } => (2, Some(decay)),
         };
-        let parse_u64 = |key: &str, raw: &str| -> Result<u64, String> {
-            raw.parse::<u64>().map_err(|e| format!("spec `{key}`: {e}"))
+        out.push(weighting);
+        put(&mut out, decay.map(f32::to_le_bytes));
+        let (compression, ratio) = match cfg.compression {
+            CompressionConfig::Identity => (0, None),
+            CompressionConfig::TopK { ratio } => (1, Some(ratio)),
+            CompressionConfig::Int8Uniform => (2, None),
         };
-        let get_u64 = |key: &str| parse_u64(key, get(key)?);
-        let get_opt_u64 = |key: &str| -> Result<Option<u64>, String> {
-            match get(key)? {
-                "none" => Ok(None),
-                raw => parse_u64(key, raw).map(Some),
-            }
-        };
-        let get_usize = |key: &str| -> Result<usize, String> {
-            usize::try_from(get_u64(key)?).map_err(|e| format!("spec `{key}`: {e}"))
-        };
-        let get_positive = |key: &str| -> Result<usize, String> {
-            match get_usize(key)? {
-                0 => Err(format!("spec `{key}` must be positive")),
-                v => Ok(v),
-            }
-        };
-        let n = get_positive("n")?;
-        let w = get_usize("w")?;
+        out.push(compression);
+        put(&mut out, ratio.map(f32::to_le_bytes));
+        let floats = [hyper.lr, hyper.momentum, hyper.weight_decay];
+        put(&mut out, floats.map(f32::to_le_bytes));
+        let sizes = [hyper.batch_size, self.examples].map(|v| v as u64);
+        let rest = [
+            self.data_seed,
+            nanos(self.compute_sleep),
+            nanos(self.stall_timeout),
+        ];
+        put(
+            &mut out,
+            sizes.into_iter().chain(rest).map(u64::to_le_bytes),
+        );
+        out.push(u8::from(self.traced));
+        put_opt(&mut out, self.die_at);
+        out
+    }
+
+    /// Decodes [`Self::encode`]'s layout, failing closed: a body too
+    /// short for a field or with bytes left over, an unknown kind byte,
+    /// out-of-range ids, zero sizes, a port per out-neighbor missing, and
+    /// a config that does not validate against the shipped topology are
+    /// all rejected with a message naming the field.
+    fn decode(bytes: &[u8]) -> Result<Self, String> {
+        let mut body = Body::new(bytes);
+        let b = &mut body;
+        let (n, w) = (size(b, "n")?, size(b, "w")?);
         if w >= n {
             return Err(format!("spec `w`={w} is out of range for n={n}"));
         }
         let mut edges = Vec::new();
-        for part in get("edges")?.split(';').filter(|p| !p.is_empty()) {
-            let endpoints = part
-                .split_once('>')
-                .and_then(|(u, v)| Some((u.parse::<usize>().ok()?, v.parse::<usize>().ok()?)));
-            match endpoints {
-                Some((u, v)) if u < n && v < n => edges.push((u, v)),
-                Some(_) => return Err(format!("spec edge `{part}` is out of range for n={n}")),
-                None => return Err(format!("spec edge `{part}` is not u>v")),
+        for _ in 0..size(b, "edges")? {
+            let (u, v) = (size(b, "edges")?, size(b, "edges")?);
+            if u >= n || v >= n {
+                return Err(format!("spec edge {u}>{v} is out of range for n={n}"));
             }
+            edges.push((u, v));
         }
         let topology = Topology::from_edges(n, &edges);
-        let skip = match get("skip")? {
-            "none" => None,
-            raw => {
-                let (j, b) = raw
-                    .split_once(':')
-                    .ok_or_else(|| format!("spec `skip`=`{raw}` is not max_jump:trigger"))?;
-                Some(SkipConfig {
-                    max_jump: parse_u64("skip", j)?,
-                    trigger_behind: parse_u64("skip", b)?,
-                })
-            }
-        };
-        let send_inquiry = match get("send_inquiry")? {
-            "none" => None,
-            "0" => Some(false),
-            "1" => Some(true),
-            other => return Err(format!("spec `send_inquiry`=`{other}` is not none/0/1")),
-        };
-        let staleness_weighting = match get("weighting")? {
-            "linear" => StalenessWeighting::Linear,
-            "uniform" => StalenessWeighting::Uniform,
-            raw => match raw.strip_prefix("exp:") {
-                Some(bits) => StalenessWeighting::Exponential {
-                    decay: hex_f32(bits, "weighting")?,
-                },
-                None => return Err(format!("spec has unknown `weighting`=`{raw}`")),
-            },
-        };
-        let compression = match get("compression")? {
-            "identity" => CompressionConfig::Identity,
-            "int8" => CompressionConfig::Int8Uniform,
-            raw => match raw.strip_prefix("topk:") {
-                Some(bits) => CompressionConfig::TopK {
-                    ratio: hex_f32(bits, "compression")?,
-                },
-                None => return Err(format!("spec has unknown `compression`=`{raw}`")),
-            },
-        };
-        let cfg = HopConfig {
-            order: ComputeOrder::Parallel,
-            sync: SyncMode::Queues {
-                max_ig: get_opt_u64("max_ig")?,
-            },
-            n_backup: get_usize("n_backup")?,
-            staleness: get_opt_u64("staleness")?,
-            skip,
-            send_inquiry,
-            staleness_weighting,
-            compression,
-        };
-        cfg.validate(&topology)
-            .map_err(|e| format!("spec config is invalid for its topology: {e}"))?;
+        let ports = (0..size(b, "ports")?).map(|_| field("ports", b.u16()));
         let spec = WorkerSpec {
+            ports: ports.collect::<Result<_, _>>()?,
+            max_iters: field("max_iters", b.u64())?,
+            seed: field("seed", b.u64())?,
+            cfg: HopConfig {
+                order: ComputeOrder::Parallel,
+                sync: SyncMode::Queues {
+                    max_ig: opt(b, "max_ig")?,
+                },
+                n_backup: size(b, "n_backup")?,
+                staleness: opt(b, "staleness")?,
+                skip: match opt(b, "skip")? {
+                    Some(max_jump) => Some(SkipConfig {
+                        max_jump,
+                        trigger_behind: field("skip", b.u64())?,
+                    }),
+                    None => None,
+                },
+                send_inquiry: match field("send_inquiry", b.u8())? {
+                    0 => None,
+                    ask @ (1 | 2) => Some(ask == 2),
+                    kind => return Err(format!("spec `send_inquiry` has unknown kind {kind}")),
+                },
+                staleness_weighting: match field("weighting", b.u8())? {
+                    0 => StalenessWeighting::Linear,
+                    1 => StalenessWeighting::Uniform,
+                    2 => StalenessWeighting::Exponential {
+                        decay: field("weighting", b.f32())?,
+                    },
+                    kind => return Err(format!("spec `weighting` has unknown kind {kind}")),
+                },
+                compression: match field("compression", b.u8())? {
+                    0 => CompressionConfig::Identity,
+                    1 => CompressionConfig::TopK {
+                        ratio: field("compression", b.f32())?,
+                    },
+                    2 => CompressionConfig::Int8Uniform,
+                    kind => return Err(format!("spec `compression` has unknown kind {kind}")),
+                },
+            },
+            hyper: Hyper {
+                lr: field("lr", b.f32())?,
+                momentum: field("momentum", b.f32())?,
+                weight_decay: field("weight_decay", b.f32())?,
+                batch_size: positive(b, "batch_size")?,
+            },
+            examples: positive(b, "examples")?,
+            data_seed: field("data_seed", b.u64())?,
+            compute_sleep: Duration::from_nanos(field("compute_sleep", b.u64())?),
+            stall_timeout: Duration::from_nanos(field("stall_timeout", b.u64())?),
+            traced: present(b, "traced")?,
+            die_at: opt(b, "die_at")?,
             w,
             topology,
-            max_iters: get_u64("max_iters")?,
-            seed: get_u64("seed")?,
-            cfg,
-            hyper: Hyper {
-                lr: hex_f32(get("lr")?, "lr")?,
-                momentum: hex_f32(get("momentum")?, "momentum")?,
-                weight_decay: hex_f32(get("weight_decay")?, "weight_decay")?,
-                batch_size: get_positive("batch_size")?,
-            },
-            examples: get_positive("examples")?,
-            data_seed: get_u64("data_seed")?,
-            compute_sleep: Duration::from_micros(get_u64("sleep_us")?),
-            stall_timeout: Duration::from_millis(get_u64("stall_ms")?),
-            traced: get_u64("traced")? != 0,
-            die_at: get_opt_u64("die_at")?,
         };
-        let unknown = fields.borrow().keys().min().copied();
-        match unknown {
-            Some(k) => Err(format!("spec has unknown key `{k}`")),
-            None => Ok(spec),
+        field("end", body.finish())?;
+        let receivers = spec.topology.external_out_neighbors(w).len();
+        if spec.ports.len() != receivers {
+            let got = spec.ports.len();
+            return Err(format!("spec `ports` has {got} for {receivers} receivers"));
         }
+        spec.cfg
+            .validate(&spec.topology)
+            .map_err(|e| format!("spec config is invalid for its topology: {e}"))?;
+        Ok(spec)
     }
 }
 
@@ -860,17 +847,6 @@ mod sys {
         Ok(())
     }
 }
-
-/// Empty pump rounds — a `poll` that does not block, then
-/// `thread::yield_now` — a wait makes before it parks in a blocking
-/// `poll`. In steady state the frame a worker waits for is this close:
-/// catching it here spares both processes a sleep and a wake-up, and
-/// yielding leaves the core to whoever is about to send it. Chosen from
-/// the perf ledger's `proc_ring4_int8` on a 2-core host (worker
-/// iterations per second, median of 4 runs; 42.9 k with a reader thread
-/// per link): 0 rounds 51.6 k, 5 → 73.0 k, 20 → 79.3 k, 50 → 79.6 k,
-/// 200 → 74.8 k.
-const SPIN_ROUNDS: u32 = 20;
 
 /// Free space a link's read buffer keeps for the next `read`: one read
 /// takes in every small frame the kernel holds, a large frame arrives
@@ -1010,6 +986,16 @@ impl Link {
         }
     }
 
+    /// A write failed: nothing more is written here, and the pump's reads
+    /// say what it meant. A peer that said `Finished` left on its own (the
+    /// simulator likewise charges sends to finished workers — delivery is
+    /// the receiver's problem); EOF or a read error before that is a loss.
+    fn write_failed(&mut self) {
+        self.out.clear();
+        self.sent = 0;
+        self.shut = true;
+    }
+
     /// Once this worker's `Finished` is queued: half-closes the link as
     /// soon as it is flushed, and says whether it is settled — shut with
     /// the peer's `Finished` in, or broken.
@@ -1023,22 +1009,14 @@ impl Link {
 }
 
 /// The socket [`Transport`]: one [`Link`] per directed external edge,
-/// and no thread but the worker's own. Whenever the loop waits, the
-/// transport pumps every link — reads what arrived into the inbox and
-/// the token counts, flushes what is still unsent — until the wait is
-/// satisfied, a link fails, or the wait times out.
+/// and no thread but the worker's own. Its pump reads what arrived on
+/// every link into the worker's inbox and flushes what is still unsent.
 struct SocketTransport<'a> {
     w: usize,
     /// Fault hook (see [`ProcessExperiment::die_at`]).
     die_at: Option<u64>,
-    /// Bound on the teardown drain (`stall_timeout`).
-    patience: Duration,
     /// Lamport clock, shared with the event sink.
     clock: &'a AtomicU64,
-    /// The worker's self-sends and every update its in-links carried.
-    inbox: TaggedQueue<ParamBlock>,
-    /// `TokenQ(o -> w)` per out-link (empty without `max_ig`).
-    tokens: Vec<u64>,
     /// Out-links in [`Topology::external_out_neighbors`] order, then
     /// in-links in [`Topology::external_in_neighbors`] order.
     links: Vec<Link>,
@@ -1048,6 +1026,8 @@ struct SocketTransport<'a> {
     /// The first link failure, naming the peer. Every later call fails
     /// with it.
     failure: Option<String>,
+    /// This worker's `Finished` is out on every link.
+    closing: bool,
     /// The pump's `poll` set, and the link each entry watches.
     fds: Vec<sys::PollFd>,
     polled: Vec<usize>,
@@ -1059,20 +1039,18 @@ struct SocketTransport<'a> {
 
 impl<'a> SocketTransport<'a> {
     /// Worker `w`'s transport over `links`, the first `out_links` of them
-    /// its out-links, for `dim`-parameter updates; no token queues, no
-    /// fault hook and no teardown patience until set.
+    /// its out-links, for `dim`-parameter updates; no fault hook until
+    /// set.
     fn new(w: usize, clock: &'a AtomicU64, links: Vec<Link>, out_links: usize, dim: usize) -> Self {
         SocketTransport {
             w,
             die_at: None,
-            patience: Duration::ZERO,
             clock,
-            inbox: TaggedQueue::unbounded(),
-            tokens: Vec::new(),
             links,
             out_links,
             dim,
             failure: None,
+            closing: false,
             fds: Vec::new(),
             polled: Vec::new(),
             dense_scratch: CompressedBlock::Dense { values: Vec::new() },
@@ -1097,96 +1075,15 @@ impl<'a> SocketTransport<'a> {
 
     /// Writes the encoded `frame` to link `i`.
     fn send_frame(&mut self, i: usize) {
-        if let Err(e) = self.links[i].send(&self.frame) {
-            self.write_failed(i, &e);
+        if self.links[i].send(&self.frame).is_err() {
+            self.links[i].write_failed();
         }
-    }
-
-    /// A write to link `i` failed, and only the peer's side of the link
-    /// says what that means: read it once. A peer that said `Finished`
-    /// has since left on its own, so the rest of what this worker writes
-    /// there is dropped (the simulator likewise keeps charging sends to
-    /// finished workers — delivery is the receiver's problem); otherwise
-    /// the peer is lost.
-    fn write_failed(&mut self, i: usize, e: &io::Error) {
-        self.read_link(i);
-        let link = &mut self.links[i];
-        link.out.clear();
-        link.sent = 0;
-        link.shut = true;
-        if !link.finished {
-            let peer = link.peer;
-            self.fail(i, format_args!("writing to worker {peer}: {e}"));
-        }
-    }
-
-    /// Pumps until `ready` holds (asked before every round), a link
-    /// fails, or `timeout` passes; says whether `ready` came to hold.
-    /// The first [`SPIN_ROUNDS`] rounds that move nothing do not block.
-    fn wait(&mut self, timeout: Duration, mut ready: impl FnMut(&mut Self) -> bool) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut spins = 0;
-        loop {
-            if ready(self) {
-                return true;
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if self.failure.is_some() || left.is_zero() {
-                return false;
-            }
-            if spins < SPIN_ROUNDS {
-                if !self.pump(Duration::ZERO) {
-                    spins += 1;
-                    std::thread::yield_now();
-                }
-            } else {
-                self.pump(left);
-            }
-        }
-    }
-
-    /// One pump round: waits up to `timeout` for a link with something to
-    /// read (until the peer's `Finished`) or room for its unsent output,
-    /// then reads each readable link once and flushes each writable one.
-    /// Says whether any bytes moved.
-    fn pump(&mut self, timeout: Duration) -> bool {
-        self.fds.clear();
-        self.polled.clear();
-        for (i, link) in self.links.iter().enumerate() {
-            let events = (if link.reading() { sys::POLLIN } else { 0 })
-                | (if link.writing() { sys::POLLOUT } else { 0 });
-            if events != 0 {
-                self.fds.push(sys::poll_fd(&link.stream, events));
-                self.polled.push(i);
-            }
-        }
-        if let Err(e) = sys::wait(&mut self.fds, timeout) {
-            self.failure
-                .get_or_insert_with(|| format!("polling peer links: {e}"));
-            return false;
-        }
-        let mut moved = false;
-        for j in 0..self.polled.len() {
-            let (i, ready) = (self.polled[j], self.fds[j].revents);
-            // An error or a hang-up is reported whatever was asked for;
-            // the read or write it wakes says which.
-            if ready & !sys::POLLOUT != 0 {
-                moved |= self.read_link(i);
-            }
-            if ready & !sys::POLLIN != 0 && self.links[i].writing() {
-                moved = true;
-                if let Err(e) = self.links[i].flush() {
-                    self.write_failed(i, &e);
-                }
-            }
-        }
-        moved
     }
 
     /// Reads link `i` once (if it is still being read) and takes in every
     /// whole frame it has. EOF before the peer's `Finished` is a peer
     /// loss. Says whether anything arrived.
-    fn read_link(&mut self, i: usize) -> bool {
+    fn read_link(&mut self, inbox: &mut Inbox, i: usize) -> bool {
         let link = &mut self.links[i];
         if !link.reading() {
             return false;
@@ -1203,7 +1100,7 @@ impl<'a> SocketTransport<'a> {
                     match hop_wire::next_frame(&link.read[link.decoded..link.filled]) {
                         Ok(Some((msg, used))) => {
                             link.decoded += used;
-                            if let Err(why) = self.take(i, msg) {
+                            if let Err(why) = self.take(inbox, i, msg) {
                                 self.fail(i, why);
                             }
                         }
@@ -1223,25 +1120,20 @@ impl<'a> SocketTransport<'a> {
         true
     }
 
-    /// Takes one frame from link `i` into the inbox or the token counts,
-    /// max-merging the Lamport clock it carries. Fails closed on a frame
-    /// the link may not carry: a mistyped, mis-sized or misattributed
-    /// update, or a grant without token queues.
-    fn take(&mut self, i: usize, msg: Message) -> Result<(), String> {
+    /// Takes one frame from link `i` into the inbox's updates or token
+    /// counts, max-merging the Lamport clock it carries. Fails closed on a
+    /// frame the link may not carry: a mistyped, mis-sized or
+    /// misattributed update, or a grant without token queues.
+    fn take(&mut self, inbox: &mut Inbox, i: usize, msg: Message) -> Result<(), String> {
         let Self {
-            links,
-            inbox,
-            tokens,
-            clock,
-            dim,
-            ..
+            links, clock, dim, ..
         } = self;
         let link = &mut links[i];
         let u = link.peer;
         match (msg, &mut link.inbound) {
             (Message::Finished { .. }, _) => link.finished = true,
             (Message::Token { count, clock: c }, Inbound::Tokens) => {
-                let queue = tokens.get_mut(i).ok_or_else(|| {
+                let queue = inbox.tokens.get_mut(i).ok_or_else(|| {
                     format!("worker {u} granted tokens but the config has no token queues")
                 })?;
                 clock.fetch_max(c, Ordering::SeqCst);
@@ -1284,7 +1176,10 @@ impl<'a> SocketTransport<'a> {
                     block => plane.apply_params_block(0, &block, pool),
                 };
                 clock.fetch_max(c, Ordering::SeqCst);
-                inbox.enqueue(update, tag).expect("the inbox is unbounded");
+                inbox
+                    .updates
+                    .enqueue(update, tag)
+                    .expect("the inbox is unbounded");
             }
             (other, Inbound::Tokens) => {
                 return Err(format!("unexpected {other:?} on a token link"));
@@ -1300,53 +1195,58 @@ impl<'a> SocketTransport<'a> {
 impl Transport for SocketTransport<'_> {
     type Error = String;
 
-    fn enqueue(&mut self, block: ParamBlock, tag: Tag) {
-        self.inbox
-            .enqueue(block, tag)
-            .expect("the inbox is unbounded");
-    }
+    /// Empty pump rounds — a `poll` that does not block, then
+    /// `thread::yield_now` — a wait makes before it parks in a blocking
+    /// `poll`. In steady state the frame a worker waits for is this close:
+    /// catching it here spares both processes a sleep and a wake-up, and
+    /// yielding leaves the core to whoever is about to send it. Chosen from
+    /// the perf ledger's `proc_ring4_int8` on a 2-core host (worker
+    /// iterations per second, median of 4 runs; 42.9 k with a reader thread
+    /// per link): 0 rounds 51.6 k, 5 → 73.0 k, 20 → 79.3 k, 50 → 79.6 k,
+    /// 200 → 74.8 k.
+    const SPIN_ROUNDS: u32 = 20;
 
-    fn dequeue(
-        &mut self,
-        filter: TagFilter,
-        quota: usize,
-        extra: usize,
-        timeout: Duration,
-    ) -> Option<Vec<TaggedEntry<ParamBlock>>> {
-        let met = |t: &mut Self| t.inbox.size(filter) >= quota;
-        if met(self) {
-            if extra > 0 {
-                // The extras are what has arrived by now, as on threads.
-                self.pump(Duration::ZERO);
+    /// One pump round: waits up to `timeout` for a link with something to
+    /// read (until the peer's `Finished`) or room for its unsent output,
+    /// then reads each readable link once and flushes each writable one.
+    /// Says whether any bytes moved.
+    fn pump(&mut self, inbox: &mut Inbox, timeout: Duration) -> bool {
+        self.fds.clear();
+        self.polled.clear();
+        for (i, link) in self.links.iter().enumerate() {
+            let events = (if link.reading() { sys::POLLIN } else { 0 })
+                | (if link.writing() { sys::POLLOUT } else { 0 });
+            if events != 0 {
+                self.fds.push(sys::poll_fd(&link.stream, events));
+                self.polled.push(i);
             }
-        } else if !self.wait(timeout, met) {
-            return None;
         }
-        Some(
-            self.inbox
-                .dequeue_up_to(quota.saturating_add(extra), filter),
-        )
-    }
-
-    fn drain_older_than(&mut self, iter: u64) -> Vec<TaggedEntry<ParamBlock>> {
-        self.inbox.drain_older_than(iter)
-    }
-
-    fn pending(&self) -> Vec<Tag> {
-        self.inbox.iter().map(|e| e.tag).collect()
-    }
-
-    fn token_counts(&mut self) -> Vec<u64> {
-        self.pump(Duration::ZERO);
-        self.tokens.clone()
-    }
-
-    fn take_tokens(&mut self, idx: usize, n: u64, timeout: Duration) -> bool {
-        let taken = self.wait(timeout, |t| t.tokens[idx] >= n);
-        if taken {
-            self.tokens[idx] -= n;
+        if let Err(e) = sys::wait(&mut self.fds, timeout) {
+            self.failure
+                .get_or_insert_with(|| format!("polling peer links: {e}"));
+            return false;
         }
-        taken
+        let mut moved = false;
+        for j in 0..self.polled.len() {
+            let (i, ready) = (self.polled[j], self.fds[j].revents);
+            // An error or a hang-up is reported whatever was asked for;
+            // the read or write it wakes says which.
+            if ready & !sys::POLLOUT != 0 {
+                moved |= self.read_link(inbox, i);
+            }
+            let link = &mut self.links[i];
+            if ready & !sys::POLLIN != 0 && link.writing() {
+                moved = true;
+                if link.flush().is_err() {
+                    link.write_failed();
+                }
+            }
+        }
+        moved
+    }
+
+    fn broken(&self) -> bool {
+        self.failure.is_some()
     }
 
     fn check(&mut self, k: u64) -> Result<(), String> {
@@ -1403,33 +1303,30 @@ impl Transport for SocketTransport<'_> {
         self.failure.clone().unwrap_or_else(|| stall.to_string())
     }
 
-    /// The close handshake: say `Finished` on every link, half-close it
-    /// once that is flushed, and keep pumping until every peer's own
-    /// `Finished` is in (or `patience` runs out). Exiting with unread
-    /// frames in a receive buffer would turn the close into a reset,
-    /// which can destroy our `Finished` in the peer's buffer and make its
-    /// legal late token grant look like a peer loss.
-    fn finish(&mut self) -> Result<(), String> {
-        hop_wire::encode_frame(
-            &Message::Finished {
+    /// The close handshake: say `Finished` on every link (the first
+    /// time), half-close each once that is flushed, and be closed once
+    /// every peer's own `Finished` is in. Exiting with unread frames in a
+    /// receive buffer would turn the close into a reset, which can destroy
+    /// our `Finished` in the peer's buffer and make its legal late token
+    /// grant look like a peer loss.
+    fn finish(&mut self) -> Result<bool, String> {
+        if !self.closing {
+            self.closing = true;
+            let finished = Message::Finished {
                 worker: self.w as u32,
-            },
-            &mut self.frame,
-        );
-        for i in 0..self.links.len() {
-            self.send_frame(i);
-        }
-        let patience = self.patience;
-        self.wait(patience, |t| {
-            // Every link, not up to the first unsettled one: each gets
-            // its half-close as soon as it is flushed.
-            let mut settled = true;
-            for link in &mut t.links {
-                settled &= link.settle();
+            };
+            hop_wire::encode_frame(&finished, &mut self.frame);
+            for i in 0..self.links.len() {
+                self.send_frame(i);
             }
-            settled
-        });
-        self.failed()
+        }
+        // Every link, not up to the first unsettled one: each gets its
+        // half-close as soon as it is flushed.
+        let mut closed = true;
+        for link in &mut self.links {
+            closed &= link.settle();
+        }
+        self.failed().map(|()| closed)
     }
 }
 
@@ -1489,8 +1386,8 @@ fn worker_session(coordinator: &str, w: usize) -> Result<(), String> {
 }
 
 /// Dials `addr` until it accepts or the deadline passes (peers bind
-/// their listeners before the coordinator releases the peer table, so
-/// refusals here are transient).
+/// their listeners before the coordinator sends the specs, so refusals
+/// here are transient).
 fn connect_peer(addr: (&str, u16), deadline: Instant) -> Result<TcpStream, String> {
     loop {
         match TcpStream::connect(addr) {
@@ -1517,7 +1414,7 @@ fn worker_run(
     events: &mut Vec<(u64, ProtocolEvent)>,
 ) -> Result<(WorkerOutcome, u64), String> {
     let spec = match read_message(coord).map_err(|e| format!("read spec: {e}"))? {
-        Message::Spec { text } => WorkerSpec::parse(&text)?,
+        Message::Spec { body } => WorkerSpec::decode(&body)?,
         other => return Err(format!("expected the spec, got {other:?}")),
     };
     if spec.w != w {
@@ -1526,10 +1423,6 @@ fn worker_run(
             spec.w
         ));
     }
-    let peers = match read_message(coord).map_err(|e| format!("read peer table: {e}"))? {
-        Message::Peers { peers } => peers,
-        other => return Err(format!("expected the peer table, got {other:?}")),
-    };
     let topo = &spec.topology;
     let deadline = Instant::now() + Duration::from_secs(30);
 
@@ -1539,14 +1432,10 @@ fn worker_run(
     let mut init_rng = hop_util::Xoshiro256::seed_from_u64(spec.seed);
     let init_params = ParamBlock::from_vec(model.init_params(&mut init_rng));
 
-    // Dial every update receiver; their listener ports came from the
-    // coordinator (which collected them during the hello round).
-    let port_of: HashMap<u32, u16> = peers.iter().copied().collect();
+    // Dial every update receiver; their listener ports came in the spec
+    // (the coordinator collected them during the hello round).
     let mut links = Vec::new();
-    for &o in topo.external_out_neighbors(w) {
-        let port = *port_of
-            .get(&(o as u32))
-            .ok_or_else(|| format!("peer table is missing worker {o}"))?;
+    for (&o, &port) in topo.external_out_neighbors(w).iter().zip(&spec.ports) {
         let mut stream = connect_peer(("127.0.0.1", port), deadline)?;
         let hello = Message::Hello {
             worker: w as u32,
@@ -1570,11 +1459,6 @@ fn worker_run(
     let clock = AtomicU64::new(0);
     let mut transport = SocketTransport {
         die_at: spec.die_at,
-        patience: spec.stall_timeout,
-        tokens: spec
-            .cfg
-            .max_ig()
-            .map_or_else(Vec::new, |ig| vec![ig; out_links]),
         ..SocketTransport::new(w, &clock, links, out_links, init_params.len())
     };
     let job = WorkerJob {
@@ -1601,6 +1485,7 @@ fn worker_run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hop_queue::tagged::TagFilter;
 
     fn experiment() -> ProcessExperiment {
         let mut exp = ProcessExperiment::new(
@@ -1624,8 +1509,14 @@ mod tests {
         exp
     }
 
+    /// Listener ports for worker `w`'s out-neighbors in `exp`.
+    fn ports(exp: &ProcessExperiment, w: usize) -> Vec<u16> {
+        let receivers = exp.topology.external_out_neighbors(w).len();
+        (0..receivers).map(|i| 4000 + i as u16).collect()
+    }
+
     #[test]
-    fn spec_text_round_trips_for_every_mode() {
+    fn worker_spec_round_trips_for_every_mode() {
         let base = experiment();
         let configs = [
             HopConfig::standard(),
@@ -1645,18 +1536,10 @@ mod tests {
             let mut exp = base.clone();
             exp.config = cfg.clone();
             for w in [0, 2, 3] {
-                let spec = WorkerSpec::parse(&exp.spec_text(w, true))
-                    .unwrap_or_else(|e| panic!("{cfg:?}: {e}"));
-                assert_eq!(spec.w, w);
-                assert_eq!(spec.topology.len(), 5);
-                assert_eq!(spec.cfg, cfg, "config round trip for worker {w}");
-                assert_eq!(spec.hyper, exp.hyper);
-                assert_eq!(spec.max_iters, 12);
-                assert_eq!(spec.seed, exp.seed);
-                assert_eq!(spec.examples, exp.examples);
-                assert_eq!(spec.data_seed, exp.data_seed);
-                assert_eq!(spec.stall_timeout, exp.stall_timeout);
-                assert!(spec.traced);
+                let spec = exp.worker_spec(w, true, ports(&exp, w));
+                let body = spec.encode();
+                let decoded = WorkerSpec::decode(&body).unwrap_or_else(|e| panic!("{cfg:?}: {e}"));
+                assert_eq!(decoded, spec, "{cfg:?}, worker {w}");
                 // The straggler factor and the die hook apply only to
                 // their own worker.
                 let expected_sleep = if w == 2 {
@@ -1666,51 +1549,53 @@ mod tests {
                 };
                 assert_eq!(spec.compute_sleep, expected_sleep, "worker {w}");
                 assert_eq!(spec.die_at, (w == 3).then_some(7), "worker {w}");
-                assert_eq!(
-                    spec.topology.external_edges(),
-                    exp.topology.external_edges()
-                );
+                // Fail closed on length: every proper prefix is short a
+                // field, and one byte more is left over.
+                for cut in 0..body.len() {
+                    assert!(WorkerSpec::decode(&body[..cut]).is_err(), "cut at {cut}");
+                }
+                let mut longer = body.clone();
+                longer.push(0);
+                let err = WorkerSpec::decode(&longer).expect_err("trailing byte");
+                assert!(err.contains("trailing bytes"), "{err}");
             }
         }
     }
 
     #[test]
     fn malformed_specs_are_rejected_with_context() {
-        let good = experiment().spec_text(0, false);
-        let swap = |from: &str, to: &str| {
-            assert!(good.contains(from), "spec text lost its `{from}` line");
-            good.replace(from, to)
+        let exp = experiment();
+        let good = || exp.worker_spec(0, false, ports(&exp, 0));
+        let patched = |at: usize, value: u32| {
+            let mut body = good().encode();
+            body[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            body
         };
+        let with = |edit: &dyn Fn(&mut WorkerSpec)| {
+            let mut spec = good();
+            edit(&mut spec);
+            spec.encode()
+        };
+        // The body opens with `n`, `w` and the edge count, then the first
+        // edge (0>1 on the ring), all `u64`s.
         for (broken, needle) in [
-            ("w=0".to_string(), "missing `n`"),
-            ("w=0\nnot a line".to_string(), "key=value"),
-            (good.replace('>', "&"), "edge"),
+            (patched(0, 0), "`w`=0 is out of range for n=0"),
+            (patched(8, 5), "`w`=5 is out of range for n=5"),
+            (patched(32, 9), "edge 0>9 is out of range"),
+            (good().encode()[..30].to_vec(), "spec `edges`: malformed"),
+            (with(&|s| s.ports.clear()), "`ports` has 0 for 2 receivers"),
             (
-                swap("compression=identity", "compression=zip"),
-                "compression",
-            ),
-            // Fail closed: repeated and unknown keys, ids and sizes out
-            // of range, and a config its own topology cannot carry.
-            (format!("{good}seed=3\n"), "repeats `seed`"),
-            (format!("{good}colour=blue\n"), "unknown key `colour`"),
-            (swap("n=5", "n=0"), "`n` must be positive"),
-            (swap("w=0", "w=5"), "`w`=5 is out of range"),
-            (
-                swap("edges=0>1", "edges=0>9;0>1"),
-                "edge `0>9` is out of range",
-            ),
-            (
-                swap("batch_size=24", "batch_size=0"),
+                with(&|s| s.hyper.batch_size = 0),
                 "`batch_size` must be positive",
             ),
+            (with(&|s| s.examples = 0), "`examples` must be positive"),
+            (with(&|s| s.cfg.n_backup = 3), "config is invalid"),
             (
-                swap("examples=96", "examples=0"),
-                "`examples` must be positive",
+                with(&|s| s.cfg.sync = SyncMode::Queues { max_ig: None }),
+                "config is invalid",
             ),
-            (swap("n_backup=1", "n_backup=3"), "config is invalid"),
-            (swap("max_ig=4", "max_ig=none"), "config is invalid"),
         ] {
-            let err = WorkerSpec::parse(&broken).expect_err("must reject");
+            let err = WorkerSpec::decode(&broken).expect_err("must reject");
             assert!(err.contains(needle), "`{err}` should mention `{needle}`");
         }
     }
@@ -1740,10 +1625,8 @@ mod tests {
                         pool: BufferPool::new(),
                     };
                     let link = Link::new(1 - me, stream, inbound).expect("non-blocking");
-                    let mut end = SocketTransport {
-                        patience: timeout,
-                        ..SocketTransport::new(me, &clock, vec![link], 0, DIM)
-                    };
+                    let mut end = SocketTransport::new(me, &clock, vec![link], 0, DIM);
+                    let mut inbox = Inbox::new(None, 0);
                     let block = CompressedBlock::Dense {
                         values: vec![1.0; DIM],
                     };
@@ -1756,11 +1639,11 @@ mod tests {
                     assert_eq!(end.failed(), Ok(()), "end {me}");
                     assert!(!end.links[0].out.is_empty(), "end {me} never had to queue");
                     let started = Instant::now();
-                    let got = end
-                        .dequeue(TagFilter::any(), FRAMES, 0, timeout)
+                    let got = inbox
+                        .dequeue(&mut end, TagFilter::any(), (FRAMES, 0), timeout)
                         .unwrap_or_else(|| panic!("end {me} stalled: {:?}", end.failure));
                     assert_eq!(got.len(), FRAMES, "end {me}");
-                    assert_eq!(end.finish(), Ok(()), "end {me}");
+                    assert_eq!(inbox.close(&mut end, timeout), Ok(()), "end {me}");
                     assert!(end.links[0].finished && end.links[0].out.is_empty());
                     assert!(started.elapsed() < timeout, "end {me} drained too late");
                 });

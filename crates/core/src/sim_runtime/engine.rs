@@ -111,7 +111,7 @@
 //! that deep-copied every message.
 
 use crate::choreography::{self, Idle, Step};
-use crate::conformance::ConformanceSink;
+use crate::conformance::ProtocolTrace;
 use crate::report::TrainingReport;
 use crate::sim_runtime::recorder::{EvalConfig, Recorder};
 use crate::trainer::Hyper;
@@ -377,14 +377,12 @@ pub struct SimEngine<'a, E> {
     /// of events the pump will process (0 stops before the first event).
     /// Tests use tiny budgets to exercise the `budget_exhausted` path.
     pub event_budget: Option<u64>,
-    /// Protocol-conformance recorder (disabled unless
-    /// [`ConformanceSink::enable`]d before [`SimEngine::drive`]): protocols
-    /// report structured [`crate::conformance::ProtocolEvent`]s through it
-    /// — via the [`crate::choreography`] handles, the only API that can
-    /// emit them — and the resulting
-    /// [`crate::conformance::ProtocolTrace`] lands in
-    /// [`TrainingReport::conformance`].
-    pub conformance: ConformanceSink,
+    /// Protocol-conformance recorder (`None`, recording nothing, unless
+    /// [`SimEngine::with_conformance`] turned it on): protocols report
+    /// structured [`crate::conformance::ProtocolEvent`]s into it — via the
+    /// [`crate::choreography`] handles, the only API that can emit them —
+    /// and the trace lands in [`TrainingReport::conformance`].
+    pub conformance: Option<ProtocolTrace>,
     init_params: ParamBlock,
     aborted: bool,
     /// Per-worker gradient-job state (module docs, "Compute futures").
@@ -482,7 +480,7 @@ impl<'a, E> SimEngine<'a, E> {
             finished_count: 0,
             pool: BufferPool::new(),
             event_budget: None,
-            conformance: ConformanceSink::disabled(),
+            conformance: None,
             init_params,
             aborted: false,
             slots: (0..n_workers).map(|_| Slot::Idle).collect(),
@@ -497,9 +495,7 @@ impl<'a, E> SimEngine<'a, E> {
     /// plug-in cannot ship with recording silently dead.
     #[must_use]
     pub fn with_conformance(mut self, enabled: bool) -> Self {
-        if enabled {
-            self.conformance.enable();
-        }
+        self.conformance = enabled.then(ProtocolTrace::new);
         self
     }
 

@@ -2,17 +2,16 @@
 //!
 //! One iteration is Send → Compute → Recv/Reduce → token advance (or the
 //! §5 jump-and-renew). [`worker_loop`] is that iteration for every
-//! runtime that executes workers for real; what differs between threads
-//! and OS processes is how an update and a token grant leave the worker
-//! and how the loop waits for them to arrive, and that is the
-//! [`Transport`] the loop is generic over (static dispatch). The loop
-//! waits in exactly three places — the Recv's quota of tagged updates
-//! (also the jump renew's), the staleness Recv's next arrival, and a
-//! token — and all three are transport calls: threads block on shared
-//! queues that other threads fill, while a worker process owns its inbox
-//! and fills it itself by pumping its sockets for as long as it waits.
-//! The simulated compute time is the only other wait, and it is the
-//! loop's own.
+//! runtime that executes workers for real. Each worker owns its
+//! [`Inbox`] — the tagged update queue and token counts of §4, Fig. 8 —
+//! and reads it here; what differs between threads and OS processes is
+//! only how updates and token grants leave the worker and get into a
+//! peer's inbox, and that is the [`Transport`] the loop is generic over
+//! (static dispatch). The loop waits in exactly three places — the Recv's
+//! quota of tagged updates (also the jump renew's), the staleness Recv's
+//! next arrival, and a token — plus the close, and all of them are the
+//! one [`Inbox::wait`]. The simulated compute time is the only other
+//! wait, and it is the loop's own.
 //!
 //! The loop owns everything protocol-shaped — the choreography handles,
 //! the fault shim in front of per-receiver delivery, the §6.2(a)
@@ -25,8 +24,9 @@
 //! [`Transport::deliver`] runs (a socket transport encodes one frame,
 //! reading the Lamport clock once, and fans it out), token grants are
 //! stamped before [`Transport::grant`], and consumes / token takes /
-//! drops after the queue operation they observe — the grant-before-op,
-//! observe-after-op discipline of [`crate::conformance`].
+//! drops after the inbox operation they observe, which comes after the
+//! pump that moved the data in — the grant-before-op, observe-after-op
+//! discipline of [`crate::conformance`].
 
 use crate::choreography::{self, Arrival, Consuming, EventSink, Renew};
 use crate::config::HopConfig;
@@ -38,54 +38,36 @@ use hop_data::{BatchSampler, Dataset, InMemoryDataset};
 use hop_graph::Topology;
 use hop_model::{GradScratch, Model, Sgd};
 use hop_queue::tagged::{Tag, TagFilter, TaggedEntry};
+use hop_queue::TaggedQueue;
 use hop_sim::{FaultEvent, FaultPlan};
 use hop_tensor::ops::Tail;
 use hop_tensor::{BufferPool, ParamBlock};
 use std::collections::HashMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// How updates and token grants leave a worker, and how the loop reads
-/// and waits on what arrives: the worker's tagged inbox (its self-sends
-/// and every in-neighbor's updates) and its `TokenQ(o -> w)` per
-/// external out-neighbor `o` (only used when the config has token
-/// queues). Indices are positions in the worker's
-/// [`Topology::external_out_neighbors`] (`token_counts`, `take_tokens`,
-/// `deliver`) and [`Topology::external_in_neighbors`] (`grant`) lists.
-///
-/// A wait that comes back unsatisfied — `None` or `false` — timed out,
-/// or the transport knows it never will be satisfied; the loop turns it
-/// into a stall and asks [`Transport::explain`] which.
+/// How updates and token grants leave a worker, and how what arrives for
+/// it gets into its [`Inbox`]: data in and out, nothing else. Indices are
+/// positions in the worker's [`Topology::external_out_neighbors`]
+/// (`deliver`, and the inbox's token counts) and
+/// [`Topology::external_in_neighbors`] (`grant`) lists.
 pub(crate) trait Transport {
     /// What a failed operation or an explained stall becomes.
     type Error;
 
-    /// Puts one of the worker's own updates into its inbox.
-    fn enqueue(&mut self, block: ParamBlock, tag: Tag);
+    /// Empty pump rounds — a pump that does not block, then
+    /// `thread::yield_now` — an [`Inbox::wait`] makes before its pumps
+    /// block.
+    const SPIN_ROUNDS: u32;
 
-    /// The Recv (Fig. 8): waits up to `timeout` for `quota` inbox entries
-    /// matching `filter`, then takes them plus up to `extra` more that
-    /// have arrived by then.
-    fn dequeue(
-        &mut self,
-        filter: TagFilter,
-        quota: usize,
-        extra: usize,
-        timeout: Duration,
-    ) -> Option<Vec<TaggedEntry<ParamBlock>>>;
+    /// Moves whatever has arrived into `inbox`, blocking up to `timeout`
+    /// for the first arrival. Says whether anything moved.
+    fn pump(&mut self, inbox: &mut Inbox, timeout: Duration) -> bool;
 
-    /// Removes and returns every inbox entry tagged older than `iter`.
-    fn drain_older_than(&mut self, iter: u64) -> Vec<TaggedEntry<ParamBlock>>;
-
-    /// The tags in the inbox, in arrival order (stall diagnostics).
-    fn pending(&self) -> Vec<Tag>;
-
-    /// Tokens available in every `TokenQ(o -> w)`, counting every grant
-    /// that has arrived. Never waits.
-    fn token_counts(&mut self) -> Vec<u64>;
-
-    /// Waits up to `timeout` for `n` tokens in the `idx`-th queue and
-    /// takes them.
-    fn take_tokens(&mut self, idx: usize, n: u64, timeout: Duration) -> bool;
+    /// Whether the transport knows that no wait can be satisfied any more
+    /// (a link broke); a wait then gives up at once.
+    fn broken(&self) -> bool {
+        false
+    }
 
     /// Per-iteration health check at the entry of iteration `k`.
     fn check(&mut self, _k: u64) -> Result<(), Self::Error> {
@@ -112,9 +94,127 @@ pub(crate) trait Transport {
     /// peer is the cause; the stall is the symptom).
     fn explain(&self, stall: ThreadedError) -> Self::Error;
 
-    /// Called once after the final token flood.
-    fn finish(&mut self) -> Result<(), Self::Error> {
-        Ok(())
+    /// The close, after the final token flood: asked again after every
+    /// pump of [`Inbox::close`] until it says the transport is closed.
+    /// Fails with the transport's first failure.
+    fn finish(&mut self) -> Result<bool, Self::Error> {
+        Ok(true)
+    }
+}
+
+/// A worker's receive side (§4, Fig. 8): its tagged update queue — its
+/// self-sends and every in-neighbor's updates — and the tokens available
+/// in `TokenQ(o -> w)` per external out-neighbor `o` (no counts without
+/// token queues). The worker owns it and reads it here; only
+/// [`Transport::pump`] adds to it from outside.
+pub(crate) struct Inbox {
+    pub(crate) updates: TaggedQueue<ParamBlock>,
+    pub(crate) tokens: Vec<u64>,
+}
+
+impl Inbox {
+    /// An empty inbox with `out_degree` token counts preloaded with
+    /// `max_ig` each (none without token queues).
+    pub(crate) fn new(max_ig: Option<u64>, out_degree: usize) -> Self {
+        Inbox {
+            updates: TaggedQueue::unbounded(),
+            tokens: max_ig.map_or_else(Vec::new, |ig| vec![ig; out_degree]),
+        }
+    }
+
+    /// Pumps `transport` into the inbox until `ready` holds (asked before
+    /// every round), the transport breaks, or `timeout` passes; says
+    /// whether `ready` came to hold. The first [`Transport::SPIN_ROUNDS`]
+    /// pumps that move nothing do not block, and each is followed by a
+    /// yield.
+    pub(crate) fn wait<T: Transport>(
+        &mut self,
+        transport: &mut T,
+        timeout: Duration,
+        mut ready: impl FnMut(&mut T, &Self) -> bool,
+    ) -> bool {
+        let deadline = Instant::now() + timeout;
+        let mut spins = 0;
+        loop {
+            if ready(transport, self) {
+                return true;
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if transport.broken() || left.is_zero() {
+                return false;
+            }
+            if spins < T::SPIN_ROUNDS {
+                if !transport.pump(self, Duration::ZERO) {
+                    spins += 1;
+                    std::thread::yield_now();
+                }
+            } else {
+                transport.pump(self, left);
+            }
+        }
+    }
+
+    /// The Recv (Fig. 8): waits up to `timeout` for `quota` entries
+    /// matching `filter`, then takes them plus up to `extra` more that
+    /// have arrived by then.
+    pub(crate) fn dequeue<T: Transport>(
+        &mut self,
+        transport: &mut T,
+        filter: TagFilter,
+        (quota, extra): (usize, usize),
+        timeout: Duration,
+    ) -> Option<Vec<TaggedEntry<ParamBlock>>> {
+        let met = |_: &mut T, inbox: &Self| inbox.updates.size(filter) >= quota;
+        if met(transport, self) {
+            if extra > 0 {
+                transport.pump(self, Duration::ZERO);
+            }
+        } else if !self.wait(transport, timeout, met) {
+            return None;
+        }
+        let taken = quota.saturating_add(extra);
+        Some(self.updates.dequeue_up_to(taken, filter))
+    }
+
+    /// Tokens available in every `TokenQ(o -> w)`, counting every grant
+    /// that has arrived. Never blocks.
+    fn token_counts(&mut self, transport: &mut impl Transport) -> Vec<u64> {
+        transport.pump(self, Duration::ZERO);
+        self.tokens.clone()
+    }
+
+    /// Waits up to `timeout` for `n` tokens in the `idx`-th queue and
+    /// takes them.
+    fn take_tokens(
+        &mut self,
+        transport: &mut impl Transport,
+        idx: usize,
+        n: u64,
+        timeout: Duration,
+    ) -> bool {
+        let taken = self.wait(transport, timeout, |_, inbox| inbox.tokens[idx] >= n);
+        if taken {
+            self.tokens[idx] -= n;
+        }
+        taken
+    }
+
+    /// Closes `transport`: pumps until [`Transport::finish`] says it is
+    /// closed, the transport fails, or `timeout` passes (a close that
+    /// runs out of time without a failure is not one).
+    pub(crate) fn close<T: Transport>(
+        &mut self,
+        transport: &mut T,
+        timeout: Duration,
+    ) -> Result<(), T::Error> {
+        let mut failure = None;
+        self.wait(transport, timeout, |t, _| {
+            t.finish().unwrap_or_else(|e| {
+                failure = Some(e);
+                true
+            })
+        });
+        failure.map_or(Ok(()), Err)
     }
 }
 
@@ -151,6 +251,7 @@ struct WorkerCtx<'a> {
     w: usize,
     cfg: &'a HopConfig,
     timeout: Duration,
+    inbox: Inbox,
     /// Fig. 8: how many iteration-`k` updates (own included) a
     /// backup-mode Recv blocks for.
     quota: usize,
@@ -164,7 +265,7 @@ impl WorkerCtx<'_> {
     /// The explained stall of a wait on the update queue, with enough
     /// queue state to debug it from the error alone.
     fn stall<T: Transport>(&self, iter: u64, waiting_for: &'static str, transport: &T) -> T::Error {
-        let mut pending = transport.pending();
+        let mut pending: Vec<Tag> = self.inbox.updates.iter().map(|e| e.tag).collect();
         let queue_depth = pending.len();
         pending.truncate(8);
         transport.explain(ThreadedError::Stalled {
@@ -236,14 +337,16 @@ impl WorkerCtx<'_> {
     /// §6.2(a) receiver-side discard: queued updates tagged older than
     /// `iter` will never be consumed (a backup worker's late update, or
     /// the iterations a jump skipped), so recycle them instead of
-    /// letting each pin a full block. Observe-after-op.
+    /// letting each pin a full block; a pump first lets late arrivals go
+    /// at once. Observe-after-op.
     fn discard_older_than(
         &mut self,
         transport: &mut impl Transport,
         iter: u64,
         sink: &mut impl EventSink,
     ) {
-        for entry in transport.drain_older_than(iter) {
+        transport.pump(&mut self.inbox, Duration::ZERO);
+        for entry in self.inbox.updates.drain_older_than(iter) {
             choreography::drop_update(sink, self.w, entry.tag.w_id, entry.tag.iter);
             self.pool.reclaim(entry.value);
         }
@@ -256,11 +359,13 @@ impl WorkerCtx<'_> {
         &mut self,
         transport: &mut impl Transport,
         iter: u64,
-        (quota, extra): (usize, usize),
+        quota_extra: (usize, usize),
         step: &mut impl Consuming,
         sink: &mut impl EventSink,
     ) -> Option<Vec<TaggedEntry<ParamBlock>>> {
-        let entries = transport.dequeue(TagFilter::iter(iter), quota, extra, self.timeout)?;
+        let entries =
+            self.inbox
+                .dequeue(transport, TagFilter::iter(iter), quota_extra, self.timeout)?;
         for entry in &entries {
             self.last_consumed = Some(entry.tag);
             step.consume(sink, entry.tag.w_id, entry.tag.iter);
@@ -353,6 +458,7 @@ pub(crate) fn worker_loop<T: Transport>(
         w,
         cfg,
         timeout: job.timeout,
+        inbox: Inbox::new(max_ig, externals_out.len()),
         quota: semantics::backup_quota(in_deg, cfg.n_backup),
         pool: BufferPool::new(),
         newest_from: HashMap::new(),
@@ -383,7 +489,10 @@ pub(crate) fn worker_loop<T: Transport>(
         // self-send shares the current block — zero bytes copied.
         let tag = Tag { iter: k, w_id: w };
         step.send(sink, w);
-        transport.enqueue(params.snapshot(), tag);
+        ctx.inbox
+            .updates
+            .enqueue(params.snapshot(), tag)
+            .expect("unbounded");
         // Fault shim: a crash window omits every external send (the
         // worker keeps running — from the outside that is what a dead
         // worker looks like); otherwise the keyed loss draw decides.
@@ -459,7 +568,7 @@ pub(crate) fn worker_loop<T: Transport>(
         entry_tokens = 1;
         if let (Some(ig), false) = (max_ig, externals_out.is_empty()) {
             let decision = cfg.skip.as_ref().and_then(|skip| {
-                let counts = transport.token_counts();
+                let counts = ctx.inbox.token_counts(transport);
                 // Never jump past the end of training: finished neighbors
                 // flood their token queues (see below), which would
                 // otherwise inflate the jump distance.
@@ -474,7 +583,7 @@ pub(crate) fn worker_loop<T: Transport>(
                     // Only this worker removes from TokenQ(o -> w), so
                     // the observed count cannot shrink under us.
                     assert!(
-                        transport.take_tokens(i, jump, Duration::ZERO),
+                        ctx.inbox.take_tokens(transport, i, jump, Duration::ZERO),
                         "observed tokens vanished from TokenQ({o} -> {w})"
                     );
                     renew.take_tokens(sink, o);
@@ -494,10 +603,10 @@ pub(crate) fn worker_loop<T: Transport>(
                 )?;
             } else {
                 for (i, &o) in externals_out.iter().enumerate() {
-                    if !transport.take_tokens(i, 1, job.timeout) {
+                    if !ctx.inbox.take_tokens(transport, i, 1, job.timeout) {
                         // Snapshot every out-edge token queue, not the
                         // update queue: this wait is on tokens.
-                        let counts = transport.token_counts();
+                        let counts = ctx.inbox.token_counts(transport);
                         return Err(transport.explain(ThreadedError::Stalled {
                             worker: w,
                             iter: k,
@@ -522,7 +631,7 @@ pub(crate) fn worker_loop<T: Transport>(
     if max_ig.is_some() {
         grant_all(transport, sink, w, externals_in, max_iters)?;
     }
-    transport.finish()?;
+    ctx.inbox.close(transport, job.timeout)?;
     Ok(WorkerOutcome {
         params: params.to_vec(),
         losses,
@@ -546,8 +655,14 @@ fn stale_recv<T: Transport>(
     // least one new arrival at a time.
     let mut quota = 0;
     loop {
-        let arrived = transport
-            .dequeue(TagFilter::any(), quota, usize::MAX, ctx.timeout)
+        let arrived = ctx
+            .inbox
+            .dequeue(
+                transport,
+                TagFilter::any(),
+                (quota, usize::MAX),
+                ctx.timeout,
+            )
             .ok_or_else(|| ctx.stall(k, waiting_for, transport))?;
         for entry in arrived {
             ctx.admit_entry(entry, k, sink);
@@ -628,56 +743,53 @@ mod tests {
     use crate::conformance::ProtocolTrace;
     use hop_data::webspam::SyntheticWebspam;
     use hop_model::svm::Svm;
-    use hop_queue::TaggedQueue;
 
-    /// Worker 0 of a 2-ring whose peer exists only as this transport:
-    /// tokens are never scarce, outbound traffic goes nowhere, and the
-    /// peer's update for iteration `k - 1` shows up *late* — at the entry
-    /// of iteration `k`, after the Recv that could have used it.
-    struct LatePeer {
-        inbox: TaggedQueue<ParamBlock>,
+    /// A transport that logs each pump's timeout and whether it moved
+    /// anything: its first `movers` non-blocking pumps bring a token each,
+    /// a blocking pump one if `blocking_brings` (else it sleeps). As
+    /// worker 0's 2-ring peer, its update for `k - 1` arrives *late*: at
+    /// the entry of `k`, after the Recv that could have used it.
+    #[derive(Default)]
+    struct Fake<const SPIN: u32> {
+        movers: u32,
+        blocking_brings: bool,
+        broken: bool,
+        log: Vec<(Duration, bool)>,
         dim: usize,
+        late: Option<(ParamBlock, Tag)>,
     }
 
-    impl Transport for LatePeer {
+    impl<const SPIN: u32> Transport for Fake<SPIN> {
         type Error = ThreadedError;
+        const SPIN_ROUNDS: u32 = SPIN;
 
-        fn enqueue(&mut self, block: ParamBlock, tag: Tag) {
-            self.inbox.enqueue(block, tag).expect("unbounded");
+        fn pump(&mut self, inbox: &mut Inbox, timeout: Duration) -> bool {
+            if let Some((block, tag)) = self.late.take() {
+                inbox.updates.enqueue(block, tag).expect("unbounded");
+            }
+            let moved = if timeout.is_zero() {
+                let moved = self.movers > 0;
+                self.movers -= u32::from(moved);
+                moved
+            } else {
+                if !self.blocking_brings {
+                    std::thread::sleep(timeout);
+                }
+                self.blocking_brings
+            };
+            inbox.tokens[0] += u64::from(moved);
+            self.log.push((timeout, moved));
+            moved
         }
 
-        fn dequeue(
-            &mut self,
-            filter: TagFilter,
-            quota: usize,
-            extra: usize,
-            _timeout: Duration,
-        ) -> Option<Vec<TaggedEntry<ParamBlock>>> {
-            let mut entries = self.inbox.try_dequeue(quota, filter)?;
-            entries.extend(self.inbox.dequeue_up_to(extra, filter));
-            Some(entries)
-        }
-
-        fn drain_older_than(&mut self, iter: u64) -> Vec<TaggedEntry<ParamBlock>> {
-            self.inbox.drain_older_than(iter)
-        }
-
-        fn pending(&self) -> Vec<Tag> {
-            self.inbox.iter().map(|e| e.tag).collect()
-        }
-
-        fn token_counts(&mut self) -> Vec<u64> {
-            unreachable!("the config has no skip")
-        }
-
-        fn take_tokens(&mut self, _idx: usize, _n: u64, _timeout: Duration) -> bool {
-            true
+        fn broken(&self) -> bool {
+            self.broken
         }
 
         fn check(&mut self, k: u64) -> Result<(), ThreadedError> {
             if let Some(iter) = k.checked_sub(1) {
                 let late = ParamBlock::from_vec(vec![0.0; self.dim]);
-                self.enqueue(late, Tag { iter, w_id: 1 });
+                self.late = Some((late, Tag { iter, w_id: 1 }));
             }
             Ok(())
         }
@@ -729,9 +841,10 @@ mod tests {
             init_params: &init,
             faults: &FaultPlan::none(),
         };
-        let mut transport = LatePeer {
-            inbox: TaggedQueue::unbounded(),
+        let mut transport = Fake::<0> {
+            blocking_brings: true,
             dim: init.len(),
+            ..Fake::default()
         };
         let mut trace = ProtocolTrace::new();
         let outcome = worker_loop(&job, &mut transport, &mut trace).expect("runs");
@@ -746,12 +859,62 @@ mod tests {
             .map(|i| format!("drop w=0 from=1 iter={i}"))
             .collect();
         assert_eq!(drops, expected, "one Drop per late tag, in order");
-        // At exit nothing older than the last iteration is left behind.
-        let stale: Vec<Tag> = transport
-            .pending()
-            .into_iter()
-            .filter(|t| t.iter < max_iters - 1)
-            .collect();
-        assert!(stale.is_empty(), "inbox still holds {stale:?}");
+        // Every late update reached the inbox and left it as a Drop.
+        assert!(transport.late.is_none(), "a late update was never pumped");
+    }
+
+    /// Waits up to `timeout` for `want` tokens in a one-queue inbox.
+    fn wait_for<const SPIN: u32>(t: &mut Fake<SPIN>, want: u64, timeout: Duration) -> bool {
+        let mut inbox = Inbox::new(Some(0), 1);
+        inbox.wait(t, timeout, |_, inbox| inbox.tokens[0] >= want)
+    }
+
+    fn the_wait_honours<const SPIN: u32>() {
+        let (spins, empty_spin) = (SPIN as usize, (Duration::ZERO, false));
+        // Nothing arrives until the first blocking pump: exactly SPIN
+        // empty non-blocking pumps come before it.
+        let mut t = Fake::<SPIN> {
+            blocking_brings: true,
+            ..Fake::default()
+        };
+        assert!(wait_for(&mut t, 1, Duration::from_secs(10)));
+        assert_eq!(t.log[..spins], vec![empty_spin; spins]);
+        assert_eq!(t.log.len(), spins + 1, "SPIN_ROUNDS {SPIN}: {:?}", t.log);
+        assert!(!t.log[spins].0.is_zero() && t.log[spins].1);
+
+        // Three non-blocking pumps that each bring a token use up no
+        // round: SPIN empty ones still follow before the wait blocks.
+        let mut t = Fake::<SPIN> {
+            movers: 3,
+            blocking_brings: true,
+            ..Fake::default()
+        };
+        assert!(wait_for(&mut t, 4, Duration::from_secs(10)));
+        let first_block = t.log.iter().position(|(timeout, _)| !timeout.is_zero());
+        let spun = &t.log[..first_block.expect("the wait blocked")];
+        let brought = spun.iter().filter(|(_, moved)| *moved).count();
+        assert_eq!(brought, if spins == 0 { 0 } else { 3 });
+        assert_eq!(spun.iter().filter(|&&p| p == empty_spin).count(), spins);
+
+        // A broken transport ends the wait at once, without a pump.
+        let mut t = Fake::<SPIN> {
+            broken: true,
+            ..Fake::default()
+        };
+        let started = Instant::now();
+        assert!(!wait_for(&mut t, 1, Duration::from_secs(10)));
+        assert!(t.log.is_empty() && started.elapsed() < Duration::from_secs(1));
+
+        // An unsatisfiable wait gives up within its timeout plus slack.
+        let (timeout, started) = (Duration::from_millis(50), Instant::now());
+        assert!(!wait_for(&mut Fake::<SPIN>::default(), 1, timeout));
+        let late = started.elapsed().checked_sub(timeout);
+        assert!(late.is_some_and(|late| late < Duration::from_secs(2)));
+    }
+
+    #[test]
+    fn the_one_wait_spins_its_rounds_then_blocks() {
+        the_wait_honours::<0>();
+        the_wait_honours::<20>();
     }
 }

@@ -1,28 +1,25 @@
-//! Thread-safe blocking queue variants for the real multi-threaded runtime.
+//! Thread-safe blocking queue variants: one consumer waits inside the
+//! queue, under its lock, for what other threads put in.
 //!
-//! These wrap the logical queues with a mutex + condvar (see
-//! [`crate::sync_shim`]) so
-//! that a worker thread's `Recv` genuinely blocks until enough matching
-//! updates arrive (the paper's blocking `dequeue`), and token acquisition
-//! blocks until the out-going neighbor releases tokens. All blocking
-//! operations take a timeout so tests can detect deadlocks (e.g. the
-//! AD-PSGD non-bipartite deadlock of §5) instead of hanging.
+//! No runtime uses these any more — a worker on either real runtime owns
+//! a plain [`TaggedQueue`] inbox and token counts, and its transport only
+//! fills them. They remain for the perf ledger's hand-off probe, which
+//! times one round trip through each.
 //!
-//! Wake-ups are targeted. A blocked consumer leaves its request — `(m,
-//! filter)`, or the token count it wants — in the guarded state, and a
-//! producer notifies only when its arrival completes a registered
-//! request, after it has released the lock. A worker waiting for `quota`
-//! updates of iteration `k` is therefore woken once, by the update that
-//! fills the quota, not `quota` times to find the mutex still held and
-//! its condition false. No wake-up is lost: a request is registered
+//! Both wrap the logical queues with a mutex + condvar (see
+//! [`crate::sync_shim`]), and every blocking operation takes a timeout so
+//! a deadlock shows up as an error instead of a hang. Wake-ups are
+//! targeted. A blocked consumer leaves its request — `(m, filter)`, or
+//! the token count it wants — in the guarded state, and a producer
+//! notifies only when its arrival completes a registered request, after
+//! it has released the lock. No wake-up is lost: a request is registered
 //! under the lock the producer checks it under, and a consumer only
 //! sleeps through `Condvar::wait`, which gives that lock up atomically.
 
 use crate::sync_shim::{Condvar, Mutex};
 use crate::tagged::{Tag, TagFilter, TaggedEntry, TaggedQueue};
 use std::fmt;
-use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Error returned when a blocking operation times out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,10 +33,8 @@ impl fmt::Display for WaitTimeoutError {
 
 impl std::error::Error for WaitTimeoutError {}
 
-/// A shareable blocking tagged queue.
-///
-/// Cloning shares the underlying queue (like the paper's per-worker update
-/// queue being written by many senders).
+/// A blocking tagged queue, shared by reference between the threads
+/// that fill it and the one that waits on it.
 ///
 /// # Examples
 ///
@@ -49,16 +44,16 @@ impl std::error::Error for WaitTimeoutError {}
 /// use std::time::Duration;
 ///
 /// let q = SharedTaggedQueue::new();
-/// let sender = q.clone();
-/// std::thread::spawn(move || {
-///     sender.enqueue(7u32, Tag { iter: 0, w_id: 1 });
+/// std::thread::scope(|scope| {
+///     scope.spawn(|| q.enqueue(7u32, Tag { iter: 0, w_id: 1 }));
+///     let got = q.dequeue(1, TagFilter::iter(0), Duration::from_secs(5)).unwrap();
+///     assert_eq!(got[0].value, 7);
 /// });
-/// let got = q.dequeue(1, TagFilter::iter(0), Duration::from_secs(5)).unwrap();
-/// assert_eq!(got[0].value, 7);
 /// ```
 #[derive(Debug)]
 pub struct SharedTaggedQueue<T> {
-    inner: Arc<(Mutex<Inbox<T>>, Condvar)>,
+    inbox: Mutex<Inbox<T>>,
+    arrived: Condvar,
 }
 
 /// What a [`SharedTaggedQueue`]'s mutex guards.
@@ -67,14 +62,6 @@ struct Inbox<T> {
     queue: TaggedQueue<T>,
     /// The requests of the consumers blocked in `dequeue` right now.
     blocked: Vec<(usize, TagFilter)>,
-}
-
-impl<T> Clone for SharedTaggedQueue<T> {
-    fn clone(&self) -> Self {
-        Self {
-            inner: Arc::clone(&self.inner),
-        }
-    }
 }
 
 impl<T> Default for SharedTaggedQueue<T> {
@@ -91,16 +78,16 @@ impl<T> SharedTaggedQueue<T> {
             blocked: Vec::new(),
         };
         Self {
-            inner: Arc::new((Mutex::new(inbox), Condvar::new())),
+            inbox: Mutex::new(inbox),
+            arrived: Condvar::new(),
         }
     }
 
     /// Enqueues an update and wakes the waiters if it completes a blocked
     /// `dequeue`'s request.
     pub fn enqueue(&self, value: T, tag: Tag) {
-        let (lock, cvar) = &*self.inner;
         let completes = {
-            let mut inbox = lock.lock();
+            let mut inbox = self.inbox.lock();
             inbox
                 .queue
                 .enqueue(value, tag)
@@ -111,7 +98,7 @@ impl<T> SharedTaggedQueue<T> {
                 .any(|&(m, filter)| filter.matches(tag) && queue.size(filter) >= m)
         };
         if completes {
-            cvar.notify_all();
+            self.arrived.notify_all();
         }
     }
 
@@ -128,15 +115,14 @@ impl<T> SharedTaggedQueue<T> {
         filter: TagFilter,
         timeout: Duration,
     ) -> Result<Vec<TaggedEntry<T>>, WaitTimeoutError> {
-        let (lock, cvar) = &*self.inner;
-        let deadline = std::time::Instant::now() + timeout;
-        let mut inbox = lock.lock();
+        let deadline = Instant::now() + timeout;
+        let mut inbox = self.inbox.lock();
         if let Some(entries) = inbox.queue.try_dequeue(m, filter) {
             return Ok(entries);
         }
         inbox.blocked.push((m, filter));
         let outcome = loop {
-            if cvar.wait_until(&mut inbox, deadline).timed_out() {
+            if self.arrived.wait_until(&mut inbox, deadline).timed_out() {
                 break Err(WaitTimeoutError);
             }
             if let Some(entries) = inbox.queue.try_dequeue(m, filter) {
@@ -148,56 +134,14 @@ impl<T> SharedTaggedQueue<T> {
         inbox.blocked.swap_remove(mine.expect("registered above"));
         outcome
     }
-
-    /// Removes up to `m` matching entries without blocking (possibly zero).
-    pub fn dequeue_up_to(&self, m: usize, filter: TagFilter) -> Vec<TaggedEntry<T>> {
-        let (lock, _) = &*self.inner;
-        lock.lock().queue.dequeue_up_to(m, filter)
-    }
-
-    /// Non-blocking size query.
-    pub fn size(&self, filter: TagFilter) -> usize {
-        let (lock, _) = &*self.inner;
-        lock.lock().queue.size(filter)
-    }
-
-    /// Total entries present.
-    pub fn len(&self) -> usize {
-        let (lock, _) = &*self.inner;
-        lock.lock().queue.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Discards entries older than `min_iter`, returning the count.
-    pub fn discard_older_than(&self, min_iter: u64) -> usize {
-        let (lock, _) = &*self.inner;
-        lock.lock().queue.discard_older_than(min_iter)
-    }
-
-    /// Removes and returns all entries older than `min_iter` (see
-    /// [`TaggedQueue::drain_older_than`]).
-    pub fn drain_older_than(&self, min_iter: u64) -> Vec<TaggedEntry<T>> {
-        let (lock, _) = &*self.inner;
-        lock.lock().queue.drain_older_than(min_iter)
-    }
-
-    /// Snapshot of the tags currently queued, in FIFO order — stall
-    /// diagnostics for the threaded runtime.
-    pub fn tags(&self) -> Vec<Tag> {
-        let (lock, _) = &*self.inner;
-        lock.lock().queue.iter().map(|e| e.tag).collect()
-    }
 }
 
-/// A shareable blocking token queue (§4.2) for the threaded runtime.
+/// A blocking token queue (§4.2), shared by reference like
+/// [`SharedTaggedQueue`].
 #[derive(Debug)]
 pub struct SharedTokenQueue {
-    inner: Arc<(Mutex<Tokens>, Condvar)>,
-    max_ig: u64,
+    tokens: Mutex<Tokens>,
+    inserted: Condvar,
 }
 
 /// What a [`SharedTokenQueue`]'s mutex guards.
@@ -206,15 +150,6 @@ struct Tokens {
     available: u64,
     /// How many tokens each consumer blocked in `remove` is waiting for.
     blocked: Vec<u64>,
-}
-
-impl Clone for SharedTokenQueue {
-    fn clone(&self) -> Self {
-        Self {
-            inner: Arc::clone(&self.inner),
-            max_ig: self.max_ig,
-        }
-    }
 }
 
 impl SharedTokenQueue {
@@ -230,32 +165,21 @@ impl SharedTokenQueue {
             blocked: Vec::new(),
         };
         Self {
-            inner: Arc::new((Mutex::new(tokens), Condvar::new())),
-            max_ig,
+            tokens: Mutex::new(tokens),
+            inserted: Condvar::new(),
         }
-    }
-
-    /// The configured maximum iteration gap.
-    pub fn max_ig(&self) -> u64 {
-        self.max_ig
-    }
-
-    /// Tokens currently available.
-    pub fn available(&self) -> u64 {
-        self.inner.0.lock().available
     }
 
     /// Inserts `k` tokens and wakes the waiters if a blocked `remove` can
     /// now be served.
     pub fn insert(&self, k: u64) {
-        let (lock, cvar) = &*self.inner;
         let completes = {
-            let mut tokens = lock.lock();
+            let mut tokens = self.tokens.lock();
             tokens.available += k;
             tokens.blocked.iter().any(|&want| want <= tokens.available)
         };
         if completes {
-            cvar.notify_all();
+            self.inserted.notify_all();
         }
     }
 
@@ -265,16 +189,15 @@ impl SharedTokenQueue {
     ///
     /// Returns [`WaitTimeoutError`] on deadline expiry (nothing removed).
     pub fn remove(&self, k: u64, timeout: Duration) -> Result<(), WaitTimeoutError> {
-        let (lock, cvar) = &*self.inner;
-        let deadline = std::time::Instant::now() + timeout;
-        let mut tokens = lock.lock();
+        let deadline = Instant::now() + timeout;
+        let mut tokens = self.tokens.lock();
         if tokens.available >= k {
             tokens.available -= k;
             return Ok(());
         }
         tokens.blocked.push(k);
         let outcome = loop {
-            if cvar.wait_until(&mut tokens, deadline).timed_out() {
+            if self.inserted.wait_until(&mut tokens, deadline).timed_out() {
                 break Err(WaitTimeoutError);
             }
             if tokens.available >= k {
@@ -289,8 +212,7 @@ impl SharedTokenQueue {
 
     /// Non-blocking removal; returns whether it succeeded.
     pub fn try_remove(&self, k: u64) -> bool {
-        let (lock, _) = &*self.inner;
-        let mut tokens = lock.lock();
+        let mut tokens = self.tokens.lock();
         let enough = tokens.available >= k;
         if enough {
             tokens.available -= k;
@@ -302,27 +224,40 @@ impl SharedTokenQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
     use std::thread;
 
     fn tag(iter: u64, w_id: usize) -> Tag {
         Tag { iter, w_id }
     }
 
+    fn queued<T>(q: &SharedTaggedQueue<T>) -> usize {
+        q.inbox.lock().queue.len()
+    }
+
+    fn blocked<T>(q: &SharedTaggedQueue<T>) -> usize {
+        q.inbox.lock().blocked.len()
+    }
+
+    fn available(t: &SharedTokenQueue) -> u64 {
+        t.tokens.lock().available
+    }
+
     #[test]
     fn dequeue_blocks_until_enough() {
         let q: SharedTaggedQueue<u32> = SharedTaggedQueue::new();
-        let producer = q.clone();
-        let handle = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(20));
-            producer.enqueue(1, tag(0, 0));
-            thread::sleep(Duration::from_millis(20));
-            producer.enqueue(2, tag(0, 1));
+        thread::scope(|scope| {
+            scope.spawn(|| {
+                thread::sleep(Duration::from_millis(20));
+                q.enqueue(1, tag(0, 0));
+                thread::sleep(Duration::from_millis(20));
+                q.enqueue(2, tag(0, 1));
+            });
+            let got = q
+                .dequeue(2, TagFilter::iter(0), Duration::from_secs(5))
+                .unwrap();
+            assert_eq!(got.len(), 2);
         });
-        let got = q
-            .dequeue(2, TagFilter::iter(0), Duration::from_secs(5))
-            .unwrap();
-        assert_eq!(got.len(), 2);
-        handle.join().unwrap();
     }
 
     #[test]
@@ -334,38 +269,36 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, WaitTimeoutError);
         // Timed-out dequeue removed nothing.
-        assert_eq!(q.len(), 1);
+        assert_eq!(queued(&q), 1);
     }
 
     #[test]
     fn many_producers_one_consumer() {
         let q: SharedTaggedQueue<usize> = SharedTaggedQueue::new();
-        let mut handles = Vec::new();
-        for w in 0..8 {
-            let p = q.clone();
-            handles.push(thread::spawn(move || {
-                for i in 0..10 {
-                    p.enqueue(w * 100 + i, tag(i as u64, w));
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
+        thread::scope(|scope| {
+            for w in 0..8 {
+                let q = &q;
+                scope.spawn(move || {
+                    for i in 0..10 {
+                        q.enqueue(w * 100 + i, tag(i as u64, w));
+                    }
+                });
+            }
+        });
         for i in 0..10u64 {
             let got = q
                 .dequeue(8, TagFilter::iter(i), Duration::from_secs(5))
                 .unwrap();
             assert_eq!(got.len(), 8);
         }
-        assert!(q.is_empty());
+        assert_eq!(queued(&q), 0);
     }
 
     /// Spins until `n` requests are registered, i.e. `n` consumers are
     /// (about to be) asleep in `dequeue` — they register and wait under
     /// one lock hold.
     fn await_blocked<T>(q: &SharedTaggedQueue<T>, n: usize) {
-        while q.inner.0.lock().blocked.len() != n {
+        while blocked(q) != n {
             thread::yield_now();
         }
     }
@@ -381,30 +314,27 @@ mod tests {
         const PRODUCERS: usize = 4;
         const ROUNDS: u64 = 500;
         let q: SharedTaggedQueue<usize> = SharedTaggedQueue::new();
-        let start = Arc::new(std::sync::Barrier::new(PRODUCERS + 1));
-        let producers: Vec<_> = (0..PRODUCERS)
-            .map(|w| {
-                let (q, start) = (q.clone(), Arc::clone(&start));
-                thread::spawn(move || {
+        let start = Barrier::new(PRODUCERS + 1);
+        thread::scope(|scope| {
+            for w in 0..PRODUCERS {
+                let (q, start) = (&q, &start);
+                scope.spawn(move || {
                     for round in 0..ROUNDS {
                         start.wait();
                         q.enqueue(w, tag(round, w));
                     }
-                })
-            })
-            .collect();
-        for round in 0..ROUNDS {
-            start.wait();
-            let got = q
-                .dequeue(PRODUCERS, TagFilter::iter(round), Duration::from_secs(10))
-                .expect("the quota was filled but the consumer slept on");
-            assert_eq!(got.len(), PRODUCERS);
-        }
-        for p in producers {
-            p.join().unwrap();
-        }
-        assert!(q.is_empty());
-        assert!(q.inner.0.lock().blocked.is_empty());
+                });
+            }
+            for round in 0..ROUNDS {
+                start.wait();
+                let got = q
+                    .dequeue(PRODUCERS, TagFilter::iter(round), Duration::from_secs(10))
+                    .expect("the quota was filled but the consumer slept on");
+                assert_eq!(got.len(), PRODUCERS);
+            }
+        });
+        assert_eq!(queued(&q), 0);
+        assert_eq!(blocked(&q), 0);
     }
 
     #[test]
@@ -414,44 +344,46 @@ mod tests {
         assert!(q
             .dequeue(2, TagFilter::iter(0), Duration::from_millis(20))
             .is_err());
-        assert!(q.inner.0.lock().blocked.is_empty(), "timed out");
-        let consumer = q.clone();
-        let handle =
-            thread::spawn(move || consumer.dequeue(2, TagFilter::iter(0), Duration::from_secs(10)));
-        await_blocked(&q, 1);
-        q.enqueue(2, tag(0, 1));
-        assert_eq!(handle.join().unwrap().unwrap().len(), 2);
-        assert!(q.inner.0.lock().blocked.is_empty(), "served");
+        assert_eq!(blocked(&q), 0, "timed out");
+        thread::scope(|scope| {
+            let consumer =
+                scope.spawn(|| q.dequeue(2, TagFilter::iter(0), Duration::from_secs(10)));
+            await_blocked(&q, 1);
+            q.enqueue(2, tag(0, 1));
+            assert_eq!(consumer.join().unwrap().unwrap().len(), 2);
+        });
+        assert_eq!(blocked(&q), 0, "served");
     }
 
     #[test]
     fn an_unfiltered_dequeue_wakes_on_any_arrival() {
-        // The staleness path: `dequeue(1, any())` takes whatever comes.
+        // A staleness-style wait: `dequeue(1, any())` takes whatever comes.
         let q: SharedTaggedQueue<u32> = SharedTaggedQueue::new();
-        let consumer = q.clone();
-        let handle =
-            thread::spawn(move || consumer.dequeue(1, TagFilter::any(), Duration::from_secs(10)));
-        await_blocked(&q, 1);
-        q.enqueue(9, tag(17, 3));
-        let got = handle.join().unwrap().unwrap();
-        assert_eq!((got[0].value, got[0].tag), (9, tag(17, 3)));
+        thread::scope(|scope| {
+            let consumer = scope.spawn(|| q.dequeue(1, TagFilter::any(), Duration::from_secs(10)));
+            await_blocked(&q, 1);
+            q.enqueue(9, tag(17, 3));
+            let got = consumer.join().unwrap().unwrap();
+            assert_eq!((got[0].value, got[0].tag), (9, tag(17, 3)));
+        });
     }
 
     #[test]
     fn token_remove_wakes_when_enough_and_withdraws_its_request() {
         let t = SharedTokenQueue::new(1);
         assert!(t.remove(3, Duration::from_millis(20)).is_err());
-        assert!(t.inner.0.lock().blocked.is_empty(), "timed out");
-        let waiter = t.clone();
-        let handle = thread::spawn(move || waiter.remove(3, Duration::from_secs(10)));
-        while t.inner.0.lock().blocked.is_empty() {
-            thread::yield_now();
-        }
-        t.insert(1); // 2 < 3: no one to wake
-        t.insert(1);
-        handle.join().unwrap().unwrap();
-        assert_eq!(t.available(), 0);
-        assert!(t.inner.0.lock().blocked.is_empty(), "served");
+        assert!(t.tokens.lock().blocked.is_empty(), "timed out");
+        thread::scope(|scope| {
+            let waiter = scope.spawn(|| t.remove(3, Duration::from_secs(10)));
+            while t.tokens.lock().blocked.is_empty() {
+                thread::yield_now();
+            }
+            t.insert(1); // 2 < 3: no one to wake
+            t.insert(1);
+            waiter.join().unwrap().unwrap();
+        });
+        assert_eq!(available(&t), 0);
+        assert!(t.tokens.lock().blocked.is_empty(), "served");
     }
 
     #[test]
@@ -459,27 +391,19 @@ mod tests {
         let t = SharedTokenQueue::new(1);
         assert!(t.try_remove(1));
         assert!(!t.try_remove(1));
-        let waiter = t.clone();
-        let handle = thread::spawn(move || waiter.remove(1, Duration::from_secs(5)));
-        thread::sleep(Duration::from_millis(20));
-        t.insert(1);
-        handle.join().unwrap().unwrap();
-        assert_eq!(t.available(), 0);
+        thread::scope(|scope| {
+            let waiter = scope.spawn(|| t.remove(1, Duration::from_secs(5)));
+            thread::sleep(Duration::from_millis(20));
+            t.insert(1);
+            waiter.join().unwrap().unwrap();
+        });
+        assert_eq!(available(&t), 0);
     }
 
     #[test]
     fn token_timeout_removes_nothing() {
         let t = SharedTokenQueue::new(2);
         assert!(t.remove(5, Duration::from_millis(30)).is_err());
-        assert_eq!(t.available(), 2);
-    }
-
-    #[test]
-    fn discard_older_than_shared() {
-        let q: SharedTaggedQueue<u32> = SharedTaggedQueue::new();
-        q.enqueue(1, tag(0, 0));
-        q.enqueue(2, tag(5, 0));
-        assert_eq!(q.discard_older_than(3), 1);
-        assert_eq!(q.size(TagFilter::any()), 1);
+        assert_eq!(available(&t), 2);
     }
 }

@@ -5,15 +5,16 @@
 //!
 //! * [`tagged::TaggedQueue`] — a FIFO queue whose entries carry
 //!   `(iter, w_id)` tags with the `enqueue` / `dequeue(m, tags)` / `size`
-//!   operations defined in §4.1. This is the *logical* (non-blocking)
-//!   variant used by the discrete-event runtime.
+//!   operations defined in §4.1. It never blocks: the discrete-event
+//!   runtime re-polls it, and a worker on the threaded or process runtime
+//!   owns one as its inbox and waits by pumping its transport into it.
 //! * [`rotating::RotatingQueues`] — the memory-bounded implementation of
 //!   §6.1: `max_ig + 1` sub-queues indexed by `iter mod (max_ig + 1)`,
 //!   reused like rotating registers, with stale-update discarding.
 //! * [`token::TokenQueue`] — the token queues of §4.2 that bound the
 //!   iteration gap between adjacent workers.
 //! * [`blocking`] — thread-safe blocking variants (mutex + condvar via
-//!   [`sync_shim`]) used by the real multi-threaded runtime.
+//!   [`sync_shim`]), kept for the perf ledger's hand-off probe.
 
 pub mod blocking;
 pub mod rotating;

@@ -4,9 +4,8 @@
 //! entries matching a tag filter while leaving non-matching entries in
 //! place and in order — exactly the semantics the paper defines for
 //! `q.dequeue(m, iter, w_id)`. This logical variant never blocks; the
-//! discrete-event runtime re-polls it when new updates arrive, and
-//! [`crate::blocking`] wraps it with real blocking for the threaded
-//! runtime.
+//! discrete-event runtime re-polls it when new updates arrive, and a
+//! real-runtime worker re-checks it after each pump of its transport.
 
 use std::collections::VecDeque;
 use std::fmt;

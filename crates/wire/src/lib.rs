@@ -135,17 +135,12 @@ pub enum Message {
         /// The sender's peer-listener port (0 on worker→worker links).
         port: u16,
     },
-    /// Coordinator → worker: the experiment specification as the
-    /// runtime's text `key=value` format. Body: the UTF-8 text.
+    /// Coordinator → worker: everything the worker runs, peer listener
+    /// ports included, in the runtime's own little-endian layout (read
+    /// back with a [`Body`]). Body: the spec bytes to frame end.
     Spec {
-        /// Specification text, one `key=value` per line.
-        text: String,
-    },
-    /// Coordinator → worker: where each peer listens. Body:
-    /// `u32 count`, then `count` × (`u32 worker`, `u16 port`).
-    Peers {
-        /// `(worker id, localhost port)` pairs.
-        peers: Vec<(u32, u16)>,
+        /// The encoded worker spec.
+        body: Vec<u8>,
     },
     /// A tagged parameter update. Body: `u64 iter`, `u32 w_id`,
     /// `u64 clock` (sender's Lamport stamp), `u8 block kind`, then the
@@ -165,18 +160,6 @@ pub enum Message {
         count: u64,
         /// Sender's Lamport clock at grant time.
         clock: u64,
-    },
-    /// Control: the named worker is about to crash (fault injection).
-    /// Body: `u32 worker`.
-    Crash {
-        /// The crashing worker.
-        worker: u32,
-    },
-    /// Control: the named worker rejoined after a crash. Body:
-    /// `u32 worker`.
-    Rejoin {
-        /// The rejoining worker.
-        worker: u32,
     },
     /// Graceful end-of-stream: the sender finished its last iteration
     /// and will close the connection. EOF *without* a preceding
@@ -210,13 +193,11 @@ pub enum Message {
     },
 }
 
+// 3, 6 and 7 belonged to retired messages and stay unassigned.
 const TAG_HELLO: u8 = 1;
 const TAG_SPEC: u8 = 2;
-const TAG_PEERS: u8 = 3;
 const TAG_UPDATE: u8 = 4;
 const TAG_TOKEN: u8 = 5;
-const TAG_CRASH: u8 = 6;
-const TAG_REJOIN: u8 = 7;
 const TAG_FINISHED: u8 = 8;
 const TAG_SUMMARY: u8 = 9;
 
@@ -271,18 +252,9 @@ fn encode_payload(msg: &Message, out: &mut Vec<u8>) -> u64 {
             out.extend_from_slice(&port.to_le_bytes());
             0
         }
-        Message::Spec { text } => {
+        Message::Spec { body } => {
             out.push(TAG_SPEC);
-            out.extend_from_slice(text.as_bytes());
-            0
-        }
-        Message::Peers { peers } => {
-            out.push(TAG_PEERS);
-            out.extend_from_slice(&(peers.len() as u32).to_le_bytes());
-            for &(worker, port) in peers {
-                out.extend_from_slice(&worker.to_le_bytes());
-                out.extend_from_slice(&port.to_le_bytes());
-            }
+            out.extend_from_slice(body);
             0
         }
         Message::Update { tag, clock, block } => {
@@ -304,16 +276,6 @@ fn encode_payload(msg: &Message, out: &mut Vec<u8>) -> u64 {
             out.push(TAG_TOKEN);
             out.extend_from_slice(&count.to_le_bytes());
             out.extend_from_slice(&clock.to_le_bytes());
-            0
-        }
-        Message::Crash { worker } => {
-            out.push(TAG_CRASH);
-            out.extend_from_slice(&worker.to_le_bytes());
-            0
-        }
-        Message::Rejoin { worker } => {
-            out.push(TAG_REJOIN);
-            out.extend_from_slice(&worker.to_le_bytes());
             0
         }
         Message::Finished { worker } => {
@@ -474,13 +436,21 @@ fn read_full<R: Read>(r: &mut R, buf: &mut [u8], frame_start: bool) -> Result<()
     Ok(())
 }
 
-/// Bounds-checked little-endian reader over one frame payload.
-struct Body<'a> {
+/// Bounds-checked little-endian reader over one frame payload (or any
+/// body laid out the same way): a read past the end is
+/// [`WireError::Malformed`], never a panic.
+pub struct Body<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Body<'a> {
+    /// A reader at the start of `bytes`.
+    #[must_use]
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Self { bytes, pos: 0 }
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.bytes.len() - self.pos < n {
             return Err(WireError::Malformed("body shorter than its fields"));
@@ -490,23 +460,28 @@ impl<'a> Body<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, WireError> {
+    /// The next byte.
+    pub fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
 
-    fn u16(&mut self) -> Result<u16, WireError> {
+    /// The next little-endian `u16`.
+    pub fn u16(&mut self) -> Result<u16, WireError> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
-    fn u32(&mut self) -> Result<u32, WireError> {
+    /// The next little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, WireError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    fn u64(&mut self) -> Result<u64, WireError> {
+    /// The next little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn f32(&mut self) -> Result<f32, WireError> {
+    /// The next little-endian `f32`.
+    pub fn f32(&mut self) -> Result<f32, WireError> {
         Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
@@ -534,7 +509,8 @@ impl<'a> Body<'a> {
         self.bytes.len() - self.pos
     }
 
-    fn finish(self) -> Result<(), WireError> {
+    /// Ends the read: bytes left over are [`WireError::Malformed`].
+    pub fn finish(self) -> Result<(), WireError> {
         if self.pos == self.bytes.len() {
             Ok(())
         } else {
@@ -553,26 +529,15 @@ pub fn decode_payload(payload: &[u8]) -> Result<Message, WireError> {
     let Some((&tag, rest)) = payload.split_first() else {
         return Err(WireError::Malformed("empty payload"));
     };
-    let mut b = Body {
-        bytes: rest,
-        pos: 0,
-    };
+    let mut b = Body::new(rest);
     let msg = match tag {
         TAG_HELLO => Message::Hello {
             worker: b.u32()?,
             port: b.u16()?,
         },
         TAG_SPEC => Message::Spec {
-            text: b.rest_utf8()?,
+            body: b.take(b.remaining())?.to_vec(),
         },
-        TAG_PEERS => {
-            let n = b.u32()? as usize;
-            let mut peers = Vec::new();
-            for _ in 0..n {
-                peers.push((b.u32()?, b.u16()?));
-            }
-            Message::Peers { peers }
-        }
         TAG_UPDATE => {
             let iter = b.u64()?;
             let w_id = b.u32()? as usize;
@@ -588,8 +553,6 @@ pub fn decode_payload(payload: &[u8]) -> Result<Message, WireError> {
             count: b.u64()?,
             clock: b.u64()?,
         },
-        TAG_CRASH => Message::Crash { worker: b.u32()? },
-        TAG_REJOIN => Message::Rejoin { worker: b.u32()? },
         TAG_FINISHED => Message::Finished { worker: b.u32()? },
         TAG_SUMMARY => Message::Summary {
             worker: b.u32()?,
@@ -690,14 +653,9 @@ mod tests {
             port: 45123,
         });
         roundtrip(Message::Spec {
-            text: "n=4\nmode=standard\n".into(),
-        });
-        roundtrip(Message::Peers {
-            peers: vec![(0, 5000), (2, 5002)],
+            body: vec![4, 0, 0, 0, 0x88, 0x13],
         });
         roundtrip(Message::Token { count: 2, clock: 9 });
-        roundtrip(Message::Crash { worker: 1 });
-        roundtrip(Message::Rejoin { worker: 1 });
         roundtrip(Message::Finished { worker: 7 });
         roundtrip(Message::Summary {
             worker: 2,

@@ -7,12 +7,12 @@
 //! hop_worker --worker <coordinator-addr> <worker-id>
 //! ```
 //!
-//! Each worker connects back, receives its spec and peer table over the
-//! [`hop::wire`] frame protocol, wires one TCP connection per directed
-//! external edge, and runs the Hop iteration loop. `--smoke` runs a
-//! small self-contained experiment (this same binary re-exec'd as its
-//! own fleet) and oracle-checks the merged trace — the loopback test CI
-//! runs on every push.
+//! Each worker connects back, receives its spec (its peers' listener
+//! ports included) over the [`hop::wire`] frame protocol, wires one TCP
+//! connection per directed external edge, and runs the Hop iteration
+//! loop. `--smoke` runs a small self-contained experiment (this same
+//! binary re-exec'd as its own fleet) and oracle-checks the merged trace
+//! — the loopback test CI runs on every push.
 
 use hop::core::config::HopConfig;
 use hop::core::process::{worker_main, ProcessExperiment};

@@ -1,6 +1,6 @@
 //! Integration tests of the threaded runtime: the protocol on real OS
-//! threads with blocking queues, cross-checked against the simulator's
-//! semantics.
+//! threads posting to each other's mailboxes, cross-checked against the
+//! simulator's semantics.
 
 use hop::core::threaded::ThreadedExperiment;
 use hop::core::{HopConfig, Hyper};
