@@ -35,12 +35,9 @@
 //!
 //! the only path through an iteration. "Consume before the compute
 //! ended", "reduce twice", "jump while still exchanging" and friends do
-//! not type-check (see the `compile_fail` examples below). A second,
-//! machine-checkable layer is the declarative [`ChoreographySpec`] each
-//! protocol exports: [`validate_spec`] (driven by the `choreo_check`
-//! binary in CI) checks every spec against [`GRAMMAR`] — the same
-//! transition table the handles implement — plus the token/tag
-//! obligations the Oracle enforces dynamically.
+//! not type-check (see the `compile_fail` examples below). The handles
+//! are the grammar; the Oracle checks what types cannot see (quotas,
+//! windows, token budgets) on every recorded trace.
 //!
 //! # Delivery plane
 //!
@@ -153,8 +150,7 @@ pub trait EventSink {
     fn emit(&mut self, f: impl FnOnce() -> ProtocolEvent);
 }
 
-/// Collecting straight into a trace (the simulator's recorder, tests,
-/// the `choreo_check` reference run).
+/// Collecting straight into a trace (the simulator's recorder, tests).
 impl EventSink for ProtocolTrace {
     #[inline]
     fn emit(&mut self, f: impl FnOnce() -> ProtocolEvent) {
@@ -607,272 +603,12 @@ pub fn lost_update(sink: &mut impl EventSink, worker: usize, from: usize, iter: 
     sink.emit(|| ProtocolEvent::Lost { worker, from, iter });
 }
 
-// ---------------------------------------------------------------------------
-// The declarative layer: ChoreographySpec and the canonical grammar
-// ---------------------------------------------------------------------------
-
-/// The event kinds of the choreography grammar. `Reduce` and
-/// `RenewReduce` are distinguished (they leave different states and
-/// carry different obligations) even though both serialize as a
-/// [`ProtocolEvent::Reduce`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
-    /// Iteration entry.
-    Advance,
-    /// Gradient computation start.
-    ComputeBegin,
-    /// Gradient computation end.
-    ComputeEnd,
-    /// Update publication.
-    Send,
-    /// Folding an update into a Reduce.
-    Consume,
-    /// Post-jump discard of a skipped-over update.
-    Drop,
-    /// Token visibility.
-    TokenPass,
-    /// Token removal.
-    TokenTake,
-    /// The iteration's Reduce.
-    Reduce,
-    /// The pre-jump renewal Reduce (`renew = true`).
-    RenewReduce,
-    /// Staleness admission.
-    StaleAdmit,
-    /// Staleness rejection.
-    StaleReject,
-    /// The §5 skip decision.
-    Jump,
-    /// Fault plane: a worker crashed.
-    Crash,
-    /// Fault plane: a crashed worker rejoined.
-    Rejoin,
-    /// Fault plane: the network lost a sent update.
-    Lost,
-}
-
-/// One edge of a choreography: in state `from`, event `event` is legal
-/// and leads to `to`. The wildcard state `"*"` marks delivery-plane
-/// events legal in any state (they do not change it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Transition {
-    /// Source state (or `"*"`).
-    pub from: &'static str,
-    /// The event taken.
-    pub event: EventKind,
-    /// Destination state (or `"*"`).
-    pub to: &'static str,
-}
-
-/// Shorthand for building `const` transition tables (also used by the
-/// runtime modules declaring grammar subsets, e.g. the process runtime's
-/// churn-free table).
-pub(crate) const fn t(from: &'static str, event: EventKind, to: &'static str) -> Transition {
-    Transition { from, event, to }
-}
-
-/// The states of the canonical grammar. `"Reduced"` doubles as the rest
-/// state between iterations: a fresh worker is trivially "reduced" at
-/// iteration `-1`, so the first `Advance` leaves it like every later
-/// one.
-pub const STATES: &[&str] = &["Idle", "Computing", "Exchanging", "Reduced", "Renewing"];
-
-/// The canonical grammar — the transition table the typestate handles
-/// implement, and the superset every [`ChoreographySpec`] must stay
-/// within.
-pub const GRAMMAR: &[Transition] = &[
-    t("Reduced", EventKind::Advance, "Idle"),
-    t("Idle", EventKind::Send, "Idle"),
-    t("Idle", EventKind::ComputeBegin, "Computing"),
-    t("Computing", EventKind::ComputeEnd, "Exchanging"),
-    t("Exchanging", EventKind::Send, "Exchanging"),
-    t("Exchanging", EventKind::Consume, "Exchanging"),
-    t("Exchanging", EventKind::Reduce, "Reduced"),
-    t("Reduced", EventKind::TokenTake, "Reduced"),
-    t("Reduced", EventKind::Jump, "Renewing"),
-    t("Renewing", EventKind::TokenTake, "Renewing"),
-    t("Renewing", EventKind::Consume, "Renewing"),
-    t("Renewing", EventKind::RenewReduce, "Reduced"),
-    // Delivery plane: legal in any state, state-preserving.
-    t("*", EventKind::TokenPass, "*"),
-    t("*", EventKind::StaleAdmit, "*"),
-    t("*", EventKind::StaleReject, "*"),
-    t("*", EventKind::Drop, "*"),
-    // Fault plane: churn and loss arrive on the fault schedule, in
-    // whatever state the worker occupies.
-    t("*", EventKind::Crash, "*"),
-    t("*", EventKind::Rejoin, "*"),
-    t("*", EventKind::Lost, "*"),
-];
-
-/// The states of an `Advance`-only choreography.
-pub const ADVANCE_ONLY_STATES: &[&str] = &["Idle", "Reduced"];
-
-/// The transitions of an `Advance`-only choreography: round-driven
-/// protocols whose synchronization is engine-internal emit nothing but
-/// iteration entries.
-pub const ADVANCE_ONLY: &[Transition] = &[t("Reduced", EventKind::Advance, "Idle")];
-
-/// A protocol's declared choreography: which states and transitions of
-/// [`GRAMMAR`] it uses, and which dynamic obligations it opts into.
-/// `choreo_check` validates every declared spec against the grammar.
-#[derive(Debug, Clone, Copy)]
-pub struct ChoreographySpec {
-    /// Protocol name (for diagnostics).
-    pub protocol: &'static str,
-    /// States the protocol's machine visits (⊆ [`STATES`]).
-    pub states: &'static [&'static str],
-    /// Transitions the protocol takes (⊆ [`GRAMMAR`]).
-    pub transitions: &'static [Transition],
-    /// Whether the protocol uses token queues (`TokenPass`/`TokenTake`).
-    pub tokens: bool,
-    /// Whether the protocol may run bounded staleness
-    /// (`StaleAdmit`/`StaleReject` instead of queued consumption).
-    pub staleness: bool,
-    /// Whether the protocol may skip iterations (`Jump` + renewal).
-    pub jumps: bool,
-    /// Whether the runtime processes worker churn (`Crash`/`Rejoin`) and
-    /// message loss (`Lost`) as first-class events. Round-analytic
-    /// runtimes (PS, ring, Prague) model whole rounds in closed form and
-    /// cannot lose individual messages, so they declare `false`.
-    pub churn: bool,
-}
-
-/// The full-vocabulary spec shared by the simulator's decentralized
-/// plug-in and the threaded runtime (which drive identical grammars; the
-/// threaded runtime additionally drops skipped-over updates, a
-/// delivery-plane event).
-pub const FULL_SPEC_TRANSITIONS: &[Transition] = GRAMMAR;
-
-/// Validates `spec` against the canonical grammar and its obligations.
-///
-/// # Errors
-///
-/// Returns every mismatch found (unknown states, transitions outside the
-/// grammar, missing obligations), not just the first.
-pub fn validate_spec(spec: &ChoreographySpec) -> Result<(), Vec<String>> {
-    let mut errors = Vec::new();
-    for state in spec.states {
-        if !STATES.contains(state) {
-            errors.push(format!("unknown state `{state}`"));
-        }
-    }
-    let has = |kind: EventKind| spec.transitions.iter().any(|tr| tr.event == kind);
-    for tr in spec.transitions {
-        if !GRAMMAR.contains(tr) {
-            errors.push(format!(
-                "transition {} --{:?}--> {} is outside the grammar",
-                tr.from, tr.event, tr.to
-            ));
-        }
-        for state in [tr.from, tr.to] {
-            if state != "*" && !spec.states.contains(&state) {
-                errors.push(format!(
-                    "transition {} --{:?}--> {} touches undeclared state `{state}`",
-                    tr.from, tr.event, tr.to
-                ));
-            }
-        }
-    }
-    if !has(EventKind::Advance) {
-        errors.push("no Advance: workers could never enter an iteration".into());
-    }
-    // Tag obligation: a Consume needs a source of tagged updates — a
-    // prior Send into a queue, or (staleness) an admitted arrival.
-    if has(EventKind::Consume) && !has(EventKind::Send) && !spec.staleness {
-        errors.push("Consume without Send or staleness: nothing to consume".into());
-    }
-    // Token obligations: takes need passes (conservation) and the flag.
-    if has(EventKind::TokenTake) {
-        if !spec.tokens {
-            errors.push("TokenTake but tokens are not declared".into());
-        }
-        if !has(EventKind::TokenPass) {
-            errors.push("TokenTake without TokenPass: counts would go negative".into());
-        }
-    }
-    if has(EventKind::StaleAdmit) != spec.staleness {
-        errors.push("StaleAdmit transitions must match the staleness flag".into());
-    }
-    // Jump obligations: jumps ride on token counts and must renew.
-    if has(EventKind::Jump) {
-        if !spec.jumps {
-            errors.push("Jump but jumps are not declared".into());
-        }
-        if !spec.tokens {
-            errors.push("Jump without tokens: the §5 decision reads token counts".into());
-        }
-        if !has(EventKind::RenewReduce) {
-            errors.push("Jump without RenewReduce: the renewal obligation is undischarged".into());
-        }
-        if !spec
-            .transitions
-            .iter()
-            .any(|tr| tr.from == "Renewing" && tr.event == EventKind::TokenTake)
-        {
-            errors.push("Jump without a Renewing TokenTake: the allotment is never removed".into());
-        }
-    } else if spec.jumps {
-        errors.push("jumps declared but no Jump transition".into());
-    }
-    // Churn obligations: a churn-capable runtime must accept both halves
-    // of the crash/rejoin cycle (a crash with no rejoin path would strand
-    // workers) and the loss event its gate emits; a runtime that does not
-    // process churn must not claim the events.
-    let churn_events = has(EventKind::Crash) || has(EventKind::Rejoin) || has(EventKind::Lost);
-    if spec.churn {
-        if !(has(EventKind::Crash) && has(EventKind::Rejoin)) {
-            errors.push("churn declared but Crash/Rejoin transitions are missing".into());
-        }
-        if !has(EventKind::Lost) {
-            errors.push("churn declared but the Lost transition is missing".into());
-        }
-    } else if churn_events {
-        errors.push("Crash/Rejoin/Lost transitions but churn is not declared".into());
-    }
-    // A compute cycle must close: begin needs end needs reduce needs the
-    // advance back into Idle.
-    if has(EventKind::ComputeBegin)
-        && !(has(EventKind::ComputeEnd)
-            && has(EventKind::Reduce)
-            && spec
-                .transitions
-                .iter()
-                .any(|tr| tr.from == "Reduced" && tr.event == EventKind::Advance))
-    {
-        errors.push("ComputeBegin without a closed ComputeEnd→Reduce→Advance cycle".into());
-    }
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
-    }
-}
-
-/// Every declared spec: the seven simulator plug-ins plus the threaded
-/// and process runtimes — the list `choreo_check` walks.
-#[must_use]
-pub fn all_specs() -> [&'static ChoreographySpec; 9] {
-    [
-        &crate::sim_runtime::decentralized::CHOREOGRAPHY,
-        &crate::sim_runtime::ps::BSP_CHOREOGRAPHY,
-        &crate::sim_runtime::ps::ASYNC_CHOREOGRAPHY,
-        &crate::sim_runtime::adpsgd::CHOREOGRAPHY,
-        &crate::sim_runtime::ring::CHOREOGRAPHY,
-        &crate::sim_runtime::prague::CHOREOGRAPHY,
-        &crate::sim_runtime::qgm::CHOREOGRAPHY,
-        &crate::threaded::CHOREOGRAPHY,
-        &crate::process::CHOREOGRAPHY,
-    ]
-}
-
 /// Drives the handles through `iters` lockstep iterations of the
 /// standard protocol on a ring of `n` workers and returns the emitted
-/// trace — the dynamic leg of `choreo_check`: a trace that *only* the
-/// typed API produced must satisfy the Oracle for
-/// `HopConfig::standard()` on `Topology::ring(n)`.
-#[must_use]
-pub fn reference_trace(n: usize, iters: u64) -> ProtocolTrace {
+/// trace: a trace that *only* the typed API produced must satisfy the
+/// Oracle for `HopConfig::standard()` on `Topology::ring(n)`.
+#[cfg(test)]
+pub(crate) fn reference_trace(n: usize, iters: u64) -> ProtocolTrace {
     let mut trace = ProtocolTrace::new();
     let topo = hop_graph::Topology::ring(n);
     for k in 0..iters {
@@ -912,17 +648,8 @@ mod tests {
     use hop_graph::Topology;
 
     #[test]
-    fn every_declared_spec_validates() {
-        for spec in all_specs() {
-            if let Err(errors) = validate_spec(spec) {
-                panic!("spec `{}` failed validation: {errors:?}", spec.protocol);
-            }
-        }
-    }
-
-    #[test]
     fn reference_trace_satisfies_the_oracle() {
-        for n in [2usize, 3, 5] {
+        for n in 2usize..=6 {
             let trace = reference_trace(n, 4);
             let topo = Topology::ring(n);
             let cfg = HopConfig::standard();
@@ -933,93 +660,6 @@ mod tests {
             assert_eq!(summary.advances, (n as u64) * 5);
             assert_eq!(summary.reduces, (n as u64) * 4);
         }
-    }
-
-    #[test]
-    fn out_of_grammar_transition_is_rejected() {
-        const BAD: ChoreographySpec = ChoreographySpec {
-            protocol: "bad",
-            states: &["Idle", "Computing", "Exchanging", "Reduced"],
-            transitions: &[
-                t("Reduced", EventKind::Advance, "Idle"),
-                // Reduce straight out of Computing: the classic "reduce
-                // before compute-end" the handles forbid.
-                t("Computing", EventKind::Reduce, "Reduced"),
-            ],
-            tokens: false,
-            staleness: false,
-            jumps: false,
-            churn: false,
-        };
-        let errors = validate_spec(&BAD).unwrap_err();
-        assert!(
-            errors.iter().any(|e| e.contains("outside the grammar")),
-            "{errors:?}"
-        );
-    }
-
-    #[test]
-    fn unmet_obligations_are_rejected() {
-        // TokenTake with no TokenPass and no tokens flag.
-        const NO_PASS: ChoreographySpec = ChoreographySpec {
-            protocol: "no-pass",
-            states: &["Idle", "Computing", "Exchanging", "Reduced"],
-            transitions: &[
-                t("Reduced", EventKind::Advance, "Idle"),
-                t("Idle", EventKind::ComputeBegin, "Computing"),
-                t("Computing", EventKind::ComputeEnd, "Exchanging"),
-                t("Exchanging", EventKind::Reduce, "Reduced"),
-                t("Reduced", EventKind::TokenTake, "Reduced"),
-            ],
-            tokens: false,
-            staleness: false,
-            jumps: false,
-            churn: false,
-        };
-        let errors = validate_spec(&NO_PASS).unwrap_err();
-        assert!(errors.iter().any(|e| e.contains("tokens are not declared")));
-        assert!(errors.iter().any(|e| e.contains("without TokenPass")));
-
-        // Consume with no Send and no staleness.
-        const NO_SEND: ChoreographySpec = ChoreographySpec {
-            protocol: "no-send",
-            states: &["Idle", "Computing", "Exchanging", "Reduced"],
-            transitions: &[
-                t("Reduced", EventKind::Advance, "Idle"),
-                t("Idle", EventKind::ComputeBegin, "Computing"),
-                t("Computing", EventKind::ComputeEnd, "Exchanging"),
-                t("Exchanging", EventKind::Consume, "Exchanging"),
-                t("Exchanging", EventKind::Reduce, "Reduced"),
-            ],
-            tokens: false,
-            staleness: false,
-            jumps: false,
-            churn: false,
-        };
-        let errors = validate_spec(&NO_SEND).unwrap_err();
-        assert!(errors.iter().any(|e| e.contains("nothing to consume")));
-
-        // Jump with no renewal.
-        const NO_RENEW: ChoreographySpec = ChoreographySpec {
-            protocol: "no-renew",
-            states: &["Idle", "Computing", "Exchanging", "Reduced", "Renewing"],
-            transitions: &[
-                t("Reduced", EventKind::Advance, "Idle"),
-                t("Idle", EventKind::Send, "Idle"),
-                t("Idle", EventKind::ComputeBegin, "Computing"),
-                t("Computing", EventKind::ComputeEnd, "Exchanging"),
-                t("Exchanging", EventKind::Consume, "Exchanging"),
-                t("Exchanging", EventKind::Reduce, "Reduced"),
-                t("Reduced", EventKind::TokenTake, "Reduced"),
-                t("Reduced", EventKind::Jump, "Renewing"),
-            ],
-            tokens: true,
-            staleness: false,
-            jumps: true,
-            churn: false,
-        };
-        let errors = validate_spec(&NO_RENEW).unwrap_err();
-        assert!(errors.iter().any(|e| e.contains("RenewReduce")));
     }
 
     #[test]

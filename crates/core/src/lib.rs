@@ -16,8 +16,8 @@
 //!   backup quota, staleness window, jump legality).
 //! * [`choreography`] — the same grammar as typestate handles: the only
 //!   way a runtime can emit exchange events, so illegal event orders are
-//!   compile errors; plus the declarative [`choreography::ChoreographySpec`]
-//!   layer the `choreo_check` binary validates statically.
+//!   compile errors. The handles are the grammar; the Oracle is its
+//!   checker.
 //! * [`sim_runtime`] — deterministic discrete-event execution on
 //!   [`hop_sim`]'s virtual cluster; produces timing traces, gap
 //!   statistics and loss curves for every figure in the paper.
@@ -73,7 +73,6 @@ pub mod threaded;
 pub mod trainer;
 mod worker;
 
-pub use choreography::ChoreographySpec;
 pub use config::{
     ComputeOrder, HopConfig, PragueConfig, Protocol, QgmConfig, SkipConfig, SyncMode,
 };

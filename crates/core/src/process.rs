@@ -69,7 +69,7 @@
 //! merged trace to `target/conformance-failures/<label>.trace` for
 //! offline replay.
 
-use crate::choreography::{self, t, ChoreographySpec, EventKind, SeqSink, Transition};
+use crate::choreography::SeqSink;
 use crate::config::{ComputeOrder, ConfigError, HopConfig, SkipConfig, SyncMode};
 use crate::conformance::{ProtocolEvent, ProtocolTrace};
 use crate::report::RuntimeReport;
@@ -94,41 +94,6 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-
-/// The process runtime's transition table: the full grammar minus the
-/// fault plane — a real dead process cannot be choreographed as a
-/// polite `Crash` event; it surfaces as a connection error instead.
-pub const PROCESS_TRANSITIONS: &[Transition] = &[
-    t("Reduced", EventKind::Advance, "Idle"),
-    t("Idle", EventKind::Send, "Idle"),
-    t("Idle", EventKind::ComputeBegin, "Computing"),
-    t("Computing", EventKind::ComputeEnd, "Exchanging"),
-    t("Exchanging", EventKind::Send, "Exchanging"),
-    t("Exchanging", EventKind::Consume, "Exchanging"),
-    t("Exchanging", EventKind::Reduce, "Reduced"),
-    t("Reduced", EventKind::TokenTake, "Reduced"),
-    t("Reduced", EventKind::Jump, "Renewing"),
-    t("Renewing", EventKind::TokenTake, "Renewing"),
-    t("Renewing", EventKind::Consume, "Renewing"),
-    t("Renewing", EventKind::RenewReduce, "Reduced"),
-    t("*", EventKind::TokenPass, "*"),
-    t("*", EventKind::StaleAdmit, "*"),
-    t("*", EventKind::StaleReject, "*"),
-    t("*", EventKind::Drop, "*"),
-];
-
-/// The declared choreography of the process runtime: the threaded
-/// grammar without churn (crashes are connection failures here, not
-/// protocol events).
-pub const CHOREOGRAPHY: ChoreographySpec = ChoreographySpec {
-    protocol: "process",
-    states: choreography::STATES,
-    transitions: PROCESS_TRANSITIONS,
-    tokens: true,
-    staleness: true,
-    jumps: true,
-    churn: false,
-};
 
 /// Error from the process runtime's coordinator half.
 #[derive(Debug)]
@@ -1649,11 +1614,6 @@ mod tests {
                 });
             }
         });
-    }
-
-    #[test]
-    fn process_spec_is_grammar_valid() {
-        choreography::validate_spec(&CHOREOGRAPHY).expect("process spec validates");
     }
 
     #[test]

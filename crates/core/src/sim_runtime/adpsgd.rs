@@ -14,33 +14,15 @@
 //! detection aborts the pump, which surfaces as
 //! [`TrainingReport::deadlocked`].
 
-use crate::choreography::{self, ChoreographySpec};
 use crate::config::AdPsgdConfig;
 use crate::report::TrainingReport;
-use crate::trainer::Hyper;
-use hop_data::InMemoryDataset;
+use crate::trainer::SimRun;
 use hop_graph::Topology;
-use hop_model::Model;
-use hop_sim::{ClusterSpec, SlowdownModel};
 use hop_tensor::ParamBlock;
 use std::collections::VecDeque;
 
 use super::compression::CompressionPlane;
 use super::engine::{SimEngine, WorkerCommon, WorkerProtocol};
-use super::recorder::EvalConfig;
-
-/// AD-PSGD choreography: atomic pairwise averaging has no tagged
-/// send/consume plane (updates are not iteration-addressed), so only
-/// iteration entries are choreographed.
-pub const CHOREOGRAPHY: ChoreographySpec = ChoreographySpec {
-    protocol: "adpsgd",
-    states: choreography::ADVANCE_ONLY_STATES,
-    transitions: choreography::ADVANCE_ONLY,
-    tokens: false,
-    staleness: false,
-    jumps: false,
-    churn: false,
-};
 
 enum Ev {
     ComputeDone {
@@ -74,40 +56,14 @@ struct WorkerSt {
 /// Runs AD-PSGD. With `cfg.require_bipartite` the graph must 2-color and
 /// only one color class initiates averaging (deadlock-free); otherwise all
 /// workers initiate and the run may deadlock — reported via
-/// [`TrainingReport::deadlocked`].
-#[allow(clippy::too_many_arguments)]
-pub fn run(
-    cfg: &AdPsgdConfig,
-    topology: &Topology,
-    cluster: &ClusterSpec,
-    slowdown: &SlowdownModel,
-    model: &dyn Model,
-    dataset: &InMemoryDataset,
-    hyper: &Hyper,
-    max_iters: u64,
-    seed: u64,
-    eval: EvalConfig,
-    conformance: bool,
-) -> TrainingReport {
+/// [`TrainingReport::deadlocked`]. Pairwise averaging has no tagged
+/// send/consume plane, so only iteration entries are recorded.
+pub(crate) fn run(cfg: &AdPsgdConfig, sim: &SimRun<'_>) -> TrainingReport {
+    let topology = &sim.exp.topology;
     let n = topology.len();
-    assert_eq!(cluster.len(), n, "cluster/topology size mismatch");
+    assert_eq!(sim.exp.cluster.len(), n, "cluster/topology size mismatch");
     let bipartite_sides = two_color(topology);
-    assert!(
-        !cfg.require_bipartite || bipartite_sides.is_some(),
-        "AD-PSGD with require_bipartite needs a bipartite graph (checked by the trainer)"
-    );
-    let engine = SimEngine::new(
-        cluster.clone(),
-        n,
-        slowdown,
-        model,
-        dataset,
-        hyper,
-        max_iters,
-        seed,
-        eval,
-    )
-    .with_conformance(conformance);
+    let engine = sim.engine();
     let workers = (0..n)
         .map(|w| WorkerSt {
             busy: false,
@@ -392,39 +348,37 @@ fn two_color(topology: &Topology) -> Option<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Protocol;
+    use crate::trainer::{Hyper, SimExperiment};
     use hop_data::webspam::SyntheticWebspam;
     use hop_model::svm::Svm;
-    use hop_sim::LinkModel;
+    use hop_sim::{ClusterSpec, LinkModel, SlowdownModel};
 
+    /// Panics with the trainer's rejection when the experiment is invalid.
     fn run_on(topo: &Topology, require_bipartite: bool, seed: u64) -> TrainingReport {
-        let cluster = ClusterSpec::uniform(topo.len(), 2, 0.01, LinkModel::ethernet_1gbps());
         let dataset = SyntheticWebspam::generate(128, 7);
         let model = Svm::log_loss(hop_data::Dataset::feature_dim(&dataset));
-        let hyper = Hyper {
-            lr: 0.5,
-            momentum: 0.9,
-            weight_decay: 1e-7,
-            batch_size: 16,
-        };
-        run(
-            &AdPsgdConfig {
+        SimExperiment {
+            topology: topo.clone(),
+            cluster: ClusterSpec::uniform(topo.len(), 2, 0.01, LinkModel::ethernet_1gbps()),
+            slowdown: SlowdownModel::None,
+            protocol: Protocol::AdPsgd(AdPsgdConfig {
                 require_bipartite,
                 ..AdPsgdConfig::default()
+            }),
+            hyper: Hyper {
+                lr: 0.5,
+                momentum: 0.9,
+                weight_decay: 1e-7,
+                batch_size: 16,
             },
-            topo,
-            &cluster,
-            &SlowdownModel::None,
-            &model,
-            &dataset,
-            &hyper,
-            30,
+            max_iters: 30,
             seed,
-            EvalConfig {
-                every: 0,
-                examples: 32,
-            },
-            false,
-        )
+            eval_every: 0,
+            eval_examples: 32,
+        }
+        .run(&model, &dataset)
+        .unwrap_or_else(|e| panic!("{e}"))
     }
 
     #[test]

@@ -10,25 +10,21 @@
 //!
 //! The event pump, per-worker common state and recording live in the
 //! shared [`super::engine::SimEngine`]; this module contributes only the
-//! protocol state machine as a [`WorkerProtocol`] implementation.
+//! protocol state machine as a [`WorkerProtocol`] implementation. It
+//! drives the full vocabulary of the [`crate::choreography`] handles —
+//! the protocol they were extracted from.
 
-use crate::choreography::{
-    self, Arrival, ChoreographySpec, Exchanging, Reduced, Renew, SendStage, Step,
-};
+use crate::choreography::{self, Arrival, Exchanging, Reduced, Renew, SendStage, Step};
 use crate::config::{ComputeOrder, HopConfig, SyncMode};
 use crate::report::TrainingReport;
 use crate::semantics;
-use crate::trainer::Hyper;
-use hop_data::InMemoryDataset;
+use crate::trainer::SimRun;
 use hop_graph::Topology;
-use hop_model::Model;
 use hop_queue::{RotatingQueues, Tag};
-use hop_sim::{ClusterSpec, SlowdownModel};
 use hop_tensor::ParamBlock;
 
 use super::compression::CompressionPlane;
 use super::engine::{SimEngine, WorkerCommon, WorkerProtocol};
-use super::recorder::EvalConfig;
 
 /// When token queues are disabled, rotating queues still need a modulus;
 /// this must exceed any reachable iteration gap. The runtime uses the
@@ -44,19 +40,6 @@ fn rotation_window(cfg: &HopConfig, topology: &Topology) -> u64 {
     // Theorem 1 (or its staleness generalization): gap <= per_hop * diameter.
     (per_hop * diameter.max(1)).max(1)
 }
-
-/// The declared choreography of this plug-in: the full grammar — it is
-/// the protocol the typestate handles were extracted from. Validated
-/// against [`choreography::GRAMMAR`] by the `choreo_check` binary.
-pub const CHOREOGRAPHY: ChoreographySpec = ChoreographySpec {
-    protocol: "hop-decentralized",
-    states: choreography::STATES,
-    transitions: choreography::FULL_SPEC_TRANSITIONS,
-    tokens: true,
-    staleness: true,
-    jumps: true,
-    churn: true,
-};
 
 /// Worker phase, carrying the typed per-iteration handle for the stage
 /// the worker is parked in — the only capability that can emit the
@@ -126,40 +109,15 @@ struct WorkerSt {
 ///
 /// # Panics
 ///
-/// Panics if `cfg` fails validation against `topology` (callers go through
-/// [`crate::trainer::SimExperiment`], which validates first).
-#[allow(clippy::too_many_arguments)]
-pub fn run(
-    cfg: &HopConfig,
-    topology: &Topology,
-    cluster: &ClusterSpec,
-    slowdown: &SlowdownModel,
-    model: &dyn Model,
-    dataset: &InMemoryDataset,
-    hyper: &Hyper,
-    max_iters: u64,
-    seed: u64,
-    eval: EvalConfig,
-    conformance: bool,
-) -> TrainingReport {
-    cfg.validate(topology).expect("config validated by caller");
+/// Panics on a cluster/topology size mismatch.
+pub(crate) fn run(cfg: &HopConfig, sim: &SimRun<'_>) -> TrainingReport {
+    let topology = &sim.exp.topology;
     assert_eq!(
-        cluster.len(),
+        sim.exp.cluster.len(),
         topology.len(),
         "cluster and topology sizes must match"
     );
-    let engine = SimEngine::new(
-        cluster.clone(),
-        topology.len(),
-        slowdown,
-        model,
-        dataset,
-        hyper,
-        max_iters,
-        seed,
-        eval,
-    )
-    .with_conformance(conformance);
+    let engine = sim.engine();
     let mut proto = Decentralized::new(cfg, topology, &engine);
     engine.drive(&mut proto)
 }
@@ -873,10 +831,13 @@ impl WorkerProtocol for Decentralized<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SkipConfig;
+    use crate::config::{Protocol, SkipConfig};
+    use crate::sim_runtime::recorder::EvalConfig;
+    use crate::trainer::{Hyper, SimExperiment};
     use hop_data::webspam::{SyntheticWebspam, WebspamConfig};
+    use hop_data::InMemoryDataset;
     use hop_model::svm::Svm;
-    use hop_sim::LinkModel;
+    use hop_sim::{ClusterSpec, LinkModel, SlowdownModel};
     use hop_tensor::CompressionConfig;
 
     fn quick_setup() -> (Topology, ClusterSpec, InMemoryDataset, Svm, Hyper) {
@@ -894,23 +855,20 @@ mod tests {
     }
 
     fn run_cfg(cfg: HopConfig, iters: u64, slow: SlowdownModel) -> TrainingReport {
-        let (topo, cluster, dataset, model, hyper) = quick_setup();
-        run(
-            &cfg,
-            &topo,
-            &cluster,
-            &slow,
-            &model,
-            &dataset,
-            &hyper,
-            iters,
-            11,
-            EvalConfig {
-                every: 10,
-                examples: 64,
-            },
-            false,
-        )
+        let (topology, cluster, dataset, model, hyper) = quick_setup();
+        SimExperiment {
+            topology,
+            cluster,
+            slowdown: slow,
+            protocol: Protocol::Hop(cfg),
+            hyper,
+            max_iters: iters,
+            seed: 11,
+            eval_every: 10,
+            eval_examples: 64,
+        }
+        .run(&model, &dataset)
+        .expect("valid Hop experiment")
     }
 
     #[test]

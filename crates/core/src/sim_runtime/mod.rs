@@ -8,8 +8,8 @@
 //! Conformance events are emitted exclusively through the
 //! [`crate::choreography`] typestate handles (obtained from
 //! [`engine::SimEngine::enter_step`] / recorded via
-//! [`engine::SimEngine::record_enter`]), and every submodule declares a
-//! [`crate::ChoreographySpec`] the `choreo_check` binary validates.
+//! [`engine::SimEngine::record_enter`]); the source-discipline test in
+//! the workspace's `tests/choreography.rs` fails any other emission path.
 
 pub mod adpsgd;
 pub mod compression;

@@ -17,71 +17,24 @@
 //! all-reduce pipeline is modeled analytically (per-step max over the
 //! group's logical ring), so bytes are accounted here rather than via the
 //! virtual network. As with ring all-reduce there is no per-message
-//! delivery to gate, so the fault plane does not apply (`churn: false`).
+//! delivery to gate, so the fault plane does not apply and only
+//! iteration entries are recorded.
 
-use crate::choreography::{self, ChoreographySpec};
 use crate::config::PragueConfig;
 use crate::report::TrainingReport;
-use crate::trainer::Hyper;
-use hop_data::InMemoryDataset;
+use crate::trainer::SimRun;
 use hop_graph::groups;
-use hop_model::Model;
-use hop_sim::{ClusterSpec, SlowdownModel};
 use hop_tensor::ParamBlock;
 use std::collections::HashMap;
 
 use super::compression::CompressionPlane;
 use super::engine::{SimEngine, WorkerCommon, WorkerProtocol};
-use super::recorder::EvalConfig;
 
-/// Prague choreography: group membership is a pure function of
-/// `(seed, round)` and the intra-group all-reduce is analytic, so only
-/// iteration entries are choreographed.
-pub const CHOREOGRAPHY: ChoreographySpec = ChoreographySpec {
-    protocol: "prague",
-    states: choreography::ADVANCE_ONLY_STATES,
-    transitions: choreography::ADVANCE_ONLY,
-    tokens: false,
-    staleness: false,
-    jumps: false,
-    churn: false,
-};
-
-/// Runs Prague partial all-reduce training over `cluster`'s workers.
-///
-/// # Panics
-///
-/// Panics if `cfg` fails [`PragueConfig::validate`] (callers go through
-/// [`crate::trainer::SimExperiment`], which validates first).
-#[allow(clippy::too_many_arguments)]
-pub fn run(
-    cfg: &PragueConfig,
-    cluster: &ClusterSpec,
-    slowdown: &SlowdownModel,
-    model: &dyn Model,
-    dataset: &InMemoryDataset,
-    hyper: &Hyper,
-    max_iters: u64,
-    seed: u64,
-    eval: EvalConfig,
-    conformance: bool,
-) -> TrainingReport {
-    cfg.validate().expect("config validated by caller");
-    let n = cluster.len();
-    let engine = SimEngine::new(
-        cluster.clone(),
-        n,
-        slowdown,
-        model,
-        dataset,
-        hyper,
-        max_iters,
-        seed,
-        eval,
-    )
-    .with_conformance(conformance);
+/// Runs Prague partial all-reduce training over the experiment's workers.
+pub(crate) fn run(cfg: &PragueConfig, sim: &SimRun<'_>) -> TrainingReport {
+    let engine = sim.engine();
     let mut plane = CompressionPlane::new(cfg.compression);
-    plane.add_param_streams(n, engine.init_params());
+    plane.add_param_streams(engine.workers.len(), engine.init_params());
     let mut proto = Prague {
         cfg: *cfg,
         rounds: HashMap::new(),
@@ -303,35 +256,34 @@ impl WorkerProtocol for Prague {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Protocol;
+    use crate::trainer::{Hyper, SimExperiment};
     use hop_data::webspam::SyntheticWebspam;
+    use hop_graph::Topology;
     use hop_model::svm::Svm;
-    use hop_sim::LinkModel;
+    use hop_sim::{ClusterSpec, LinkModel, SlowdownModel};
 
     fn run_prague(cfg: PragueConfig, slow: SlowdownModel, iters: u64) -> TrainingReport {
-        let cluster = ClusterSpec::uniform(6, 2, 0.01, LinkModel::ethernet_1gbps());
         let dataset = SyntheticWebspam::generate(256, 7);
         let model = Svm::log_loss(hop_data::Dataset::feature_dim(&dataset));
-        let hyper = Hyper {
-            lr: 0.5,
-            momentum: 0.9,
-            weight_decay: 1e-7,
-            batch_size: 16,
-        };
-        run(
-            &cfg,
-            &cluster,
-            &slow,
-            &model,
-            &dataset,
-            &hyper,
-            iters,
-            3,
-            EvalConfig {
-                every: 10,
-                examples: 64,
+        SimExperiment {
+            topology: Topology::ring(6),
+            cluster: ClusterSpec::uniform(6, 2, 0.01, LinkModel::ethernet_1gbps()),
+            slowdown: slow,
+            protocol: Protocol::Prague(cfg),
+            hyper: Hyper {
+                lr: 0.5,
+                momentum: 0.9,
+                weight_decay: 1e-7,
+                batch_size: 16,
             },
-            false,
-        )
+            max_iters: iters,
+            seed: 3,
+            eval_every: 10,
+            eval_examples: 64,
+        }
+        .run(&model, &dataset)
+        .expect("valid Prague experiment")
     }
 
     #[test]

@@ -12,85 +12,35 @@
 //! and optimizer live in the protocol (there is one logical replica on the
 //! server, not one per worker).
 
-use crate::choreography::{self, ChoreographySpec};
 use crate::config::{PsConfig, PsMode};
 use crate::report::TrainingReport;
-use crate::trainer::Hyper;
-use hop_data::InMemoryDataset;
-use hop_model::{Model, Sgd};
-use hop_sim::{ClusterSpec, SlowdownModel};
+use crate::trainer::SimRun;
+use hop_model::Sgd;
 use hop_tensor::ParamBlock;
 
 use super::compression::CompressionPlane;
 use super::engine::{SimEngine, WorkerProtocol};
-use super::recorder::EvalConfig;
 
-/// BSP/SSP server choreography: synchronization is engine-internal
-/// (round barriers / bound checks on the server), so only iteration
-/// entries are choreographed.
-pub const BSP_CHOREOGRAPHY: ChoreographySpec = ChoreographySpec {
-    protocol: "ps-bsp-ssp",
-    states: choreography::ADVANCE_ONLY_STATES,
-    transitions: choreography::ADVANCE_ONLY,
-    tokens: false,
-    staleness: false,
-    jumps: false,
-    churn: false,
-};
-
-/// Async server choreography: the server applies updates as they arrive;
-/// no tagged exchange plane, so only iteration entries are choreographed.
-pub const ASYNC_CHOREOGRAPHY: ChoreographySpec = ChoreographySpec {
-    protocol: "ps-async",
-    states: choreography::ADVANCE_ONLY_STATES,
-    transitions: choreography::ADVANCE_ONLY,
-    tokens: false,
-    staleness: false,
-    jumps: false,
-    churn: false,
-};
-
-/// Runs a parameter-server experiment. `cluster` describes the workers
-/// only; the server node is appended on its own machine.
-#[allow(clippy::too_many_arguments)]
-pub fn run(
-    cfg: &PsConfig,
-    cluster: &ClusterSpec,
-    slowdown: &SlowdownModel,
-    model: &dyn Model,
-    dataset: &InMemoryDataset,
-    hyper: &Hyper,
-    max_iters: u64,
-    seed: u64,
-    eval: EvalConfig,
-    conformance: bool,
-) -> TrainingReport {
-    let n = cluster.len();
-    let mut spec = cluster.clone();
+/// Runs a parameter-server experiment. The experiment's cluster describes
+/// the workers only; the server node is appended on its own machine.
+pub(crate) fn run(cfg: &PsConfig, sim: &SimRun<'_>) -> TrainingReport {
+    let mut spec = sim.exp.cluster.clone();
     let server = spec.push_server_node(1e-3);
     // The engine's event type is fixed at construction, so each mode
     // builds its own engine over the same spec.
-    macro_rules! engine {
-        () => {
-            SimEngine::new(
-                spec, n, slowdown, model, dataset, hyper, max_iters, seed, eval,
-            )
-            .with_conformance(conformance)
-        };
-    }
     match cfg.mode {
         PsMode::Bsp => {
-            let engine = engine!();
+            let engine = sim.engine_on(spec);
             let mut proto = BspServer::new(server, cfg.compression, &engine);
             engine.drive(&mut proto)
         }
         PsMode::Ssp(s) => {
-            let engine = engine!();
+            let engine = sim.engine_on(spec);
             let mut proto = AsyncServer::new(server, Some(s), cfg.compression, &engine);
             engine.drive(&mut proto)
         }
         PsMode::Async => {
-            let engine = engine!();
+            let engine = sim.engine_on(spec);
             let mut proto = AsyncServer::new(server, None, cfg.compression, &engine);
             engine.drive(&mut proto)
         }
@@ -423,40 +373,34 @@ impl WorkerProtocol for AsyncServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Protocol;
+    use crate::trainer::{Hyper, SimExperiment};
     use hop_data::webspam::SyntheticWebspam;
+    use hop_graph::Topology;
     use hop_model::svm::Svm;
-    use hop_sim::LinkModel;
-
-    fn setup() -> (ClusterSpec, InMemoryDataset, Svm, Hyper) {
-        let cluster = ClusterSpec::uniform(4, 2, 0.01, LinkModel::ethernet_1gbps());
-        let dataset = SyntheticWebspam::generate(256, 7);
-        let model = Svm::log_loss(hop_data::Dataset::feature_dim(&dataset));
-        let hyper = Hyper {
-            lr: 0.5,
-            momentum: 0.9,
-            weight_decay: 1e-7,
-            batch_size: 16,
-        };
-        (cluster, dataset, model, hyper)
-    }
+    use hop_sim::{ClusterSpec, LinkModel, SlowdownModel};
 
     fn run_mode(mode: PsMode, slow: SlowdownModel, iters: u64) -> TrainingReport {
-        let (cluster, dataset, model, hyper) = setup();
-        run(
-            &PsConfig::new(mode),
-            &cluster,
-            &slow,
-            &model,
-            &dataset,
-            &hyper,
-            iters,
-            5,
-            EvalConfig {
-                every: 10,
-                examples: 64,
+        let dataset = SyntheticWebspam::generate(256, 7);
+        let model = Svm::log_loss(hop_data::Dataset::feature_dim(&dataset));
+        SimExperiment {
+            topology: Topology::ring(4),
+            cluster: ClusterSpec::uniform(4, 2, 0.01, LinkModel::ethernet_1gbps()),
+            slowdown: slow,
+            protocol: Protocol::Ps(PsConfig::new(mode)),
+            hyper: Hyper {
+                lr: 0.5,
+                momentum: 0.9,
+                weight_decay: 1e-7,
+                batch_size: 16,
             },
-            false,
-        )
+            max_iters: iters,
+            seed: 5,
+            eval_every: 10,
+            eval_examples: 64,
+        }
+        .run(&model, &dataset)
+        .expect("valid PS experiment")
     }
 
     #[test]

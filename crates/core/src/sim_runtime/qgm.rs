@@ -26,79 +26,32 @@
 //! as zero-copy snapshots through the shared
 //! [`super::engine::SimEngine`].
 
-use crate::choreography::{self, ChoreographySpec};
 use crate::config::QgmConfig;
 use crate::report::TrainingReport;
 use crate::semantics;
-use crate::trainer::Hyper;
-use hop_data::InMemoryDataset;
+use crate::trainer::SimRun;
 use hop_graph::Topology;
-use hop_model::{Model, QgmState};
-use hop_sim::{ClusterSpec, SlowdownModel};
+use hop_model::QgmState;
 use hop_tensor::ParamBlock;
 use std::collections::HashMap;
 
 use super::compression::CompressionPlane;
 use super::engine::{SimEngine, WorkerProtocol};
-use super::recorder::EvalConfig;
 
-/// QGM choreography: gossip waits are engine-internal buffering (no
-/// tagged queue/token plane), so only iteration entries are
-/// choreographed.
-pub const CHOREOGRAPHY: ChoreographySpec = ChoreographySpec {
-    protocol: "qgm",
-    states: choreography::ADVANCE_ONLY_STATES,
-    transitions: choreography::ADVANCE_ONLY,
-    tokens: false,
-    staleness: false,
-    jumps: false,
-    churn: false,
-};
-
-/// Runs QGM gossip training over `topology`.
+/// Runs QGM gossip training over the experiment's topology. Gossip waits
+/// are engine-internal buffering, so only iteration entries are recorded.
 ///
 /// # Panics
 ///
-/// Panics if `cfg` fails [`QgmConfig::validate`] or the topology is not
-/// strongly connected (callers go through
-/// [`crate::trainer::SimExperiment`], which validates first), or on a
-/// cluster/topology size mismatch.
-#[allow(clippy::too_many_arguments)]
-pub fn run(
-    cfg: &QgmConfig,
-    topology: &Topology,
-    cluster: &ClusterSpec,
-    slowdown: &SlowdownModel,
-    model: &dyn Model,
-    dataset: &InMemoryDataset,
-    hyper: &Hyper,
-    max_iters: u64,
-    seed: u64,
-    eval: EvalConfig,
-    conformance: bool,
-) -> TrainingReport {
-    cfg.validate().expect("config validated by caller");
-    assert!(
-        topology.is_strongly_connected(),
-        "QGM gossip needs a strongly connected topology (checked by the trainer)"
-    );
+/// Panics on a cluster/topology size mismatch.
+pub(crate) fn run(cfg: &QgmConfig, sim: &SimRun<'_>) -> TrainingReport {
+    let topology = &sim.exp.topology;
     assert_eq!(
-        cluster.len(),
+        sim.exp.cluster.len(),
         topology.len(),
         "cluster and topology sizes must match"
     );
-    let engine = SimEngine::new(
-        cluster.clone(),
-        topology.len(),
-        slowdown,
-        model,
-        dataset,
-        hyper,
-        max_iters,
-        seed,
-        eval,
-    )
-    .with_conformance(conformance);
+    let engine = sim.engine();
     let dim = engine.init_params().len();
     let workers = (0..topology.len())
         .map(|_| WorkerSt {
@@ -291,37 +244,33 @@ impl WorkerProtocol for Qgm<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Protocol;
+    use crate::trainer::{Hyper, SimExperiment};
     use hop_data::webspam::SyntheticWebspam;
     use hop_model::svm::Svm;
-    use hop_sim::LinkModel;
+    use hop_sim::{ClusterSpec, LinkModel, SlowdownModel};
 
     fn run_qgm(cfg: QgmConfig, slow: SlowdownModel, iters: u64) -> TrainingReport {
-        let topo = Topology::ring(6);
-        let cluster = ClusterSpec::uniform(6, 2, 0.01, LinkModel::ethernet_1gbps());
         let dataset = SyntheticWebspam::generate(256, 7);
         let model = Svm::log_loss(hop_data::Dataset::feature_dim(&dataset));
-        let hyper = Hyper {
-            lr: 0.5,
-            momentum: 0.9,
-            weight_decay: 1e-7,
-            batch_size: 16,
-        };
-        run(
-            &cfg,
-            &topo,
-            &cluster,
-            &slow,
-            &model,
-            &dataset,
-            &hyper,
-            iters,
-            3,
-            EvalConfig {
-                every: 10,
-                examples: 64,
+        SimExperiment {
+            topology: Topology::ring(6),
+            cluster: ClusterSpec::uniform(6, 2, 0.01, LinkModel::ethernet_1gbps()),
+            slowdown: slow,
+            protocol: Protocol::Qgm(cfg),
+            hyper: Hyper {
+                lr: 0.5,
+                momentum: 0.9,
+                weight_decay: 1e-7,
+                batch_size: 16,
             },
-            false,
-        )
+            max_iters: iters,
+            seed: 3,
+            eval_every: 10,
+            eval_examples: 64,
+        }
+        .run(&model, &dataset)
+        .expect("valid QGM experiment")
     }
 
     #[test]

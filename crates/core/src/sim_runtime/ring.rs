@@ -10,59 +10,24 @@
 //! round; the pipeline time is modeled analytically (per-step max over
 //! ring hops), so bytes are accounted here rather than via the virtual
 //! network. For the same reason the fault plane does not apply: there is
-//! no per-message delivery to gate (`churn: false` in the choreography) —
-//! chaos experiments use the per-message protocols.
+//! no per-message delivery to gate, and the only recorded protocol events
+//! are iteration entries — chaos experiments use the per-message
+//! protocols.
 
-use crate::choreography::{self, ChoreographySpec};
 use crate::report::TrainingReport;
-use crate::trainer::Hyper;
-use hop_data::InMemoryDataset;
-use hop_model::{Model, Sgd};
-use hop_sim::{ClusterSpec, SlowdownModel};
+use crate::trainer::SimRun;
+use hop_model::Sgd;
 use hop_tensor::ParamBlock;
 
 use super::engine::{SimEngine, WorkerProtocol};
-use super::recorder::EvalConfig;
-
-/// Ring all-reduce choreography: the all-reduce is modeled analytically
-/// inside one round event, so only iteration entries are choreographed.
-pub const CHOREOGRAPHY: ChoreographySpec = ChoreographySpec {
-    protocol: "ring-allreduce",
-    states: choreography::ADVANCE_ONLY_STATES,
-    transitions: choreography::ADVANCE_ONLY,
-    tokens: false,
-    staleness: false,
-    jumps: false,
-    churn: false,
-};
 
 /// Runs ring all-reduce training; the ring follows worker index order.
-#[allow(clippy::too_many_arguments)]
-pub fn run(
-    cluster: &ClusterSpec,
-    slowdown: &SlowdownModel,
-    model: &dyn Model,
-    dataset: &InMemoryDataset,
-    hyper: &Hyper,
-    max_iters: u64,
-    seed: u64,
-    eval: EvalConfig,
-    conformance: bool,
-) -> TrainingReport {
-    let n = cluster.len();
-    assert!(n >= 2, "ring all-reduce needs at least 2 workers");
-    let engine = SimEngine::new(
-        cluster.clone(),
-        n,
-        slowdown,
-        model,
-        dataset,
-        hyper,
-        max_iters,
-        seed,
-        eval,
-    )
-    .with_conformance(conformance);
+pub(crate) fn run(sim: &SimRun<'_>) -> TrainingReport {
+    assert!(
+        sim.exp.cluster.len() >= 2,
+        "ring all-reduce needs at least 2 workers"
+    );
+    let engine = sim.engine();
     let mut proto = RingAllReduce::new(&engine);
     engine.drive(&mut proto)
 }
@@ -165,34 +130,34 @@ impl WorkerProtocol for RingAllReduce {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Protocol;
+    use crate::trainer::{Hyper, SimExperiment};
     use hop_data::webspam::SyntheticWebspam;
+    use hop_graph::Topology;
     use hop_model::svm::Svm;
-    use hop_sim::LinkModel;
+    use hop_sim::{ClusterSpec, LinkModel, SlowdownModel};
 
     fn run_ring(slow: SlowdownModel, iters: u64) -> TrainingReport {
-        let cluster = ClusterSpec::uniform(4, 2, 0.01, LinkModel::ethernet_1gbps());
         let dataset = SyntheticWebspam::generate(256, 7);
         let model = Svm::log_loss(hop_data::Dataset::feature_dim(&dataset));
-        let hyper = Hyper {
-            lr: 0.5,
-            momentum: 0.9,
-            weight_decay: 1e-7,
-            batch_size: 16,
-        };
-        run(
-            &cluster,
-            &slow,
-            &model,
-            &dataset,
-            &hyper,
-            iters,
-            3,
-            EvalConfig {
-                every: 10,
-                examples: 64,
+        SimExperiment {
+            topology: Topology::ring(4),
+            cluster: ClusterSpec::uniform(4, 2, 0.01, LinkModel::ethernet_1gbps()),
+            slowdown: slow,
+            protocol: Protocol::RingAllReduce,
+            hyper: Hyper {
+                lr: 0.5,
+                momentum: 0.9,
+                weight_decay: 1e-7,
+                batch_size: 16,
             },
-            false,
-        )
+            max_iters: iters,
+            seed: 3,
+            eval_every: 10,
+            eval_examples: 64,
+        }
+        .run(&model, &dataset)
+        .expect("valid ring experiment")
     }
 
     #[test]

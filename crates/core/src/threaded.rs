@@ -16,8 +16,10 @@
 //! # Conformance
 //!
 //! [`ThreadedExperiment::run_traced`] records the same structured
-//! [`ProtocolTrace`] the simulator emits, so both runtimes feed the same
-//! [`crate::conformance::Oracle`]. Each worker logs its events locally
+//! [`ProtocolTrace`] the simulator and [`crate::process`] emit, so all
+//! three runtimes feed the same [`crate::conformance::Oracle`], through
+//! the same typestate handles of [`crate::choreography`] — the only
+//! emission path. Each worker logs its events locally
 //! with a shared atomic sequence number; *grant* events (sends, token
 //! passes) take their number **before** the queue operation and *observe*
 //! events (consumes, token takes, drops) **after** it, which makes the
@@ -38,7 +40,7 @@
 //! oracle can license each loss. Time-window faults (cuts, partitions)
 //! and byzantine corruption are simulator-only and ignored here.
 
-use crate::choreography::{self, ChoreographySpec, SeqSink};
+use crate::choreography::SeqSink;
 use crate::config::{ComputeOrder, ConfigError, HopConfig, SyncMode};
 use crate::conformance::ProtocolTrace;
 use crate::report::RuntimeReport;
@@ -55,19 +57,6 @@ use std::sync::atomic::AtomicU64;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// The declared choreography of the threaded runtime: the full grammar,
-/// identical to the simulator's decentralized plug-in — both are checked
-/// against [`choreography::GRAMMAR`] by the `choreo_check` binary.
-pub const CHOREOGRAPHY: ChoreographySpec = ChoreographySpec {
-    protocol: "threaded",
-    states: choreography::STATES,
-    transitions: choreography::FULL_SPEC_TRANSITIONS,
-    tokens: true,
-    staleness: true,
-    jumps: true,
-    churn: true,
-};
 
 /// The queue state a stalled worker reports: the snapshot of whichever
 /// queue the timed-out wait was actually blocked on. A token stall shows

@@ -2,6 +2,7 @@
 
 use crate::config::{ConfigError, Protocol};
 use crate::report::TrainingReport;
+use crate::sim_runtime::engine::SimEngine;
 use crate::sim_runtime::recorder::EvalConfig;
 use crate::sim_runtime::{adpsgd, decentralized, prague, ps, qgm, ring};
 use hop_data::InMemoryDataset;
@@ -196,86 +197,60 @@ impl SimExperiment {
         conformance: bool,
     ) -> Result<TrainingReport, ConfigError> {
         self.validate()?;
-        let eval = EvalConfig {
-            every: self.eval_every,
-            examples: self.eval_examples,
+        let sim = SimRun {
+            exp: self,
+            model,
+            dataset,
+            conformance,
         };
-        match &self.protocol {
-            Protocol::Hop(cfg) => Ok(decentralized::run(
-                cfg,
-                &self.topology,
-                &self.cluster,
-                &self.slowdown,
-                model,
-                dataset,
-                &self.hyper,
-                self.max_iters,
-                self.seed,
-                eval,
-                conformance,
-            )),
-            Protocol::Ps(cfg) => Ok(ps::run(
-                cfg,
-                &self.cluster,
-                &self.slowdown,
-                model,
-                dataset,
-                &self.hyper,
-                self.max_iters,
-                self.seed,
-                eval,
-                conformance,
-            )),
-            Protocol::RingAllReduce => Ok(ring::run(
-                &self.cluster,
-                &self.slowdown,
-                model,
-                dataset,
-                &self.hyper,
-                self.max_iters,
-                self.seed,
-                eval,
-                conformance,
-            )),
-            Protocol::AdPsgd(cfg) => Ok(adpsgd::run(
-                cfg,
-                &self.topology,
-                &self.cluster,
-                &self.slowdown,
-                model,
-                dataset,
-                &self.hyper,
-                self.max_iters,
-                self.seed,
-                eval,
-                conformance,
-            )),
-            Protocol::Prague(cfg) => Ok(prague::run(
-                cfg,
-                &self.cluster,
-                &self.slowdown,
-                model,
-                dataset,
-                &self.hyper,
-                self.max_iters,
-                self.seed,
-                eval,
-                conformance,
-            )),
-            Protocol::Qgm(cfg) => Ok(qgm::run(
-                cfg,
-                &self.topology,
-                &self.cluster,
-                &self.slowdown,
-                model,
-                dataset,
-                &self.hyper,
-                self.max_iters,
-                self.seed,
-                eval,
-                conformance,
-            )),
-        }
+        Ok(match &self.protocol {
+            Protocol::Hop(cfg) => decentralized::run(cfg, &sim),
+            Protocol::Ps(cfg) => ps::run(cfg, &sim),
+            Protocol::RingAllReduce => ring::run(&sim),
+            Protocol::AdPsgd(cfg) => adpsgd::run(cfg, &sim),
+            Protocol::Prague(cfg) => prague::run(cfg, &sim),
+            Protocol::Qgm(cfg) => qgm::run(cfg, &sim),
+        })
+    }
+}
+
+/// One validated simulator run: the experiment plus the model, data and
+/// recording switch it runs with. Every protocol builds its engine here,
+/// so each `sim_runtime` module keeps only its own set-up.
+pub(crate) struct SimRun<'a> {
+    /// The experiment; [`SimExperiment::validate`] has passed.
+    pub(crate) exp: &'a SimExperiment,
+    model: &'a dyn Model,
+    dataset: &'a InMemoryDataset,
+    conformance: bool,
+}
+
+impl<'a> SimRun<'a> {
+    /// An engine over the experiment's cluster.
+    pub(crate) fn engine<E>(&self) -> SimEngine<'a, E> {
+        self.engine_on(self.exp.cluster.clone())
+    }
+
+    /// An engine over `spec`: the experiment's workers, then whatever
+    /// non-worker nodes the protocol appended (the parameter server).
+    pub(crate) fn engine_on<E>(&self, spec: ClusterSpec) -> SimEngine<'a, E> {
+        let exp = self.exp;
+        let eval = EvalConfig {
+            every: exp.eval_every,
+            examples: exp.eval_examples,
+        };
+        SimEngine::new(
+            spec,
+            exp.cluster.len(),
+            &exp.slowdown,
+            self.model,
+            self.dataset,
+            &exp.hyper,
+            exp.max_iters,
+            exp.seed,
+            eval,
+        )
+        .with_conformance(self.conformance)
     }
 }
 

@@ -5,6 +5,11 @@
 //! `compile_fail` doctests on `hop::core::choreography`); these
 //! properties pin the complementary direction: what the handles *do*
 //! permit is always oracle-clean.
+//!
+//! Both directions hold only if the handles are the *only* way to emit
+//! an event, so a source scan of `crates/core/src` closes the file: no
+//! module outside the choreography and the event/oracle definitions may
+//! construct a `ProtocolEvent` or call a sink's `emit` itself.
 
 use hop::core::choreography::{self, Computing, Step};
 use hop::core::config::HopConfig;
@@ -12,6 +17,84 @@ use hop::core::{Oracle, ProtocolTrace};
 use hop::graph::Topology;
 use hop::util::Xoshiro256;
 use proptest::prelude::*;
+use std::path::{Path, PathBuf};
+
+/// Files allowed to construct events or call a sink's `emit`: the
+/// handles themselves and the event/oracle definitions.
+const EMISSION_MODULES: &[&str] = &["choreography.rs", "conformance.rs"];
+
+/// The lines of `source` (1-based, with their text) that emit a protocol
+/// event directly: a `ProtocolEvent::` constructor or an `.emit(` call.
+/// Whitespace is squeezed out first so formatting cannot hide a call;
+/// text after `//` is a comment and never flagged.
+fn emission_lines(source: &str) -> Vec<(usize, &str)> {
+    source
+        .lines()
+        .enumerate()
+        .filter(|(_, line)| {
+            let squeezed: String = line.split_whitespace().collect();
+            let code = squeezed.split("//").next().unwrap_or("");
+            code.contains("ProtocolEvent::") || code.contains(".emit(")
+        })
+        .map(|(i, line)| (i + 1, line.trim()))
+        .collect()
+}
+
+/// Recursively lists the `.rs` files under `dir`.
+fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
+    let entries =
+        std::fs::read_dir(dir).unwrap_or_else(|e| panic!("cannot list {}: {e}", dir.display()));
+    for entry in entries {
+        let path = entry.expect("readable directory entry").path();
+        if path.is_dir() {
+            rust_sources(&path, out);
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn only_the_choreography_emits_protocol_events() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_sources(&root.join("crates/core/src"), &mut files);
+    files.sort();
+    let mut scanned = 0usize;
+    let mut offenders = Vec::new();
+    for path in &files {
+        if EMISSION_MODULES.iter().any(|m| path.ends_with(m)) {
+            continue;
+        }
+        scanned += 1;
+        let source = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+        let shown = path.strip_prefix(root).unwrap_or(path).display();
+        for (line, code) in emission_lines(&source) {
+            offenders.push(format!("{shown}:{line}: `{code}`"));
+        }
+    }
+    assert!(scanned >= 10, "scanned only {scanned} files");
+    assert!(
+        offenders.is_empty(),
+        "direct event emission outside the choreography module; go through its handles:\n{}",
+        offenders.join("\n")
+    );
+}
+
+#[test]
+fn the_emission_scan_flags_code_not_comments() {
+    let fixture = "\
+let ev = ProtocolEvent::Advance { worker: 0, iter: 0 };
+sink . emit(|| ev);
+// ProtocolEvent::Advance { worker: 0, iter: 0 } and sink.emit(|| ev)
+/// A handle calls `sink.emit(|| ProtocolEvent::Send { .. })`.
+self.trace.record(w, iter, now);
+let done = true; // sink.emit(|| ev)
+";
+    let flagged: Vec<usize> = emission_lines(fixture).iter().map(|&(n, _)| n).collect();
+    assert_eq!(flagged, [1, 2]);
+}
 
 /// The sampled topology families (all strongly connected, every size;
 /// ring-based requires even `n >= 4` and falls back to the plain ring).
