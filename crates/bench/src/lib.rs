@@ -1,67 +1,40 @@
-//! Shared setup for the per-figure benchmark harnesses.
+//! Shared setup for the performance benchmark harnesses.
 //!
-//! Every bench target in `benches/` regenerates one table or figure of
-//! the paper's evaluation (§7) on the simulated 16-worker / 4-machine
-//! cluster. This library centralizes the workloads (the CNN and SVM
-//! stand-ins), the cluster description, and the rendering of loss curves
-//! into printable rows so the harnesses stay small and consistent.
+//! The bench targets in `benches/` time the hot layers: kernels and
+//! codecs (`hot_path`, `compress_bench`), the event pump (`scale_pump`,
+//! `micro_sim`), the sweep runner (`sweep_scaling`) and the queues
+//! (`micro_queue`). This library holds what they share: the SVM workload,
+//! the paper's cluster shape, the smoke-mode switch and the summary line.
+//! The paper's claims themselves are pinned in `tests/paper_claims.rs`.
 
-use hop_core::config::Protocol;
-use hop_core::trainer::{Hyper, SimExperiment};
-use hop_core::TrainingReport;
-use hop_data::images::SyntheticImages;
+use hop_core::trainer::Hyper;
 use hop_data::webspam::SyntheticWebspam;
 use hop_data::{Dataset, InMemoryDataset};
-use hop_graph::Topology;
-use hop_metrics::table::fmt_sig;
-use hop_metrics::TimeSeries;
-use hop_model::cnn::TinyCnn;
 use hop_model::svm::Svm;
 use hop_model::Model;
-use hop_sim::{ClusterSpec, LinkModel, SlowdownModel};
+use hop_sim::{ClusterSpec, LinkModel};
 
-/// Master seed shared by all figures so workloads are identical across
-/// harnesses.
+/// Master seed shared by all harnesses so workloads are identical across
+/// them.
 pub const SEED: u64 = 0xB10C;
 
-/// The two workloads of §7.1.
+/// The benches' workload of §7.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
-    /// CNN on synthetic images (the VGG11/CIFAR-10 stand-in).
-    Cnn,
     /// SVM with log loss on synthetic sparse data (the webspam stand-in).
     Svm,
 }
 
 impl Workload {
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Workload::Cnn => "CNN",
-            Workload::Svm => "SVM",
-        }
-    }
-
     /// Builds the model + dataset pair.
     pub fn build(self) -> (Box<dyn Model>, InMemoryDataset) {
-        match self {
-            Workload::Cnn => {
-                let data = SyntheticImages::generate(2048, SEED);
-                (Box::new(TinyCnn::for_synthetic_images(4)), data)
-            }
-            Workload::Svm => {
-                let data = SyntheticWebspam::generate(4096, SEED);
-                (Box::new(Svm::log_loss(data.feature_dim())), data)
-            }
-        }
+        let data = SyntheticWebspam::generate(4096, SEED);
+        (Box::new(Svm::log_loss(data.feature_dim())), data)
     }
 
     /// Paper-style hyperparameters for the workload.
     pub fn hyper(self) -> Hyper {
-        match self {
-            Workload::Cnn => Hyper::cnn(),
-            Workload::Svm => Hyper::svm(),
-        }
+        Hyper::svm()
     }
 }
 
@@ -69,50 +42,6 @@ impl Workload {
 /// 50 ms per-iteration base compute time.
 pub fn paper_cluster(n: usize) -> ClusterSpec {
     ClusterSpec::uniform(n, 4, 0.05, LinkModel::ethernet_1gbps())
-}
-
-/// An experiment skeleton on the 16-worker cluster; callers override the
-/// protocol/slowdown/topology fields.
-pub fn experiment(topology: Topology, protocol: Protocol, workload: Workload) -> SimExperiment {
-    let n = topology.len();
-    SimExperiment {
-        cluster: paper_cluster(n),
-        topology,
-        slowdown: SlowdownModel::None,
-        protocol,
-        hyper: workload.hyper(),
-        max_iters: 200,
-        seed: SEED,
-        eval_every: 20,
-        eval_examples: 256,
-    }
-}
-
-/// Runs and unwraps an experiment (bench harnesses want loud failures).
-pub fn run(exp: &SimExperiment, workload: Workload) -> TrainingReport {
-    let (model, dataset) = workload.build();
-    exp.run(model.as_ref(), &dataset)
-        .expect("benchmark experiment must be valid")
-}
-
-/// Renders a loss-vs-x curve as `n` resampled `x=...: loss` cells.
-pub fn curve_row(series: &TimeSeries, n: usize) -> Vec<String> {
-    if series.is_empty() {
-        return vec!["-".to_string(); n];
-    }
-    series
-        .resample(n)
-        .into_iter()
-        .map(|(t, v)| format!("{}@{}", fmt_sig(v), fmt_sig(t)))
-        .collect()
-}
-
-/// Formats an optional time-to-threshold.
-pub fn fmt_time_to(t: Option<f64>) -> String {
-    match t {
-        Some(t) => format!("{t:.2}s"),
-        None => "not reached".to_string(),
-    }
 }
 
 /// Prints a standard harness banner.
@@ -139,9 +68,9 @@ pub fn sized<T>(full: T, smoke_value: T) -> T {
 }
 
 /// Prints the machine-readable `{TAG}_SUMMARY {json}` trajectory line a
-/// bench target ends with (`HOT_PATH_SUMMARY`, `HETERO_VARIANTS_SUMMARY`,
-/// `SWEEP_SUMMARY`, …). Centralized so the `TAG_SUMMARY {json}` shape CI
-/// greps for cannot drift between harnesses.
+/// bench target ends with (`HOT_PATH_SUMMARY`, `SWEEP_SUMMARY`, …).
+/// Centralized so the `TAG_SUMMARY {json}` shape CI greps for cannot
+/// drift between harnesses.
 pub fn emit_summary_line(tag: &str, json: &str) {
     println!("{tag}_SUMMARY {json}");
 }
@@ -149,43 +78,12 @@ pub fn emit_summary_line(tag: &str, json: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hop_core::HopConfig;
 
     #[test]
     fn workloads_build() {
-        for w in [Workload::Cnn, Workload::Svm] {
-            let (model, data) = w.build();
-            assert!(model.param_len() > 0);
-            assert!(data.len() > 0);
-            assert!(!w.name().is_empty());
-        }
-    }
-
-    #[test]
-    fn experiment_skeleton_runs() {
-        let mut exp = experiment(
-            Topology::ring(4),
-            Protocol::Hop(HopConfig::standard()),
-            Workload::Svm,
-        );
-        exp.max_iters = 10;
-        let report = run(&exp, Workload::Svm);
-        assert!(!report.deadlocked);
-    }
-
-    #[test]
-    fn curve_row_formats() {
-        let s = TimeSeries::from_points(vec![(0.0, 1.0), (2.0, 0.5)]);
-        let row = curve_row(&s, 3);
-        assert_eq!(row.len(), 3);
-        assert!(row[0].contains('@'));
-        assert_eq!(curve_row(&TimeSeries::new(), 2), vec!["-", "-"]);
-    }
-
-    #[test]
-    fn fmt_time_to_both_cases() {
-        assert_eq!(fmt_time_to(Some(1.5)), "1.50s");
-        assert_eq!(fmt_time_to(None), "not reached");
+        let (model, data) = Workload::Svm.build();
+        assert!(model.param_len() > 0);
+        assert!(data.len() > 0);
     }
 
     #[test]

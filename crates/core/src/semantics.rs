@@ -46,8 +46,8 @@ pub fn staleness_satisfied(update_iter: u64, k: u64, s: u64) -> bool {
 ///
 /// The paper settles on the linear rule of Eq. (2) but notes it "may very
 /// well be non-optimal" and leaves alternatives to future work (§4.4);
-/// the extra schemes here support that ablation (see the
-/// `ablation_staleness_weighting` bench).
+/// the extra schemes here support that ablation (the §4.4 weighting row
+/// of `tests/paper_claims.rs`, where linear does not beat uniform).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum StalenessWeighting {
     /// Eq. (2): weight `Iter(u) - (k - s) + 1`, linear in freshness.

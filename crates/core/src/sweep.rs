@@ -151,24 +151,6 @@ impl SweepGrid {
         self
     }
 
-    /// Adds one labeled [`Protocol::Hop`] entry per codec, each running
-    /// the given base config with that codec applied (the
-    /// communication-compression axis of the ROADMAP scenario sweeps).
-    /// Labels are `hop(<codec label>)`, e.g. `hop(topk_0.01)`.
-    pub fn compression_axis(
-        mut self,
-        base: &crate::config::HopConfig,
-        codecs: &[hop_tensor::CompressionConfig],
-    ) -> Self {
-        for &codec in codecs {
-            self.protocols.push((
-                format!("hop({})", codec.label()),
-                Protocol::Hop(base.clone().with_compression(codec)),
-            ));
-        }
-        self
-    }
-
     /// Adds one labeled topology + machine-placement shape to the cluster
     /// axis. The pair travels together so decentralized protocols always
     /// see a topology consistent with the cluster size.
@@ -714,38 +696,6 @@ mod tests {
             assert_eq!(p.index, i);
         }
         assert_eq!(points[5].label(), "prague(g=2,r=1)/uniform/none/s4");
-    }
-
-    #[test]
-    fn compression_axis_labels_one_point_per_codec() {
-        use hop_tensor::CompressionConfig;
-        let grid = SweepGrid::new(Hyper::svm(), 8)
-            .compression_axis(
-                &HopConfig::standard(),
-                &[
-                    CompressionConfig::Identity,
-                    CompressionConfig::TopK { ratio: 0.01 },
-                    CompressionConfig::Int8Uniform,
-                ],
-            )
-            .cluster(
-                "uniform",
-                Topology::ring(4),
-                ClusterSpec::uniform(4, 2, 0.01, LinkModel::ethernet_1gbps()),
-            )
-            .slowdown("none", SlowdownModel::None)
-            .seeds([3]);
-        let points = grid.points();
-        assert_eq!(points.len(), 3);
-        assert_eq!(points[0].protocol, "hop(identity)");
-        assert_eq!(points[1].protocol, "hop(topk_0.01)");
-        assert_eq!(points[2].protocol, "hop(int8)");
-        for p in &points {
-            let Protocol::Hop(cfg) = &p.experiment.protocol else {
-                panic!("compression axis must produce Hop points");
-            };
-            assert!(cfg.validate(&p.experiment.topology).is_ok());
-        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Metrics, time series and report rendering for experiments.
 //!
-//! * [`series::TimeSeries`] — (time, value) curves with resampling and
-//!   time-to-threshold queries, used for loss-vs-time/steps figures.
-//! * [`table::Table`] — plain-text table rendering and CSV export for the
-//!   benchmark harnesses.
+//! * [`series::TimeSeries`] — (time, value) curves with step lookups and
+//!   time-to-threshold queries: the loss-vs-time/steps curves of a
+//!   training report.
+//! * [`table::Table`] — plain-text table rendering and CSV export for
+//!   sweep summaries, the examples and the perf ledger.
 
 pub mod series;
 pub mod table;

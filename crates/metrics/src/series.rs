@@ -76,71 +76,16 @@ impl TimeSeries {
             .map(|&(t, _)| t)
     }
 
-    /// Minimum value seen.
-    pub fn min_value(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|&(_, v)| v)
-            .min_by(|a, b| a.partial_cmp(b).expect("no NaN values"))
-    }
-
     /// Value at the given time by step interpolation (last point at or
     /// before `time`); `None` before the first point.
     ///
-    /// Binary search over the monotone time axis, so resampling a series
-    /// (or merging many, as `TrainingReport::mean_train_loss_time` does
-    /// over the union of sample times) costs O(log n) per lookup instead
-    /// of a linear scan.
+    /// Binary search over the monotone time axis, so merging many series
+    /// (as `TrainingReport::mean_train_loss_time` does over the union of
+    /// sample times) costs O(log n) per lookup instead of a linear scan.
     pub fn value_at(&self, time: f64) -> Option<f64> {
         let idx = self.points.partition_point(|&(t, _)| t <= time);
         idx.checked_sub(1).map(|i| self.points[i].1)
     }
-
-    /// Resamples onto `n` evenly spaced times across the series' span —
-    /// used to print compact figure rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the series is empty or `n == 0`.
-    pub fn resample(&self, n: usize) -> Vec<(f64, f64)> {
-        assert!(!self.points.is_empty(), "cannot resample an empty series");
-        assert!(n > 0, "need at least one sample");
-        let t0 = self.points[0].0;
-        let t1 = self.points.last().expect("non-empty").0;
-        (0..n)
-            .map(|k| {
-                let t = if n == 1 {
-                    t1
-                } else {
-                    t0 + (t1 - t0) * k as f64 / (n - 1) as f64
-                };
-                (t, self.value_at(t).expect("t >= t0"))
-            })
-            .collect()
-    }
-
-    /// Exponentially smoothed copy (for noisy loss curves).
-    pub fn smoothed(&self, alpha: f64) -> TimeSeries {
-        let mut ewma = hop_util::stats::Ewma::new(alpha);
-        TimeSeries {
-            points: self
-                .points
-                .iter()
-                .map(|&(t, v)| (t, ewma.update(v)))
-                .collect(),
-        }
-    }
-}
-
-/// Speedup of `ours` over `baseline` in time-to-threshold; `None` if either
-/// curve never reaches the threshold.
-pub fn speedup_at(baseline: &TimeSeries, ours: &TimeSeries, threshold: f64) -> Option<f64> {
-    let tb = baseline.time_to_reach(threshold)?;
-    let to = ours.time_to_reach(threshold)?;
-    if to <= 0.0 {
-        return None;
-    }
-    Some(tb / to)
 }
 
 #[cfg(test)]
@@ -209,47 +154,10 @@ mod tests {
     }
 
     #[test]
-    fn resample_spans_series() {
-        let s = falling();
-        let r = s.resample(5);
-        assert_eq!(r.len(), 5);
-        assert_eq!(r[0], (0.0, 2.0));
-        assert_eq!(r[4], (4.0, 0.1));
-    }
-
-    #[test]
-    fn speedup_ratio() {
-        let slow = TimeSeries::from_points(vec![(0.0, 1.0), (10.0, 0.1)]);
-        let fast = TimeSeries::from_points(vec![(0.0, 1.0), (5.0, 0.1)]);
-        assert_eq!(speedup_at(&slow, &fast, 0.1), Some(2.0));
-        assert_eq!(speedup_at(&slow, &fast, 0.01), None);
-    }
-
-    #[test]
-    fn smoothing_reduces_oscillation() {
-        let noisy = TimeSeries::from_points(vec![(0.0, 1.0), (1.0, 3.0), (2.0, 1.0), (3.0, 3.0)]);
-        let smooth = noisy.smoothed(0.5);
-        let spread = |s: &TimeSeries| {
-            let vs: Vec<f64> = s.points().iter().map(|&(_, v)| v).collect();
-            vs.iter().cloned().fold(f64::MIN, f64::max)
-                - vs.iter().cloned().fold(f64::MAX, f64::min)
-        };
-        assert!(spread(&smooth) < spread(&noisy));
-    }
-
-    #[test]
     #[should_panic(expected = "time went backwards")]
     fn push_validates_monotonic_time() {
         let mut s = TimeSeries::new();
         s.push(1.0, 0.0);
         s.push(0.5, 0.0);
-    }
-
-    #[test]
-    fn min_value_and_last() {
-        let s = falling();
-        assert_eq!(s.min_value(), Some(0.1));
-        assert_eq!(s.last(), Some((4.0, 0.1)));
-        assert_eq!(s.len(), 4);
     }
 }

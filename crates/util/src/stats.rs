@@ -1,4 +1,4 @@
-//! Small statistics helpers used by the metrics and bench crates.
+//! Small statistics helpers.
 
 /// Summary statistics over a sample of `f64` values.
 ///
@@ -101,49 +101,6 @@ impl Summary {
     }
 }
 
-/// Exponentially weighted moving average, used for smoothing loss curves.
-///
-/// # Examples
-///
-/// ```
-/// use hop_util::stats::Ewma;
-/// let mut e = Ewma::new(0.5);
-/// assert_eq!(e.update(4.0), 4.0); // first sample initializes
-/// assert_eq!(e.update(0.0), 2.0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// Creates an EWMA with smoothing factor `alpha` in `(0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is not in `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha {alpha} out of (0,1]");
-        Self { alpha, value: None }
-    }
-
-    /// Feeds one sample and returns the smoothed value.
-    pub fn update(&mut self, sample: f64) -> f64 {
-        let v = match self.value {
-            None => sample,
-            Some(prev) => self.alpha * sample + (1.0 - self.alpha) * prev,
-        };
-        self.value = Some(v);
-        v
-    }
-
-    /// Current smoothed value, if any sample has been seen.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-}
-
 /// Computes the arithmetic mean of a slice; returns 0.0 for an empty slice.
 pub fn mean_or_zero(values: &[f64]) -> f64 {
     if values.is_empty() {
@@ -192,15 +149,6 @@ mod tests {
     #[should_panic(expected = "contains NaN")]
     fn summary_nan_panics() {
         Summary::from_slice(&[1.0, f64::NAN]);
-    }
-
-    #[test]
-    fn ewma_smooths() {
-        let mut e = Ewma::new(0.25);
-        e.update(8.0);
-        let v = e.update(0.0);
-        assert!((v - 6.0).abs() < 1e-12);
-        assert_eq!(e.value(), Some(v));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Facade crate re-exporting the whole workspace. See the repository
 //! `README.md` for an overview, the crate layout, and build/run
-//! instructions, and `crates/bench` for the per-figure experiment
-//! harnesses.
+//! instructions, and `tests/paper_claims.rs` for the paper's claims as
+//! one pinned table.
 //!
 //! # Examples
 //!
