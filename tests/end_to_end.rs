@@ -1,7 +1,8 @@
-//! Cross-crate end-to-end tests: every Hop mode trains real models on the
-//! simulated cluster, deterministically. The paper's headline orderings
-//! are pinned in `tests/paper_claims.rs`.
+//! Cross-crate end-to-end tests: every protocol trains real models on the
+//! simulated cluster and the paper's headline orderings hold. The exact
+//! numbers behind those orderings are pinned in `tests/paper_claims.rs`.
 
+use hop::core::config::{PsConfig, PsMode};
 use hop::core::{HopConfig, Hyper, Protocol, SimExperiment, SkipConfig};
 use hop::data::images::SyntheticImages;
 use hop::data::webspam::SyntheticWebspam;
@@ -72,6 +73,81 @@ fn cnn_trains_decentralized() {
 }
 
 #[test]
+fn decentralized_beats_ps_on_wall_time() {
+    // Fig. 13's shape: same per-worker iteration count, same compute; the
+    // PS pays for NIC concentration.
+    let dataset = SyntheticWebspam::generate(1024, 9);
+    let model = Svm::log_loss(dataset.feature_dim());
+    let dec = svm_experiment(
+        Protocol::Hop(HopConfig::standard()),
+        SlowdownModel::None,
+        60,
+    )
+    .run(&model, &dataset)
+    .expect("valid");
+    let ps = svm_experiment(
+        Protocol::Ps(PsConfig::new(PsMode::Bsp)),
+        SlowdownModel::None,
+        60,
+    )
+    .run(&model, &dataset)
+    .expect("valid");
+    assert!(
+        dec.wall_time < ps.wall_time,
+        "decentralized {} vs PS {}",
+        dec.wall_time,
+        ps.wall_time
+    );
+}
+
+#[test]
+fn backup_and_staleness_beat_standard_under_random_slowdown() {
+    let dataset = SyntheticWebspam::generate(1024, 9);
+    let model = Svm::log_loss(dataset.feature_dim());
+    let slow = SlowdownModel::paper_random(8);
+    let standard = svm_experiment(
+        Protocol::Hop(HopConfig::standard_with_tokens(5)),
+        slow.clone(),
+        100,
+    )
+    .run(&model, &dataset)
+    .expect("valid");
+    let backup = svm_experiment(Protocol::Hop(HopConfig::backup(1, 5)), slow.clone(), 100)
+        .run(&model, &dataset)
+        .expect("valid");
+    let stale = svm_experiment(Protocol::Hop(HopConfig::staleness(5, 5)), slow, 100)
+        .run(&model, &dataset)
+        .expect("valid");
+    assert!(backup.wall_time < standard.wall_time);
+    assert!(stale.wall_time <= standard.wall_time);
+}
+
+#[test]
+fn skipping_beats_plain_backup_under_deterministic_straggler() {
+    // Fig. 19's shape.
+    let dataset = SyntheticWebspam::generate(1024, 9);
+    let model = Svm::log_loss(dataset.feature_dim());
+    let slow = SlowdownModel::paper_straggler(8, 0, 4.0);
+    let backup = svm_experiment(Protocol::Hop(HopConfig::backup(1, 5)), slow.clone(), 80)
+        .run(&model, &dataset)
+        .expect("valid");
+    let skip = svm_experiment(
+        Protocol::Hop(HopConfig::backup(1, 5).with_skip(SkipConfig::with_max_jump(10))),
+        slow,
+        80,
+    )
+    .run(&model, &dataset)
+    .expect("valid");
+    assert!(!skip.deadlocked);
+    assert!(
+        skip.wall_time < backup.wall_time * 0.8,
+        "skip {} vs backup {}",
+        skip.wall_time,
+        backup.wall_time
+    );
+}
+
+#[test]
 fn runs_are_bit_deterministic() {
     let dataset = SyntheticWebspam::generate(512, 9);
     let model = Svm::log_loss(dataset.feature_dim());
@@ -85,4 +161,39 @@ fn runs_are_bit_deterministic() {
     assert_eq!(a.final_params, b.final_params);
     assert_eq!(a.wall_time, b.wall_time);
     assert_eq!(a.trace.records(), b.trace.records());
+}
+
+#[test]
+fn sparser_graphs_suffer_less_from_random_slowdown() {
+    // Fig. 12's crossover: stretch(ring) < stretch(double-ring).
+    let dataset = SyntheticWebspam::generate(1024, 9);
+    let model = Svm::log_loss(dataset.feature_dim());
+    let stretch = |topo: Topology| {
+        let n = topo.len();
+        let mk = |slow: SlowdownModel| SimExperiment {
+            topology: topo.clone(),
+            cluster: ClusterSpec::uniform(n, 4, 0.02, LinkModel::ethernet_1gbps()),
+            slowdown: slow,
+            protocol: Protocol::Hop(HopConfig::standard()),
+            hyper: Hyper::svm(),
+            max_iters: 80,
+            seed: 1234,
+            eval_every: 0,
+            eval_examples: 64,
+        };
+        let homo = mk(SlowdownModel::None)
+            .run(&model, &dataset)
+            .expect("valid");
+        let hetero = mk(SlowdownModel::paper_random(n))
+            .run(&model, &dataset)
+            .expect("valid");
+        hetero.wall_time / homo.wall_time
+    };
+    let ring = stretch(Topology::ring(16));
+    let double_ring = stretch(Topology::double_ring(16));
+    assert!(ring > 1.05, "slowdown must hurt the ring too ({ring})");
+    assert!(
+        ring < double_ring,
+        "sparser ring should suffer less: ring {ring} vs double-ring {double_ring}"
+    );
 }

@@ -261,6 +261,48 @@ fn compressed_runs_match_their_golden_digests() {
 }
 
 #[test]
+fn partial_allreduce_and_qgm_beat_ring_under_straggler() {
+    // The heterogeneity claim the new baselines exist for: with one
+    // permanent 6x straggler, ring all-reduce pays the straggler *plus*
+    // the full 2(n-1)-step pipeline behind a global barrier every round.
+    // Prague's groups pay only a small intra-group pipeline on the
+    // straggler's critical path, and QGM gossip lets the straggler
+    // advance as soon as its own neighborhood is ready — so at equal
+    // iteration count both finish in less virtual wall time.
+    let straggler = SlowdownModel::paper_straggler(6, 1, 6.0);
+    let time_of = |protocol: Protocol| {
+        let dataset = SyntheticWebspam::generate(192, 5);
+        let model = Svm::log_loss(dataset.feature_dim());
+        let report = SimExperiment {
+            topology: Topology::ring(6),
+            cluster: ClusterSpec::uniform(6, 2, 0.01, LinkModel::ethernet_1gbps()),
+            slowdown: straggler.clone(),
+            protocol,
+            hyper: Hyper::svm(),
+            max_iters: 20,
+            seed: 17,
+            eval_every: 0,
+            eval_examples: 32,
+        }
+        .run(&model, &dataset)
+        .expect("valid configuration");
+        assert!(!report.deadlocked);
+        report.wall_time
+    };
+    let ring = time_of(Protocol::RingAllReduce);
+    let prague = time_of(Protocol::Prague(PragueConfig::default()));
+    let qgm = time_of(Protocol::Qgm(QgmConfig::default()));
+    assert!(
+        prague < ring,
+        "Prague ({prague}) must beat ring all-reduce ({ring}) under a straggler"
+    );
+    assert!(
+        qgm < ring,
+        "QGM ({qgm}) must beat ring all-reduce ({ring}) under a straggler"
+    );
+}
+
+#[test]
 fn one_thousand_workers_complete_and_digest_stably() {
     // The scale floor of the event-pump work: a 1k-worker token-mode run
     // completes inside the engine's own event budget (no budget bump, no
