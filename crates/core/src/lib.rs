@@ -24,8 +24,8 @@
 //! * [`threaded`] / [`process`] — the same protocol executed for real:
 //!   one worker iteration loop (the private `worker` module), each
 //!   worker owning its [`hop_queue`] inbox, over two transports: OS
-//!   threads posting to each other's mailboxes and OS *processes* over
-//!   localhost TCP speaking [`hop_wire`]
+//!   threads posting to each other's mailboxes and OS *processes* on one
+//!   host over Unix-domain sockets speaking [`hop_wire`]
 //!   length-prefixed frames (measured socket bytes equal the simulator's
 //!   `bytes_sent` by construction).
 //! * [`trainer`] — the high-level [`trainer::SimExperiment`] API.
@@ -64,6 +64,7 @@
 pub mod choreography;
 pub mod config;
 pub mod conformance;
+#[cfg(unix)]
 pub mod process;
 pub mod report;
 pub mod semantics;
@@ -78,6 +79,7 @@ pub use config::{
 };
 pub use conformance::{ConformanceSummary, Oracle, ProtocolEvent, ProtocolTrace, Violation};
 pub use hop_tensor::CompressionConfig;
+#[cfg(unix)]
 pub use process::{ProcessError, ProcessExperiment};
 pub use report::{RuntimeReport, TrainingReport};
 pub use sim_runtime::recorder::EvalConfig;

@@ -181,7 +181,7 @@ impl CompressionPlane {
     /// Applies a received parameter-stream block to the local mirror of
     /// the sender's reference, returning the updated reconstruction. The
     /// receiving side of [`Self::encode_params_block`]: as long as blocks
-    /// arrive in order (TCP guarantees this per stream), the mirror here
+    /// arrive in order (a stream socket guarantees this), the mirror here
     /// equals the sender's reference bit-for-bit.
     ///
     /// # Panics

@@ -126,18 +126,15 @@ impl From<std::io::Error> for WireError {
 /// string is the final field its length is implied by the frame length.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
-    /// First frame on every connection, identifying the dialer.
-    /// Worker → coordinator additionally reports the port the worker
-    /// listens on for peer connections. Body: `u32 worker`, `u16 port`.
+    /// First frame on every connection, identifying the dialer. Body:
+    /// `u32 worker`.
     Hello {
         /// The sending worker's id.
         worker: u32,
-        /// The sender's peer-listener port (0 on worker→worker links).
-        port: u16,
     },
-    /// Coordinator → worker: everything the worker runs, peer listener
-    /// ports included, in the runtime's own little-endian layout (read
-    /// back with a [`Body`]). Body: the spec bytes to frame end.
+    /// Coordinator → worker: everything the worker runs, in the
+    /// runtime's own little-endian layout (read back with a [`Body`]).
+    /// Body: the spec bytes to frame end.
     Spec {
         /// The encoded worker spec.
         body: Vec<u8>,
@@ -246,10 +243,9 @@ pub fn encode_update_frame(
 
 fn encode_payload(msg: &Message, out: &mut Vec<u8>) -> u64 {
     match msg {
-        Message::Hello { worker, port } => {
+        Message::Hello { worker } => {
             out.push(TAG_HELLO);
             out.extend_from_slice(&worker.to_le_bytes());
-            out.extend_from_slice(&port.to_le_bytes());
             0
         }
         Message::Spec { body } => {
@@ -465,11 +461,6 @@ impl<'a> Body<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// The next little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
     /// The next little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, WireError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
@@ -531,10 +522,7 @@ pub fn decode_payload(payload: &[u8]) -> Result<Message, WireError> {
     };
     let mut b = Body::new(rest);
     let msg = match tag {
-        TAG_HELLO => Message::Hello {
-            worker: b.u32()?,
-            port: b.u16()?,
-        },
+        TAG_HELLO => Message::Hello { worker: b.u32()? },
         TAG_SPEC => Message::Spec {
             body: b.take(b.remaining())?.to_vec(),
         },
@@ -648,10 +636,7 @@ mod tests {
 
     #[test]
     fn every_variant_roundtrips() {
-        roundtrip(Message::Hello {
-            worker: 3,
-            port: 45123,
-        });
+        roundtrip(Message::Hello { worker: 3 });
         roundtrip(Message::Spec {
             body: vec![4, 0, 0, 0, 0x88, 0x13],
         });

@@ -4,29 +4,38 @@
 //! this binary once per worker:
 //!
 //! ```text
-//! hop_worker --worker <coordinator-addr> <worker-id>
+//! hop_worker --worker <coordinator-socket> <worker-id>
 //! ```
 //!
-//! Each worker connects back, receives its spec (its peers' listener
-//! ports included) over the [`hop::wire`] frame protocol, wires one TCP
-//! connection per directed external edge, and runs the Hop iteration
-//! loop. `--smoke` runs a small self-contained experiment (this same
-//! binary re-exec'd as its own fleet) and oracle-checks the merged trace
-//! — the loopback test CI runs on every push.
+//! Each worker listens on its own Unix-domain socket in the coordinator
+//! socket's directory, connects back, receives its spec over the
+//! [`hop::wire`] frame protocol, wires one connection per directed
+//! external edge to its peers' sockets in the same directory, and runs
+//! the Hop iteration loop. `--smoke` runs a small self-contained
+//! experiment (this same binary re-exec'd as its own fleet) and
+//! oracle-checks the merged trace — the smoke test CI runs on every push.
+//! The process runtime needs Unix-domain sockets; on other targets both
+//! modes report that they are unsupported.
 
-use hop::core::config::HopConfig;
-use hop::core::process::{worker_main, ProcessExperiment};
-use hop::core::Oracle;
-use hop::graph::Topology;
+#[cfg(unix)]
+use hop::{
+    core::config::HopConfig,
+    core::process::{worker_main, ProcessExperiment},
+    core::Oracle,
+    graph::Topology,
+};
 use std::process::ExitCode;
+#[cfg(unix)]
 use std::time::Duration;
 
+#[cfg(unix)]
 fn usage() -> ExitCode {
-    eprintln!("usage: hop_worker --worker <coordinator-addr> <worker-id>");
+    eprintln!("usage: hop_worker --worker <coordinator-socket> <worker-id>");
     eprintln!("       hop_worker --smoke");
     ExitCode::from(2)
 }
 
+#[cfg(unix)]
 fn smoke() -> ExitCode {
     let bin = match std::env::current_exe() {
         Ok(bin) => bin,
@@ -67,6 +76,7 @@ fn smoke() -> ExitCode {
     }
 }
 
+#[cfg(unix)]
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     match args.get(1).map(String::as_str) {
@@ -83,4 +93,12 @@ fn main() -> ExitCode {
         Some("--smoke") => smoke(),
         _ => usage(),
     }
+}
+
+#[cfg(not(unix))]
+fn main() -> ExitCode {
+    eprintln!(
+        "hop_worker: unsupported on this target: the process runtime needs Unix-domain sockets"
+    );
+    ExitCode::FAILURE
 }

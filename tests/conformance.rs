@@ -3,7 +3,7 @@
 //! The same `(HopConfig, Topology, seed)` grid — standard / token /
 //! backup / staleness / skip × ring / clique / torus — runs through the
 //! deterministic simulator, the threaded runtime, and the multi-process
-//! runtime (real OS processes over localhost TCP); every run emits a
+//! runtime (real OS processes over Unix-domain sockets); every run emits a
 //! structured [`ProtocolTrace`] and every trace is replayed by the
 //! invariant [`Oracle`] (gap bounds, backup quota, staleness window,
 //! jump legality). On a violation the offending trace is serialized to
@@ -225,7 +225,7 @@ fn process_experiment(cfg: &HopConfig, topo: &Topology, straggle: bool) -> Proce
 #[test]
 fn process_traces_satisfy_the_oracle_on_the_grid() {
     // The third leg of the differential grid: one OS process per worker,
-    // updates and tokens over localhost TCP, traces Lamport-merged by
+    // updates and tokens over Unix-domain sockets, traces Lamport-merged by
     // the coordinator.
     for (mode, cfg) in modes() {
         for (topo_name, topo) in [

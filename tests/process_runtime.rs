@@ -1,6 +1,6 @@
 //! End-to-end tests for the multi-process runtime: real worker
 //! processes (the `hop_worker` binary, re-exec'd by the coordinator)
-//! exchanging updates and tokens over localhost TCP.
+//! exchanging updates and tokens over Unix-domain sockets.
 //!
 //! The conformance grid lives in `tests/conformance.rs`; this file
 //! covers the lifecycle edges — does a fleet of OS processes actually
