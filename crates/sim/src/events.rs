@@ -5,8 +5,7 @@
 //! and a pop scans forward from the current tick instead of sifting a
 //! heap. With a well-estimated bucket width both operations are O(1)
 //! amortized — the property that lets the simulation pump scale to
-//! 10k+ workers — versus the O(log n) of the [`HeapEventQueue`] it
-//! replaced.
+//! 10k+ workers — versus the O(log n) of the binary heap it replaced.
 //!
 //! # Determinism
 //!
@@ -27,8 +26,9 @@
 //!   seq)` selection order.
 //!
 //! `hop_sim`'s differential suite (`tests/queue_differential.rs`) drives
-//! both implementations through random push/pop interleavings with heavy
-//! same-time ties and asserts identical output streams.
+//! this queue and the retained heap (`tests/support/heap_queue.rs`)
+//! through random push/pop interleavings with heavy same-time ties and
+//! asserts identical output streams.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -358,106 +358,14 @@ impl<E> std::fmt::Debug for EventQueue<E> {
     }
 }
 
-struct HeapEntry<E> {
-    time: SimTime,
-    seq: u64,
-    payload: E,
-}
-
-impl<E> PartialEq for HeapEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for HeapEntry<E> {}
-
-impl<E> PartialOrd for HeapEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for HeapEntry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so earliest time pops first,
-        // breaking ties by insertion order for determinism.
-        other
-            .time
-            .partial_cmp(&self.time)
-            .expect("event times must not be NaN")
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// The original `BinaryHeap`-backed event queue, retained as the
-/// differential-testing oracle for [`EventQueue`] (and the baseline side
-/// of the scheduler benchmarks). Same API, same deterministic order,
-/// O(log n) per operation.
-#[derive(Default)]
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<HeapEntry<E>>,
-    seq: u64,
-    now: SimTime,
-}
-
-impl<E> HeapEventQueue<E> {
-    /// Creates an empty queue at time 0.
-    pub fn new() -> Self {
-        Self {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            now: 0.0,
-        }
-    }
-
-    /// Current virtual time (the time of the last popped event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Schedules `payload` at absolute time `time` (same contract as
-    /// [`EventQueue::push`]).
-    pub fn push(&mut self, time: SimTime, payload: E) {
-        debug_assert!(!time.is_nan(), "event time must not be NaN");
-        debug_assert!(
-            time >= self.now,
-            "cannot schedule into the past: {time} < {}",
-            self.now
-        );
-        self.heap.push(HeapEntry {
-            time,
-            seq: self.seq,
-            payload,
-        });
-        self.seq += 1;
-    }
-
-    /// Pops the earliest event, advancing the virtual clock to its time.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
-        self.now = entry.time;
-        Some((entry.time, entry.payload))
-    }
-
-    /// Time of the next event without popping.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-}
+/// The unit tests' heap oracle, shared with `tests/queue_differential.rs`.
+#[cfg(test)]
+#[path = "../tests/support/heap_queue.rs"]
+mod heap_queue;
 
 #[cfg(test)]
 mod tests {
+    use super::heap_queue::HeapEventQueue;
     use super::*;
 
     #[test]

@@ -5,9 +5,7 @@
 //! slowdowns — is reproduced here as a virtual-clock simulator:
 //!
 //! * [`events::EventQueue`] — a total-ordered calendar queue (time, then
-//!   insertion sequence) over an arbitrary payload, with the original
-//!   binary-heap implementation retained as a differential oracle
-//!   ([`events::HeapEventQueue`]).
+//!   insertion sequence) over an arbitrary payload.
 //! * [`cluster::ClusterSpec`] — worker→machine placement, per-worker
 //!   compute times, link latency/bandwidth (intra vs inter machine), and
 //!   per-node NIC serialization (the effect that makes a parameter server
@@ -40,7 +38,7 @@ pub mod hetero;
 pub mod trace;
 
 pub use cluster::{ClusterSpec, LinkModel, Network};
-pub use events::{EventQueue, HeapEventQueue};
+pub use events::EventQueue;
 pub use faults::{
     ByzSpec, ByzVariant, CrashSpec, FaultEvent, FaultLog, FaultPlan, LinkCut, NetModel, Partition,
     Verdict,

@@ -1,5 +1,5 @@
 //! Differential suite: the calendar-queue [`EventQueue`] against the
-//! retained binary-heap oracle [`HeapEventQueue`].
+//! retained binary-heap oracle [`HeapEventQueue`] (`support/heap_queue.rs`).
 //!
 //! The property is total behavioral equality: driven through the same
 //! random push/pop interleaving — with heavy same-time ties, clustered
@@ -8,7 +8,11 @@
 //! is what licenses swapping the scheduler under every digest table in
 //! the workspace.
 
-use hop_sim::{EventQueue, HeapEventQueue};
+#[path = "support/heap_queue.rs"]
+mod heap_queue;
+
+use heap_queue::HeapEventQueue;
+use hop_sim::EventQueue;
 use proptest::prelude::*;
 
 /// Drives both queues through one interleaving described by `ops` and

@@ -420,8 +420,7 @@ fn relu_backward_body<V: Lanes>(forward_input: &[f32], grad: &mut [f32]) {
 /// These are the bit-exactness oracles: the dispatched [`axpy`],
 /// [`axpby`], [`scale`], [`mean_into`] and [`scaled_sum`] — on every
 /// [`Backend`] — must produce identical bits for every input (see
-/// `tests/chunked_kernels.rs`). They are also the "scalar" side of the
-/// `hot_path` benchmark.
+/// `tests/chunked_kernels.rs`).
 pub mod reference {
     /// Scalar `y += alpha * x`.
     ///

@@ -101,15 +101,6 @@ impl Summary {
     }
 }
 
-/// Computes the arithmetic mean of a slice; returns 0.0 for an empty slice.
-pub fn mean_or_zero(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        0.0
-    } else {
-        values.iter().sum::<f64>() / values.len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,11 +140,5 @@ mod tests {
     #[should_panic(expected = "contains NaN")]
     fn summary_nan_panics() {
         Summary::from_slice(&[1.0, f64::NAN]);
-    }
-
-    #[test]
-    fn mean_or_zero_handles_empty() {
-        assert_eq!(mean_or_zero(&[]), 0.0);
-        assert_eq!(mean_or_zero(&[2.0, 4.0]), 3.0);
     }
 }

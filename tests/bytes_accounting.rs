@@ -7,8 +7,9 @@
 //! trace-visible `Send` events where the protocol emits them, closed-form
 //! message counts everywhere else — and pin `bytes_sent` to the result.
 //! A second group checks the compression plane's arithmetic: encoded
-//! bytes plus `bytes_saved` must reassemble the dense total, and the
-//! headline reduction ratios from the paper-style workload must hold.
+//! bytes plus `bytes_saved` must reassemble the dense total, the
+//! headline reduction ratios from the paper-style workload must hold, and
+//! error feedback must keep top-10% training within 5% of dense.
 
 use hop::core::config::{AdPsgdConfig, PragueConfig, PsConfig, PsMode, QgmConfig};
 use hop::core::{HopConfig, Hyper, Protocol, ProtocolEvent, SimExperiment, TrainingReport};
@@ -158,6 +159,7 @@ fn compression_reassembles_the_dense_total() {
     let dense = run(Protocol::Hop(HopConfig::standard()));
     for codec in [
         CompressionConfig::TopK { ratio: 0.01 },
+        CompressionConfig::TopK { ratio: 0.1 },
         CompressionConfig::Int8Uniform,
     ] {
         let compressed = run(Protocol::Hop(HopConfig::standard().with_compression(codec)));
@@ -201,5 +203,45 @@ fn headline_reduction_ratios_hold_on_the_large_workload() {
     assert!(
         int8_ratio > 3.9 && int8_ratio < 4.1,
         "int8 reduction {int8_ratio:.2}x, expected ~4x"
+    );
+}
+
+#[test]
+fn error_feedback_top10_lands_within_five_percent_of_dense_loss() {
+    // 64K-parameter SVM on an 8-worker ring under a 6x straggler, equal
+    // iteration counts: with error feedback, top-10% must end within 5%
+    // of the uncompressed run's final eval loss.
+    let dataset = SyntheticWebspam::generate_with(
+        192,
+        0xB10C,
+        WebspamConfig {
+            dim: 65_536,
+            nnz_per_example: 32,
+            label_noise: 0.05,
+        },
+    );
+    let model = Svm::log_loss(dataset.feature_dim());
+    let final_loss = |codec: CompressionConfig| {
+        let n = 8;
+        let report = SimExperiment {
+            topology: Topology::ring(n),
+            cluster: ClusterSpec::uniform(n, 4, 0.05, LinkModel::ethernet_1gbps()),
+            slowdown: SlowdownModel::paper_straggler(n, 0, 6.0),
+            protocol: Protocol::Hop(HopConfig::standard().with_compression(codec)),
+            hyper: Hyper::svm(),
+            max_iters: 8,
+            seed: 0xB10C,
+            eval_every: 4,
+            eval_examples: 64,
+        }
+        .run(&model, &dataset)
+        .expect("valid configuration");
+        report.eval_time.last().expect("eval curve is non-empty").1
+    };
+    let dense = final_loss(CompressionConfig::Identity);
+    let topk = final_loss(CompressionConfig::TopK { ratio: 0.1 });
+    assert!(
+        topk <= dense * 1.05,
+        "top-10% final loss {topk:.4} drifted beyond 5% of dense {dense:.4}"
     );
 }

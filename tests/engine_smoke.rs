@@ -356,6 +356,44 @@ fn one_thousand_workers_complete_and_digest_stably() {
 }
 
 #[test]
+fn ten_thousand_workers_complete_without_deadlock() {
+    // The event pump's scale point: a 10k-worker token-mode ring (64-dim
+    // SVM, 3 iterations, no periodic eval, which would average 10k
+    // replicas) runs to completion instead of stalling.
+    use hop::data::webspam::{SyntheticWebspam, WebspamConfig};
+    let n = 10_000;
+    let dataset = SyntheticWebspam::generate_with(
+        512,
+        0xB10C,
+        WebspamConfig {
+            dim: 64,
+            nnz_per_example: 8,
+            label_noise: 0.05,
+        },
+    );
+    let model = Svm::log_loss(64);
+    let report = SimExperiment {
+        topology: Topology::ring(n),
+        cluster: ClusterSpec::uniform(n, 4, 0.05, LinkModel::ethernet_1gbps()),
+        slowdown: SlowdownModel::None,
+        protocol: Protocol::Hop(HopConfig::standard_with_tokens(4)),
+        hyper: Hyper::svm(),
+        max_iters: 3,
+        seed: 0xB10C,
+        eval_every: 0,
+        eval_examples: 32,
+    }
+    .run(&model, &dataset)
+    .expect("valid configuration");
+    assert!(!report.deadlocked, "10k-worker run stalled");
+    assert!(
+        !report.budget_exhausted,
+        "10k-worker run blew the event budget"
+    );
+    assert!(report.events_processed > 0, "pump processed no events");
+}
+
+#[test]
 fn seeds_actually_matter() {
     // Guard against a frozen RNG: two different seeds must produce
     // different trajectories for at least the decentralized runtime.
