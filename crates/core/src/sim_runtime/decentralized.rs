@@ -232,15 +232,12 @@ impl<'a> Decentralized<'a> {
     /// from `TokenQ(w -> j)`); visibility is delayed by a control message.
     fn insert_tokens(&mut self, eng: &mut SimEngine<'_, Ev>, w: usize, count: u64, now: f64) {
         for &j in self.topology.external_in_neighbors(w) {
-            let at = eng.net.control(now, w, j);
-            eng.events.push(
-                at,
-                Ev::Tokens {
-                    to: j,
-                    from: w,
-                    count,
-                },
-            );
+            let ev = Ev::Tokens {
+                to: j,
+                from: w,
+                count,
+            };
+            eng.push_control(w, j, now, ev);
         }
     }
 
@@ -566,8 +563,7 @@ impl<'a> Decentralized<'a> {
         // NOTIFY-ACK: confirm consumption to every external in-neighbor.
         if self.cfg.sync == SyncMode::NotifyAck {
             for &j in self.topology.external_in_neighbors(w) {
-                let at = eng.net.control(now, w, j);
-                eng.events.push(at, Ev::Ack { to: j });
+                eng.push_control(w, j, now, Ev::Ack { to: j });
             }
         }
         self.attempt_advance(eng, w, step, now);

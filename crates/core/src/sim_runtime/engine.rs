@@ -672,6 +672,14 @@ impl<'a, E> SimEngine<'a, E> {
         self.pool.release(avg);
     }
 
+    /// Schedules control message `ev` (a token grant, an ACK) from `a` to
+    /// `b`, sent at `now`, on its latency class's FIFO lane: one class
+    /// has one latency, so the lane stays in time order.
+    pub fn push_control(&mut self, a: usize, b: usize, now: f64, ev: E) {
+        let at = self.net.control(now, a, b);
+        self.events.push_fifo(self.net.control_lane(a, b), at, ev);
+    }
+
     /// [`Network::transfer`] behind the fault plane. The sender's NIC is
     /// charged unconditionally — the bytes left the machine either way —
     /// then the [`NetModel`] verdict decides the fate: the physical

@@ -134,6 +134,16 @@ fn engine_smoke_variants_and_golden_digests() {
     };
     for (label, protocol, golden) in [
         (
+            "hop_tokens/identity",
+            Protocol::Hop(HopConfig::standard_with_tokens(4)),
+            0x4131_0f1a_8d57_9604,
+        ),
+        (
+            "hop_notify_ack/identity",
+            Protocol::Hop(HopConfig::notify_ack()),
+            0x146a_3492_8e9e_17bf,
+        ),
+        (
             "hop_skip/int8",
             Protocol::Hop(hop_skip.clone().with_compression(int8)),
             0x03c4_3c1f_ab68_273c,
@@ -284,6 +294,11 @@ fn the_10k_worker_shape_batches_64_jobs_to_a_hand_off_and_joins_under_1_percent_
     // The shipped threshold, whatever this host's core count set it to.
     let (inline, batched) = (run(usize::MAX), run(4096));
     assert!(!inline.deadlocked);
+    // Pinned: about half of this run's events are token grants.
+    assert_eq!(
+        (inline.digest(), inline.events_processed),
+        (0xfc9f_feac_b0f5_19b2, 92_934)
+    );
     assert_eq!(inline.digest(), batched.digest());
     assert_eq!(inline.conformance, batched.conformance);
     assert_eq!(inline.events_processed, batched.events_processed);

@@ -323,13 +323,14 @@ mod tests {
         let mut rng = Xoshiro256::seed_from_u64(0);
         let mut params = cnn.init_params(&mut rng);
         let mut grad = vec![0.0; params.len()];
+        let mut scratch = GradScratch::new();
         let mut opt = Sgd::new(0.05, 0.9, 1e-4, params.len());
         let mut sampler = BatchSampler::new(data.len(), 32, 1);
         let eval: Vec<usize> = (0..128).collect();
         let initial = cnn.loss(&params, &data.batch(&eval));
         for _ in 0..150 {
             let b = sampler.next_batch(&data);
-            cnn.loss_grad(&params, &b, &mut grad);
+            cnn.loss_grad_with(&params, &b, &mut grad, &mut scratch);
             opt.step(&mut params, &grad);
         }
         let final_loss = cnn.loss(&params, &data.batch(&eval));

@@ -26,7 +26,7 @@
 //! ```
 //! use hop_data::{BatchSampler, Dataset};
 //! use hop_data::webspam::SyntheticWebspam;
-//! use hop_model::{Model, svm::Svm, optimizer::Sgd};
+//! use hop_model::{GradScratch, Model, svm::Svm, optimizer::Sgd};
 //! use hop_util::Xoshiro256;
 //!
 //! let data = SyntheticWebspam::generate(512, 0);
@@ -34,14 +34,15 @@
 //! let mut rng = Xoshiro256::seed_from_u64(1);
 //! let mut params = model.init_params(&mut rng);
 //! let mut grad = vec![0.0; params.len()];
+//! let mut scratch = GradScratch::new();
 //! let mut opt = Sgd::new(0.5, 0.9, 1e-7, params.len());
 //! let mut sampler = BatchSampler::new(data.len(), 32, 2);
 //!
 //! let batch = sampler.next_batch(&data);
-//! let first = model.loss_grad(&params, &batch, &mut grad);
+//! let first = model.loss_grad_with(&params, &batch, &mut grad, &mut scratch);
 //! for _ in 0..50 {
 //!     let b = sampler.next_batch(&data);
-//!     model.loss_grad(&params, &b, &mut grad);
+//!     model.loss_grad_with(&params, &b, &mut grad, &mut scratch);
 //!     opt.step(&mut params, &grad);
 //! }
 //! let last = model.loss(&params, &sampler.next_batch(&data));

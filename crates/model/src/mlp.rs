@@ -234,13 +234,14 @@ mod tests {
         let mut rng = Xoshiro256::seed_from_u64(0);
         let mut params = m.init_params(&mut rng);
         let mut grad = vec![0.0; params.len()];
+        let mut scratch = GradScratch::new();
         let mut opt = Sgd::new(0.05, 0.9, 1e-4, params.len());
         let mut sampler = BatchSampler::new(data.len(), 64, 1);
         let eval: Vec<usize> = (0..256).collect();
         let initial = m.loss(&params, &data.batch(&eval));
         for _ in 0..200 {
             let b = sampler.next_batch(&data);
-            m.loss_grad(&params, &b, &mut grad);
+            m.loss_grad_with(&params, &b, &mut grad, &mut scratch);
             opt.step(&mut params, &grad);
         }
         let batch = data.batch(&eval);

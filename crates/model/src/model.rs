@@ -84,16 +84,10 @@ pub trait Model: Send + Sync {
         scratch: &mut GradScratch,
     ) -> f32;
 
-    /// [`Self::loss_grad_with`] with a throwaway scratch — convenient for
-    /// tests and cold paths.
-    fn loss_grad(&self, params: &[f32], batch: &Batch<'_>, grad: &mut [f32]) -> f32 {
-        self.loss_grad_with(params, batch, grad, &mut GradScratch::new())
-    }
-
     /// Computes the mean loss over `batch` without gradients.
     fn loss(&self, params: &[f32], batch: &Batch<'_>) -> f32 {
         let mut grad = vec![0.0; self.param_len()];
-        self.loss_grad(params, batch, &mut grad)
+        self.loss_grad_with(params, batch, &mut grad, &mut GradScratch::new())
     }
 
     /// Predicts the class of a single example.
@@ -126,7 +120,7 @@ pub fn finite_difference_check<M: Model>(
     eps: f32,
 ) -> f64 {
     let mut grad = vec![0.0; model.param_len()];
-    model.loss_grad(params, batch, &mut grad);
+    model.loss_grad_with(params, batch, &mut grad, &mut GradScratch::new());
     let mut worst: f64 = 0.0;
     let mut p = params.to_vec();
     for &i in probe {
@@ -218,7 +212,7 @@ mod tests {
         let m = Quadratic { dim: 2 };
         let batch = d.batch(&[0, 1]);
         let mut grad = vec![0.0; 2];
-        let via_grad = m.loss_grad(&[0.0, 0.0], &batch, &mut grad);
+        let via_grad = m.loss_grad_with(&[0.0, 0.0], &batch, &mut grad, &mut GradScratch::new());
         let plain = m.loss(&[0.0, 0.0], &batch);
         assert_eq!(via_grad, plain);
         // Mean gradient of 0.5(p - x)^2 at p = 0 is -mean(x) = (-2, -2).

@@ -196,11 +196,12 @@ mod tests {
         let mut rng = Xoshiro256::seed_from_u64(0);
         let mut params = svm.init_params(&mut rng);
         let mut grad = vec![0.0; params.len()];
+        let mut scratch = GradScratch::new();
         let mut opt = Sgd::new(0.5, 0.9, 1e-7, params.len());
         let mut sampler = BatchSampler::new(data.len(), 64, 1);
         for _ in 0..300 {
             let b = sampler.next_batch(&data);
-            svm.loss_grad(&params, &b, &mut grad);
+            svm.loss_grad_with(&params, &b, &mut grad, &mut scratch);
             opt.step(&mut params, &grad);
         }
         let eval: Vec<usize> = (0..512).collect();
@@ -224,6 +225,6 @@ mod tests {
         let svm = Svm::log_loss(2);
         let batch = Batch { examples: vec![] };
         let mut g = vec![0.0; 3];
-        svm.loss_grad(&[0.0, 0.0, 0.0], &batch, &mut g);
+        svm.loss_grad_with(&[0.0, 0.0, 0.0], &batch, &mut g, &mut GradScratch::new());
     }
 }

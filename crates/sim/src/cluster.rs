@@ -352,11 +352,19 @@ impl Network {
     /// Arrival time of a small control message sent at `now` (tokens,
     /// ACKs); bypasses NIC serialization.
     pub fn control(&self, now: SimTime, a: usize, b: usize) -> SimTime {
-        if a == b || self.spec.same_machine(a, b) {
-            now + self.spec.link().control_latency * 0.1
-        } else {
-            now + self.spec.link().control_latency
+        let latency = self.spec.link().control_latency;
+        match self.control_lane(a, b) {
+            0 => now + latency * 0.1,
+            _ => now + latency,
         }
+    }
+
+    /// Latency class of a control message from `a` to `b`: 0 within a
+    /// machine, 1 across machines. Each class has one fixed latency, so
+    /// messages of one class sent as the clock advances arrive in send
+    /// order and can share an [`EventQueue`](crate::EventQueue) FIFO lane.
+    pub fn control_lane(&self, a: usize, b: usize) -> usize {
+        usize::from(a != b && !self.spec.same_machine(a, b))
     }
 }
 
@@ -436,6 +444,10 @@ mod tests {
         assert!(t > 1.0 && t < 1.01);
         let local = net.control(1.0, 0, 1);
         assert!(local < t);
+        assert_eq!(
+            [(0, 0), (0, 1), (0, 2)].map(|(a, b)| net.control_lane(a, b)),
+            [0, 0, 1]
+        );
     }
 
     #[test]

@@ -25,13 +25,21 @@
 //!   (rebuilds), and a rebuild permutes storage, never the `(time,
 //!   seq)` selection order.
 //!
+//! FIFO lanes ([`EventQueue::push_fifo`]) keep that order too. A lane
+//! holds events its driver produces already in time order (a message
+//! class with one fixed latency), so it is a plain `VecDeque` whose head
+//! is its minimum. Lane pushes draw from the calendar's `seq` counter,
+//! and a pop takes the minimum `(time, seq)` over the calendar's top and
+//! every lane head: the stream is the one the calendar alone would give
+//! had every event gone through [`push`](EventQueue::push).
+//!
 //! `hop_sim`'s differential suite (`tests/queue_differential.rs`) drives
 //! this queue and the retained heap (`tests/support/heap_queue.rs`)
-//! through random push/pop interleavings with heavy same-time ties and
-//! asserts identical output streams.
+//! through random push/lane-push/pop interleavings with heavy same-time
+//! ties and asserts identical output streams.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Virtual time in seconds.
 pub type SimTime = f64;
@@ -93,9 +101,8 @@ impl<E> Ord for Entry<E> {
 /// # Contract
 ///
 /// `push` requires a non-NaN time no earlier than [`now`](Self::now)
-/// (the time of the last popped event). The requirement is enforced
-/// with debug assertions: violations panic in debug/test builds and are
-/// undefined *ordering* (never memory unsafety) in release builds.
+/// (the time of the last popped event); `push_fifo` also requires it no
+/// earlier than the last time pushed to its lane. Both panic otherwise.
 ///
 /// # Examples
 ///
@@ -106,6 +113,10 @@ impl<E> Ord for Entry<E> {
 /// q.push(1.0, "b"); // same time: FIFO order preserved
 /// assert_eq!(q.pop().unwrap().1, "a");
 /// assert_eq!(q.pop().unwrap().1, "b");
+/// q.push_fifo(0, 2.0, "c"); // a lane: same order as `push`
+/// q.push(2.0, "d");
+/// assert_eq!(q.pop().unwrap().1, "c");
+/// assert_eq!(q.pop().unwrap().1, "d");
 /// ```
 pub struct EventQueue<E> {
     /// Power-of-two bucket table; an entry lives in `tick & mask`. Each
@@ -122,8 +133,11 @@ pub struct EventQueue<E> {
     inv_width: f64,
     /// The scan cursor: no pending entry has a tick below it.
     cur_tick: u64,
-    /// Pending event count.
+    /// Pending event count in the calendar (lanes excluded).
     len: usize,
+    /// FIFO lanes, indexed by the `lane` of [`push_fifo`](Self::push_fifo):
+    /// `(time, seq, payload)` with non-decreasing times.
+    lanes: Vec<VecDeque<(SimTime, u64, E)>>,
     /// Full-rotation scan misses since the last rebuild.
     fallbacks: u32,
     /// Rebuild watermark reported by [`capacity`](Self::capacity).
@@ -164,6 +178,7 @@ impl<E> EventQueue<E> {
             inv_width: 1e3,
             cur_tick: 0,
             len: 0,
+            lanes: Vec::new(),
             fallbacks: 0,
             cap: capacity.max(nbuckets * 2),
             seq: 0,
@@ -173,7 +188,7 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events the queue accommodates before it next
     /// rebuilds (grows) its bucket table. Pushes within this watermark
-    /// reorganize nothing.
+    /// reorganize nothing, and lane pushes never count against it.
     pub fn capacity(&self) -> usize {
         self.cap
     }
@@ -183,14 +198,14 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of pending events.
+    /// Number of pending events, lanes included.
     pub fn len(&self) -> usize {
-        self.len
+        self.len + self.lanes.iter().map(VecDeque::len).sum::<usize>()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len == 0 && self.lanes.iter().all(VecDeque::is_empty)
     }
 
     fn tick_of(&self, time: SimTime) -> u64 {
@@ -199,19 +214,23 @@ impl<E> EventQueue<E> {
         (time * self.inv_width) as u64
     }
 
-    /// Schedules `payload` at absolute time `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `time` is NaN or earlier than the
-    /// current virtual time (see the type-level contract).
-    pub fn push(&mut self, time: SimTime, payload: E) {
-        debug_assert!(!time.is_nan(), "event time must not be NaN");
-        debug_assert!(
+    fn check_time(&self, time: SimTime) {
+        assert!(!time.is_nan(), "event time must not be NaN");
+        assert!(
             time >= self.now,
             "cannot schedule into the past: {time} < {}",
             self.now
         );
+    }
+
+    /// Schedules `payload` at absolute time `time`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` is NaN or earlier than the current virtual time
+    /// (see the type-level contract).
+    pub fn push(&mut self, time: SimTime, payload: E) {
+        self.check_time(time);
         if self.len + 1 > 2 * self.buckets.len() {
             self.rebuild(self.len + 1);
         }
@@ -230,9 +249,72 @@ impl<E> EventQueue<E> {
         self.buckets[(tick & self.mask) as usize].push(entry);
     }
 
+    /// Schedules `payload` at absolute time `time` on FIFO lane `lane`:
+    /// an O(1) append that pops exactly where [`push`](Self::push) would
+    /// have put it. For events a driver produces in time order, such as
+    /// messages of one fixed latency sent as the clock advances.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` is NaN, earlier than the current virtual time, or
+    /// earlier than the last time pushed to `lane`.
+    pub fn push_fifo(&mut self, lane: usize, time: SimTime, payload: E) {
+        self.check_time(time);
+        if lane >= self.lanes.len() {
+            self.lanes.resize_with(lane + 1, VecDeque::new);
+        }
+        let queue = &mut self.lanes[lane];
+        if let Some(&(last, ..)) = queue.back() {
+            assert!(time >= last, "lane {lane} out of order: {time} < {last}");
+        }
+        queue.push_back((time, self.seq, payload));
+        self.seq += 1;
+    }
+
+    /// Lane whose head has the minimum `(time, seq)` over all lane heads,
+    /// with that key.
+    fn lane_min(&self) -> Option<(usize, (SimTime, u64))> {
+        let mut best: Option<(usize, (SimTime, u64))> = None;
+        for (l, lane) in self.lanes.iter().enumerate() {
+            let Some(&(time, seq, _)) = lane.front() else {
+                continue;
+            };
+            if best.is_none_or(|(_, key)| (time, seq) < key) {
+                best = Some((l, (time, seq)));
+            }
+        }
+        best
+    }
+
     /// Pops the earliest event (FIFO on ties), advancing the virtual
     /// clock to its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        let lane = self.lane_min();
+        let Some(b) = self.calendar_min() else {
+            let (l, _) = lane?;
+            return Some(self.take_lane(l));
+        };
+        let top = self.buckets[b].peek().expect("chosen bucket non-empty");
+        let popped = match lane {
+            Some((l, key)) if key < (top.time, top.seq) => self.take_lane(l),
+            _ => self.take(b),
+        };
+        if self.fallbacks >= MAX_FALLBACKS {
+            self.rebuild(self.len.max(1));
+        }
+        Some(popped)
+    }
+
+    /// Pops the head of lane `l`, advancing the clock.
+    fn take_lane(&mut self, l: usize) -> (SimTime, E) {
+        let (time, _, payload) = self.lanes[l].pop_front().expect("caller checked non-empty");
+        self.now = time;
+        (time, payload)
+    }
+
+    /// Bucket holding the calendar's minimum `(time, seq)` entry, with
+    /// the scan cursor moved to its tick.
+    fn calendar_min(&mut self) -> Option<usize> {
         if self.len == 0 {
             return None;
         }
@@ -247,34 +329,31 @@ impl<E> EventQueue<E> {
             let b = (tick & self.mask) as usize;
             if self.buckets[b].peek().is_some_and(|e| e.tick == tick) {
                 self.cur_tick = tick;
-                return Some(self.take(b));
+                return Some(b);
             }
         }
         // A full rotation came up empty: the next event is more than
-        // `nbuckets` ticks ahead. Fall back to a global minimum scan and
-        // re-estimate the width once this happens persistently.
+        // `nbuckets` ticks ahead. Fall back to a global minimum scan;
+        // `pop` re-estimates the width once this happens persistently.
         self.fallbacks += 1;
         let b = self.global_min().expect("len > 0 guarantees a minimum");
         self.cur_tick = self.buckets[b]
             .peek()
             .expect("chosen bucket non-empty")
             .tick;
-        let popped = self.take(b);
-        if self.fallbacks >= MAX_FALLBACKS {
-            self.rebuild(self.len.max(1));
-        }
-        Some(popped)
+        Some(b)
     }
 
     /// Time of the next event without popping.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let b = self.global_min()?;
-        Some(
+        let calendar = self.global_min().map(|b| {
             self.buckets[b]
                 .peek()
                 .expect("chosen bucket non-empty")
-                .time,
-        )
+                .time
+        });
+        let lane = self.lane_min().map(|(_, (time, _))| time);
+        calendar.into_iter().chain(lane).reduce(f64::min)
     }
 
     /// Bucket holding the global minimum `(time, seq)` entry (at its
@@ -351,7 +430,7 @@ impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
             .field("now", &self.now)
-            .field("pending", &self.len)
+            .field("pending", &self.len())
             .field("buckets", &self.buckets.len())
             .field("width", &self.width)
             .finish()
@@ -423,6 +502,38 @@ mod tests {
         q.push(2.0, ());
         q.pop();
         q.push(1.0, ());
+    }
+
+    #[test]
+    #[should_panic(expected = "lane 0 out of order")]
+    fn rejects_lane_pushes_before_the_lane_tail() {
+        let mut q = EventQueue::new();
+        q.push_fifo(0, 2.0, ());
+        q.push_fifo(1, 1.0, ()); // another lane: fine
+        q.push_fifo(0, 1.0, ());
+    }
+
+    #[test]
+    #[should_panic(expected = "into the past")]
+    fn rejects_lane_pushes_into_the_past() {
+        let mut q = EventQueue::new();
+        q.push(2.0, ());
+        q.pop();
+        q.push_fifo(0, 1.0, ());
+    }
+
+    #[test]
+    fn lanes_pop_in_calendar_order() {
+        let mut q = EventQueue::new();
+        q.push_fifo(1, 1.0, 0);
+        q.push(1.0, 1);
+        q.push_fifo(0, 0.5, 2);
+        q.push_fifo(0, 1.0, 3);
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.peek_time(), Some(0.5));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(order, [(0.5, 2), (1.0, 0), (1.0, 1), (1.0, 3)]);
+        assert!(q.is_empty());
     }
 
     #[test]

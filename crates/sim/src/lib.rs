@@ -5,7 +5,8 @@
 //! slowdowns — is reproduced here as a virtual-clock simulator:
 //!
 //! * [`events::EventQueue`] — a total-ordered calendar queue (time, then
-//!   insertion sequence) over an arbitrary payload.
+//!   insertion sequence) over an arbitrary payload, with FIFO lanes for
+//!   events that arrive already in time order.
 //! * [`cluster::ClusterSpec`] — worker→machine placement, per-worker
 //!   compute times, link latency/bandwidth (intra vs inter machine), and
 //!   per-node NIC serialization (the effect that makes a parameter server

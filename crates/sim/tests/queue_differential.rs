@@ -6,7 +6,8 @@
 //! times and far-future outliers — both queues must produce the same
 //! `(time, payload)` stream, the same lengths and the same clock. This
 //! is what licenses swapping the scheduler under every digest table in
-//! the workspace.
+//! the workspace. The lane suites hold `EventQueue::push_fifo` to the
+//! same bar: the oracle takes the lane events through plain `push`.
 
 #[path = "support/heap_queue.rs"]
 mod heap_queue;
@@ -55,8 +56,106 @@ fn run_interleaving(ops: &[(u8, u64)], quantum: f64) -> Result<(), TestCaseError
     Ok(())
 }
 
+/// The calendar, two FIFO lanes beside it, and the heap oracle that
+/// takes every event through plain `push`.
+struct Laned {
+    calendar: EventQueue<u64>,
+    oracle: HeapEventQueue<u64>,
+    /// Last time pushed to each lane.
+    lane_last: [f64; 2],
+    next_id: u64,
+}
+
+impl Laned {
+    fn new() -> Self {
+        Self {
+            calendar: EventQueue::new(),
+            oracle: HeapEventQueue::new(),
+            lane_last: [0.0; 2],
+            next_id: 0,
+        }
+    }
+
+    /// Pushes one event `dt` quanta past `now` (on a lane: past the later
+    /// of `now` and the lane's last time, so the lane stays in order).
+    fn push(&mut self, lane: Option<usize>, dt: u64, quantum: f64) -> Result<(), TestCaseError> {
+        let id = self.next_id;
+        self.next_id += 1;
+        match lane {
+            None => {
+                let at = self.calendar.now() + dt as f64 * quantum;
+                self.calendar.push(at, id);
+                self.oracle.push(at, id);
+            }
+            Some(l) => {
+                let at = self.lane_last[l].max(self.calendar.now()) + dt as f64 * quantum;
+                self.lane_last[l] = at;
+                self.calendar.push_fifo(l, at, id);
+                self.oracle.push(at, id);
+            }
+        }
+        self.check()
+    }
+
+    fn pop(&mut self) -> Result<(), TestCaseError> {
+        prop_assert_eq!(self.calendar.pop(), self.oracle.pop());
+        prop_assert_eq!(self.calendar.now(), self.oracle.now());
+        self.check()
+    }
+
+    fn check(&self) -> Result<(), TestCaseError> {
+        prop_assert_eq!(self.calendar.len(), self.oracle.len());
+        prop_assert_eq!(self.calendar.is_empty(), self.oracle.len() == 0);
+        prop_assert_eq!(self.calendar.peek_time(), self.oracle.peek_time());
+        Ok(())
+    }
+
+    fn drain(mut self) -> Result<(), TestCaseError> {
+        while self.oracle.len() > 0 {
+            self.pop()?;
+        }
+        prop_assert_eq!(self.calendar.pop(), None);
+        Ok(())
+    }
+}
+
+/// Drives [`Laned`] through one interleaving. Each op is `(kind, dt)`:
+/// `kind < 2` pushes to the calendar, `kind` 2 or 3 to lane `kind - 2`,
+/// `kind == 4` is a storm of `32 * (dt + 1)` pushes round-robin over
+/// the calendar and both lanes (it forces grow rebuilds, and the pops
+/// after it shrink rebuilds), anything else pops.
+fn run_laned(ops: &[(u8, u64)], quantum: f64) -> Result<(), TestCaseError> {
+    let mut q = Laned::new();
+    for &(kind, dt) in ops {
+        match kind {
+            0 | 1 => q.push(None, dt, quantum)?,
+            2 | 3 => q.push(Some(usize::from(kind - 2)), dt, quantum)?,
+            4 => {
+                for i in 0..32 * (dt + 1) {
+                    let lane = [None, Some(0), Some(1)][(i % 3) as usize];
+                    q.push(lane, i % 2, quantum)?;
+                }
+            }
+            _ => q.pop()?,
+        }
+    }
+    q.drain()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn lane_interleavings_match_the_heap(ops in proptest::collection::vec((0u8..8, 0u64..6), 0..300)) {
+        run_laned(&ops, 0.25)?;
+    }
+
+    #[test]
+    fn tie_heavy_lane_interleavings_match_the_heap(ops in proptest::collection::vec((0u8..8, 0u64..2), 0..300)) {
+        // Most lane and calendar events collide on one timestamp, so the
+        // shared `seq` carries the whole order.
+        run_laned(&ops, 1e-6)?;
+    }
 
     #[test]
     fn random_interleavings_match_the_heap(ops in proptest::collection::vec((0u8..8, 0u64..6), 0..300)) {

@@ -74,8 +74,8 @@ impl<E> HeapEventQueue<E> {
     /// Schedules `payload` at absolute time `time` (same contract as
     /// `EventQueue::push`).
     pub fn push(&mut self, time: f64, payload: E) {
-        debug_assert!(!time.is_nan(), "event time must not be NaN");
-        debug_assert!(
+        assert!(!time.is_nan(), "event time must not be NaN");
+        assert!(
             time >= self.now,
             "cannot schedule into the past: {time} < {}",
             self.now

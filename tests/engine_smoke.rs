@@ -220,7 +220,9 @@ fn compressed_runs_match_their_golden_digests() {
     // (`encode_params`: Hop backup + skip, QGM) and the gradient-stream
     // step (`encode_grad`: PS async pushes) under both lossy codecs. A
     // kernel change that moves one bit of one parameter, one wire byte or
-    // one virtual timestamp moves these.
+    // one virtual timestamp moves these. The two identity-codec rows pin
+    // the control messages: token grants and NOTIFY-ACK acks, both
+    // same-machine and cross-machine (6 workers on 2 machines).
     let int8 = CompressionConfig::Int8Uniform;
     let topk = CompressionConfig::TopK { ratio: 0.01 };
     let hop = |codec| {
@@ -242,7 +244,17 @@ fn compressed_runs_match_their_golden_digests() {
             ..QgmConfig::default()
         })
     };
-    let golden: [(&str, Protocol, u64); 6] = [
+    let golden: [(&str, Protocol, u64); 8] = [
+        (
+            "hop_tokens/identity",
+            Protocol::Hop(HopConfig::standard_with_tokens(4)),
+            0x4131_0f1a_8d57_9604,
+        ),
+        (
+            "hop_notify_ack/identity",
+            Protocol::Hop(HopConfig::notify_ack()),
+            0x146a_3492_8e9e_17bf,
+        ),
         ("hop_skip/int8", hop(int8), 0x03c4_3c1f_ab68_273c),
         ("hop_skip/topk", hop(topk), 0xeedf_86d1_b6dc_d68b),
         ("ps_async/int8", ps_async(int8), 0xb822_fa8d_fab5_4488),
