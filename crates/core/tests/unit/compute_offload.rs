@@ -24,6 +24,11 @@ use hop_util::Xoshiro256;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+#[path = "golden_digests.rs"]
+mod golden_digests;
+
+use golden_digests::golden_digests;
+
 fn experiment(topology: Topology, protocol: Protocol, max_iters: u64, seed: u64) -> SimExperiment {
     let n = topology.len();
     SimExperiment {
@@ -104,16 +109,13 @@ fn skip(max_ig: u64) -> HopConfig {
 
 #[test]
 fn engine_smoke_variants_and_golden_digests() {
-    let int8 = CompressionConfig::Int8Uniform;
-    let topk = CompressionConfig::TopK { ratio: 0.01 };
-    let hop_skip = HopConfig::backup(1, 5).with_skip(SkipConfig::with_max_jump(6));
     for cfg in [
         HopConfig::standard(),
         HopConfig::standard_with_tokens(4),
         HopConfig::notify_ack(),
         HopConfig::backup(1, 5),
         HopConfig::staleness(3, 5),
-        hop_skip.clone(),
+        HopConfig::backup(1, 5).with_skip(SkipConfig::with_max_jump(6)),
     ] {
         let label = format!("{cfg:?}");
         let report = same_three_ways(
@@ -123,49 +125,8 @@ fn engine_smoke_variants_and_golden_digests() {
         );
         assert!(!report.deadlocked, "{label}");
     }
-    // `tests/engine_smoke.rs`'s literals, reproduced all three ways.
-    let ps = |compression| PsConfig {
-        compression,
-        ..PsConfig::new(PsMode::Async)
-    };
-    let qgm = |compression| QgmConfig {
-        compression,
-        ..QgmConfig::default()
-    };
-    for (label, protocol, golden) in [
-        (
-            "hop_tokens/identity",
-            Protocol::Hop(HopConfig::standard_with_tokens(4)),
-            0x4131_0f1a_8d57_9604,
-        ),
-        (
-            "hop_notify_ack/identity",
-            Protocol::Hop(HopConfig::notify_ack()),
-            0x146a_3492_8e9e_17bf,
-        ),
-        (
-            "hop_skip/int8",
-            Protocol::Hop(hop_skip.clone().with_compression(int8)),
-            0x03c4_3c1f_ab68_273c,
-        ),
-        (
-            "hop_skip/topk",
-            Protocol::Hop(hop_skip.with_compression(topk)),
-            0xeedf_86d1_b6dc_d68b,
-        ),
-        (
-            "ps_async/int8",
-            Protocol::Ps(ps(int8)),
-            0xb822_fa8d_fab5_4488,
-        ),
-        (
-            "ps_async/topk",
-            Protocol::Ps(ps(topk)),
-            0x23cb_7805_bc44_e31f,
-        ),
-        ("qgm/int8", Protocol::Qgm(qgm(int8)), 0x5c4d_6746_acb3_8ac1),
-        ("qgm/topk", Protocol::Qgm(qgm(topk)), 0x95e5_21ff_1628_66bf),
-    ] {
+    // The golden digest table, reproduced all three ways.
+    for (label, protocol, golden) in golden_digests() {
         let report = same_three_ways(
             label,
             &experiment(Topology::ring_based(6), protocol, 20, 29),

@@ -2,14 +2,11 @@
 //!
 //! The paper evaluates two tasks: a CNN (VGG11 on CIFAR-10) and an SVM
 //! with log loss (webspam). This crate implements laptop-scale versions of
-//! both, plus an MLP used in tests, all operating on a *flat* `f32`
-//! parameter vector — the representation exchanged between workers by the
-//! decentralized protocols:
+//! both, operating on a *flat* `f32` parameter vector — the representation
+//! exchanged between workers by the decentralized protocols:
 //!
 //! * [`svm::Svm`] — linear model with log loss (as §7.2 specifies) or
 //!   hinge loss, supporting sparse features.
-//! * [`mlp::Mlp`] — fully connected ReLU network with softmax
-//!   cross-entropy.
 //! * [`cnn::TinyCnn`] — conv3×3 → ReLU → 2×2 avg-pool → FC softmax; the
 //!   "CNN" workload.
 //! * [`optimizer::Sgd`] — SGD with momentum and weight decay (momentum
@@ -51,7 +48,6 @@
 
 pub mod cnn;
 pub mod loss;
-pub mod mlp;
 pub mod model;
 pub mod optimizer;
 pub mod svm;

@@ -33,6 +33,20 @@
 //! every lane head: the stream is the one the calendar alone would give
 //! had every event gone through [`push`](EventQueue::push).
 //!
+//! # Memory
+//!
+//! Reserved capacity ([`EventQueue::reserved`]) is O(pending events),
+//! plus a spare of at most 64 entries per bucket, and does not depend on
+//! the number of ticks the clock crosses. Without care it would: a
+//! bucket is reused only a full rotation later, and a run that never
+//! rebuilds (a table pre-sized by
+//! [`with_capacity`](EventQueue::with_capacity), a steady population)
+//! would keep every tick's tie burst — thousands of workers finishing at
+//! one instant — in a buffer of its own until the run ends. So the pop
+//! that drains a bucket releases its buffer unless it holds at most 64
+//! entries. Lanes keep their buffers: there is one per latency class,
+//! each bounded by its own peak occupancy.
+//!
 //! `hop_sim`'s differential suite (`tests/queue_differential.rs`) drives
 //! this queue and the retained heap (`tests/support/heap_queue.rs`)
 //! through random push/lane-push/pop interleavings with heavy same-time
@@ -55,6 +69,10 @@ const MAX_INITIAL_BUCKETS: usize = 1 << 16;
 /// re-estimates its bucket width (the pending events' time span has
 /// drifted away from the estimate the table was built with).
 const MAX_FALLBACKS: u32 = 8;
+
+/// Entry capacity a drained bucket may keep; a larger buffer (a tie
+/// burst's) is released when its last entry pops.
+const KEEP_DRAINED: usize = 64;
 
 struct Entry<E> {
     time: SimTime,
@@ -191,6 +209,15 @@ impl<E> EventQueue<E> {
     /// reorganize nothing, and lane pushes never count against it.
     pub fn capacity(&self) -> usize {
         self.cap
+    }
+
+    /// Entries' worth of storage the bucket heaps and the lanes hold:
+    /// pending events plus the spare capacity kept for reuse. Bounded by
+    /// the pending population and the table size, never by the number of
+    /// ticks the clock has crossed (see the module docs).
+    pub fn reserved(&self) -> usize {
+        let buckets: usize = self.buckets.iter().map(BinaryHeap::capacity).sum();
+        buckets + self.lanes.iter().map(VecDeque::capacity).sum::<usize>()
     }
 
     /// Current virtual time (the time of the last popped event).
@@ -378,7 +405,14 @@ impl<E> EventQueue<E> {
 
     /// Pops the top of bucket `b`, advancing the clock.
     fn take(&mut self, b: usize) -> (SimTime, E) {
-        let entry = self.buckets[b].pop().expect("caller checked non-empty");
+        let bucket = &mut self.buckets[b];
+        let entry = bucket.pop().expect("caller checked non-empty");
+        // A drained tie burst gives its buffer back (the module docs'
+        // memory contract); small buffers stay, so ticks of one or two
+        // events do not allocate on every push.
+        if bucket.is_empty() && bucket.capacity() > KEEP_DRAINED {
+            *bucket = BinaryHeap::new();
+        }
         self.len -= 1;
         self.now = entry.time;
         if self.len < self.buckets.len() / 8 && self.buckets.len() > MIN_BUCKETS {
@@ -589,6 +623,48 @@ mod tests {
         assert_eq!(q.pop(), Some((0.0, 0)));
         assert_eq!(q.pop(), Some((1e6, 1)));
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn drained_tie_bursts_release_their_buffers() {
+        // The 10k-worker pump's shape: a table pre-sized so nothing
+        // rebuilds, a steady pending population (here far in the future),
+        // and a burst of tied events at each consecutive 1 ms tick,
+        // drained before the next.
+        const TICKS: u32 = 1_000;
+        const BURST: u32 = 2_000;
+        let mut q = EventQueue::with_capacity(640_000);
+        let mut oracle = HeapEventQueue::new();
+        let mut id = 0u64;
+        let mut push = |q: &mut EventQueue<u64>, oracle: &mut HeapEventQueue<u64>, at| {
+            q.push(at, id);
+            oracle.push(at, id);
+            id += 1;
+        };
+        for _ in 0..10_000 {
+            push(&mut q, &mut oracle, 1e3);
+        }
+        let mut after_first = 0;
+        for tick in 1..=TICKS {
+            for _ in 0..BURST {
+                push(&mut q, &mut oracle, f64::from(tick) * 1e-3);
+            }
+            for _ in 0..BURST {
+                assert_eq!(q.pop(), oracle.pop());
+            }
+            if tick == 1 {
+                after_first = q.reserved();
+            }
+        }
+        assert_eq!(
+            q.reserved(),
+            after_first,
+            "reserved capacity grew with the {TICKS} ticks crossed"
+        );
+        while let Some(expect) = oracle.pop() {
+            assert_eq!(q.pop(), Some(expect));
+        }
+        assert!(q.is_empty());
     }
 
     #[test]
