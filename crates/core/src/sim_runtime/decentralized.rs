@@ -20,7 +20,7 @@ use crate::report::TrainingReport;
 use crate::semantics;
 use crate::trainer::SimRun;
 use hop_graph::Topology;
-use hop_queue::{RotatingQueues, Tag};
+use hop_queue::{RotatingQueues, Tag, TaggedEntry};
 use hop_tensor::ParamBlock;
 
 use super::compression::CompressionPlane;
@@ -78,6 +78,9 @@ enum Ev {
     Tokens {
         to: usize,
         from: usize,
+        /// `from`'s position in `to`'s `tokens_from` (see
+        /// [`Decentralized::grant_slots`]).
+        slot: usize,
         count: u64,
     },
     Ack {
@@ -133,6 +136,28 @@ struct Decentralized<'a> {
     /// [`super::compression`]); inactive under the identity codec, in
     /// which case [`Self::do_send`] takes the exact-snapshot path.
     plane: CompressionPlane,
+    /// Token mode: for each `w`, parallel to
+    /// `topology.external_in_neighbors(w)`, `w`'s position in that
+    /// neighbor's `external_out_neighbors` — the `tokens_from` slot a
+    /// grant from `w` lands in, so [`Self::on_tokens`] needs no search.
+    /// Row `w` is `grant_slots[grant_off[w]..grant_off[w + 1]]`.
+    grant_slots: Vec<usize>,
+    grant_off: Vec<usize>,
+    /// The rotating-queue Recv's dequeued entries, kept for the next
+    /// Recv so the steady state does not allocate them.
+    recv_entries: Vec<TaggedEntry<ParamBlock>>,
+    /// The Reduce's input views, kept empty between Recvs for the same
+    /// reason (see [`reuse_views`]).
+    views: Vec<&'static [f32]>,
+}
+
+/// An empty view list that takes over `buf`'s allocation at the caller's
+/// borrow lifetime: a `collect` over a mapped `into_iter` with the same
+/// element layout reuses the source buffer in place, and `buf` is empty,
+/// so the map never runs.
+fn reuse_views<'b>(mut buf: Vec<&[f32]>) -> Vec<&'b [f32]> {
+    buf.clear();
+    buf.into_iter().map(|_| unreachable!("cleared")).collect()
 }
 
 impl<'a> Decentralized<'a> {
@@ -158,6 +183,17 @@ impl<'a> Decentralized<'a> {
             .collect();
         let mut plane = CompressionPlane::new(cfg.compression);
         plane.add_param_streams(topology.len(), eng.init_params());
+        let (mut grant_slots, mut grant_off) = (Vec::new(), vec![0]);
+        if max_ig.is_some() {
+            grant_slots.reserve(topology.external_edges().len());
+            for w in 0..topology.len() {
+                for &j in topology.external_in_neighbors(w) {
+                    let slot = topology.external_out_neighbors(j).binary_search(&w);
+                    grant_slots.push(slot.expect("edge w -> j is j's out-edge"));
+                }
+                grant_off.push(grant_slots.len());
+            }
+        }
         Self {
             cfg,
             topology,
@@ -165,6 +201,10 @@ impl<'a> Decentralized<'a> {
             skipped_sends: 0,
             workers,
             plane,
+            grant_slots,
+            grant_off,
+            recv_entries: Vec::new(),
+            views: Vec::new(),
         }
     }
 
@@ -231,10 +271,12 @@ impl<'a> Decentralized<'a> {
     /// Grants `count` tokens to every external in-neighbor (they consume
     /// from `TokenQ(w -> j)`); visibility is delayed by a control message.
     fn insert_tokens(&mut self, eng: &mut SimEngine<'_, Ev>, w: usize, count: u64, now: f64) {
-        for &j in self.topology.external_in_neighbors(w) {
+        let slots = &self.grant_slots[self.grant_off[w]..self.grant_off[w + 1]];
+        for (&j, &slot) in self.topology.external_in_neighbors(w).iter().zip(slots) {
             let ev = Ev::Tokens {
                 to: j,
                 from: w,
+                slot,
                 count,
             };
             eng.push_control(w, j, now, ev);
@@ -337,9 +379,9 @@ impl<'a> Decentralized<'a> {
             eng.pool.reclaim(params);
             return;
         }
-        let slot = self.in_slot(to, from);
-        let state = &mut self.workers[to];
         if self.cfg.staleness.is_some() {
+            let slot = self.in_slot(to, from);
+            let state = &mut self.workers[to];
             let newer = state.newest_from[slot]
                 .as_ref()
                 .is_none_or(|&(have, _)| iter > have);
@@ -355,7 +397,7 @@ impl<'a> Decentralized<'a> {
                 }
             }
         } else {
-            state
+            self.workers[to]
                 .queue
                 .enqueue(params, Tag { iter, w_id: from })
                 .expect("unbounded rotating queues");
@@ -372,13 +414,14 @@ impl<'a> Decentralized<'a> {
         eng: &mut SimEngine<'_, Ev>,
         to: usize,
         from: usize,
+        slot: usize,
         count: u64,
         now: f64,
     ) {
         // Recorded at visibility (not grant) time: the conformance view of
         // a token queue is exactly what the consumer can observe.
         choreography::token_grant(&mut eng.conformance, from, to, count);
-        let slot = self.out_slot(to, from);
+        debug_assert_eq!(slot, self.out_slot(to, from), "grant carries a wrong slot");
         self.workers[to].tokens_from[slot] += count;
         // A dead worker still *accrues* grants (token conservation: the
         // queue exists whether or not its consumer is awake) but cannot
@@ -467,7 +510,9 @@ impl<'a> Decentralized<'a> {
     }
 
     /// Whether every neighbor in `neighbors` has a satisfactory newest
-    /// update for a worker renewing at iteration `k` (staleness mode).
+    /// update for a worker renewing at iteration `k` (staleness mode's
+    /// §5 jump-renew: `neighbors` are the externals, a subsequence of
+    /// `newest_from`'s slots, so each is looked up).
     fn newest_satisfied(&self, w: usize, neighbors: &[usize], k: u64, s: u64) -> bool {
         neighbors.iter().all(|&j| {
             self.workers[w].newest_from[self.in_slot(w, j)]
@@ -477,9 +522,9 @@ impl<'a> Decentralized<'a> {
     }
 
     /// Gathers the newest update per listed in-neighbor as
-    /// `(iteration, snapshot)` pairs — the shared collection step of the
-    /// staleness Recv (Fig. 9) and the §5 jump-renew. Snapshots are
-    /// refcount bumps, not copies.
+    /// `(iteration, snapshot)` pairs — the collection step of the
+    /// staleness-mode §5 jump-renew. Snapshots are refcount bumps, not
+    /// copies.
     fn collect_newest(&self, w: usize, neighbors: &[usize]) -> Vec<(u64, ParamBlock)> {
         neighbors
             .iter()
@@ -507,21 +552,29 @@ impl<'a> Decentralized<'a> {
         // Parallel order: the Apply rides the Reduce sweep as its tail.
         let parallel = self.cfg.order == ComputeOrder::Parallel;
         let step = if let Some(s) = self.cfg.staleness {
-            // Fig. 9: newest satisfactory update per in-neighbor.
-            let neighbors = self.topology.in_neighbors(w).to_vec();
-            if !self.newest_satisfied(w, &neighbors, k, s) {
+            // Fig. 9: newest satisfactory update per in-neighbor. Slot `p`
+            // of `newest_from` is `in_neighbors(w)[p]`, so the walk needs
+            // no look-ups, and the Reduce reads the slots in place.
+            let newest = &self.workers[w].newest_from;
+            let satisfied = newest.iter().all(|slot| {
+                slot.as_ref()
+                    .is_some_and(|&(iter, _)| semantics::staleness_satisfied(iter, k, s))
+            });
+            if !satisfied {
                 self.workers[w].phase = Phase::WaitUpdates(step);
                 return;
             }
-            let collected = self.collect_newest(w, &neighbors);
-            for (nbr, (iter, _)) in neighbors.iter().zip(&collected) {
-                step.consume(&mut eng.conformance, *nbr, *iter);
+            let views: Vec<(u64, &[f32])> = newest
+                .iter()
+                .map(|slot| {
+                    let (iter, params) = slot.as_ref().expect("checked satisfied");
+                    (*iter, params.as_slice())
+                })
+                .collect();
+            for (&nbr, &(iter, _)) in self.topology.in_neighbors(w).iter().zip(&views) {
+                step.consume(&mut eng.conformance, nbr, iter);
             }
             let step = step.reduce(&mut eng.conformance);
-            let views: Vec<(u64, &[f32])> = collected
-                .iter()
-                .map(|(iter, p)| (*iter, p.as_slice()))
-                .collect();
             // Full overwrite: the old contents are not read, so a shared
             // replica detaches without copying.
             let WorkerCommon { opt, params, .. } = &mut eng.workers[w];
@@ -541,23 +594,29 @@ impl<'a> Decentralized<'a> {
                 return;
             }
             // Fig. 8: the needed updates plus any extras already here.
-            let entries = self.workers[w].queue.dequeue_up_to(in_deg, k);
+            let mut entries = std::mem::take(&mut self.recv_entries);
+            self.workers[w]
+                .queue
+                .dequeue_up_to_into(in_deg, k, &mut entries);
             for entry in &entries {
                 step.consume(&mut eng.conformance, entry.tag.w_id, entry.tag.iter);
             }
             let step = step.reduce(&mut eng.conformance);
-            let views: Vec<&[f32]> = entries.iter().map(|e| e.value.as_slice()).collect();
+            let mut views = reuse_views(std::mem::take(&mut self.views));
+            views.extend(entries.iter().map(|e| e.value.as_slice()));
             let WorkerCommon { opt, params, .. } = &mut eng.workers[w];
             semantics::reduce_mean(
                 &views,
                 parallel.then(|| opt.step_term()),
                 params.overwrite_mut(&mut eng.pool),
             );
+            self.views = reuse_views(views);
             // The dequeued snapshots are done; recycle any whose last
             // holder this was.
-            for entry in entries {
+            for entry in entries.drain(..) {
                 eng.pool.reclaim(entry.value);
             }
+            self.recv_entries = entries;
             step
         };
         // NOTIFY-ACK: confirm consumption to every external in-neighbor.
@@ -668,7 +727,10 @@ impl<'a> Decentralized<'a> {
                 self.workers[w].phase = Phase::JumpRecv(renew);
                 return;
             }
-            let entries = self.workers[w].queue.dequeue_up_to(ext, renew_iter);
+            let mut entries = std::mem::take(&mut self.recv_entries);
+            self.workers[w]
+                .queue
+                .dequeue_up_to_into(ext, renew_iter, &mut entries);
             for entry in &entries {
                 renew.consume(&mut eng.conformance, entry.tag.w_id, entry.tag.iter);
             }
@@ -676,18 +738,20 @@ impl<'a> Decentralized<'a> {
             // counts them into the Reduce itself.
             renew.renew_reduce(&mut eng.conformance);
             let own = eng.workers[w].params.snapshot();
-            let mut views: Vec<&[f32]> = entries.iter().map(|e| e.value.as_slice()).collect();
+            let mut views = reuse_views(std::mem::take(&mut self.views));
+            views.extend(entries.iter().map(|e| e.value.as_slice()));
             views.push(own.as_slice());
             semantics::reduce_mean(
                 &views,
                 None,
                 eng.workers[w].params.overwrite_mut(&mut eng.pool),
             );
-            drop(views);
+            self.views = reuse_views(views);
             eng.pool.reclaim(own);
-            for entry in entries {
+            for entry in entries.drain(..) {
                 eng.pool.reclaim(entry.value);
             }
+            self.recv_entries = entries;
         }
         // Momentum history refers to a trajectory this worker abandoned.
         eng.workers[w].opt.reset_velocity();
@@ -729,7 +793,12 @@ impl WorkerProtocol for Decentralized<'_> {
                 iter,
                 params,
             } => self.deliver_update(eng, to, from, iter, params, now),
-            Ev::Tokens { to, from, count } => self.on_tokens(eng, to, from, count, now),
+            Ev::Tokens {
+                to,
+                from,
+                slot,
+                count,
+            } => self.on_tokens(eng, to, from, slot, count, now),
             Ev::Ack { to } => self.on_ack(eng, to, now),
         }
     }

@@ -44,9 +44,14 @@
 //! engine-owned [`BufferPool`] instead of copying soon-discarded values.
 //! The pool also recycles per-event gradient scratch
 //! ([`BufferPool::acquire`]/[`release`](BufferPool::release)) and
-//! reclaims dequeued snapshots once their last holder drops them, so the
-//! steady state performs no heap allocation. Per-example forward/backward
-//! intermediates live in each worker's [`GradScratch`].
+//! reclaims dequeued snapshots once their last holder drops them.
+//! Per-example forward/backward intermediates live in each worker's
+//! [`GradScratch`]. The steady state is not allocation-free: on the
+//! decentralized runtime a worker-iteration costs about 3.2 heap
+//! allocations, and `tests/alloc_budget.rs` pins at most 4. What remains
+//! is the sampler's index vector and the `Batch` built from it, and the
+//! fresh `Arc` that [`ParamBlock::overwrite_mut`] makes when the replica
+//! it replaces is still shared with in-flight snapshots.
 //!
 //! # Compute futures
 //!
@@ -473,7 +478,7 @@ impl<'a, E> SimEngine<'a, E> {
                     .saturating_mul((max_iters as usize).saturating_add(1))
                     .min(1 << 22),
             ),
-            recorder: Recorder::new(n_workers, eval, dataset),
+            recorder: Recorder::new(n_workers, max_iters, eval, dataset),
             workers,
             iters: vec![0; n_workers],
             finished: vec![0; n_workers.div_ceil(64)],

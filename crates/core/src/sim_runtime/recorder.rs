@@ -42,11 +42,28 @@ pub struct Recorder {
 }
 
 impl Recorder {
-    pub fn new(n_workers: usize, eval_cfg: EvalConfig, dataset: &InMemoryDataset) -> Self {
+    /// A recorder for `n_workers` workers whose loss series each have
+    /// room for one point per iteration (`max_iters`), capped so that an
+    /// absurd `max_iters` cannot pre-allocate gigabytes; past the cap a
+    /// series grows normally.
+    pub fn new(
+        n_workers: usize,
+        max_iters: u64,
+        eval_cfg: EvalConfig,
+        dataset: &InMemoryDataset,
+    ) -> Self {
         let n_eval = eval_cfg.examples.min(dataset.len());
+        let points = usize::try_from(max_iters)
+            .unwrap_or(usize::MAX)
+            .min((1 << 22) / n_workers.max(1));
+        let series = || {
+            (0..n_workers)
+                .map(|_| TimeSeries::with_capacity(points))
+                .collect()
+        };
         Self {
-            train_time: vec![TimeSeries::new(); n_workers],
-            train_steps: vec![TimeSeries::new(); n_workers],
+            train_time: series(),
+            train_steps: series(),
             eval_time: TimeSeries::new(),
             eval_steps: TimeSeries::new(),
             eval_cfg,

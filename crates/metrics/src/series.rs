@@ -23,6 +23,13 @@ impl TimeSeries {
         Self::default()
     }
 
+    /// Creates an empty series with room for `points` points.
+    pub fn with_capacity(points: usize) -> Self {
+        Self {
+            points: Vec::with_capacity(points),
+        }
+    }
+
     /// Builds a series from `(time, value)` pairs.
     ///
     /// # Panics

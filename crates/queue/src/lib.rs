@@ -10,7 +10,9 @@
 //!   owns one as its inbox and waits by pumping its transport into it.
 //! * [`rotating::RotatingQueues`] — the memory-bounded implementation of
 //!   §6.1: `max_ig + 1` sub-queues indexed by `iter mod (max_ig + 1)`,
-//!   reused like rotating registers, with stale-update discarding.
+//!   reused like rotating registers, with stale-update discarding (stored
+//!   interleaved in one deque; `tests/rotating_differential.rs` holds it
+//!   to the one-queue-per-sub-queue original).
 //! * [`token::TokenQueue`] — the token queues of §4.2 that bound the
 //!   iteration gap between adjacent workers.
 //! * [`blocking`] — thread-safe blocking variants (mutex + condvar via

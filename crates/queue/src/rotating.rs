@@ -9,8 +9,27 @@
 //! sub-queue an entry is either for the requested iteration or stale (only
 //! possible with backup workers) — never newer. Stale entries are
 //! discarded on dequeue (§6.2a).
+//!
+//! # Storage
+//!
+//! The sub-queues are stored interleaved in one `VecDeque`, in arrival
+//! order. An entry's sub-queue is `tag.iter mod (max_ig + 1)`, a pure
+//! function of its tag, so nothing about the §6.1 semantics changes: a
+//! purge drops (and counts) only the requested sub-queue's older entries,
+//! each sub-queue is FIFO (it is a subsequence of the arrival order), and
+//! a bounded queue bounds each sub-queue separately. The reason is the
+//! simulator: it keeps one `RotatingQueues` per worker, and at 10 000
+//! workers each sub-queue as its own `VecDeque` was its own heap buffer
+//! two pointers away from the worker's state — three dependent cache
+//! misses per enqueue, and `max_ig + 2` allocations per worker (the
+//! sub-queues and the list of them). One deque is one allocation and one
+//! hop. It holds at most `max_ig + 1` iterations' updates from
+//! `in_degree` senders, so the other sub-queues' entries an operation
+//! steps over are few.
 
-use crate::tagged::{QueueFullError, Tag, TagFilter, TaggedEntry, TaggedQueue};
+use std::collections::VecDeque;
+
+use crate::tagged::{QueueFullError, Tag, TaggedEntry};
 
 /// The rotating multi-queue of §6.1.
 ///
@@ -29,16 +48,22 @@ use crate::tagged::{QueueFullError, Tag, TagFilter, TaggedEntry, TaggedQueue};
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct RotatingQueues<T> {
-    queues: Vec<TaggedQueue<T>>,
+    /// Every sub-queue's entries, interleaved in arrival order.
+    entries: VecDeque<TaggedEntry<T>>,
+    /// Number of sub-queues, `max_ig + 1`.
+    n: u64,
+    /// Per-sub-queue entry limit, if bounded.
+    capacity: Option<usize>,
     stale_discarded: u64,
 }
 
 impl<T> RotatingQueues<T> {
     /// Creates `max_ig + 1` unbounded sub-queues.
     pub fn new(max_ig: u64) -> Self {
-        let n = max_ig as usize + 1;
         Self {
-            queues: (0..n).map(|_| TaggedQueue::unbounded()).collect(),
+            entries: VecDeque::new(),
+            n: max_ig + 1,
+            capacity: None,
             stale_discarded: 0,
         }
     }
@@ -49,26 +74,26 @@ impl<T> RotatingQueues<T> {
     ///
     /// Panics if `capacity == 0`.
     pub fn bounded(max_ig: u64, capacity: usize) -> Self {
-        let n = max_ig as usize + 1;
+        assert!(capacity > 0, "capacity must be positive");
         Self {
-            queues: (0..n).map(|_| TaggedQueue::bounded(capacity)).collect(),
-            stale_discarded: 0,
+            capacity: Some(capacity),
+            ..Self::new(max_ig)
         }
     }
 
     /// Number of sub-queues (`max_ig + 1`).
     pub fn n_queues(&self) -> usize {
-        self.queues.len()
+        self.n as usize
     }
 
     /// Total entries across sub-queues.
     pub fn len(&self) -> usize {
-        self.queues.iter().map(TaggedQueue::len).sum()
+        self.entries.len()
     }
 
     /// Whether all sub-queues are empty.
     pub fn is_empty(&self) -> bool {
-        self.queues.iter().all(TaggedQueue::is_empty)
+        self.entries.is_empty()
     }
 
     /// Updates of iterations older than the requested one found and
@@ -77,57 +102,102 @@ impl<T> RotatingQueues<T> {
         self.stale_discarded
     }
 
-    fn index(&self, iter: u64) -> usize {
-        (iter % self.queues.len() as u64) as usize
-    }
-
     /// Routes an update to sub-queue `iter mod n_queues`.
     ///
     /// # Errors
     ///
     /// Returns [`QueueFullError`] if that sub-queue is bounded and full.
     pub fn enqueue(&mut self, value: T, tag: Tag) -> Result<(), QueueFullError> {
-        let idx = self.index(tag.iter);
-        self.queues[idx].enqueue(value, tag)
+        if let Some(cap) = self.capacity {
+            let residue = tag.iter % self.n;
+            let held = self
+                .entries
+                .iter()
+                .filter(|e| e.tag.iter % self.n == residue)
+                .count();
+            if held >= cap {
+                return Err(QueueFullError { capacity: cap });
+            }
+        }
+        self.entries.push_back(TaggedEntry { value, tag });
+        Ok(())
     }
 
     /// Drops entries older than `iter` from the sub-queue for `iter`,
     /// counting them as stale.
     fn purge_stale(&mut self, iter: u64) {
-        let idx = self.index(iter);
-        self.stale_discarded += self.queues[idx].discard_older_than(iter) as u64;
+        let n = self.n;
+        let before = self.entries.len();
+        self.entries
+            .retain(|e| e.tag.iter >= iter || !(iter - e.tag.iter).is_multiple_of(n));
+        self.stale_discarded += (before - self.entries.len()) as u64;
     }
 
     /// Number of entries currently available for iteration `iter`
     /// (after discarding stale entries sharing its sub-queue).
     pub fn size(&mut self, iter: u64) -> usize {
         self.purge_stale(iter);
-        let idx = self.index(iter);
-        self.queues[idx].size(TagFilter::iter(iter))
+        self.entries.iter().filter(|e| e.tag.iter == iter).count()
     }
 
     /// Number of entries from sender `w_id` for iteration `iter`.
     pub fn size_from(&mut self, iter: u64, w_id: usize) -> usize {
         self.purge_stale(iter);
-        let idx = self.index(iter);
-        self.queues[idx].size(TagFilter::exact(iter, w_id))
+        let tag = Tag { iter, w_id };
+        self.entries.iter().filter(|e| e.tag == tag).count()
     }
 
     /// Non-blocking dequeue of exactly `m` updates for iteration `iter`;
     /// removes nothing if fewer are available. Stale entries sharing the
     /// sub-queue are discarded first (§6.2a).
     pub fn try_dequeue(&mut self, m: usize, iter: u64) -> Option<Vec<TaggedEntry<T>>> {
-        self.purge_stale(iter);
-        let idx = self.index(iter);
-        self.queues[idx].try_dequeue(m, TagFilter::iter(iter))
+        if self.size(iter) < m {
+            return None;
+        }
+        Some(self.dequeue_up_to(m, iter))
     }
 
     /// Dequeues up to `m` updates for iteration `iter` (the "additional
     /// updates" collection of Fig. 8 line 5).
     pub fn dequeue_up_to(&mut self, m: usize, iter: u64) -> Vec<TaggedEntry<T>> {
+        let mut taken = Vec::new();
+        self.dequeue_up_to_into(m, iter, &mut taken);
+        taken
+    }
+
+    /// [`Self::dequeue_up_to`], appending to `out` instead of allocating:
+    /// the entries are taken out by rotating the deque in place, and the
+    /// ones left keep their order.
+    pub fn dequeue_up_to_into(&mut self, m: usize, iter: u64, out: &mut Vec<TaggedEntry<T>>) {
         self.purge_stale(iter);
-        let idx = self.index(iter);
-        self.queues[idx].dequeue_up_to(m, TagFilter::iter(iter))
+        self.extract_into(m, |tag| tag.iter == iter, out);
+    }
+
+    /// Moves the first `limit` entries whose tag satisfies `wanted` to
+    /// `out`, in FIFO order, by rotating the deque in place: each visited
+    /// entry leaves the front and either goes to `out` or back in at the
+    /// rear, so the ones left keep their order.
+    fn extract_into(
+        &mut self,
+        limit: usize,
+        wanted: impl Fn(Tag) -> bool,
+        out: &mut Vec<TaggedEntry<T>>,
+    ) {
+        let mut taken = 0;
+        let mut unvisited = self.entries.len();
+        while taken < limit && unvisited > 0 {
+            let entry = self.entries.pop_front().expect("unvisited entries remain");
+            unvisited -= 1;
+            if wanted(entry.tag) {
+                out.push(entry);
+                taken += 1;
+            } else {
+                self.entries.push_back(entry);
+            }
+        }
+        // The kept entries went to the rear; put the unvisited ones
+        // behind them again.
+        self.entries.rotate_left(unvisited);
     }
 
     /// Drains every update from sender `w_id` across *all* sub-queues, in
@@ -135,9 +205,9 @@ impl<T> RotatingQueues<T> {
     /// (Fig. 9), which scans per-sender and keeps the newest.
     pub fn drain_from_worker(&mut self, w_id: usize) -> Vec<TaggedEntry<T>> {
         let mut all = Vec::new();
-        for q in &mut self.queues {
-            all.extend(q.drain_matching(TagFilter::from_worker(w_id)));
-        }
+        self.extract_into(usize::MAX, |tag| tag.w_id == w_id, &mut all);
+        // Stable: one iteration's entries share a sub-queue and keep its
+        // FIFO order.
         all.sort_by_key(|e| e.tag.iter);
         all
     }
@@ -145,11 +215,9 @@ impl<T> RotatingQueues<T> {
     /// Discards entries older than `min_iter` in all sub-queues (the
     /// periodic cleanup of §4.3), returning the number dropped.
     pub fn discard_older_than(&mut self, min_iter: u64) -> usize {
-        let dropped: usize = self
-            .queues
-            .iter_mut()
-            .map(|q| q.discard_older_than(min_iter))
-            .sum();
+        let before = self.entries.len();
+        self.entries.retain(|e| e.tag.iter >= min_iter);
+        let dropped = before - self.entries.len();
         self.stale_discarded += dropped as u64;
         dropped
     }
@@ -158,6 +226,7 @@ impl<T> RotatingQueues<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tagged::{TagFilter, TaggedQueue};
     use proptest::prelude::*;
 
     fn tag(iter: u64, w_id: usize) -> Tag {
