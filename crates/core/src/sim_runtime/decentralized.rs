@@ -78,9 +78,6 @@ enum Ev {
     Tokens {
         to: usize,
         from: usize,
-        /// `from`'s position in `to`'s `tokens_from` (see
-        /// [`Decentralized::grant_slots`]).
-        slot: usize,
         count: u64,
     },
     Ack {
@@ -136,28 +133,31 @@ struct Decentralized<'a> {
     /// [`super::compression`]); inactive under the identity codec, in
     /// which case [`Self::do_send`] takes the exact-snapshot path.
     plane: CompressionPlane,
-    /// Token mode: for each `w`, parallel to
-    /// `topology.external_in_neighbors(w)`, `w`'s position in that
-    /// neighbor's `external_out_neighbors` — the `tokens_from` slot a
-    /// grant from `w` lands in, so [`Self::on_tokens`] needs no search.
-    /// Row `w` is `grant_slots[grant_off[w]..grant_off[w + 1]]`.
-    grant_slots: Vec<usize>,
-    grant_off: Vec<usize>,
     /// The rotating-queue Recv's dequeued entries, kept for the next
     /// Recv so the steady state does not allocate them.
     recv_entries: Vec<TaggedEntry<ParamBlock>>,
-    /// The Reduce's input views, kept empty between Recvs for the same
-    /// reason (see [`reuse_views`]).
-    views: Vec<&'static [f32]>,
 }
 
-/// An empty view list that takes over `buf`'s allocation at the caller's
-/// borrow lifetime: a `collect` over a mapped `into_iter` with the same
-/// element layout reuses the source buffer in place, and `buf` is empty,
-/// so the map never runs.
-fn reuse_views<'b>(mut buf: Vec<&[f32]>) -> Vec<&'b [f32]> {
-    buf.clear();
-    buf.into_iter().map(|_| unreachable!("cleared")).collect()
+/// Calls `f` with the payloads of `entries`, then `own` if given, as the
+/// Reduce's input list. Up to `INLINE` views sit in an array on the
+/// stack, so the Recv of a worker with in-degree below 16 allocates
+/// nothing for them; a longer list is collected into a `Vec`.
+fn with_views<R>(
+    entries: &[TaggedEntry<ParamBlock>],
+    own: Option<&[f32]>,
+    f: impl FnOnce(&[&[f32]]) -> R,
+) -> R {
+    const INLINE: usize = 16;
+    let views = entries.iter().map(|e| e.value.as_slice()).chain(own);
+    let n = entries.len() + usize::from(own.is_some());
+    if n > INLINE {
+        return f(&views.collect::<Vec<_>>());
+    }
+    let mut inline: [&[f32]; INLINE] = [&[]; INLINE];
+    for (slot, view) in inline.iter_mut().zip(views) {
+        *slot = view;
+    }
+    f(&inline[..n])
 }
 
 impl<'a> Decentralized<'a> {
@@ -183,17 +183,6 @@ impl<'a> Decentralized<'a> {
             .collect();
         let mut plane = CompressionPlane::new(cfg.compression);
         plane.add_param_streams(topology.len(), eng.init_params());
-        let (mut grant_slots, mut grant_off) = (Vec::new(), vec![0]);
-        if max_ig.is_some() {
-            grant_slots.reserve(topology.external_edges().len());
-            for w in 0..topology.len() {
-                for &j in topology.external_in_neighbors(w) {
-                    let slot = topology.external_out_neighbors(j).binary_search(&w);
-                    grant_slots.push(slot.expect("edge w -> j is j's out-edge"));
-                }
-                grant_off.push(grant_slots.len());
-            }
-        }
         Self {
             cfg,
             topology,
@@ -201,10 +190,7 @@ impl<'a> Decentralized<'a> {
             skipped_sends: 0,
             workers,
             plane,
-            grant_slots,
-            grant_off,
             recv_entries: Vec::new(),
-            views: Vec::new(),
         }
     }
 
@@ -271,12 +257,10 @@ impl<'a> Decentralized<'a> {
     /// Grants `count` tokens to every external in-neighbor (they consume
     /// from `TokenQ(w -> j)`); visibility is delayed by a control message.
     fn insert_tokens(&mut self, eng: &mut SimEngine<'_, Ev>, w: usize, count: u64, now: f64) {
-        let slots = &self.grant_slots[self.grant_off[w]..self.grant_off[w + 1]];
-        for (&j, &slot) in self.topology.external_in_neighbors(w).iter().zip(slots) {
+        for &j in self.topology.external_in_neighbors(w) {
             let ev = Ev::Tokens {
                 to: j,
                 from: w,
-                slot,
                 count,
             };
             eng.push_control(w, j, now, ev);
@@ -414,14 +398,13 @@ impl<'a> Decentralized<'a> {
         eng: &mut SimEngine<'_, Ev>,
         to: usize,
         from: usize,
-        slot: usize,
         count: u64,
         now: f64,
     ) {
         // Recorded at visibility (not grant) time: the conformance view of
         // a token queue is exactly what the consumer can observe.
         choreography::token_grant(&mut eng.conformance, from, to, count);
-        debug_assert_eq!(slot, self.out_slot(to, from), "grant carries a wrong slot");
+        let slot = self.out_slot(to, from);
         self.workers[to].tokens_from[slot] += count;
         // A dead worker still *accrues* grants (token conservation: the
         // queue exists whether or not its consumer is awake) but cannot
@@ -602,15 +585,14 @@ impl<'a> Decentralized<'a> {
                 step.consume(&mut eng.conformance, entry.tag.w_id, entry.tag.iter);
             }
             let step = step.reduce(&mut eng.conformance);
-            let mut views = reuse_views(std::mem::take(&mut self.views));
-            views.extend(entries.iter().map(|e| e.value.as_slice()));
             let WorkerCommon { opt, params, .. } = &mut eng.workers[w];
-            semantics::reduce_mean(
-                &views,
-                parallel.then(|| opt.step_term()),
-                params.overwrite_mut(&mut eng.pool),
-            );
-            self.views = reuse_views(views);
+            with_views(&entries, None, |views| {
+                semantics::reduce_mean(
+                    views,
+                    parallel.then(|| opt.step_term()),
+                    params.overwrite_mut(&mut eng.pool),
+                )
+            });
             // The dequeued snapshots are done; recycle any whose last
             // holder this was.
             for entry in entries.drain(..) {
@@ -738,15 +720,13 @@ impl<'a> Decentralized<'a> {
             // counts them into the Reduce itself.
             renew.renew_reduce(&mut eng.conformance);
             let own = eng.workers[w].params.snapshot();
-            let mut views = reuse_views(std::mem::take(&mut self.views));
-            views.extend(entries.iter().map(|e| e.value.as_slice()));
-            views.push(own.as_slice());
-            semantics::reduce_mean(
-                &views,
-                None,
-                eng.workers[w].params.overwrite_mut(&mut eng.pool),
-            );
-            self.views = reuse_views(views);
+            with_views(&entries, Some(own.as_slice()), |views| {
+                semantics::reduce_mean(
+                    views,
+                    None,
+                    eng.workers[w].params.overwrite_mut(&mut eng.pool),
+                )
+            });
             eng.pool.reclaim(own);
             for entry in entries.drain(..) {
                 eng.pool.reclaim(entry.value);
@@ -793,12 +773,7 @@ impl WorkerProtocol for Decentralized<'_> {
                 iter,
                 params,
             } => self.deliver_update(eng, to, from, iter, params, now),
-            Ev::Tokens {
-                to,
-                from,
-                slot,
-                count,
-            } => self.on_tokens(eng, to, from, slot, count, now),
+            Ev::Tokens { to, from, count } => self.on_tokens(eng, to, from, count, now),
             Ev::Ack { to } => self.on_ack(eng, to, now),
         }
     }

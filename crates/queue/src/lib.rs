@@ -11,8 +11,8 @@
 //! * [`rotating::RotatingQueues`] — the memory-bounded implementation of
 //!   §6.1: `max_ig + 1` sub-queues indexed by `iter mod (max_ig + 1)`,
 //!   reused like rotating registers, with stale-update discarding (stored
-//!   interleaved in one deque; `tests/rotating_differential.rs` holds it
-//!   to the one-queue-per-sub-queue original).
+//!   interleaved in one `TaggedQueue`; `tests/rotating_differential.rs`
+//!   holds it to the one-queue-per-sub-queue original).
 //! * [`token::TokenQueue`] — the token queues of §4.2 that bound the
 //!   iteration gap between adjacent workers.
 //! * [`blocking`] — thread-safe blocking variants (mutex + condvar via

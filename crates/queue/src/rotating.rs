@@ -12,24 +12,23 @@
 //!
 //! # Storage
 //!
-//! The sub-queues are stored interleaved in one `VecDeque`, in arrival
-//! order. An entry's sub-queue is `tag.iter mod (max_ig + 1)`, a pure
-//! function of its tag, so nothing about the §6.1 semantics changes: a
-//! purge drops (and counts) only the requested sub-queue's older entries,
-//! each sub-queue is FIFO (it is a subsequence of the arrival order), and
-//! a bounded queue bounds each sub-queue separately. The reason is the
-//! simulator: it keeps one `RotatingQueues` per worker, and at 10 000
-//! workers each sub-queue as its own `VecDeque` was its own heap buffer
-//! two pointers away from the worker's state — three dependent cache
-//! misses per enqueue, and `max_ig + 2` allocations per worker (the
+//! The sub-queues are stored interleaved in one [`TaggedQueue`], in
+//! arrival order. An entry's sub-queue is `tag.iter mod (max_ig + 1)`, a
+//! pure function of its tag, so nothing about the §6.1 semantics changes:
+//! a purge drops (and counts) only the requested sub-queue's older
+//! entries, each sub-queue is FIFO (it is a subsequence of the arrival
+//! order), and a bounded queue bounds each sub-queue separately. Every
+//! other operation is the tagged queue's own, under a [`TagFilter`]. The
+//! reason is the simulator: it keeps one `RotatingQueues` per worker, and
+//! at 10 000 workers each sub-queue as its own `VecDeque` was its own heap
+//! buffer two pointers away from the worker's state — three dependent
+//! cache misses per enqueue, and `max_ig + 2` allocations per worker (the
 //! sub-queues and the list of them). One deque is one allocation and one
 //! hop. It holds at most `max_ig + 1` iterations' updates from
 //! `in_degree` senders, so the other sub-queues' entries an operation
 //! steps over are few.
 
-use std::collections::VecDeque;
-
-use crate::tagged::{QueueFullError, Tag, TaggedEntry};
+use crate::tagged::{QueueFullError, Tag, TagFilter, TaggedEntry, TaggedQueue};
 
 /// The rotating multi-queue of §6.1.
 ///
@@ -48,8 +47,9 @@ use crate::tagged::{QueueFullError, Tag, TaggedEntry};
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct RotatingQueues<T> {
-    /// Every sub-queue's entries, interleaved in arrival order.
-    entries: VecDeque<TaggedEntry<T>>,
+    /// Every sub-queue's entries, interleaved in arrival order (itself
+    /// unbounded: the bound is per sub-queue).
+    entries: TaggedQueue<T>,
     /// Number of sub-queues, `max_ig + 1`.
     n: u64,
     /// Per-sub-queue entry limit, if bounded.
@@ -61,7 +61,7 @@ impl<T> RotatingQueues<T> {
     /// Creates `max_ig + 1` unbounded sub-queues.
     pub fn new(max_ig: u64) -> Self {
         Self {
-            entries: VecDeque::new(),
+            entries: TaggedQueue::unbounded(),
             n: max_ig + 1,
             capacity: None,
             stale_discarded: 0,
@@ -119,32 +119,30 @@ impl<T> RotatingQueues<T> {
                 return Err(QueueFullError { capacity: cap });
             }
         }
-        self.entries.push_back(TaggedEntry { value, tag });
-        Ok(())
+        self.entries.enqueue(value, tag)
     }
 
     /// Drops entries older than `iter` from the sub-queue for `iter`,
     /// counting them as stale.
     fn purge_stale(&mut self, iter: u64) {
         let n = self.n;
-        let before = self.entries.len();
-        self.entries
-            .retain(|e| e.tag.iter >= iter || !(iter - e.tag.iter).is_multiple_of(n));
-        self.stale_discarded += (before - self.entries.len()) as u64;
+        let dropped = self
+            .entries
+            .discard_where(|tag| tag.iter < iter && (iter - tag.iter).is_multiple_of(n));
+        self.stale_discarded += dropped as u64;
     }
 
     /// Number of entries currently available for iteration `iter`
     /// (after discarding stale entries sharing its sub-queue).
     pub fn size(&mut self, iter: u64) -> usize {
         self.purge_stale(iter);
-        self.entries.iter().filter(|e| e.tag.iter == iter).count()
+        self.entries.size(TagFilter::iter(iter))
     }
 
     /// Number of entries from sender `w_id` for iteration `iter`.
     pub fn size_from(&mut self, iter: u64, w_id: usize) -> usize {
         self.purge_stale(iter);
-        let tag = Tag { iter, w_id };
-        self.entries.iter().filter(|e| e.tag == tag).count()
+        self.entries.size(TagFilter::exact(iter, w_id))
     }
 
     /// Non-blocking dequeue of exactly `m` updates for iteration `iter`;
@@ -165,47 +163,19 @@ impl<T> RotatingQueues<T> {
         taken
     }
 
-    /// [`Self::dequeue_up_to`], appending to `out` instead of allocating:
-    /// the entries are taken out by rotating the deque in place, and the
-    /// ones left keep their order.
+    /// [`Self::dequeue_up_to`], appending to `out` instead of allocating
+    /// (see [`TaggedQueue::dequeue_up_to_into`]).
     pub fn dequeue_up_to_into(&mut self, m: usize, iter: u64, out: &mut Vec<TaggedEntry<T>>) {
         self.purge_stale(iter);
-        self.extract_into(m, |tag| tag.iter == iter, out);
-    }
-
-    /// Moves the first `limit` entries whose tag satisfies `wanted` to
-    /// `out`, in FIFO order, by rotating the deque in place: each visited
-    /// entry leaves the front and either goes to `out` or back in at the
-    /// rear, so the ones left keep their order.
-    fn extract_into(
-        &mut self,
-        limit: usize,
-        wanted: impl Fn(Tag) -> bool,
-        out: &mut Vec<TaggedEntry<T>>,
-    ) {
-        let mut taken = 0;
-        let mut unvisited = self.entries.len();
-        while taken < limit && unvisited > 0 {
-            let entry = self.entries.pop_front().expect("unvisited entries remain");
-            unvisited -= 1;
-            if wanted(entry.tag) {
-                out.push(entry);
-                taken += 1;
-            } else {
-                self.entries.push_back(entry);
-            }
-        }
-        // The kept entries went to the rear; put the unvisited ones
-        // behind them again.
-        self.entries.rotate_left(unvisited);
+        self.entries
+            .dequeue_up_to_into(m, TagFilter::iter(iter), out);
     }
 
     /// Drains every update from sender `w_id` across *all* sub-queues, in
     /// increasing iteration order. Used by the bounded-staleness Recv
     /// (Fig. 9), which scans per-sender and keeps the newest.
     pub fn drain_from_worker(&mut self, w_id: usize) -> Vec<TaggedEntry<T>> {
-        let mut all = Vec::new();
-        self.extract_into(usize::MAX, |tag| tag.w_id == w_id, &mut all);
+        let mut all = self.entries.drain_matching(TagFilter::from_worker(w_id));
         // Stable: one iteration's entries share a sub-queue and keep its
         // FIFO order.
         all.sort_by_key(|e| e.tag.iter);
@@ -215,9 +185,7 @@ impl<T> RotatingQueues<T> {
     /// Discards entries older than `min_iter` in all sub-queues (the
     /// periodic cleanup of §4.3), returning the number dropped.
     pub fn discard_older_than(&mut self, min_iter: u64) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|e| e.tag.iter >= min_iter);
-        let dropped = before - self.entries.len();
+        let dropped = self.entries.discard_older_than(min_iter);
         self.stale_discarded += dropped as u64;
         dropped
     }
@@ -226,7 +194,6 @@ impl<T> RotatingQueues<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tagged::{TagFilter, TaggedQueue};
     use proptest::prelude::*;
 
     fn tag(iter: u64, w_id: usize) -> Tag {

@@ -189,19 +189,18 @@ impl<T> TaggedQueue<T> {
     /// (Fig. 8 line 5).
     pub fn dequeue_up_to(&mut self, m: usize, filter: TagFilter) -> Vec<TaggedEntry<T>> {
         let mut taken = Vec::new();
-        if m == 0 {
-            return taken;
-        }
-        let mut kept = VecDeque::with_capacity(self.entries.len());
-        while let Some(entry) = self.entries.pop_front() {
-            if taken.len() < m && filter.matches(entry.tag) {
-                taken.push(entry);
-            } else {
-                kept.push_back(entry);
-            }
-        }
-        self.entries = kept;
+        self.dequeue_up_to_into(m, filter, &mut taken);
         taken
+    }
+
+    /// [`Self::dequeue_up_to`], appending to `out` instead of allocating.
+    pub fn dequeue_up_to_into(
+        &mut self,
+        m: usize,
+        filter: TagFilter,
+        out: &mut Vec<TaggedEntry<T>>,
+    ) {
+        self.extract_into(m, |tag| filter.matches(tag), out);
     }
 
     /// Removes and returns *all* matching entries.
@@ -212,8 +211,14 @@ impl<T> TaggedQueue<T> {
     /// Discards all entries with `tag.iter < min_iter`, returning how many
     /// were dropped. This is the periodic stale-update cleanup of §4.3/§6.2.
     pub fn discard_older_than(&mut self, min_iter: u64) -> usize {
+        self.discard_where(|tag| tag.iter < min_iter)
+    }
+
+    /// Discards every entry whose tag satisfies `stale`, returning how
+    /// many were dropped; the others keep their order.
+    pub(crate) fn discard_where(&mut self, stale: impl Fn(Tag) -> bool) -> usize {
         let before = self.entries.len();
-        self.entries.retain(|e| e.tag.iter >= min_iter);
+        self.entries.retain(|e| !stale(e.tag));
         before - self.entries.len()
     }
 
@@ -223,16 +228,36 @@ impl<T> TaggedQueue<T> {
     /// payloads (buffer recycling).
     pub fn drain_older_than(&mut self, min_iter: u64) -> Vec<TaggedEntry<T>> {
         let mut taken = Vec::new();
-        let mut kept = VecDeque::with_capacity(self.entries.len());
-        while let Some(entry) = self.entries.pop_front() {
-            if entry.tag.iter < min_iter {
-                taken.push(entry);
+        self.extract_into(usize::MAX, |tag| tag.iter < min_iter, &mut taken);
+        taken
+    }
+
+    /// Moves the first `limit` entries whose tag satisfies `wanted` to
+    /// `out`, in FIFO order, by rotating the deque in place: each visited
+    /// entry leaves the front and either goes to `out` or back in at the
+    /// rear, so the ones left keep their order and no second deque is
+    /// built.
+    fn extract_into(
+        &mut self,
+        limit: usize,
+        wanted: impl Fn(Tag) -> bool,
+        out: &mut Vec<TaggedEntry<T>>,
+    ) {
+        let mut taken = 0;
+        let mut unvisited = self.entries.len();
+        while taken < limit && unvisited > 0 {
+            let entry = self.entries.pop_front().expect("unvisited entries remain");
+            unvisited -= 1;
+            if wanted(entry.tag) {
+                out.push(entry);
+                taken += 1;
             } else {
-                kept.push_back(entry);
+                self.entries.push_back(entry);
             }
         }
-        self.entries = kept;
-        taken
+        // The kept entries went to the rear; put the unvisited ones
+        // behind them again.
+        self.entries.rotate_left(unvisited);
     }
 
     /// Iterates over entries in FIFO order without removing them.
@@ -357,6 +382,50 @@ mod tests {
                 prop_assert_eq!(values, expected);
             }
             prop_assert!(q.is_empty());
+        }
+
+        /// `dequeue_up_to_into` takes the first `m` matching entries in
+        /// order, appends them after what `out` held, and leaves the rest
+        /// in their order — checked against a plain `Vec` model.
+        #[test]
+        fn partial_dequeues_match_a_vec_model(
+            ops in proptest::collection::vec((0u64..3, 0usize..3), 0..40),
+            takes in proptest::collection::vec(
+                (0usize..4, 0u64..3, 0usize..3, 0u8..2),
+                1..8,
+            ),
+        ) {
+            let mut q = TaggedQueue::unbounded();
+            let mut model: Vec<(usize, Tag)> = Vec::new();
+            for (k, &(iter, w_id)) in ops.iter().enumerate() {
+                q.enqueue(k, tag(iter, w_id)).unwrap();
+                model.push((k, tag(iter, w_id)));
+            }
+            let mut out = vec![TaggedEntry { value: usize::MAX, tag: tag(9, 9) }];
+            for &(m, fi, fw, exact) in &takes {
+                let filter = if exact == 1 {
+                    TagFilter::exact(fi, fw)
+                } else {
+                    TagFilter::iter(fi)
+                };
+                q.dequeue_up_to_into(m, filter, &mut out);
+                let mut expect = Vec::new();
+                let mut taken = 0;
+                model.retain(|&(v, t)| {
+                    let take = taken < m && filter.matches(t);
+                    if take {
+                        expect.push(v);
+                        taken += 1;
+                    }
+                    !take
+                });
+                prop_assert_eq!(out[0].value, usize::MAX);
+                let got: Vec<usize> = out.drain(1..).map(|e| e.value).collect();
+                prop_assert_eq!(got, expect);
+                let left: Vec<usize> = q.iter().map(|e| e.value).collect();
+                let model_left: Vec<usize> = model.iter().map(|&(v, _)| v).collect();
+                prop_assert_eq!(left, model_left);
+            }
         }
 
         /// `size` agrees with what `drain_matching` returns.

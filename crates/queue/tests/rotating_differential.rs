@@ -1,4 +1,4 @@
-//! Differential suite: the interleaved single-deque [`RotatingQueues`]
+//! Differential suite: the interleaved single-queue [`RotatingQueues`]
 //! against the retained one-`TaggedQueue`-per-sub-queue oracle
 //! [`SubQueues`] (`support/sub_queues.rs`).
 //!

@@ -15,8 +15,9 @@
 //!   Reduce output while the old replica is still shared with in-flight
 //!   snapshots (the buffer comes from the pool; the `Arc` does not).
 //!
-//! Everything else on the pump — rotating queues, the Recv entry and
-//! view buffers, token grants, loss series, events — reuses storage.
+//! Everything else on the pump — rotating queues, the Recv's entry
+//! buffer, token grants, loss series, events — reuses storage, and the
+//! Reduce's view list sits on the stack.
 //!
 //! The allocator counts every thread, so this binary holds one test: a
 //! second test running beside it would be counted too.
