@@ -69,6 +69,13 @@ pub struct TrainingReport {
     /// tail of one with. Deterministic and digest-excluded like
     /// [`TrainingReport::compute_handoffs`].
     pub inline_joins: u64,
+    /// Chunks of the pump's long sweeps (the Reduce, the int8 encode)
+    /// that the simulator's compute helper ran between hand-offs
+    /// (`sim_runtime::engine`, "Compute futures"); 0 for a run without
+    /// one. Unlike the two counters above this depends on the two
+    /// threads' schedule, so it is reported, never compared, and
+    /// excluded from [`TrainingReport::digest`].
+    pub sweep_chunks_helped: u64,
     /// Payload messages dropped by the fault plane (loss draws, cut/dead
     /// links). Diagnostic accounting, excluded from
     /// [`TrainingReport::digest`]: with an empty [`hop_sim::FaultPlan`]
@@ -331,6 +338,7 @@ mod tests {
         let mut pumped = report.clone();
         pumped.events_processed = 12_345;
         (pumped.compute_handoffs, pumped.inline_joins) = (3124, 64);
+        pumped.sweep_chunks_helped = 77;
         assert_eq!(base, pumped.digest(), "pump counters must be excluded");
         // Excluded: compression bookkeeping.
         let mut saved = report.clone();

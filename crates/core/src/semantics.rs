@@ -112,14 +112,44 @@ pub fn reduce_staleness_with(
     out: &mut [f32],
 ) {
     assert!(!updates.is_empty(), "reduce of zero updates");
-    let weights: Vec<f32> = updates
+    let weights = updates
         .iter()
-        .map(|&(iter, _)| staleness_weight_with(scheme, iter, k, s))
-        .collect();
-    let slices: Vec<&[f32]> = updates.iter().map(|&(_, x)| x).collect();
-    let wsum: f32 = weights.iter().sum();
-    assert!(wsum > 0.0, "weight sum must be positive, got {wsum}");
-    ops::scaled_sum(&slices, Some(&weights), 1.0 / wsum, apply, out);
+        .map(|&(iter, _)| staleness_weight_with(scheme, iter, k, s));
+    with_inline(weights, 0.0, |weights| {
+        with_inline(updates.iter().map(|&(_, x)| x), &[][..], |slices| {
+            let wsum: f32 = weights.iter().sum();
+            assert!(wsum > 0.0, "weight sum must be positive, got {wsum}");
+            ops::scaled_sum(slices, Some(weights), 1.0 / wsum, apply, out);
+        });
+    });
+}
+
+/// Calls `f` with `items` collected: into an array on the stack (the
+/// unused slots hold `fill`) when there are at most 16, into a `Vec`
+/// otherwise. A Reduce over an in-degree of 16 or less thus allocates
+/// nothing for its input lists.
+pub(crate) fn with_inline<T: Copy, R>(
+    items: impl IntoIterator<Item = T>,
+    fill: T,
+    f: impl FnOnce(&[T]) -> R,
+) -> R {
+    const INLINE: usize = 16;
+    let mut inline = [fill; INLINE];
+    let mut items = items.into_iter();
+    let mut n = 0;
+    // `zip` asks the array first, so a 17th item stays in `items`.
+    for (slot, item) in inline.iter_mut().zip(items.by_ref()) {
+        *slot = item;
+        n += 1;
+    }
+    match items.next() {
+        None => f(&inline[..n]),
+        Some(next) => f(&inline
+            .into_iter()
+            .chain([next])
+            .chain(items)
+            .collect::<Vec<_>>()),
+    }
 }
 
 /// The skip decision of §5, made while acquiring tokens at the end of an

@@ -139,25 +139,15 @@ struct Decentralized<'a> {
 }
 
 /// Calls `f` with the payloads of `entries`, then `own` if given, as the
-/// Reduce's input list. Up to `INLINE` views sit in an array on the
-/// stack, so the Recv of a worker with in-degree below 16 allocates
-/// nothing for them; a longer list is collected into a `Vec`.
+/// Reduce's input list ([`semantics::with_inline`]: no allocation for an
+/// in-degree of 16 or less).
 fn with_views<R>(
     entries: &[TaggedEntry<ParamBlock>],
     own: Option<&[f32]>,
     f: impl FnOnce(&[&[f32]]) -> R,
 ) -> R {
-    const INLINE: usize = 16;
     let views = entries.iter().map(|e| e.value.as_slice()).chain(own);
-    let n = entries.len() + usize::from(own.is_some());
-    if n > INLINE {
-        return f(&views.collect::<Vec<_>>());
-    }
-    let mut inline: [&[f32]; INLINE] = [&[]; INLINE];
-    for (slot, view) in inline.iter_mut().zip(views) {
-        *slot = view;
-    }
-    f(&inline[..n])
+    semantics::with_inline(views, &[][..], f)
 }
 
 impl<'a> Decentralized<'a> {
@@ -547,29 +537,28 @@ impl<'a> Decentralized<'a> {
                 self.workers[w].phase = Phase::WaitUpdates(step);
                 return;
             }
-            let views: Vec<(u64, &[f32])> = newest
-                .iter()
-                .map(|slot| {
-                    let (iter, params) = slot.as_ref().expect("checked satisfied");
-                    (*iter, params.as_slice())
-                })
-                .collect();
-            for (&nbr, &(iter, _)) in self.topology.in_neighbors(w).iter().zip(&views) {
-                step.consume(&mut eng.conformance, nbr, iter);
-            }
-            let step = step.reduce(&mut eng.conformance);
-            // Full overwrite: the old contents are not read, so a shared
-            // replica detaches without copying.
-            let WorkerCommon { opt, params, .. } = &mut eng.workers[w];
-            semantics::reduce_staleness_with(
-                self.cfg.staleness_weighting,
-                &views,
-                k,
-                s,
-                parallel.then(|| opt.step_term()),
-                params.overwrite_mut(&mut eng.pool),
-            );
-            step
+            let views = newest.iter().map(|slot| {
+                let (iter, params) = slot.as_ref().expect("checked satisfied");
+                (*iter, params.as_slice())
+            });
+            semantics::with_inline(views, (0, &[][..]), |views| {
+                for (&nbr, &(iter, _)) in self.topology.in_neighbors(w).iter().zip(views) {
+                    step.consume(&mut eng.conformance, nbr, iter);
+                }
+                let step = step.reduce(&mut eng.conformance);
+                // Full overwrite: the old contents are not read, so a
+                // shared replica detaches without copying.
+                let WorkerCommon { opt, params, .. } = &mut eng.workers[w];
+                semantics::reduce_staleness_with(
+                    self.cfg.staleness_weighting,
+                    views,
+                    k,
+                    s,
+                    parallel.then(|| opt.step_term()),
+                    params.overwrite_mut(&mut eng.pool),
+                );
+                step
+            })
         } else {
             let quota = semantics::backup_quota(in_deg, self.cfg.n_backup);
             if self.workers[w].queue.size(k) < quota {

@@ -46,10 +46,11 @@
 //! ([`BufferPool::acquire`]/[`release`](BufferPool::release)) and
 //! reclaims dequeued snapshots once their last holder drops them.
 //! Per-example forward/backward intermediates live in each worker's
-//! [`GradScratch`]. The steady state is not allocation-free: on the
-//! decentralized runtime a worker-iteration costs about 3.2 heap
-//! allocations, and `tests/alloc_budget.rs` pins at most 4. What remains
-//! is the sampler's index vector and the `Batch` built from it, and the
+//! [`GradScratch`], and the sampler draws each batch's indices into a
+//! buffer the running thread keeps. The steady state is not allocation-free: on
+//! the decentralized runtime a worker-iteration costs 2.2 heap
+//! allocations, and `tests/alloc_budget.rs` pins at most 2.25. What
+//! remains is the `Batch` built from the sampler's indices, and the
 //! fresh `Arc` that [`ParamBlock::overwrite_mut`] makes when the replica
 //! it replaces is still shared with in-flight snapshots.
 //!
@@ -75,6 +76,23 @@
 //! fill one (`workers × params` below the threshold), a single-core
 //! host, and the side-by-side points of a multi-threaded sweep get no
 //! helper at all, and every job takes that route.
+//!
+//! Between hand-offs the helper also shares the pump's long sweeps.
+//! `drive` creates a [`Board`] (`hop_tensor::sweep`) with the helper —
+//! so wherever there is no helper there is no board either — and `pump`
+//! installs it on its thread with a guard that uninstalls it however the
+//! pump ends. Every sweep of at least [`sweep::SPLIT_MIN`] elements the
+//! pump then runs through a splitting kernel — a Reduce with its Apply
+//! tail (`scaled_sum`), an int8 encode (`max_abs_sum`, then
+//! `quantize_advance` or `quantize_feedback`), an evaluation's average —
+//! is posted in chunks: the pump runs them from the front, the helper,
+//! polling the board in `recv_spinning` while it waits for a hand-off,
+//! from the back; a helper busy with a gradient job leaves every chunk
+//! to the pump. Splitting cannot change a bit: each output element is
+//! computed by the same expression from the same-index inputs on either
+//! thread, and the int8 scale's maximum is exact under any grouping.
+//! [`TrainingReport::sweep_chunks_helped`] counts the helper's chunks;
+//! unlike the hand-off counters, it depends on the schedule.
 //!
 //! The helper is scoped to [`SimEngine::drive`], which moves the engine
 //! into the scope: however the pump ends — a report, or a panic
@@ -107,7 +125,8 @@
 //! simulation only at the join — an event the pump orders like any
 //! other — and the arithmetic is the same sequential code on either
 //! thread: the schedule decides *when* a gradient is ready, never *what*
-//! it is or who sees it.
+//! it is or who sees it. Likewise it decides which thread writes a
+//! chunk of a shared sweep, never what the chunk holds.
 //! Sharing never changes values: snapshots are immutable,
 //! copy-on-write detaches before any write, and pooled buffers are
 //! handed out zero-filled, or — for a `Reduce` output or a stream's next
@@ -125,12 +144,14 @@ use hop_model::{GradScratch, Model, Sgd};
 use hop_sim::{
     ClusterSpec, EventQueue, FaultEvent, NetModel, Network, SlowdownModel, Trace, Verdict,
 };
+use hop_tensor::sweep::{self, Board};
 use hop_tensor::{BufferPool, ParamBlock};
 use hop_util::Xoshiro256;
 use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, RecvError, Sender, TryRecvError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How long either end of the hand-off polls before parking: in steady
@@ -150,13 +171,20 @@ thread_local! {
             _ => 4096,
         },
     );
+
+    /// Whether a run driven on this thread with a compute helper also
+    /// shares the pump's long sweeps with it on a [`Board`]. Always, but
+    /// for tests that compare runs with and without one.
+    pub(crate) static SHARE_SWEEPS: Cell<bool> = const { Cell::new(true) };
 }
 
-/// `rx.recv()` that polls for [`SPIN`] before it parks.
-fn recv_spinning<T>(rx: &Receiver<T>) -> Result<T, RecvError> {
-    let start = Instant::now();
+/// `rx.recv()` that polls for [`SPIN`] before it parks, calling `idle`
+/// between polls; work `idle` reports doing restarts the [`SPIN`].
+fn recv_spinning<T>(rx: &Receiver<T>, mut idle: impl FnMut() -> bool) -> Result<T, RecvError> {
+    let mut start = Instant::now();
     while start.elapsed() < SPIN {
         match rx.try_recv() {
+            Err(TryRecvError::Empty) if idle() => start = Instant::now(),
             Err(TryRecvError::Empty) => std::hint::spin_loop(),
             settled => return settled.map_err(|_| RecvError),
         }
@@ -179,8 +207,10 @@ struct GradJob {
 }
 
 impl GradJob {
-    fn run(&mut self, model: &dyn Model, dataset: &InMemoryDataset) {
-        let batch = self.sampler.next_batch(dataset);
+    /// Runs the job, drawing the batch's indices into the running
+    /// thread's `indices` buffer.
+    fn run(&mut self, model: &dyn Model, dataset: &InMemoryDataset, indices: &mut Vec<usize>) {
+        let batch = self.sampler.next_batch_with(indices, dataset);
         self.loss = model.loss_grad_with(&self.params, &batch, &mut self.grad, &mut self.scratch);
         if self.advance {
             self.opt.advance(&self.params, &self.grad);
@@ -394,6 +424,12 @@ pub struct SimEngine<'a, E> {
     slots: Vec<Slot>,
     /// `None` runs every job on the pump, at its join.
     helper: Option<Helper>,
+    /// Where the pump shares its long sweeps with the helper, if it has
+    /// one (module docs, "Compute futures").
+    board: Option<Arc<Board>>,
+    /// The batch sampler's index buffer, for the gradients the pump
+    /// evaluates (the helper keeps its own).
+    indices: Vec<usize>,
     /// [`TrainingReport::compute_handoffs`] so far.
     handoffs: u64,
     /// [`TrainingReport::inline_joins`] so far.
@@ -490,6 +526,8 @@ impl<'a, E> SimEngine<'a, E> {
             aborted: false,
             slots: (0..n_workers).map(|_| Slot::Idle).collect(),
             helper: None,
+            board: None,
+            indices: Vec::new(),
             handoffs: 0,
             inline_joins: 0,
         }
@@ -546,7 +584,7 @@ impl<'a, E> SimEngine<'a, E> {
     pub fn sample_grad(&mut self, w: usize, params: &[f32], grad_out: &mut [f32]) -> f32 {
         self.assert_idle(w);
         let wc = &mut self.workers[w];
-        let batch = wc.sampler.next_batch(self.dataset);
+        let batch = wc.sampler.next_batch_with(&mut self.indices, self.dataset);
         self.model
             .loss_grad_with(params, &batch, grad_out, &mut wc.scratch)
     }
@@ -556,7 +594,7 @@ impl<'a, E> SimEngine<'a, E> {
     pub fn local_grad(&mut self, w: usize, now: f64, grad_out: &mut [f32]) -> f32 {
         self.assert_idle(w);
         let wc = &mut self.workers[w];
-        let batch = wc.sampler.next_batch(self.dataset);
+        let batch = wc.sampler.next_batch_with(&mut self.indices, self.dataset);
         let WorkerCommon {
             params, scratch, ..
         } = wc;
@@ -639,7 +677,7 @@ impl<'a, E> SimEngine<'a, E> {
                             .remove(at.expect("a queued job is in the outbox"));
                     }
                     self.inline_joins += 1;
-                    job.run(self.model, self.dataset);
+                    job.run(self.model, self.dataset, &mut self.indices);
                     break job;
                 }
                 Slot::Done(job) => break job,
@@ -651,7 +689,7 @@ impl<'a, E> SimEngine<'a, E> {
                     if let Some(payload) = helper.panic.take() {
                         resume_unwind(payload);
                     }
-                    let (done, panic) = recv_spinning(&helper.results)
+                    let (done, panic) = recv_spinning(&helper.results, || false)
                         .expect("the helper outlives the pump unless a job panics");
                     helper.panic = panic;
                     for job in done {
@@ -812,15 +850,21 @@ impl<'a, E> SimEngine<'a, E> {
                     outbox: Vec::with_capacity(per_handoff),
                     panic: None,
                 });
+                let board = SHARE_SWEEPS.get().then(|| Arc::new(Board::new()));
+                self.board.clone_from(&board);
+                // Between hand-offs the helper runs chunks of the pump's
+                // sweeps.
+                let idle = move || board.as_ref().is_some_and(|b| b.help());
                 // Until the engine drops its sender. A panicking job ends
                 // the hand-off there — it and the jobs behind it are
                 // dropped, its payload goes back — and ends the helper.
                 scope.spawn(move || {
-                    while let Ok(mut batch) = recv_spinning(&job_rx) {
+                    let mut indices = Vec::new();
+                    while let Ok(mut batch) = recv_spinning(&job_rx, &idle) {
                         let mut ran = 0;
                         let panic = catch_unwind(AssertUnwindSafe(|| {
                             for job in &mut batch {
-                                job.run(model, dataset);
+                                job.run(model, dataset, &mut indices);
                                 ran += 1;
                             }
                         }))
@@ -838,6 +882,8 @@ impl<'a, E> SimEngine<'a, E> {
     }
 
     fn pump<P: WorkerProtocol<Event = E>>(mut self, proto: &mut P) -> TrainingReport {
+        // Uninstalled however the pump ends.
+        let _sweeps = self.board.clone().map(sweep::install);
         proto.start(&mut self);
         let n = self.workers.len() as u64;
         let mut budget = self
@@ -892,6 +938,7 @@ impl<'a, E> SimEngine<'a, E> {
             events_processed,
             compute_handoffs: self.handoffs,
             inline_joins: self.inline_joins,
+            sweep_chunks_helped: self.board.as_ref().map_or(0, |b| b.chunks_helped()),
             messages_dropped,
             crashes,
             rejoins,

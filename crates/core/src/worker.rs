@@ -448,6 +448,7 @@ pub(crate) fn worker_loop<T: Transport>(
     let mut sampler = BatchSampler::for_worker(dataset.len(), hyper.batch_size, seed, w);
     let mut grad = vec![0.0f32; params.len()];
     let mut scratch = GradScratch::new();
+    let mut indices = Vec::new();
     let mut losses = Vec::with_capacity(max_iters as usize);
     let in_deg = topo.in_degree(w);
     let in_neighbors = topo.in_neighbors(w);
@@ -524,7 +525,7 @@ pub(crate) fn worker_loop<T: Transport>(
         if !job.compute_sleep.is_zero() {
             std::thread::sleep(job.compute_sleep);
         }
-        let batch = sampler.next_batch(dataset);
+        let batch = sampler.next_batch_with(&mut indices, dataset);
         let loss = model.loss_grad_with(params.as_slice(), &batch, &mut grad, &mut scratch);
         let mut step = step.end_compute(sink);
         losses.push(loss);

@@ -7,11 +7,15 @@
 //! the 10k-worker ledger workload — must give the same digest, event
 //! sequence and fault log all three ways, whatever the two threads'
 //! schedule (CI loops this module ×20, and once under `--release`).
+//! A cut of the reference run, whose 64K-parameter Reduces and int8
+//! encodes are long enough to split, runs a different three ways: on the
+//! pump alone, beside a helper that shares no sweep, and beside one that
+//! shares them on a sweep board.
 //!
 //! Compiled into `hop_core`'s unit-test target (`#[path]` in
 //! `src/sim_runtime/mod.rs`): the threshold is crate-private.
 
-use super::engine::OFFLOAD_MIN_PARAMS;
+use super::engine::{OFFLOAD_MIN_PARAMS, SHARE_SWEEPS};
 use crate::config::{PsConfig, PsMode, QgmConfig};
 use crate::{HopConfig, Hyper, Protocol, SimExperiment, SkipConfig, TrainingReport};
 use hop_data::webspam::{SyntheticWebspam, WebspamConfig};
@@ -278,6 +282,58 @@ fn the_10k_worker_shape_batches_64_jobs_to_a_hand_off_and_joins_under_1_percent_
         batched.inline_joins,
         jobs(&exp)
     );
+}
+
+#[test]
+fn the_reference_run_gives_the_same_bits_with_its_sweeps_shared() {
+    // `sim_ref16_int8`'s recipe (`benchmark/src/workloads.rs`) cut to 12
+    // iterations and 256 examples: 64K parameters, so every Reduce,
+    // int8 encode and evaluation average is a sweep the board splits.
+    let cfg = HopConfig::backup(1, 5)
+        .with_skip(SkipConfig::with_max_jump(10))
+        .with_compression(CompressionConfig::Int8Uniform);
+    let mut cluster = ClusterSpec::uniform(16, 4, 0.05, LinkModel::ethernet_1gbps());
+    let mut rng = Xoshiro256::seed_from_u64(1);
+    for w in 0..16 {
+        cluster.set_compute_time(w, 0.05 * (0.98 + 0.04 * rng.next_f64()));
+    }
+    let exp = SimExperiment {
+        topology: Topology::ring_based(16),
+        cluster,
+        slowdown: SlowdownModel::paper_straggler(16, 0, 6.0),
+        protocol: Protocol::Hop(cfg),
+        hyper: Hyper::svm(),
+        max_iters: 12,
+        seed: 1,
+        eval_every: 10,
+        eval_examples: 256,
+    };
+    let wide = WebspamConfig {
+        dim: 1 << 16,
+        nnz_per_example: 32,
+        label_noise: 0.05,
+    };
+    let dataset = SyntheticWebspam::generate_with(256, 1, wide);
+    let model = Svm::log_loss(1 << 16);
+    let run = |min, share| {
+        OFFLOAD_MIN_PARAMS.set(min);
+        SHARE_SWEEPS.set(share);
+        exp.run_conformance(&model, &dataset).expect("valid")
+    };
+    // On the pump alone (no helper, so no board); every job shipped to
+    // a helper that shares no sweep; and shipped to one that does.
+    let (serial, unshared, shared) = (run(usize::MAX, true), run(0, false), run(0, true));
+    assert!(!serial.deadlocked);
+    assert_eq!(serial.compute_handoffs, 0);
+    assert_eq!(serial.sweep_chunks_helped + unshared.sweep_chunks_helped, 0);
+    // Schedule-dependent, so only its being nonzero is checked.
+    assert!(shared.sweep_chunks_helped > 0, "the helper ran no chunk");
+    for (way, offload) in [("unshared", &unshared), ("shared", &shared)] {
+        assert_eq!(serial.digest(), offload.digest(), "{way}: digest");
+        assert_eq!(serial.conformance, offload.conformance, "{way}: events");
+        assert_eq!(serial.fault_log, offload.fault_log, "{way}: fault log");
+        assert_eq!(serial.events_processed, offload.events_processed, "{way}");
+    }
 }
 
 #[test]

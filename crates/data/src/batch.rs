@@ -70,9 +70,25 @@ impl BatchSampler {
     ///
     /// Panics if `dataset.len()` differs from the sampler's `n`.
     pub fn next_batch<'a, D: Dataset + ?Sized>(&mut self, dataset: &'a D) -> Batch<'a> {
+        self.next_batch_with(&mut Vec::new(), dataset)
+    }
+
+    /// [`BatchSampler::next_batch`], drawing the indices into `indices`
+    /// (whose contents it replaces) instead of a fresh vector: the same
+    /// batch, without the index allocation once the buffer has grown.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dataset.len()` differs from the sampler's `n`.
+    pub fn next_batch_with<'a, D: Dataset + ?Sized>(
+        &mut self,
+        indices: &mut Vec<usize>,
+        dataset: &'a D,
+    ) -> Batch<'a> {
         assert_eq!(dataset.len(), self.n, "sampler/dataset size mismatch");
-        let idx = self.next_indices();
-        dataset.batch(&idx)
+        self.rng
+            .sample_indices_into(self.n, self.batch_size, indices);
+        dataset.batch(indices)
     }
 }
 
@@ -114,6 +130,21 @@ mod tests {
             sorted.dedup();
             assert_eq!(sorted.len(), 10);
             assert!(sorted.iter().all(|&i| i < 50));
+        }
+    }
+
+    #[test]
+    fn next_batch_with_draws_the_same_batches() {
+        let d = SyntheticWebspam::generate(40, 1);
+        let (mut a, mut b) = (BatchSampler::new(40, 6, 4), BatchSampler::new(40, 6, 4));
+        let mut indices = Vec::new();
+        for _ in 0..5 {
+            let (x, y) = (a.next_batch(&d), b.next_batch_with(&mut indices, &d));
+            assert!(x
+                .examples
+                .iter()
+                .zip(&y.examples)
+                .all(|(p, q)| std::ptr::eq(*p, *q)));
         }
     }
 

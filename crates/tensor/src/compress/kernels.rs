@@ -53,37 +53,55 @@
 //! of a codec depends on one.
 
 use crate::ops::simd::{on_backend, Backend, Lanes, LANES};
+use crate::sweep::{self, MaxBits};
 
 /// `max_i |x[i] + alpha * r[i]|` over the non-NaN values, at least `0.0`
-/// (so `0.0` for an empty or all-NaN block). SIMD-dispatched.
+/// (so `0.0` for an empty or all-NaN block). SIMD-dispatched, and split
+/// on an installed [`sweep::Board`]: the chunks' maxima combine exactly.
 ///
 /// # Panics
 ///
 /// Panics if `r` and `x` have different lengths.
 pub fn max_abs_sum(alpha: f32, r: &[f32], x: &[f32]) -> f32 {
-    Backend::host().max_abs_sum(alpha, r, x)
+    assert_eq!(r.len(), x.len(), "max_abs_sum length mismatch");
+    let (backend, max) = (Backend::host(), MaxBits::new());
+    sweep::split(x.len(), (), |range, ()| {
+        max.fold(backend.max_abs_sum(alpha, &r[range.clone()], &x[range]));
+    });
+    max.get()
 }
 
 /// The error-feedback quantize sweep: with `w = x[i] + residual[i]`,
 /// writes `q[i] = quantize(w)` and `residual[i] = w - q[i] * scale`.
-/// SIMD-dispatched.
+/// SIMD-dispatched, and split on an installed [`sweep::Board`].
 ///
 /// # Panics
 ///
 /// Panics if the three slices have different lengths.
 pub fn quantize_feedback(x: &[f32], scale: f32, residual: &mut [f32], q: &mut [i8]) {
-    Backend::host().quantize_feedback(x, scale, residual, q);
+    assert_eq!(x.len(), residual.len(), "quantize_feedback length mismatch");
+    assert_eq!(x.len(), q.len(), "quantize_feedback length mismatch");
+    let backend = Backend::host();
+    sweep::split(x.len(), (residual, q), |range, (residual, q)| {
+        backend.quantize_feedback(&x[range], scale, residual, q);
+    });
 }
 
 /// The parameter-stream quantize sweep: with `w = x[i] - old[i]`, writes
 /// `q[i] = quantize(w)` and `new[i] = old[i] + q[i] * scale`.
-/// SIMD-dispatched.
+/// SIMD-dispatched, and split on an installed [`sweep::Board`].
 ///
 /// # Panics
 ///
 /// Panics if the four slices have different lengths.
 pub fn quantize_advance(x: &[f32], scale: f32, old: &[f32], new: &mut [f32], q: &mut [i8]) {
-    Backend::host().quantize_advance(x, scale, old, new, q);
+    assert_eq!(x.len(), old.len(), "quantize_advance length mismatch");
+    assert_eq!(x.len(), new.len(), "quantize_advance length mismatch");
+    assert_eq!(x.len(), q.len(), "quantize_advance length mismatch");
+    let backend = Backend::host();
+    sweep::split(x.len(), (new, q), |range, (new, q)| {
+        backend.quantize_advance(&x[range.clone()], scale, &old[range], new, q);
+    });
 }
 
 /// The int8 kernels on an explicit backend: the shape checks, then the

@@ -36,6 +36,7 @@ pub mod compress;
 pub mod ops;
 pub mod param_block;
 pub mod pool;
+pub mod sweep;
 pub mod tensor;
 
 pub use compress::{

@@ -109,7 +109,9 @@ pub type Tail<'a> = Option<(f32, &'a [f32])>;
 /// then adds `alpha * addend[i]`, product rounded before the sum: bit for
 /// bit the `axpy(alpha, addend, out)` pass it saves (Fig. 2b's Apply).
 /// With `weights` and `factor = 1 / Σw` this is the bounded-staleness
-/// Reduce of Eq. (2).
+/// Reduce of Eq. (2). A long sweep is shared in chunks with a helper
+/// thread when a [`crate::sweep::Board`] is installed on this thread;
+/// each element is computed by the same expression either way.
 ///
 /// # Panics
 ///
@@ -122,7 +124,24 @@ pub fn scaled_sum(
     tail: Tail<'_>,
     out: &mut [f32],
 ) {
-    Backend::host().scaled_sum(inputs, weights, factor, tail, out);
+    check_scaled_sum(inputs, weights, tail, out.len());
+    let backend = Backend::host();
+    crate::sweep::split(out.len(), out, |range, out| {
+        on_backend!(
+            backend,
+            scaled_sum_body(inputs, weights, factor, tail, range.start, out)
+        );
+    });
+}
+
+/// [`scaled_sum`]'s shape checks, for an output of `len` elements.
+fn check_scaled_sum(inputs: &[&[f32]], weights: Option<&[f32]>, tail: Tail<'_>, len: usize) {
+    for x in inputs.iter().chain(tail.iter().map(|(_, addend)| addend)) {
+        assert_eq!(x.len(), len, "scaled_sum length mismatch");
+    }
+    if let Some(w) = weights {
+        assert_eq!(w.len(), inputs.len(), "inputs/weights mismatch");
+    }
 }
 
 /// Row-major GEMV: `y = A x` where `A` is `m x n`.
@@ -244,13 +263,8 @@ impl Backend {
         tail: Tail<'_>,
         out: &mut [f32],
     ) {
-        for x in inputs.iter().chain(tail.iter().map(|(_, addend)| addend)) {
-            assert_eq!(x.len(), out.len(), "scaled_sum length mismatch");
-        }
-        if let Some(w) = weights {
-            assert_eq!(w.len(), inputs.len(), "inputs/weights mismatch");
-        }
-        on_backend!(self, scaled_sum_body(inputs, weights, factor, tail, out));
+        check_scaled_sum(inputs, weights, tail, out.len());
+        on_backend!(self, scaled_sum_body(inputs, weights, factor, tail, 0, out));
     }
 
     /// [`axpy`] on this backend.
@@ -287,7 +301,9 @@ impl Backend {
     }
 }
 
-/// [`scaled_sum`] on `V`. Each lane starts at `0.0` and adds its inputs
+/// [`scaled_sum`] on `V`, writing `out[i]` from element `base + i` of the
+/// inputs and the addend (`base` is where a split sweep's chunk starts).
+/// Each lane starts at `0.0` and adds its inputs
 /// left to right (`w_j * x_j` rounded before the add), then `* factor`,
 /// then `+ alpha * addend`, the product rounded first: the scalar tail's
 /// expression, which is the composed reference's per-element order. Four
@@ -299,13 +315,14 @@ fn scaled_sum_body<V: Lanes>(
     weights: Option<&[f32]>,
     factor: f32,
     tail: Tail<'_>,
+    base: usize,
     out: &mut [f32],
 ) {
     const CHAINS: usize = 4;
     let (groups, rest) = out.as_chunks_mut::<{ CHAINS * LANES }>();
     let done = groups.len() * CHAINS * LANES;
     for (g, o) in groups.iter_mut().enumerate() {
-        let i = g * CHAINS * LANES;
+        let i = base + g * CHAINS * LANES;
         let mut acc = [V::splat(0.0); CHAINS];
         for (j, x) in inputs.iter().enumerate() {
             let x = x[i..i + CHAINS * LANES].as_chunks::<LANES>().0;
@@ -325,7 +342,7 @@ fn scaled_sum_body<V: Lanes>(
         }
     }
     for (k, oi) in rest.iter_mut().enumerate() {
-        let i = done + k;
+        let i = base + done + k;
         let mut acc = 0.0f32;
         for (j, x) in inputs.iter().enumerate() {
             acc += weights.map_or(x[i], |w| w[j] * x[i]);

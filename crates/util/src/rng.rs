@@ -181,10 +181,24 @@ impl Xoshiro256 {
     ///
     /// Panics if `k > n`.
     pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
+        let mut out = Vec::with_capacity(k);
+        self.sample_indices_into(n, k, &mut out);
+        out
+    }
+
+    /// [`Xoshiro256::sample_indices`] into `out`, whose contents it
+    /// replaces: the same draws, and no allocation once `out` has held
+    /// `k` indices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k > n`.
+    pub fn sample_indices_into(&mut self, n: usize, k: usize, out: &mut Vec<usize>) {
         assert!(k <= n, "cannot sample {k} distinct indices from {n}");
-        // Every draw (and the allocation) before the table is touched:
+        // Every draw (and any allocation) before the table is touched:
         // nothing below can unwind and leave it displaced.
-        let mut out: Vec<usize> = (0..k).map(|i| i + self.index(n - i)).collect();
+        out.clear();
+        out.extend((0..k).map(|i| i + self.index(n - i)));
         IDENTITY.with_borrow_mut(|table| {
             let have = table.len();
             table.extend(have..n);
@@ -198,7 +212,6 @@ impl Xoshiro256 {
                 (table[i], table[j]) = (i, j);
             }
         });
-        out
     }
 }
 
@@ -315,13 +328,17 @@ mod tests {
                     let mut sparse = Xoshiro256::seed_from_u64(seed);
                     let mut dense = sparse.clone();
                     // Back to back: a second sample starts from the state
-                    // the first left.
-                    for round in 0..3 {
-                        assert_eq!(
-                            sparse.sample_indices(n, k),
-                            sample_indices_dense(&mut dense, n, k),
-                            "n {n} k {k} seed {seed} round {round}"
-                        );
+                    // the first left. Odd rounds draw `_into` the buffer
+                    // the round before filled, a stale sample.
+                    let mut buffer = Vec::new();
+                    for round in 0..4 {
+                        let expected = sample_indices_dense(&mut dense, n, k);
+                        if round % 2 == 0 {
+                            buffer = sparse.sample_indices(n, k);
+                        } else {
+                            sparse.sample_indices_into(n, k, &mut buffer);
+                        }
+                        assert_eq!(buffer, expected, "n {n} k {k} seed {seed} round {round}");
                     }
                     assert_eq!(sparse.next_u64(), dense.next_u64(), "same draws");
                 }
