@@ -25,8 +25,8 @@
 //!   one worker iteration loop (the private `worker` module), each
 //!   worker owning its [`hop_queue`] inbox, over two transports: OS
 //!   threads posting to each other's mailboxes and OS *processes* on one
-//!   host over Unix-domain sockets speaking [`hop_wire`]
-//!   length-prefixed frames (measured socket bytes equal the simulator's
+//!   host speaking [`hop_wire`] length-prefixed frames through
+//!   shared-memory rings (measured link bytes equal the simulator's
 //!   `bytes_sent` by construction).
 //! * [`trainer`] — the high-level [`trainer::SimExperiment`] API.
 //! * [`sweep`] — cartesian experiment grids ([`sweep::SweepGrid`])

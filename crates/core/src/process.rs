@@ -1,34 +1,46 @@
 //! The multi-process runtime: Hop's queue-based protocol across OS
-//! *processes* on one host over Unix-domain sockets, speaking the
-//! [`hop_wire`] length-prefixed frame format.
+//! *processes* on one host, speaking the [`hop_wire`] length-prefixed
+//! frame format through shared-memory rings.
 //!
 //! A [`ProcessExperiment`] plays coordinator: in a private run directory
-//! (mode `0o700`, removed with its sockets however the run ends) it
+//! (mode `0o700`, removed with its files however the run ends) it
 //! listens on `coordinator.sock`, re-execs the worker binary (`hop_worker
 //! --worker <coordinator-socket> <id>`) once per worker, hands each its
 //! spec (a [`Message::Spec`] frame) and collects one [`Message::Summary`]
 //! per worker at the end. Worker `w` listens on `<w>.sock` beside it, so
 //! nothing is exchanged to find a peer. Workers connect to each other
-//! directly — one connection per directed external edge `w -> o`,
-//! carrying `w`'s updates one way and `o`'s token grants the other — and
-//! drive the one worker iteration loop (`crate::worker`, shared with
-//! [`crate::threaded`]) over the socket transport defined here. Outbound,
+//! directly — one link per directed external edge `w -> o`, carrying
+//! `w`'s updates one way and `o`'s token grants the other — and drive the
+//! one worker iteration loop (`crate::worker`, shared with
+//! [`crate::threaded`]) over the transport defined here. Outbound,
 //! delivering an update is one encoded frame fanned out to the out-links
-//! and a token grant is a frame on an in-link. After set-up a worker
-//! process runs one thread: its sockets are non-blocking, a write the
-//! kernel cannot take whole keeps its tail in the link's buffer, and
-//! whenever the loop waits it pumps every link (`poll(2)`, one read per
-//! readable link, frames decoded in place, unsent tails flushed) into the
-//! worker's own inbox until the wait is satisfied. No write can block the
-//! loop, so two peers writing at each other cannot deadlock. A wait first
-//! pumps without blocking a few times, yielding the core in between, and
-//! only then parks.
+//! and a token grant is a frame on an in-link.
 //!
-//! The fleet is single-host by construction, and a worker's CPU goes
-//! mostly into per-frame `send` and `recv` calls: writing and then reading
-//! one 1 033-byte frame over a connected pair costs about 1.6 µs over
-//! `AF_UNIX` against 7.6 µs over TCP loopback with `TCP_NODELAY` (2-core
-//! x86-64 Linux host), hence Unix-domain sockets.
+//! A link's frames travel through a pair of single-producer/single-
+//! consumer byte rings, one per direction, in a file mapping both workers
+//! share: `w` creates `<w>-<o>.ring` in the run directory before its
+//! hello, and `o` maps it and unlinks it on accepting the connection (the
+//! private `ring` module). Sending a frame copies it into a ring, and a
+//! frame the ring cannot take whole keeps its tail in the link's buffer;
+//! receiving copies the ring out and decodes frames in place. No system
+//! call is on that path. The link's Unix-domain socket carries only the
+//! hello, one-byte doorbells, and the EOF of a peer's exit. After set-up a
+//! worker process runs one thread, and whenever the loop waits it pumps
+//! every link (unsent tails flushed, every ring read) into the worker's
+//! own inbox until the wait is satisfied. No write can block the loop, so
+//! two peers writing at each other cannot deadlock. A wait first pumps
+//! without blocking a few times, yielding the core in between, and only
+//! then parks: it flags each ring it waits on (for bytes, or for room for
+//! an unsent tail), looks once more, and sleeps in `poll(2)` on the
+//! sockets. A worker that moves bytes rings a doorbell only when the
+//! flag says the other end is parked.
+//!
+//! The fleet is single-host by construction, so its links need no kernel
+//! on the data path. On `proc_ring4_int8` (2-core x86-64 Linux host) a
+//! worker-iteration cost about 21 µs of CPU over sockets, 10 µs of it
+//! system time spent in per-frame `send`, `poll` and `recv` calls; over
+//! rings it costs about 13 µs, 2.5 µs of it system time, mostly the
+//! parks' `poll` and doorbells.
 //!
 //! # Wire accounting
 //!
@@ -38,7 +50,7 @@
 //! to its virtual network), so the summed
 //! [`RuntimeReport::update_wire_bytes`] equals the simulator's
 //! `bytes_sent` for the same grid point by construction — the number is
-//! measured on a real socket, not modeled.
+//! measured on the real links, not modeled.
 //!
 //! # Conformance
 //!
@@ -58,18 +70,19 @@
 //! back as a typed summary error naming the field, not a panic.
 //!
 //! Links close by handshake. A finished worker floods its final tokens,
-//! writes `Finished` on every link, half-closes it (`shutdown(Write)`)
-//! once that is flushed, and keeps pumping every link until the peer's
-//! own `Finished` arrives (bounded by `stall_timeout`) before the
-//! process exits: exiting with unread frames in a receive buffer turns
-//! the close into a reset (see `SocketTransport::finish`). Only the
-//! pump's reads give a link its verdict — the peer finished, or the link
-//! broke (EOF without `Finished`, a read error, a corrupt or unexpected
-//! frame) — and the first broken link fails the wait in progress and
-//! every later transport call, naming the peer. A failed write only stops
-//! the writing and leaves the verdict to the next read: a late token grant
-//! to a peer that finished first is benign, while a peer that died mid-run
-//! surfaces as a peer loss naming it, not as a bare I/O string or a stall.
+//! writes `Finished` on every link, and keeps pumping every link until the
+//! peer's own `Finished` arrives (bounded by `stall_timeout`) before the
+//! process exits, so every frame a peer wrote before its `Finished` is
+//! read. Only the pump gives a link its verdict — the peer finished, or
+//! the link broke (a corrupt ring header, a corrupt or unexpected frame,
+//! or the peer's socket at EOF without `Finished`) — and the first broken
+//! link fails the wait in progress and every later transport call, naming
+//! the peer. EOF is acted on only once the peer's ring is drained: a peer
+//! whose `Finished` is in it left on its own (a late token grant to it is
+//! benign), while a peer that died mid-run surfaces as a peer loss naming
+//! it, not as a bare I/O string or a stall. Each ring's shared positions
+//! are checked against its capacity before use, so a corrupt header fails
+//! its link closed and nothing is read or written outside the mapping.
 //! The coordinator turns missing summaries into
 //! [`ProcessError::PeerLost`] and — when
 //! [`ProcessExperiment::failure_label`] is set — serializes the partial
@@ -97,13 +110,15 @@ use hop_wire::{read_message, write_message, Body, Message, WireError};
 use std::fmt::Write as _;
 use std::fs::DirBuilder;
 use std::io::{self, ErrorKind, Read as _, Write as _};
-use std::net::Shutdown;
 use std::os::unix::fs::DirBuilderExt as _;
 use std::os::unix::net::{SocketAddr, UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
+
+mod ring;
+use ring::{Corrupt, RingPair};
 
 /// Error from the process runtime's coordinator half.
 #[derive(Debug)]
@@ -183,11 +198,11 @@ impl From<ConfigError> for ProcessError {
     }
 }
 
-/// A process-per-worker decentralized training run over Unix sockets.
+/// A process-per-worker decentralized training run on one host.
 ///
 /// The workload is the conformance suite's synthetic webspam SVM,
 /// reconstructed identically on each worker from `(examples,
-/// data_seed)` — a model cannot be shipped through a socket, but its
+/// data_seed)` — a model cannot be shipped through a link, but its
 /// recipe can.
 #[derive(Debug, Clone)]
 pub struct ProcessExperiment {
@@ -287,7 +302,7 @@ impl ProcessExperiment {
         }
         let n = self.topology.len();
         // Declared before the fleet, so dropped after it: the workers are
-        // reaped before their sockets go.
+        // reaped before their sockets and rings go.
         let run_dir = RunDir::create(&std::env::temp_dir())?;
         let addr = run_dir.0.join(COORDINATOR_SOCKET);
         let listener = UnixListener::bind(&addr).map_err(|error| ProcessError::Io {
@@ -443,9 +458,16 @@ fn worker_socket(dir: &Path, w: usize) -> PathBuf {
     dir.join(format!("{w}.sock"))
 }
 
+/// The shared rings of link `u -> w` in the run directory, from `u`'s
+/// creating them until `w` has mapped them.
+fn ring_file(dir: &Path, u: usize, w: usize) -> PathBuf {
+    dir.join(format!("{u}-{w}.ring"))
+}
+
 /// The fleet's private run directory, `hop-<pid>-<n>` under a base
-/// directory, holding every socket of one run. Only its owner may enter it
-/// (mode `0o700`); it is removed, sockets and all, on drop.
+/// directory, holding every socket and ring file of one run. Only its
+/// owner may enter it (mode `0o700`); it is removed, files and all, on
+/// drop.
 struct RunDir(PathBuf);
 
 impl RunDir {
@@ -764,8 +786,8 @@ impl WorkerSpec {
     }
 }
 
-/// `poll(2)`, the one readiness call the worker's pump needs and std
-/// does not wrap.
+/// `poll(2)`, the one readiness call the coordinator's accept loop and a
+/// parked worker need and std does not wrap.
 mod sys {
     use std::ffi::c_int;
     use std::io;
@@ -773,7 +795,6 @@ mod sys {
     use std::time::Duration;
 
     pub(super) const POLLIN: i16 = 0x1;
-    pub(super) const POLLOUT: i16 = 0x4;
 
     /// `struct pollfd`.
     #[repr(C)]
@@ -822,10 +843,13 @@ mod sys {
     }
 }
 
-/// Free space a link's read buffer keeps for the next `read`: one read
-/// takes in every small frame the kernel holds, a large frame arrives
-/// over several.
-const READ_CHUNK: usize = 64 * 1024;
+/// Free space a link's read buffer keeps for the next ring read: one
+/// read takes in every byte the ring holds, a large frame arrives over
+/// several.
+const READ_CHUNK: usize = RING_BYTES;
+
+/// Bytes of each of a link's two shared rings.
+const RING_BYTES: usize = 64 * 1024;
 
 /// Which frames a link carries to this worker.
 #[allow(clippy::large_enum_variant)] // a few per worker, set up once
@@ -842,39 +866,51 @@ enum Inbound {
     },
 }
 
-/// One non-blocking socket connection to a peer. On an out-link `w -> o`
-/// this worker writes update frames and reads `o`'s token grants; on an
-/// in-link `u -> w` it reads `u`'s updates and writes token grants back.
+/// One connection to a peer: frames travel through its pair of shared
+/// rings, and its socket carries only doorbells and, when the peer exits,
+/// EOF. On an out-link `w -> o` this worker writes update frames and reads
+/// `o`'s token grants; on an in-link `u -> w` it reads `u`'s updates and
+/// writes token grants back.
 struct Link {
     peer: usize,
     stream: UnixStream,
+    rings: RingPair,
     inbound: Inbound,
     /// Bytes read so far; `read[decoded..filled]` is not a whole frame
     /// yet.
     read: Vec<u8>,
     decoded: usize,
     filled: usize,
-    /// Frame bytes the kernel has not taken yet, from `out[sent..]`.
+    /// Frame bytes the ring has not taken yet, from `out[sent..]`.
     out: Vec<u8>,
     sent: usize,
     /// The peer said `Finished`: nothing more will arrive.
     finished: bool,
-    /// This worker writes nothing more here: its own `Finished` is out
-    /// and the link half-closed, or the peer finished and left.
+    /// This worker writes nothing more here: its own `Finished` is in the
+    /// ring, or the peer finished and left.
     shut: bool,
     /// The link failed (the transport keeps why): neither read nor
     /// written again.
     broken: bool,
+    /// The peer's socket reached EOF (or a reset): the peer has exited.
+    /// What that means waits until its ring is drained.
+    gone: bool,
 }
 
 impl Link {
-    fn new(peer: usize, stream: UnixStream, inbound: Inbound) -> Result<Link, String> {
+    fn new(
+        peer: usize,
+        stream: UnixStream,
+        rings: RingPair,
+        inbound: Inbound,
+    ) -> Result<Link, String> {
         stream
             .set_nonblocking(true)
             .map_err(|e| format!("configure peer socket: {e}"))?;
         Ok(Link {
             peer,
             stream,
+            rings,
             inbound,
             read: Vec::new(),
             decoded: 0,
@@ -884,6 +920,7 @@ impl Link {
             finished: false,
             shut: false,
             broken: false,
+            gone: false,
         })
     }
 
@@ -895,44 +932,46 @@ impl Link {
         !self.out.is_empty() && !self.broken
     }
 
-    /// Queues `frame` behind any bytes still unsent and writes what the
-    /// kernel takes now. Never waits: the pump flushes the rest.
-    fn send(&mut self, frame: &[u8]) -> io::Result<()> {
+    /// Queues `frame` behind any bytes still unsent and copies what the
+    /// ring takes now. Never waits: the pump flushes the rest.
+    fn send(&mut self, frame: &[u8]) -> Result<(), Corrupt> {
         if self.shut || self.broken {
             return Ok(());
         }
         if !self.out.is_empty() {
             self.out.extend_from_slice(frame);
-            return self.flush();
+            return self.flush().map(drop);
         }
-        let n = match (&self.stream).write(frame) {
-            Ok(n) => n,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => 0,
-            Err(e) => return Err(e),
-        };
+        let n = self.rings.write(frame)?;
         self.out.extend_from_slice(&frame[n..]);
+        self.wrote(n);
         Ok(())
     }
 
-    /// Writes as much unsent output as the kernel takes now.
-    fn flush(&mut self) -> io::Result<()> {
-        while self.sent < self.out.len() {
-            match (&self.stream).write(&self.out[self.sent..]) {
-                Ok(0) => return Err(ErrorKind::WriteZero.into()),
-                Ok(n) => self.sent += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
+    /// Copies as much unsent output as the ring takes now; says whether
+    /// any moved.
+    fn flush(&mut self) -> Result<bool, Corrupt> {
+        let n = self.rings.write(&self.out[self.sent..])?;
+        self.sent += n;
+        if self.sent == self.out.len() {
+            self.out.clear();
+            self.sent = 0;
         }
-        self.out.clear();
-        self.sent = 0;
-        Ok(())
+        self.wrote(n);
+        Ok(n > 0)
     }
 
-    /// One `read` into the buffer behind the undecoded bytes; `Ok(0)` is
-    /// EOF.
-    fn read_once(&mut self) -> io::Result<usize> {
+    /// After `n` bytes went into the ring: rings the peer if it parked
+    /// waiting for them.
+    fn wrote(&self, n: usize) {
+        if n > 0 && self.rings.reader_parked() {
+            self.ring_bell();
+        }
+    }
+
+    /// One ring read into the buffer behind the undecoded bytes; rings
+    /// the peer if it parked waiting for the room this frees.
+    fn read_once(&mut self) -> Result<usize, Corrupt> {
         if self.read.len() - self.filled < READ_CHUNK {
             self.read.copy_within(self.decoded..self.filled, 0);
             self.filled -= self.decoded;
@@ -941,9 +980,34 @@ impl Link {
                 self.read.resize(self.filled + READ_CHUNK, 0);
             }
         }
-        let n = (&self.stream).read(&mut self.read[self.filled..])?;
+        let n = self.rings.read(&mut self.read[self.filled..])?;
         self.filled += n;
+        if n > 0 && self.rings.writer_parked() {
+            self.ring_bell();
+        }
         Ok(n)
+    }
+
+    /// Sends the peer a one-byte doorbell. A failure is ignored: a full
+    /// socket buffer already holds an unread doorbell, and a peer that
+    /// has gone is judged by what its ring and its EOF say.
+    fn ring_bell(&self) {
+        let _ = (&self.stream).write(&[1]);
+    }
+
+    /// Reads the doorbells the peer rang, noting EOF or an error (a
+    /// reset, when it exited with doorbells unread) as the peer gone.
+    fn take_bells(&mut self) {
+        let mut bells = [0; 64];
+        self.gone |= loop {
+            match (&self.stream).read(&mut bells) {
+                Ok(n) if n == bells.len() => {}
+                Ok(0) => break true,
+                Ok(_) => break false,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => break e.kind() != ErrorKind::WouldBlock,
+            }
+        };
     }
 
     /// What EOF now means, as [`read_message`] would have said it.
@@ -959,32 +1023,22 @@ impl Link {
         }
     }
 
-    /// A write failed: nothing more is written here, and the pump's reads
-    /// say what it meant. A peer that said `Finished` left on its own (the
-    /// simulator likewise charges sends to finished workers — delivery is
-    /// the receiver's problem); EOF or a read error before that is a loss.
-    fn write_failed(&mut self) {
-        self.out.clear();
-        self.sent = 0;
-        self.shut = true;
-    }
-
-    /// Once this worker's `Finished` is queued: half-closes the link as
-    /// soon as it is flushed, and says whether it is settled — shut with
-    /// the peer's `Finished` in, or broken.
+    /// Once this worker's `Finished` is queued: shuts the link as soon as
+    /// it is in the ring, and says whether it is settled — shut with the
+    /// peer's `Finished` in, or broken.
     fn settle(&mut self) -> bool {
         if !self.shut && !self.broken && self.out.is_empty() {
-            let _ = self.stream.shutdown(Shutdown::Write);
             self.shut = true;
         }
         self.broken || (self.shut && self.finished)
     }
 }
 
-/// The socket [`Transport`]: one [`Link`] per directed external edge,
-/// and no thread but the worker's own. Its pump reads what arrived on
-/// every link into the worker's inbox and flushes what is still unsent.
-struct SocketTransport<'a> {
+/// The process [`Transport`]: one [`Link`] per directed external edge,
+/// and no thread but the worker's own. Its pump reads what arrived in
+/// every link's ring into the worker's inbox and flushes what is still
+/// unsent, and parks on the links' sockets when nothing moves.
+struct RingTransport<'a> {
     w: usize,
     /// Fault hook (see [`ProcessExperiment::die_at`]).
     die_at: Option<u64>,
@@ -1010,12 +1064,12 @@ struct SocketTransport<'a> {
     wire_bytes: u64,
 }
 
-impl<'a> SocketTransport<'a> {
+impl<'a> RingTransport<'a> {
     /// Worker `w`'s transport over `links`, the first `out_links` of them
     /// its out-links, for `dim`-parameter updates; no fault hook until
     /// set.
     fn new(w: usize, clock: &'a AtomicU64, links: Vec<Link>, out_links: usize, dim: usize) -> Self {
-        SocketTransport {
+        RingTransport {
             w,
             die_at: None,
             clock,
@@ -1048,25 +1102,20 @@ impl<'a> SocketTransport<'a> {
 
     /// Writes the encoded `frame` to link `i`.
     fn send_frame(&mut self, i: usize) {
-        if self.links[i].send(&self.frame).is_err() {
-            self.links[i].write_failed();
+        if let Err(e) = self.links[i].send(&self.frame) {
+            self.fail(i, e);
         }
     }
 
-    /// Reads link `i` once (if it is still being read) and takes in every
-    /// whole frame it has. EOF before the peer's `Finished` is a peer
-    /// loss. Says whether anything arrived.
+    /// Reads link `i`'s ring once (if it is still being read) and takes
+    /// in every whole frame it has. Says whether anything arrived.
     fn read_link(&mut self, inbox: &mut Inbox, i: usize) -> bool {
         let link = &mut self.links[i];
         if !link.reading() {
             return false;
         }
-        let peer = link.peer;
         match link.read_once() {
-            Ok(0) => {
-                let e = link.eof();
-                self.fail(i, format_args!("worker {peer} died mid-stream: {e}"));
-            }
+            Ok(0) => return false,
             Ok(_) => {
                 while self.links[i].reading() {
                     let link = &mut self.links[i];
@@ -1082,15 +1131,48 @@ impl<'a> SocketTransport<'a> {
                     }
                 }
             }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {
-                return false;
-            }
-            Err(e) => {
-                let e = WireError::Io(e);
-                self.fail(i, format_args!("worker {peer} died mid-stream: {e}"));
-            }
+            Err(e) => self.fail(i, e),
         }
         true
+    }
+
+    /// Flushes every link's unsent output and reads every link's ring
+    /// once; says whether any bytes moved.
+    fn service(&mut self, inbox: &mut Inbox) -> bool {
+        let mut moved = false;
+        for i in 0..self.links.len() {
+            if self.links[i].writing() {
+                match self.links[i].flush() {
+                    Ok(flushed) => moved |= flushed,
+                    Err(e) => self.fail(i, e),
+                }
+            }
+            moved |= self.read_link(inbox, i);
+        }
+        moved
+    }
+
+    /// Gives every link whose peer has gone its verdict, once its ring is
+    /// drained: a peer that said `Finished` left on its own (nothing more
+    /// is written to it — the simulator likewise charges sends to
+    /// finished workers, and delivery is the receiver's problem); one
+    /// that did not is lost.
+    fn judge_gone(&mut self, inbox: &mut Inbox) {
+        for i in 0..self.links.len() {
+            if !self.links[i].gone || self.links[i].broken {
+                continue;
+            }
+            while self.read_link(inbox, i) {}
+            let link = &mut self.links[i];
+            if link.reading() {
+                let (peer, e) = (link.peer, link.eof());
+                self.fail(i, format_args!("worker {peer} died mid-stream: {e}"));
+            } else if !link.broken {
+                link.shut = true;
+                link.out.clear();
+                link.sent = 0;
+            }
+        }
     }
 
     /// Takes one frame from link `i` into the inbox's updates or token
@@ -1165,56 +1247,62 @@ impl<'a> SocketTransport<'a> {
     }
 }
 
-impl Transport for SocketTransport<'_> {
+impl Transport for RingTransport<'_> {
     type Error = String;
 
-    /// Empty pump rounds — a `poll` that does not block, then
-    /// `thread::yield_now` — a wait makes before it parks in a blocking
-    /// `poll`. In steady state the frame a worker waits for is this close:
-    /// catching it here spares both processes a sleep and a wake-up, and
-    /// yielding leaves the core to whoever is about to send it. Chosen from
-    /// the perf ledger's `proc_ring4_int8` over `AF_UNIX` on a 2-core host
-    /// (worker iterations per second, median of 5 runs of 8 s): 0 rounds
-    /// 38.9 k, 5 → 61.3 k, 20 → 58.5 k, 50 → 67.8 k; over 10 alternating
-    /// 20 s pairs 50 beat 20 in only 4 (60.9 k against 59.2 k).
+    /// Empty pump rounds — a look at every ring, then
+    /// `thread::yield_now` — a wait makes before it parks in `poll`. In
+    /// steady state the frame a worker waits for is this close: catching
+    /// it here spares both processes a doorbell, a sleep and a wake-up,
+    /// and yielding leaves the core to whoever is about to send it. Chosen
+    /// from the perf ledger's `proc_ring4_int8` on a 2-core host (worker
+    /// iterations per second, median of 5 runs of 8 s): 0 rounds 60.7 k,
+    /// 5 → 134.5 k, 20 → 134.2 k, 50 → 118.3 k; over 8 alternating 10 s
+    /// pairs 20 beat 5 in 5 (136.1 k against 129.6 k).
     const SPIN_ROUNDS: u32 = 20;
 
-    /// One pump round: waits up to `timeout` for a link with something to
-    /// read (until the peer's `Finished`) or room for its unsent output,
-    /// then reads each readable link once and flushes each writable one.
-    /// Says whether any bytes moved.
+    /// One pump round: flushes unsent output into the rings and reads
+    /// every ring. If nothing moved and `timeout` is not zero, parks:
+    /// flags every ring it waits on (bytes to read until the peer's
+    /// `Finished`, room for unsent output), looks once more, and sleeps in
+    /// `poll` on the links' sockets until a doorbell, an EOF or `timeout`;
+    /// then reads the doorbells, moves what arrived, and judges every peer
+    /// that has gone. Says whether any bytes moved.
     fn pump(&mut self, inbox: &mut Inbox, timeout: Duration) -> bool {
+        let moved = self.service(inbox);
+        if moved || timeout.is_zero() {
+            return moved;
+        }
         self.fds.clear();
         self.polled.clear();
+        let mut ready = false;
         for (i, link) in self.links.iter().enumerate() {
-            let events = (if link.reading() { sys::POLLIN } else { 0 })
-                | (if link.writing() { sys::POLLOUT } else { 0 });
-            if events != 0 {
-                self.fds.push(sys::poll_fd(&link.stream, events));
+            let (data, space) = (link.reading(), link.writing());
+            if data || space {
+                ready |= link.rings.park(data, space);
+                self.fds.push(sys::poll_fd(&link.stream, sys::POLLIN));
                 self.polled.push(i);
             }
         }
-        if let Err(e) = sys::wait(&mut self.fds, timeout) {
+        let slept = if ready {
+            Ok(())
+        } else {
+            sys::wait(&mut self.fds, timeout)
+        };
+        for j in 0..self.polled.len() {
+            let link = &mut self.links[self.polled[j]];
+            link.rings.unpark();
+            if self.fds[j].revents != 0 {
+                link.take_bells();
+            }
+        }
+        if let Err(e) = slept {
             self.failure
                 .get_or_insert_with(|| format!("polling peer links: {e}"));
             return false;
         }
-        let mut moved = false;
-        for j in 0..self.polled.len() {
-            let (i, ready) = (self.polled[j], self.fds[j].revents);
-            // An error or a hang-up is reported whatever was asked for;
-            // the read or write it wakes says which.
-            if ready & !sys::POLLOUT != 0 {
-                moved |= self.read_link(inbox, i);
-            }
-            let link = &mut self.links[i];
-            if ready & !sys::POLLIN != 0 && link.writing() {
-                moved = true;
-                if link.flush().is_err() {
-                    link.write_failed();
-                }
-            }
-        }
+        let moved = self.service(inbox);
+        self.judge_gone(inbox);
         moved
     }
 
@@ -1277,13 +1365,10 @@ impl Transport for SocketTransport<'_> {
     }
 
     /// The close handshake: say `Finished` on every link (the first
-    /// time), half-close each once that is flushed, and be closed once
-    /// every peer's own `Finished` is in. Exiting with unread frames in a
-    /// receive buffer turns the close into a reset: on Linux the `AF_UNIX`
-    /// peer reads `ECONNRESET`, not EOF, once it has drained its queue.
-    /// The handshake ends every link in an orderly EOF after both
-    /// `Finished` frames, so a peer's legal late token grant can never
-    /// look like a peer loss.
+    /// time), shut each once that is in its ring, and be closed once every
+    /// peer's own `Finished` is in. A worker exits only then, so it has
+    /// read every frame its peers wrote, and its exit reads to them as a
+    /// finished peer leaving, not as a loss.
     fn finish(&mut self) -> Result<bool, String> {
         if !self.closing {
             self.closing = true;
@@ -1295,8 +1380,8 @@ impl Transport for SocketTransport<'_> {
                 self.send_frame(i);
             }
         }
-        // Every link, not up to the first unsettled one: each gets its
-        // half-close as soon as it is flushed.
+        // Every link, not up to the first unsettled one: each is shut as
+        // soon as it is flushed.
         let mut closed = true;
         for link in &mut self.links {
             closed &= link.settle();
@@ -1357,7 +1442,7 @@ fn worker_session(coordinator: &str, w: usize) -> Result<(), String> {
 }
 
 /// The worker's whole run: receive and validate the spec, wire up the
-/// peer links, then drive the shared iteration loop over the socket
+/// peer links, then drive the shared iteration loop over the ring
 /// transport. The stamped event log lands in `events` whether or not the
 /// run succeeds; on success also returns the update bytes put on the
 /// wire.
@@ -1388,32 +1473,44 @@ fn worker_run(
     let init_params = ParamBlock::from_vec(model.init_params(&mut init_rng));
 
     // Dial every update receiver: each bound its socket before its hello,
-    // and no spec went out before every hello, so a refusal is final.
+    // and no spec went out before every hello, so a refusal is final. The
+    // link's rings are in place before its hello.
     let mut links = Vec::new();
     for &o in topo.external_out_neighbors(w) {
+        let rings_path = ring_file(run_dir, w, o);
+        let rings = RingPair::create(&rings_path, RING_BYTES)
+            .map_err(|e| format!("create rings {}: {e}", rings_path.display()))?;
         let path = worker_socket(run_dir, o);
         let mut stream = UnixStream::connect(&path)
             .map_err(|e| format!("connect to peer {}: {e}", path.display()))?;
         let hello = Message::Hello { worker: w as u32 };
         write_message(&mut stream, &hello).map_err(|e| format!("hello to peer {o}: {e}"))?;
-        links.push(Link::new(o, stream, Inbound::Tokens)?);
+        links.push(Link::new(o, stream, rings, Inbound::Tokens)?);
     }
     let out_links = links.len();
     // Accept one connection per update sender and identify it.
     let externals_in = topo.external_in_neighbors(w);
     let accepted = accept_hellos(listener, externals_in, deadline, |_| Ok(()))?;
     for (&u, stream) in externals_in.iter().zip(accepted) {
+        let rings_path = ring_file(run_dir, u, w);
+        let rings = RingPair::open(&rings_path, RING_BYTES)
+            .map_err(|e| format!("map rings {}: {e}", rings_path.display()))?;
         let mut plane = CompressionPlane::new(spec.cfg.compression);
         plane.add_param_streams(1, init_params.as_slice());
         let pool = BufferPool::new();
-        links.push(Link::new(u, stream, Inbound::Updates { plane, pool })?);
+        links.push(Link::new(
+            u,
+            stream,
+            rings,
+            Inbound::Updates { plane, pool },
+        )?);
     }
 
     // The Lamport clock: the sink bumps it, every frame max-merges into it.
     let clock = AtomicU64::new(0);
-    let mut transport = SocketTransport {
+    let mut transport = RingTransport {
         die_at: spec.die_at,
-        ..SocketTransport::new(w, &clock, links, out_links, init_params.len())
+        ..RingTransport::new(w, &clock, links, out_links, init_params.len())
     };
     let job = WorkerJob {
         w,
@@ -1580,21 +1677,33 @@ mod tests {
         assert!(!base.exists());
     }
 
+    /// Both ends of link `1 -> 0` in a fresh run directory: rings of
+    /// `cap` bytes each and a connected socket pair, worker 1's end first.
+    fn link_ends(run: &RunDir, cap: usize) -> [(RingPair, UnixStream); 2] {
+        let path = ring_file(&run.0, 1, 0);
+        let dialer = RingPair::create(&path, cap).expect("creates the rings");
+        let acceptor = RingPair::open(&path, cap).expect("maps the rings");
+        assert!(!path.exists(), "the accepting end unlinks the ring file");
+        let (one, other) = UnixStream::pair().expect("socket pair");
+        [(dialer, one), (acceptor, other)]
+    }
+
     #[test]
     fn peers_writing_megabytes_at_each_other_both_drain() {
-        // Both ends of one socket pair queue 32 dense 64K-parameter
-        // update frames (8 MB) before either reads — far more than the
-        // two kernel socket buffers (~200 KB each for `AF_UNIX`) hold. A
-        // blocking write would wait for a reader that is itself blocked
-        // writing; the pump keeps the unsent tail and flushes it while it
-        // reads, so both drain, and the close handshake completes.
+        // Both ends of one link queue 32 dense 64K-parameter update frames
+        // (8 MB) before either reads — far more than its two 64 KiB rings
+        // hold. A blocking write would wait for a reader that is itself
+        // blocked writing; the pump keeps the unsent tail and flushes it
+        // while it reads, a writer parked for room is rung when its reader
+        // frees some, so both drain, and the close handshake completes.
         const FRAMES: usize = 32;
         const DIM: usize = 64 * 1024;
         let timeout = Duration::from_secs(20);
-        let (one, other) = UnixStream::pair().expect("socket pair");
+        let run = RunDir::create(&std::env::temp_dir()).expect("run dir");
+        let ends = link_ends(&run, RING_BYTES);
         let both_queued = std::sync::Barrier::new(2);
         std::thread::scope(|scope| {
-            for (me, stream) in [(0, one), (1, other)] {
+            for (me, (rings, stream)) in ends.into_iter().enumerate() {
                 let both_queued = &both_queued;
                 scope.spawn(move || {
                     let clock = AtomicU64::new(0);
@@ -1602,8 +1711,8 @@ mod tests {
                         plane: CompressionPlane::new(CompressionConfig::Identity),
                         pool: BufferPool::new(),
                     };
-                    let link = Link::new(1 - me, stream, inbound).expect("non-blocking");
-                    let mut end = SocketTransport::new(me, &clock, vec![link], 0, DIM);
+                    let link = Link::new(1 - me, stream, rings, inbound).expect("non-blocking");
+                    let mut end = RingTransport::new(me, &clock, vec![link], 0, DIM);
                     let mut inbox = Inbox::new(None, 0);
                     let block = CompressedBlock::Dense {
                         values: vec![1.0; DIM],
@@ -1627,6 +1736,61 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn a_corrupt_shared_ring_header_fails_the_link_closed_naming_the_peer() {
+        // Worker 0 reads token grants from worker 1 through a 64-byte
+        // ring. After one honest grant, worker 1's end moves the ring's
+        // tail behind the head, or more than the capacity ahead of it.
+        // Worker 0's next pump must break the link and name worker 1,
+        // neither panicking nor reading outside the mapping.
+        const CAP: usize = 64;
+        let grant = |count| {
+            let mut frame = Vec::new();
+            hop_wire::encode_frame(&Message::Token { count, clock: 0 }, &mut frame);
+            frame
+        };
+        let frame_len = grant(1).len() as u64;
+        for (case, tail) in [
+            ("tail behind head", frame_len - 1),
+            ("tail past capacity", frame_len + CAP as u64 + 1),
+            ("tail far behind head", u64::MAX),
+        ] {
+            let run = RunDir::create(&std::env::temp_dir()).expect("run dir");
+            let [(mut writer, _bell), (rings, stream)] = link_ends(&run, CAP);
+            let clock = AtomicU64::new(0);
+            let link = Link::new(1, stream, rings, Inbound::Tokens).expect("non-blocking");
+            let mut reader = RingTransport::new(0, &clock, vec![link], 1, 1);
+            let mut inbox = Inbox::new(Some(0), 1);
+            assert_eq!(writer.write(&grant(3)), Ok(grant(3).len()));
+            assert!(reader.pump(&mut inbox, Duration::ZERO), "{case}");
+            assert_eq!((inbox.tokens[0], reader.failed()), (3, Ok(())), "{case}");
+            writer.corrupt_tail(tail);
+            reader.pump(&mut inbox, Duration::from_millis(10));
+            let why = reader.failed().expect_err(case);
+            assert!(reader.links[0].broken, "{case}");
+            assert!(why.contains("peer link to worker 1"), "{case}: {why}");
+            assert!(why.contains("corrupt shared ring header"), "{case}: {why}");
+            assert_eq!(inbox.tokens[0], 3, "{case}: nothing is read past it");
+        }
+        // The writer's side: a head moved past the tail fails its next
+        // write the same way.
+        let run = RunDir::create(&std::env::temp_dir()).expect("run dir");
+        let [(rings, stream), (reader, _bell)] = link_ends(&run, CAP);
+        let clock = AtomicU64::new(0);
+        let inbound = Inbound::Updates {
+            plane: CompressionPlane::new(CompressionConfig::Identity),
+            pool: BufferPool::new(),
+        };
+        let link = Link::new(0, stream, rings, inbound).expect("non-blocking");
+        let mut writer = RingTransport::new(1, &clock, vec![link], 0, 1);
+        reader.corrupt_head(7);
+        assert_eq!(
+            writer.grant(0, 1).map_err(|why| why.contains("worker 0")),
+            Err(true)
+        );
+        assert!(writer.links[0].broken);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! # Linearization
 //!
 //! Every `Send` of iteration `k` is stamped before
-//! [`Transport::deliver`] runs (a socket transport encodes one frame,
+//! [`Transport::deliver`] runs (the process transport encodes one frame,
 //! reading the Lamport clock once, and fans it out), token grants are
 //! stamped before [`Transport::grant`], and consumes / token takes /
 //! drops after the inbox operation they observe, which comes after the

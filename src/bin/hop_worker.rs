@@ -9,8 +9,9 @@
 //!
 //! Each worker listens on its own Unix-domain socket in the coordinator
 //! socket's directory, connects back, receives its spec over the
-//! [`hop::wire`] frame protocol, wires one connection per directed
-//! external edge to its peers' sockets in the same directory, and runs
+//! [`hop::wire`] frame protocol, wires one link per directed external
+//! edge to its peers in the same directory (a socket for the hello and
+//! the doorbells, a pair of shared-memory rings for the frames), and runs
 //! the Hop iteration loop. `--smoke` runs a small self-contained
 //! experiment (this same binary re-exec'd as its own fleet) and
 //! oracle-checks the merged trace — the smoke test CI runs on every push.

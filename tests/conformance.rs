@@ -353,7 +353,7 @@ fn threaded_skip_jumps_and_conforms() {
 #[test]
 fn process_skip_jumps_and_conforms() {
     // The same straggler as a worker process: its skip decision reads
-    // token counts the socket transport takes in from the wire, and the
+    // token counts the process transport takes in from its links, and the
     // jump must actually happen and pass the oracle.
     let cfg = HopConfig::backup(1, 4).with_skip(SkipConfig {
         max_jump: 6,
