@@ -1594,10 +1594,7 @@ impl<'a> Replay<'a> {
             }
             let (quota, max) = if renew {
                 let ext = allowed.len();
-                let quota = semantics::backup_quota(ext + 1, self.cfg.n_backup)
-                    .saturating_sub(1)
-                    .max(1);
-                (quota, ext)
+                (semantics::renew_quota(ext, self.cfg.n_backup), ext)
             } else {
                 let in_deg = self.topology.in_degree(worker);
                 (semantics::backup_quota(in_deg, self.cfg.n_backup), in_deg)

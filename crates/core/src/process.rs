@@ -467,14 +467,18 @@ fn ring_file(dir: &Path, u: usize, w: usize) -> PathBuf {
 /// The fleet's private run directory, `hop-<pid>-<n>` under a base
 /// directory, holding every socket and ring file of one run. Only its
 /// owner may enter it (mode `0o700`); it is removed, files and all, on
-/// drop.
+/// drop, or by a later [`RunDir::create`] if its process died first.
 struct RunDir(PathBuf);
 
 impl RunDir {
     /// Creates a fresh run directory under `base`, or fails closed, naming
     /// the path, when its sockets' paths would not fit in `sun_path`.
+    /// First removes the run directories under `base` that processes
+    /// which no longer exist left behind (one killed by a signal never
+    /// runs `Drop`).
     fn create(base: &Path) -> Result<RunDir, ProcessError> {
         static RUNS: AtomicU64 = AtomicU64::new(0);
+        Self::remove_orphans(base);
         loop {
             let n = RUNS.fetch_add(1, Ordering::Relaxed);
             let dir = base.join(format!("hop-{}-{n}", std::process::id()));
@@ -490,6 +494,27 @@ impl RunDir {
                         .map(|()| RunDir(dir))
                         .map_err(|error| ProcessError::Io { context, error });
                 }
+            }
+        }
+    }
+
+    /// Removes every `hop-<pid>-<n>` directory under `base` whose `pid`
+    /// names no process. One whose process is alive (or exists but is
+    /// not ours to signal) stays; removal errors are ignored.
+    fn remove_orphans(base: &Path) {
+        let Ok(entries) = std::fs::read_dir(base) else {
+            return;
+        };
+        for entry in entries.flatten() {
+            let name = entry.file_name();
+            let pid = name
+                .to_str()
+                .and_then(|name| name.strip_prefix("hop-")?.split_once('-'))
+                .filter(|(_, n)| n.parse::<u64>().is_ok())
+                .and_then(|(pid, _)| pid.parse::<i32>().ok());
+            let is_dir = entry.file_type().is_ok_and(|t| t.is_dir());
+            if is_dir && pid.is_some_and(sys::no_such_process) {
+                let _ = std::fs::remove_dir_all(entry.path());
             }
         }
     }
@@ -787,7 +812,8 @@ impl WorkerSpec {
 }
 
 /// `poll(2)`, the one readiness call the coordinator's accept loop and a
-/// parked worker need and std does not wrap.
+/// parked worker need and std does not wrap, and `kill(2)`'s existence
+/// probe for run directories whose owner is gone.
 mod sys {
     use std::ffi::c_int;
     use std::io;
@@ -811,6 +837,21 @@ mod sys {
 
     extern "C" {
         fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+        fn kill(pid: c_int, sig: c_int) -> c_int;
+    }
+
+    /// `ESRCH` ("no such process") on Linux and the BSDs.
+    const ESRCH: i32 = 3;
+
+    /// Whether `pid` names no process: `kill(pid, 0)` fails with `ESRCH`.
+    /// Any other outcome, `EPERM` (it exists but is not ours) included,
+    /// says it may still exist. Process groups (`pid <= 0`) never match.
+    pub(super) fn no_such_process(pid: c_int) -> bool {
+        // SAFETY: signal 0 only checks that `pid` could be signalled and
+        // delivers nothing; the call takes no pointers.
+        pid > 0
+            && unsafe { kill(pid, 0) } != 0
+            && io::Error::last_os_error().raw_os_error() == Some(ESRCH)
     }
 
     /// Interest in `events` on `socket`.
@@ -1663,6 +1704,23 @@ mod tests {
         drop(run);
         assert!(!dir.exists(), "{} survived its guard", dir.display());
         drop(bound);
+    }
+
+    #[test]
+    fn run_dir_creation_removes_only_directories_of_dead_processes() {
+        let base = std::env::temp_dir().join(format!("run-dir-sweep-{}", std::process::id()));
+        let mut child = std::process::Command::new("true").spawn().expect("spawns");
+        child.wait().expect("reaped");
+        let dead = base.join(format!("hop-{}-0", child.id()));
+        let alive = base.join(format!("hop-{}-999999", std::process::id()));
+        for dir in [&dead, &alive] {
+            std::fs::create_dir_all(dir.join("leftover")).expect("creates");
+        }
+        let run = RunDir::create(&base).expect("creates");
+        assert!(!dead.exists(), "a dead process's run directory survived");
+        assert!(alive.exists(), "a live process's run directory was removed");
+        drop(run);
+        std::fs::remove_dir_all(&base).expect("cleans up");
     }
 
     #[test]

@@ -96,18 +96,6 @@ pub struct TrainingReport {
 }
 
 impl TrainingReport {
-    /// Mean of the per-worker training-loss curves, resampled onto the
-    /// union of their time stamps (step interpolation). Useful as the
-    /// single "loss vs time" line the paper plots per protocol.
-    pub fn mean_train_loss_time(&self) -> TimeSeries {
-        merge_mean(&self.train_loss_time)
-    }
-
-    /// Mean of the per-worker loss-vs-steps curves.
-    pub fn mean_train_loss_steps(&self) -> TimeSeries {
-        merge_mean(&self.train_loss_steps)
-    }
-
     /// Virtual time to bring the evaluation loss down to `threshold`.
     pub fn time_to_eval_loss(&self, threshold: f64) -> Option<f64> {
         self.eval_time.time_to_reach(threshold)
@@ -229,52 +217,9 @@ impl RuntimeReport {
     }
 }
 
-/// Pointwise mean of several step-interpolated series over the union of
-/// their sample times.
-fn merge_mean(series: &[TimeSeries]) -> TimeSeries {
-    let mut times: Vec<f64> = series
-        .iter()
-        .flat_map(|s| s.points().iter().map(|&(t, _)| t))
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("no NaN times"));
-    times.dedup();
-    let mut out = TimeSeries::new();
-    for t in times {
-        let mut sum = 0.0;
-        let mut count = 0usize;
-        for s in series {
-            if let Some(v) = s.value_at(t) {
-                sum += v;
-                count += 1;
-            }
-        }
-        if count > 0 {
-            out.push(t, sum / count as f64);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merge_mean_averages_overlapping() {
-        let a = TimeSeries::from_points(vec![(0.0, 2.0), (2.0, 0.0)]);
-        let b = TimeSeries::from_points(vec![(0.0, 4.0), (2.0, 2.0)]);
-        let m = merge_mean(&[a, b]);
-        assert_eq!(m.points(), &[(0.0, 3.0), (2.0, 1.0)]);
-    }
-
-    #[test]
-    fn merge_mean_steps_between_samples() {
-        let a = TimeSeries::from_points(vec![(0.0, 2.0)]);
-        let b = TimeSeries::from_points(vec![(1.0, 0.0)]);
-        let m = merge_mean(&[a, b]);
-        // At t=0 only `a` exists; at t=1 both (a holds at 2.0).
-        assert_eq!(m.points(), &[(0.0, 2.0), (1.0, 1.0)]);
-    }
 
     #[test]
     fn averaged_params_mean() {

@@ -21,6 +21,15 @@ pub fn backup_quota(in_degree: usize, n_backup: usize) -> usize {
     in_degree - n_backup
 }
 
+/// The quota of a §5 jump renew's `Recv(target - 1)`: the Fig. 8 quota
+/// counted over the `external_in` external in-neighbors alone (the jumping
+/// worker never sent itself an update for that iteration), and at least 1.
+pub(crate) fn renew_quota(external_in: usize, n_backup: usize) -> usize {
+    backup_quota(external_in + 1, n_backup)
+        .saturating_sub(1)
+        .max(1)
+}
+
 /// Uniform Reduce (Fig. 4 line 15): elementwise mean of the received
 /// parameter vectors. The parallel-order Apply (Fig. 2b / Fig. 4 line 17)
 /// rides the same sweep: `apply` is `Sgd::step_term` — `(-lr, v)` from the
@@ -87,17 +96,9 @@ pub fn staleness_weight_with(scheme: StalenessWeighting, update_iter: u64, k: u6
     }
 }
 
-/// Bounded-staleness Reduce (Fig. 9 lines 18–27, Eq. 2): the
-/// iteration-weighted average of the newest satisfactory updates.
-///
-/// # Panics
-///
-/// Panics if `updates` is empty or lengths mismatch.
-pub fn reduce_staleness(updates: &[(u64, &[f32])], k: u64, s: u64, out: &mut [f32]) {
-    reduce_staleness_with(StalenessWeighting::Linear, updates, k, s, None, out);
-}
-
-/// [`reduce_staleness`] under an explicit weighting scheme, with the
+/// Bounded-staleness Reduce (Fig. 9 lines 18–27, Eq. 2): the average of
+/// the newest satisfactory updates, weighted by `scheme` (Eq. 2's
+/// iteration weights under [`StalenessWeighting::Linear`]), with the
 /// parallel-order Apply folded in as in [`reduce_mean`].
 ///
 /// # Panics
@@ -173,6 +174,23 @@ pub fn jump_decision(token_counts: &[u64], max_ig: u64, skip: &SkipConfig) -> Op
     (jump >= 2).then_some(jump)
 }
 
+/// The jump a runtime takes from iteration `k`: [`jump_decision`] capped
+/// so it never passes `max_iters`, and no jump if the cap leaves less
+/// than 2. Finished neighbors flood their token queues, which would
+/// otherwise inflate the distance beyond any iteration they sent updates
+/// for.
+pub(crate) fn jump_before_end(
+    token_counts: &[u64],
+    max_ig: u64,
+    skip: &SkipConfig,
+    k: u64,
+    max_iters: u64,
+) -> Option<u64> {
+    jump_decision(token_counts, max_ig, skip)
+        .map(|j| j.min(max_iters - k))
+        .filter(|&j| j >= 2)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,6 +199,10 @@ mod tests {
     fn quota_subtracts_backups() {
         assert_eq!(backup_quota(5, 0), 5);
         assert_eq!(backup_quota(5, 2), 3);
+        // A renew counts externals only, and waits for at least one.
+        assert_eq!(renew_quota(4, 0), 4);
+        assert_eq!(renew_quota(4, 2), 2);
+        assert_eq!(renew_quota(1, 1), 1);
     }
 
     #[test]
@@ -259,7 +281,14 @@ mod tests {
         let newest = [4.0f32, 0.0];
         let older = [0.0f32, 4.0];
         let mut out = [0.0f32; 2];
-        reduce_staleness(&[(5, &newest), (3, &older)], 5, 2, &mut out);
+        reduce_staleness_with(
+            StalenessWeighting::Linear,
+            &[(5, &newest), (3, &older)],
+            5,
+            2,
+            None,
+            &mut out,
+        );
         assert_eq!(out, [3.0, 1.0]);
     }
 
@@ -282,6 +311,11 @@ mod tests {
             trigger_behind: 2,
         };
         assert_eq!(jump_decision(&[15, 12], 5, &skip), Some(2));
+        // The end of training caps it too, and a cap under 2 is no jump.
+        let skip = SkipConfig::with_max_jump(10);
+        assert_eq!(jump_before_end(&[15, 12], 5, &skip, 4, 10), Some(6));
+        assert_eq!(jump_before_end(&[15, 12], 5, &skip, 4, 7), Some(3));
+        assert_eq!(jump_before_end(&[15, 12], 5, &skip, 4, 5), None);
     }
 
     #[test]

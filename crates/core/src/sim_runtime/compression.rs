@@ -42,7 +42,7 @@
 
 use hop_tensor::{
     BufferPool, Codec, CompressedBlock, CompressionConfig, Compressor, ErrorFeedback, ParamBlock,
-    ParamStream, SelectionHint,
+    ParamStream,
 };
 
 #[cfg(test)]
@@ -219,8 +219,9 @@ impl CompressionPlane {
     /// Stream `slot`'s top-k selection hint: how many selections it
     /// made, how many of them needed a histogram pass and how many
     /// candidates their scans admitted (all zero under int8). Not part
-    /// of any report or digest.
-    pub fn selection(&self, slot: usize) -> &SelectionHint {
+    /// of any report or digest; only tests read it.
+    #[cfg(test)]
+    pub(crate) fn selection(&self, slot: usize) -> &hop_tensor::SelectionHint {
         match &self.streams[slot] {
             Stream::Params(stream) => stream.selection(),
             Stream::Grads(ef) => ef.selection(),

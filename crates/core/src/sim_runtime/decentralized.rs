@@ -622,15 +622,10 @@ impl<'a> Decentralized<'a> {
         // `tokens_from` is dense in `outs` order, so it *is* the count
         // vector — no per-event gather allocation.
         if let Some(skip) = &self.cfg.skip {
-            // Never jump past the end of training: finished neighbors
-            // flood their token queues, which would otherwise inflate the
-            // jump distance beyond any iteration they ever sent updates
-            // for.
-            let jump = semantics::jump_decision(&self.workers[w].tokens_from, max_ig, skip)
-                .map(|j| j.min(eng.max_iters - k))
-                .filter(|&j| j >= 2);
+            let tokens = &self.workers[w].tokens_from;
+            let jump = semantics::jump_before_end(tokens, max_ig, skip, k, eng.max_iters);
             if let Some(jump) = jump {
-                let renew = step.jump(&mut eng.conformance, k + jump, &self.workers[w].tokens_from);
+                let renew = step.jump(&mut eng.conformance, k + jump, tokens);
                 // Obtain `jump` tokens from every out-going neighbor and
                 // grant the same number to in-neighbors right away so they
                 // are never starved while we renew parameters.
@@ -691,9 +686,7 @@ impl<'a> Decentralized<'a> {
             // Backup mode: collect the quota of iteration `target-1`
             // updates from external in-neighbors (self never sent one).
             let ext = self.topology.external_in_neighbors(w).len();
-            let quota = semantics::backup_quota(ext + 1, self.cfg.n_backup)
-                .saturating_sub(1)
-                .max(1);
+            let quota = semantics::renew_quota(ext, self.cfg.n_backup);
             if self.workers[w].queue.size(renew_iter) < quota {
                 self.workers[w].phase = Phase::JumpRecv(renew);
                 return;

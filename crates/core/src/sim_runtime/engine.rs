@@ -312,8 +312,7 @@ pub trait WorkerProtocol {
 
     /// Bytes the configured compression codec avoided sending (dense
     /// minus encoded, summed over compressed messages). Protocols that
-    /// run a [`crate::sim_runtime::compression::CompressionPlane`]
-    /// override this; everything else reports 0.
+    /// run a compression plane override this; everything else reports 0.
     fn bytes_saved(&self, _eng: &SimEngine<'_, Self::Event>) -> u64 {
         0
     }
@@ -726,10 +725,9 @@ impl<'a, E> SimEngine<'a, E> {
     /// [`Network::transfer`] behind the fault plane. The sender's NIC is
     /// charged unconditionally — the bytes left the machine either way —
     /// then the [`NetModel`] verdict decides the fate: the physical
-    /// arrival time, a retransmission at heal time for cut/partition
-    /// windows, or `None` when the message is lost (loss draw, dead
-    /// endpoint, permanent outage — all logged as [`FaultEvent::Loss`]).
-    /// With an empty plan this is exactly `net.transfer`.
+    /// arrival time, or `None` when the message is lost (loss draw or
+    /// dead endpoint, logged as [`FaultEvent::Loss`]). With an empty plan
+    /// this is exactly `net.transfer`.
     pub fn transfer_gated(
         &mut self,
         from: usize,
@@ -739,9 +737,8 @@ impl<'a, E> SimEngine<'a, E> {
         iter: u64,
     ) -> Option<f64> {
         let arrival = self.net.transfer(now, from, to, bytes);
-        match self.faults.verdict(now, from, to, iter) {
+        match self.faults.verdict(from, to, iter) {
             Verdict::Deliver => Some(arrival),
-            Verdict::Delay(extra) => Some(arrival + extra),
             Verdict::Drop => None,
         }
     }

@@ -11,14 +11,14 @@
 //! [`engine::SimEngine::record_enter`]); the source-discipline test in
 //! the workspace's `tests/choreography.rs` fails any other emission path.
 
-pub mod adpsgd;
-pub mod compression;
-pub mod decentralized;
+pub(crate) mod adpsgd;
+pub(crate) mod compression;
+pub(crate) mod decentralized;
 pub mod engine;
-pub mod prague;
-pub mod ps;
-pub mod qgm;
-pub mod ring;
+pub(crate) mod prague;
+pub(crate) mod ps;
+pub(crate) mod qgm;
+pub(crate) mod ring;
 
 pub mod recorder;
 

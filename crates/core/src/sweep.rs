@@ -557,11 +557,6 @@ impl SweepSummary {
         self.rows.iter().map(|r| r.wall_time).sum()
     }
 
-    /// Sum of the payload bytes across all points.
-    pub fn total_bytes_sent(&self) -> u64 {
-        self.rows.iter().map(|r| r.bytes_sent).sum()
-    }
-
     /// Renders one aligned row per point.
     pub fn table(&self) -> Table {
         let mut table = Table::new(vec![
@@ -810,7 +805,6 @@ mod tests {
         assert_eq!(summary.len(), 8);
         assert!(!summary.is_empty());
         assert!(summary.total_wall_time() > 0.0);
-        assert!(summary.total_bytes_sent() > 0);
         let table = summary.table();
         assert_eq!(table.len(), 8);
         let rendered = table.render();

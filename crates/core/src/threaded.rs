@@ -37,8 +37,9 @@
 //! dropped for the `down_iters` window, which is how a dead peer looks
 //! from the outside. Every omission is choreographed as a Send + Lost
 //! pair and logged to the report's [`hop_sim::FaultLog`], so the fault-aware
-//! oracle can license each loss. Time-window faults (cuts, partitions)
-//! and byzantine corruption are simulator-only and ignored here.
+//! oracle can license each loss. Byzantine corruption is simulator-only:
+//! [`ThreadedExperiment::run`] rejects a plan with byzantine workers as
+//! [`ConfigError::InvalidFaultPlan`] instead of running without them.
 
 use crate::choreography::SeqSink;
 use crate::config::{ComputeOrder, ConfigError, HopConfig, SyncMode};
@@ -194,7 +195,8 @@ pub struct ThreadedExperiment {
     /// Timeout for any single wait before declaring a stall.
     pub stall_timeout: Duration,
     /// Fault-injection plan (loss + crash-as-send-omission; see the
-    /// module docs). The default empty plan injects nothing.
+    /// module docs; byzantine workers are rejected). The default empty
+    /// plan injects nothing.
     pub faults: FaultPlan,
 }
 
@@ -203,7 +205,8 @@ impl ThreadedExperiment {
     ///
     /// # Errors
     ///
-    /// Returns [`ThreadedError::Config`] for invalid configurations,
+    /// Returns [`ThreadedError::Config`] for invalid configurations and
+    /// fault plans (including any byzantine worker),
     /// [`ThreadedError::SerialUnsupported`] for the simulator-only serial
     /// order / NOTIFY-ACK path, and [`ThreadedError::Stalled`] if any
     /// wait exceeds `stall_timeout`.
@@ -239,6 +242,10 @@ impl ThreadedExperiment {
         self.config.validate(&self.topology)?;
         self.faults
             .validate()
+            .and_then(|()| match self.faults.byzantine() {
+                [] => Ok(()),
+                _ => Err("byzantine corruption is simulator-only"),
+            })
             .map_err(|why| ThreadedError::Config(ConfigError::InvalidFaultPlan(why)))?;
         if self.config.order != ComputeOrder::Parallel || self.config.sync == SyncMode::NotifyAck {
             return Err(ThreadedError::SerialUnsupported);

@@ -374,14 +374,18 @@ impl WorkerCtx<'_> {
     }
 
     /// `params ← mean(entries ∪ own) [+ apply]`, recycling every consumed
-    /// block. Full overwrite: shared blocks detach without copying.
+    /// block. Full overwrite: shared blocks detach without copying. The
+    /// entries are summed in sender order, whatever order they arrived
+    /// in, so a Reduce over the same set rounds the same way every run;
+    /// `own` (a renew's pre-jump replica) is summed last.
     fn reduce_mean(
         &mut self,
-        entries: Vec<TaggedEntry<ParamBlock>>,
+        mut entries: Vec<TaggedEntry<ParamBlock>>,
         own: Option<ParamBlock>,
         apply: Tail<'_>,
         params: &mut ParamBlock,
     ) {
+        entries.sort_unstable_by_key(|e| e.tag.w_id);
         let mut views: Vec<&[f32]> = entries.iter().map(|e| e.value.as_slice()).collect();
         views.extend(own.as_ref().map(ParamBlock::as_slice));
         semantics::reduce_mean(&views, apply, params.overwrite_mut(&mut self.pool));
@@ -504,10 +508,10 @@ pub(crate) fn worker_loop<T: Transport>(
             .crashes()
             .iter()
             .any(|c| c.worker == w && k >= c.at_iter && k < c.at_iter + c.down_iters);
+        let rate = job.faults.loss();
         receivers.clear();
         for (idx, &o) in externals_out.iter().enumerate() {
             step.send(sink, o);
-            let rate = job.faults.loss_rate(w, o);
             if crashed || (rate > 0.0 && hop_sim::faults::loss_draw(seed, w, o, k) < rate) {
                 choreography::lost_update(sink, o, w, k);
                 fault_events.push(FaultEvent::Loss {
@@ -570,12 +574,7 @@ pub(crate) fn worker_loop<T: Transport>(
         if let (Some(ig), false) = (max_ig, externals_out.is_empty()) {
             let decision = cfg.skip.as_ref().and_then(|skip| {
                 let counts = ctx.inbox.token_counts(transport);
-                // Never jump past the end of training: finished neighbors
-                // flood their token queues (see below), which would
-                // otherwise inflate the jump distance.
-                semantics::jump_decision(&counts, ig, skip)
-                    .map(|j| j.min(max_iters - k))
-                    .filter(|&j| j >= 2)
+                semantics::jump_before_end(&counts, ig, skip, k, max_iters)
                     .map(|jump| (jump, counts))
             });
             if let Some((jump, counts)) = decision {
@@ -718,7 +717,7 @@ fn jump_renew<T: Transport>(
         // Backup mode: collect the quota of iteration `target - 1` updates
         // from external in-neighbors (self never sent one).
         let ext = externals_in.len();
-        let quota = ctx.quota.saturating_sub(1).max(1);
+        let quota = semantics::renew_quota(ext, ctx.cfg.n_backup);
         let entries = ctx
             .recv_tagged(
                 transport,

@@ -4,7 +4,7 @@
 //! are the template plus per-pixel Gaussian noise, normalized to roughly
 //! zero mean and unit variance like standard CIFAR preprocessing. The
 //! classes overlap enough that a linear model cannot reach zero loss but a
-//! small CNN/MLP steadily improves — which is all the protocol experiments
+//! small CNN steadily improves — which is all the protocol experiments
 //! need from the workload.
 
 use crate::dataset::{Example, Features, InMemoryDataset};

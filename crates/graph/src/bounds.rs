@@ -121,22 +121,6 @@ pub fn token_queues(
     forward.min(path_bound(path_i_to_j).times(max_ig))
 }
 
-/// Maximum number of tokens ever held by `TokenQ(i->j)` (Table 1 caption):
-/// `max_ig * (length(Path_{i->j}) + 1)`.
-pub fn token_queue_capacity(max_ig: u64, path_i_to_j: Option<usize>) -> Bound {
-    match path_i_to_j {
-        Some(d) => Bound::Finite(max_ig.saturating_mul(d as u64 + 1)),
-        None => Bound::Unbounded,
-    }
-}
-
-/// Required update-queue capacity with token queues (§4.2): with bounded
-/// iteration gaps, `UpdateQ(i)` holds at most `(1 + max_ig) * |Nin(i)|`
-/// entries regardless of graph size.
-pub fn update_queue_capacity(max_ig: u64, in_degree: usize) -> u64 {
-    (1 + max_ig) * in_degree as u64
-}
-
 /// The forward per-hop bound `b0` of each base protocol setting, i.e. the
 /// Table 1 column "for j in Nin(i)".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -246,13 +230,6 @@ mod tests {
             BaseSetting::Standard.pair_bound_with_tokens(5, Some(9), Some(1)),
             Bound::Finite(5)
         );
-    }
-
-    #[test]
-    fn capacities() {
-        assert_eq!(token_queue_capacity(3, Some(2)), Bound::Finite(9));
-        assert_eq!(token_queue_capacity(3, None), Bound::Unbounded);
-        assert_eq!(update_queue_capacity(3, 4), 16);
     }
 
     #[test]

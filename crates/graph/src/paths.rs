@@ -79,27 +79,6 @@ impl ShortestPaths {
         }
         Some(max)
     }
-
-    /// Average finite distance over ordered pairs `(i, j)`, `i != j`.
-    ///
-    /// Unreachable pairs are skipped; returns 0.0 for a single node.
-    pub fn mean_distance(&self) -> f64 {
-        let mut sum = 0usize;
-        let mut count = 0usize;
-        for (i, row) in self.dist.iter().enumerate() {
-            for (j, &d) in row.iter().enumerate() {
-                if i != j && d != usize::MAX {
-                    sum += d;
-                    count += 1;
-                }
-            }
-        }
-        if count == 0 {
-            0.0
-        } else {
-            sum as f64 / count as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -136,7 +115,6 @@ mod tests {
     fn complete_graph_diameter_one() {
         let sp = ShortestPaths::new(&Topology::complete(5));
         assert_eq!(sp.diameter(), Some(1));
-        assert!((sp.mean_distance() - 1.0).abs() < 1e-12);
     }
 
     #[test]

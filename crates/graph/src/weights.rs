@@ -77,16 +77,6 @@ impl WeightMatrix {
         Self { n, w }
     }
 
-    /// Builds directly from a row-major buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != n * n`.
-    pub fn from_raw(n: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), n * n, "weight matrix size mismatch");
-        Self { n, w: data }
-    }
-
     /// Matrix dimension.
     pub fn len(&self) -> usize {
         self.n
@@ -199,12 +189,6 @@ mod tests {
             let w = WeightMatrix::uniform(&t);
             assert!(w.is_doubly_stochastic(1e-9), "{t}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "size mismatch")]
-    fn from_raw_validates() {
-        WeightMatrix::from_raw(2, vec![0.0; 3]);
     }
 
     proptest! {

@@ -1,8 +1,7 @@
 //! Metrics, time series and report rendering for experiments.
 //!
-//! * [`series::TimeSeries`] — (time, value) curves with step lookups and
-//!   time-to-threshold queries: the loss-vs-time/steps curves of a
-//!   training report.
+//! * [`series::TimeSeries`] — (time, value) curves with time-to-threshold
+//!   queries: the loss-vs-time/steps curves of a training report.
 //! * [`table::Table`] — plain-text table rendering and CSV export for
 //!   sweep summaries, the examples and the perf ledger.
 

@@ -61,15 +61,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Convenience: appends a row of `Display` values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row width differs from the header width.
-    pub fn add_display_row(&mut self, row: &[&dyn fmt::Display]) {
-        self.add_row(row.iter().map(|d| d.to_string()).collect());
-    }
-
     /// Renders with aligned columns and a separator under the header.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
@@ -168,14 +159,6 @@ mod tests {
         let csv = t.to_csv();
         assert!(csv.contains("\"a,b\""));
         assert!(csv.contains("\"say \"\"hi\"\"\""));
-    }
-
-    #[test]
-    fn display_row_formats_values() {
-        let mut t = Table::new(vec!["n", "gap"]);
-        t.add_display_row(&[&16usize, &0.5f64]);
-        assert!(t.render().contains("16"));
-        assert_eq!(t.len(), 1);
     }
 
     #[test]

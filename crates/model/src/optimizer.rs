@@ -54,16 +54,6 @@ impl Sgd {
         self.lr
     }
 
-    /// Sets the learning rate (for manual schedules).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0`.
-    pub fn set_lr(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
-
     /// Applies one update in place.
     ///
     /// # Panics
@@ -214,12 +204,6 @@ impl QgmState {
             *m = self.mu * *m + self.beta * (p - r) * inv_lr;
         }
     }
-
-    /// Resets the momentum buffer (for protocols that abandon a
-    /// trajectory, mirroring [`Sgd::reset_velocity`]).
-    pub fn reset(&mut self) {
-        self.momentum.fill(0.0);
-    }
 }
 
 #[cfg(test)]
@@ -279,16 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn set_lr_changes_future_steps() {
-        let mut opt = Sgd::new(1.0, 0.0, 0.0, 1);
-        opt.set_lr(0.1);
-        assert_eq!(opt.lr(), 0.1);
-        let mut p = vec![0.0f32];
-        opt.step(&mut p, &[1.0]);
-        assert!((p[0] + 0.1).abs() < 1e-7);
-    }
-
-    #[test]
     #[should_panic(expected = "momentum")]
     fn validates_momentum() {
         Sgd::new(0.1, 1.0, 0.0, 1);
@@ -324,15 +298,6 @@ mod tests {
         let mut x = vec![1.0f32];
         qgm.local_step(&mut x, &[0.0], 0.1, 0.5);
         assert!((x[0] - 0.95).abs() < 1e-7);
-    }
-
-    #[test]
-    fn qgm_reset_clears_buffer() {
-        let mut qgm = QgmState::new(0.9, 0.1, 2);
-        qgm.update_momentum(&[1.0, 1.0], &[0.0, 0.0], 0.1);
-        assert!(qgm.momentum().iter().any(|&m| m != 0.0));
-        qgm.reset();
-        assert_eq!(qgm.momentum(), &[0.0, 0.0]);
     }
 
     #[test]

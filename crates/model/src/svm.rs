@@ -4,7 +4,7 @@
 //! and weight decay 1e-7. Labels are stored as `{0, 1}` in the dataset and
 //! mapped to `{-1, +1}` here. The parameter vector is `[weights..., bias]`.
 
-use crate::loss::{hinge_loss, log_loss, sigmoid};
+use crate::loss::{hinge_loss, log_loss};
 use crate::model::{GradScratch, Model};
 use hop_data::{Batch, Features};
 use hop_util::Xoshiro256;
@@ -70,18 +70,8 @@ impl Svm {
         self.dim
     }
 
-    /// The configured loss flavor.
-    pub fn loss_kind(&self) -> SvmLoss {
-        self.loss
-    }
-
     fn margin(&self, params: &[f32], features: &Features) -> f32 {
         features.dot(&params[..self.dim]) + params[self.dim]
-    }
-
-    /// Probability of class 1 under the logistic model.
-    pub fn probability(&self, params: &[f32], features: &Features) -> f32 {
-        sigmoid(self.margin(params, features))
     }
 }
 
@@ -209,14 +199,6 @@ mod tests {
         let acc = svm.accuracy(&params, &batch);
         assert!(acc > 0.85, "accuracy {acc}");
         assert!(svm.loss(&params, &batch) < 0.45);
-    }
-
-    #[test]
-    fn probability_is_calibrated_direction() {
-        let svm = Svm::log_loss(1);
-        let p_hi = svm.probability(&[2.0, 0.0], &Features::Dense(vec![3.0]));
-        let p_lo = svm.probability(&[2.0, 0.0], &Features::Dense(vec![-3.0]));
-        assert!(p_hi > 0.9 && p_lo < 0.1);
     }
 
     #[test]

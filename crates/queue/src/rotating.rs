@@ -81,11 +81,6 @@ impl<T> RotatingQueues<T> {
         }
     }
 
-    /// Number of sub-queues (`max_ig + 1`).
-    pub fn n_queues(&self) -> usize {
-        self.n as usize
-    }
-
     /// Total entries across sub-queues.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -203,7 +198,6 @@ mod tests {
     #[test]
     fn routes_by_modulo() {
         let mut q = RotatingQueues::new(2);
-        assert_eq!(q.n_queues(), 3);
         q.enqueue(0, tag(0, 0)).unwrap();
         q.enqueue(1, tag(1, 0)).unwrap();
         q.enqueue(2, tag(2, 0)).unwrap();

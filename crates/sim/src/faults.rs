@@ -1,12 +1,11 @@
-//! Deterministic fault injection: message loss, link cuts, partitions,
-//! worker churn and byzantine updates.
+//! Deterministic fault injection: message loss, worker churn and
+//! byzantine updates.
 //!
 //! Hop's headline claims (backup workers, Fig. 8; skip/jump, §5) are
 //! robustness claims, so the simulator needs disturbances stronger than
 //! static slowdowns. A [`FaultPlan`] describes *what* goes wrong — a
-//! global or per-link loss rate, scheduled link cut / partition windows,
-//! worker crashes with later rejoin, byzantine workers corrupting their
-//! outgoing updates — and a [`NetModel`] turns the plan into per-message
+//! per-message loss rate, worker crashes with later rejoin, byzantine
+//! workers corrupting their outgoing updates — and a [`NetModel`] turns the plan into per-message
 //! verdicts and per-event bookkeeping. Like
 //! [`crate::hetero::SlowdownModel`], every probabilistic draw is a pure
 //! function of `(seed, from, to, iteration)`, so the same experiment
@@ -76,44 +75,12 @@ pub struct ByzSpec {
     pub variant: ByzVariant,
 }
 
-/// A directed link outage: messages from `a` to `b` sent during
-/// `[from, until)` are held back until the link heals at `until`
-/// (delivered late), or dropped outright if `until` is infinite.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkCut {
-    /// Sender side of the cut link.
-    pub a: usize,
-    /// Receiver side of the cut link.
-    pub b: usize,
-    /// Cut start (simulated seconds, inclusive).
-    pub from: f64,
-    /// Heal time (exclusive); `f64::INFINITY` never heals.
-    pub until: f64,
-}
-
-/// A network partition: messages crossing the boundary of `side` during
-/// `[from, until)` are held back until the partition heals (or dropped if
-/// it never does). Traffic within `side`, and within its complement, is
-/// unaffected.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Partition {
-    /// Workers on one side of the partition.
-    pub side: Vec<usize>,
-    /// Partition start (simulated seconds, inclusive).
-    pub from: f64,
-    /// Heal time (exclusive); `f64::INFINITY` never heals.
-    pub until: f64,
-}
-
 /// A deterministic, seedable schedule of faults. The default plan is
 /// empty and injects nothing: with it, every experiment is bit-identical
 /// to a run without the fault plane at all.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     loss: f64,
-    link_loss: Vec<(usize, usize, f64)>,
-    cuts: Vec<LinkCut>,
-    partitions: Vec<Partition>,
     crashes: Vec<CrashSpec>,
     byzantine: Vec<ByzSpec>,
 }
@@ -132,25 +99,6 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a per-link loss probability for messages from `a` to `b`,
-    /// overriding the global rate on that link.
-    pub fn with_link_loss(mut self, a: usize, b: usize, rate: f64) -> Self {
-        self.link_loss.push((a, b, rate));
-        self
-    }
-
-    /// Adds a directed link cut window.
-    pub fn with_cut(mut self, cut: LinkCut) -> Self {
-        self.cuts.push(cut);
-        self
-    }
-
-    /// Adds a partition window.
-    pub fn with_partition(mut self, partition: Partition) -> Self {
-        self.partitions.push(partition);
-        self
-    }
-
     /// Schedules a crash/rejoin cycle.
     pub fn with_crash(mut self, crash: CrashSpec) -> Self {
         self.crashes.push(crash);
@@ -165,12 +113,7 @@ impl FaultPlan {
 
     /// Whether the plan injects nothing at all.
     pub fn is_empty(&self) -> bool {
-        self.loss == 0.0
-            && self.link_loss.is_empty()
-            && self.cuts.is_empty()
-            && self.partitions.is_empty()
-            && self.crashes.is_empty()
-            && self.byzantine.is_empty()
+        self.loss == 0.0 && self.crashes.is_empty() && self.byzantine.is_empty()
     }
 
     /// The scheduled crashes.
@@ -183,48 +126,21 @@ impl FaultPlan {
         &self.byzantine
     }
 
-    /// The global loss rate.
+    /// The per-message loss rate.
     pub fn loss(&self) -> f64 {
         self.loss
     }
 
-    /// The effective loss rate on the directed link `from -> to`: the
-    /// per-link override when present, else the global rate.
-    pub fn loss_rate(&self, from: usize, to: usize) -> f64 {
-        self.link_loss
-            .iter()
-            .find(|&&(a, b, _)| a == from && b == to)
-            .map_or(self.loss, |&(_, _, r)| r)
-    }
-
-    /// Checks the plan for malformed knobs: loss rates must be finite and
-    /// in `[0, 1)`, fault windows must not start after they end, and
-    /// crash downtimes must be at least one iteration.
+    /// Checks the plan for malformed knobs: the loss rate must be finite
+    /// and in `[0, 1)`, crash downtimes must be at least one iteration and
+    /// byzantine scale factors must be finite.
     ///
     /// # Errors
     ///
     /// Returns a static description of the first problem found.
     pub fn validate(&self) -> Result<(), &'static str> {
-        let rate_ok = |r: f64| r.is_finite() && (0.0..1.0).contains(&r);
-        if !rate_ok(self.loss) {
+        if !(self.loss.is_finite() && (0.0..1.0).contains(&self.loss)) {
             return Err("loss rate must be finite and in [0, 1)");
-        }
-        if self.link_loss.iter().any(|&(_, _, r)| !rate_ok(r)) {
-            return Err("link loss rate must be finite and in [0, 1)");
-        }
-        if self
-            .cuts
-            .iter()
-            .any(|c| c.from.is_nan() || c.until.is_nan() || c.from > c.until)
-        {
-            return Err("link cut window must satisfy from <= until");
-        }
-        if self
-            .partitions
-            .iter()
-            .any(|p| p.from.is_nan() || p.until.is_nan() || p.from > p.until)
-        {
-            return Err("partition window must satisfy from <= until");
         }
         if self.crashes.iter().any(|c| c.down_iters == 0) {
             return Err("crash downtime must be at least one iteration");
@@ -249,9 +165,6 @@ impl FaultPlan {
 pub enum Verdict {
     /// Deliver at the physical arrival time.
     Deliver,
-    /// Deliver, but this many extra seconds late (the message waits out a
-    /// link cut / partition window and is retransmitted at heal time).
-    Delay(f64),
     /// The message is lost.
     Drop,
 }
@@ -411,7 +324,8 @@ fn parse_fault_line(line: &str) -> Option<FaultEvent> {
     }
 }
 
-/// Uniform in `[0, 1)` keyed by `(seed, from, to, iter)` — the loss draw
+/// Uniform in `[0, 1)` keyed by `(seed, from, to, iter)`, following the
+/// [`crate::hetero::SlowdownModel::factor`] hashing idiom — the loss draw
 /// behind [`NetModel::verdict`], exposed as a free function so the
 /// threaded runtime's per-thread shim computes the identical draws from
 /// the shared experiment seed without sharing a `NetModel`.
@@ -454,16 +368,7 @@ impl NetModel {
         let in_range = |w: usize| w < n;
         assert!(
             plan.crashes.iter().all(|c| in_range(c.worker))
-                && plan.byzantine.iter().all(|b| in_range(b.worker))
-                && plan
-                    .link_loss
-                    .iter()
-                    .all(|&(a, b, _)| in_range(a) && in_range(b))
-                && plan.cuts.iter().all(|c| in_range(c.a) && in_range(c.b))
-                && plan
-                    .partitions
-                    .iter()
-                    .all(|p| p.side.iter().all(|&w| in_range(w))),
+                && plan.byzantine.iter().all(|b| in_range(b.worker)),
             "fault plan references a worker outside the cluster"
         );
         let empty = plan.is_empty();
@@ -499,11 +404,6 @@ impl NetModel {
         !self.empty && self.dead[worker]
     }
 
-    /// Number of currently crashed workers.
-    pub fn n_dead(&self) -> usize {
-        self.dead.iter().filter(|&&d| d).count()
-    }
-
     /// The accumulated fault log.
     pub fn log(&self) -> &FaultLog {
         &self.log
@@ -515,56 +415,22 @@ impl NetModel {
     }
 
     /// The fate of a payload message from `from` to `to`, tagged with the
-    /// sender's iteration `iter`, sent at `now`. Logs a
-    /// [`FaultEvent::Loss`] when the verdict is [`Verdict::Drop`]. The
-    /// draw is a pure function of `(seed, from, to, iter)` — event
-    /// interleaving cannot perturb it.
-    pub fn verdict(&mut self, now: f64, from: usize, to: usize, iter: u64) -> Verdict {
+    /// sender's iteration `iter`. Logs a [`FaultEvent::Loss`] when the
+    /// verdict is [`Verdict::Drop`]. The draw is a pure function of
+    /// `(seed, from, to, iter)` — event interleaving cannot perturb it.
+    pub fn verdict(&mut self, from: usize, to: usize, iter: u64) -> Verdict {
         if self.empty {
             return Verdict::Deliver;
         }
-        let lost = |this: &mut Self| {
-            this.log.push(FaultEvent::Loss { from, to, iter });
-            Verdict::Drop
-        };
-        if self.dead[from] || self.dead[to] {
-            return lost(self);
-        }
-        // Cut / partition windows: hold the message until heal, or drop
-        // it when the outage never heals.
-        let mut delay = 0.0f64;
-        for c in &self.plan.cuts {
-            if c.a == from && c.b == to && now >= c.from && now < c.until {
-                if !c.until.is_finite() {
-                    return lost(self);
-                }
-                delay = delay.max(c.until - now);
-            }
-        }
-        for p in &self.plan.partitions {
-            let inside = |w: usize| p.side.contains(&w);
-            if inside(from) != inside(to) && now >= p.from && now < p.until {
-                if !p.until.is_finite() {
-                    return lost(self);
-                }
-                delay = delay.max(p.until - now);
-            }
-        }
-        if delay > 0.0 {
-            return Verdict::Delay(delay);
-        }
-        // Probabilistic loss: per-link override, else the global rate.
-        let rate = self.plan.loss_rate(from, to);
-        if rate > 0.0 && self.loss_draw(from, to, iter) < rate {
-            return lost(self);
+        let rate = self.plan.loss;
+        if self.dead[from]
+            || self.dead[to]
+            || (rate > 0.0 && loss_draw(self.seed, from, to, iter) < rate)
+        {
+            self.log.push(FaultEvent::Loss { from, to, iter });
+            return Verdict::Drop;
         }
         Verdict::Deliver
-    }
-
-    /// Uniform in `[0, 1)` keyed by `(seed, from, to, iter)`, following
-    /// the [`crate::hetero::SlowdownModel::factor`] hashing idiom.
-    fn loss_draw(&self, from: usize, to: usize, iter: u64) -> f64 {
-        loss_draw(self.seed, from, to, iter)
     }
 
     /// Fires a scheduled crash for `worker` entering `iter`, if any. The
@@ -675,7 +541,7 @@ mod tests {
     fn empty_plan_is_inert() {
         let mut nm = NetModel::new(FaultPlan::default(), 7, 4);
         assert!(nm.is_empty());
-        assert_eq!(nm.verdict(0.0, 0, 1, 3), Verdict::Deliver);
+        assert_eq!(nm.verdict(0, 1, 3), Verdict::Deliver);
         assert!(!nm.try_crash(0, 0));
         let mut p = [1.0f32, -2.0];
         assert!(!nm.corrupt(0, 0, &mut p));
@@ -691,8 +557,8 @@ mod tests {
         let trials = 16_000u64;
         for iter in 0..(trials / 4) {
             for to in 1..5usize {
-                let va = a.verdict(0.0, 0, to, iter);
-                assert_eq!(va, b.verdict(0.0, 0, to, iter));
+                let va = a.verdict(0, to, iter);
+                assert_eq!(va, b.verdict(0, to, iter));
                 if va == Verdict::Drop {
                     drops += 1;
                 }
@@ -701,44 +567,6 @@ mod tests {
         let rate = drops as f64 / trials as f64;
         assert!((rate - 0.25).abs() < 0.02, "rate {rate}");
         assert_eq!(a.log().len(), drops as usize);
-    }
-
-    #[test]
-    fn link_loss_overrides_global_rate() {
-        let plan = FaultPlan::default().with_link_loss(0, 1, 1.0 - 1e-12);
-        let mut nm = NetModel::new(plan, 3, 4);
-        assert_eq!(nm.verdict(0.0, 0, 1, 0), Verdict::Drop);
-        assert_eq!(nm.verdict(0.0, 1, 0, 0), Verdict::Deliver);
-    }
-
-    #[test]
-    fn cut_window_delays_then_heals() {
-        let plan = FaultPlan::default().with_cut(LinkCut {
-            a: 0,
-            b: 1,
-            from: 1.0,
-            until: 2.0,
-        });
-        let mut nm = NetModel::new(plan, 3, 2);
-        assert_eq!(nm.verdict(0.5, 0, 1, 0), Verdict::Deliver);
-        assert_eq!(nm.verdict(1.5, 0, 1, 1), Verdict::Delay(0.5));
-        assert_eq!(nm.verdict(2.0, 0, 1, 2), Verdict::Deliver);
-        // Reverse direction unaffected.
-        assert_eq!(nm.verdict(1.5, 1, 0, 1), Verdict::Deliver);
-    }
-
-    #[test]
-    fn permanent_partition_drops_cross_traffic_only() {
-        let plan = FaultPlan::default().with_partition(Partition {
-            side: vec![0, 1],
-            from: 0.0,
-            until: f64::INFINITY,
-        });
-        let mut nm = NetModel::new(plan, 3, 4);
-        assert_eq!(nm.verdict(5.0, 0, 2, 0), Verdict::Drop);
-        assert_eq!(nm.verdict(5.0, 3, 1, 0), Verdict::Drop);
-        assert_eq!(nm.verdict(5.0, 0, 1, 0), Verdict::Deliver);
-        assert_eq!(nm.verdict(5.0, 2, 3, 0), Verdict::Deliver);
     }
 
     #[test]
@@ -754,8 +582,8 @@ mod tests {
         assert!(nm.is_dead(2));
         assert!(!nm.try_crash(2, 3), "a crash fires once");
         // Dead endpoints lose traffic in both directions.
-        assert_eq!(nm.verdict(0.0, 2, 0, 3), Verdict::Drop);
-        assert_eq!(nm.verdict(0.0, 1, 2, 5), Verdict::Drop);
+        assert_eq!(nm.verdict(2, 0, 3), Verdict::Drop);
+        assert_eq!(nm.verdict(1, 2, 5), Verdict::Drop);
         assert_eq!(nm.due_rejoin(6), None);
         assert_eq!(nm.due_rejoin(7), Some(2));
         nm.revive(2, 8, 0);
@@ -824,19 +652,6 @@ mod tests {
         for bad in [-0.1, 1.0, 1.5, f64::NAN, f64::INFINITY] {
             assert!(FaultPlan::default().with_loss(bad).validate().is_err());
         }
-        assert!(FaultPlan::default()
-            .with_link_loss(0, 1, f64::NAN)
-            .validate()
-            .is_err());
-        assert!(FaultPlan::default()
-            .with_cut(LinkCut {
-                a: 0,
-                b: 1,
-                from: 2.0,
-                until: 1.0
-            })
-            .validate()
-            .is_err());
         assert!(FaultPlan::default()
             .with_crash(CrashSpec {
                 worker: 0,

@@ -15,8 +15,7 @@
 //!   deterministically from `(seed, worker, iteration)` so event order
 //!   cannot perturb the experiment.
 //! * [`faults::FaultPlan`] — deterministic fault injection (message loss,
-//!   link cuts, partitions, worker churn, byzantine updates) consumed by
-//!   the engine through [`faults::NetModel`] verdicts, with a
+//!   worker churn, byzantine updates) consumed by the engine through [`faults::NetModel`] verdicts, with a
 //!   [`faults::FaultLog`] sidecar for the fault-aware conformance oracle.
 //! * [`trace::Trace`] — per-iteration timing records with iteration-gap
 //!   accounting used to validate Table 1 empirically.
@@ -41,8 +40,7 @@ pub mod trace;
 pub use cluster::{ClusterSpec, LinkModel, Network};
 pub use events::EventQueue;
 pub use faults::{
-    ByzSpec, ByzVariant, CrashSpec, FaultEvent, FaultLog, FaultPlan, LinkCut, NetModel, Partition,
-    Verdict,
+    ByzSpec, ByzVariant, CrashSpec, FaultEvent, FaultLog, FaultPlan, NetModel, Verdict,
 };
 pub use hetero::SlowdownModel;
 pub use trace::{IterationRecord, Trace};

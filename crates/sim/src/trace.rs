@@ -119,26 +119,6 @@ impl Trace {
         self.duration_summary().map_or(0.0, |s| s.mean())
     }
 
-    /// Time at which the last worker entered iteration `iter` (i.e. when
-    /// the whole system had reached it), or `None` if some worker never
-    /// did.
-    pub fn time_all_reached(&self, iter: u64) -> Option<SimTime> {
-        let mut latest = f64::NEG_INFINITY;
-        for w in 0..self.n_workers {
-            let t = self
-                .records
-                .iter()
-                .filter(|r| r.worker == w && r.iter >= iter)
-                .map(|r| r.time)
-                .fold(f64::INFINITY, f64::min);
-            if !t.is_finite() {
-                return None;
-            }
-            latest = latest.max(t);
-        }
-        Some(latest)
-    }
-
     /// Sweeps the log in time order and returns the maximum observed value
     /// of `Iter(i) - Iter(j)` for every ordered pair `(i, j)`, as a
     /// row-major `n x n` matrix. Used to validate Table 1.
@@ -207,15 +187,6 @@ mod tests {
         assert_eq!(gaps[0][1], 3);
         assert_eq!(gaps[1][0], 0);
         assert_eq!(t.max_gap(), 3);
-    }
-
-    #[test]
-    fn time_all_reached() {
-        let mut t = Trace::new(2);
-        t.record(0, 1, 1.0);
-        t.record(1, 1, 5.0);
-        assert_eq!(t.time_all_reached(1), Some(5.0));
-        assert_eq!(t.time_all_reached(2), None);
     }
 
     #[test]

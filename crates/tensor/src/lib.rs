@@ -1,10 +1,10 @@
-//! Minimal dense tensor and linear-algebra kernels for the Hop reproduction.
+//! Flat-slice numeric kernels and the parameter plane for the Hop
+//! reproduction.
 //!
-//! The models in `hop-model` (SVM, MLP, tiny CNN) and the spectral analysis
-//! in `hop-graph` only need a small set of dense operations: GEMM/GEMV on
-//! row-major `f32` buffers, elementwise vector arithmetic, and a simple
-//! shape-carrying [`Tensor`]. Everything is implemented here from scratch;
-//! no BLAS or external linear-algebra crate is used.
+//! The models in `hop-model` (SVM, tiny CNN) only need a small set of
+//! dense operations on row-major `f32` slices: GEMV and elementwise
+//! vector arithmetic. Everything is implemented here from scratch; no
+//! BLAS or external linear-algebra crate is used.
 //!
 //! The crate also provides the zero-copy parameter plane used by every
 //! runtime in `hop-core`: [`ParamBlock`] (an `Arc`-shared flat buffer with
@@ -21,12 +21,14 @@
 //! # Examples
 //!
 //! ```
-//! use hop_tensor::Tensor;
+//! use hop_tensor::{ops, ParamBlock};
 //!
-//! let a = Tensor::from_vec(vec![2, 2], vec![1.0, 2.0, 3.0, 4.0]);
-//! let b = Tensor::eye(2);
-//! let c = a.matmul(&b);
-//! assert_eq!(c.data(), a.data());
+//! // A Reduce (Fig. 4 line 15) over two neighbours' parameter snapshots.
+//! let a = ParamBlock::from_vec(vec![1.0, 2.0]);
+//! let b = ParamBlock::from_vec(vec![3.0, 6.0]);
+//! let mut out = [0.0; 2];
+//! ops::mean_into(&[a.as_slice(), b.as_slice()], &mut out);
+//! assert_eq!(out, [2.0, 4.0]);
 //! ```
 
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -37,7 +39,6 @@ pub mod ops;
 pub mod param_block;
 pub mod pool;
 pub mod sweep;
-pub mod tensor;
 
 pub use compress::{
     Codec, CompressedBlock, CompressionConfig, Compressor, ErrorFeedback, ParamStream,
@@ -45,4 +46,3 @@ pub use compress::{
 };
 pub use param_block::ParamBlock;
 pub use pool::{BufferPool, PoolStats};
-pub use tensor::Tensor;

@@ -24,14 +24,14 @@
 //! destination. The destination is written, never read, so callers hand
 //! it a buffer that was not zeroed first.
 //!
-//! The reductions ([`dot`], [`norm2`], and the per-row dots inside
-//! [`gemv`]) deliberately stay scalar-sequential: a vectorized reduction
+//! The reductions ([`dot`] and the per-row dots inside [`gemv`])
+//! deliberately stay scalar-sequential: a vectorized reduction
 //! reassociates the floating-point sum, and those results feed the
 //! experiment digests. Only a *maximum* may be vectorised as a reduction
 //! — it is exact under any association — which is what the int8 codec's
-//! `max|v|` scan in [`crate::compress::kernels`] does. [`gemv_t`] and
-//! [`gemm`] compose [`axpy`], so they ride the SIMD backends for free
-//! without changing any accumulation order.
+//! `max|v|` scan in [`crate::compress::kernels`] does. [`gemv_t`]
+//! composes [`axpy`], so it rides the SIMD backends for free without
+//! changing any accumulation order.
 
 pub mod simd;
 
@@ -77,11 +77,6 @@ pub fn scale(alpha: f32, x: &mut [f32]) {
 /// Fills a slice with a constant, SIMD-dispatched.
 pub fn fill(value: f32, x: &mut [f32]) {
     Backend::host().fill(value, x);
-}
-
-/// Euclidean norm.
-pub fn norm2(x: &[f32]) -> f32 {
-    dot(x, x).sqrt()
 }
 
 /// Elementwise mean of several equally sized slices into `out`.
@@ -174,32 +169,6 @@ pub fn gemv_t(a: &[f32], m: usize, n: usize, x: &[f32], y: &mut [f32]) {
     }
 }
 
-/// Row-major GEMM: `C = A B` where `A` is `m x k`, `B` is `k x n`.
-///
-/// Uses the ikj loop order for cache friendliness; adequate for the small
-/// models in this workspace.
-///
-/// # Panics
-///
-/// Panics on shape mismatch.
-pub fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "gemm A size mismatch");
-    assert_eq!(b.len(), k * n, "gemm B size mismatch");
-    assert_eq!(c.len(), m * n, "gemm C size mismatch");
-    fill(0.0, c);
-    for i in 0..m {
-        for p in 0..k {
-            let aip = a[i * k + p];
-            if aip == 0.0 {
-                continue;
-            }
-            let b_row = &b[p * n..(p + 1) * n];
-            let c_row = &mut c[i * n..(i + 1) * n];
-            axpy(aip, b_row, c_row);
-        }
-    }
-}
-
 /// In-place ReLU, SIMD-dispatched.
 ///
 /// Exactly the scalar `if x < 0 { 0 }` on every backend: `-0.0` and NaN
@@ -219,19 +188,6 @@ pub fn relu(x: &mut [f32]) {
 /// Panics if lengths mismatch.
 pub fn relu_backward(forward_input: &[f32], grad: &mut [f32]) {
     Backend::host().relu_backward(forward_input, grad);
-}
-
-/// Numerically stable in-place softmax over a single row.
-pub fn softmax(x: &mut [f32]) {
-    let max = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0;
-    for xi in x.iter_mut() {
-        *xi = (*xi - max).exp();
-        sum += *xi;
-    }
-    for xi in x.iter_mut() {
-        *xi /= sum;
-    }
 }
 
 /// Index of the maximum element (first occurrence).
@@ -559,9 +515,8 @@ mod tests {
     }
 
     #[test]
-    fn dot_and_norm() {
+    fn dot_works() {
         assert_eq!(dot(&[3.0, 4.0], &[3.0, 4.0]), 25.0);
-        assert_eq!(norm2(&[3.0, 4.0]), 5.0);
     }
 
     #[test]
@@ -603,26 +558,6 @@ mod tests {
     }
 
     #[test]
-    fn gemm_small() {
-        // A = [[1,2],[3,4]], B = [[5,6],[7,8]] => C = [[19,22],[43,50]]
-        let a = [1.0, 2.0, 3.0, 4.0];
-        let b = [5.0, 6.0, 7.0, 8.0];
-        let mut c = [0.0; 4];
-        gemm(&a, &b, &mut c, 2, 2, 2);
-        assert_eq!(c, [19.0, 22.0, 43.0, 50.0]);
-    }
-
-    #[test]
-    fn gemm_rectangular() {
-        // A (1x3) * B (3x2)
-        let a = [1.0, 2.0, 3.0];
-        let b = [1.0, 0.0, 0.0, 1.0, 1.0, 1.0];
-        let mut c = [0.0; 2];
-        gemm(&a, &b, &mut c, 1, 3, 2);
-        assert_eq!(c, [4.0, 5.0]);
-    }
-
-    #[test]
     fn relu_and_backward() {
         let input = [-1.0, 0.0, 2.0];
         let mut x = input;
@@ -631,15 +566,6 @@ mod tests {
         let mut g = [1.0, 1.0, 1.0];
         relu_backward(&input, &mut g);
         assert_eq!(g, [0.0, 0.0, 1.0]);
-    }
-
-    #[test]
-    fn softmax_sums_to_one_and_is_stable() {
-        let mut x = [1000.0, 1001.0, 1002.0];
-        softmax(&mut x);
-        let sum: f32 = x.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-5);
-        assert!(x[2] > x[1] && x[1] > x[0]);
     }
 
     #[test]

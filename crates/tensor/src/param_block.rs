@@ -127,12 +127,6 @@ impl ParamBlock {
             .as_mut_slice()
     }
 
-    /// Consumes the block, returning the buffer without a copy when this
-    /// was the last holder (otherwise copies).
-    pub fn into_vec(self) -> Vec<f32> {
-        Arc::try_unwrap(self.data).unwrap_or_else(|shared| shared.as_ref().clone())
-    }
-
     pub(crate) fn try_into_unique_vec(self) -> Option<Vec<f32>> {
         Arc::try_unwrap(self.data).ok()
     }
@@ -203,14 +197,6 @@ mod tests {
         let ptr = block.as_slice().as_ptr();
         assert_eq!(block.overwrite_mut(&mut pool), &[8.0, 9.0]);
         assert_eq!(block.as_slice().as_ptr(), ptr);
-    }
-
-    #[test]
-    fn into_vec_avoids_the_copy_when_unique() {
-        let block = ParamBlock::from_vec(vec![1.0; 4]);
-        let ptr = block.as_slice().as_ptr();
-        let v = block.into_vec();
-        assert_eq!(v.as_ptr(), ptr);
     }
 
     #[test]

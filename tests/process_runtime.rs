@@ -48,6 +48,20 @@ fn a_process_fleet_learns_the_synthetic_workload() {
 }
 
 #[test]
+fn same_seed_standard_int8_fleets_are_bit_identical() {
+    // Each worker reduces its neighbours' updates in sender order, not in
+    // the order their frames arrived, so two runs of one seed agree to
+    // the bit even though the fleet's schedule differs between them.
+    let cfg = HopConfig::standard().with_compression(hop::core::CompressionConfig::Int8Uniform);
+    let mut exp = ProcessExperiment::new(cfg, Topology::ring_based(4), 40, worker_bin());
+    exp.examples = 256;
+    let a = exp.run().expect("first run");
+    let b = exp.run().expect("second run");
+    assert_eq!(a.final_params, b.final_params);
+    assert_eq!(a.losses, b.losses);
+}
+
+#[test]
 fn unsupported_configs_are_rejected_up_front() {
     let mut exp = ProcessExperiment::new(HopConfig::standard(), Topology::ring(3), 4, worker_bin());
     exp.config.order = hop::core::ComputeOrder::Serial;

@@ -2,7 +2,8 @@
 //! threads posting to each other's mailboxes, cross-checked against the
 //! simulator's semantics.
 
-use hop::core::threaded::ThreadedExperiment;
+use hop::core::config::ConfigError;
+use hop::core::threaded::{ThreadedError, ThreadedExperiment};
 use hop::core::{HopConfig, Hyper};
 use hop::data::webspam::SyntheticWebspam;
 use hop::data::Dataset;
@@ -173,4 +174,36 @@ fn threaded_backup_drops_the_stragglers_late_updates() {
         late_from_straggler > 0,
         "a 15x straggler's late updates were never dropped"
     );
+}
+
+#[test]
+fn same_seed_standard_runs_are_bit_identical() {
+    // A standard-mode Recv takes every neighbour's update, so the Reduce
+    // sees the same set each run; summing it in sender order (not in
+    // arrival order) makes the parameters and losses exact per seed.
+    let dataset = Arc::new(SyntheticWebspam::generate(256, 5));
+    let model = Arc::new(Svm::log_loss(dataset.feature_dim()));
+    let exp = experiment(HopConfig::standard(), Topology::ring_based(4));
+    let a = exp.run(model.clone(), dataset.clone()).expect("first run");
+    let b = exp.run(model, dataset).expect("second run");
+    assert_eq!(a.final_params, b.final_params);
+    assert_eq!(a.losses, b.losses);
+}
+
+#[test]
+fn byzantine_plans_are_rejected_not_ignored() {
+    // The threaded fault shim has no byzantine corruption; a plan that
+    // asks for it must fail closed instead of running clean.
+    let dataset = Arc::new(SyntheticWebspam::generate(64, 5));
+    let model = Arc::new(Svm::log_loss(dataset.feature_dim()));
+    let mut exp = experiment(HopConfig::standard(), Topology::ring(4));
+    exp.faults = hop_sim::FaultPlan::none().with_byzantine(hop_sim::ByzSpec {
+        worker: 1,
+        from_iter: 0,
+        variant: hop_sim::ByzVariant::SignFlip,
+    });
+    match exp.run(model, dataset) {
+        Err(ThreadedError::Config(ConfigError::InvalidFaultPlan(_))) => {}
+        other => panic!("a byzantine plan must be rejected, got {other:?}"),
+    }
 }
