@@ -227,7 +227,7 @@ impl WorkerProtocol for AdPsgd<'_> {
     fn on_event(&mut self, eng: &mut SimEngine<'_, Ev>, now: f64, ev: Ev) {
         match ev {
             Ev::ComputeDone { w } => {
-                let mut grad = eng.pool.acquire(eng.workers[w].params.len());
+                let mut grad = eng.pool.acquire_stale(eng.workers[w].params.len());
                 eng.local_grad(w, now, &mut grad);
                 self.workers[w].pending_grad = Some(grad);
                 if self.workers[w].initiates {
@@ -259,7 +259,7 @@ impl WorkerProtocol for AdPsgd<'_> {
                     // exact replica with the partner's reconstruction, so
                     // the two sides no longer share one block.
                     for (w, partner_recon) in [(active, &recon_b), (passive, &recon_a)] {
-                        let mut mean = eng.pool.acquire(eng.workers[w].params.len());
+                        let mut mean = eng.pool.acquire_stale(eng.workers[w].params.len());
                         {
                             let own = eng.workers[w].params.as_slice();
                             let other = partner_recon.as_slice();
@@ -281,7 +281,7 @@ impl WorkerProtocol for AdPsgd<'_> {
                     // then *shared* by both replicas — they stay one
                     // allocation until either side's next write detaches
                     // it.
-                    let mut mean = eng.pool.acquire(eng.workers[active].params.len());
+                    let mut mean = eng.pool.acquire_stale(eng.workers[active].params.len());
                     {
                         let pa = eng.workers[active].params.as_slice();
                         let pb = eng.workers[passive].params.as_slice();

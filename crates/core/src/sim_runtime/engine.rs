@@ -42,9 +42,17 @@
 //! through [`ParamBlock::make_mut`], and full overwrites (`Reduce`) go
 //! through [`ParamBlock::overwrite_mut`], which takes its buffer from the
 //! engine-owned [`BufferPool`] instead of copying soon-discarded values.
-//! The pool also recycles per-event gradient scratch
-//! ([`BufferPool::acquire`]/[`release`](BufferPool::release)) and
-//! reclaims dequeued snapshots once their last holder drops them.
+//! Whoever replaces a block recycles it: `overwrite_mut` (like a codec
+//! stream's step) retires the replaced block to the pool it drew from,
+//! which reuses the buffer once the last in-flight snapshot is dropped;
+//! a reader's [`reclaim`](BufferPool::reclaim) of that snapshot only
+//! drops a reference. The simulator has one pool, so this changes no
+//! buffer's home here; on the threaded runtime, where each worker thread
+//! owns a pool, it keeps buffers from drifting between workers. The pool
+//! also recycles per-event gradient scratch
+//! ([`BufferPool::acquire_stale`]/[`release`](BufferPool::release)) and
+//! reclaims dequeued snapshots nobody retired once their last holder
+//! drops them.
 //! Per-example forward/backward intermediates live in each worker's
 //! [`GradScratch`], and the sampler draws each batch's indices into a
 //! buffer the running thread keeps. The steady state is not allocation-free: on

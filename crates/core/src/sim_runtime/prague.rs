@@ -145,7 +145,7 @@ impl WorkerProtocol for Prague {
         match ev {
             Ev::ComputeDone { w, iter } => {
                 // Local gradient + SGD step on the worker's own replica.
-                let mut grad = eng.pool.acquire(eng.workers[w].params.len());
+                let mut grad = eng.pool.acquire_stale(eng.workers[w].params.len());
                 eng.local_grad(w, now, &mut grad);
                 let WorkerCommon { opt, params, .. } = &mut eng.workers[w];
                 opt.step_block(params, &grad);
@@ -211,7 +211,7 @@ impl WorkerProtocol for Prague {
                 // mean, shared as one allocation until the next write.
                 // When compressed, the mean is over the transmitted
                 // reconstructions — the only values all members saw.
-                let mut mean = eng.pool.acquire(eng.workers[members[0]].params.len());
+                let mut mean = eng.pool.acquire_stale(eng.workers[members[0]].params.len());
                 if let Some(recons) = recons {
                     {
                         let views: Vec<&[f32]> = recons.iter().map(|r| r.as_slice()).collect();

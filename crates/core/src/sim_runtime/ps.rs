@@ -277,7 +277,7 @@ impl WorkerProtocol for AsyncServer {
                 let k = eng.iters[w];
                 eng.record_enter(w, k, now);
                 let compute_done = now + eng.compute_duration(w, k);
-                let mut grad = eng.pool.acquire(snap.len());
+                let mut grad = eng.pool.acquire_stale(snap.len());
                 // The gradient is taken on the pulled (possibly stale)
                 // snapshot, not on whatever the server holds by then.
                 let loss = eng.sample_grad(w, &snap, &mut grad);

@@ -125,7 +125,7 @@ impl Qgm<'_> {
     fn on_compute_done(&mut self, eng: &mut SimEngine<'_, Ev>, w: usize, iter: u64, now: f64) {
         debug_assert_eq!(eng.iters[w], iter, "stale compute event");
         // Gradient on x_t, then the QGM local half-step.
-        let mut grad = eng.pool.acquire(eng.workers[w].params.len());
+        let mut grad = eng.pool.acquire_stale(eng.workers[w].params.len());
         eng.local_grad(w, now, &mut grad);
         let hyper = eng.hyper;
         self.workers[w].qgm.local_step(

@@ -349,12 +349,13 @@ impl Transport for InMemoryTransport<'_> {
     type Error = ThreadedError;
 
     /// Zero: a waiting thread parks at once. Measured with the perf
-    /// ledger on a 2-core host (medians of alternating 20 s runs, 0 rounds
-    /// against 20): `thr_ring4_ident` 19 500 against 20 050 worker
-    /// iterations/s and 57.8 against 67.0 MB peak RSS (5 pairs);
-    /// `thr_ring4_topk` 12 640 against 13 660 /s, inside its run-to-run
-    /// spread, and 58.0 against 53.3 MB (3 pairs). Spinning buys a few
-    /// per cent of throughput at best, for up to a sixth more memory.
+    /// ledger on a 2-core host (medians of 5 alternating 8 s runs, 0
+    /// rounds against 20): `thr_ring4_ident` 15 040 against 15 580 worker
+    /// iterations/s (20 rounds ahead in 4 pairs of 5), `thr_ring4_topk`
+    /// 9 540 against 9 440 /s; peak RSS is 18–19 and 21–23 MB either
+    /// way, since each worker's pool keeps its own blocks. Spinning buys a
+    /// few per cent of throughput at best, and only without a codec, for
+    /// a core that spins instead of idling.
     const SPIN_ROUNDS: u32 = 0;
 
     fn pump(&mut self, inbox: &mut Inbox, timeout: Duration) -> bool {

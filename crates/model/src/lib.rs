@@ -5,8 +5,8 @@
 //! both, operating on a *flat* `f32` parameter vector — the representation
 //! exchanged between workers by the decentralized protocols:
 //!
-//! * [`svm::Svm`] — linear model with log loss (as §7.2 specifies) or
-//!   hinge loss, supporting sparse features.
+//! * [`svm::Svm`] — linear model with log loss (as §7.2 specifies),
+//!   supporting sparse features.
 //! * [`cnn::TinyCnn`] — conv3×3 → ReLU → 2×2 avg-pool → FC softmax; the
 //!   "CNN" workload.
 //! * [`optimizer::Sgd`] — SGD with momentum and weight decay (momentum

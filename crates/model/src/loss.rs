@@ -33,18 +33,6 @@ pub fn log_loss(margin: f32, y: f32) -> (f32, f32) {
     (softplus(-z), -y * sigmoid(-z))
 }
 
-/// Hinge loss `max(0, 1 - y * margin)` and its (sub)derivative w.r.t. the
-/// margin. Provided for completeness/ablations.
-#[inline]
-pub fn hinge_loss(margin: f32, y: f32) -> (f32, f32) {
-    let z = y * margin;
-    if z >= 1.0 {
-        (0.0, 0.0)
-    } else {
-        (1.0 - z, -y)
-    }
-}
-
 /// Softmax cross-entropy over one logit row.
 ///
 /// Returns the loss and writes `softmax(logits) - one_hot(label)` (the
@@ -100,17 +88,6 @@ mod tests {
             let numeric = (up - down) / (2.0 * eps);
             assert!((numeric - g).abs() < 1e-3, "m={m} y={y}: {numeric} vs {g}");
         }
-    }
-
-    #[test]
-    fn hinge_loss_regions() {
-        assert_eq!(hinge_loss(2.0, 1.0), (0.0, 0.0));
-        let (l, g) = hinge_loss(0.0, 1.0);
-        assert_eq!(l, 1.0);
-        assert_eq!(g, -1.0);
-        let (l, g) = hinge_loss(0.5, -1.0);
-        assert_eq!(l, 1.5);
-        assert_eq!(g, 1.0);
     }
 
     #[test]

@@ -4,19 +4,10 @@
 //! and weight decay 1e-7. Labels are stored as `{0, 1}` in the dataset and
 //! mapped to `{-1, +1}` here. The parameter vector is `[weights..., bias]`.
 
-use crate::loss::{hinge_loss, log_loss};
+use crate::loss::log_loss;
 use crate::model::{GradScratch, Model};
 use hop_data::{Batch, Features};
 use hop_util::Xoshiro256;
-
-/// Loss flavor for [`Svm`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SvmLoss {
-    /// Logistic loss, as the paper uses.
-    Log,
-    /// Classic hinge loss (for ablations).
-    Hinge,
-}
 
 /// A binary linear classifier over dense or sparse features.
 ///
@@ -35,7 +26,6 @@ pub enum SvmLoss {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Svm {
     dim: usize,
-    loss: SvmLoss,
 }
 
 impl Svm {
@@ -46,23 +36,7 @@ impl Svm {
     /// Panics if `dim == 0`.
     pub fn log_loss(dim: usize) -> Self {
         assert!(dim > 0, "feature dimension must be positive");
-        Self {
-            dim,
-            loss: SvmLoss::Log,
-        }
-    }
-
-    /// Creates an SVM with hinge loss over `dim` features.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dim == 0`.
-    pub fn hinge(dim: usize) -> Self {
-        assert!(dim > 0, "feature dimension must be positive");
-        Self {
-            dim,
-            loss: SvmLoss::Hinge,
-        }
+        Self { dim }
     }
 
     /// Feature dimension (excluding the bias slot).
@@ -102,10 +76,7 @@ impl Model for Svm {
         for ex in &batch.examples {
             let y = if ex.label == 1 { 1.0 } else { -1.0 };
             let margin = self.margin(params, &ex.features);
-            let (l, dmargin) = match self.loss {
-                SvmLoss::Log => log_loss(margin, y),
-                SvmLoss::Hinge => hinge_loss(margin, y),
-            };
+            let (l, dmargin) = log_loss(margin, y);
             total += l;
             ex.features.axpy_into(dmargin, &mut grad[..self.dim]);
             grad[self.dim] += dmargin;
@@ -167,16 +138,6 @@ mod tests {
         let batch = d.batch(&[0, 1, 2]);
         let err = finite_difference_check(&svm, &[0.2, -0.4, 0.1], &batch, &[0, 1, 2], 1e-3);
         assert!(err < 5e-3, "relative error {err}");
-    }
-
-    #[test]
-    fn gradient_matches_finite_difference_hinge() {
-        let d = toy();
-        let svm = Svm::hinge(2);
-        let batch = d.batch(&[0, 1, 2]);
-        // Probe away from the hinge kink.
-        let err = finite_difference_check(&svm, &[0.05, -0.03, 0.02], &batch, &[0, 1, 2], 1e-4);
-        assert!(err < 5e-2, "relative error {err}");
     }
 
     #[test]

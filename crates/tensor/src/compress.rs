@@ -391,10 +391,13 @@ impl ParamStream {
         self.replace(next, pool);
     }
 
-    /// Installs `next` as the reference, recycling the previous buffer
-    /// if no receiver still holds it.
+    /// Installs `next` as the reference and retires the previous one to
+    /// `pool` ([`BufferPool::retire`]): released at once if no receiver
+    /// holds it, else reused by `pool` once the last receiver lets go. A
+    /// receiver's own `reclaim` of it only drops a reference, so the
+    /// buffer returns to the pool that wrote it.
     fn replace(&mut self, next: Vec<f32>, pool: &mut BufferPool) {
-        pool.reclaim(std::mem::replace(
+        pool.retire(std::mem::replace(
             &mut self.reference,
             ParamBlock::from_vec(next),
         ));
@@ -838,7 +841,8 @@ impl Codec {
     /// [`ParamStream::reference`] is the reconstruction to ship. No
     /// residual takes part — what a block fails to move is still in the
     /// next step's delta. The next reference is written into a buffer
-    /// from `pool`; the previous one goes back to it once unshared.
+    /// from `pool`; the previous one is retired to it and reused once
+    /// unshared.
     ///
     /// # Panics
     ///
@@ -1009,6 +1013,25 @@ mod tests {
         assert!(CompressionConfig::TopK { ratio: f32::NAN }
             .validate()
             .is_err());
+    }
+
+    #[test]
+    fn a_stream_step_retires_the_reference_it_replaces() {
+        let (mut owner, mut reader) = (BufferPool::new(), BufferPool::new());
+        let mut codec = CompressionConfig::Int8Uniform.codec();
+        let mut stream = ParamStream::new(&[0.0; 8]);
+        let mut block = CompressedBlock::default();
+        let params: Vec<f32> = (0..8).map(|i| i as f32).collect();
+        codec.encode_step(&params, &mut stream, &mut owner, &mut block);
+        let shipped = stream.reference().snapshot();
+        let old = shipped.as_slice().as_ptr();
+        codec.encode_step(&params, &mut stream, &mut owner, &mut block);
+        // The receiver's reclaim only drops its reference: the buffer
+        // belongs to the pool whose step replaced it.
+        reader.reclaim(shipped);
+        assert_eq!(reader.free_buffers(), 0);
+        codec.encode_step(&params, &mut stream, &mut owner, &mut block);
+        assert_eq!(stream.reference().as_slice().as_ptr(), old);
     }
 
     #[test]

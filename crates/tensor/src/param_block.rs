@@ -17,7 +17,8 @@
 //!   `Reduce`-style writes that never read the old contents: when the
 //!   block is shared it swaps in a recycled buffer from a
 //!   [`BufferPool`] — neither copied nor zeroed, since every element is
-//!   about to be overwritten.
+//!   about to be overwritten — and retires the old block to that pool,
+//!   which reuses it once the last snapshot is dropped.
 //!
 //! Determinism contract: a `ParamBlock` never changes *values* on its
 //! own. All sharing is representation-only, so any computation over
@@ -113,22 +114,26 @@ impl ParamBlock {
     /// Mutable access for *full overwrites* (`Reduce`-style writes that
     /// never read the old contents): like [`Self::make_mut`], but when
     /// the block is shared the old values are not copied — a same-length
-    /// buffer from [`BufferPool::acquire_stale`] replaces them.
+    /// buffer from [`BufferPool::acquire_stale`] replaces them, and the
+    /// old block is retired to `pool`, which reuses it once its readers
+    /// let go.
     ///
     /// The returned slice holds unspecified values in the shared case and
     /// the previous contents in the unshared case; callers must overwrite
     /// every element.
     pub fn overwrite_mut(&mut self, pool: &mut BufferPool) -> &mut [f32] {
         if Arc::get_mut(&mut self.data).is_none() {
-            self.data = Arc::new(pool.acquire_stale(self.data.len()));
+            let next = Self::from_vec(pool.acquire_stale(self.data.len()));
+            pool.retire(std::mem::replace(self, next));
         }
         Arc::get_mut(&mut self.data)
             .expect("block was just made unique")
             .as_mut_slice()
     }
 
-    pub(crate) fn try_into_unique_vec(self) -> Option<Vec<f32>> {
-        Arc::try_unwrap(self.data).ok()
+    /// The buffer itself if this is its last holder, else the block back.
+    pub(crate) fn try_into_unique_vec(self) -> Result<Vec<f32>, Self> {
+        Arc::try_unwrap(self.data).map_err(|data| Self { data })
     }
 }
 

@@ -9,6 +9,22 @@
 //! and [`BufferPool::reclaim`] recycles the allocation behind a
 //! [`ParamBlock`] once it is no longer shared.
 //!
+//! # Who recycles a block
+//!
+//! The pool that *replaces* a block recycles it. When
+//! [`ParamBlock::overwrite_mut`] or a [`ParamStream`](crate::ParamStream)
+//! step swaps out a block that readers still hold, the replacing pool
+//! keeps the old block on a short retired list and reuses its buffer
+//! once the last reader has let go. A reader's [`BufferPool::reclaim`]
+//! of such a block therefore only drops a reference: the buffer goes
+//! back to the pool that wrote it, not to whichever pool happened to
+//! drop it last. On the threaded runtime, where every worker thread
+//! owns a pool, that keeps buffers from drifting between workers, and
+//! in a process worker it keeps them in each inbound link's pool. A
+//! pool then holds about as many buffers as its own blocks have readers
+//! in flight, which the iteration-gap bound limits, instead of anywhere
+//! between none and the free-list cap.
+//!
 //! Determinism contract: buffers from [`BufferPool::acquire`] are always
 //! zero-filled, so a recycled buffer is indistinguishable from a fresh
 //! `vec![0.0; len]` — pooling cannot change any computed value.
@@ -19,6 +35,7 @@
 //! instead of silently reading its predecessor's values.
 
 use crate::param_block::ParamBlock;
+use std::collections::VecDeque;
 
 /// A free list of reusable `Vec<f32>` scratch buffers.
 ///
@@ -38,6 +55,9 @@ use crate::param_block::ParamBlock;
 #[derive(Debug, Default)]
 pub struct BufferPool {
     free: Vec<Vec<f32>>,
+    /// Blocks this pool replaced while readers still held them, oldest
+    /// first.
+    retired: VecDeque<ParamBlock>,
     acquires: u64,
     reuses: u64,
 }
@@ -46,6 +66,12 @@ pub struct BufferPool {
 /// runtimes hold only a handful of scratch buffers at once, so a small
 /// cap bounds memory without costing hits.
 const MAX_FREE: usize = 64;
+
+/// Retired-list length cap; retiring one more block hands the oldest to
+/// [`BufferPool::reclaim`], so a reader that never lets go pins at most
+/// this many buffers. Sixteen covers the blocks a Hop worker has in
+/// flight under any iteration-gap bound the runtimes use.
+const MAX_RETIRED: usize = 16;
 
 /// A point-in-time snapshot of a pool's allocation behavior, used by
 /// benches to assert a hot path stopped allocating after warmup: if
@@ -96,12 +122,21 @@ impl BufferPool {
         }
     }
 
-    /// Pops a free buffer, keeping the acquire/reuse counters.
+    /// Pops a free buffer, or else takes back any retired block whose
+    /// readers have all let go, keeping the acquire/reuse counters.
     fn recycle(&mut self) -> Option<Vec<f32>> {
         self.acquires += 1;
-        let buf = self.free.pop();
+        let buf = self.free.pop().or_else(|| self.take_retired());
         self.reuses += u64::from(buf.is_some());
         buf
+    }
+
+    /// Removes the first retired block that has become unique. The scan
+    /// covers the whole list: a long-lived reader (a run's initial
+    /// parameters, say) must not hide the blocks retired after it.
+    fn take_retired(&mut self) -> Option<Vec<f32>> {
+        let i = self.retired.iter().position(|b| b.strong_count() == 1)?;
+        self.retired.remove(i)?.try_into_unique_vec().ok()
     }
 
     /// Returns a buffer to the free list.
@@ -113,10 +148,28 @@ impl BufferPool {
 
     /// Recycles the allocation behind `block` if this was its last
     /// holder; shared blocks are simply dropped (their other holders keep
-    /// the buffer alive).
+    /// the buffer alive). A block another pool retired is always shared
+    /// with that pool, so reclaiming it only drops a reference.
     pub fn reclaim(&mut self, block: ParamBlock) {
-        if let Some(buf) = block.try_into_unique_vec() {
+        if let Ok(buf) = block.try_into_unique_vec() {
             self.release(buf);
+        }
+    }
+
+    /// Takes back `block`, which this pool's caller has just replaced:
+    /// an unshared block is released at once; a shared one waits on the
+    /// retired list until its readers let go, and a later acquire reuses
+    /// it. When the list is full, its oldest block is reclaimed instead.
+    pub(crate) fn retire(&mut self, block: ParamBlock) {
+        match block.try_into_unique_vec() {
+            Ok(buf) => self.release(buf),
+            Err(block) => {
+                if self.retired.len() == MAX_RETIRED {
+                    let oldest = self.retired.pop_front().expect("the list is full");
+                    self.reclaim(oldest);
+                }
+                self.retired.push_back(block);
+            }
         }
     }
 
@@ -209,6 +262,77 @@ mod tests {
         assert_eq!(s.acquires, 3);
         assert_eq!(s.reuses, 1);
         assert_eq!(s.fresh, 2);
+    }
+
+    #[test]
+    fn the_owner_takes_a_retired_buffer_back_once_the_snapshot_drops() {
+        let mut pool = BufferPool::new();
+        let mut block = ParamBlock::from_vec(vec![1.0; 4]);
+        let snap = block.snapshot();
+        let old = snap.as_slice().as_ptr();
+        block.overwrite_mut(&mut pool).fill(2.0);
+        // The reader still holds the replaced block: it waits, retired.
+        assert_eq!((pool.free_buffers(), pool.retired.len()), (0, 1));
+        let other = pool.acquire(4);
+        assert_ne!(other.as_ptr(), old);
+        drop(snap);
+        let again = pool.acquire_stale(4);
+        assert_eq!(again.as_ptr(), old);
+        assert!(pool.retired.is_empty());
+        assert_eq!(pool.stats().fresh, 2);
+    }
+
+    #[test]
+    fn a_readers_reclaim_of_a_retired_block_does_not_pool_it() {
+        let (mut owner, mut reader) = (BufferPool::new(), BufferPool::new());
+        let mut block = ParamBlock::from_vec(vec![1.0; 4]);
+        let snap = block.snapshot();
+        let old = snap.as_slice().as_ptr();
+        block.overwrite_mut(&mut owner).fill(2.0);
+        reader.reclaim(snap);
+        assert_eq!(reader.free_buffers(), 0);
+        let again = owner.acquire(4);
+        assert_eq!(again.as_ptr(), old);
+    }
+
+    #[test]
+    fn any_unique_retired_block_is_reused_not_just_the_oldest() {
+        let mut pool = BufferPool::new();
+        let mut block = ParamBlock::from_vec(vec![1.0; 4]);
+        let pinned = block.snapshot();
+        block.overwrite_mut(&mut pool).fill(2.0);
+        let released = block.snapshot();
+        let old = released.as_slice().as_ptr();
+        block.overwrite_mut(&mut pool).fill(3.0);
+        drop(released);
+        assert_eq!(pool.retired.len(), 2);
+        let again = pool.acquire_stale(4);
+        assert_eq!(again.as_ptr(), old);
+        drop(pinned);
+    }
+
+    #[test]
+    fn the_retired_list_stays_bounded_when_a_reader_never_lets_go() {
+        let mut pool = BufferPool::new();
+        let mut block = ParamBlock::from_vec(vec![0.0; 2]);
+        let mut held = Vec::new();
+        for i in 0..100 {
+            held.push(block.snapshot());
+            block.overwrite_mut(&mut pool).fill(i as f32);
+            assert!(pool.retired.len() <= MAX_RETIRED);
+        }
+        assert_eq!(pool.retired.len(), MAX_RETIRED);
+        // An evicted block is the reader's again: its reclaim pools it.
+        let mut reader = BufferPool::new();
+        reader.reclaim(held.swap_remove(0));
+        assert_eq!(reader.free_buffers(), 1);
+    }
+
+    #[test]
+    fn retiring_an_unshared_block_releases_it() {
+        let mut pool = BufferPool::new();
+        pool.retire(ParamBlock::from_vec(vec![1.0; 4]));
+        assert_eq!((pool.free_buffers(), pool.retired.len()), (1, 0));
     }
 
     #[test]
