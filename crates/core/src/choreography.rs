@@ -41,12 +41,12 @@
 //!
 //! # Delivery plane
 //!
-//! Arrival judgement ([`Arrival::judge`] → `StaleAdmit`/`StaleReject`),
-//! token visibility ([`token_grant`] → `TokenPass`) and post-jump
-//! discards ([`drop_update`] → `Drop`) happen on the *network's*
-//! schedule, in whatever phase the receiving worker occupies, so they are
-//! free functions of the module rather than handle methods — but they
-//! are still the only way to emit those events.
+//! Arrival judgement ([`Arrival::judge`] → `StaleAdmit`/`StaleReject`)
+//! and token visibility ([`token_grant`] → `TokenPass`) happen on the
+//! *network's* schedule, in whatever phase the receiving worker occupies,
+//! so they are free functions of the module rather than handle methods —
+//! but they are still the only way to emit those events. (No runtime
+//! emits `Drop`: the rotating queues purge stale updates silently.)
 //!
 //! # Forbidden transitions (compile-fail pins)
 //!
@@ -432,18 +432,6 @@ pub struct Renew {
 }
 
 impl Renew {
-    /// The jumping worker.
-    #[must_use]
-    pub fn worker(&self) -> usize {
-        self.worker
-    }
-
-    /// The iteration the jump left.
-    #[must_use]
-    pub fn from_iter(&self) -> u64 {
-        self.from_iter
-    }
-
     /// The iteration the jump will enter.
     #[must_use]
     pub fn target(&self) -> u64 {
@@ -569,13 +557,6 @@ pub fn token_grant(sink: &mut impl EventSink, owner: usize, consumer: usize, cou
         consumer,
         count,
     });
-}
-
-/// `worker` discarded the delivered-but-unconsumed update tagged
-/// `(from, iter)` — updates for iterations a jump skipped over (emits
-/// `Drop`).
-pub fn drop_update(sink: &mut impl EventSink, worker: usize, from: usize, iter: u64) {
-    sink.emit(|| ProtocolEvent::Drop { worker, from, iter });
 }
 
 /// `worker` crashed on entering iteration `iter` (emits `Crash`). Like

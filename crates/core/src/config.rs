@@ -82,10 +82,6 @@ pub struct HopConfig {
     pub staleness: Option<u64>,
     /// Skipping-iterations configuration (§5); `None` disables skipping.
     pub skip: Option<SkipConfig>,
-    /// §6.2(b): inquire the receiver's iteration before sending and skip
-    /// sends that would arrive stale. `None` = enable automatically when
-    /// backup workers are in use (where stale updates accumulate).
-    pub send_inquiry: Option<bool>,
     /// How the staleness Reduce weighs updates (Eq. 2 by default; the
     /// alternatives support the §4.4 "future work" ablation).
     pub staleness_weighting: crate::semantics::StalenessWeighting,
@@ -104,7 +100,6 @@ impl HopConfig {
             n_backup: 0,
             staleness: None,
             skip: None,
-            send_inquiry: None,
             staleness_weighting: crate::semantics::StalenessWeighting::Linear,
             compression: CompressionConfig::Identity,
         }
@@ -128,7 +123,6 @@ impl HopConfig {
             n_backup: 0,
             staleness: None,
             skip: None,
-            send_inquiry: None,
             staleness_weighting: crate::semantics::StalenessWeighting::Linear,
             compression: CompressionConfig::Identity,
         }
@@ -188,9 +182,11 @@ impl HopConfig {
         }
     }
 
-    /// Whether §6.2(b) send inquiry is effective.
-    pub fn effective_send_inquiry(&self) -> bool {
-        self.send_inquiry.unwrap_or(self.n_backup > 0)
+    /// Whether a Send first inquires each receiver's iteration and skips
+    /// the ones already past it (§6.2(b)): with backup workers, where
+    /// stale updates accumulate.
+    pub fn send_inquiry(&self) -> bool {
+        self.n_backup > 0
     }
 
     /// Validates the configuration against a topology.
@@ -637,11 +633,8 @@ mod tests {
 
     #[test]
     fn send_inquiry_defaults_on_for_backup() {
-        assert!(!HopConfig::standard().effective_send_inquiry());
-        assert!(HopConfig::backup(1, 5).effective_send_inquiry());
-        let mut c = HopConfig::standard();
-        c.send_inquiry = Some(true);
-        assert!(c.effective_send_inquiry());
+        assert!(!HopConfig::standard().send_inquiry());
+        assert!(HopConfig::backup(1, 5).send_inquiry());
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!   (§4.4), skipping iterations (§5), plus parameter-server, ring
 //!   all-reduce, AD-PSGD, Prague partial all-reduce and Quasi-Global
 //!   Momentum baselines.
-//! * [`semantics`] — the pure update-selection/reduction/jump rules shared
-//!   by both runtimes.
+//! * [`semantics`] — the pure update-selection/reduction/jump rules the
+//!   worker machine and the oracle share.
 //! * [`conformance`] — the protocol-event trace both runtimes emit and
 //!   the invariant [`conformance::Oracle`] that replays it (gap bounds,
 //!   backup quota, staleness window, jump legality).
@@ -21,9 +21,15 @@
 //! * [`sim_runtime`] — deterministic discrete-event execution on
 //!   [`hop_sim`]'s virtual cluster; produces timing traces, gap
 //!   statistics and loss curves for every figure in the paper.
-//! * [`threaded`] / [`process`] — the same protocol executed for real:
-//!   one worker iteration loop (the private `worker` module), each
-//!   worker owning its [`hop_queue`] inbox, over two transports: OS
+//! * the Hop worker itself is written once, as the private sans-IO
+//!   `machine` module: one state machine per worker (phase and
+//!   choreography handle, rotating [`hop_queue`] update queue, newest
+//!   updates, token and ACK counts) that is fed inputs and asks an
+//!   executor to compute, send, grant, ACK or finish. The simulator's
+//!   decentralized runtime is one executor; the private `worker` module's
+//!   loop is the other, shared by:
+//! * [`threaded`] / [`process`] — the same protocol executed for real,
+//!   each worker pumping its inbox over one of two transports: OS
 //!   threads posting to each other's mailboxes and OS *processes* on one
 //!   host speaking [`hop_wire`] length-prefixed frames through
 //!   shared-memory rings (measured link bytes equal the simulator's
@@ -64,6 +70,7 @@
 pub mod choreography;
 pub mod config;
 pub mod conformance;
+mod machine;
 #[cfg(unix)]
 pub mod process;
 pub mod report;

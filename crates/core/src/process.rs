@@ -2,19 +2,20 @@
 //! *processes* on one host, speaking the [`hop_wire`] length-prefixed
 //! frame format through shared-memory rings.
 //!
-//! A [`ProcessExperiment`] plays coordinator: in a private run directory
-//! (mode `0o700`, removed with its files however the run ends) it
-//! listens on `coordinator.sock`, re-execs the worker binary (`hop_worker
-//! --worker <coordinator-socket> <id>`) once per worker, hands each its
-//! spec (a [`Message::Spec`] frame) and collects one [`Message::Summary`]
-//! per worker at the end. Worker `w` listens on `<w>.sock` beside it, so
-//! nothing is exchanged to find a peer. Workers connect to each other
-//! directly — one link per directed external edge `w -> o`, carrying
-//! `w`'s updates one way and `o`'s token grants the other — and drive the
-//! one worker iteration loop (`crate::worker`, shared with
-//! [`crate::threaded`]) over the transport defined here. Outbound,
-//! delivering an update is one encoded frame fanned out to the out-links
-//! and a token grant is a frame on an in-link.
+//! A [`ProcessExperiment`] plays coordinator: in a private run
+//! directory (mode `0o700`, removed with its files however the run
+//! ends) it listens on `coordinator.sock`, re-execs the worker binary
+//! (`hop_worker --worker <coordinator-socket> <id>`) once per worker,
+//! hands each its spec (a [`Message::Spec`] frame) and collects one
+//! [`Message::Summary`] per worker at the end. Worker `w` listens on
+//! `<w>.sock` beside it, so nothing is exchanged to find a peer.
+//! Workers connect to each other directly — one link per directed
+//! external edge `w -> o`, carrying `w`'s updates one way and `o`'s
+//! token grants the other — and run the one Hop worker machine under
+//! the real executor (`crate::worker`, shared with [`crate::threaded`])
+//! over the transport defined here. Outbound, delivering an update is
+//! one encoded frame fanned out to the out-links and a token grant is a
+//! frame on an in-link.
 //!
 //! A link's frames travel through a pair of single-producer/single-
 //! consumer byte rings, one per direction, in a file mapping both workers
@@ -103,7 +104,7 @@ use hop_data::Dataset;
 use hop_graph::Topology;
 use hop_model::svm::Svm;
 use hop_model::Model;
-use hop_queue::tagged::Tag;
+use hop_queue::tagged::{Tag, TaggedEntry};
 use hop_sim::FaultPlan;
 use hop_tensor::{BufferPool, CompressedBlock, CompressionConfig, ParamBlock};
 use hop_wire::{read_message, write_message, Body, Message, WireError};
@@ -696,7 +697,6 @@ impl WorkerSpec {
         let skip = cfg.skip.as_ref();
         put_opt(&mut out, skip.map(|s| s.max_jump));
         put(&mut out, skip.map(|s| s.trigger_behind.to_le_bytes()));
-        out.push(cfg.send_inquiry.map_or(0, |ask| 1 + u8::from(ask)));
         let (weighting, decay) = match cfg.staleness_weighting {
             StalenessWeighting::Linear => (0, None),
             StalenessWeighting::Uniform => (1, None),
@@ -765,11 +765,6 @@ impl WorkerSpec {
                         trigger_behind: field("skip", b.u64())?,
                     }),
                     None => None,
-                },
-                send_inquiry: match field("send_inquiry", b.u8())? {
-                    0 => None,
-                    ask @ (1 | 2) => Some(ask == 2),
-                    kind => return Err(format!("spec `send_inquiry` has unknown kind {kind}")),
                 },
                 staleness_weighting: match field("weighting", b.u8())? {
                     0 => StalenessWeighting::Linear,
@@ -1272,10 +1267,7 @@ impl<'a> RingTransport<'a> {
                     block => plane.apply_params_block(0, &block, pool),
                 };
                 clock.fetch_max(c, Ordering::SeqCst);
-                inbox
-                    .updates
-                    .enqueue(update, tag)
-                    .expect("the inbox is unbounded");
+                inbox.updates.push(TaggedEntry { value: update, tag });
             }
             (other, Inbound::Tokens) => {
                 return Err(format!("unexpected {other:?} on a token link"));
@@ -1577,7 +1569,6 @@ fn worker_run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hop_queue::tagged::TagFilter;
 
     fn experiment() -> ProcessExperiment {
         let mut exp = ProcessExperiment::new(
@@ -1771,7 +1762,7 @@ mod tests {
                     };
                     let link = Link::new(1 - me, stream, rings, inbound).expect("non-blocking");
                     let mut end = RingTransport::new(me, &clock, vec![link], 0, DIM);
-                    let mut inbox = Inbox::new(None, 0);
+                    let mut inbox = Inbox::new(0);
                     let block = CompressedBlock::Dense {
                         values: vec![1.0; DIM],
                     };
@@ -1784,10 +1775,10 @@ mod tests {
                     assert_eq!(end.failed(), Ok(()), "end {me}");
                     assert!(!end.links[0].out.is_empty(), "end {me} never had to queue");
                     let started = Instant::now();
-                    let got = inbox
-                        .dequeue(&mut end, TagFilter::any(), (FRAMES, 0), timeout)
-                        .unwrap_or_else(|| panic!("end {me} stalled: {:?}", end.failure));
-                    assert_eq!(got.len(), FRAMES, "end {me}");
+                    let got =
+                        inbox.wait(&mut end, timeout, |_, inbox| inbox.updates.len() >= FRAMES);
+                    assert!(got, "end {me} stalled: {:?}", end.failure);
+                    assert_eq!(inbox.updates.len(), FRAMES, "end {me}");
                     assert_eq!(inbox.close(&mut end, timeout), Ok(()), "end {me}");
                     assert!(end.links[0].finished && end.links[0].out.is_empty());
                     assert!(started.elapsed() < timeout, "end {me} drained too late");
@@ -1820,7 +1811,7 @@ mod tests {
             let clock = AtomicU64::new(0);
             let link = Link::new(1, stream, rings, Inbound::Tokens).expect("non-blocking");
             let mut reader = RingTransport::new(0, &clock, vec![link], 1, 1);
-            let mut inbox = Inbox::new(Some(0), 1);
+            let mut inbox = Inbox::new(1);
             assert_eq!(writer.write(&grant(3)), Ok(grant(3).len()));
             assert!(reader.pump(&mut inbox, Duration::ZERO), "{case}");
             assert_eq!((inbox.tokens[0], reader.failed()), (3, Ok(())), "{case}");

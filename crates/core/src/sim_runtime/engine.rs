@@ -2,15 +2,15 @@
 //!
 //! # The `SimEngine` / `WorkerProtocol` split
 //!
-//! All four runtimes (Hop's decentralized protocol family, the
-//! parameter-server baselines, AD-PSGD and ring all-reduce) share the same
-//! skeleton: seed a deterministic RNG, replicate initial parameters,
-//! wire a [`BatchSampler`] and [`Sgd`] per worker, pump an [`EventQueue`]
-//! until every worker finishes (or the run deadlocks), draw compute times
-//! from the [`SlowdownModel`], and record timing ([`Trace`]) and loss
-//! ([`Recorder`]) along the way. Before this module existed each runtime
-//! hand-rolled that skeleton (~1.7k LoC with heavy duplication); now it
-//! lives here exactly once.
+//! Every simulated protocol (Hop's decentralized family, the
+//! parameter-server baselines, AD-PSGD, ring all-reduce, Prague and
+//! QGM) shares the same skeleton: seed a deterministic RNG, replicate
+//! initial parameters, wire a [`BatchSampler`] and [`Sgd`] per worker,
+//! pump an [`EventQueue`] until every worker finishes (or the run
+//! deadlocks), draw compute times from the [`SlowdownModel`], and
+//! record timing ([`Trace`]) and loss ([`Recorder`]) along the way.
+//! Before this module existed each runtime hand-rolled that skeleton
+//! (~1.7k LoC with heavy duplication); now it lives here exactly once.
 //!
 //! * [`SimEngine`] owns everything protocol-independent: the virtual
 //!   [`Network`], the event heap, per-worker common state
@@ -25,7 +25,10 @@
 //!   follow-on events through the engine it is handed. Protocol-specific
 //!   per-worker state (queues, phases, token counts…) stays inside the
 //!   protocol struct, disjoint from the engine's common state, so both
-//!   can be borrowed mutably at once.
+//!   can be borrowed mutably at once. Hop's plug-in keeps none of its
+//!   own rules: its workers are the crate's one sans-IO worker machine,
+//!   which the threaded and process runtimes run too, and the plug-in is
+//!   that machine's simulation executor.
 //!
 //! Adding a new baseline (e.g. Prague-style partial all-reduce or
 //! quasi-global momentum) is now a ~150-line `WorkerProtocol`
@@ -142,7 +145,7 @@
 //! they are written; so reports are bit-identical to an implementation
 //! that deep-copied every message.
 
-use crate::choreography::{self, Idle, Step};
+use crate::choreography;
 use crate::conformance::ProtocolTrace;
 use crate::report::TrainingReport;
 use crate::sim_runtime::recorder::{EvalConfig, Recorder};
@@ -304,8 +307,11 @@ pub trait WorkerProtocol {
     fn on_finish(&mut self, _eng: &mut SimEngine<'_, Self::Event>) {}
 
     /// The parameter vectors published in
-    /// [`TrainingReport::final_params`].
-    fn final_params(&mut self, eng: &SimEngine<'_, Self::Event>) -> Vec<Vec<f32>>;
+    /// [`TrainingReport::final_params`]: by default every worker's
+    /// replica. Protocols with one global parameter vector override it.
+    fn final_params(&mut self, eng: &SimEngine<'_, Self::Event>) -> Vec<Vec<f32>> {
+        eng.workers.iter().map(|wc| wc.params.to_vec()).collect()
+    }
 
     /// Stale updates discarded over the run (rotating-queue protocols).
     fn stale_discarded(&self, _eng: &SimEngine<'_, Self::Event>) -> u64 {
@@ -753,33 +759,26 @@ impl<'a, E> SimEngine<'a, E> {
 
     /// The iteration-entry hook for round-driven protocols (PS, AD-PSGD,
     /// ring, Prague, QGM) whose synchronization is engine-internal:
-    /// records the timing trace entry *and* the conformance `Advance`
-    /// (via [`choreography::advance_only`]) in one place, so the two
-    /// views of "worker `w` entered iteration `iter`" can never diverge.
-    /// Protocols that drive the full exchange vocabulary enter through
-    /// [`Self::enter_step`] instead.
+    /// records the conformance `Advance` (via
+    /// [`choreography::advance_only`]) and the rest of the entry in one
+    /// place, so the two views of "worker `w` entered iteration `iter`"
+    /// can never diverge. Hop's workers emit their own `Advance` (their
+    /// worker machine opens the iteration's step) and then record the
+    /// rest of the entry through `entered`.
     pub fn record_enter(&mut self, w: usize, iter: u64, now: f64) {
-        self.trace.record(w, iter, now);
         choreography::advance_only(&mut self.conformance, w, iter);
-        if self.faults.try_crash(w, iter) {
-            choreography::crash(&mut self.conformance, w, iter);
-        }
+        self.entered(w, iter, now);
     }
 
-    /// The iteration-entry hook for protocols driving the full
-    /// choreography: records the timing trace entry and returns the
-    /// typed per-iteration handle (whose construction emits the
-    /// `Advance`) that all further exchange events must flow through.
-    /// Scheduled crashes fire here — at iteration entry, after the
-    /// `Advance` — so the worker's sends for this iteration are already
-    /// dead-endpoint losses.
-    pub fn enter_step(&mut self, w: usize, iter: u64, now: f64) -> Step<Idle> {
+    /// The rest of an iteration entry whose `Advance` is on record:
+    /// records the timing trace entry and fires a crash scheduled for it —
+    /// after the `Advance`, so the worker's sends for this iteration are
+    /// already dead-endpoint losses.
+    pub(crate) fn entered(&mut self, w: usize, iter: u64, now: f64) {
         self.trace.record(w, iter, now);
-        let step = choreography::begin_step(&mut self.conformance, w, iter);
         if self.faults.try_crash(w, iter) {
             choreography::crash(&mut self.conformance, w, iter);
         }
-        step
     }
 
     /// Marks worker `w` finished; the pump stops once every worker is.
@@ -1041,10 +1040,6 @@ mod tests {
                 Self::compute(eng, w, grad, now);
             }
         }
-
-        fn final_params(&mut self, eng: &SimEngine<'_, Step>) -> Vec<Vec<f32>> {
-            eng.workers.iter().map(|s| s.params.to_vec()).collect()
-        }
     }
 
     fn run_local(seed: u64) -> TrainingReport {
@@ -1163,9 +1158,6 @@ mod tests {
                 eng.local_grad(1, 0.0, &mut grad);
             }
             fn on_event(&mut self, _eng: &mut SimEngine<'_, ()>, _now: f64, _ev: ()) {}
-            fn final_params(&mut self, _eng: &SimEngine<'_, ()>) -> Vec<Vec<f32>> {
-                Vec::new()
-            }
         }
         let dataset = SyntheticWebspam::generate(64, 0);
         let model = Svm::log_loss(hop_data::Dataset::feature_dim(&dataset));
@@ -1194,9 +1186,6 @@ mod tests {
             type Event = ();
             fn start(&mut self, _eng: &mut SimEngine<'_, ()>) {}
             fn on_event(&mut self, _eng: &mut SimEngine<'_, ()>, _now: f64, _ev: ()) {}
-            fn final_params(&mut self, _eng: &SimEngine<'_, ()>) -> Vec<Vec<f32>> {
-                Vec::new()
-            }
         }
         let dataset = SyntheticWebspam::generate(64, 0);
         let model = Svm::log_loss(hop_data::Dataset::feature_dim(&dataset));

@@ -6,8 +6,8 @@
 //! both timing (Figs. 12–21) and loss curves, deterministically.
 //!
 //! Conformance events are emitted exclusively through the
-//! [`crate::choreography`] typestate handles (obtained from
-//! [`engine::SimEngine::enter_step`] / recorded via
+//! [`crate::choreography`] typestate handles (opened by Hop's worker
+//! machine, which `decentralized` executes, or recorded via
 //! [`engine::SimEngine::record_enter`]); the source-discipline test in
 //! the workspace's `tests/choreography.rs` fails any other emission path.
 

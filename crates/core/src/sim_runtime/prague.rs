@@ -240,10 +240,6 @@ impl WorkerProtocol for Prague {
         }
     }
 
-    fn final_params(&mut self, eng: &SimEngine<'_, Ev>) -> Vec<Vec<f32>> {
-        eng.workers.iter().map(|s| s.params.to_vec()).collect()
-    }
-
     fn bytes_sent(&self, _eng: &SimEngine<'_, Ev>) -> u64 {
         self.bytes_sent
     }

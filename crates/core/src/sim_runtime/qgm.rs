@@ -232,10 +232,6 @@ impl WorkerProtocol for Qgm<'_> {
         }
     }
 
-    fn final_params(&mut self, eng: &SimEngine<'_, Ev>) -> Vec<Vec<f32>> {
-        eng.workers.iter().map(|s| s.params.to_vec()).collect()
-    }
-
     fn bytes_saved(&self, _eng: &SimEngine<'_, Ev>) -> u64 {
         self.plane.bytes_saved()
     }

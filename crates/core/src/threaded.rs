@@ -1,17 +1,18 @@
 //! The threaded runtime: Hop's queue-based protocol on OS threads.
 //!
-//! Workers are `std::thread`s driving the one worker iteration loop
-//! (`crate::worker`, shared with [`crate::process`]) over the in-memory
-//! transport defined here. Each worker owns its inbox — a tagged update
-//! queue and its token counts — and a `std::sync::mpsc` mailbox that
-//! every neighbor can post to: delivering an update posts a zero-copy
-//! snapshot, granting tokens posts the count, and a wait pumps the
-//! mailbox into the inbox, parking in `recv_timeout` until the next
-//! arrival. It shows that the protocol as specified — tagged update
-//! queues, token queues, backup workers, bounded staleness and skipping
-//! iterations — runs correctly under true concurrency, complementing the
-//! deterministic simulator used for the timing figures. Every wait
-//! carries a timeout so protocol bugs show up as errors, not hangs.
+//! Workers are `std::thread`s, each running the one Hop worker machine
+//! under the real executor (`crate::worker`, shared with
+//! [`crate::process`]) over the in-memory transport defined here. Each
+//! worker owns its inbox — the updates and token grants that arrived —
+//! and a `std::sync::mpsc` mailbox that every neighbor can post to:
+//! delivering an update posts a zero-copy snapshot, granting tokens
+//! posts the count, and a wait pumps the mailbox into the inbox,
+//! parking in `recv_timeout` until the next arrival. It shows that the
+//! protocol as specified — tagged update queues, token queues, backup
+//! workers, bounded staleness and skipping iterations — runs correctly
+//! under true concurrency, complementing the deterministic simulator
+//! used for the timing figures. Every wait carries a timeout so
+//! protocol bugs show up as errors, not hangs.
 //!
 //! # Conformance
 //!
@@ -22,7 +23,7 @@
 //! emission path. Each worker logs its events locally
 //! with a shared atomic sequence number; *grant* events (sends, token
 //! passes) take their number **before** the queue operation and *observe*
-//! events (consumes, token takes, drops) **after** it, which makes the
+//! events (admits, consumes, token takes) **after** it, which makes the
 //! merged order consistent with real-time causality (see the
 //! [`crate::conformance`] module docs).
 //!
@@ -43,15 +44,15 @@
 
 use crate::choreography::SeqSink;
 use crate::config::{ComputeOrder, ConfigError, HopConfig, SyncMode};
-use crate::conformance::ProtocolTrace;
+use crate::conformance::{ProtocolEvent, ProtocolTrace};
 use crate::report::RuntimeReport;
 use crate::sim_runtime::compression::CompressionPlane;
 use crate::trainer::Hyper;
-use crate::worker::{worker_loop, Inbox, Transport, WorkerJob};
+use crate::worker::{worker_loop, Inbox, Transport, WorkerJob, WorkerOutcome};
 use hop_data::InMemoryDataset;
 use hop_graph::Topology;
 use hop_model::Model;
-use hop_queue::tagged::Tag;
+use hop_queue::tagged::{Tag, TaggedEntry};
 use hop_sim::FaultPlan;
 use hop_tensor::{BufferPool, ParamBlock};
 use std::sync::atomic::AtomicU64;
@@ -239,6 +240,42 @@ impl ThreadedExperiment {
         dataset: Arc<InMemoryDataset>,
         traced: bool,
     ) -> Result<(RuntimeReport, Option<ProtocolTrace>), ThreadedError> {
+        let start = Instant::now();
+        let (results, _) = self.run_workers(model.as_ref(), dataset.as_ref(), traced)?;
+        let mut report = RuntimeReport::default();
+        let mut all_events = Vec::new();
+        for (result, events) in results {
+            let outcome = result?;
+            report.final_params.push(outcome.params);
+            report.losses.push(outcome.losses);
+            report.update_wire_bytes.push(0);
+            report.stale_discarded += outcome.stale_discarded;
+            all_events.extend(events);
+            for fault in outcome.faults {
+                report.fault_log.push(fault);
+            }
+        }
+        report.elapsed = start.elapsed();
+        let trace = traced.then(|| {
+            all_events.sort_by_key(|&(s, _)| s);
+            let mut trace = ProtocolTrace::new();
+            for (_, ev) in all_events {
+                trace.push(ev);
+            }
+            trace
+        });
+        Ok((report, trace))
+    }
+
+    /// Validates the experiment and runs one thread per worker. Returns
+    /// each worker's outcome with its sequence-numbered events (none
+    /// unless `traced`), and the initial parameters.
+    pub(crate) fn run_workers(
+        &self,
+        model: &dyn Model,
+        dataset: &InMemoryDataset,
+        traced: bool,
+    ) -> Result<(Vec<WorkerRun>, ParamBlock), ThreadedError> {
         self.config.validate(&self.topology)?;
         self.faults
             .validate()
@@ -259,8 +296,7 @@ impl ThreadedExperiment {
         let seq = AtomicU64::new(0);
         let mut init_rng = hop_util::Xoshiro256::seed_from_u64(self.seed);
         let init_params = ParamBlock::from_vec(model.init_params(&mut init_rng));
-        let start = Instant::now();
-        let results: Vec<_> = std::thread::scope(|scope| {
+        let results = std::thread::scope(|scope| {
             let handles: Vec<_> = mailboxes
                 .into_iter()
                 .enumerate()
@@ -269,8 +305,8 @@ impl ThreadedExperiment {
                         w,
                         cfg: &self.config,
                         topo,
-                        model: model.as_ref(),
-                        dataset: dataset.as_ref(),
+                        model,
+                        dataset,
                         hyper: self.hyper,
                         max_iters: self.max_iters,
                         seed: self.seed,
@@ -300,30 +336,15 @@ impl ThreadedExperiment {
                 .map(|h| h.join().expect("worker thread panicked"))
                 .collect()
         });
-        let mut report = RuntimeReport::default();
-        let mut all_events = Vec::new();
-        for (result, events) in results {
-            let outcome = result?;
-            report.final_params.push(outcome.params);
-            report.losses.push(outcome.losses);
-            report.update_wire_bytes.push(0);
-            all_events.extend(events);
-            for fault in outcome.faults {
-                report.fault_log.push(fault);
-            }
-        }
-        report.elapsed = start.elapsed();
-        let trace = traced.then(|| {
-            all_events.sort_by_key(|&(s, _)| s);
-            let mut trace = ProtocolTrace::new();
-            for (_, ev) in all_events {
-                trace.push(ev);
-            }
-            trace
-        });
-        Ok((report, trace))
+        Ok((results, init_params))
     }
 }
+
+/// One worker thread's outcome, and its sequence-numbered events.
+pub(crate) type WorkerRun = (
+    Result<WorkerOutcome, ThreadedError>,
+    Vec<(u64, ProtocolEvent)>,
+);
 
 /// What one worker posts to another's mailbox: a tagged zero-copy
 /// snapshot, or `(owner, n)` — `n` tokens for `TokenQ(owner -> receiver)`.
@@ -370,12 +391,7 @@ impl Transport for InMemoryTransport<'_> {
         let owners = self.topo.external_out_neighbors(self.w);
         for mail in std::iter::once(first).chain(self.mailbox.try_iter()) {
             match mail {
-                Mail::Update(tag, block) => {
-                    inbox
-                        .updates
-                        .enqueue(block, tag)
-                        .expect("the inbox is unbounded");
-                }
+                Mail::Update(tag, value) => inbox.updates.push(TaggedEntry { value, tag }),
                 Mail::Tokens(owner, n) => {
                     let idx = owners.iter().position(|&o| o == owner);
                     inbox.tokens[idx.expect("grants come from out-neighbors")] += n;

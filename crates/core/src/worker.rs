@@ -1,48 +1,47 @@
-//! The Hop worker iteration, written once.
+//! The real runtimes' executor of the Hop worker machine.
 //!
-//! One iteration is Send → Compute → Recv/Reduce → token advance (or the
-//! §5 jump-and-renew). [`worker_loop`] is that iteration for every
-//! runtime that executes workers for real. Each worker owns its
-//! [`Inbox`] — the tagged update queue and token counts of §4, Fig. 8 —
-//! and reads it here; what differs between threads and OS processes is
-//! only how updates and token grants leave the worker and get into a
-//! peer's inbox, and that is the [`Transport`] the loop is generic over
-//! (static dispatch). The loop waits in exactly three places — the Recv's
-//! quota of tagged updates (also the jump renew's), the staleness Recv's
-//! next arrival, and a token — plus the close, and all of them are the
-//! one [`Inbox::wait`]. The simulated compute time is the only other
-//! wait, and it is the loop's own.
+//! [`worker_loop`] runs one [`HopWorker`] (see [`crate::machine`], where
+//! the iteration's rules live) for every runtime that executes workers
+//! for real. Each worker owns its [`Inbox`]: what has arrived for it and
+//! not yet been fed to its machine. What differs between threads and OS
+//! processes is only how updates and token grants leave the worker and
+//! get into a peer's inbox, and that is the [`Transport`] the executor is
+//! generic over (static dispatch).
 //!
-//! The loop owns everything protocol-shaped — the choreography handles,
-//! the fault shim in front of per-receiver delivery, the §6.2(a)
-//! receiver-side stale discard, the skip decision — so the transports
-//! emit no events and make no protocol decisions.
+//! The executor pumps the transport into the inbox and feeds the machine
+//! every arrival, then a resume; the machine parks when its Recv, its
+//! tokens or its renew are not there yet, and the executor then waits —
+//! always in the one [`Inbox::wait`], until something arrives or the
+//! parked wait's timeout passes, which becomes an explained stall built
+//! from the machine's phase. The compute runs inline, when the machine
+//! asks for it; the simulated compute time is the only other wait. The
+//! executor also keeps the fault shim in front of per-receiver delivery
+//! and the close handshake; the transports emit no events and make no
+//! protocol decisions.
 //!
 //! # Linearization
 //!
-//! Every `Send` of iteration `k` is stamped before
-//! [`Transport::deliver`] runs (the process transport encodes one frame,
-//! reading the Lamport clock once, and fans it out), token grants are
-//! stamped before [`Transport::grant`], and consumes / token takes /
-//! drops after the inbox operation they observe, which comes after the
-//! pump that moved the data in — the grant-before-op, observe-after-op
-//! discipline of [`crate::conformance`].
+//! Events are numbered as they are emitted (a shared sequence on threads,
+//! the Lamport clock on processes). Every `Send` of iteration `k` is
+//! stamped before [`Transport::deliver`] runs (the process transport
+//! encodes one frame, reading the Lamport clock once, and fans it out),
+//! token grants before [`Transport::grant`], and everything the machine
+//! observes — admits, consumes, token takes — after the pump that moved
+//! the data in, since the machine is fed only from the inbox: the
+//! grant-before-op, observe-after-op discipline of [`crate::conformance`].
 
-use crate::choreography::{self, Arrival, Consuming, EventSink, Renew};
+use crate::choreography::{self, EventSink, SendStage, Step};
 use crate::config::HopConfig;
-use crate::semantics;
+use crate::machine::{Executor, HopWorker, Input, Parked, Parts, Shared};
 use crate::sim_runtime::compression::CompressionPlane;
 use crate::threaded::{StallDiag, ThreadedError};
 use crate::trainer::Hyper;
 use hop_data::{BatchSampler, Dataset, InMemoryDataset};
 use hop_graph::Topology;
 use hop_model::{GradScratch, Model, Sgd};
-use hop_queue::tagged::{Tag, TagFilter, TaggedEntry};
-use hop_queue::TaggedQueue;
+use hop_queue::tagged::{Tag, TaggedEntry};
 use hop_sim::{FaultEvent, FaultPlan};
-use hop_tensor::ops::Tail;
 use hop_tensor::{BufferPool, ParamBlock};
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// How updates and token grants leave a worker, and how what arrives for
@@ -102,24 +101,26 @@ pub(crate) trait Transport {
     }
 }
 
-/// A worker's receive side (§4, Fig. 8): its tagged update queue — its
-/// self-sends and every in-neighbor's updates — and the tokens available
-/// in `TokenQ(o -> w)` per external out-neighbor `o` (no counts without
-/// token queues). The worker owns it and reads it here; only
-/// [`Transport::pump`] adds to it from outside.
+/// What has arrived for a worker and not yet been fed to its machine:
+/// updates in arrival order, and the tokens granted into each
+/// `TokenQ(o -> w)` per external out-neighbor `o` (no counts without
+/// token queues). The worker owns it; only [`Transport::pump`] adds to it.
 pub(crate) struct Inbox {
-    pub(crate) updates: TaggedQueue<ParamBlock>,
+    pub(crate) updates: Vec<TaggedEntry<ParamBlock>>,
     pub(crate) tokens: Vec<u64>,
 }
 
 impl Inbox {
-    /// An empty inbox with `out_degree` token counts preloaded with
-    /// `max_ig` each (none without token queues).
-    pub(crate) fn new(max_ig: Option<u64>, out_degree: usize) -> Self {
+    /// An empty inbox with `token_queues` token counts.
+    pub(crate) fn new(token_queues: usize) -> Self {
         Inbox {
-            updates: TaggedQueue::unbounded(),
-            tokens: max_ig.map_or_else(Vec::new, |ig| vec![ig; out_degree]),
+            updates: Vec::new(),
+            tokens: vec![0; token_queues],
         }
+    }
+
+    fn has_arrivals(&self) -> bool {
+        !self.updates.is_empty() || self.tokens.iter().any(|&n| n > 0)
     }
 
     /// Pumps `transport` into the inbox until `ready` holds (asked before
@@ -152,51 +153,6 @@ impl Inbox {
                 transport.pump(self, left);
             }
         }
-    }
-
-    /// The Recv (Fig. 8): waits up to `timeout` for `quota` entries
-    /// matching `filter`, then takes them plus up to `extra` more that
-    /// have arrived by then.
-    pub(crate) fn dequeue<T: Transport>(
-        &mut self,
-        transport: &mut T,
-        filter: TagFilter,
-        (quota, extra): (usize, usize),
-        timeout: Duration,
-    ) -> Option<Vec<TaggedEntry<ParamBlock>>> {
-        let met = |_: &mut T, inbox: &Self| inbox.updates.size(filter) >= quota;
-        if met(transport, self) {
-            if extra > 0 {
-                transport.pump(self, Duration::ZERO);
-            }
-        } else if !self.wait(transport, timeout, met) {
-            return None;
-        }
-        let taken = quota.saturating_add(extra);
-        Some(self.updates.dequeue_up_to(taken, filter))
-    }
-
-    /// Tokens available in every `TokenQ(o -> w)`, counting every grant
-    /// that has arrived. Never blocks.
-    fn token_counts(&mut self, transport: &mut impl Transport) -> Vec<u64> {
-        transport.pump(self, Duration::ZERO);
-        self.tokens.clone()
-    }
-
-    /// Waits up to `timeout` for `n` tokens in the `idx`-th queue and
-    /// takes them.
-    fn take_tokens(
-        &mut self,
-        transport: &mut impl Transport,
-        idx: usize,
-        n: u64,
-        timeout: Duration,
-    ) -> bool {
-        let taken = self.wait(transport, timeout, |_, inbox| inbox.tokens[idx] >= n);
-        if taken {
-            self.tokens[idx] -= n;
-        }
-        taken
     }
 
     /// Closes `transport`: pumps until [`Transport::finish`] says it is
@@ -244,505 +200,297 @@ pub(crate) struct WorkerOutcome {
     pub(crate) losses: Vec<f32>,
     /// Every send the fault shim omitted.
     pub(crate) faults: Vec<FaultEvent>,
+    /// Late updates the rotating queue discarded as stale.
+    pub(crate) stale_discarded: u64,
+    /// Every input the machine was fed, in order, for an offline replay.
+    #[cfg(test)]
+    pub(crate) inputs: Vec<Input>,
 }
 
-/// Per-worker receive-side state shared by the Recv and renew helpers.
-struct WorkerCtx<'a> {
-    w: usize,
-    cfg: &'a HopConfig,
-    timeout: Duration,
+/// The real executor of worker `job.w`: its replica, optimizer, compute
+/// state and codec stream, and the inbox it pumps from `transport`.
+struct Real<'j, 'a, T, S> {
+    job: &'j WorkerJob<'a>,
+    transport: &'j mut T,
+    sink: &'j mut S,
     inbox: Inbox,
-    /// Fig. 8: how many iteration-`k` updates (own included) a
-    /// backup-mode Recv blocks for.
-    quota: usize,
+    params: ParamBlock,
+    opt: Sgd,
     pool: BufferPool,
-    /// Staleness mode keeps only the newest update per sender.
-    newest_from: HashMap<usize, (u64, ParamBlock)>,
-    last_consumed: Option<Tag>,
+    /// One outgoing parameter stream: every external receiver gets the
+    /// identical encoding, so the codec state is worker-local and
+    /// lock-free. The self-send stays exact.
+    plane: CompressionPlane,
+    sampler: BatchSampler,
+    grad: Vec<f32>,
+    scratch: GradScratch,
+    indices: Vec<usize>,
+    losses: Vec<f32>,
+    faults: Vec<FaultEvent>,
+    receivers: Vec<usize>,
+    /// A gradient is computed and its `ComputeDone` not yet fed.
+    computed: bool,
+    #[cfg(test)]
+    inputs: Vec<Input>,
 }
 
-impl WorkerCtx<'_> {
-    /// The explained stall of a wait on the update queue, with enough
-    /// queue state to debug it from the error alone.
-    fn stall<T: Transport>(&self, iter: u64, waiting_for: &'static str, transport: &T) -> T::Error {
-        let mut pending: Vec<Tag> = self.inbox.updates.iter().map(|e| e.tag).collect();
-        let queue_depth = pending.len();
-        pending.truncate(8);
-        transport.explain(ThreadedError::Stalled {
-            worker: self.w,
-            iter,
-            waiting_for,
-            diag: StallDiag::Updates {
-                queue_depth,
-                pending,
-                last_consumed: self.last_consumed,
-            },
-        })
-    }
+impl<T: Transport, S: EventSink> Executor for Real<'_, '_, T, S> {
+    type Error = T::Error;
+    type Sink = S;
+    /// Arrival order depends on the schedule; sender order makes a Reduce
+    /// over the same set round the same way every run.
+    const SENDER_ORDER: bool = true;
 
-    /// Folds one queue arrival into `newest_from`, recycling the
-    /// superseded (or stale-on-arrival) block; the staleness verdict is
-    /// choreographed as a delivery-plane [`Arrival`] judgement.
-    fn admit_entry(
-        &mut self,
-        entry: TaggedEntry<ParamBlock>,
-        at_iter: u64,
-        sink: &mut impl EventSink,
-    ) {
-        let Tag { iter, w_id: from } = entry.tag;
-        let arrival = Arrival {
-            worker: self.w,
-            from,
-            iter,
-        };
-        let admitted = self
-            .newest_from
-            .get(&from)
-            .is_none_or(|&(have, _)| iter > have);
-        let superseded = if admitted {
-            self.newest_from
-                .insert(from, (iter, entry.value))
-                .map(|(_, old)| old)
-        } else {
-            Some(entry.value)
-        };
-        if let Some(block) = superseded {
-            self.pool.reclaim(block);
-        }
-        arrival.judge(sink, admitted, at_iter);
-    }
-
-    /// The staleness-mode snapshot collection for the newest updates of
-    /// `neighbors`; each is consumed through `step` (an exchanging
-    /// [`Step`](choreography::Step) or a [`Renew`]), which is what pins
-    /// the Consume events to the handle's iteration.
-    fn collect_newest(
-        &mut self,
-        neighbors: &[usize],
-        step: &mut impl Consuming,
-        sink: &mut impl EventSink,
-    ) -> Vec<(u64, ParamBlock)> {
-        neighbors
-            .iter()
-            .map(|j| {
-                let (iter, p) = &self.newest_from[j];
-                let (iter, snap) = (*iter, p.snapshot());
-                self.last_consumed = Some(Tag { iter, w_id: *j });
-                step.consume(sink, *j, iter);
-                (iter, snap)
-            })
-            .collect()
-    }
-
-    /// §6.2(a) receiver-side discard: queued updates tagged older than
-    /// `iter` will never be consumed (a backup worker's late update, or
-    /// the iterations a jump skipped), so recycle them instead of
-    /// letting each pin a full block; a pump first lets late arrivals go
-    /// at once. Observe-after-op.
-    fn discard_older_than(
-        &mut self,
-        transport: &mut impl Transport,
-        iter: u64,
-        sink: &mut impl EventSink,
-    ) {
-        transport.pump(&mut self.inbox, Duration::ZERO);
-        for entry in self.inbox.updates.drain_older_than(iter) {
-            choreography::drop_update(sink, self.w, entry.tag.w_id, entry.tag.iter);
-            self.pool.reclaim(entry.value);
+    fn parts(&mut self) -> Parts<'_, S> {
+        Parts {
+            params: &mut self.params,
+            opt: &mut self.opt,
+            pool: &mut self.pool,
+            sink: self.sink,
+            grad: &self.grad,
         }
     }
 
-    /// The backup-mode Recv of `quota` updates tagged `iter` (blocking),
-    /// plus up to `extra` more that happen to be here already (Fig. 8
-    /// line 5); each is consumed through `step`.
-    fn recv_tagged(
-        &mut self,
-        transport: &mut impl Transport,
-        iter: u64,
-        quota_extra: (usize, usize),
-        step: &mut impl Consuming,
-        sink: &mut impl EventSink,
-    ) -> Option<Vec<TaggedEntry<ParamBlock>>> {
-        let entries =
-            self.inbox
-                .dequeue(transport, TagFilter::iter(iter), quota_extra, self.timeout)?;
-        for entry in &entries {
-            self.last_consumed = Some(entry.tag);
-            step.consume(sink, entry.tag.w_id, entry.tag.iter);
+    /// The transport's health check of an iteration to run — after the
+    /// entry is on record, so that even a run that dies at its first
+    /// check leaves a non-empty partial trace.
+    fn enter(&mut self, iter: u64) -> Result<(), T::Error> {
+        if iter < self.job.max_iters {
+            self.transport.check(iter)?;
         }
-        Some(entries)
+        Ok(())
     }
 
-    /// `params ← mean(entries ∪ own) [+ apply]`, recycling every consumed
-    /// block. Full overwrite: shared blocks detach without copying. The
-    /// entries are summed in sender order, whatever order they arrived
-    /// in, so a Reduce over the same set rounds the same way every run;
-    /// `own` (a renew's pre-jump replica) is summed last.
-    fn reduce_mean(
-        &mut self,
-        mut entries: Vec<TaggedEntry<ParamBlock>>,
-        own: Option<ParamBlock>,
-        apply: Tail<'_>,
-        params: &mut ParamBlock,
-    ) {
-        entries.sort_unstable_by_key(|e| e.tag.w_id);
-        let mut views: Vec<&[f32]> = entries.iter().map(|e| e.value.as_slice()).collect();
-        views.extend(own.as_ref().map(ParamBlock::as_slice));
-        semantics::reduce_mean(&views, apply, params.overwrite_mut(&mut self.pool));
-        drop(views);
-        for block in entries.into_iter().map(|e| e.value).chain(own) {
-            self.pool.reclaim(block);
+    fn compute(&mut self, _iter: u64) {
+        let job = self.job;
+        if !job.compute_sleep.is_zero() {
+            std::thread::sleep(job.compute_sleep);
         }
-    }
-
-    /// `params ← staleness-weighted mean(collected) [+ apply]` at Recv
-    /// iteration `k` under window `s`.
-    fn reduce_stale(
-        &mut self,
-        collected: &[(u64, ParamBlock)],
-        k: u64,
-        s: u64,
-        apply: Tail<'_>,
-        params: &mut ParamBlock,
-    ) {
-        let views: Vec<(u64, &[f32])> = collected
-            .iter()
-            .map(|(iter, p)| (*iter, p.as_slice()))
-            .collect();
-        semantics::reduce_staleness_with(
-            self.cfg.staleness_weighting,
-            &views,
-            k,
-            s,
-            apply,
-            params.overwrite_mut(&mut self.pool),
+        let batch = self.sampler.next_batch_with(&mut self.indices, job.dataset);
+        let loss = job.model.loss_grad_with(
+            self.params.as_slice(),
+            &batch,
+            &mut self.grad,
+            &mut self.scratch,
         );
+        self.losses.push(loss);
+        self.opt.advance(self.params.as_slice(), &self.grad);
+        self.computed = true;
     }
-}
 
-/// Stamps and performs a grant of `n` tokens to every external
-/// in-neighbor.
-fn grant_all<T: Transport>(
-    transport: &mut T,
-    sink: &mut impl EventSink,
-    w: usize,
-    externals_in: &[usize],
-    n: u64,
-) -> Result<(), T::Error> {
-    for (idx, &j) in externals_in.iter().enumerate() {
-        choreography::token_grant(sink, w, j, n);
-        transport.grant(idx, n)?;
-    }
-    Ok(())
-}
-
-/// Runs worker `job.w` to `job.max_iters` over `transport`, emitting its
-/// protocol events into `sink` (which the caller keeps, so a failed
-/// run's partial log survives).
-#[allow(clippy::too_many_lines)]
-pub(crate) fn worker_loop<T: Transport>(
-    job: &WorkerJob<'_>,
-    transport: &mut T,
-    sink: &mut impl EventSink,
-) -> Result<WorkerOutcome, T::Error> {
-    let (w, cfg, topo, hyper) = (job.w, job.cfg, job.topo, job.hyper);
-    let (model, dataset, max_iters, seed) = (job.model, job.dataset, job.max_iters, job.seed);
-    let mut params = job.init_params.snapshot();
-    let mut opt = Sgd::new(hyper.lr, hyper.momentum, hyper.weight_decay, params.len());
-    let mut sampler = BatchSampler::for_worker(dataset.len(), hyper.batch_size, seed, w);
-    let mut grad = vec![0.0f32; params.len()];
-    let mut scratch = GradScratch::new();
-    let mut indices = Vec::new();
-    let mut losses = Vec::with_capacity(max_iters as usize);
-    let in_deg = topo.in_degree(w);
-    let in_neighbors = topo.in_neighbors(w);
-    let externals_in = topo.external_in_neighbors(w);
-    let externals_out = topo.external_out_neighbors(w);
-    let max_ig = cfg.max_ig();
-    let mut ctx = WorkerCtx {
-        w,
-        cfg,
-        timeout: job.timeout,
-        inbox: Inbox::new(max_ig, externals_out.len()),
-        quota: semantics::backup_quota(in_deg, cfg.n_backup),
-        pool: BufferPool::new(),
-        newest_from: HashMap::new(),
-        last_consumed: None,
-    };
-    // One outgoing parameter stream per worker: every external receiver
-    // gets the identical encoding, so the codec state is worker-local and
-    // lock-free. The self-send stays exact.
-    let mut plane = CompressionPlane::new(cfg.compression);
-    plane.add_param_streams(1, job.init_params.as_slice());
-    let mut fault_events: Vec<FaultEvent> = Vec::new();
-    let mut receivers: Vec<usize> = Vec::with_capacity(externals_out.len());
-    let mut k: u64 = 0;
-    // Tokens granted to in-neighbors at the next iteration entry: the
-    // k = 0 allotment is pre-loaded in the queues, a normal advance grants
-    // 1, and a jump grants its whole distance immediately (so neighbors
-    // are never starved during the renew) and zeroes this.
-    let mut entry_tokens: u64 = 0;
-    while k < max_iters {
-        let step = choreography::begin_step(sink, w, k);
-        // After the entry is on record, so that even a run that dies at
-        // its first check leaves a non-empty partial trace.
-        transport.check(k)?;
-        if max_ig.is_some() && entry_tokens > 0 {
-            grant_all(transport, sink, w, externals_in, entry_tokens)?;
-        }
-        // Send (parallel order): own inbox and all out-neighbors. The
-        // self-send shares the current block — zero bytes copied.
-        let tag = Tag { iter: k, w_id: w };
-        step.send(sink, w);
-        ctx.inbox
-            .updates
-            .enqueue(params.snapshot(), tag)
-            .expect("unbounded");
-        // Fault shim: a crash window omits every external send (the
-        // worker keeps running — from the outside that is what a dead
-        // worker looks like); otherwise the keyed loss draw decides.
-        // Each omission stays in the ledger as a Send + Lost pair and is
-        // logged so the oracle can license it.
+    /// The fault shim, then the transport: a crash window omits every
+    /// external send (the worker keeps running — from the outside that is
+    /// what a dead worker looks like); otherwise the keyed loss draw
+    /// decides. Each omission stays in the ledger as a Send + Lost pair
+    /// and is logged so the oracle can license it.
+    fn send<St: SendStage>(
+        &mut self,
+        step: &Step<St>,
+        params: &ParamBlock,
+    ) -> Result<(), T::Error> {
+        let (job, k) = (self.job, step.iter());
+        let w = job.w;
         let crashed = job
             .faults
             .crashes()
             .iter()
             .any(|c| c.worker == w && k >= c.at_iter && k < c.at_iter + c.down_iters);
         let rate = job.faults.loss();
-        receivers.clear();
-        for (idx, &o) in externals_out.iter().enumerate() {
-            step.send(sink, o);
-            if crashed || (rate > 0.0 && hop_sim::faults::loss_draw(seed, w, o, k) < rate) {
-                choreography::lost_update(sink, o, w, k);
-                fault_events.push(FaultEvent::Loss {
+        self.receivers.clear();
+        for (idx, &o) in job.topo.external_out_neighbors(w).iter().enumerate() {
+            step.send(self.sink, o);
+            if crashed || (rate > 0.0 && hop_sim::faults::loss_draw(job.seed, w, o, k) < rate) {
+                choreography::lost_update(self.sink, o, w, k);
+                self.faults.push(FaultEvent::Loss {
                     from: w,
                     to: o,
                     iter: k,
                 });
             } else {
-                receivers.push(idx);
+                self.receivers.push(idx);
             }
         }
-        transport.deliver(tag, &params, &receivers, &mut plane, &mut ctx.pool)?;
-        // Compute.
-        let step = step.begin_compute(sink);
-        if !job.compute_sleep.is_zero() {
-            std::thread::sleep(job.compute_sleep);
-        }
-        let batch = sampler.next_batch_with(&mut indices, dataset);
-        let loss = model.loss_grad_with(params.as_slice(), &batch, &mut grad, &mut scratch);
-        let mut step = step.end_compute(sink);
-        losses.push(loss);
-        opt.advance(params.as_slice(), &grad);
-        // Recv + Reduce: both paths funnel through the handle, whose
-        // `reduce` is the only way to emit the Reduce event; the Apply
-        // (Fig. 2b: onto the reduced parameters) rides its sweep.
-        let apply = Some(opt.step_term());
-        let step = if let Some(s) = cfg.staleness {
-            stale_recv(
-                &mut ctx,
-                transport,
-                in_neighbors,
-                k,
-                s,
-                "a satisfactory update",
-                sink,
-            )?;
-            let collected = ctx.collect_newest(in_neighbors, &mut step, sink);
-            let step = step.reduce(sink);
-            ctx.reduce_stale(&collected, k, s, apply, &mut params);
-            step
-        } else {
-            ctx.discard_older_than(transport, k, sink);
-            let entries = ctx
-                .recv_tagged(
-                    transport,
-                    k,
-                    (ctx.quota, in_deg - ctx.quota),
-                    &mut step,
-                    sink,
-                )
-                .ok_or_else(|| ctx.stall(k, "updates", transport))?;
-            let step = step.reduce(sink);
-            ctx.reduce_mean(entries, None, apply, &mut params);
-            step
-        };
-        // Advance: the §5 skip decision over the token queues, else one
-        // token from every out-going neighbor's queue.
-        let mut next = k + 1;
-        entry_tokens = 1;
-        if let (Some(ig), false) = (max_ig, externals_out.is_empty()) {
-            let decision = cfg.skip.as_ref().and_then(|skip| {
-                let counts = ctx.inbox.token_counts(transport);
-                semantics::jump_before_end(&counts, ig, skip, k, max_iters)
-                    .map(|jump| (jump, counts))
-            });
-            if let Some((jump, counts)) = decision {
-                let renew = step.jump(sink, k + jump, &counts);
-                for (i, &o) in externals_out.iter().enumerate() {
-                    // Only this worker removes from TokenQ(o -> w), so
-                    // the observed count cannot shrink under us.
-                    assert!(
-                        ctx.inbox.take_tokens(transport, i, jump, Duration::ZERO),
-                        "observed tokens vanished from TokenQ({o} -> {w})"
-                    );
-                    renew.take_tokens(sink, o);
-                }
-                grant_all(transport, sink, w, externals_in, jump)?;
-                entry_tokens = 0;
-                next = k + jump;
-                jump_renew(
-                    &mut ctx,
-                    transport,
-                    externals_in,
-                    &mut params,
-                    &mut opt,
-                    k,
-                    renew,
-                    sink,
-                )?;
-            } else {
-                for (i, &o) in externals_out.iter().enumerate() {
-                    if !ctx.inbox.take_tokens(transport, i, 1, job.timeout) {
-                        // Snapshot every out-edge token queue, not the
-                        // update queue: this wait is on tokens.
-                        let counts = ctx.inbox.token_counts(transport);
-                        return Err(transport.explain(ThreadedError::Stalled {
-                            worker: w,
-                            iter: k,
-                            waiting_for: "tokens",
-                            diag: StallDiag::Tokens {
-                                available: externals_out.iter().copied().zip(counts).collect(),
-                            },
-                        }));
-                    }
-                    step.take_token(sink, o);
-                }
-                step.complete();
-            }
-        } else {
-            step.complete();
-        }
-        k = next;
+        let tag = Tag { iter: k, w_id: w };
+        self.transport.deliver(
+            tag,
+            params,
+            &self.receivers,
+            &mut self.plane,
+            &mut self.pool,
+        )
     }
-    choreography::advance_only(sink, w, max_iters);
-    // Final courtesy: release tokens so lagging neighbors can finish their
-    // last iterations without waiting on a finished worker.
-    if max_ig.is_some() {
-        grant_all(transport, sink, w, externals_in, max_iters)?;
-    }
-    ctx.inbox.close(transport, job.timeout)?;
-    Ok(WorkerOutcome {
-        params: params.to_vec(),
-        losses,
-        faults: fault_events,
-    })
-}
 
-/// The staleness-mode Recv: block until every listed neighbor's newest
-/// update satisfies the window at `k` (the Recv's iteration, or
-/// `target - 1` for a jump renew — `waiting_for` labels the stall).
-fn stale_recv<T: Transport>(
-    ctx: &mut WorkerCtx<'_>,
-    transport: &mut T,
-    neighbors: &[usize],
-    k: u64,
-    s: u64,
-    waiting_for: &'static str,
-    sink: &mut impl EventSink,
-) -> Result<(), T::Error> {
-    // Everything here already, then — until the window is satisfied — at
-    // least one new arrival at a time.
-    let mut quota = 0;
-    loop {
-        let arrived = ctx
-            .inbox
-            .dequeue(
-                transport,
-                TagFilter::any(),
-                (quota, usize::MAX),
-                ctx.timeout,
-            )
-            .ok_or_else(|| ctx.stall(k, waiting_for, transport))?;
-        for entry in arrived {
-            ctx.admit_entry(entry, k, sink);
+    fn grant(&mut self, n: u64) -> Result<(), T::Error> {
+        let w = self.job.w;
+        for (idx, &j) in self.job.topo.external_in_neighbors(w).iter().enumerate() {
+            choreography::token_grant(self.sink, w, j, n);
+            self.transport.grant(idx, n)?;
         }
-        let satisfied = neighbors.iter().all(|j| {
-            ctx.newest_from
-                .get(j)
-                .is_some_and(|&(iter, _)| semantics::staleness_satisfied(iter, k, s))
-        });
-        if satisfied {
-            return Ok(());
-        }
-        quota = 1;
+        Ok(())
     }
 }
 
-/// The §5 pre-jump renewal: `Recv(target - 1)` + Reduce so the
-/// straggler's future updates are not hopelessly stale, then reset the
-/// momentum (its history refers to an abandoned trajectory) and discard
-/// queued updates for the skipped iterations.
-#[allow(clippy::too_many_arguments)]
-fn jump_renew<T: Transport>(
-    ctx: &mut WorkerCtx<'_>,
-    transport: &mut T,
-    externals_in: &[usize],
-    params: &mut ParamBlock,
-    opt: &mut Sgd,
-    k: u64,
-    mut renew: Renew,
-    sink: &mut impl EventSink,
-) -> Result<(), T::Error> {
-    let target = renew.target();
-    let renew_iter = target - 1;
-    if let Some(s) = ctx.cfg.staleness {
-        stale_recv(
-            ctx,
+impl<'j, 'a, T: Transport, S: EventSink> Real<'j, 'a, T, S> {
+    fn new(job: &'j WorkerJob<'a>, transport: &'j mut T, sink: &'j mut S) -> Self {
+        let (w, cfg, hyper) = (job.w, job.cfg, job.hyper);
+        let params = job.init_params.snapshot();
+        let dim = params.len();
+        let mut plane = CompressionPlane::new(cfg.compression);
+        plane.add_param_streams(1, job.init_params.as_slice());
+        let outs = job.topo.external_out_neighbors(w).len();
+        Real {
+            job,
             transport,
-            externals_in,
-            renew_iter,
-            s,
-            "jump-renew updates",
             sink,
-        )?;
-        let mut collected = ctx.collect_newest(externals_in, &mut renew, sink);
-        // Own (stale) parameters participate with clamped weight; the
-        // snapshot keeps them readable while the replica is rewritten
-        // (the renewing handle counts them into the Reduce itself).
-        collected.push((k, params.snapshot()));
-        renew.renew_reduce(sink);
-        ctx.reduce_stale(&collected, renew_iter, s, None, params);
-    } else {
-        // Backup mode: collect the quota of iteration `target - 1` updates
-        // from external in-neighbors (self never sent one).
-        let ext = externals_in.len();
-        let quota = semantics::renew_quota(ext, ctx.cfg.n_backup);
-        let entries = ctx
-            .recv_tagged(
-                transport,
-                renew_iter,
-                (quota, ext - quota),
-                &mut renew,
-                sink,
-            )
-            .ok_or_else(|| ctx.stall(k, "jump-renew updates", transport))?;
-        renew.renew_reduce(sink);
-        let own = params.snapshot();
-        ctx.reduce_mean(entries, Some(own), None, params);
-        ctx.discard_older_than(transport, target, sink);
+            inbox: Inbox::new(cfg.max_ig().map_or(0, |_| outs)),
+            params,
+            opt: Sgd::new(hyper.lr, hyper.momentum, hyper.weight_decay, dim),
+            pool: BufferPool::new(),
+            plane,
+            sampler: BatchSampler::for_worker(job.dataset.len(), hyper.batch_size, job.seed, w),
+            grad: vec![0.0; dim],
+            scratch: GradScratch::new(),
+            indices: Vec::new(),
+            losses: Vec::with_capacity(job.max_iters as usize),
+            faults: Vec::new(),
+            receivers: Vec::with_capacity(outs),
+            computed: false,
+            #[cfg(test)]
+            inputs: Vec::new(),
+        }
     }
-    // Momentum history refers to a trajectory this worker abandoned.
-    opt.reset_velocity();
-    Ok(())
+
+    fn feed(
+        &mut self,
+        worker: &mut HopWorker,
+        cx: &mut Shared<'_>,
+        input: Input,
+    ) -> Result<(), T::Error> {
+        #[cfg(test)]
+        self.inputs.push(input.clone());
+        worker.on(cx, self, input)
+    }
+
+    /// Feeds the machine everything the pumps moved into the inbox.
+    fn feed_arrivals(
+        &mut self,
+        worker: &mut HopWorker,
+        cx: &mut Shared<'_>,
+    ) -> Result<(), T::Error> {
+        let mut arrived = std::mem::take(&mut self.inbox.updates);
+        for TaggedEntry { value, tag } in arrived.drain(..) {
+            let (from, iter) = (tag.w_id, tag.iter);
+            let params = value;
+            self.feed(worker, cx, Input::Update { from, iter, params })?;
+        }
+        self.inbox.updates = arrived;
+        for slot in 0..self.inbox.tokens.len() {
+            let count = std::mem::take(&mut self.inbox.tokens[slot]);
+            if count > 0 {
+                self.feed(worker, cx, Input::Tokens { slot, count })?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The explained stall of the wait `worker` is parked in, with the
+    /// state of the queue it waits on: a token wait shows every out-edge
+    /// token queue, an update wait the update queue.
+    fn stall(&self, worker: &HopWorker, parked: Parked) -> T::Error {
+        let (job, w) = (self.job, self.job.w);
+        let waiting_for = match parked {
+            Parked::Tokens => "tokens",
+            Parked::Renew => "jump-renew updates",
+            Parked::Acks => "ACKs",
+            Parked::Updates if job.cfg.staleness.is_some() => "a satisfactory update",
+            Parked::Updates => "updates",
+        };
+        let diag = if parked == Parked::Tokens {
+            let owners = job.topo.external_out_neighbors(w).iter().copied();
+            StallDiag::Tokens {
+                available: owners.zip(worker.tokens().iter().copied()).collect(),
+            }
+        } else {
+            let mut pending: Vec<Tag> = worker.queue().iter().map(|e| e.tag).collect();
+            let queue_depth = pending.len();
+            pending.truncate(8);
+            StallDiag::Updates {
+                queue_depth,
+                pending,
+                last_consumed: worker.last_consumed(),
+            }
+        };
+        self.transport.explain(ThreadedError::Stalled {
+            worker: w,
+            iter: worker.iter(),
+            waiting_for,
+            diag,
+        })
+    }
+}
+
+/// Runs worker `job.w` to `job.max_iters` over `transport`, emitting its
+/// protocol events into `sink` (which the caller keeps, so a failed
+/// run's partial log survives).
+pub(crate) fn worker_loop<T: Transport>(
+    job: &WorkerJob<'_>,
+    transport: &mut T,
+    sink: &mut impl EventSink,
+) -> Result<WorkerOutcome, T::Error> {
+    let mut run = Real::new(job, transport, sink);
+    let mut cx = Shared::new(job.cfg, job.topo, job.max_iters);
+    let mut worker = HopWorker::new(&cx, job.w);
+    run.feed(&mut worker, &mut cx, Input::Start)?;
+    // The parked wait and its deadline: a new one whenever the worker
+    // parks anew.
+    let mut wait: Option<(u64, Parked, Instant)> = None;
+    while !worker.is_finished() {
+        if std::mem::take(&mut run.computed) {
+            // What arrived during the compute, then its end.
+            run.transport.pump(&mut run.inbox, Duration::ZERO);
+            run.feed_arrivals(&mut worker, &mut cx)?;
+            run.feed(&mut worker, &mut cx, Input::ComputeDone)?;
+            continue;
+        }
+        let parked = worker.parked().expect("a worker not computing is parked");
+        let deadline = match wait {
+            Some((iter, was, deadline)) if (iter, was) == (worker.iter(), parked) => deadline,
+            _ => {
+                let deadline = Instant::now() + job.timeout;
+                wait = Some((worker.iter(), parked, deadline));
+                deadline
+            }
+        };
+        let left = deadline.saturating_duration_since(Instant::now());
+        if !run
+            .inbox
+            .wait(run.transport, left, |_, inbox| inbox.has_arrivals())
+        {
+            return Err(run.stall(&worker, parked));
+        }
+        run.feed_arrivals(&mut worker, &mut cx)?;
+        run.feed(&mut worker, &mut cx, Input::Resume)?;
+    }
+    run.inbox.close(run.transport, job.timeout)?;
+    Ok(WorkerOutcome {
+        params: run.params.to_vec(),
+        losses: run.losses,
+        faults: run.faults,
+        stale_discarded: worker.queue().stale_discarded(),
+        #[cfg(test)]
+        inputs: run.inputs,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conformance::ProtocolTrace;
+    use crate::config::SkipConfig;
+    use crate::conformance::{ProtocolEvent, ProtocolTrace};
+    use crate::threaded::ThreadedExperiment;
     use hop_data::webspam::SyntheticWebspam;
     use hop_model::svm::Svm;
+    use std::sync::Arc;
 
     /// A transport that logs each pump's timeout and whether it moved
     /// anything: its first `movers` non-blocking pumps bring a token each,
@@ -764,8 +512,8 @@ mod tests {
         const SPIN_ROUNDS: u32 = SPIN;
 
         fn pump(&mut self, inbox: &mut Inbox, timeout: Duration) -> bool {
-            if let Some((block, tag)) = self.late.take() {
-                inbox.updates.enqueue(block, tag).expect("unbounded");
+            if let Some((value, tag)) = self.late.take() {
+                inbox.updates.push(TaggedEntry { value, tag });
             }
             let moved = if timeout.is_zero() {
                 let moved = self.movers > 0;
@@ -814,17 +562,36 @@ mod tests {
         }
     }
 
+    /// Worker `job.w` rebuilt offline from its recorded `inputs`: a fresh
+    /// machine and executor over a transport that never brings anything
+    /// (the inputs bring it all), with no scheduler. Returns the machine,
+    /// its final parameters and its events.
+    fn replay(job: &WorkerJob<'_>, inputs: Vec<Input>) -> (HopWorker, Vec<f32>, ProtocolTrace) {
+        let (mut transport, mut sink) = (Fake::<0>::default(), ProtocolTrace::new());
+        let mut exec = Real::new(job, &mut transport, &mut sink);
+        let mut cx = Shared::new(job.cfg, job.topo, job.max_iters);
+        let mut worker = HopWorker::new(&cx, job.w);
+        for input in inputs {
+            worker.on(&mut cx, &mut exec, input).expect("replays");
+        }
+        let params = exec.params.to_vec();
+        (worker, params, sink)
+    }
+
     #[test]
     fn late_backup_updates_are_dropped_not_hoarded() {
         // Regression: the backup-mode Recv only ever dequeued tag `k`, so
         // every update that arrived after its iteration stayed in the
-        // inbox for the rest of the run, pinning a full block each.
-        let max_iters = 6;
+        // inbox for the rest of the run, pinning a full block each. Now
+        // each goes into the rotating queue and is purged, silently and
+        // counted as stale, when its sub-queue comes round again.
+        let max_iters = 10;
         let dataset = SyntheticWebspam::generate(64, 3);
         let model = Svm::log_loss(dataset.feature_dim());
         let init = ParamBlock::from_vec(vec![0.0; model.param_len()]);
         // Quota 1 of in-degree 2: the worker reduces on its own update
-        // and never waits for the (always late) peer.
+        // and never waits for the (always late) peer. `max_ig` 4 gives
+        // five sub-queues.
         let cfg = HopConfig::backup(1, 4);
         let topo = Topology::ring(2);
         let job = WorkerJob {
@@ -849,23 +616,111 @@ mod tests {
         let mut trace = ProtocolTrace::new();
         let outcome = worker_loop(&job, &mut transport, &mut trace).expect("runs");
         assert_eq!(outcome.losses.len(), max_iters as usize);
-        let drops: Vec<String> = trace
-            .events()
-            .iter()
-            .map(ToString::to_string)
-            .filter(|line| line.starts_with("drop "))
-            .collect();
-        let expected: Vec<String> = (0..5)
-            .map(|i| format!("drop w=0 from=1 iter={i}"))
-            .collect();
-        assert_eq!(drops, expected, "one Drop per late tag, in order");
-        // Every late update reached the inbox and left it as a Drop.
+        let drops = trace.events().iter().map(ToString::to_string);
+        assert_eq!(drops.filter(|line| line.starts_with("drop ")).count(), 0);
+        // The machine behind the run, rebuilt from its inputs: tags 0-8
+        // arrived late; the Recvs of 5-9 purged tags 0-4, one each and in
+        // order, and the four younger than a window are all that is left.
+        let (worker, _, _) = replay(&job, outcome.inputs);
+        assert_eq!(
+            worker.queue().stale_discarded(),
+            5,
+            "one purge per late tag"
+        );
+        let left: Vec<Tag> = worker.queue().iter().map(|e| e.tag).collect();
+        let expected: Vec<Tag> = (5..9).map(|iter| Tag { iter, w_id: 1 }).collect();
+        assert_eq!(left, expected, "nothing older than the window is hoarded");
+        // Every late update reached the inbox.
         assert!(transport.late.is_none(), "a late update was never pumped");
+    }
+
+    /// The threaded cells of the conformance grid: every mode on every
+    /// topology, the straggling skip mode included.
+    fn grid() -> Vec<(HopConfig, Topology)> {
+        let modes = [
+            HopConfig::standard(),
+            HopConfig::standard_with_tokens(3),
+            HopConfig::backup(1, 4),
+            HopConfig::staleness(2, 4),
+            HopConfig::backup(1, 4).with_skip(SkipConfig {
+                max_jump: 6,
+                trigger_behind: 2,
+            }),
+        ];
+        let topologies = [
+            Topology::ring(6),
+            Topology::complete(5),
+            Topology::torus(3, 3),
+        ];
+        modes
+            .iter()
+            .flat_map(|cfg| topologies.iter().map(|t| (cfg.clone(), t.clone())))
+            .collect()
+    }
+
+    #[test]
+    fn threaded_grid_replays_from_its_input_logs() {
+        // A machine is a pure function of its inputs: each worker's
+        // recorded inputs (arrivals in the order the schedule fed them)
+        // replay offline, with no scheduler and a transport that brings
+        // nothing, to the same events and the same parameters to the bit
+        // (the executor recomputes each gradient from the replica, as the
+        // run did).
+        let dataset = Arc::new(SyntheticWebspam::generate(128, 5));
+        let model = Arc::new(Svm::log_loss(dataset.feature_dim()));
+        for (cfg, topo) in grid() {
+            let straggle = cfg.skip.is_some();
+            let exp = ThreadedExperiment {
+                config: cfg.clone(),
+                topology: topo.clone(),
+                max_iters: 12,
+                seed: 17,
+                hyper: Hyper::svm(),
+                compute_sleep: if straggle {
+                    Duration::from_micros(300)
+                } else {
+                    Duration::ZERO
+                },
+                slow_worker: straggle.then_some((0, 15)),
+                stall_timeout: Duration::from_secs(30),
+                faults: FaultPlan::none(),
+            };
+            let (runs, init) = exp
+                .run_workers(model.as_ref(), dataset.as_ref(), true)
+                .expect("valid grid cell");
+            for (w, (result, events)) in runs.into_iter().enumerate() {
+                let outcome = result.unwrap_or_else(|e| panic!("{cfg:?} on {topo:?}: {e}"));
+                let job = WorkerJob {
+                    w,
+                    cfg: &cfg,
+                    topo: &topo,
+                    model: model.as_ref(),
+                    dataset: dataset.as_ref(),
+                    hyper: exp.hyper,
+                    max_iters: exp.max_iters,
+                    seed: exp.seed,
+                    compute_sleep: Duration::ZERO,
+                    timeout: exp.stall_timeout,
+                    init_params: &init,
+                    faults: &exp.faults,
+                };
+                let (worker, params, trace) = replay(&job, outcome.inputs);
+                assert!(worker.is_finished(), "{cfg:?}: worker {w} did not finish");
+                let recorded: Vec<ProtocolEvent> = events.into_iter().map(|(_, e)| e).collect();
+                assert_eq!(trace.events(), recorded, "{cfg:?}: worker {w}'s events");
+                let bits = |p: &[f32]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&params),
+                    bits(&outcome.params),
+                    "{cfg:?}: worker {w}'s parameters"
+                );
+            }
+        }
     }
 
     /// Waits up to `timeout` for `want` tokens in a one-queue inbox.
     fn wait_for<const SPIN: u32>(t: &mut Fake<SPIN>, want: u64, timeout: Duration) -> bool {
-        let mut inbox = Inbox::new(Some(0), 1);
+        let mut inbox = Inbox::new(1);
         inbox.wait(t, timeout, |_, inbox| inbox.tokens[0] >= want)
     }
 

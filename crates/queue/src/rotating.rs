@@ -91,6 +91,12 @@ impl<T> RotatingQueues<T> {
         self.entries.is_empty()
     }
 
+    /// Iterates over every sub-queue's entries in arrival order without
+    /// removing them.
+    pub fn iter(&self) -> impl Iterator<Item = &TaggedEntry<T>> {
+        self.entries.iter()
+    }
+
     /// Updates of iterations older than the requested one found and
     /// dropped during dequeues so far.
     pub fn stale_discarded(&self) -> u64 {

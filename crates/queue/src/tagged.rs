@@ -222,16 +222,6 @@ impl<T> TaggedQueue<T> {
         before - self.entries.len()
     }
 
-    /// Removes and returns all entries with `tag.iter < min_iter` — the
-    /// attributable variant of [`Self::discard_older_than`], used when the
-    /// caller needs the dropped tags (conformance `Drop` events) or the
-    /// payloads (buffer recycling).
-    pub fn drain_older_than(&mut self, min_iter: u64) -> Vec<TaggedEntry<T>> {
-        let mut taken = Vec::new();
-        self.extract_into(usize::MAX, |tag| tag.iter < min_iter, &mut taken);
-        taken
-    }
-
     /// Moves the first `limit` entries whose tag satisfies `wanted` to
     /// `out`, in FIFO order, by rotating the deque in place: each visited
     /// entry leaves the front and either goes to `out` or back in at the
