@@ -15,11 +15,14 @@
 //! inputs are virtual-time events) and the real runtimes'
 //! (`worker.rs`, inputs come out of the worker's inbox).
 //!
-//! The one difference in the arithmetic is [`Executor::SENDER_ORDER`]: a
+//! The executors differ in two constants. [`Executor::SENDER_ORDER`]: a
 //! Reduce sums its updates in queue order under the simulator, whose
 //! schedule is deterministic (its digests are pinned), and in sender order
 //! under the real runtimes, whose arrival order is not (a standard-mode
-//! run is exact per seed there too).
+//! run is exact per seed there too). [`Executor::EAGER_PURGE`]: a real
+//! Recv first frees every update older than its iteration, where the
+//! simulator keeps the §6.1 rotation's purge and its pinned stale counts.
+//! Neither changes what a Recv takes.
 //!
 //! # Linearization
 //!
@@ -89,6 +92,10 @@ pub(crate) trait Executor {
     /// Whether a Reduce sums its updates in sender order (else in queue
     /// order).
     const SENDER_ORDER: bool;
+    /// Whether a Recv first purges every update older than its iteration
+    /// (else a stale update goes when the rotating queue comes round to
+    /// its sub-queue, §6.1).
+    const EAGER_PURGE: bool;
 
     /// The state the machine reads and writes.
     fn parts(&mut self) -> Parts<'_, Self::Sink>;
@@ -128,22 +135,11 @@ pub(crate) trait Executor {
     fn finish(&mut self) {}
 }
 
-/// What a parked worker waits for: the ACKs of its last Send
-/// (NOTIFY-ACK), its Recv, a token from every out-neighbor, or the §5
-/// renew's `Recv(target - 1)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Parked {
-    Acks,
-    Updates,
-    Tokens,
-    Renew,
-}
-
 /// The worker's phase, carrying the typed handle of the stage it is
 /// parked in — the only capability that can emit the stage's events, so a
 /// phase/instrumentation mismatch cannot compile.
 #[derive(Debug)]
-enum Phase {
+pub(crate) enum Phase {
     /// Between inputs while a handler owns the handle.
     Stepping,
     Computing(Step<Computing>),
@@ -192,20 +188,20 @@ impl<'a> Shared<'a> {
 #[derive(Debug)]
 pub(crate) struct HopWorker {
     w: usize,
-    iter: u64,
-    phase: Phase,
-    queue: RotatingQueues<ParamBlock>,
+    pub(crate) iter: u64,
+    pub(crate) phase: Phase,
+    pub(crate) queue: RotatingQueues<ParamBlock>,
     /// Newest update per in-neighbor (staleness mode, incl. self), dense:
     /// slot `p` is the update from `topology.in_neighbors(w)[p]`.
     newest_from: Vec<Option<(u64, ParamBlock)>>,
     /// Tokens visible in each `TokenQ(o -> w)`, dense in
     /// `topology.external_out_neighbors(w)` order — the order of the
     /// `Jump` event's count vector, which it therefore is.
-    tokens_from: Vec<u64>,
+    pub(crate) tokens_from: Vec<u64>,
     /// NOTIFY-ACK: ACKs received for the last sent iteration.
     acks: usize,
     /// Tag of the last update consumed, for stall diagnostics.
-    last_consumed: Option<Tag>,
+    pub(crate) last_consumed: Option<Tag>,
 }
 
 impl HopWorker {
@@ -222,41 +218,6 @@ impl HopWorker {
             tokens_from: cx.cfg.max_ig().map_or_else(Vec::new, |ig| vec![ig; outs]),
             acks: 0,
             last_consumed: None,
-        }
-    }
-
-    /// The iteration the worker is in.
-    pub(crate) fn iter(&self) -> u64 {
-        self.iter
-    }
-
-    /// The rotating update queue.
-    pub(crate) fn queue(&self) -> &RotatingQueues<ParamBlock> {
-        &self.queue
-    }
-
-    /// Tokens visible per external out-neighbor (none without token
-    /// queues).
-    pub(crate) fn tokens(&self) -> &[u64] {
-        &self.tokens_from
-    }
-
-    pub(crate) fn last_consumed(&self) -> Option<Tag> {
-        self.last_consumed
-    }
-
-    pub(crate) fn is_finished(&self) -> bool {
-        matches!(self.phase, Phase::Finished)
-    }
-
-    /// What the worker is parked on, if it is parked.
-    pub(crate) fn parked(&self) -> Option<Parked> {
-        match self.phase {
-            Phase::WaitAck(_) => Some(Parked::Acks),
-            Phase::WaitUpdates(_) => Some(Parked::Updates),
-            Phase::WaitTokens(_) => Some(Parked::Tokens),
-            Phase::JumpRecv(_) => Some(Parked::Renew),
-            Phase::Stepping | Phase::Computing(_) | Phase::Finished => None,
         }
     }
 
@@ -508,6 +469,9 @@ impl HopWorker {
         exec: &mut E,
         mut step: Step<Exchanging>,
     ) -> Result<(), E::Error> {
+        if E::EAGER_PURGE {
+            self.queue.discard_older_than(self.iter);
+        }
         let p = exec.parts();
         if !self.gather(cx, p.sink, self.iter, false, &mut step) {
             self.phase = Phase::WaitUpdates(step);
@@ -576,8 +540,7 @@ impl HopWorker {
     /// `Recv(target - 1)` + Reduce so the straggler's future updates are
     /// not hopelessly stale, and reset the momentum (its history refers to
     /// a trajectory this worker abandoned). The updates of the skipped
-    /// iterations are purged by the rotating queue as their sub-queues
-    /// come round.
+    /// iterations are purged as stale (see [`Executor::EAGER_PURGE`]).
     fn try_jump_recv<E: Executor>(
         &mut self,
         cx: &mut Shared<'_>,

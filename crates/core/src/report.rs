@@ -198,11 +198,6 @@ pub struct RuntimeReport {
     /// comparable 1:1 with the simulator's `bytes_sent`. All zero on the
     /// threaded runtime, where nothing crosses a wire.
     pub update_wire_bytes: Vec<u64>,
-    /// Late updates the workers' rotating queues discarded as stale
-    /// (§6.2a), as the simulator's [`TrainingReport::stale_discarded`].
-    /// Zero on the process runtime, whose worker summaries do not carry
-    /// it.
-    pub stale_discarded: u64,
 }
 
 impl RuntimeReport {

@@ -120,9 +120,8 @@ impl<'a> Decentralized<'a> {
             eng,
             plane: &mut self.plane,
             grad: &mut self.grads[w],
+            cfg: self.cfg,
             topology: self.topology,
-            inquiry: self.cfg.send_inquiry(),
-            parallel: self.cfg.order == ComputeOrder::Parallel,
             skipped_sends: &mut self.skipped_sends,
             w,
             now,
@@ -141,10 +140,8 @@ struct SimExec<'e, 'g> {
     eng: &'e mut SimEngine<'g, Ev>,
     plane: &'e mut CompressionPlane,
     grad: &'e mut Vec<f32>,
+    cfg: &'e HopConfig,
     topology: &'e Topology,
-    /// §6.2(b): skip sends to receivers already past the iteration.
-    inquiry: bool,
-    parallel: bool,
     skipped_sends: &'e mut u64,
     w: usize,
     now: f64,
@@ -154,6 +151,8 @@ impl Executor for SimExec<'_, '_> {
     type Error = Infallible;
     type Sink = Option<crate::conformance::ProtocolTrace>;
     const SENDER_ORDER: bool = false;
+    /// The §6.1 rotation's purge, whose stale counts the digests pin.
+    const EAGER_PURGE: bool = false;
 
     fn parts(&mut self) -> Parts<'_, Self::Sink> {
         let WorkerCommon { params, opt, .. } = &mut self.eng.workers[self.w];
@@ -191,7 +190,8 @@ impl Executor for SimExec<'_, '_> {
     fn compute_ready(&mut self, _iter: u64) {
         if self.alive() {
             let grad = std::mem::take(self.grad);
-            self.eng.begin_compute(self.w, grad, self.parallel);
+            let parallel = self.cfg.order == ComputeOrder::Parallel;
+            self.eng.begin_compute(self.w, grad, parallel);
         }
     }
 
@@ -242,7 +242,7 @@ impl Executor for SimExec<'_, '_> {
         }
         let mut delivered = 0u64;
         for &o in self.topology.external_out_neighbors(w) {
-            if self.inquiry && eng.iters[o] > iter {
+            if self.cfg.send_inquiry() && eng.iters[o] > iter {
                 // The receiver has already passed this iteration; the
                 // update would be dropped as stale on arrival (§6.2b).
                 *self.skipped_sends += 1;
@@ -359,10 +359,7 @@ impl WorkerProtocol for Decentralized<'_> {
     }
 
     fn stale_discarded(&self, _eng: &SimEngine<'_, Ev>) -> u64 {
-        self.workers
-            .iter()
-            .map(|w| w.queue().stale_discarded())
-            .sum()
+        self.workers.iter().map(|w| w.queue.stale_discarded()).sum()
     }
 
     fn bytes_saved(&self, _eng: &SimEngine<'_, Ev>) -> u64 {
@@ -422,7 +419,7 @@ impl WorkerProtocol for Decentralized<'_> {
         // bound by the time the grant lands. Same condition as `gap_ok`
         // up to visibility lag, checked on the observable ledger.
         let catchup = target - eng.iters[w];
-        gap_ok && self.workers[w].tokens().iter().all(|&t| t >= catchup)
+        gap_ok && self.workers[w].tokens_from.iter().all(|&t| t >= catchup)
     }
 
     fn on_rejoin(&mut self, eng: &mut SimEngine<'_, Ev>, w: usize, target: u64, now: f64) {

@@ -764,7 +764,7 @@ impl<'a, E> SimEngine<'a, E> {
     /// place, so the two views of "worker `w` entered iteration `iter`"
     /// can never diverge. Hop's workers emit their own `Advance` (their
     /// worker machine opens the iteration's step) and then record the
-    /// rest of the entry through `entered`.
+    /// rest of the entry through [`Self::entered`].
     pub fn record_enter(&mut self, w: usize, iter: u64, now: f64) {
         choreography::advance_only(&mut self.conformance, w, iter);
         self.entered(w, iter, now);
@@ -774,7 +774,7 @@ impl<'a, E> SimEngine<'a, E> {
     /// records the timing trace entry and fires a crash scheduled for it —
     /// after the `Advance`, so the worker's sends for this iteration are
     /// already dead-endpoint losses.
-    pub(crate) fn entered(&mut self, w: usize, iter: u64, now: f64) {
+    pub fn entered(&mut self, w: usize, iter: u64, now: f64) {
         self.trace.record(w, iter, now);
         if self.faults.try_crash(w, iter) {
             choreography::crash(&mut self.conformance, w, iter);

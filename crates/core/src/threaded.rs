@@ -44,11 +44,11 @@
 
 use crate::choreography::SeqSink;
 use crate::config::{ComputeOrder, ConfigError, HopConfig, SyncMode};
-use crate::conformance::{ProtocolEvent, ProtocolTrace};
+use crate::conformance::ProtocolTrace;
 use crate::report::RuntimeReport;
 use crate::sim_runtime::compression::CompressionPlane;
 use crate::trainer::Hyper;
-use crate::worker::{worker_loop, Inbox, Transport, WorkerJob, WorkerOutcome};
+use crate::worker::{worker_loop, Inbox, Transport, WorkerJob};
 use hop_data::InMemoryDataset;
 use hop_graph::Topology;
 use hop_model::Model;
@@ -240,42 +240,6 @@ impl ThreadedExperiment {
         dataset: Arc<InMemoryDataset>,
         traced: bool,
     ) -> Result<(RuntimeReport, Option<ProtocolTrace>), ThreadedError> {
-        let start = Instant::now();
-        let (results, _) = self.run_workers(model.as_ref(), dataset.as_ref(), traced)?;
-        let mut report = RuntimeReport::default();
-        let mut all_events = Vec::new();
-        for (result, events) in results {
-            let outcome = result?;
-            report.final_params.push(outcome.params);
-            report.losses.push(outcome.losses);
-            report.update_wire_bytes.push(0);
-            report.stale_discarded += outcome.stale_discarded;
-            all_events.extend(events);
-            for fault in outcome.faults {
-                report.fault_log.push(fault);
-            }
-        }
-        report.elapsed = start.elapsed();
-        let trace = traced.then(|| {
-            all_events.sort_by_key(|&(s, _)| s);
-            let mut trace = ProtocolTrace::new();
-            for (_, ev) in all_events {
-                trace.push(ev);
-            }
-            trace
-        });
-        Ok((report, trace))
-    }
-
-    /// Validates the experiment and runs one thread per worker. Returns
-    /// each worker's outcome with its sequence-numbered events (none
-    /// unless `traced`), and the initial parameters.
-    pub(crate) fn run_workers(
-        &self,
-        model: &dyn Model,
-        dataset: &InMemoryDataset,
-        traced: bool,
-    ) -> Result<(Vec<WorkerRun>, ParamBlock), ThreadedError> {
         self.config.validate(&self.topology)?;
         self.faults
             .validate()
@@ -296,28 +260,13 @@ impl ThreadedExperiment {
         let seq = AtomicU64::new(0);
         let mut init_rng = hop_util::Xoshiro256::seed_from_u64(self.seed);
         let init_params = ParamBlock::from_vec(model.init_params(&mut init_rng));
-        let results = std::thread::scope(|scope| {
+        let start = Instant::now();
+        let results: Vec<_> = std::thread::scope(|scope| {
             let handles: Vec<_> = mailboxes
                 .into_iter()
                 .enumerate()
                 .map(|(w, mailbox)| {
-                    let job = WorkerJob {
-                        w,
-                        cfg: &self.config,
-                        topo,
-                        model,
-                        dataset,
-                        hyper: self.hyper,
-                        max_iters: self.max_iters,
-                        seed: self.seed,
-                        compute_sleep: match self.slow_worker {
-                            Some((slow, factor)) if slow == w => self.compute_sleep * factor,
-                            _ => self.compute_sleep,
-                        },
-                        timeout: self.stall_timeout,
-                        init_params: &init_params,
-                        faults: &self.faults,
-                    };
+                    let job = self.job(w, model.as_ref(), dataset.as_ref(), &init_params);
                     let mut transport = InMemoryTransport {
                         w,
                         topo,
@@ -336,15 +285,59 @@ impl ThreadedExperiment {
                 .map(|h| h.join().expect("worker thread panicked"))
                 .collect()
         });
-        Ok((results, init_params))
+        let mut report = RuntimeReport::default();
+        let mut all_events = Vec::new();
+        for (result, events) in results {
+            let outcome = result?;
+            #[cfg(test)]
+            crate::worker::tests::record_run(&outcome, &events);
+            report.final_params.push(outcome.params);
+            report.losses.push(outcome.losses);
+            report.update_wire_bytes.push(0);
+            all_events.extend(events);
+            for fault in outcome.faults {
+                report.fault_log.push(fault);
+            }
+        }
+        report.elapsed = start.elapsed();
+        let trace = traced.then(|| {
+            all_events.sort_by_key(|&(s, _)| s);
+            let mut trace = ProtocolTrace::new();
+            for (_, ev) in all_events {
+                trace.push(ev);
+            }
+            trace
+        });
+        Ok((report, trace))
+    }
+
+    /// Worker `w`'s share of the experiment.
+    pub(crate) fn job<'a>(
+        &'a self,
+        w: usize,
+        model: &'a dyn Model,
+        dataset: &'a InMemoryDataset,
+        init_params: &'a ParamBlock,
+    ) -> WorkerJob<'a> {
+        WorkerJob {
+            w,
+            cfg: &self.config,
+            topo: &self.topology,
+            model,
+            dataset,
+            hyper: self.hyper,
+            max_iters: self.max_iters,
+            seed: self.seed,
+            compute_sleep: match self.slow_worker {
+                Some((slow, factor)) if slow == w => self.compute_sleep * factor,
+                _ => self.compute_sleep,
+            },
+            timeout: self.stall_timeout,
+            init_params,
+            faults: &self.faults,
+        }
     }
 }
-
-/// One worker thread's outcome, and its sequence-numbered events.
-pub(crate) type WorkerRun = (
-    Result<WorkerOutcome, ThreadedError>,
-    Vec<(u64, ProtocolEvent)>,
-);
 
 /// What one worker posts to another's mailbox: a tagged zero-copy
 /// snapshot, or `(owner, n)` — `n` tokens for `TokenQ(owner -> receiver)`.

@@ -32,7 +32,7 @@
 
 use crate::choreography::{self, EventSink, SendStage, Step};
 use crate::config::HopConfig;
-use crate::machine::{Executor, HopWorker, Input, Parked, Parts, Shared};
+use crate::machine::{Executor, HopWorker, Input, Parts, Phase, Shared};
 use crate::sim_runtime::compression::CompressionPlane;
 use crate::threaded::{StallDiag, ThreadedError};
 use crate::trainer::Hyper;
@@ -200,8 +200,6 @@ pub(crate) struct WorkerOutcome {
     pub(crate) losses: Vec<f32>,
     /// Every send the fault shim omitted.
     pub(crate) faults: Vec<FaultEvent>,
-    /// Late updates the rotating queue discarded as stale.
-    pub(crate) stale_discarded: u64,
     /// Every input the machine was fed, in order, for an offline replay.
     #[cfg(test)]
     pub(crate) inputs: Vec<Input>,
@@ -240,6 +238,9 @@ impl<T: Transport, S: EventSink> Executor for Real<'_, '_, T, S> {
     /// Arrival order depends on the schedule; sender order makes a Reduce
     /// over the same set round the same way every run.
     const SENDER_ORDER: bool = true;
+    /// A late update pins a block until it is purged; the real runtimes
+    /// free it at the next Recv.
+    const EAGER_PURGE: bool = true;
 
     fn parts(&mut self) -> Parts<'_, S> {
         Parts {
@@ -393,36 +394,36 @@ impl<'j, 'a, T: Transport, S: EventSink> Real<'j, 'a, T, S> {
         Ok(())
     }
 
-    /// The explained stall of the wait `worker` is parked in, with the
-    /// state of the queue it waits on: a token wait shows every out-edge
-    /// token queue, an update wait the update queue.
-    fn stall(&self, worker: &HopWorker, parked: Parked) -> T::Error {
+    /// The explained stall of the wait `worker` is parked in (its Recv,
+    /// its tokens or its renew; the real runtimes run no NOTIFY-ACK), with
+    /// the state of the queue it waits on: a token wait shows every
+    /// out-edge token queue, an update wait the update queue.
+    fn stall(&self, worker: &HopWorker) -> T::Error {
         let (job, w) = (self.job, self.job.w);
-        let waiting_for = match parked {
-            Parked::Tokens => "tokens",
-            Parked::Renew => "jump-renew updates",
-            Parked::Acks => "ACKs",
-            Parked::Updates if job.cfg.staleness.is_some() => "a satisfactory update",
-            Parked::Updates => "updates",
+        let waiting_for = match worker.phase {
+            Phase::WaitTokens(_) => "tokens",
+            Phase::JumpRecv(_) => "jump-renew updates",
+            _ if job.cfg.staleness.is_some() => "a satisfactory update",
+            _ => "updates",
         };
-        let diag = if parked == Parked::Tokens {
+        let diag = if let Phase::WaitTokens(_) = worker.phase {
             let owners = job.topo.external_out_neighbors(w).iter().copied();
             StallDiag::Tokens {
-                available: owners.zip(worker.tokens().iter().copied()).collect(),
+                available: owners.zip(worker.tokens_from.iter().copied()).collect(),
             }
         } else {
-            let mut pending: Vec<Tag> = worker.queue().iter().map(|e| e.tag).collect();
+            let mut pending: Vec<Tag> = worker.queue.iter().map(|e| e.tag).collect();
             let queue_depth = pending.len();
             pending.truncate(8);
             StallDiag::Updates {
                 queue_depth,
                 pending,
-                last_consumed: worker.last_consumed(),
+                last_consumed: worker.last_consumed,
             }
         };
         self.transport.explain(ThreadedError::Stalled {
             worker: w,
-            iter: worker.iter(),
+            iter: worker.iter,
             waiting_for,
             diag,
         })
@@ -443,8 +444,8 @@ pub(crate) fn worker_loop<T: Transport>(
     run.feed(&mut worker, &mut cx, Input::Start)?;
     // The parked wait and its deadline: a new one whenever the worker
     // parks anew.
-    let mut wait: Option<(u64, Parked, Instant)> = None;
-    while !worker.is_finished() {
+    let mut wait = None;
+    while !matches!(worker.phase, Phase::Finished) {
         if std::mem::take(&mut run.computed) {
             // What arrived during the compute, then its end.
             run.transport.pump(&mut run.inbox, Duration::ZERO);
@@ -452,12 +453,12 @@ pub(crate) fn worker_loop<T: Transport>(
             run.feed(&mut worker, &mut cx, Input::ComputeDone)?;
             continue;
         }
-        let parked = worker.parked().expect("a worker not computing is parked");
+        let parked = (worker.iter, std::mem::discriminant(&worker.phase));
         let deadline = match wait {
-            Some((iter, was, deadline)) if (iter, was) == (worker.iter(), parked) => deadline,
+            Some((was, deadline)) if was == parked => deadline,
             _ => {
                 let deadline = Instant::now() + job.timeout;
-                wait = Some((worker.iter(), parked, deadline));
+                wait = Some((parked, deadline));
                 deadline
             }
         };
@@ -466,7 +467,7 @@ pub(crate) fn worker_loop<T: Transport>(
             .inbox
             .wait(run.transport, left, |_, inbox| inbox.has_arrivals())
         {
-            return Err(run.stall(&worker, parked));
+            return Err(run.stall(&worker));
         }
         run.feed_arrivals(&mut worker, &mut cx)?;
         run.feed(&mut worker, &mut cx, Input::Resume)?;
@@ -476,21 +477,42 @@ pub(crate) fn worker_loop<T: Transport>(
         params: run.params.to_vec(),
         losses: run.losses,
         faults: run.faults,
-        stale_discarded: worker.queue().stale_discarded(),
         #[cfg(test)]
         inputs: run.inputs,
     })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::SkipConfig;
     use crate::conformance::{ProtocolEvent, ProtocolTrace};
     use crate::threaded::ThreadedExperiment;
     use hop_data::webspam::SyntheticWebspam;
     use hop_model::svm::Svm;
+    use std::cell::RefCell;
     use std::sync::Arc;
+
+    /// One worker of a threaded run: its input log, its events and its
+    /// final parameters.
+    type Recorded = (Vec<Input>, Vec<ProtocolEvent>, Vec<f32>);
+
+    thread_local! {
+        /// The workers of the threaded runs on this thread, while
+        /// [`recorded`] collects them.
+        static RUNS: RefCell<Option<Vec<Recorded>>> = const { RefCell::new(None) };
+    }
+
+    /// The threaded runtime's hook: keeps a finished worker's record, in
+    /// worker order, if [`recorded`] is collecting.
+    pub(crate) fn record_run(outcome: &WorkerOutcome, events: &[(u64, ProtocolEvent)]) {
+        RUNS.with_borrow_mut(|runs| {
+            if let Some(runs) = runs {
+                let events = events.iter().map(|(_, e)| e.clone()).collect();
+                runs.push((outcome.inputs.clone(), events, outcome.params.clone()));
+            }
+        });
+    }
 
     /// A transport that logs each pump's timeout and whether it moved
     /// anything: its first `movers` non-blocking pumps bring a token each,
@@ -582,16 +604,13 @@ mod tests {
     fn late_backup_updates_are_dropped_not_hoarded() {
         // Regression: the backup-mode Recv only ever dequeued tag `k`, so
         // every update that arrived after its iteration stayed in the
-        // inbox for the rest of the run, pinning a full block each. Now
-        // each goes into the rotating queue and is purged, silently and
-        // counted as stale, when its sub-queue comes round again.
-        let max_iters = 10;
+        // inbox for the rest of the run, pinning a full block each.
+        let max_iters = 6;
         let dataset = SyntheticWebspam::generate(64, 3);
         let model = Svm::log_loss(dataset.feature_dim());
         let init = ParamBlock::from_vec(vec![0.0; model.param_len()]);
         // Quota 1 of in-degree 2: the worker reduces on its own update
-        // and never waits for the (always late) peer. `max_ig` 4 gives
-        // five sub-queues.
+        // and never waits for the (always late) peer.
         let cfg = HopConfig::backup(1, 4);
         let topo = Topology::ring(2);
         let job = WorkerJob {
@@ -616,22 +635,60 @@ mod tests {
         let mut trace = ProtocolTrace::new();
         let outcome = worker_loop(&job, &mut transport, &mut trace).expect("runs");
         assert_eq!(outcome.losses.len(), max_iters as usize);
-        let drops = trace.events().iter().map(ToString::to_string);
-        assert_eq!(drops.filter(|line| line.starts_with("drop ")).count(), 0);
-        // The machine behind the run, rebuilt from its inputs: tags 0-8
-        // arrived late; the Recvs of 5-9 purged tags 0-4, one each and in
-        // order, and the four younger than a window are all that is left.
+        // The machine behind the run, rebuilt from its inputs: the Recv
+        // after each late arrival purged it, silently and counted.
         let (worker, _, _) = replay(&job, outcome.inputs);
-        assert_eq!(
-            worker.queue().stale_discarded(),
-            5,
-            "one purge per late tag"
-        );
-        let left: Vec<Tag> = worker.queue().iter().map(|e| e.tag).collect();
-        let expected: Vec<Tag> = (5..9).map(|iter| Tag { iter, w_id: 1 }).collect();
-        assert_eq!(left, expected, "nothing older than the window is hoarded");
+        assert_eq!(worker.queue.stale_discarded(), 5, "one purge per late tag");
+        assert!(worker.queue.is_empty(), "a late update was hoarded");
         // Every late update reached the inbox.
         assert!(transport.late.is_none(), "a late update was never pumped");
+    }
+
+    /// Runs `exp` on threads and returns each worker's record.
+    fn recorded(
+        exp: &ThreadedExperiment,
+        model: &Arc<Svm>,
+        dataset: &Arc<InMemoryDataset>,
+    ) -> Vec<Recorded> {
+        RUNS.set(Some(Vec::new()));
+        let run = exp.run_traced(model.clone(), dataset.clone());
+        let runs = RUNS.take().expect("collecting");
+        run.unwrap_or_else(|e| panic!("{:?} on {:?}: {e}", exp.config, exp.topology));
+        runs
+    }
+
+    /// Replays worker `w` of `exp` from `inputs` (see [`replay`]).
+    fn replay_of(
+        exp: &ThreadedExperiment,
+        model: &Svm,
+        dataset: &InMemoryDataset,
+        w: usize,
+        inputs: Vec<Input>,
+    ) -> (HopWorker, Vec<f32>, ProtocolTrace) {
+        let mut rng = hop_util::Xoshiro256::seed_from_u64(exp.seed);
+        let init = ParamBlock::from_vec(model.init_params(&mut rng));
+        replay(&exp.job(w, model, dataset, &init), inputs)
+    }
+
+    /// `cfg` on `topo` for 12 iterations; a straggling skip mode has a 15x
+    /// straggler, worker 0.
+    fn experiment(cfg: &HopConfig, topo: &Topology) -> ThreadedExperiment {
+        let straggle = cfg.skip.is_some();
+        ThreadedExperiment {
+            config: cfg.clone(),
+            topology: topo.clone(),
+            max_iters: 12,
+            seed: 17,
+            hyper: Hyper::svm(),
+            compute_sleep: if straggle {
+                Duration::from_micros(300)
+            } else {
+                Duration::ZERO
+            },
+            slow_worker: straggle.then_some((0, 15)),
+            stall_timeout: Duration::from_secs(30),
+            faults: FaultPlan::none(),
+        }
     }
 
     /// The threaded cells of the conformance grid: every mode on every
@@ -669,53 +726,59 @@ mod tests {
         let dataset = Arc::new(SyntheticWebspam::generate(128, 5));
         let model = Arc::new(Svm::log_loss(dataset.feature_dim()));
         for (cfg, topo) in grid() {
-            let straggle = cfg.skip.is_some();
-            let exp = ThreadedExperiment {
-                config: cfg.clone(),
-                topology: topo.clone(),
-                max_iters: 12,
-                seed: 17,
-                hyper: Hyper::svm(),
-                compute_sleep: if straggle {
-                    Duration::from_micros(300)
-                } else {
-                    Duration::ZERO
-                },
-                slow_worker: straggle.then_some((0, 15)),
-                stall_timeout: Duration::from_secs(30),
-                faults: FaultPlan::none(),
-            };
-            let (runs, init) = exp
-                .run_workers(model.as_ref(), dataset.as_ref(), true)
-                .expect("valid grid cell");
-            for (w, (result, events)) in runs.into_iter().enumerate() {
-                let outcome = result.unwrap_or_else(|e| panic!("{cfg:?} on {topo:?}: {e}"));
-                let job = WorkerJob {
-                    w,
-                    cfg: &cfg,
-                    topo: &topo,
-                    model: model.as_ref(),
-                    dataset: dataset.as_ref(),
-                    hyper: exp.hyper,
-                    max_iters: exp.max_iters,
-                    seed: exp.seed,
-                    compute_sleep: Duration::ZERO,
-                    timeout: exp.stall_timeout,
-                    init_params: &init,
-                    faults: &exp.faults,
-                };
-                let (worker, params, trace) = replay(&job, outcome.inputs);
-                assert!(worker.is_finished(), "{cfg:?}: worker {w} did not finish");
-                let recorded: Vec<ProtocolEvent> = events.into_iter().map(|(_, e)| e).collect();
-                assert_eq!(trace.events(), recorded, "{cfg:?}: worker {w}'s events");
+            let exp = experiment(&cfg, &topo);
+            for (w, (inputs, events, params)) in
+                recorded(&exp, &model, &dataset).into_iter().enumerate()
+            {
+                let (worker, replayed, trace) = replay_of(&exp, &model, &dataset, w, inputs);
+                assert!(
+                    matches!(worker.phase, Phase::Finished),
+                    "{cfg:?}: worker {w} did not finish"
+                );
+                assert_eq!(trace.events(), events, "{cfg:?}: worker {w}'s events");
                 let bits = |p: &[f32]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(
+                    bits(&replayed),
                     bits(&params),
-                    bits(&outcome.params),
                     "{cfg:?}: worker {w}'s parameters"
                 );
             }
         }
+    }
+
+    #[test]
+    fn the_stragglers_late_updates_are_purged() {
+        // §6.2(a) on real threads: under backup(1, ·) the straggler's
+        // neighbors reduce without it, so its updates arrive late, and
+        // the Recvs must purge them rather than hoard them. Each
+        // neighbor's machine, replayed from its inputs, accounts for every
+        // update it was fed from worker 0: consumed, still queued when the
+        // run ended, or purged.
+        let dataset = Arc::new(SyntheticWebspam::generate(256, 5));
+        let model = Arc::new(Svm::log_loss(dataset.feature_dim()));
+        let mut exp = experiment(&HopConfig::backup(1, 4), &Topology::ring(6));
+        exp.compute_sleep = Duration::from_micros(300);
+        exp.slow_worker = Some((0, 15));
+        exp.max_iters = 40;
+        let runs = recorded(&exp, &model, &dataset);
+        let mut purged = 0;
+        for &o in exp.topology.external_out_neighbors(0) {
+            let (inputs, events, _) = &runs[o];
+            let fed = inputs
+                .iter()
+                .filter(|i| matches!(i, Input::Update { from: 0, .. }));
+            let consume = format!("consume w={o} from=0 ");
+            let consumed = events
+                .iter()
+                .filter(|e| e.to_string().starts_with(&consume));
+            let (worker, _, _) = replay_of(&exp, &model, &dataset, o, inputs.clone());
+            let queued = worker.queue.iter().filter(|e| e.tag.w_id == 0).count();
+            purged += fed.count() - consumed.count() - queued;
+        }
+        assert!(
+            purged > 0,
+            "a 15x straggler's late updates were never purged"
+        );
     }
 
     /// Waits up to `timeout` for `want` tokens in a one-queue inbox.

@@ -151,9 +151,12 @@ fn threaded_with_simulated_compute_jitter() {
 fn threaded_backup_drops_the_stragglers_late_updates() {
     // §6.2(a) receiver-side discard on real threads: under backup(1, ·)
     // the straggler's neighbors reduce without it, its update for that
-    // iteration arrives late, and the rotating queue must discard it when
-    // its sub-queue comes round (silently, counted as stale, as in the
-    // simulator) instead of leaving it in the inbox.
+    // iteration arrives late, and the next Recv must purge it (silently,
+    // counted as stale) instead of leaving it in the inbox. That the
+    // purged updates are the straggler's is checked per sender by the
+    // worker machine's replay (`the_stragglers_late_updates_are_purged`
+    // in `crates/core/src/worker.rs`); here the trace must replay clean
+    // with the straggler's updates left unconsumed.
     let dataset = Arc::new(SyntheticWebspam::generate(256, 5));
     let model = Arc::new(Svm::log_loss(dataset.feature_dim()));
     let cfg = HopConfig::backup(1, 4);
@@ -162,22 +165,16 @@ fn threaded_backup_drops_the_stragglers_late_updates() {
     exp.compute_sleep = Duration::from_micros(300);
     exp.slow_worker = Some((0, 15));
     exp.max_iters = 40;
-    let (report, trace) = exp.run_traced(model, dataset).expect("runs");
+    let (_, trace) = exp.run_traced(model, dataset).expect("runs");
     hop::core::Oracle::new(&cfg, &topo, 40)
         .check(&trace)
         .expect("trace with late updates replays clean");
-    // Its neighbors left some of the straggler's updates unconsumed...
     let count =
         |pick: &dyn Fn(&ProtocolEvent) -> bool| trace.events().iter().filter(|e| pick(e)).count();
     let sent = count(&|e| matches!(e, ProtocolEvent::Send { from: 0, to, .. } if *to != 0));
     let consumed =
         count(&|e| matches!(e, ProtocolEvent::Consume { from: 0, worker, .. } if *worker != 0));
     assert!(consumed < sent, "every update of the straggler was in time");
-    // ...and discarded them.
-    assert!(
-        report.stale_discarded > 0,
-        "a 15x straggler's late updates were never dropped"
-    );
 }
 
 #[test]
