@@ -240,9 +240,9 @@ impl Executor for SimExec<'_, '_> {
         {
             eng.faults.corrupt(w, iter, wire.make_mut());
         }
-        let mut delivered = 0u64;
+        let (inquiry, mut delivered) = (self.cfg.send_inquiry(), 0u64);
         for &o in self.topology.external_out_neighbors(w) {
-            if self.cfg.send_inquiry() && eng.iters[o] > iter {
+            if inquiry && eng.iters[o] > iter {
                 // The receiver has already passed this iteration; the
                 // update would be dropped as stale on arrival (§6.2b).
                 *self.skipped_sends += 1;
