@@ -374,7 +374,8 @@ impl fmt::Display for TraceParseError {
 
 impl std::error::Error for TraceParseError {}
 
-fn parse_event(line: &str) -> Result<ProtocolEvent, String> {
+/// Parses one event line, as [`ProtocolEvent`]'s `Display` writes it.
+pub(crate) fn parse_event(line: &str) -> Result<ProtocolEvent, String> {
     let mut parts = line.split_whitespace();
     let kind = parts.next().ok_or("empty line")?;
     let mut fields: HashMap<&str, &str> = HashMap::new();

@@ -33,7 +33,9 @@
 //!   threads posting to each other's mailboxes and OS *processes* on one
 //!   host speaking [`hop_wire`] length-prefixed frames through
 //!   shared-memory rings (measured link bytes equal the simulator's
-//!   `bytes_sent` by construction).
+//!   `bytes_sent` by construction). Both return a [`RuntimeReport`] or
+//!   one [`RuntimeError`]; a failed traced run returns a [`FailedRun`],
+//!   the error with the merged partial trace.
 //! * [`trainer`] — the high-level [`trainer::SimExperiment`] API.
 //! * [`sweep`] — cartesian experiment grids ([`sweep::SweepGrid`])
 //!   executed across all cores by [`sweep::SweepRunner`], bit-identical
@@ -87,8 +89,8 @@ pub use config::{
 pub use conformance::{ConformanceSummary, Oracle, ProtocolEvent, ProtocolTrace, Violation};
 pub use hop_tensor::CompressionConfig;
 #[cfg(unix)]
-pub use process::{ProcessError, ProcessExperiment};
-pub use report::{RuntimeReport, TrainingReport};
+pub use process::ProcessExperiment;
+pub use report::{FailedRun, RuntimeError, RuntimeReport, TrainingReport};
 pub use sim_runtime::recorder::EvalConfig;
 pub use sweep::{SweepGrid, SweepResult, SweepRunner, SweepSummary};
 pub use trainer::{Hyper, SimExperiment};

@@ -85,20 +85,20 @@
 //! are checked against its capacity before use, so a corrupt header fails
 //! its link closed and nothing is read or written outside the mapping.
 //! The coordinator turns missing summaries into
-//! [`ProcessError::PeerLost`] and — when
-//! [`ProcessExperiment::failure_label`] is set — serializes the partial
-//! merged trace to `target/conformance-failures/<label>.trace` for offline
-//! replay.
+//! [`RuntimeError::PeerLost`]; a failed traced run hands back the
+//! survivors' partial merged trace in its [`FailedRun`], for the caller
+//! to write out and replay offline.
 
 use crate::choreography::SeqSink;
-use crate::config::{ComputeOrder, ConfigError, HopConfig, SkipConfig, SyncMode};
-use crate::conformance::{ProtocolEvent, ProtocolTrace};
-use crate::report::RuntimeReport;
+use crate::config::{ComputeOrder, HopConfig, SkipConfig, SyncMode};
+use crate::conformance::{parse_event, ProtocolEvent, ProtocolTrace};
+use crate::report::{FailedRun, RuntimeError, RuntimeReport};
 use crate::semantics::StalenessWeighting;
 use crate::sim_runtime::compression::CompressionPlane;
-use crate::threaded::ThreadedError;
 use crate::trainer::Hyper;
-use crate::worker::{worker_loop, Inbox, Transport, WorkerJob, WorkerOutcome};
+use crate::worker::{
+    assemble, validate, worker_loop, Inbox, Transport, WorkerJob, WorkerOutcome, WorkerRun,
+};
 use hop_data::webspam::SyntheticWebspam;
 use hop_data::Dataset;
 use hop_graph::Topology;
@@ -120,84 +120,6 @@ use std::time::{Duration, Instant};
 
 mod ring;
 use ring::{Corrupt, RingPair};
-
-/// Error from the process runtime's coordinator half.
-#[derive(Debug)]
-pub enum ProcessError {
-    /// The configuration is invalid for the topology.
-    Config(ConfigError),
-    /// The configuration names a feature the process runtime does not
-    /// implement (serial order, NOTIFY-ACK).
-    Unsupported(&'static str),
-    /// An I/O operation on the coordinator side failed.
-    Io {
-        /// What the coordinator was doing.
-        context: &'static str,
-        /// The underlying error.
-        error: std::io::Error,
-    },
-    /// A frame to or from a worker failed to encode, decode, or move.
-    Wire {
-        /// What the coordinator was doing.
-        context: &'static str,
-        /// The underlying error.
-        error: WireError,
-    },
-    /// The worker fleet never finished connecting and identifying.
-    Handshake(String),
-    /// One or more workers died without sending a final summary —
-    /// killed, crashed, or wedged past the summary deadline. Survivors'
-    /// partial traces are merged and (with a failure label set) written
-    /// to `target/conformance-failures/`.
-    PeerLost {
-        /// `(worker, why its summary never arrived)` for every lost
-        /// worker.
-        failures: Vec<(usize, String)>,
-    },
-    /// A worker finished the session but reported a protocol failure
-    /// (stall, peer loss, corrupt frame) instead of a result.
-    WorkerFailed {
-        /// The failing worker.
-        worker: usize,
-        /// The worker's own error description.
-        error: String,
-    },
-    /// The merged event log did not parse back into a trace.
-    Protocol(String),
-}
-
-impl std::fmt::Display for ProcessError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ProcessError::Config(e) => write!(f, "invalid config: {e}"),
-            ProcessError::Unsupported(what) => {
-                write!(f, "process runtime does not support {what}")
-            }
-            ProcessError::Io { context, error } => write!(f, "{context}: {error}"),
-            ProcessError::Wire { context, error } => write!(f, "{context}: {error}"),
-            ProcessError::Handshake(why) => write!(f, "worker handshake failed: {why}"),
-            ProcessError::PeerLost { failures } => {
-                write!(f, "lost worker process(es):")?;
-                for (w, why) in failures {
-                    write!(f, " [{w}: {why}]")?;
-                }
-                Ok(())
-            }
-            ProcessError::WorkerFailed { worker, error } => {
-                write!(f, "worker {worker} failed: {error}")
-            }
-            ProcessError::Protocol(why) => write!(f, "merged trace is malformed: {why}"),
-        }
-    }
-}
-
-impl std::error::Error for ProcessError {}
-
-impl From<ConfigError> for ProcessError {
-    fn from(e: ConfigError) -> Self {
-        ProcessError::Config(e)
-    }
-}
 
 /// A process-per-worker decentralized training run on one host.
 ///
@@ -237,9 +159,6 @@ pub struct ProcessExperiment {
     /// given iteration entry — no `Finished`, no summary — so tests can
     /// exercise the peer-loss path deterministically.
     pub die_at: Option<(usize, u64)>,
-    /// When set and the run fails, the partial merged trace is written
-    /// to `target/conformance-failures/<label>.trace`.
-    pub failure_label: Option<String>,
 }
 
 impl ProcessExperiment {
@@ -260,7 +179,6 @@ impl ProcessExperiment {
             stall_timeout: Duration::from_secs(20),
             worker_bin,
             die_at: None,
-            failure_label: None,
         }
     }
 
@@ -268,13 +186,14 @@ impl ProcessExperiment {
     ///
     /// # Errors
     ///
-    /// [`ProcessError::Config`] / [`ProcessError::Unsupported`] for bad
-    /// configurations, [`ProcessError::Handshake`] when the fleet never
-    /// assembles, [`ProcessError::PeerLost`] when a worker process dies
-    /// mid-run, and [`ProcessError::WorkerFailed`] when a worker
+    /// [`RuntimeError::Config`] / [`RuntimeError::Unsupported`] for bad
+    /// configurations, [`RuntimeError::Handshake`] when the fleet never
+    /// assembles, [`RuntimeError::PeerLost`] when a worker process dies
+    /// mid-run, and [`RuntimeError::WorkerFailed`] when a worker
     /// reports a protocol failure (e.g. a stall) in its summary.
-    pub fn run(&self) -> Result<RuntimeReport, ProcessError> {
-        Ok(self.run_inner(false)?.0)
+    pub fn run(&self) -> Result<RuntimeReport, RuntimeError> {
+        let run = self.run_inner(false);
+        run.map(|(report, _)| report).map_err(|failed| failed.error)
     }
 
     /// [`Self::run`] with conformance recording: also returns the
@@ -283,30 +202,29 @@ impl ProcessExperiment {
     ///
     /// # Errors
     ///
-    /// Exactly [`Self::run`]'s errors, plus [`ProcessError::Protocol`]
-    /// if the merged event log fails to parse.
-    pub fn run_traced(&self) -> Result<(RuntimeReport, ProtocolTrace), ProcessError> {
-        let (report, trace) = self.run_inner(true)?;
-        Ok((report, trace.expect("tracing was enabled")))
+    /// Exactly [`Self::run`]'s errors, plus [`RuntimeError::Protocol`]
+    /// if a worker's event log fails to parse, each with the merged
+    /// partial trace.
+    pub fn run_traced(&self) -> Result<(RuntimeReport, ProtocolTrace), FailedRun> {
+        self.run_inner(true)
     }
 
-    fn run_inner(
-        &self,
-        traced: bool,
-    ) -> Result<(RuntimeReport, Option<ProtocolTrace>), ProcessError> {
-        self.config.validate(&self.topology)?;
-        if self.config.order != ComputeOrder::Parallel {
-            return Err(ProcessError::Unsupported("the serial compute order"));
-        }
-        if self.config.sync == SyncMode::NotifyAck {
-            return Err(ProcessError::Unsupported("NOTIFY-ACK synchronization"));
-        }
+    fn run_inner(&self, traced: bool) -> Result<(RuntimeReport, ProtocolTrace), FailedRun> {
+        let (workers, elapsed) = self.run_fleet(traced)?;
+        assemble(workers, elapsed)
+    }
+
+    /// Runs the fleet: every worker's share of the run, from its summary
+    /// (a lost worker's is [`RuntimeError::PeerLost`]), and the run's
+    /// wall-clock time up to the fleet's reaping.
+    fn run_fleet(&self, traced: bool) -> Result<(Vec<WorkerRun>, Duration), RuntimeError> {
+        validate(&self.config, &self.topology, &FaultPlan::none())?;
         let n = self.topology.len();
         // Declared before the fleet, so dropped after it: the workers are
         // reaped before their sockets and rings go.
         let run_dir = RunDir::create(&std::env::temp_dir())?;
         let addr = run_dir.0.join(COORDINATOR_SOCKET);
-        let listener = UnixListener::bind(&addr).map_err(|error| ProcessError::Io {
+        let listener = UnixListener::bind(&addr).map_err(|error| RuntimeError::Io {
             context: "bind coordinator socket",
             error,
         })?;
@@ -319,7 +237,7 @@ impl ProcessExperiment {
                 .arg(w.to_string())
                 .stdin(Stdio::null())
                 .spawn()
-                .map_err(|error| ProcessError::Io {
+                .map_err(|error| RuntimeError::Io {
                     context: "spawn worker process",
                     error,
                 })?;
@@ -337,13 +255,13 @@ impl ProcessExperiment {
             }
             Ok(())
         })
-        .map_err(ProcessError::Handshake)?;
+        .map_err(RuntimeError::Handshake)?;
         // Hand every worker its spec, then let the fleet run.
         for (w, conn) in conns.iter_mut().enumerate() {
             let spec = Message::Spec {
                 body: self.worker_spec(w, traced).encode(),
             };
-            write_message(conn, &spec).map_err(|error| ProcessError::Wire {
+            write_message(conn, &spec).map_err(|error| RuntimeError::Wire {
                 context: "send worker spec",
                 error,
             })?;
@@ -355,19 +273,15 @@ impl ProcessExperiment {
         let budget =
             self.compute_sleep * slow * iter_cap + self.stall_timeout * 4 + Duration::from_secs(30);
         let deadline = Instant::now() + budget;
-        // Per-worker stamped event logs (empty for a worker that never
-        // reported), the report as it fills in worker order, lost workers,
-        // and the first worker that reported a protocol failure.
-        let mut logs = vec![String::new(); n];
-        let mut report = RuntimeReport::default();
-        let mut failures: Vec<(usize, String)> = Vec::new();
-        let mut failed: Option<(usize, String)> = None;
+        // Each worker's outcome or error, with its stamped event log
+        // (empty for a worker that never reported).
+        let mut summaries = Vec::with_capacity(n);
         for (w, stream) in conns.iter_mut().enumerate() {
             let remaining = deadline
                 .saturating_duration_since(Instant::now())
                 .max(Duration::from_millis(10));
             stream.set_read_timeout(Some(remaining)).ok();
-            match read_message(stream) {
+            let why = match read_message(stream) {
                 Ok(Message::Summary {
                     worker,
                     ok,
@@ -377,42 +291,32 @@ impl ProcessExperiment {
                     losses,
                     events_text,
                 }) if worker as usize == w => {
-                    logs[w] = events_text;
-                    report.final_params.push(final_params);
-                    report.losses.push(losses);
-                    report.update_wire_bytes.push(update_wire_bytes);
-                    if !ok {
-                        failed.get_or_insert((w, error));
-                    }
+                    let outcome = WorkerOutcome {
+                        params: final_params,
+                        losses,
+                        wire_bytes: update_wire_bytes,
+                        ..WorkerOutcome::default()
+                    };
+                    let failed = || RuntimeError::WorkerFailed { worker: w, error };
+                    summaries.push((ok.then_some(outcome).ok_or_else(failed), events_text));
+                    continue;
                 }
-                Ok(other) => {
-                    failures.push((w, format!("sent {other:?} instead of its summary")));
-                }
-                Err(e) => failures.push((w, e.to_string())),
-            }
+                Ok(other) => format!("sent {other:?} instead of its summary"),
+                Err(e) => e.to_string(),
+            };
+            let failures = vec![(w, why)];
+            summaries.push((Err(RuntimeError::PeerLost { failures }), String::new()));
         }
         drop(children); // reap the fleet before reporting
-        report.elapsed = start.elapsed();
-        let merged_text = traced.then(|| merge_stamped_events(&logs)).transpose()?;
-        if !failures.is_empty() || failed.is_some() {
-            if let (Some(label), Some(text)) = (&self.failure_label, &merged_text) {
-                let dir = std::path::Path::new("target/conformance-failures");
-                let _ = std::fs::create_dir_all(dir);
-                let _ = std::fs::write(dir.join(format!("{label}.trace")), text);
-            }
-        }
-        if !failures.is_empty() {
-            return Err(ProcessError::PeerLost { failures });
-        }
-        if let Some((worker, error)) = failed {
-            return Err(ProcessError::WorkerFailed { worker, error });
-        }
-        let trace = merged_text
-            .map(|text| {
-                ProtocolTrace::from_text(&text).map_err(|e| ProcessError::Protocol(e.to_string()))
-            })
-            .transpose()?;
-        Ok((report, trace))
+        let elapsed = start.elapsed();
+        let parsed = summaries
+            .into_iter()
+            .enumerate()
+            .map(|(w, (outcome, log))| {
+                parse_stamped(w, &log)
+                    .map_or_else(|e| (Err(e), Vec::new()), |events| (outcome, events))
+            });
+        Ok((parsed.collect(), elapsed))
     }
 
     /// The spec worker `w` runs.
@@ -477,7 +381,7 @@ impl RunDir {
     /// First removes the run directories under `base` that processes
     /// which no longer exist left behind (one killed by a signal never
     /// runs `Drop`).
-    fn create(base: &Path) -> Result<RunDir, ProcessError> {
+    fn create(base: &Path) -> Result<RunDir, RuntimeError> {
         static RUNS: AtomicU64 = AtomicU64::new(0);
         Self::remove_orphans(base);
         loop {
@@ -493,7 +397,7 @@ impl RunDir {
                     let context = "create the run directory";
                     return made
                         .map(|()| RunDir(dir))
-                        .map_err(|error| ProcessError::Io { context, error });
+                        .map_err(|error| RuntimeError::Io { context, error });
                 }
             }
         }
@@ -527,26 +431,21 @@ impl Drop for RunDir {
     }
 }
 
-/// Merges the per-worker `<stamp> <event>` logs into one event-per-line
-/// text, ordered by Lamport stamp (ties broken by worker order, which
-/// keeps the merge deterministic).
-fn merge_stamped_events(logs: &[String]) -> Result<String, ProcessError> {
-    let mut lines: Vec<(u64, usize, &str)> = Vec::new();
-    for (idx, log) in logs.iter().enumerate() {
-        for line in log.lines().map(str::trim).filter(|l| !l.is_empty()) {
-            let (stamp, rest) = line.split_once(' ').ok_or_else(|| {
-                ProcessError::Protocol(format!("worker {idx} sent unstamped event `{line}`"))
-            })?;
-            let stamp: u64 = stamp.parse().map_err(|e| {
-                ProcessError::Protocol(format!("worker {idx} sent bad stamp `{line}`: {e}"))
-            })?;
-            lines.push((stamp, idx, rest));
-        }
-    }
-    lines.sort_by_key(|&(stamp, idx, _)| (stamp, idx));
-    Ok(lines
-        .iter()
-        .fold(String::new(), |out, (_, _, line)| out + line + "\n"))
+/// Worker `w`'s stamped event log, one `<stamp> <event>` per line,
+/// parsed.
+fn parse_stamped(w: usize, log: &str) -> Result<Vec<(u64, ProtocolEvent)>, RuntimeError> {
+    let lines = log.lines().map(str::trim).filter(|l| !l.is_empty());
+    lines
+        .map(|line| {
+            let bad =
+                |why: String| RuntimeError::Protocol(format!("worker {w} sent `{line}`: {why}"));
+            let (stamp, event) = line
+                .split_once(' ')
+                .ok_or_else(|| bad("unstamped event".to_string()))?;
+            let stamp = stamp.parse().map_err(|e| bad(format!("bad stamp: {e}")))?;
+            Ok((stamp, parse_event(event).map_err(bad)?))
+        })
+        .collect()
 }
 
 /// Accepts connections on `listener` until every worker id in `expected`
@@ -1122,8 +1021,8 @@ impl<'a> RingTransport<'a> {
         }
     }
 
-    fn failed(&self) -> Result<(), String> {
-        self.failure.clone().map_or(Ok(()), Err)
+    fn failed(&self) -> Result<(), RuntimeError> {
+        self.failure().map_or(Ok(()), Err)
     }
 
     /// Records why link `i` failed (the first failure of the run is the
@@ -1281,8 +1180,6 @@ impl<'a> RingTransport<'a> {
 }
 
 impl Transport for RingTransport<'_> {
-    type Error = String;
-
     /// Empty pump rounds — a look at every ring, then
     /// `thread::yield_now` — a wait makes before it parks in `poll`. In
     /// steady state the frame a worker waits for is this close: catching
@@ -1339,11 +1236,11 @@ impl Transport for RingTransport<'_> {
         moved
     }
 
-    fn broken(&self) -> bool {
-        self.failure.is_some()
+    fn failure(&self) -> Option<RuntimeError> {
+        self.failure.clone().map(RuntimeError::Link)
     }
 
-    fn check(&mut self, k: u64) -> Result<(), String> {
+    fn check(&mut self, k: u64) -> Result<(), RuntimeError> {
         if self.die_at == Some(k) {
             // Fault hook: vanish without a Finished frame or a summary —
             // exactly what a crashed process looks like.
@@ -1359,7 +1256,7 @@ impl Transport for RingTransport<'_> {
         receivers: &[usize],
         plane: &mut CompressionPlane,
         pool: &mut BufferPool,
-    ) -> Result<(), String> {
+    ) -> Result<(), RuntimeError> {
         if self.out_links == 0 {
             return Ok(());
         }
@@ -1383,7 +1280,7 @@ impl Transport for RingTransport<'_> {
         self.failed()
     }
 
-    fn grant(&mut self, idx: usize, n: u64) -> Result<(), String> {
+    fn grant(&mut self, idx: usize, n: u64) -> Result<(), RuntimeError> {
         let grant = Message::Token {
             count: n,
             clock: self.clock.load(Ordering::SeqCst),
@@ -1393,16 +1290,12 @@ impl Transport for RingTransport<'_> {
         self.failed()
     }
 
-    fn explain(&self, stall: ThreadedError) -> String {
-        self.failure.clone().unwrap_or_else(|| stall.to_string())
-    }
-
     /// The close handshake: say `Finished` on every link (the first
     /// time), shut each once that is in its ring, and be closed once every
     /// peer's own `Finished` is in. A worker exits only then, so it has
     /// read every frame its peers wrote, and its exit reads to them as a
     /// finished peer leaving, not as a loss.
-    fn finish(&mut self) -> Result<bool, String> {
+    fn finish(&mut self) -> Result<bool, RuntimeError> {
         if !self.closing {
             self.closing = true;
             let finished = Message::Finished {
@@ -1454,7 +1347,7 @@ fn worker_session(coordinator: &str, w: usize) -> Result<(), String> {
     let mut events = Vec::new();
     let run = worker_run(&mut coord, w, run_dir, &listener, &mut events);
     let (error, update_wire_bytes, final_params, losses) = match run {
-        Ok((outcome, wire_bytes)) => (None, wire_bytes, outcome.params, outcome.losses),
+        Ok(outcome) => (None, outcome.wire_bytes, outcome.params, outcome.losses),
         Err(error) => (Some(error), 0, Vec::new(), Vec::new()),
     };
     let mut events_text = String::new();
@@ -1477,15 +1370,14 @@ fn worker_session(coordinator: &str, w: usize) -> Result<(), String> {
 /// The worker's whole run: receive and validate the spec, wire up the
 /// peer links, then drive the shared iteration loop over the ring
 /// transport. The stamped event log lands in `events` whether or not the
-/// run succeeds; on success also returns the update bytes put on the
-/// wire.
+/// run succeeds.
 fn worker_run(
     coord: &mut UnixStream,
     w: usize,
     run_dir: &Path,
     listener: &UnixListener,
     events: &mut Vec<(u64, ProtocolEvent)>,
-) -> Result<(WorkerOutcome, u64), String> {
+) -> Result<WorkerOutcome, String> {
     let spec = match read_message(coord).map_err(|e| format!("read spec: {e}"))? {
         Message::Spec { body } => WorkerSpec::decode(&body)?,
         other => return Err(format!("expected the spec, got {other:?}")),
@@ -1563,7 +1455,11 @@ fn worker_run(
     let mut sink = spec.traced.then(|| SeqSink::new(&clock));
     let result = worker_loop(&job, &mut transport, &mut sink);
     *events = sink.map(SeqSink::into_events).unwrap_or_default();
-    Ok((result?, transport.wire_bytes))
+    let outcome = result.map_err(|e| e.to_string())?;
+    Ok(WorkerOutcome {
+        wire_bytes: transport.wire_bytes,
+        ..outcome
+    })
 }
 
 #[cfg(test)]
@@ -1721,7 +1617,7 @@ mod tests {
         let base = std::env::temp_dir().join("b".repeat(120));
         let err = RunDir::create(&base).err().expect("must fail");
         let invalid = |e: &io::Error| e.kind() == ErrorKind::InvalidInput;
-        assert!(matches!(&err, ProcessError::Io { error, .. } if invalid(error)));
+        assert!(matches!(&err, RuntimeError::Io { error, .. } if invalid(error)));
         assert!(err.to_string().contains(&*base.to_string_lossy()), "{err}");
         assert!(!base.exists());
     }
@@ -1772,14 +1668,15 @@ mod tests {
                         end.send_frame(0);
                     }
                     both_queued.wait();
-                    assert_eq!(end.failed(), Ok(()), "end {me}");
+                    assert_eq!(end.failure, None, "end {me}");
                     assert!(!end.links[0].out.is_empty(), "end {me} never had to queue");
                     let started = Instant::now();
                     let got =
                         inbox.wait(&mut end, timeout, |_, inbox| inbox.updates.len() >= FRAMES);
                     assert!(got, "end {me} stalled: {:?}", end.failure);
                     assert_eq!(inbox.updates.len(), FRAMES, "end {me}");
-                    assert_eq!(inbox.close(&mut end, timeout), Ok(()), "end {me}");
+                    let closed = inbox.close(&mut end, timeout);
+                    closed.unwrap_or_else(|e| panic!("end {me}: {e}"));
                     assert!(end.links[0].finished && end.links[0].out.is_empty());
                     assert!(started.elapsed() < timeout, "end {me} drained too late");
                 });
@@ -1814,10 +1711,10 @@ mod tests {
             let mut inbox = Inbox::new(1);
             assert_eq!(writer.write(&grant(3)), Ok(grant(3).len()));
             assert!(reader.pump(&mut inbox, Duration::ZERO), "{case}");
-            assert_eq!((inbox.tokens[0], reader.failed()), (3, Ok(())), "{case}");
+            assert_eq!((inbox.tokens[0], &reader.failure), (3, &None), "{case}");
             writer.corrupt_tail(tail);
             reader.pump(&mut inbox, Duration::from_millis(10));
-            let why = reader.failed().expect_err(case);
+            let why = reader.failure.clone().expect(case);
             assert!(reader.links[0].broken, "{case}");
             assert!(why.contains("peer link to worker 1"), "{case}: {why}");
             assert!(why.contains("corrupt shared ring header"), "{case}: {why}");
@@ -1836,7 +1733,9 @@ mod tests {
         let mut writer = RingTransport::new(1, &clock, vec![link], 0, 1);
         reader.corrupt_head(7);
         assert_eq!(
-            writer.grant(0, 1).map_err(|why| why.contains("worker 0")),
+            writer
+                .grant(0, 1)
+                .map_err(|why| why.to_string().contains("worker 0")),
             Err(true)
         );
         assert!(writer.links[0].broken);
@@ -1844,11 +1743,22 @@ mod tests {
 
     #[test]
     fn stamped_event_merge_orders_by_lamport_stamp() {
+        // Each worker's stamped log parsed, then merged as a run's are.
+        let merged = |logs: &[&str]| -> Result<ProtocolTrace, RuntimeError> {
+            let mut workers = Vec::new();
+            for (w, log) in logs.iter().enumerate() {
+                workers.push((Ok(WorkerOutcome::default()), parse_stamped(w, log)?));
+            }
+            Ok(assemble(workers, Duration::ZERO)
+                .expect("no worker failed")
+                .1)
+        };
         let summaries = [
-            "0 advance w=0 iter=0\n5 send from=0 to=1 iter=0\n".to_string(),
-            "7 consume w=1 from=0 iter=0 at=0\n0 advance w=1 iter=0\n".to_string(),
+            "0 advance w=0 iter=0\n5 send from=0 to=1 iter=0\n",
+            "7 consume w=1 from=0 iter=0 at=0\n0 advance w=1 iter=0\n",
         ];
-        let text = merge_stamped_events(&summaries).expect("merges");
+        let trace = merged(&summaries).expect("merges");
+        let text = trace.to_text();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(
             lines,
@@ -1859,19 +1769,12 @@ mod tests {
                 "consume w=1 from=0 iter=0 at=0",
             ]
         );
-        let trace = ProtocolTrace::from_text(&text).expect("parses");
         assert_eq!(trace.len(), 4);
         // A worker that never reported (lost peer) just contributes
         // nothing; an unstamped line is a protocol error.
-        let with_hole = ["3 advance w=0 iter=1\n".to_string(), String::new()];
-        assert_eq!(
-            merge_stamped_events(&with_hole).unwrap(),
-            "advance w=0 iter=1\n"
-        );
-        let bad = ["advance w=0 iter=0\n".to_string()];
-        assert!(matches!(
-            merge_stamped_events(&bad),
-            Err(ProcessError::Protocol(_))
-        ));
+        let with_hole = merged(&["3 advance w=0 iter=1\n", ""]).expect("merges");
+        assert_eq!(with_hole.to_text(), "advance w=0 iter=1\n");
+        let bad = merged(&["advance w=0 iter=0\n"]);
+        assert!(matches!(bad, Err(RuntimeError::Protocol(_))));
     }
 }

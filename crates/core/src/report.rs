@@ -1,8 +1,13 @@
-//! Training reports: what an experiment returns.
+//! Training reports: what an experiment returns, and why a run on a
+//! real runtime failed.
 
+use crate::config::ConfigError;
 use crate::conformance::ProtocolTrace;
 use hop_metrics::TimeSeries;
+use hop_queue::tagged::Tag;
 use hop_sim::{FaultLog, Trace};
+use hop_wire::WireError;
+use std::fmt;
 use std::time::Duration;
 
 /// The outcome of one simulated (or threaded) training run.
@@ -214,6 +219,190 @@ impl RuntimeReport {
     #[must_use]
     pub fn total_update_wire_bytes(&self) -> u64 {
         self.update_wire_bytes.iter().sum()
+    }
+}
+
+/// Why a run on a real runtime ([`crate::threaded`] or
+/// [`crate::process`]) failed.
+#[derive(Debug)]
+pub enum RuntimeError {
+    /// The configuration or the fault plan is invalid for the topology.
+    Config(ConfigError),
+    /// The configuration names a feature the real runtimes do not
+    /// implement: they run the parallel order with queue-based
+    /// synchronization only, and no byzantine corruption.
+    Unsupported(&'static str),
+    /// A wait timed out (protocol stall), with enough queue state to
+    /// debug the failure from the error alone.
+    Stalled {
+        /// Worker that stalled.
+        worker: usize,
+        /// Iteration at which it stalled.
+        iter: u64,
+        /// What it was waiting for.
+        waiting_for: &'static str,
+        /// Snapshot of the queue the wait was blocked on.
+        diag: StallDiag,
+    },
+    /// A worker process's link to a peer failed (a corrupt ring or
+    /// frame, or the peer gone without `Finished`), naming the peer.
+    Link(String),
+    /// An I/O operation on the coordinator side failed.
+    Io {
+        /// What the coordinator was doing.
+        context: &'static str,
+        /// The underlying error.
+        error: std::io::Error,
+    },
+    /// A frame to or from a worker failed to encode, decode, or move.
+    Wire {
+        /// What the coordinator was doing.
+        context: &'static str,
+        /// The underlying error.
+        error: WireError,
+    },
+    /// The worker fleet never finished connecting and identifying.
+    Handshake(String),
+    /// One or more worker processes died without sending a final
+    /// summary — killed, crashed, or wedged past the summary deadline.
+    PeerLost {
+        /// `(worker, why its summary never arrived)` for every lost
+        /// worker.
+        failures: Vec<(usize, String)>,
+    },
+    /// A worker process finished the session but reported a protocol
+    /// failure (stall, peer loss, corrupt frame) instead of a result.
+    WorkerFailed {
+        /// The failing worker.
+        worker: usize,
+        /// The worker's own error description.
+        error: String,
+    },
+    /// A worker's stamped event log did not parse.
+    Protocol(String),
+}
+
+impl fmt::Display for RuntimeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RuntimeError::Config(e) => write!(f, "invalid config: {e}"),
+            RuntimeError::Unsupported(what) => write!(f, "real runtimes do not support {what}"),
+            RuntimeError::Stalled {
+                worker,
+                iter,
+                waiting_for,
+                diag,
+            } => write!(
+                f,
+                "worker {worker} stalled at iteration {iter} waiting for {waiting_for} ({diag})"
+            ),
+            RuntimeError::Link(why) => write!(f, "{why}"),
+            RuntimeError::Io { context, error } => write!(f, "{context}: {error}"),
+            RuntimeError::Wire { context, error } => write!(f, "{context}: {error}"),
+            RuntimeError::Handshake(why) => write!(f, "worker handshake failed: {why}"),
+            RuntimeError::PeerLost { failures } => {
+                write!(f, "lost worker process(es):")?;
+                for (w, why) in failures {
+                    write!(f, " [{w}: {why}]")?;
+                }
+                Ok(())
+            }
+            RuntimeError::WorkerFailed { worker, error } => {
+                write!(f, "worker {worker} failed: {error}")
+            }
+            RuntimeError::Protocol(why) => write!(f, "merged trace is malformed: {why}"),
+        }
+    }
+}
+
+impl std::error::Error for RuntimeError {}
+
+/// A traced run on a real runtime that failed: the error, and the
+/// protocol events its workers had emitted by then, merged as a
+/// finished run's are. Write `trace` out with
+/// [`ProtocolTrace::to_text`] to replay the failure offline.
+#[derive(Debug)]
+pub struct FailedRun {
+    /// Why the run failed.
+    pub error: RuntimeError,
+    /// The merged partial trace; empty if no worker ran.
+    pub trace: ProtocolTrace,
+}
+
+/// A run that failed before any worker ran: nothing to trace.
+impl From<RuntimeError> for FailedRun {
+    fn from(error: RuntimeError) -> Self {
+        let trace = ProtocolTrace::new();
+        FailedRun { error, trace }
+    }
+}
+
+impl fmt::Display for FailedRun {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.error.fmt(f)
+    }
+}
+
+impl std::error::Error for FailedRun {}
+
+/// The queue state a stalled worker reports: the snapshot of whichever
+/// queue the timed-out wait was actually blocked on. A token stall shows
+/// token availability, not the (irrelevant) update queue's pending tags.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StallDiag {
+    /// The wait was on the worker's tagged update queue.
+    Updates {
+        /// Entries sitting in the update queue at stall time.
+        queue_depth: usize,
+        /// The first few pending tags in the queue (FIFO order,
+        /// truncated).
+        pending: Vec<Tag>,
+        /// Tag of the last update this worker consumed, if any.
+        last_consumed: Option<Tag>,
+    },
+    /// The wait was on the token queues of the worker's external
+    /// out-going neighbors.
+    Tokens {
+        /// `(owner, tokens currently available)` for every
+        /// `TokenQ(owner -> this worker)`, in
+        /// [`hop_graph::Topology::external_out_neighbors`] order.
+        available: Vec<(usize, u64)>,
+    },
+}
+
+impl fmt::Display for StallDiag {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            StallDiag::Updates {
+                queue_depth,
+                pending,
+                last_consumed,
+            } => {
+                write!(f, "update-queue depth {queue_depth}, pending")?;
+                if pending.is_empty() {
+                    write!(f, " none")?;
+                } else {
+                    for tag in pending {
+                        write!(f, " (iter {}, w {})", tag.iter, tag.w_id)?;
+                    }
+                }
+                match last_consumed {
+                    Some(tag) => write!(
+                        f,
+                        ", last consumed iter {} from worker {}",
+                        tag.iter, tag.w_id
+                    ),
+                    None => write!(f, ", nothing consumed yet"),
+                }
+            }
+            StallDiag::Tokens { available } => {
+                write!(f, "token queues")?;
+                for (owner, n) in available {
+                    write!(f, " TokenQ({owner}): {n}")?;
+                }
+                Ok(())
+            }
+        }
     }
 }
 

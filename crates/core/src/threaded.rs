@@ -12,7 +12,9 @@
 //! workers, bounded staleness and skipping iterations — runs correctly
 //! under true concurrency, complementing the deterministic simulator
 //! used for the timing figures. Every wait carries a timeout so
-//! protocol bugs show up as errors, not hangs.
+//! protocol bugs show up as errors, not hangs: a
+//! [`RuntimeError::Stalled`] naming the worker, its iteration and the
+//! queue it waited on.
 //!
 //! # Conformance
 //!
@@ -25,7 +27,9 @@
 //! passes) take their number **before** the queue operation and *observe*
 //! events (admits, consumes, token takes) **after** it, which makes the
 //! merged order consistent with real-time causality (see the
-//! [`crate::conformance`] module docs).
+//! [`crate::conformance`] module docs). A failed traced run keeps what
+//! its workers emitted: the merged partial trace comes back in the
+//! [`FailedRun`] with the error.
 //!
 //! # Fault injection
 //!
@@ -40,15 +44,16 @@
 //! pair and logged to the report's [`hop_sim::FaultLog`], so the fault-aware
 //! oracle can license each loss. Byzantine corruption is simulator-only:
 //! [`ThreadedExperiment::run`] rejects a plan with byzantine workers as
-//! [`ConfigError::InvalidFaultPlan`] instead of running without them.
+//! [`crate::config::ConfigError::InvalidFaultPlan`] instead of running
+//! without them.
 
 use crate::choreography::SeqSink;
-use crate::config::{ComputeOrder, ConfigError, HopConfig, SyncMode};
+use crate::config::HopConfig;
 use crate::conformance::ProtocolTrace;
-use crate::report::RuntimeReport;
+use crate::report::{FailedRun, RuntimeError, RuntimeReport};
 use crate::sim_runtime::compression::CompressionPlane;
 use crate::trainer::Hyper;
-use crate::worker::{worker_loop, Inbox, Transport, WorkerJob};
+use crate::worker::{assemble, validate, worker_loop, Inbox, Transport, WorkerJob};
 use hop_data::InMemoryDataset;
 use hop_graph::Topology;
 use hop_model::Model;
@@ -59,117 +64,6 @@ use std::sync::atomic::AtomicU64;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// The queue state a stalled worker reports: the snapshot of whichever
-/// queue the timed-out wait was actually blocked on. A token stall shows
-/// token availability, not the (irrelevant) update queue's pending tags.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StallDiag {
-    /// The wait was on the worker's tagged update queue.
-    Updates {
-        /// Entries sitting in the update queue at stall time.
-        queue_depth: usize,
-        /// The first few pending tags in the queue (FIFO order,
-        /// truncated).
-        pending: Vec<Tag>,
-        /// Tag of the last update this worker consumed, if any.
-        last_consumed: Option<Tag>,
-    },
-    /// The wait was on the token queues of the worker's external
-    /// out-going neighbors.
-    Tokens {
-        /// `(owner, tokens currently available)` for every
-        /// `TokenQ(owner -> this worker)`, in
-        /// [`Topology::external_out_neighbors`] order.
-        available: Vec<(usize, u64)>,
-    },
-}
-
-impl std::fmt::Display for StallDiag {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StallDiag::Updates {
-                queue_depth,
-                pending,
-                last_consumed,
-            } => {
-                write!(f, "update-queue depth {queue_depth}, pending")?;
-                if pending.is_empty() {
-                    write!(f, " none")?;
-                } else {
-                    for tag in pending {
-                        write!(f, " (iter {}, w {})", tag.iter, tag.w_id)?;
-                    }
-                }
-                match last_consumed {
-                    Some(tag) => write!(
-                        f,
-                        ", last consumed iter {} from worker {}",
-                        tag.iter, tag.w_id
-                    ),
-                    None => write!(f, ", nothing consumed yet"),
-                }
-            }
-            StallDiag::Tokens { available } => {
-                write!(f, "token queues")?;
-                for (owner, n) in available {
-                    write!(f, " TokenQ({owner}): {n}")?;
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
-/// Error from the threaded runtime.
-#[derive(Debug)]
-pub enum ThreadedError {
-    /// The configuration is invalid for the topology.
-    Config(ConfigError),
-    /// A wait on the inbox timed out (protocol stall), with enough queue
-    /// state to debug the failure from the error alone.
-    Stalled {
-        /// Worker that stalled.
-        worker: usize,
-        /// Iteration at which it stalled.
-        iter: u64,
-        /// What it was waiting for.
-        waiting_for: &'static str,
-        /// Snapshot of the queue the wait was blocked on.
-        diag: StallDiag,
-    },
-    /// The serial order / NOTIFY-ACK path is only exercised in the
-    /// simulator runtime.
-    SerialUnsupported,
-}
-
-impl std::fmt::Display for ThreadedError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ThreadedError::Config(e) => write!(f, "invalid config: {e}"),
-            ThreadedError::Stalled {
-                worker,
-                iter,
-                waiting_for,
-                diag,
-            } => write!(
-                f,
-                "worker {worker} stalled at iteration {iter} waiting for {waiting_for} ({diag})"
-            ),
-            ThreadedError::SerialUnsupported => {
-                write!(f, "threaded runtime implements the parallel order only")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ThreadedError {}
-
-impl From<ConfigError> for ThreadedError {
-    fn from(e: ConfigError) -> Self {
-        ThreadedError::Config(e)
-    }
-}
 
 /// A threaded decentralized training run.
 #[derive(Debug, Clone)]
@@ -206,17 +100,18 @@ impl ThreadedExperiment {
     ///
     /// # Errors
     ///
-    /// Returns [`ThreadedError::Config`] for invalid configurations and
+    /// Returns [`RuntimeError::Config`] for invalid configurations and
     /// fault plans (including any byzantine worker),
-    /// [`ThreadedError::SerialUnsupported`] for the simulator-only serial
-    /// order / NOTIFY-ACK path, and [`ThreadedError::Stalled`] if any
-    /// wait exceeds `stall_timeout`.
+    /// [`RuntimeError::Unsupported`] for the simulator-only serial order
+    /// and NOTIFY-ACK, and [`RuntimeError::Stalled`] if any wait exceeds
+    /// `stall_timeout`.
     pub fn run(
         &self,
         model: Arc<dyn Model>,
         dataset: Arc<InMemoryDataset>,
-    ) -> Result<RuntimeReport, ThreadedError> {
-        Ok(self.run_inner(model, dataset, false)?.0)
+    ) -> Result<RuntimeReport, RuntimeError> {
+        let run = self.run_inner(model, dataset, false);
+        run.map(|(report, _)| report).map_err(|failed| failed.error)
     }
 
     /// [`Self::run`] with conformance recording: also returns the merged
@@ -224,14 +119,13 @@ impl ThreadedExperiment {
     ///
     /// # Errors
     ///
-    /// Exactly [`Self::run`]'s errors.
+    /// Exactly [`Self::run`]'s errors, each with the merged partial trace.
     pub fn run_traced(
         &self,
         model: Arc<dyn Model>,
         dataset: Arc<InMemoryDataset>,
-    ) -> Result<(RuntimeReport, ProtocolTrace), ThreadedError> {
-        let (report, trace) = self.run_inner(model, dataset, true)?;
-        Ok((report, trace.expect("tracing was enabled")))
+    ) -> Result<(RuntimeReport, ProtocolTrace), FailedRun> {
+        self.run_inner(model, dataset, true)
     }
 
     fn run_inner(
@@ -239,18 +133,8 @@ impl ThreadedExperiment {
         model: Arc<dyn Model>,
         dataset: Arc<InMemoryDataset>,
         traced: bool,
-    ) -> Result<(RuntimeReport, Option<ProtocolTrace>), ThreadedError> {
-        self.config.validate(&self.topology)?;
-        self.faults
-            .validate()
-            .and_then(|()| match self.faults.byzantine() {
-                [] => Ok(()),
-                _ => Err("byzantine corruption is simulator-only"),
-            })
-            .map_err(|why| ThreadedError::Config(ConfigError::InvalidFaultPlan(why)))?;
-        if self.config.order != ComputeOrder::Parallel || self.config.sync == SyncMode::NotifyAck {
-            return Err(ThreadedError::SerialUnsupported);
-        }
+    ) -> Result<(RuntimeReport, ProtocolTrace), FailedRun> {
+        validate(&self.config, &self.topology, &self.faults)?;
         let topo = &self.topology;
         // One mailbox per worker. The senders outlive every worker, so a
         // mailbox never disconnects and a wait on it ends by an arrival
@@ -261,7 +145,7 @@ impl ThreadedExperiment {
         let mut init_rng = hop_util::Xoshiro256::seed_from_u64(self.seed);
         let init_params = ParamBlock::from_vec(model.init_params(&mut init_rng));
         let start = Instant::now();
-        let results: Vec<_> = std::thread::scope(|scope| {
+        let workers: Vec<_> = std::thread::scope(|scope| {
             let handles: Vec<_> = mailboxes
                 .into_iter()
                 .enumerate()
@@ -285,30 +169,14 @@ impl ThreadedExperiment {
                 .map(|h| h.join().expect("worker thread panicked"))
                 .collect()
         });
-        let mut report = RuntimeReport::default();
-        let mut all_events = Vec::new();
-        for (result, events) in results {
-            let outcome = result?;
-            #[cfg(test)]
-            crate::worker::tests::record_run(&outcome, &events);
-            report.final_params.push(outcome.params);
-            report.losses.push(outcome.losses);
-            report.update_wire_bytes.push(0);
-            all_events.extend(events);
-            for fault in outcome.faults {
-                report.fault_log.push(fault);
+        let elapsed = start.elapsed();
+        #[cfg(test)]
+        for (outcome, events) in &workers {
+            if let Ok(outcome) = outcome {
+                crate::worker::tests::record_run(outcome, events);
             }
         }
-        report.elapsed = start.elapsed();
-        let trace = traced.then(|| {
-            all_events.sort_by_key(|&(s, _)| s);
-            let mut trace = ProtocolTrace::new();
-            for (_, ev) in all_events {
-                trace.push(ev);
-            }
-            trace
-        });
-        Ok((report, trace))
+        assemble(workers, elapsed)
     }
 
     /// Worker `w`'s share of the experiment.
@@ -360,8 +228,6 @@ struct InMemoryTransport<'a> {
 }
 
 impl Transport for InMemoryTransport<'_> {
-    type Error = ThreadedError;
-
     /// Zero: a waiting thread parks at once. Measured with the perf
     /// ledger on a 2-core host (medians of 5 alternating 8 s runs, 0
     /// rounds against 20): `thr_ring4_ident` 15 040 against 15 580 worker
@@ -401,7 +267,7 @@ impl Transport for InMemoryTransport<'_> {
         receivers: &[usize],
         plane: &mut CompressionPlane,
         pool: &mut BufferPool,
-    ) -> Result<(), ThreadedError> {
+    ) -> Result<(), RuntimeError> {
         // Under a lossy codec the external sends carry the stream's
         // reconstruction (encoded once per iteration — also when the
         // fault shim ate every receiver, so the stream state does not
@@ -420,14 +286,10 @@ impl Transport for InMemoryTransport<'_> {
         Ok(())
     }
 
-    fn grant(&mut self, idx: usize, n: u64) -> Result<(), ThreadedError> {
+    fn grant(&mut self, idx: usize, n: u64) -> Result<(), RuntimeError> {
         let consumer = self.topo.external_in_neighbors(self.w)[idx];
         let _ = self.senders[consumer].send(Mail::Tokens(self.w, n));
         Ok(())
-    }
-
-    fn explain(&self, stall: ThreadedError) -> ThreadedError {
-        stall
     }
 }
 
@@ -435,6 +297,7 @@ impl Transport for InMemoryTransport<'_> {
 mod tests {
     use super::*;
     use crate::config::SkipConfig;
+    use crate::report::StallDiag;
     use hop_data::webspam::SyntheticWebspam;
     use hop_model::svm::Svm;
 
@@ -551,7 +414,7 @@ mod tests {
         let err = experiment(HopConfig::notify_ack())
             .run(model, dataset)
             .unwrap_err();
-        assert!(matches!(err, ThreadedError::SerialUnsupported));
+        assert!(matches!(err, RuntimeError::Unsupported(_)));
     }
 
     #[test]
@@ -563,7 +426,7 @@ mod tests {
 
     #[test]
     fn stalled_error_is_debuggable() {
-        let e = ThreadedError::Stalled {
+        let e = RuntimeError::Stalled {
             worker: 2,
             iter: 7,
             waiting_for: "updates",
@@ -578,7 +441,7 @@ mod tests {
         assert!(s.contains("depth 3"), "{s}");
         assert!(s.contains("(iter 6, w 1)"), "{s}");
         assert!(s.contains("last consumed iter 6 from worker 3"), "{s}");
-        let e = ThreadedError::Stalled {
+        let e = RuntimeError::Stalled {
             worker: 1,
             iter: 2,
             waiting_for: "tokens",
@@ -618,7 +481,7 @@ mod tests {
         };
         let err = exp.run(model, dataset).unwrap_err();
         match &err {
-            ThreadedError::Stalled {
+            RuntimeError::Stalled {
                 worker,
                 waiting_for,
                 diag,

@@ -19,6 +19,12 @@
 //! and the close handshake; the transports emit no events and make no
 //! protocol decisions.
 //!
+//! Both runtimes share their front end too: [`validate`] is the one
+//! check of what they can run, and [`assemble`] turns every worker's
+//! outcome or error and its stamped events into the run's
+//! [`RuntimeReport`] and merged trace — the partial trace, handed back
+//! with the error, when the run failed.
+//!
 //! # Linearization
 //!
 //! Events are numbered as they are emitted (a shared sequence on threads,
@@ -31,10 +37,11 @@
 //! grant-before-op, observe-after-op discipline of [`crate::conformance`].
 
 use crate::choreography::{self, EventSink, SendStage, Step};
-use crate::config::HopConfig;
+use crate::config::{ComputeOrder, ConfigError, HopConfig, SyncMode};
+use crate::conformance::{ProtocolEvent, ProtocolTrace};
 use crate::machine::{Executor, HopWorker, Input, Parts, Phase, Shared};
+use crate::report::{FailedRun, RuntimeError, RuntimeReport, StallDiag};
 use crate::sim_runtime::compression::CompressionPlane;
-use crate::threaded::{StallDiag, ThreadedError};
 use crate::trainer::Hyper;
 use hop_data::{BatchSampler, Dataset, InMemoryDataset};
 use hop_graph::Topology;
@@ -50,9 +57,6 @@ use std::time::{Duration, Instant};
 /// (`deliver`, and the inbox's token counts) and
 /// [`Topology::external_in_neighbors`] (`grant`) lists.
 pub(crate) trait Transport {
-    /// What a failed operation or an explained stall becomes.
-    type Error;
-
     /// Empty pump rounds — a pump that does not block, then
     /// `thread::yield_now` — an [`Inbox::wait`] makes before its pumps
     /// block.
@@ -62,14 +66,15 @@ pub(crate) trait Transport {
     /// for the first arrival. Says whether anything moved.
     fn pump(&mut self, inbox: &mut Inbox, timeout: Duration) -> bool;
 
-    /// Whether the transport knows that no wait can be satisfied any more
-    /// (a link broke); a wait then gives up at once.
-    fn broken(&self) -> bool {
-        false
+    /// The transport's first failure (a link broke), once it knows that
+    /// no wait can be satisfied any more: a wait then gives up at once,
+    /// and a stall is reported as this, its cause.
+    fn failure(&self) -> Option<RuntimeError> {
+        None
     }
 
     /// Per-iteration health check at the entry of iteration `k`.
-    fn check(&mut self, _k: u64) -> Result<(), Self::Error> {
+    fn check(&mut self, _k: u64) -> Result<(), RuntimeError> {
         Ok(())
     }
 
@@ -84,19 +89,15 @@ pub(crate) trait Transport {
         receivers: &[usize],
         plane: &mut CompressionPlane,
         pool: &mut BufferPool,
-    ) -> Result<(), Self::Error>;
+    ) -> Result<(), RuntimeError>;
 
     /// Grants `n` tokens to the `idx`-th external in-neighbor.
-    fn grant(&mut self, idx: usize, n: u64) -> Result<(), Self::Error>;
-
-    /// Turns a timed-out wait into the transport's diagnosis (a dead
-    /// peer is the cause; the stall is the symptom).
-    fn explain(&self, stall: ThreadedError) -> Self::Error;
+    fn grant(&mut self, idx: usize, n: u64) -> Result<(), RuntimeError>;
 
     /// The close, after the final token flood: asked again after every
     /// pump of [`Inbox::close`] until it says the transport is closed.
     /// Fails with the transport's first failure.
-    fn finish(&mut self) -> Result<bool, Self::Error> {
+    fn finish(&mut self) -> Result<bool, RuntimeError> {
         Ok(true)
     }
 }
@@ -141,7 +142,7 @@ impl Inbox {
                 return true;
             }
             let left = deadline.saturating_duration_since(Instant::now());
-            if transport.broken() || left.is_zero() {
+            if transport.failure().is_some() || left.is_zero() {
                 return false;
             }
             if spins < T::SPIN_ROUNDS {
@@ -162,7 +163,7 @@ impl Inbox {
         &mut self,
         transport: &mut T,
         timeout: Duration,
-    ) -> Result<(), T::Error> {
+    ) -> Result<(), RuntimeError> {
         let mut failure = None;
         self.wait(transport, timeout, |t, _| {
             t.finish().unwrap_or_else(|e| {
@@ -194,12 +195,16 @@ pub(crate) struct WorkerJob<'a> {
 }
 
 /// What a worker that ran to completion hands back.
+#[derive(Default)]
 pub(crate) struct WorkerOutcome {
     pub(crate) params: Vec<f32>,
     /// Minibatch loss per computed (not skipped) iteration.
     pub(crate) losses: Vec<f32>,
     /// Every send the fault shim omitted.
     pub(crate) faults: Vec<FaultEvent>,
+    /// Block payload bytes of every attempted external send (0 where
+    /// nothing crosses a wire).
+    pub(crate) wire_bytes: u64,
     /// Every input the machine was fed, in order, for an offline replay.
     #[cfg(test)]
     pub(crate) inputs: Vec<Input>,
@@ -233,7 +238,7 @@ struct Real<'j, 'a, T, S> {
 }
 
 impl<T: Transport, S: EventSink> Executor for Real<'_, '_, T, S> {
-    type Error = T::Error;
+    type Error = RuntimeError;
     type Sink = S;
     /// Arrival order depends on the schedule; sender order makes a Reduce
     /// over the same set round the same way every run.
@@ -255,7 +260,7 @@ impl<T: Transport, S: EventSink> Executor for Real<'_, '_, T, S> {
     /// The transport's health check of an iteration to run — after the
     /// entry is on record, so that even a run that dies at its first
     /// check leaves a non-empty partial trace.
-    fn enter(&mut self, iter: u64) -> Result<(), T::Error> {
+    fn enter(&mut self, iter: u64) -> Result<(), RuntimeError> {
         if iter < self.job.max_iters {
             self.transport.check(iter)?;
         }
@@ -288,7 +293,7 @@ impl<T: Transport, S: EventSink> Executor for Real<'_, '_, T, S> {
         &mut self,
         step: &Step<St>,
         params: &ParamBlock,
-    ) -> Result<(), T::Error> {
+    ) -> Result<(), RuntimeError> {
         let (job, k) = (self.job, step.iter());
         let w = job.w;
         let crashed = job
@@ -321,7 +326,7 @@ impl<T: Transport, S: EventSink> Executor for Real<'_, '_, T, S> {
         )
     }
 
-    fn grant(&mut self, n: u64) -> Result<(), T::Error> {
+    fn grant(&mut self, n: u64) -> Result<(), RuntimeError> {
         let w = self.job.w;
         for (idx, &j) in self.job.topo.external_in_neighbors(w).iter().enumerate() {
             choreography::token_grant(self.sink, w, j, n);
@@ -366,7 +371,7 @@ impl<'j, 'a, T: Transport, S: EventSink> Real<'j, 'a, T, S> {
         worker: &mut HopWorker,
         cx: &mut Shared<'_>,
         input: Input,
-    ) -> Result<(), T::Error> {
+    ) -> Result<(), RuntimeError> {
         #[cfg(test)]
         self.inputs.push(input.clone());
         worker.on(cx, self, input)
@@ -377,7 +382,7 @@ impl<'j, 'a, T: Transport, S: EventSink> Real<'j, 'a, T, S> {
         &mut self,
         worker: &mut HopWorker,
         cx: &mut Shared<'_>,
-    ) -> Result<(), T::Error> {
+    ) -> Result<(), RuntimeError> {
         let mut arrived = std::mem::take(&mut self.inbox.updates);
         for TaggedEntry { value, tag } in arrived.drain(..) {
             let (from, iter) = (tag.w_id, tag.iter);
@@ -398,7 +403,7 @@ impl<'j, 'a, T: Transport, S: EventSink> Real<'j, 'a, T, S> {
     /// its tokens or its renew; the real runtimes run no NOTIFY-ACK), with
     /// the state of the queue it waits on: a token wait shows every
     /// out-edge token queue, an update wait the update queue.
-    fn stall(&self, worker: &HopWorker) -> T::Error {
+    fn stall(&self, worker: &HopWorker) -> RuntimeError {
         let (job, w) = (self.job, self.job.w);
         let waiting_for = match worker.phase {
             Phase::WaitTokens(_) => "tokens",
@@ -421,23 +426,25 @@ impl<'j, 'a, T: Transport, S: EventSink> Real<'j, 'a, T, S> {
                 last_consumed: worker.last_consumed,
             }
         };
-        self.transport.explain(ThreadedError::Stalled {
+        RuntimeError::Stalled {
             worker: w,
             iter: worker.iter,
             waiting_for,
             diag,
-        })
+        }
     }
 }
 
 /// Runs worker `job.w` to `job.max_iters` over `transport`, emitting its
 /// protocol events into `sink` (which the caller keeps, so a failed
-/// run's partial log survives).
+/// run's partial log survives). A timed-out wait fails as the
+/// transport's failure if it has one (a dead peer is the cause; the
+/// stall is the symptom), else as the stall.
 pub(crate) fn worker_loop<T: Transport>(
     job: &WorkerJob<'_>,
     transport: &mut T,
     sink: &mut impl EventSink,
-) -> Result<WorkerOutcome, T::Error> {
+) -> Result<WorkerOutcome, RuntimeError> {
     let mut run = Real::new(job, transport, sink);
     let mut cx = Shared::new(job.cfg, job.topo, job.max_iters);
     let mut worker = HopWorker::new(&cx, job.w);
@@ -467,7 +474,10 @@ pub(crate) fn worker_loop<T: Transport>(
             .inbox
             .wait(run.transport, left, |_, inbox| inbox.has_arrivals())
         {
-            return Err(run.stall(&worker));
+            return Err(run
+                .transport
+                .failure()
+                .unwrap_or_else(|| run.stall(&worker)));
         }
         run.feed_arrivals(&mut worker, &mut cx)?;
         run.feed(&mut worker, &mut cx, Input::Resume)?;
@@ -477,16 +487,95 @@ pub(crate) fn worker_loop<T: Transport>(
         params: run.params.to_vec(),
         losses: run.losses,
         faults: run.faults,
+        wire_bytes: 0,
         #[cfg(test)]
         inputs: run.inputs,
     })
+}
+
+/// What the real runtimes can run: a valid config and fault plan with
+/// no byzantine worker, in the parallel order with queue-based
+/// synchronization.
+pub(crate) fn validate(
+    cfg: &HopConfig,
+    topo: &Topology,
+    faults: &FaultPlan,
+) -> Result<(), RuntimeError> {
+    cfg.validate(topo).map_err(RuntimeError::Config)?;
+    faults
+        .validate()
+        .and_then(|()| match faults.byzantine() {
+            [] => Ok(()),
+            _ => Err("byzantine corruption is simulator-only"),
+        })
+        .map_err(|why| RuntimeError::Config(ConfigError::InvalidFaultPlan(why)))?;
+    if cfg.order != ComputeOrder::Parallel {
+        return Err(RuntimeError::Unsupported("the serial compute order"));
+    }
+    if cfg.sync == SyncMode::NotifyAck {
+        return Err(RuntimeError::Unsupported("NOTIFY-ACK synchronization"));
+    }
+    Ok(())
+}
+
+/// One worker's share of a finished run: its outcome or error, and its
+/// stamped events (empty on an untraced run).
+pub(crate) type WorkerRun = (
+    Result<WorkerOutcome, RuntimeError>,
+    Vec<(u64, ProtocolEvent)>,
+);
+
+/// The run's report from every worker's share, in worker order, and its
+/// trace: every worker's events merged by `(stamp, worker)`. The run
+/// fails if any worker did — lost workers first, all named in one
+/// [`RuntimeError::PeerLost`], else the first failure in worker order —
+/// and the merged partial trace goes with the error.
+pub(crate) fn assemble(
+    workers: Vec<WorkerRun>,
+    elapsed: Duration,
+) -> Result<(RuntimeReport, ProtocolTrace), FailedRun> {
+    let mut report = RuntimeReport {
+        elapsed,
+        ..RuntimeReport::default()
+    };
+    let (mut lost, mut failed, mut events) = (Vec::new(), None, Vec::new());
+    for (w, (outcome, stamped)) in workers.into_iter().enumerate() {
+        events.extend(stamped.into_iter().map(|(stamp, event)| (stamp, w, event)));
+        match outcome {
+            Ok(outcome) => {
+                report.final_params.push(outcome.params);
+                report.losses.push(outcome.losses);
+                report.update_wire_bytes.push(outcome.wire_bytes);
+                for fault in outcome.faults {
+                    report.fault_log.push(fault);
+                }
+            }
+            Err(RuntimeError::PeerLost { failures }) => lost.extend(failures),
+            Err(error) => {
+                failed.get_or_insert(error);
+            }
+        }
+    }
+    events.sort_by_key(|&(stamp, w, _)| (stamp, w));
+    let mut trace = ProtocolTrace::new();
+    for (_, _, event) in events {
+        trace.push(event);
+    }
+    let failure = if lost.is_empty() {
+        failed
+    } else {
+        Some(RuntimeError::PeerLost { failures: lost })
+    };
+    match failure {
+        None => Ok((report, trace)),
+        Some(error) => Err(FailedRun { error, trace }),
+    }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::config::SkipConfig;
-    use crate::conformance::{ProtocolEvent, ProtocolTrace};
     use crate::threaded::ThreadedExperiment;
     use hop_data::webspam::SyntheticWebspam;
     use hop_model::svm::Svm;
@@ -530,7 +619,6 @@ pub(crate) mod tests {
     }
 
     impl<const SPIN: u32> Transport for Fake<SPIN> {
-        type Error = ThreadedError;
         const SPIN_ROUNDS: u32 = SPIN;
 
         fn pump(&mut self, inbox: &mut Inbox, timeout: Duration) -> bool {
@@ -552,11 +640,12 @@ pub(crate) mod tests {
             moved
         }
 
-        fn broken(&self) -> bool {
+        fn failure(&self) -> Option<RuntimeError> {
             self.broken
+                .then(|| RuntimeError::Link("broken".to_string()))
         }
 
-        fn check(&mut self, k: u64) -> Result<(), ThreadedError> {
+        fn check(&mut self, k: u64) -> Result<(), RuntimeError> {
             if let Some(iter) = k.checked_sub(1) {
                 let late = ParamBlock::from_vec(vec![0.0; self.dim]);
                 self.late = Some((late, Tag { iter, w_id: 1 }));
@@ -571,16 +660,12 @@ pub(crate) mod tests {
             _receivers: &[usize],
             _plane: &mut CompressionPlane,
             _pool: &mut BufferPool,
-        ) -> Result<(), ThreadedError> {
+        ) -> Result<(), RuntimeError> {
             Ok(())
         }
 
-        fn grant(&mut self, _idx: usize, _n: u64) -> Result<(), ThreadedError> {
+        fn grant(&mut self, _idx: usize, _n: u64) -> Result<(), RuntimeError> {
             Ok(())
-        }
-
-        fn explain(&self, stall: ThreadedError) -> ThreadedError {
-            stall
         }
     }
 

@@ -427,11 +427,6 @@ impl Topology {
         self.in_off[i + 1] - self.in_off[i]
     }
 
-    /// `|Nout(i)|`, including the self-loop.
-    pub fn out_degree(&self, i: usize) -> usize {
-        self.out_off[i + 1] - self.out_off[i]
-    }
-
     /// Whether the directed edge `(u, v)` exists (self-loops always do).
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
         self.out_neighbors(u).binary_search(&v).is_ok()

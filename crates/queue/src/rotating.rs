@@ -140,12 +140,6 @@ impl<T> RotatingQueues<T> {
         self.entries.size(TagFilter::iter(iter))
     }
 
-    /// Number of entries from sender `w_id` for iteration `iter`.
-    pub fn size_from(&mut self, iter: u64, w_id: usize) -> usize {
-        self.purge_stale(iter);
-        self.entries.size(TagFilter::exact(iter, w_id))
-    }
-
     /// Non-blocking dequeue of exactly `m` updates for iteration `iter`;
     /// removes nothing if fewer are available. Stale entries sharing the
     /// sub-queue are discarded first (§6.2a).
@@ -170,17 +164,6 @@ impl<T> RotatingQueues<T> {
         self.purge_stale(iter);
         self.entries
             .dequeue_up_to_into(m, TagFilter::iter(iter), out);
-    }
-
-    /// Drains every update from sender `w_id` across *all* sub-queues, in
-    /// increasing iteration order. Used by the bounded-staleness Recv
-    /// (Fig. 9), which scans per-sender and keeps the newest.
-    pub fn drain_from_worker(&mut self, w_id: usize) -> Vec<TaggedEntry<T>> {
-        let mut all = self.entries.drain_matching(TagFilter::from_worker(w_id));
-        // Stable: one iteration's entries share a sub-queue and keep its
-        // FIFO order.
-        all.sort_by_key(|e| e.tag.iter);
-        all
     }
 
     /// Discards entries older than `min_iter` in all sub-queues (the
@@ -235,29 +218,6 @@ mod tests {
         assert_eq!(got[0].value, "new");
         assert_eq!(q.stale_discarded(), 1);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn size_from_counts_per_sender() {
-        let mut q = RotatingQueues::new(3);
-        q.enqueue(0, tag(2, 5)).unwrap();
-        q.enqueue(1, tag(2, 5)).unwrap();
-        q.enqueue(2, tag(2, 6)).unwrap();
-        assert_eq!(q.size_from(2, 5), 2);
-        assert_eq!(q.size_from(2, 6), 1);
-        assert_eq!(q.size_from(2, 7), 0);
-    }
-
-    #[test]
-    fn drain_from_worker_is_sorted_by_iter() {
-        let mut q = RotatingQueues::new(4);
-        q.enqueue("i3", tag(3, 1)).unwrap();
-        q.enqueue("i1", tag(1, 1)).unwrap();
-        q.enqueue("i2", tag(2, 2)).unwrap();
-        let got = q.drain_from_worker(1);
-        let iters: Vec<u64> = got.iter().map(|e| e.tag.iter).collect();
-        assert_eq!(iters, vec![1, 3]);
-        assert_eq!(q.len(), 1);
     }
 
     #[test]

@@ -13,8 +13,7 @@
 /// A token queue between one ordered pair of neighboring workers.
 ///
 /// The paper enqueues iteration numbers as token payloads but never reads
-/// them; a counter with insert/remove statistics is semantically identical
-/// and is what we implement.
+/// them; a counter is semantically identical and is what we implement.
 ///
 /// # Examples
 ///
@@ -31,9 +30,6 @@
 pub struct TokenQueue {
     available: u64,
     max_ig: u64,
-    total_inserted: u64,
-    total_removed: u64,
-    peak: u64,
 }
 
 impl TokenQueue {
@@ -48,9 +44,6 @@ impl TokenQueue {
         Self {
             available: max_ig,
             max_ig,
-            total_inserted: 0,
-            total_removed: 0,
-            peak: max_ig,
         }
     }
 
@@ -64,27 +57,9 @@ impl TokenQueue {
         self.available
     }
 
-    /// Maximum number of tokens ever held; Table 1 bounds this by
-    /// `max_ig * (length(Path_{i->j}) + 1)`.
-    pub fn peak(&self) -> u64 {
-        self.peak
-    }
-
-    /// Tokens inserted since creation (excluding the initial batch).
-    pub fn total_inserted(&self) -> u64 {
-        self.total_inserted
-    }
-
-    /// Tokens removed since creation.
-    pub fn total_removed(&self) -> u64 {
-        self.total_removed
-    }
-
     /// §4.2 *Insert token*: the owner entered `k` new iterations.
     pub fn insert(&mut self, k: u64) {
         self.available += k;
-        self.total_inserted += k;
-        self.peak = self.peak.max(self.available);
     }
 
     /// §4.2 *Remove token*: the consumer attempts to enter `k` new
@@ -95,7 +70,6 @@ impl TokenQueue {
             return false;
         }
         self.available -= k;
-        self.total_removed += k;
         true
     }
 }
@@ -118,18 +92,15 @@ mod tests {
         assert!(q.try_remove(2));
         assert!(!q.try_remove(1));
         assert_eq!(q.available(), 0);
-        assert_eq!(q.total_removed(), 2);
     }
 
     #[test]
-    fn insert_and_peak_tracking() {
+    fn insert_adds_to_what_is_available() {
         let mut q = TokenQueue::new(1);
         q.insert(4);
         assert_eq!(q.available(), 5);
-        assert_eq!(q.peak(), 5);
         assert!(q.try_remove(3));
-        assert_eq!(q.peak(), 5);
-        assert_eq!(q.total_inserted(), 4);
+        assert_eq!(q.available(), 2);
     }
 
     #[test]

@@ -67,12 +67,6 @@ impl<T> SubQueues<T> {
         self.queues[idx].size(TagFilter::iter(iter))
     }
 
-    pub fn size_from(&mut self, iter: u64, w_id: usize) -> usize {
-        self.purge_stale(iter);
-        let idx = self.index(iter);
-        self.queues[idx].size(TagFilter::exact(iter, w_id))
-    }
-
     pub fn try_dequeue(&mut self, m: usize, iter: u64) -> Option<Vec<TaggedEntry<T>>> {
         self.purge_stale(iter);
         let idx = self.index(iter);
@@ -85,13 +79,8 @@ impl<T> SubQueues<T> {
         self.queues[idx].dequeue_up_to(m, TagFilter::iter(iter))
     }
 
-    pub fn drain_from_worker(&mut self, w_id: usize) -> Vec<TaggedEntry<T>> {
-        let mut all = Vec::new();
-        for q in &mut self.queues {
-            all.extend(q.drain_matching(TagFilter::from_worker(w_id)));
-        }
-        all.sort_by_key(|e| e.tag.iter);
-        all
+    pub fn iter(&self) -> impl Iterator<Item = &TaggedEntry<T>> {
+        self.queues.iter().flat_map(TaggedQueue::iter)
     }
 
     pub fn discard_older_than(&mut self, min_iter: u64) -> usize {

@@ -208,12 +208,7 @@ const KIND_QUANTIZED: u8 = 2;
 /// exactly [`CompressedBlock::encoded_bytes`] — the wire-accounting
 /// contract the conformance tests pin.
 pub fn encode_frame(msg: &Message, out: &mut Vec<u8>) -> u64 {
-    out.clear();
-    out.extend_from_slice(&[0; 4]); // patched with the length below
-    let block_bytes = encode_payload(msg, out);
-    let len = (out.len() - 4) as u32;
-    out[..4].copy_from_slice(&len.to_le_bytes());
-    block_bytes
+    framed(out, |out| encode_payload(msg, out))
 }
 
 /// Serializes one complete [`Message::Update`] frame from borrowed
@@ -227,8 +222,24 @@ pub fn encode_update_frame(
     block: &CompressedBlock,
     out: &mut Vec<u8>,
 ) -> u64 {
+    framed(out, |out| encode_update(tag, clock, block, out))
+}
+
+/// Replaces `out` with one frame: the length prefix, then what `payload`
+/// writes. Returns what `payload` returns.
+fn framed(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>) -> u64) -> u64 {
     out.clear();
     out.extend_from_slice(&[0; 4]); // patched with the length below
+    let block_bytes = payload(out);
+    let len = (out.len() - 4) as u32;
+    out[..4].copy_from_slice(&len.to_le_bytes());
+    block_bytes
+}
+
+/// Appends an `Update` payload (discriminant, tag, clock, block) and
+/// returns the block payload bytes, exactly
+/// [`CompressedBlock::encoded_bytes`].
+fn encode_update(tag: Tag, clock: u64, block: &CompressedBlock, out: &mut Vec<u8>) -> u64 {
     out.push(TAG_UPDATE);
     out.extend_from_slice(&tag.iter.to_le_bytes());
     out.extend_from_slice(&(tag.w_id as u32).to_le_bytes());
@@ -236,8 +247,11 @@ pub fn encode_update_frame(
     let before = out.len();
     encode_block(block, out);
     let written = (out.len() - before - 1) as u64;
-    let len = (out.len() - 4) as u32;
-    out[..4].copy_from_slice(&len.to_le_bytes());
+    debug_assert_eq!(
+        written,
+        block.encoded_bytes(),
+        "block serializer out of sync with encoded_bytes()"
+    );
     written
 }
 
@@ -253,21 +267,7 @@ fn encode_payload(msg: &Message, out: &mut Vec<u8>) -> u64 {
             out.extend_from_slice(body);
             0
         }
-        Message::Update { tag, clock, block } => {
-            out.push(TAG_UPDATE);
-            out.extend_from_slice(&tag.iter.to_le_bytes());
-            out.extend_from_slice(&(tag.w_id as u32).to_le_bytes());
-            out.extend_from_slice(&clock.to_le_bytes());
-            let before = out.len();
-            encode_block(block, out);
-            let written = (out.len() - before - 1) as u64;
-            debug_assert_eq!(
-                written,
-                block.encoded_bytes(),
-                "block serializer out of sync with encoded_bytes()"
-            );
-            written
-        }
+        Message::Update { tag, clock, block } => encode_update(*tag, *clock, block, out),
         Message::Token { count, clock } => {
             out.push(TAG_TOKEN);
             out.extend_from_slice(&count.to_le_bytes());

@@ -6,9 +6,10 @@
 //! runtime (real OS processes over Unix-domain sockets); every run emits a
 //! structured [`ProtocolTrace`] and every trace is replayed by the
 //! invariant [`Oracle`] (gap bounds, backup quota, staleness window,
-//! jump legality). On a violation the offending trace is serialized to
-//! `target/conformance-failures/<label>.trace` so CI can upload it as an
-//! artifact and the failure can be replayed offline.
+//! jump legality). On a violation the offending trace — and on a failed
+//! real-runtime run the partial trace the error carries — is serialized
+//! to `target/conformance-failures/<label>.trace` so CI can upload it as
+//! an artifact and the failure can be replayed offline.
 //!
 //! The process leg additionally pins wire accounting: the update bytes a
 //! worker actually frames onto its sockets must equal the simulator's
@@ -18,14 +19,16 @@
 use hop::core::conformance::{ConformanceSummary, Oracle, ProtocolTrace};
 use hop::core::process::ProcessExperiment;
 use hop::core::threaded::ThreadedExperiment;
-use hop::core::{CompressionConfig, HopConfig, Hyper, Protocol, SimExperiment, SkipConfig};
+use hop::core::{
+    CompressionConfig, FailedRun, HopConfig, Hyper, Protocol, SimExperiment, SkipConfig,
+};
 use hop::data::webspam::SyntheticWebspam;
 use hop::data::{Dataset, InMemoryDataset};
 use hop::graph::Topology;
 use hop::model::svm::Svm;
 use hop::model::Model;
 use hop::sim::{ClusterSpec, LinkModel, SlowdownModel};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -64,6 +67,28 @@ fn workload(n_examples: usize) -> (Svm, InMemoryDataset) {
     (model, dataset)
 }
 
+/// Serializes `trace` to `target/conformance-failures/<label>.trace`
+/// for offline replay / CI artifact upload, returning the path.
+fn save_trace(label: &str, trace: &ProtocolTrace) -> PathBuf {
+    let dir = Path::new("target/conformance-failures");
+    std::fs::create_dir_all(dir).expect("create failure dir");
+    let path = dir.join(format!("{label}.trace"));
+    std::fs::write(&path, trace.to_text()).expect("serialize offending trace");
+    path
+}
+
+/// Serializes a failed real-runtime run's partial trace and panics with
+/// its error.
+fn fail_with_trace(label: &str, failed: FailedRun) -> ! {
+    let path = save_trace(label, &failed.trace);
+    panic!(
+        "{label}: {}\npartial trace ({} events) serialized to {}",
+        failed.error,
+        failed.trace.len(),
+        path.display()
+    );
+}
+
 /// Replays `trace` through the oracle; on a violation, serializes the
 /// trace for offline replay / CI artifact upload and panics with the
 /// violation.
@@ -78,10 +103,7 @@ fn oracle_check(
     match oracle.check(trace) {
         Ok(summary) => summary,
         Err(violation) => {
-            let dir = std::path::Path::new("target/conformance-failures");
-            std::fs::create_dir_all(dir).expect("create failure dir");
-            let path = dir.join(format!("{label}.trace"));
-            std::fs::write(&path, trace.to_text()).expect("serialize offending trace");
+            let path = save_trace(label, trace);
             panic!(
                 "{label}: {violation}\noffending trace ({} events) serialized to {}",
                 trace.len(),
@@ -184,7 +206,7 @@ fn threaded_traces_satisfy_the_oracle_on_the_full_grid() {
             let (model, dataset) = workload(128);
             let (report, trace) = threaded_experiment(&cfg, &topo, mode == "skip")
                 .run_traced(Arc::new(model), Arc::new(dataset))
-                .unwrap_or_else(|e| panic!("{label}: {e}"));
+                .unwrap_or_else(|failed| fail_with_trace(&label, failed));
             assert_eq!(report.final_params.len(), topo.len(), "{label}");
             let summary = oracle_check(&label, &cfg, &topo, THREADED_ITERS, &trace);
             // Every worker records every entered iteration plus the
@@ -233,9 +255,9 @@ fn process_traces_satisfy_the_oracle_on_the_grid() {
             ("clique5", Topology::complete(5)),
         ] {
             let label = format!("process-{mode}-{topo_name}");
-            let mut exp = process_experiment(&cfg, &topo, mode == "skip");
-            exp.failure_label = Some(label.clone());
-            let (report, trace) = exp.run_traced().unwrap_or_else(|e| panic!("{label}: {e}"));
+            let (report, trace) = process_experiment(&cfg, &topo, mode == "skip")
+                .run_traced()
+                .unwrap_or_else(|failed| fail_with_trace(&label, failed));
             assert_eq!(report.final_params.len(), topo.len(), "{label}");
             let summary = oracle_check(&label, &cfg, &topo, PROCESS_ITERS, &trace);
             let n = topo.len() as u64;
@@ -336,11 +358,11 @@ fn threaded_skip_jumps_and_conforms() {
     exp.max_iters = 30;
     let mut jumps = 0;
     for attempt in 0..3 {
+        let label = format!("threaded-skip-jump-attempt{attempt}");
         let (model, dataset) = workload(128);
         let (_, trace) = exp
             .run_traced(Arc::new(model), Arc::new(dataset))
-            .expect("skip-mode threaded run succeeds");
-        let label = format!("threaded-skip-jump-attempt{attempt}");
+            .unwrap_or_else(|failed| fail_with_trace(&label, failed));
         let summary = oracle_check(&label, &cfg, &topo, 30, &trace);
         jumps = summary.jumps;
         if jumps > 0 {
@@ -367,8 +389,9 @@ fn process_skip_jumps_and_conforms() {
     let mut jumps = 0;
     for attempt in 0..3 {
         let label = format!("process-skip-jump-attempt{attempt}");
-        exp.failure_label = Some(label.clone());
-        let (_, trace) = exp.run_traced().unwrap_or_else(|e| panic!("{label}: {e}"));
+        let (_, trace) = exp
+            .run_traced()
+            .unwrap_or_else(|failed| fail_with_trace(&label, failed));
         let summary = oracle_check(&label, &cfg, &topo, 30, &trace);
         jumps = summary.jumps;
         if jumps > 0 {

@@ -6,21 +6,37 @@
 //! covers the lifecycle edges — does a fleet of OS processes actually
 //! learn, does teardown survive peers that finish at very different
 //! times, and does a worker killed at any point surface as a clean
-//! peer-loss error (with the partial trace serialized for offline
-//! replay) instead of a hang, a bare stall or a bare I/O string.
+//! peer-loss error (with the partial trace, for offline replay) instead
+//! of a hang, a bare stall or a bare I/O string.
 
-use hop::core::process::{ProcessError, ProcessExperiment};
-use hop::core::{HopConfig, Oracle, SkipConfig};
+use hop::core::process::ProcessExperiment;
+use hop::core::{FailedRun, HopConfig, Oracle, RuntimeError, SkipConfig};
 use hop::data::webspam::SyntheticWebspam;
 use hop::data::Dataset;
 use hop::graph::Topology;
 use hop::model::svm::Svm;
 use hop::model::Model;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 fn worker_bin() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_hop_worker"))
+}
+
+/// Serializes a failed run's partial trace to
+/// `target/conformance-failures/<label>.trace`, for CI to upload and
+/// for offline replay, and panics with the error.
+fn fail_with_trace(label: &str, failed: FailedRun) -> ! {
+    let dir = Path::new("target/conformance-failures");
+    std::fs::create_dir_all(dir).expect("create failure dir");
+    let path = dir.join(format!("{label}.trace"));
+    std::fs::write(&path, failed.trace.to_text()).expect("serialize partial trace");
+    panic!(
+        "{label}: {}\npartial trace ({} events) serialized to {}",
+        failed.error,
+        failed.trace.len(),
+        path.display()
+    );
 }
 
 #[test]
@@ -66,7 +82,7 @@ fn unsupported_configs_are_rejected_up_front() {
     let mut exp = ProcessExperiment::new(HopConfig::standard(), Topology::ring(3), 4, worker_bin());
     exp.config.order = hop::core::ComputeOrder::Serial;
     match exp.run() {
-        Err(ProcessError::Unsupported(_)) => {}
+        Err(RuntimeError::Unsupported(_)) => {}
         other => panic!("serial order must be rejected, got {other:?}"),
     }
 }
@@ -100,12 +116,13 @@ fn teardown_survives_peers_finishing_far_apart() {
                     ProcessExperiment::new(cfg.clone(), topo.clone(), iters, worker_bin());
                 exp.examples = 64;
                 exp.stall_timeout = Duration::from_secs(30);
-                exp.failure_label = Some(label.clone());
                 if straggle {
                     exp.compute_sleep = Duration::from_micros(200);
                     exp.slow_worker = Some((0, 50));
                 }
-                let (report, trace) = exp.run_traced().unwrap_or_else(|e| panic!("{label}: {e}"));
+                let (report, trace) = exp
+                    .run_traced()
+                    .unwrap_or_else(|failed| fail_with_trace(&label, failed));
                 assert_eq!(report.final_params.len(), topo.len(), "{label}");
                 Oracle::new(cfg, &topo, iters)
                     .check(&trace)
@@ -124,14 +141,12 @@ fn a_killed_worker_surfaces_as_peer_loss_with_a_partial_trace() {
     // Finished frame, no summary: exactly what a crashed process looks
     // like to its peers. Whenever it vanishes, the coordinator must come
     // back promptly with a typed error naming the lost peer — never a
-    // hang, never a bare socket error — and leave the survivors' partial
-    // trace behind for offline replay.
+    // hang, never a bare socket error — and hand back the survivors'
+    // partial trace with it for offline replay.
     let iters = 4;
     for worker in 0..3 {
         for iter in 0..iters {
             let label = format!("process-killed-worker-w{worker}-k{iter}");
-            let trace_path = PathBuf::from(format!("target/conformance-failures/{label}.trace"));
-            let _ = std::fs::remove_file(&trace_path);
             let mut exp = ProcessExperiment::new(
                 HopConfig::standard_with_tokens(2),
                 Topology::ring(3),
@@ -141,9 +156,8 @@ fn a_killed_worker_surfaces_as_peer_loss_with_a_partial_trace() {
             exp.examples = 64;
             exp.die_at = Some((worker, iter));
             exp.stall_timeout = Duration::from_millis(500);
-            exp.failure_label = Some(label.clone());
             let started = Instant::now();
-            let err = exp
+            let FailedRun { error: err, trace } = exp
                 .run_traced()
                 .expect_err("a killed worker must fail the run");
             // Survivors notice within one stall_timeout (usually at once:
@@ -155,7 +169,7 @@ fn a_killed_worker_surfaces_as_peer_loss_with_a_partial_trace() {
                 started.elapsed()
             );
             match &err {
-                ProcessError::PeerLost { failures } => assert!(
+                RuntimeError::PeerLost { failures } => assert!(
                     failures.iter().any(|(w, _)| *w == worker),
                     "{label}: the killed worker is not among {failures:?}"
                 ),
@@ -166,8 +180,7 @@ fn a_killed_worker_surfaces_as_peer_loss_with_a_partial_trace() {
                 !text.contains("i/o error"),
                 "{label}: bare I/O error: {text}"
             );
-            let partial = std::fs::read_to_string(&trace_path)
-                .unwrap_or_else(|e| panic!("{label}: no partial trace: {e}"));
+            let partial = trace.to_text();
             assert!(
                 partial.lines().any(|l| l.starts_with("advance")),
                 "{label}: partial trace holds no protocol events:\n{partial}"

@@ -3,8 +3,8 @@
 //! simulator's semantics.
 
 use hop::core::config::ConfigError;
-use hop::core::threaded::{ThreadedError, ThreadedExperiment};
-use hop::core::{HopConfig, Hyper, ProtocolEvent};
+use hop::core::threaded::ThreadedExperiment;
+use hop::core::{FailedRun, HopConfig, Hyper, ProtocolEvent, RuntimeError};
 use hop::data::webspam::SyntheticWebspam;
 use hop::data::Dataset;
 use hop::graph::Topology;
@@ -204,7 +204,37 @@ fn byzantine_plans_are_rejected_not_ignored() {
         variant: hop_sim::ByzVariant::SignFlip,
     });
     match exp.run(model, dataset) {
-        Err(ThreadedError::Config(ConfigError::InvalidFaultPlan(_))) => {}
+        Err(RuntimeError::Config(ConfigError::InvalidFaultPlan(_))) => {}
         other => panic!("a byzantine plan must be rejected, got {other:?}"),
     }
+}
+
+#[test]
+fn a_stalled_traced_run_returns_its_partial_trace() {
+    // Worker 1 of a 2-ring under backup(1, 2) reduces on its own update
+    // alone, so only its tokens bind it to worker 0, asleep in a 400 ms
+    // compute: the ig = 2 preload runs dry and the 60 ms token wait
+    // stalls. The error must come back with the merged partial trace,
+    // which holds the stalled worker's entry into the iteration it
+    // stalled at.
+    let dataset = Arc::new(SyntheticWebspam::generate(64, 3));
+    let model = Arc::new(Svm::log_loss(dataset.feature_dim()));
+    let mut exp = experiment(HopConfig::backup(1, 2), Topology::ring(2));
+    exp.max_iters = 3;
+    exp.compute_sleep = Duration::from_millis(10);
+    exp.slow_worker = Some((0, 40));
+    exp.stall_timeout = Duration::from_millis(60);
+    let FailedRun { error, trace } = exp
+        .run_traced(model, dataset)
+        .expect_err("the token wait stalls");
+    let RuntimeError::Stalled { worker, iter, .. } = error else {
+        panic!("expected a stall, got {error}");
+    };
+    assert!(
+        trace
+            .events()
+            .contains(&ProtocolEvent::Advance { worker, iter }),
+        "{error}: the partial trace lacks `advance w={worker} iter={iter}`:\n{}",
+        trace.to_text()
+    );
 }
