@@ -230,7 +230,7 @@ pub enum RuntimeError {
     Config(ConfigError),
     /// The configuration names a feature the real runtimes do not
     /// implement: they run the parallel order with queue-based
-    /// synchronization only, and no byzantine corruption.
+    /// synchronization only.
     Unsupported(&'static str),
     /// A wait timed out (protocol stall), with enough queue state to
     /// debug the failure from the error alone.
