@@ -45,7 +45,7 @@ use crate::semantics;
 use hop_graph::Topology;
 use hop_model::Sgd;
 use hop_queue::{RotatingQueues, Tag, TaggedEntry};
-use hop_tensor::ops::Tail;
+use hop_tensor::ops::SgdStep;
 use hop_tensor::{BufferPool, ParamBlock};
 
 /// What a [`HopWorker`] is fed.
@@ -53,8 +53,7 @@ use hop_tensor::{BufferPool, ParamBlock};
 pub(crate) enum Input {
     /// Enter iteration 0.
     Start,
-    /// The current iteration's gradient is computed (and, parallel
-    /// order, the optimizer advanced by it).
+    /// The current iteration's gradient is computed.
     ComputeDone,
     /// An external in-neighbor's update tagged `iter` arrived (self-sends
     /// the machine delivers itself).
@@ -74,7 +73,8 @@ pub(crate) enum Input {
 
 /// The executor's state the machine reads and writes: the replica, its
 /// optimizer, the pool its blocks come from, the event sink, and the last
-/// gradient computed (the serial order applies it).
+/// gradient computed (the serial order applies it after the compute, the
+/// parallel order in the Reduce).
 pub(crate) struct Parts<'e, S> {
     pub(crate) params: &'e mut ParamBlock,
     pub(crate) opt: &'e mut Sgd,
@@ -478,8 +478,12 @@ impl HopWorker {
             return Ok(());
         }
         let step = step.reduce(p.sink);
-        // Parallel order: the Apply rides the Reduce sweep as its tail.
-        let apply = (cx.cfg.order == ComputeOrder::Parallel).then(|| p.opt.step_term());
+        // Parallel order: the SGD step rides the Reduce sweep. Its
+        // gradient was taken at the replica the Reduce replaces, which
+        // nothing wrote since; the snapshot (already shared with the
+        // self-update) keeps it readable while the replica is rewritten.
+        let at = (cx.cfg.order == ComputeOrder::Parallel).then(|| p.params.snapshot());
+        let apply = at.as_ref().map(|at| p.opt.step_onto(at, p.grad));
         reduce(
             E::SENDER_ORDER,
             cx,
@@ -489,6 +493,9 @@ impl HopWorker {
             p.params,
             p.pool,
         );
+        if let Some(at) = at {
+            p.pool.reclaim(at);
+        }
         if cx.cfg.sync == SyncMode::NotifyAck {
             exec.ack();
         }
@@ -564,7 +571,8 @@ impl HopWorker {
     }
 }
 
-/// `params ← mean(cx.entries ∪ own) [+ apply]` — staleness-weighted for
+/// `params ← mean(cx.entries ∪ own)`, then the SGD step `apply` if any —
+/// staleness-weighted for
 /// iteration `at` under the staleness mode; the entries in sender order if
 /// `sender_order`, `own` (a renew's pre-jump replica and its iteration)
 /// last — then recycles every block and leaves the entries empty. Full
@@ -576,7 +584,7 @@ fn reduce(
     cx: &mut Shared<'_>,
     at: u64,
     own: Option<(u64, ParamBlock)>,
-    apply: Tail<'_>,
+    apply: Option<SgdStep<'_>>,
     params: &mut ParamBlock,
     pool: &mut BufferPool,
 ) {

@@ -7,7 +7,7 @@
 //! unit-tested in isolation.
 
 use crate::config::SkipConfig;
-use hop_tensor::ops::{self, Tail};
+use hop_tensor::ops::{self, SgdStep};
 
 /// Number of updates a `Recv` must collect with backup workers (Fig. 8):
 /// `|Nin(i)| - N_buw(i)`.
@@ -32,14 +32,15 @@ pub(crate) fn renew_quota(external_in: usize, n_backup: usize) -> usize {
 
 /// Uniform Reduce (Fig. 4 line 15): elementwise mean of the received
 /// parameter vectors. The parallel-order Apply (Fig. 2b / Fig. 4 line 17)
-/// rides the same sweep: `apply` is `Sgd::step_term` — `(-lr, v)` from the
-/// pre-reduce parameters — and `out` becomes `mean + (-lr) * v`, bit for
-/// bit the separate `axpy` pass over the mean.
+/// rides the same sweep: `apply` is `Sgd::step_onto` — the gradient, the
+/// pre-reduce parameters it was taken at and the velocity — which
+/// advances the velocity and makes `out` `mean + (-lr) * v`, bit for bit
+/// the separate velocity pass and `axpy` pass over the mean.
 ///
 /// # Panics
 ///
 /// Panics if `updates` is empty or lengths mismatch.
-pub fn reduce_mean(updates: &[&[f32]], apply: Tail<'_>, out: &mut [f32]) {
+pub fn reduce_mean(updates: &[&[f32]], apply: Option<SgdStep<'_>>, out: &mut [f32]) {
     assert!(!updates.is_empty(), "reduce of zero updates");
     ops::scaled_sum(updates, None, 1.0 / updates.len() as f32, apply, out);
 }
@@ -109,7 +110,7 @@ pub fn reduce_staleness_with(
     updates: &[(u64, &[f32])],
     k: u64,
     s: u64,
-    apply: Tail<'_>,
+    apply: Option<SgdStep<'_>>,
     out: &mut [f32],
 ) {
     assert!(!updates.is_empty(), "reduce of zero updates");
@@ -218,8 +219,19 @@ mod tests {
         let mut out = [9.0, 9.0];
         reduce_mean(&[&a, &b], None, &mut out);
         assert_eq!(out, [1.0, 2.0]);
-        reduce_mean(&[&a, &b], Some((-0.5, &[1.0, -1.0])), &mut out);
-        assert_eq!(out, [0.5, 2.5]);
+        // v = 0.5 * 3 + g + 0.25 * 2, then out = mean - 0.5 * v.
+        let mut velocity = [3.0, 3.0];
+        let step = SgdStep {
+            lr: 0.5,
+            momentum: 0.5,
+            weight_decay: 0.25,
+            grad: &[-0.5, -2.5],
+            params: &[2.0, 2.0],
+            velocity: &mut velocity,
+        };
+        reduce_mean(&[&a, &b], Some(step), &mut out);
+        assert_eq!(velocity, [1.5, -0.5]);
+        assert_eq!(out, [0.25, 2.25]);
     }
 
     #[test]

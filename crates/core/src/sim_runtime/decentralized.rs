@@ -16,12 +16,13 @@
 //! state and recording live in the shared [`super::engine::SimEngine`].
 
 use crate::choreography::{self, SendStage, Step};
-use crate::config::{ComputeOrder, HopConfig};
+use crate::config::HopConfig;
 use crate::machine::{Executor, HopWorker, Input, Parts, Shared};
 use crate::report::TrainingReport;
 use crate::semantics;
 use crate::trainer::SimRun;
 use hop_graph::Topology;
+use hop_model::Gradient;
 use hop_tensor::ParamBlock;
 use std::convert::Infallible;
 
@@ -75,7 +76,7 @@ struct Decentralized<'a> {
     shared: Shared<'a>,
     workers: Vec<HopWorker>,
     /// Gradient buffer per worker; travels with the worker's compute job.
-    grads: Vec<Vec<f32>>,
+    grads: Vec<Gradient>,
     skipped_sends: u64,
     /// One parameter stream per worker (see
     /// [`super::compression`]); inactive under the identity codec, in
@@ -96,7 +97,7 @@ impl<'a> Decentralized<'a> {
                 .map(|w| HopWorker::new(&shared, w))
                 .collect(),
             shared,
-            grads: vec![vec![0.0; dim]; topology.len()],
+            grads: (0..topology.len()).map(|_| Gradient::zeros(dim)).collect(),
             skipped_sends: 0,
             plane,
         }
@@ -139,7 +140,7 @@ impl<'a> Decentralized<'a> {
 struct SimExec<'e, 'g> {
     eng: &'e mut SimEngine<'g, Ev>,
     plane: &'e mut CompressionPlane,
-    grad: &'e mut Vec<f32>,
+    grad: &'e mut Gradient,
     cfg: &'e HopConfig,
     topology: &'e Topology,
     skipped_sends: &'e mut u64,
@@ -161,7 +162,7 @@ impl Executor for SimExec<'_, '_> {
             opt,
             pool: &mut self.eng.pool,
             sink: &mut self.eng.conformance,
-            grad: self.grad,
+            grad: self.grad.as_slice(),
         }
     }
 
@@ -190,8 +191,7 @@ impl Executor for SimExec<'_, '_> {
     fn compute_ready(&mut self, _iter: u64) {
         if self.alive() {
             let grad = std::mem::take(self.grad);
-            let parallel = self.cfg.order == ComputeOrder::Parallel;
-            self.eng.begin_compute(self.w, grad, parallel);
+            self.eng.begin_compute(self.w, grad);
         }
     }
 
@@ -433,7 +433,7 @@ impl WorkerProtocol for Decentralized<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Protocol, SkipConfig};
+    use crate::config::{ComputeOrder, Protocol, SkipConfig};
     use crate::sim_runtime::recorder::EvalConfig;
     use crate::trainer::{Hyper, SimExperiment};
     use hop_data::webspam::{SyntheticWebspam, WebspamConfig};

@@ -73,9 +73,9 @@
 //! `begin_compute` when a worker's virtual compute phase *starts* — the
 //! snapshot the gradient is taken at is fixed from then on — and
 //! `join_compute` when its completion event pops. In between, the job
-//! (draw the batch, `loss_grad_with`, advance the velocity) waits in the
-//! pump's outbox, and the outbox goes to one helper thread as a single
-//! message — a *hand-off* — once the gradient work queued in it reaches
+//! (draw the batch, `loss_grad_into` the worker's gradient buffer) waits
+//! in the pump's outbox, and the outbox goes to one helper thread as a
+//! single message — a *hand-off* — once the gradient work queued in it reaches
 //! `OFFLOAD_MIN_PARAMS` parameters: a 64K-parameter job ships alone,
 //! 65-parameter jobs ship 64 at a time, so the channel's cost is paid
 //! per hand-off, never per small job. The helper runs a hand-off front
@@ -93,8 +93,8 @@
 //! so wherever there is no helper there is no board either — and `pump`
 //! installs it on its thread with a guard that uninstalls it however the
 //! pump ends. Every sweep of at least [`sweep::SPLIT_MIN`] elements the
-//! pump then runs through a splitting kernel — a Reduce with its Apply
-//! tail (`scaled_sum`), an int8 encode (`max_abs_sum`, then
+//! pump then runs through a splitting kernel — a Reduce with its SGD
+//! step (`scaled_sum`), an int8 encode (`max_abs_sum`, then
 //! `quantize_advance` or `quantize_feedback`), an evaluation's average —
 //! is posted in chunks: the pump runs them from the front, the helper,
 //! polling the board in `recv_spinning` while it waits for a hand-off,
@@ -114,12 +114,13 @@
 //! with them, and the first join of a job that went down with it (its
 //! own, or one behind it) re-raises that payload on the pump.
 //!
-//! While begun a job owns the worker's optimizer, scratch and gradient
-//! buffer (an empty optimizer keeps the seat in [`WorkerCommon`]; using
-//! it trips `Sgd`'s length asserts), the sampler's stream (the join
-//! writes the advanced sampler back; `sample_grad` / `local_grad` refuse
-//! a worker whose job is begun) and an immutable snapshot of the
-//! replica. The pump owns everything else, always: event order, virtual
+//! While begun a job owns the worker's scratch and gradient buffer, the
+//! sampler's stream (the join writes the advanced sampler back;
+//! `sample_grad` / `local_grad` refuse a worker whose job is begun) and
+//! an immutable snapshot of the replica. The optimizer stays with the
+//! worker: the parallel order advances its velocity in the Reduce, after
+//! the join, from the joined gradient and the replica it was taken at.
+//! The pump owns everything else, always: event order, virtual
 //! time, queues, tokens, recorder, conformance sink, fault plane, buffer
 //! pool — and every snapshot's drop, so pool recycling is
 //! schedule-independent too. There is no cancel path: crashes fire only
@@ -151,7 +152,7 @@ use crate::report::TrainingReport;
 use crate::sim_runtime::recorder::{EvalConfig, Recorder};
 use crate::trainer::Hyper;
 use hop_data::{BatchSampler, Dataset, InMemoryDataset};
-use hop_model::{GradScratch, Model, Sgd};
+use hop_model::{GradScratch, Gradient, Model, Sgd};
 use hop_sim::{
     ClusterSpec, EventQueue, FaultEvent, NetModel, Network, SlowdownModel, Trace, Verdict,
 };
@@ -209,11 +210,8 @@ struct GradJob {
     /// The snapshot the gradient is taken at.
     params: ParamBlock,
     sampler: BatchSampler,
-    opt: Sgd,
     scratch: GradScratch,
-    grad: Vec<f32>,
-    /// Parallel order: also advance the velocity.
-    advance: bool,
+    grad: Gradient,
     loss: f32,
 }
 
@@ -222,10 +220,7 @@ impl GradJob {
     /// thread's `indices` buffer.
     fn run(&mut self, model: &dyn Model, dataset: &InMemoryDataset, indices: &mut Vec<usize>) {
         let batch = self.sampler.next_batch_with(indices, dataset);
-        self.loss = model.loss_grad_with(&self.params, &batch, &mut self.grad, &mut self.scratch);
-        if self.advance {
-            self.opt.advance(&self.params, &self.grad);
-        }
+        self.loss = model.loss_grad_into(&self.params, &batch, &mut self.grad, &mut self.scratch);
     }
 }
 
@@ -621,31 +616,27 @@ impl<'a, E> SimEngine<'a, E> {
     fn assert_idle(&self, w: usize) {
         assert!(
             matches!(self.slots[w], Slot::Idle),
-            "worker {w}'s sampler, optimizer and scratch are with its begun gradient job"
+            "worker {w}'s sampler and scratch are with its begun gradient job"
         );
     }
 
-    /// Begins worker `w`'s gradient job at its current replica (module
-    /// docs, "Compute futures"); `advance` also advances the velocity.
-    /// Begin a job only if its completion will be accepted.
+    /// Begins worker `w`'s gradient job at its current replica, into
+    /// `grad` (module docs, "Compute futures"). Begin a job only if its
+    /// completion will be accepted.
     ///
     /// # Panics
     ///
     /// If `w`'s previous job was not joined.
-    pub(crate) fn begin_compute(&mut self, w: usize, grad: Vec<f32>, advance: bool) {
+    pub(crate) fn begin_compute(&mut self, w: usize, grad: Gradient) {
         self.assert_idle(w);
-        // An empty optimizer (no allocation) keeps the seat meanwhile.
-        let seat = Sgd::new(self.hyper.lr, 0.0, 0.0, 0);
         let wc = &mut self.workers[w];
         self.slots[w] = Slot::Queued(GradJob {
             w,
             params: wc.params.snapshot(),
             // A copy: the join writes the advanced stream back.
             sampler: wc.sampler.clone(),
-            opt: std::mem::replace(&mut wc.opt, seat),
             scratch: std::mem::take(&mut wc.scratch),
             grad,
-            advance,
             loss: 0.0,
         });
         let Some(helper) = &mut self.helper else {
@@ -670,14 +661,14 @@ impl<'a, E> SimEngine<'a, E> {
     /// Completes the job begun for `w` — running it here if it is still
     /// in the outbox, waiting for the helper if it is in flight (and
     /// filing the other jobs that come back meanwhile) — puts the
-    /// worker's sampler, optimizer and scratch back, and returns the
-    /// minibatch loss (for the caller to record) and the gradient buffer.
+    /// worker's sampler and scratch back, and returns the minibatch loss
+    /// (for the caller to record) and the gradient buffer.
     ///
     /// # Panics
     ///
     /// If no job was begun for `w`; re-raises, with its original payload,
     /// the panic (a model's assert) that took `w`'s job down.
-    pub(crate) fn join_compute(&mut self, w: usize) -> (f32, Vec<f32>) {
+    pub(crate) fn join_compute(&mut self, w: usize) -> (f32, Gradient) {
         let job = loop {
             match std::mem::replace(&mut self.slots[w], Slot::Idle) {
                 Slot::Idle => panic!("worker {w} joined a compute phase it never began"),
@@ -713,7 +704,7 @@ impl<'a, E> SimEngine<'a, E> {
             }
         };
         let wc = &mut self.workers[w];
-        (wc.sampler, wc.opt, wc.scratch) = (job.sampler, job.opt, job.scratch);
+        (wc.sampler, wc.scratch) = (job.sampler, job.scratch);
         (job.loss, job.grad)
     }
 
@@ -1008,8 +999,8 @@ mod tests {
     }
 
     impl LocalSgd {
-        fn compute(eng: &mut SimEngine<'_, Step>, w: usize, grad: Vec<f32>, now: f64) {
-            eng.begin_compute(w, grad, false);
+        fn compute(eng: &mut SimEngine<'_, Step>, w: usize, grad: Gradient, now: f64) {
+            eng.begin_compute(w, grad);
             let at = now + eng.compute_duration(w, eng.iters[w]);
             eng.events.push(at, Step { w });
         }
@@ -1021,7 +1012,7 @@ mod tests {
         fn start(&mut self, eng: &mut SimEngine<'_, Step>) {
             for w in 0..eng.workers.len() {
                 eng.record_enter(w, 0, 0.0);
-                Self::compute(eng, w, vec![0.0; eng.init_params().len()], 0.0);
+                Self::compute(eng, w, Gradient::zeros(eng.init_params().len()), 0.0);
             }
         }
 
@@ -1030,7 +1021,7 @@ mod tests {
             let (loss, grad) = eng.join_compute(w);
             eng.recorder.train_loss(w, eng.iters[w], now, loss);
             let WorkerCommon { opt, params, .. } = &mut eng.workers[w];
-            opt.step_block(params, &grad);
+            opt.step_block(params, grad.as_slice());
             eng.iters[w] += 1;
             let k = eng.iters[w];
             eng.record_enter(w, k, now);
@@ -1143,7 +1134,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "worker 1's sampler, optimizer and scratch are with its begun")]
+    #[should_panic(expected = "worker 1's sampler and scratch are with its begun")]
     fn a_gradient_beside_a_begun_job_is_refused() {
         /// Begins worker 1's job, then asks for a second gradient from
         /// the sampler the job already holds a copy of: the batch would
@@ -1153,7 +1144,7 @@ mod tests {
             type Event = ();
             fn start(&mut self, eng: &mut SimEngine<'_, ()>) {
                 let mut grad = vec![0.0; eng.init_params().len()];
-                eng.begin_compute(1, grad.clone(), false);
+                eng.begin_compute(1, Gradient::zeros(grad.len()));
                 eng.local_grad(0, 0.0, &mut grad);
                 eng.local_grad(1, 0.0, &mut grad);
             }

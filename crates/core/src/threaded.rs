@@ -6,8 +6,9 @@
 //! worker owns its inbox — the updates and token grants that arrived —
 //! and a `std::sync::mpsc` mailbox that every neighbor can post to:
 //! delivering an update posts a zero-copy snapshot, granting tokens
-//! posts the count, and a wait pumps the mailbox into the inbox,
-//! parking in `recv_timeout` until the next arrival. It shows that the
+//! posts the count, and a wait pumps the mailbox into the inbox, 20
+//! rounds with `try_recv` and a yield, then parking in `recv_timeout`
+//! until the next arrival. It shows that the
 //! protocol as specified — tagged update queues, token queues, backup
 //! workers, bounded staleness and skipping iterations — runs correctly
 //! under true concurrency, complementing the deterministic simulator
@@ -228,15 +229,16 @@ struct InMemoryTransport<'a> {
 }
 
 impl Transport for InMemoryTransport<'_> {
-    /// Zero: a waiting thread parks at once. Measured with the perf
-    /// ledger on a 2-core host (medians of 5 alternating 8 s runs, 0
-    /// rounds against 20): `thr_ring4_ident` 15 040 against 15 580 worker
-    /// iterations/s (20 rounds ahead in 4 pairs of 5), `thr_ring4_topk`
-    /// 9 540 against 9 440 /s; peak RSS is 18–19 and 21–23 MB either
-    /// way, since each worker's pool keeps its own blocks. Spinning buys a
-    /// few per cent of throughput at best, and only without a codec, for
-    /// a core that spins instead of idling.
-    const SPIN_ROUNDS: u32 = 0;
+    /// Twenty: a waiting thread pumps and yields twenty times before it
+    /// parks. Measured with the perf ledger on a 2-core host, once an
+    /// iteration made one sweep (medians of 10 alternating 8 s runs, 0
+    /// rounds against 20): `thr_ring4_ident` 19 630 against 20 480 worker
+    /// iterations/s (20 rounds ahead in 9 pairs of 10), `thr_ring4_topk`
+    /// 10 300 against 10 940 /s (ahead in 10 of 10); peak RSS is 17–18
+    /// and 21 MB either way. A neighbour's update is often a few
+    /// microseconds away, and a thread that yields instead of parking
+    /// skips the futex wake that would fetch it.
+    const SPIN_ROUNDS: u32 = 20;
 
     fn pump(&mut self, inbox: &mut Inbox, timeout: Duration) -> bool {
         let first = if timeout.is_zero() {

@@ -45,7 +45,7 @@ use crate::sim_runtime::compression::CompressionPlane;
 use crate::trainer::Hyper;
 use hop_data::{BatchSampler, Dataset, InMemoryDataset};
 use hop_graph::Topology;
-use hop_model::{GradScratch, Model, Sgd};
+use hop_model::{GradScratch, Gradient, Model, Sgd};
 use hop_queue::tagged::{Tag, TaggedEntry};
 use hop_sim::{FaultEvent, FaultPlan};
 use hop_tensor::{BufferPool, ParamBlock};
@@ -225,7 +225,7 @@ struct Real<'j, 'a, T, S> {
     /// lock-free. The self-send stays exact.
     plane: CompressionPlane,
     sampler: BatchSampler,
-    grad: Vec<f32>,
+    grad: Gradient,
     scratch: GradScratch,
     indices: Vec<usize>,
     losses: Vec<f32>,
@@ -253,7 +253,7 @@ impl<T: Transport, S: EventSink> Executor for Real<'_, '_, T, S> {
             opt: &mut self.opt,
             pool: &mut self.pool,
             sink: self.sink,
-            grad: &self.grad,
+            grad: self.grad.as_slice(),
         }
     }
 
@@ -273,14 +273,13 @@ impl<T: Transport, S: EventSink> Executor for Real<'_, '_, T, S> {
             std::thread::sleep(job.compute_sleep);
         }
         let batch = self.sampler.next_batch_with(&mut self.indices, job.dataset);
-        let loss = job.model.loss_grad_with(
+        let loss = job.model.loss_grad_into(
             self.params.as_slice(),
             &batch,
             &mut self.grad,
             &mut self.scratch,
         );
         self.losses.push(loss);
-        self.opt.advance(self.params.as_slice(), &self.grad);
         self.computed = true;
     }
 
@@ -354,7 +353,7 @@ impl<'j, 'a, T: Transport, S: EventSink> Real<'j, 'a, T, S> {
             pool: BufferPool::new(),
             plane,
             sampler: BatchSampler::for_worker(job.dataset.len(), hyper.batch_size, job.seed, w),
-            grad: vec![0.0; dim],
+            grad: Gradient::zeros(dim),
             scratch: GradScratch::new(),
             indices: Vec::new(),
             losses: Vec::with_capacity(job.max_iters as usize),

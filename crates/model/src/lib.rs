@@ -10,7 +10,13 @@
 //! * [`cnn::TinyCnn`] — conv3×3 → ReLU → 2×2 avg-pool → FC softmax; the
 //!   "CNN" workload.
 //! * [`optimizer::Sgd`] — SGD with momentum and weight decay (momentum
-//!   0.9, as the paper's hyperparameter setup).
+//!   0.9, as the paper's hyperparameter setup); its
+//!   [`step_onto`](optimizer::Sgd::step_onto) hands the step to the
+//!   Reduce sweep of Fig. 2(b)'s parallel order.
+//! * [`model::Gradient`] — a gradient buffer that records its support
+//!   when the gradient is sparse, which [`Model::loss_grad_into`] writes:
+//!   the SVM's 32-row batches touch ~1 000 of 64K weights, and re-zero and
+//!   scale only those.
 //! * [`optimizer::QgmState`] — Quasi-Global Momentum (Lin et al.): a
 //!   momentum buffer tracking the locally-estimated global parameter
 //!   difference, applied around each gossip Reduce.
@@ -52,5 +58,5 @@ pub mod model;
 pub mod optimizer;
 pub mod svm;
 
-pub use model::{GradScratch, Model};
+pub use model::{GradScratch, Gradient, Model};
 pub use optimizer::{QgmState, Sgd};

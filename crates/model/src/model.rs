@@ -52,6 +52,121 @@ pub fn resize_buf(buf: &mut Vec<f32>, len: usize) {
     buf.resize(len, 0.0);
 }
 
+/// A gradient buffer that knows which entries its last gradient wrote.
+///
+/// The contract: while [`Gradient::support`] is `Some(indices)`, every
+/// entry it does not list is `+0.0` — the bits the dense computation
+/// leaves there, `0.0 * (1 / n)` — so a reader may take
+/// [`Gradient::as_slice`] as the whole gradient, and the model that
+/// writes the next one re-zeroes only the listed entries instead of the
+/// whole buffer. Only a sparse gradient keeps a support: a dense write
+/// ([`Gradient::dense_mut`]) forgets it, and a buffer that never held a
+/// sparse gradient stores none. The support's list and marks are sized
+/// once, on the first sparse gradient, so later ones allocate nothing.
+#[derive(Debug, Default)]
+pub struct Gradient {
+    values: Vec<f32>,
+    support: Option<Box<Support>>,
+}
+
+/// Which entries of a [`Gradient`] a sparse computation wrote.
+#[derive(Debug)]
+pub(crate) struct Support {
+    /// The entries written, each once, in the order first written.
+    indices: Vec<u32>,
+    /// Whether `indices` describes the values: false after a dense write.
+    live: bool,
+    /// One bit per entry, set for the listed ones while a gradient is
+    /// being written and clear between gradients.
+    marks: Vec<u64>,
+}
+
+impl Gradient {
+    /// A zero gradient of `len` entries.
+    pub fn zeros(len: usize) -> Self {
+        Self {
+            values: vec![0.0; len],
+            support: None,
+        }
+    }
+
+    /// The gradient, every entry.
+    pub fn as_slice(&self) -> &[f32] {
+        &self.values
+    }
+
+    /// The entries the last gradient wrote, if it was sparse: every other
+    /// entry is `+0.0`. Each is listed once, in no particular order.
+    pub fn support(&self) -> Option<&[u32]> {
+        let support = self.support.as_deref().filter(|s| s.live)?;
+        Some(&support.indices)
+    }
+
+    /// The values, for a dense write of the whole gradient: forgets the
+    /// support (its allocation is kept for the next sparse gradient).
+    pub fn dense_mut(&mut self) -> &mut [f32] {
+        if let Some(support) = &mut self.support {
+            support.live = false;
+        }
+        &mut self.values
+    }
+
+    /// The values, zero everywhere, and an empty support for a sparse
+    /// write: the previous sparse gradient's entries are re-zeroed, or
+    /// every entry after a dense write. The first call sizes the list for
+    /// `max_support` entries and the marks for every entry.
+    ///
+    /// # Panics
+    ///
+    /// If the gradient has more entries than a `u32` indexes.
+    pub(crate) fn begin_sparse(&mut self, max_support: usize) -> (&mut [f32], &mut Support) {
+        let Gradient { values, support } = self;
+        assert!(
+            u32::try_from(values.len()).is_ok(),
+            "a sparse gradient is indexed by u32"
+        );
+        let support = support.get_or_insert_with(|| {
+            Box::new(Support {
+                indices: Vec::with_capacity(max_support),
+                live: false,
+                marks: vec![0; values.len().div_ceil(64)],
+            })
+        });
+        if support.live {
+            for &j in &support.indices {
+                values[j as usize] = 0.0;
+            }
+        } else {
+            values.fill(0.0);
+        }
+        support.indices.clear();
+        support.live = true;
+        (values, support)
+    }
+}
+
+impl Support {
+    /// Lists entry `j`, unless it is listed already.
+    #[inline]
+    pub(crate) fn touch(&mut self, j: usize) {
+        let (word, bit) = (j / 64, 1u64 << (j % 64));
+        if self.marks[word] & bit == 0 {
+            self.marks[word] |= bit;
+            self.indices.push(j as u32);
+        }
+    }
+
+    /// Multiplies each listed entry of `values` by `factor`, once, and
+    /// clears the marks for the next gradient.
+    pub(crate) fn scale(&mut self, factor: f32, values: &mut [f32]) {
+        for &j in &self.indices {
+            values[j as usize] *= factor;
+            // Every mark set is a listed entry's: the word goes to zero.
+            self.marks[j as usize / 64] = 0;
+        }
+    }
+}
+
 /// A differentiable model over a flat parameter vector.
 ///
 /// Decentralized training exchanges raw parameter vectors between workers;
@@ -83,6 +198,25 @@ pub trait Model: Send + Sync {
         grad: &mut [f32],
         scratch: &mut GradScratch,
     ) -> f32;
+
+    /// [`Self::loss_grad_with`] into a [`Gradient`]: the same loss and
+    /// the same gradient bits, written where the model can write less than
+    /// the whole buffer. A model whose gradient of this batch touches few
+    /// entries writes only those and records them as the support; the
+    /// default writes densely.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::loss_grad_with`].
+    fn loss_grad_into(
+        &self,
+        params: &[f32],
+        batch: &Batch<'_>,
+        grad: &mut Gradient,
+        scratch: &mut GradScratch,
+    ) -> f32 {
+        self.loss_grad_with(params, batch, grad.dense_mut(), scratch)
+    }
 
     /// Computes the mean loss over `batch` without gradients.
     fn loss(&self, params: &[f32], batch: &Batch<'_>) -> f32 {

@@ -5,6 +5,7 @@
 //! optimizer instance (momentum state is local and is *not* exchanged
 //! between workers, matching the paper's prototype).
 
+use hop_tensor::ops::SgdStep;
 use hop_tensor::ParamBlock;
 
 /// Stochastic gradient descent with classical momentum and L2 weight decay.
@@ -68,26 +69,22 @@ impl Sgd {
         }
     }
 
-    /// The velocity half of [`Self::step`], for protocols that apply the
-    /// update to a *different* vector than the `params` it was computed
-    /// on (the parallel computation graph of Fig. 2b): they add
-    /// [`Self::step_term`] there.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch.
-    pub fn advance(&mut self, params: &[f32], grad: &[f32]) {
-        assert_eq!(params.len(), self.velocity.len(), "params length mismatch");
-        assert_eq!(grad.len(), self.velocity.len(), "grad length mismatch");
-        for ((v, &p), &g) in self.velocity.iter_mut().zip(params).zip(grad) {
-            *v = self.momentum * *v + g + self.weight_decay * p;
+    /// [`Self::step`] for protocols that apply the update to a
+    /// *different* vector than the `params` its gradient was taken at
+    /// (the parallel computation graph of Fig. 2b): the returned step,
+    /// handed to `hop_tensor::ops::scaled_sum`, advances the velocity by
+    /// `grad` and `params` and adds `-lr * v` to the Reduce's output in
+    /// the same sweep — per element, the expressions [`Self::step`]
+    /// rounds.
+    pub fn step_onto<'a>(&'a mut self, params: &'a [f32], grad: &'a [f32]) -> SgdStep<'a> {
+        SgdStep {
+            lr: self.lr,
+            momentum: self.momentum,
+            weight_decay: self.weight_decay,
+            grad,
+            params,
+            velocity: &mut self.velocity,
         }
-    }
-
-    /// The other half: adding `alpha * v` of the returned `(alpha, v)`,
-    /// `alpha = -lr`, to a parameter vector (`hop_tensor::ops::Tail`).
-    pub fn step_term(&self) -> (f32, &[f32]) {
-        (-self.lr, &self.velocity)
     }
 
     /// [`Self::step`] on a shared [`ParamBlock`]: copy-on-write, so
@@ -236,19 +233,19 @@ mod tests {
     }
 
     #[test]
-    fn advance_plus_step_term_is_step() {
+    fn step_onto_the_same_params_is_step() {
         let mut a = Sgd::new(0.2, 0.9, 0.01, 3);
         let mut b = a.clone();
         let mut p1 = vec![1.0f32, -2.0, 0.5];
         let p2 = p1.clone();
         let g = vec![0.3, -0.1, 0.0];
         a.step(&mut p1, &g);
-        b.advance(&p2, &g);
-        assert_eq!(a, b, "same velocity, parameters untouched");
-        let (alpha, v) = b.step_term();
-        for i in 0..3 {
-            assert_eq!(p2[i] + alpha * v[i], p1[i]);
-        }
+        // The Reduce of `p2` alone, `(0.0 + p2) * 1.0`, is `p2`.
+        let mut out = vec![f32::NAN; 3];
+        hop_tensor::ops::scaled_sum(&[&p2], None, 1.0, Some(b.step_onto(&p2, &g)), &mut out);
+        assert_eq!(a, b, "same velocity");
+        assert_eq!(p2, vec![1.0, -2.0, 0.5], "parameters untouched");
+        assert_eq!(out, p1);
     }
 
     #[test]

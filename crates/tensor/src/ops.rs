@@ -22,7 +22,11 @@
 //! composed `fill` + n × `axpy` + `scale` they replace (still the
 //! [`reference::scaled_sum`] oracle), without its n + 2 passes over the
 //! destination. The destination is written, never read, so callers hand
-//! it a buffer that was not zeroed first.
+//! it a buffer that was not zeroed first. A parallel-order Reduce ends
+//! with the SGD step in the same sweep ([`SgdStep`]): the velocity's
+//! advance and the Apply, each element's expressions those of the
+//! separate velocity pass and `axpy(-lr, v)` it replaces, so an
+//! iteration makes one full-length pass over its vectors, not three.
 //!
 //! The reductions ([`dot`] and the per-row dots inside [`gemv`])
 //! deliberately stay scalar-sequential: a vectorized reduction
@@ -94,44 +98,99 @@ pub fn mean_into(inputs: &[&[f32]], out: &mut [f32]) {
     scaled_sum(inputs, None, 1.0 / inputs.len() as f32, None, out);
 }
 
-/// A [`scaled_sum`]'s optional last term: `+ alpha * addend[i]`.
-pub type Tail<'a> = Option<(f32, &'a [f32])>;
+/// The SGD-with-momentum step a [`scaled_sum`] ends with: Fig. 2(b)'s
+/// Apply, where the step taken at `params` lands on the reduced
+/// parameters. Per element, the velocity advances,
+/// `v = (momentum * v + grad) + weight_decay * params`, and the sweep's
+/// output becomes `out + (-lr) * v`; each product and each sum is
+/// rounded on its own, in that order, as the scalar optimizer step
+/// rounds them.
+#[derive(Debug)]
+pub struct SgdStep<'a> {
+    /// Learning rate.
+    pub lr: f32,
+    /// Momentum factor.
+    pub momentum: f32,
+    /// L2 weight decay.
+    pub weight_decay: f32,
+    /// The gradient.
+    pub grad: &'a [f32],
+    /// The parameters the gradient was taken at.
+    pub params: &'a [f32],
+    /// The momentum velocity, advanced in place.
+    pub velocity: &'a mut [f32],
+}
+
+/// An [`SgdStep`]'s read-only half: what every chunk of a split sweep
+/// shares (the velocity is cut with the output).
+#[derive(Clone, Copy)]
+struct StepTerms<'a> {
+    neg_lr: f32,
+    momentum: f32,
+    weight_decay: f32,
+    grad: &'a [f32],
+    params: &'a [f32],
+}
+
+impl<'a> SgdStep<'a> {
+    fn into_parts(self) -> (StepTerms<'a>, &'a mut [f32]) {
+        let terms = StepTerms {
+            neg_lr: -self.lr,
+            momentum: self.momentum,
+            weight_decay: self.weight_decay,
+            grad: self.grad,
+            params: self.params,
+        };
+        (terms, self.velocity)
+    }
+}
 
 /// `out[i] = (0.0 + w_0 * x_0[i] + w_1 * x_1[i] + …) * factor` in one
 /// sweep, SIMD-dispatched; `weights: None` means every `w_j` is 1 (and
 /// the exact `1.0 * x` is skipped). The sum runs left to right per
-/// element, each product and each addition rounded on its own. A `tail`
-/// then adds `alpha * addend[i]`, product rounded before the sum: bit for
-/// bit the `axpy(alpha, addend, out)` pass it saves (Fig. 2b's Apply).
+/// element, each product and each addition rounded on its own. A `step`
+/// then advances its velocity and adds `(-lr) * v[i]` ([`SgdStep`]), bit
+/// for bit the velocity pass and the `axpy(-lr, v, out)` pass it saves.
 /// With `weights` and `factor = 1 / Σw` this is the bounded-staleness
 /// Reduce of Eq. (2). A long sweep is shared in chunks with a helper
 /// thread when a [`crate::sweep::Board`] is installed on this thread;
-/// each element is computed by the same expression either way.
+/// each element is computed by the same expressions either way.
 ///
 /// # Panics
 ///
-/// Panics if any input or the addend differs in length from `out`, or
-/// `weights` is given with a length other than `inputs.len()`.
+/// Panics if any input or any of the step's vectors differs in length
+/// from `out`, or `weights` is given with a length other than
+/// `inputs.len()`.
 pub fn scaled_sum(
     inputs: &[&[f32]],
     weights: Option<&[f32]>,
     factor: f32,
-    tail: Tail<'_>,
+    step: Option<SgdStep<'_>>,
     out: &mut [f32],
 ) {
-    check_scaled_sum(inputs, weights, tail, out.len());
+    check_scaled_sum(inputs, weights, step.as_ref(), out.len());
     let backend = Backend::host();
-    crate::sweep::split(out.len(), out, |range, out| {
+    let (terms, velocity) = step.map(SgdStep::into_parts).unzip();
+    crate::sweep::split(out.len(), (out, velocity), |range, (out, velocity)| {
+        let step = terms.zip(velocity);
         on_backend!(
             backend,
-            scaled_sum_body(inputs, weights, factor, tail, range.start, out)
+            scaled_sum_body(inputs, weights, factor, step, range.start, out)
         );
     });
 }
 
 /// [`scaled_sum`]'s shape checks, for an output of `len` elements.
-fn check_scaled_sum(inputs: &[&[f32]], weights: Option<&[f32]>, tail: Tail<'_>, len: usize) {
-    for x in inputs.iter().chain(tail.iter().map(|(_, addend)| addend)) {
+fn check_scaled_sum(
+    inputs: &[&[f32]],
+    weights: Option<&[f32]>,
+    step: Option<&SgdStep<'_>>,
+    len: usize,
+) {
+    let step = step
+        .into_iter()
+        .flat_map(|s| [s.grad, s.params, &*s.velocity]);
+    for x in inputs.iter().copied().chain(step) {
         assert_eq!(x.len(), len, "scaled_sum length mismatch");
     }
     if let Some(w) = weights {
@@ -216,11 +275,12 @@ impl Backend {
         inputs: &[&[f32]],
         weights: Option<&[f32]>,
         factor: f32,
-        tail: Tail<'_>,
+        step: Option<SgdStep<'_>>,
         out: &mut [f32],
     ) {
-        check_scaled_sum(inputs, weights, tail, out.len());
-        on_backend!(self, scaled_sum_body(inputs, weights, factor, tail, 0, out));
+        check_scaled_sum(inputs, weights, step.as_ref(), out.len());
+        let step = step.map(SgdStep::into_parts);
+        on_backend!(self, scaled_sum_body(inputs, weights, factor, step, 0, out));
     }
 
     /// [`axpy`] on this backend.
@@ -257,44 +317,63 @@ impl Backend {
     }
 }
 
-/// [`scaled_sum`] on `V`, writing `out[i]` from element `base + i` of the
-/// inputs and the addend (`base` is where a split sweep's chunk starts).
-/// Each lane starts at `0.0` and adds its inputs
-/// left to right (`w_j * x_j` rounded before the add), then `* factor`,
-/// then `+ alpha * addend`, the product rounded first: the scalar tail's
-/// expression, which is the composed reference's per-element order. Four
-/// accumulator chains per group hide the add latency without reordering
-/// any lane's sum, and cost one bounds check per input per 32 elements.
+/// [`scaled_sum`] on `V`, writing `out[i]` (and a step's `velocity[i]`)
+/// from element `base + i` of the inputs, the gradient and the parameters
+/// (`base` is where a split sweep's chunk starts). Each lane starts at
+/// `0.0` and adds its inputs left to right (`w_j * x_j` rounded before
+/// the add), then `* factor`; a step then computes
+/// `(momentum * v + grad) + weight_decay * params` into the velocity and
+/// adds `(-lr) * v`, every product rounded first: the scalar tail's
+/// expressions, which are the composed reference's per-element order.
+/// Four accumulator chains per group hide the add latency without
+/// reordering any lane's sum, and cost one bounds check per input per 32
+/// elements.
 #[inline(always)]
 fn scaled_sum_body<V: Lanes>(
     inputs: &[&[f32]],
     weights: Option<&[f32]>,
     factor: f32,
-    tail: Tail<'_>,
+    mut step: Option<(StepTerms<'_>, &mut [f32])>,
     base: usize,
     out: &mut [f32],
 ) {
     const CHAINS: usize = 4;
-    let (groups, rest) = out.as_chunks_mut::<{ CHAINS * LANES }>();
-    let done = groups.len() * CHAINS * LANES;
+    const GROUP: usize = CHAINS * LANES;
+    let (groups, rest) = out.as_chunks_mut::<GROUP>();
+    let done = groups.len() * GROUP;
     for (g, o) in groups.iter_mut().enumerate() {
-        let i = base + g * CHAINS * LANES;
+        let i = base + g * GROUP;
         let mut acc = [V::splat(0.0); CHAINS];
         for (j, x) in inputs.iter().enumerate() {
-            let x = x[i..i + CHAINS * LANES].as_chunks::<LANES>().0;
+            let x = x[i..i + GROUP].as_chunks::<LANES>().0;
             for (a, xx) in acc.iter_mut().zip(x) {
                 let v = V::load(xx);
                 *a = a.add(weights.map_or(v, |w| V::splat(w[j]).mul(v)));
             }
         }
-        let addend = tail.map(|(alpha, a)| (V::splat(alpha), &a[i..i + CHAINS * LANES]));
         let o = o.as_chunks_mut::<LANES>().0;
-        for (k, (a, oo)) in acc.into_iter().zip(o).enumerate() {
-            let r = a.mul(V::splat(factor));
-            match addend {
-                Some((va, aa)) => r.add(va.mul(V::load(&aa[k * LANES..]))).store(oo),
-                None => r.store(oo),
+        let r = acc.map(|a| a.mul(V::splat(factor)));
+        let Some((t, velocity)) = &mut step else {
+            for (r, oo) in r.into_iter().zip(o) {
+                r.store(oo);
             }
+            continue;
+        };
+        let grad = t.grad[i..i + GROUP].as_chunks::<LANES>().0;
+        let params = t.params[i..i + GROUP].as_chunks::<LANES>().0;
+        let vel = velocity[g * GROUP..(g + 1) * GROUP]
+            .as_chunks_mut::<LANES>()
+            .0;
+        let (m, wd, neg_lr) = (
+            V::splat(t.momentum),
+            V::splat(t.weight_decay),
+            V::splat(t.neg_lr),
+        );
+        for (k, (r, oo)) in r.into_iter().zip(o).enumerate() {
+            let v = m.mul(V::load(&vel[k])).add(V::load(&grad[k]));
+            let v = v.add(wd.mul(V::load(&params[k])));
+            v.store(&mut vel[k]);
+            r.add(neg_lr.mul(v)).store(oo);
         }
     }
     for (k, oi) in rest.iter_mut().enumerate() {
@@ -303,8 +382,12 @@ fn scaled_sum_body<V: Lanes>(
         for (j, x) in inputs.iter().enumerate() {
             acc += weights.map_or(x[i], |w| w[j] * x[i]);
         }
-        *oi = match tail {
-            Some((alpha, addend)) => acc * factor + alpha * addend[i],
+        *oi = match &mut step {
+            Some((t, velocity)) => {
+                let v = &mut velocity[done + k];
+                *v = t.momentum * *v + t.grad[i] + t.weight_decay * t.params[i];
+                acc * factor + t.neg_lr * *v
+            }
             None => acc * factor,
         };
     }
@@ -480,7 +563,8 @@ pub mod reference {
 
     /// The composed Reduce the one-sweep [`scaled_sum`](super::scaled_sum)
     /// replaced: zero-fill, one scalar `axpy` per input (weight 1 when
-    /// `weights` is `None`), one `scale` (and one more `axpy` for a tail).
+    /// `weights` is `None`), one `scale` (a step's velocity advance and
+    /// its `axpy(-lr, v)` follow it).
     ///
     /// # Panics
     ///

@@ -370,6 +370,12 @@ impl Cut for () {
     }
 }
 
+impl<A: Cut> Cut for Option<A> {
+    fn cut(self, mid: usize) -> (Self, Self) {
+        self.map(|a| a.cut(mid)).unzip()
+    }
+}
+
 impl<A: Cut, B: Cut> Cut for (A, B) {
     fn cut(self, mid: usize) -> (Self, Self) {
         let ((a0, a1), (b0, b1)) = (self.0.cut(mid), self.1.cut(mid));

@@ -8,10 +8,12 @@
 //! across the remainder boundary (lengths that are not lane multiples).
 //! Lengths 0–67 cover empty, sub-lane, exact-multiple and remainder
 //! cases. The same holds for the fused kernels — the one-sweep
-//! `scaled_sum` behind both Reduce flavours, and the int8 stream-step
+//! `scaled_sum` behind both Reduce flavours, with and without the SGD
+//! step it ends a parallel-order Reduce with, and the int8 stream-step
 //! kernels in `compress::kernels` — against the composed sequences they
-//! replaced (`ops::reference::scaled_sum`, `compress::reference`), on
-//! inputs that include NaN, ±inf, ±0.0 and subnormals.
+//! replaced (`ops::reference::scaled_sum` and the scalar velocity pass,
+//! `compress::reference`), on inputs that include NaN, ±inf, ±0.0 and
+//! subnormals.
 
 use hop_tensor::compress::reference as composed;
 use hop_tensor::ops::simd::Backend;
@@ -298,21 +300,66 @@ fn elementwise_kernels_are_bit_identical_up_to_67() {
     }
 }
 
-/// The parallel-order Apply as it ran before it was folded into the
-/// Reduce sweep, kept alive as this file's oracle: `Sgd::delta`'s
-/// `d = -lr * v` into a buffer of its own, then `apply_parallel`'s
-/// `axpy(1.0, d, reduced)`.
-fn composed_apply(lr: f32, velocity: &[f32], reduced: &mut [f32]) {
-    let delta: Vec<f32> = velocity.iter().map(|v| -lr * v).collect();
-    ops::reference::axpy(1.0, &delta, reduced);
+/// The parallel-order SGD step as it ran before it was folded into the
+/// Reduce sweep, kept alive as this file's oracle: the optimizer's
+/// velocity advance, `v = momentum * v + g + weight_decay * p`, over the
+/// whole vector, then `axpy(-lr, v, reduced)`.
+fn composed_step(step: &Step, velocity: &mut [f32], reduced: &mut [f32]) {
+    for ((v, g), p) in velocity.iter_mut().zip(&step.grad).zip(&step.params) {
+        *v = step.momentum * *v + g + step.weight_decay * p;
+    }
+    ops::reference::axpy(-step.lr, velocity, reduced);
+}
+
+/// An [`ops::SgdStep`]'s inputs, owned.
+struct Step {
+    lr: f32,
+    momentum: f32,
+    weight_decay: f32,
+    grad: Vec<f32>,
+    params: Vec<f32>,
+    velocity: Vec<f32>,
+}
+
+impl Step {
+    /// The step's vectors at `len`, ordinary or hostile by `seed`, with
+    /// inexact scalars: a fused multiply-add, or two of them swapped,
+    /// would show.
+    fn new(seed: u64, len: usize) -> Self {
+        let draw = |k: u64| match (seed + k) % 3 {
+            0 => hostile(seed * 13 + k, len),
+            _ => values(seed * 11 + k, len),
+        };
+        Step {
+            lr: 0.1,
+            momentum: 0.9,
+            weight_decay: 1e-7,
+            grad: draw(1),
+            params: draw(2),
+            velocity: draw(3),
+        }
+    }
+
+    /// The kernel's view, advancing `velocity`.
+    fn view<'a>(&'a self, velocity: &'a mut [f32]) -> ops::SgdStep<'a> {
+        ops::SgdStep {
+            lr: self.lr,
+            momentum: self.momentum,
+            weight_decay: self.weight_decay,
+            grad: &self.grad,
+            params: &self.params,
+            velocity,
+        }
+    }
 }
 
 /// Exhaustive 0..=67 sweep for the one-sweep Reduce kernel: dispatch and
 /// every backend against the composed `fill` + `axpy`… + `scale` (the
 /// scalar `mean_into`, and Eq. 2's weighted Reduce), with and without weights,
 /// on hostile inputs, into a destination holding junk (the kernel must
-/// not read it) — and, with the `(-lr, velocity)` tail, against that
-/// followed by [`composed_apply`], on ordinary and hostile velocities.
+/// not read it) — and, with the fused SGD step, against that followed by
+/// [`composed_step`], on ordinary and hostile gradients, parameters and
+/// velocities: the same output and the same advanced velocity.
 #[test]
 fn scaled_sum_backends_match_the_composed_reduce_up_to_67() {
     for len in 0..=67usize {
@@ -328,28 +375,33 @@ fn scaled_sum_backends_match_the_composed_reduce_up_to_67() {
             let mut weights = values(len as u64 + 77, n_inputs);
             weights[0] = 1.0 / 3.0;
             let factor = 1.0 / weights.iter().sum::<f32>();
-            // Inexact too, and unlike `factor`: swapping the two shows.
-            let lr = 0.1f32;
-            let velocity = match (len + n_inputs) % 2 {
-                0 => hostile((len * 13 + n_inputs) as u64 + 3, len),
-                _ => values((len * 11 + n_inputs) as u64 + 7, len),
-            };
+            let step = Step::new((len * 7 + n_inputs) as u64, len);
             for w in [None, Some(weights.as_slice())] {
-                for tail in [None, Some((-lr, velocity.as_slice()))] {
+                for stepped in [false, true] {
                     let mut expect = vec![f32::NAN; len];
+                    let mut v_expect = step.velocity.clone();
                     ops::reference::scaled_sum(&views, w, factor, &mut expect);
-                    if tail.is_some() {
-                        composed_apply(lr, &velocity, &mut expect);
+                    if stepped {
+                        composed_step(&step, &mut v_expect, &mut expect);
                     }
                     for (name, backend) in backends() {
                         let mut out = vec![-7.5f32; len];
-                        backend.scaled_sum(&views, w, factor, tail, &mut out);
+                        let mut velocity = step.velocity.clone();
+                        let s = stepped.then(|| step.view(&mut velocity));
+                        backend.scaled_sum(&views, w, factor, s, &mut out);
+                        let at = format!(
+                            "{name} len {len} inputs {n_inputs} weighted {} step {stepped}",
+                            w.is_some()
+                        );
                         assert_eq!(
                             bits_nan_folded(&out),
                             bits_nan_folded(&expect),
-                            "scaled_sum/{name} len {len} inputs {n_inputs} weighted {} tail {}",
-                            w.is_some(),
-                            tail.is_some()
+                            "scaled_sum/{at}"
+                        );
+                        assert_eq!(
+                            bits_nan_folded(&velocity),
+                            bits_nan_folded(&v_expect),
+                            "velocity/{at}"
                         );
                     }
                 }

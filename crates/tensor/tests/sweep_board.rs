@@ -1,7 +1,8 @@
 //! The sweep board (`hop_tensor::sweep`) against the serial kernels.
 //!
 //! Each kernel that splits on an installed board — `ops::scaled_sum`
-//! (and `mean_into`), `compress::kernels::max_abs_sum`,
+//! (with its SGD step's second output, the velocity, and `mean_into`),
+//! `compress::kernels::max_abs_sum`,
 //! `quantize_feedback` and `quantize_advance` — must give the bits of
 //! the explicit `Backend::host()` method, which never splits, whichever
 //! thread ran which chunk: with a helper thread polling the board, with
@@ -96,6 +97,49 @@ fn on_board<R>(board: &Arc<Board>, helpers: usize, f: impl FnOnce() -> R) -> R {
     })
 }
 
+/// The SGD step over `(grad, params, velocity)`, advancing `velocity`
+/// (which starts as a copy of the third).
+fn sgd<'a>(step: Option<[&'a [f32]; 3]>, velocity: &'a mut [f32]) -> Option<ops::SgdStep<'a>> {
+    step.map(|[grad, params, _]| ops::SgdStep {
+        lr: 0.1,
+        momentum: 0.9,
+        weight_decay: 1e-7,
+        grad,
+        params,
+        velocity,
+    })
+}
+
+/// One `scaled_sum` of `views` into `len` elements, through the free
+/// function (split if a board is installed here) and through
+/// `Backend::host()`, which never splits, with the SGD step over `step`'s
+/// `(grad, params, velocity)` if given: the split sweep cuts the output
+/// and the velocity at the same points, and both must carry the serial
+/// bits.
+fn check_scaled_sum(
+    len: usize,
+    views: &[&[f32]],
+    weights: Option<&[f32]>,
+    factor: f32,
+    step: Option<[&[f32]; 3]>,
+    label: &str,
+) {
+    let host = Backend::host();
+    let (mut split, mut serial) = (vec![7.0; len], vec![-7.0; len]);
+    let velocity = step.map_or(&[][..], |[_, _, v]| v);
+    let (mut v_split, mut v_serial) = (velocity.to_vec(), velocity.to_vec());
+    ops::scaled_sum(views, weights, factor, sgd(step, &mut v_split), &mut split);
+    host.scaled_sum(
+        views,
+        weights,
+        factor,
+        sgd(step, &mut v_serial),
+        &mut serial,
+    );
+    assert_eq!(bits(&split), bits(&serial), "scaled_sum, {label}");
+    assert_eq!(bits(&v_split), bits(&v_serial), "velocity, {label}");
+}
+
 /// Every split kernel at `len` on hostile inputs drawn from `rng`,
 /// through the free functions (split if a board is installed here)
 /// against `Backend::host()`; `inputs` is `scaled_sum`'s input count.
@@ -106,13 +150,12 @@ fn check_kernels(rng: &mut Stream, len: usize, inputs: usize) {
     let views: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
     let weights: Vec<f32> = rng.hostile(inputs);
     let addend = rng.hostile(len);
+    let (params, velocity) = (rng.hostile(len), rng.hostile(len));
+    let sgd = [addend.as_slice(), &params, &velocity];
     for weighted in [false, true] {
-        for tail in [None, Some((-0.25, addend.as_slice()))] {
+        for step in [None, Some(sgd)] {
             let w = weighted.then_some(weights.as_slice());
-            let (mut split, mut serial) = (vec![7.0; len], vec![-7.0; len]);
-            ops::scaled_sum(&views, w, 0.3, tail, &mut split);
-            host.scaled_sum(&views, w, 0.3, tail, &mut serial);
-            assert_eq!(bits(&split), bits(&serial), "scaled_sum, {label}");
+            check_scaled_sum(len, &views, w, 0.3, step, &label);
         }
     }
     let (mut split, mut serial) = (vec![0.0; len], vec![1.0; len]);
@@ -203,7 +246,7 @@ fn a_hundred_thousand_tiny_sweeps_never_run_a_stale_claim() {
     const SWEEPS: usize = 100_000;
     let board = Arc::new(Board::with_chunk(64));
     let mut rng = Stream(0x5EED_0003);
-    let (x, y) = (rng.hostile(2048), rng.hostile(2048));
+    let (x, y, z) = (rng.hostile(2048), rng.hostile(2048), rng.hostile(2048));
     let host = Backend::host();
     on_board(&board, 3, || {
         let (mut split, mut serial) = (vec![0.0; 2048], vec![0.0; 2048]);
@@ -211,7 +254,7 @@ fn a_hundred_thousand_tiny_sweeps_never_run_a_stale_claim() {
         for sweep in 0..SWEEPS {
             let len = 128 + rng.below(2048 - 128 + 1);
             let at = rng.below(2048 - len + 1);
-            let (x, y) = (&x[at..at + len], &y[at..at + len]);
+            let (x, y, z) = (&x[at..at + len], &y[at..at + len], &z[at..at + len]);
             let factor = 1.0 + sweep as f32 / SWEEPS as f32;
             let (out, expected) = (&mut split[..len], &mut serial[..len]);
             let (q, q_expected) = (&mut q_split[..len], &mut q_serial[..len]);
@@ -237,8 +280,9 @@ fn a_hundred_thousand_tiny_sweeps_never_run_a_stale_claim() {
                     host.quantize_advance(x, factor, y, expected, q_expected);
                 }
                 _ => {
-                    ops::scaled_sum(&[y], Some(&[factor]), 0.5, Some((2.0, x)), out);
-                    host.scaled_sum(&[y], Some(&[factor]), 0.5, Some((2.0, x)), expected);
+                    let label = format!("sweep {sweep}, len {len}");
+                    check_scaled_sum(len, &[y], Some(&[factor]), 0.5, Some([x, y, z]), &label);
+                    continue;
                 }
             }
             assert_eq!(bits(out), bits(expected), "sweep {sweep}, len {len}");
@@ -246,6 +290,30 @@ fn a_hundred_thousand_tiny_sweeps_never_run_a_stale_claim() {
         }
     });
     assert!(board.chunks_helped() > 0, "the helper never ran a chunk");
+}
+
+#[test]
+fn the_fused_step_splits_its_output_and_velocity_beside_a_helper() {
+    // Chunks of 64: a sweep of 128 to 2 048 elements cuts both of its
+    // outputs into 2 to 32 pieces, which either thread may run; a piece
+    // of the velocity cut off from its piece of the output would leave
+    // one of them unwritten or advance the velocity twice.
+    let board = Arc::new(Board::with_chunk(64));
+    let mut rng = Stream(0x5EED_0005);
+    on_board(&board, 1, || {
+        for sweep in 0..2_000 {
+            let len = 1 + rng.below(2048);
+            let inputs = 1 + sweep % 5;
+            let xs: Vec<Vec<f32>> = (0..inputs).map(|_| rng.hostile(len)).collect();
+            let views: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
+            let weights = rng.hostile(inputs);
+            let w = (sweep % 2 == 1).then_some(weights.as_slice());
+            let (grad, params, velocity) = (rng.hostile(len), rng.hostile(len), rng.hostile(len));
+            let step = Some([grad.as_slice(), &params, &velocity]);
+            let label = format!("sweep {sweep}, len {len}, {inputs} inputs");
+            check_scaled_sum(len, &views, w, 1.0 / 3.0, step, &label);
+        }
+    });
 }
 
 #[test]
