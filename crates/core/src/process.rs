@@ -107,7 +107,7 @@ use hop_model::Model;
 use hop_queue::tagged::{Tag, TaggedEntry};
 use hop_sim::FaultPlan;
 use hop_tensor::{BufferPool, CompressedBlock, CompressionConfig, ParamBlock};
-use hop_wire::{read_message, write_message, Body, Message, WireError};
+use hop_wire::{read_message, write_message, Body, Frame, Message, WireError};
 use std::fmt::Write as _;
 use std::fs::DirBuilder;
 use std::io::{self, ErrorKind, Read as _, Write as _};
@@ -795,8 +795,8 @@ enum Inbound {
     /// through this worker's mirror of `u`'s reference stream.
     Updates {
         plane: CompressionPlane,
-        /// The mirror's buffers: a reconstruction the worker has consumed
-        /// and dropped is the next one's storage.
+        /// The mirror's buffers, and a dense update's: a block the worker
+        /// has consumed and dropped is the next one's storage.
         pool: BufferPool,
     },
 }
@@ -814,6 +814,9 @@ struct Link {
     /// Bytes read so far; `read[decoded..filled]` is not a whole frame
     /// yet.
     read: Vec<u8>,
+    /// The block of the last update frame read, kept so that the next
+    /// one decodes into its buffers.
+    block: CompressedBlock,
     decoded: usize,
     filled: usize,
     /// Frame bytes the ring has not taken yet, from `out[sent..]`.
@@ -848,6 +851,7 @@ impl Link {
             rings,
             inbound,
             read: Vec::new(),
+            block: CompressedBlock::default(),
             decoded: 0,
             filled: 0,
             out: Vec::new(),
@@ -1054,10 +1058,11 @@ impl<'a> RingTransport<'a> {
             Ok(_) => {
                 while self.links[i].reading() {
                     let link = &mut self.links[i];
-                    match hop_wire::next_frame(&link.read[link.decoded..link.filled]) {
-                        Ok(Some((msg, used))) => {
+                    let unread = &link.read[link.decoded..link.filled];
+                    match hop_wire::next_frame(unread, &mut link.block) {
+                        Ok(Some((frame, used))) => {
                             link.decoded += used;
-                            if let Err(why) = self.take(inbox, i, msg) {
+                            if let Err(why) = self.take(inbox, i, frame) {
                                 self.fail(i, why);
                             }
                         }
@@ -1114,29 +1119,23 @@ impl<'a> RingTransport<'a> {
     /// counts, max-merging the Lamport clock it carries. Fails closed on a
     /// frame the link may not carry: a mistyped, mis-sized or
     /// misattributed update, or a grant without token queues.
-    fn take(&mut self, inbox: &mut Inbox, i: usize, msg: Message) -> Result<(), String> {
+    fn take(&mut self, inbox: &mut Inbox, i: usize, frame: Frame) -> Result<(), String> {
         let Self {
             links, clock, dim, ..
         } = self;
         let link = &mut links[i];
         let u = link.peer;
-        match (msg, &mut link.inbound) {
-            (Message::Finished { .. }, _) => link.finished = true,
-            (Message::Token { count, clock: c }, Inbound::Tokens) => {
+        let block = &mut link.block;
+        match (frame, &mut link.inbound) {
+            (Frame::Other(Message::Finished { .. }), _) => link.finished = true,
+            (Frame::Other(Message::Token { count, clock: c }), Inbound::Tokens) => {
                 let queue = inbox.tokens.get_mut(i).ok_or_else(|| {
                     format!("worker {u} granted tokens but the config has no token queues")
                 })?;
                 clock.fetch_max(c, Ordering::SeqCst);
                 *queue += count;
             }
-            (
-                Message::Update {
-                    tag,
-                    clock: c,
-                    block,
-                },
-                Inbound::Updates { plane, pool },
-            ) => {
+            (Frame::Update { tag, clock: c }, Inbound::Updates { plane, pool }) => {
                 if tag.w_id != u {
                     return Err(format!(
                         "update tagged from worker {}, expected {u}",
@@ -1144,7 +1143,7 @@ impl<'a> RingTransport<'a> {
                     ));
                 }
                 let kind_ok = matches!(
-                    (plane.config(), &block),
+                    (plane.config(), &*block),
                     (CompressionConfig::Identity, CompressedBlock::Dense { .. })
                         | (
                             CompressionConfig::TopK { .. },
@@ -1162,17 +1161,35 @@ impl<'a> RingTransport<'a> {
                     ));
                 }
                 let update = match block {
-                    CompressedBlock::Dense { values } => ParamBlock::from_vec(values),
-                    block => plane.apply_params_block(0, &block, pool),
+                    // The values move into the update, and the block takes
+                    // a buffer from the pool for the next frame; the pool
+                    // keeps the update's buffer until the worker lets go.
+                    CompressedBlock::Dense { values } => {
+                        let update =
+                            ParamBlock::from_vec(std::mem::replace(values, pool.acquire_stale(0)));
+                        let received = update.snapshot();
+                        pool.retire(update);
+                        received
+                    }
+                    block => plane.apply_params_block(0, block, pool),
                 };
                 clock.fetch_max(c, Ordering::SeqCst);
                 inbox.updates.push(TaggedEntry { value: update, tag });
             }
-            (other, Inbound::Tokens) => {
-                return Err(format!("unexpected {other:?} on a token link"));
-            }
-            (other, Inbound::Updates { .. }) => {
-                return Err(format!("unexpected {other:?} on an update link"));
+            (frame, inbound) => {
+                let other = match frame {
+                    Frame::Update { tag, clock } => Message::Update {
+                        tag,
+                        clock,
+                        block: block.clone(),
+                    },
+                    Frame::Other(msg) => msg,
+                };
+                let carries = match inbound {
+                    Inbound::Tokens => "a token link",
+                    Inbound::Updates { .. } => "an update link",
+                };
+                return Err(format!("unexpected {other:?} on {carries}"));
             }
         }
         Ok(())

@@ -14,17 +14,21 @@
 //!   compared as `f32::total_cmp` does, ties broken by the lower index —
 //!   so the kept set is a pure function of the input. The order is
 //!   realised on the magnitude *bits* (`to_bits() & 0x7FFF_FFFF`, which
-//!   sorts exactly like `total_cmp` on `|v|`): one branch-free SIMD scan
-//!   left-packs the candidates at or above a *floor* key (computing a
-//!   parameter stream's delta as it reads, [`kernels`]), a `select_nth`
-//!   among those alone finds the threshold, and one ascending gather
-//!   emits the entries above it (plus the lowest-index ties) already in
-//!   canonical wire order — no index permutation, no indirect
-//!   comparator, no sort. The floor is the stream's own, kept from its
-//!   previous encode ([`SelectionHint`]); only when it admits fewer than
-//!   `k` entries does a histogram over the keys' top 12 bits find the
-//!   bucket holding the k-th largest and the scan run again from that
-//!   bucket's floor. Either way the kept set is the same.
+//!   sorts exactly like `total_cmp` on `|v|`): one SIMD scan left-packs
+//!   the candidates at or above a *floor* key (computing a parameter
+//!   stream's delta as it reads, and packing only the groups of eight
+//!   that hold a candidate, [`kernels`]); a histogram of the candidates'
+//!   keys finds the bucket holding the k-th largest and a `select_nth`
+//!   among that bucket's keys alone the threshold; and one ascending,
+//!   branch-free pass emits the entries above it (plus the lowest-index
+//!   ties) already in canonical wire order — no index permutation, no
+//!   indirect comparator, no sort. The floor is the stream's own, kept
+//!   from its previous encode ([`SelectionHint`]); only when it admits
+//!   fewer than `k` entries does a histogram over the keys' top 12 bits
+//!   find the bucket holding the k-th largest and the scan run again
+//!   from that bucket's floor. Either way the kept set is the same. A
+//!   block with fewer than `k` nonzero entries keeps all of them and
+//!   its lowest-index zeros, and selects nothing.
 //! * [`Int8Uniform`] — per-block uniform quantization to `i8` at
 //!   `scale = max|v| / 127`, rounding half to even
 //!   (`f32::round_ties_even`). The reconstruction error of each entry is
@@ -45,7 +49,11 @@
 //!   its receivers hold, encodes `params - reference`, and advances the
 //!   reference by exactly what the block decodes to;
 //!   [`ParamStream::apply`] is the receiving half. The reference *is*
-//!   the error feedback here, so no residual is involved.
+//!   the error feedback here, so no residual is involved. A top-k step
+//!   touches only its `k` kept entries of the reference, in place while
+//!   no receiver holds it; a held one is first copied into a buffer from
+//!   the caller's [`BufferPool`] by the candidate scan, which reads
+//!   every entry of it anyway.
 //!
 //! Both are single fused passes per arithmetic stage, bit-identical to
 //! the composed sweep-per-step sequences in [`mod@reference`] (pinned by
@@ -53,8 +61,8 @@
 //! subnormals included, and by the golden digests in
 //! `tests/engine_smoke.rs`). Nothing on the hot path allocates after
 //! warm-up: the output [`CompressedBlock`], the residual and the top-k
-//! scratch keep their capacity, and a stream's next reference comes from
-//! the caller's [`BufferPool`].
+//! scratch keep their capacity, and a stream's next reference is its
+//! current one or comes from the caller's [`BufferPool`].
 
 use crate::ops;
 use crate::ops::simd::Backend;
@@ -210,8 +218,9 @@ impl CompressedBlock {
         }
     }
 
-    /// Reuses (or installs) the dense variant, returning its buffer.
-    fn make_dense(&mut self) -> &mut Vec<f32> {
+    /// Reuses (or installs) the dense variant, returning its buffer: a
+    /// decoder refilling one block keeps its capacity.
+    pub fn make_dense(&mut self) -> &mut Vec<f32> {
         if !matches!(self, CompressedBlock::Dense { .. }) {
             *self = CompressedBlock::Dense { values: Vec::new() };
         }
@@ -221,8 +230,9 @@ impl CompressedBlock {
         }
     }
 
-    /// Reuses (or installs) the sparse variant, returning its buffers.
-    fn make_sparse(&mut self, new_len: u32) -> (&mut Vec<u32>, &mut Vec<f32>) {
+    /// Reuses (or installs) the sparse variant with decoded length
+    /// `new_len`, returning its index and value buffers.
+    pub fn make_sparse(&mut self, new_len: u32) -> (&mut Vec<u32>, &mut Vec<f32>) {
         if !matches!(self, CompressedBlock::Sparse { .. }) {
             *self = CompressedBlock::Sparse {
                 len: 0,
@@ -243,8 +253,9 @@ impl CompressedBlock {
         }
     }
 
-    /// Reuses (or installs) the quantized variant, returning its buffer.
-    fn make_quantized(&mut self, new_scale: f32) -> &mut Vec<i8> {
+    /// Reuses (or installs) the quantized variant with step `new_scale`,
+    /// returning its buffer.
+    pub fn make_quantized(&mut self, new_scale: f32) -> &mut Vec<i8> {
         if !matches!(self, CompressedBlock::Quantized { .. }) {
             *self = CompressedBlock::Quantized {
                 scale: 0.0,
@@ -304,10 +315,11 @@ impl ErrorFeedback {
 /// [`ParamStream::apply`]; fed the same blocks in the same order the two
 /// stay bit-identical.
 ///
-/// The reference is a [`ParamBlock`], replaced (never mutated) on every
-/// step, so [`Self::reference`]`.snapshot()` is the message to ship and
-/// the step writes the next reference straight into a recycled buffer
-/// instead of updating in place and copying out.
+/// The reference is a [`ParamBlock`], so [`Self::reference`]`.snapshot()`
+/// is the message to ship. A step never writes a block a receiver still
+/// holds: it updates the reference in place when no snapshot of it is
+/// alive, and otherwise writes the next reference into a recycled buffer
+/// from the caller's [`BufferPool`].
 ///
 /// Invariant: the reference never holds `-0.0`. [`Self::new`]
 /// establishes it and every advance preserves it (`a + b` is `-0.0`
@@ -358,37 +370,73 @@ impl ParamStream {
     /// Panics if the block's decoded length differs from the stream's,
     /// or on a dense block (identity messages need no stream).
     pub fn apply(&mut self, block: &CompressedBlock, pool: &mut BufferPool) {
-        let old = self.reference.as_slice();
-        assert_eq!(
-            block.decoded_len(),
-            old.len(),
-            "block sized for another stream"
-        );
+        let len = self.reference.len();
+        assert_eq!(block.decoded_len(), len, "block sized for another stream");
+        // Each arm writes in place when no snapshot of the reference is
+        // alive, else into another buffer; an entry gets the same
+        // expression either way.
         match block {
             CompressedBlock::Dense { .. } => panic!("a dense block is not a stream step"),
             CompressedBlock::Sparse {
                 indices, values, ..
-            } => self.advance_sparse(indices, values, pool),
-            CompressedBlock::Quantized { scale, values } => {
-                let mut next = pool.acquire_stale(old.len());
-                for ((n, &o), &q) in next.iter_mut().zip(old).zip(values) {
-                    *n = o + q as f32 * scale;
+            } => {
+                let mut next = self.next_sparse(pool);
+                if let Some(next) = &mut next {
+                    next.copy_from_slice(&self.reference);
                 }
-                self.replace(next, pool);
+                self.advance_sparse(next, indices, values, pool);
+            }
+            CompressedBlock::Quantized { scale, values } => {
+                let step = |o: f32, q: i8| o + q as f32 * scale;
+                match self.reference.unique_mut() {
+                    Some(reference) => {
+                        for (o, &q) in reference.iter_mut().zip(values) {
+                            *o = step(*o, q);
+                        }
+                    }
+                    None => {
+                        let mut next = pool.acquire_stale(len);
+                        for ((n, &o), &q) in next.iter_mut().zip(&*self.reference).zip(values) {
+                            *n = step(o, q);
+                        }
+                        self.replace(next, pool);
+                    }
+                }
             }
         }
     }
 
-    /// Advances the reference by a sparse block: each kept `(i, v)`
-    /// moves entry `i` by `v`, the rest stay put (exact because of the
-    /// type's invariant).
-    fn advance_sparse(&mut self, indices: &[u32], values: &[f32], pool: &mut BufferPool) {
-        let mut next = pool.acquire_stale(self.reference.len());
-        next.copy_from_slice(&self.reference);
-        for (&i, &v) in indices.iter().zip(values) {
-            next[i as usize] += v;
+    /// Where the next sparse step writes: `None` for in place, when no
+    /// snapshot of the reference is alive; else a buffer from `pool`
+    /// that the caller fills with the reference.
+    fn next_sparse(&self, pool: &mut BufferPool) -> Option<Vec<f32>> {
+        let shared = self.reference.strong_count() > 1;
+        shared.then(|| pool.acquire_stale(self.reference.len()))
+    }
+
+    /// Advances the reference by a sparse step, in place or in `next`,
+    /// a copy of it from [`Self::next_sparse`].
+    fn advance_sparse(
+        &mut self,
+        next: Option<Vec<f32>>,
+        indices: &[u32],
+        values: &[f32],
+        pool: &mut BufferPool,
+    ) {
+        match next {
+            None => {
+                let reference = self.reference.unique_mut();
+                add_kept(
+                    reference.expect("no holder appears meanwhile"),
+                    indices,
+                    values,
+                );
+            }
+            Some(mut next) => {
+                add_kept(&mut next, indices, values);
+                self.replace(next, pool);
+            }
         }
-        self.replace(next, pool);
     }
 
     /// Installs `next` as the reference and retires the previous one to
@@ -401,6 +449,15 @@ impl ParamStream {
             &mut self.reference,
             ParamBlock::from_vec(next),
         ));
+    }
+}
+
+/// Advances a reference by a sparse block: each kept `(i, v)` moves entry
+/// `i` by `v`, the rest stay put (exact because of [`ParamStream`]'s
+/// invariant).
+fn add_kept(reference: &mut [f32], indices: &[u32], values: &[f32]) {
+    for (&i, &v) in indices.iter().zip(values) {
+        reference[i as usize] += v;
     }
 }
 
@@ -466,9 +523,9 @@ impl Compressor for Identity {
 #[derive(Debug, Clone)]
 pub struct TopK {
     ratio: f32,
-    /// Scratch reused across encodes: the magnitude sub-histograms, the
-    /// candidates' keys and positions (in index order), and a copy of the
-    /// keys for `select_nth` to permute.
+    /// Scratch reused across encodes: the magnitude histograms, the
+    /// candidates' keys and positions (in index order), and the keys of
+    /// the histogram bucket `select_nth` permutes.
     histogram: Vec<u32>,
     keys: Vec<u32>,
     positions: Vec<u32>,
@@ -486,6 +543,9 @@ fn magnitude_key(v: f32) -> u32 {
 /// and four mantissa bits, 4096 buckets.
 const BUCKET_SHIFT: u32 = 19;
 const BUCKETS: usize = 1 << (31 - BUCKET_SHIFT);
+
+/// Buckets of the histogram that ranks a selection's candidates.
+const RANK_BUCKETS: usize = 1024;
 
 /// Counters per bucket, one per input position modulo 4. A block's keys
 /// crowd into a few buckets, and consecutive `+= 1` on one counter wait
@@ -552,9 +612,10 @@ impl SelectionHint {
         self.histogram_passes
     }
 
-    /// Entries the selections' scans admitted, summed: what `select_nth`
-    /// ran on (an encode that keeps the whole block scans nothing). A
-    /// floor decides it; the block never depends on it.
+    /// Entries the selections' floors admitted, summed: what the
+    /// threshold search ran on (an encode that keeps the whole block
+    /// scans nothing; a floor of zero admits the whole block). A floor
+    /// decides it; the block never depends on it.
     pub fn candidates(&self) -> u64 {
         self.candidates
     }
@@ -593,15 +654,16 @@ impl TopK {
 
     /// Gathers into `self.keys` / `self.positions`, in index order, the
     /// entries of `source` whose key is at least `floor`; returns how
-    /// many. One branch-free pass ([`Backend::topk_candidates`]) that
-    /// computes a parameter stream's delta as it reads, so no delta is
-    /// written.
-    fn scan(&mut self, source: ScanSource<'_>, floor: u32) -> usize {
+    /// many. One pass ([`Backend::topk_candidates`]) that computes a
+    /// parameter stream's delta as it reads, so no delta is written, and
+    /// copies the delta's reference into `copy` if given.
+    fn scan(&mut self, source: ScanSource<'_>, floor: u32, copy: Option<&mut [f32]>) -> usize {
         if self.keys.len() < source.len() {
             self.keys.resize(source.len(), 0);
             self.positions.resize(source.len(), 0);
         }
-        Backend::host().topk_candidates(source, floor, &mut self.keys, &mut self.positions)
+        let (keys, positions) = (&mut self.keys, &mut self.positions);
+        Backend::host().topk_candidates(source, floor, keys, positions, copy)
     }
 
     /// The floor of the histogram bucket that holds `source`'s `k`-th
@@ -627,50 +689,57 @@ impl TopK {
     /// Writes into `indices`, ascending, the `k` positions of `source`
     /// that come first in the total order (larger magnitude, then lower
     /// index). `k <= source.len()`. `hint` is the encoded stream's: it
-    /// decides which passes run, never which positions come out.
+    /// decides which passes run, never which positions come out. `copy`
+    /// (a delta's only) receives the delta's reference.
     fn select(
         &mut self,
         source: ScanSource<'_>,
         k: usize,
         hint: &mut SelectionHint,
         indices: &mut Vec<u32>,
+        copy: Option<&mut [f32]>,
     ) {
         indices.clear();
         hint.encodes += 1;
         let len = source.len();
         if k == len {
+            if let (Some(copy), ScanSource::Delta { reference, .. }) = (copy, source) {
+                copy.copy_from_slice(reference);
+            }
             indices.extend(0..k as u32);
             return;
         }
         // Candidates at or above the stream's last floor. Fewer than `k`
         // (always, without a floor) is a miss, and only then is the
         // histogram worth a sweep: accepting a short scan would drop
-        // entries that belong in the block.
+        // entries that belong in the block. The first scan has made the
+        // copy; the second reads the same reference. A floor of zero
+        // admits the whole block, so its scan collects only the nonzero
+        // entries (from `admit`, key 1): when there are fewer than `k`,
+        // the block is all of them and the lowest-index zeros.
         let mut floor = hint.floor;
-        let mut count = self.scan(source, floor);
-        if count < k {
+        let mut count = self.scan(source, floor.max(1), copy);
+        if count < k && floor != 0 {
             floor = self.histogram_floor(source, k);
             hint.histogram_passes += 1;
-            count = self.scan(source, floor);
+            count = self.scan(source, floor.max(1), None);
         }
-        debug_assert!(count >= k);
-        hint.candidates += count as u64;
-        let (keys, positions) = (&self.keys[..count], &self.positions[..count]);
+        hint.candidates += if floor == 0 { len } else { count } as u64;
+        if count < k {
+            self.keep_zeros(count, k, indices);
+            hint.floor = 0;
+            return;
+        }
+        let admit = floor.max(1);
 
         // The threshold is the k-th largest key; every key above it is
-        // kept, and so are the lowest-index `ties` entries equal to it.
-        self.ranked.clear();
-        self.ranked.extend_from_slice(keys);
-        let (greater, &mut threshold, smaller) =
-            self.ranked.select_nth_unstable_by(k - 1, |a, b| b.cmp(a));
-        let mut ties = k - greater.iter().filter(|&&key| key > threshold).count();
-        for (&key, &i) in keys.iter().zip(positions) {
-            if key > threshold || (key == threshold && ties > 0) {
-                ties -= usize::from(key == threshold);
-                indices.push(i);
-            }
-        }
-        debug_assert_eq!(indices.len(), k);
+        // kept, and so are the lowest-index `k - greater` entries equal
+        // to it.
+        let shift = self.rank_histogram(count, admit);
+        let (threshold, greater, equal) = self.kth_largest(count, admit, shift, k);
+        let kept = self.emit(count, threshold, k - greater, equal);
+        debug_assert_eq!(kept, k);
+        indices.extend_from_slice(&self.positions[..k]);
 
         // Next encode's floor, with hysteresis so that it rarely moves
         // and more rarely misses: hold it while it admits between 1.5k
@@ -681,13 +750,116 @@ impl TopK {
         // large ratios the band is wider than the block: `count` cannot
         // exceed `len`, and a floor that admits all of it is low enough.
         hint.floor = if count > 6 * k {
-            let (_, &mut recentred, _) = smaller.select_nth_unstable_by(2 * k - 1, |a, b| b.cmp(a));
-            recentred
+            self.kth_largest(count, admit, shift, 3 * k).0
         } else if count < (k + k / 2).min(len) {
             floor.saturating_sub(1 << BUCKET_SHIFT)
         } else {
             floor
         };
+    }
+
+    /// Counts the `count` candidates' keys, all at least `floor`, into
+    /// equal-width buckets from `floor` up to the largest, at most
+    /// [`RANK_BUCKETS`] of them: `self.histogram[(key - floor) >> shift]`.
+    /// Returns `shift`. A stream's candidates span a few octaves, so a
+    /// bucket holds a handful of keys.
+    fn rank_histogram(&mut self, count: usize, floor: u32) -> u32 {
+        let keys = &self.keys[..count];
+        let span = keys.iter().fold(0, |max, &key| max.max(key - floor));
+        let shift = (u32::BITS - span.leading_zeros()).saturating_sub(RANK_BUCKETS.ilog2());
+        self.histogram.clear();
+        self.histogram.resize((span >> shift) as usize + 1, 0);
+        for &key in keys {
+            self.histogram[((key - floor) >> shift) as usize] += 1;
+        }
+        shift
+    }
+
+    /// The `rank`-th largest of the `count` candidates' keys (`1 <= rank
+    /// <= count`), how many keys exceed it and how many equal it, from
+    /// the histogram [`Self::rank_histogram`] left with `floor` and
+    /// `shift`: the buckets above the one that holds it are counted
+    /// whole, and only that bucket's keys are selected among.
+    fn kth_largest(
+        &mut self,
+        count: usize,
+        floor: u32,
+        shift: u32,
+        rank: usize,
+    ) -> (u32, usize, usize) {
+        let (mut bucket, mut above) = (self.histogram.len(), 0);
+        loop {
+            bucket -= 1;
+            let here = self.histogram[bucket] as usize;
+            if above + here >= rank {
+                break;
+            }
+            above += here;
+        }
+        let keys = &self.keys[..count];
+        self.ranked.clear();
+        let in_bucket = keys
+            .iter()
+            .filter(|&&key| ((key - floor) >> shift) as usize == bucket);
+        self.ranked.extend(in_bucket);
+        let (_, &mut kth, _) = self
+            .ranked
+            .select_nth_unstable_by(rank - above - 1, |a, b| b.cmp(a));
+        let (greater, equal) = self
+            .ranked
+            .iter()
+            .fold((above, 0), |(greater, equal), &key| {
+                (
+                    greater + usize::from(key > kth),
+                    equal + usize::from(key == kth),
+                )
+            });
+        (kth, greater, equal)
+    }
+
+    /// Writes the block's `k` positions into `indices` when only `count <
+    /// k` entries are nonzero (the candidates of a scan from key 1): all
+    /// of those and the lowest-index zeros. Every position below the
+    /// `(k - count)`-th zero is kept, and every candidate after it.
+    fn keep_zeros(&self, count: usize, k: usize, indices: &mut Vec<u32>) {
+        let (zeros, positions) = (k - count, &self.positions[..count]);
+        // Candidate `c` has `p - c` zeros before it.
+        let after = positions
+            .iter()
+            .enumerate()
+            .position(|(c, &p)| p as usize - c >= zeros);
+        let after = after.unwrap_or(count);
+        indices.extend(0..(zeros + after) as u32);
+        indices.extend_from_slice(&positions[after..]);
+    }
+
+    /// Left-packs, in place and in index order, the positions of the
+    /// `count` candidates that are kept: every key above `threshold`,
+    /// and the first `ties` of the `equal` keys equal to it. Returns how
+    /// many. Two loops without a branch: `>=` up to the last tie kept,
+    /// `>` after it.
+    fn emit(&mut self, count: usize, threshold: u32, ties: usize, equal: usize) -> usize {
+        let (keys, positions) = (&self.keys[..count], &mut self.positions[..count]);
+        let last_tie = if ties == equal {
+            count
+        } else {
+            let mut tied = keys
+                .iter()
+                .enumerate()
+                .filter(|&(_, &key)| key == threshold);
+            let (j, _) = tied.nth(ties - 1).expect("at most `equal` ties");
+            j + 1
+        };
+        let mut kept = 0;
+        for j in 0..last_tie {
+            positions[kept] = positions[j];
+            kept += usize::from(keys[j] >= threshold);
+        }
+        for j in last_tie..count {
+            positions[kept] = positions[j];
+            kept += usize::from(keys[j] > threshold);
+        }
+        kept
     }
 
     /// The parameter-stream step (see [`Codec::encode_step`]).
@@ -701,17 +873,27 @@ impl TopK {
         // The delta is never written out: the scan computes it in lanes
         // and the gather recomputes it at the `k` kept indices, each time
         // through the zero-residual add of the composed encode (which is
-        // what turns a -0.0 difference into +0.0).
+        // what turns a -0.0 difference into +0.0). A pool buffer gets its
+        // copy of the reference from the scan, which reads every entry
+        // of it anyway.
+        let len = params.len();
+        let mut next = stream.next_sparse(pool);
         let delta = ScanSource::Delta {
             params,
             reference: stream.reference.as_slice(),
         };
-        let (indices, values) = out.make_sparse(params.len() as u32);
-        let k = self.k_for(params.len());
-        self.select(delta, k, &mut stream.selection, indices);
+        let (indices, values) = out.make_sparse(len as u32);
+        let k = self.k_for(len);
+        self.select(
+            delta,
+            k,
+            &mut stream.selection,
+            indices,
+            next.as_deref_mut(),
+        );
         values.clear();
         values.extend(indices.iter().map(|&i| delta.value(i as usize)));
-        stream.advance_sparse(indices, values, pool);
+        stream.advance_sparse(next, indices, values, pool);
     }
 }
 
@@ -731,7 +913,7 @@ impl Compressor for TopK {
         let (indices, values) = out.make_sparse(len as u32);
         let k = self.k_for(len);
         let compensated = ScanSource::Values(&ef.residual);
-        self.select(compensated, k, &mut ef.selection, indices);
+        self.select(compensated, k, &mut ef.selection, indices, None);
         values.clear();
         for &i in indices.iter() {
             // Kept entries decode exactly: their residual is zero.
@@ -1037,6 +1219,13 @@ mod tests {
     #[test]
     fn encode_is_allocation_free_after_warmup() {
         for cfg in [
+            CompressionConfig::TopK { ratio: 0.1 },
+            CompressionConfig::Int8Uniform,
+        ] {
+            stream_steps_allocate_nothing(cfg, true);
+            stream_steps_allocate_nothing(cfg, false);
+        }
+        for cfg in [
             CompressionConfig::Identity,
             CompressionConfig::TopK { ratio: 0.1 },
             CompressionConfig::Int8Uniform,
@@ -1062,5 +1251,37 @@ mod tests {
                 cfg.label()
             );
         }
+    }
+
+    /// Parameter-stream steps of `cfg`, sender and receiver, with a
+    /// reader that holds each shipped reference for one step (`hold`: so
+    /// every step writes a buffer from the pool) or without one (so every
+    /// step writes in place): after warm-up neither the pool nor the
+    /// block allocates.
+    fn stream_steps_allocate_nothing(cfg: CompressionConfig, hold: bool) {
+        let len = 257;
+        let mut codec = cfg.codec();
+        let (mut sender, mut receiver) =
+            (ParamStream::new(&[0.0; 257]), ParamStream::new(&[0.0; 257]));
+        let (mut pool, mut block, mut held) = (BufferPool::new(), CompressedBlock::default(), None);
+        let mut warm = None;
+        for round in 0..14 {
+            let params: Vec<f32> = (0..len).map(|i| ((i * round) as f32).sin()).collect();
+            codec.encode_step(&params, &mut sender, &mut pool, &mut block);
+            receiver.apply(&block, &mut pool);
+            held = hold.then(|| sender.reference().snapshot());
+            let buffer = match &block {
+                CompressedBlock::Sparse { indices, .. } => indices.as_ptr() as usize,
+                CompressedBlock::Quantized { values, .. } => values.as_ptr() as usize,
+                CompressedBlock::Dense { .. } => unreachable!("a lossy step"),
+            };
+            let now = (pool.stats().fresh, buffer);
+            match warm {
+                None if round == 3 => warm = Some(now),
+                None => {}
+                Some(warm) => assert_eq!(now, warm, "{} hold {hold} round {round}", cfg.label()),
+            }
+        }
+        drop(held);
     }
 }

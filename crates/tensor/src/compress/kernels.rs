@@ -1,7 +1,9 @@
 //! Fused SIMD kernels of the int8 stream step and of top-k's candidate
-//! scan, [`Backend::topk_candidates`]: one branch-free pass that computes
-//! a parameter stream's delta as it reads ([`ScanSource`]) and left-packs
-//! the entries at or above the floor.
+//! scan, [`Backend::topk_candidates`]: one sweep that computes a
+//! parameter stream's delta as it reads ([`ScanSource`]), left-packs the
+//! entries at or above the floor (only the groups of eight that hold
+//! one; see `candidates_body`) and can copy the stream's reference on
+//! the way.
 //!
 //! An int8 encode is two sweeps over the block, whichever stream it
 //! serves:
@@ -140,22 +142,35 @@ impl Backend {
     /// `positions`, in index order, the magnitude key (`to_bits() &
     /// 0x7FFF_FFFF`) and the index of every entry of `source` whose key is
     /// at least `floor`, and returns how many (later entries get
-    /// unspecified values).
+    /// unspecified values). With `copy`, a delta's scan also stores every
+    /// reference entry it reads there, so `copy` ends up equal to the
+    /// reference bit for bit: the next reference of a parameter stream,
+    /// made in the same pass.
     ///
     /// # Panics
     ///
-    /// Panics if `keys` or `positions` is shorter than the block, or if a
-    /// delta's two slices differ in length.
+    /// Panics if `keys` or `positions` is shorter than the block, if a
+    /// delta's two slices differ in length, or if `copy` is given with a
+    /// [`ScanSource::Values`] source (which has no reference) or is not
+    /// as long as the block.
     pub fn topk_candidates(
         self,
         source: ScanSource<'_>,
         floor: u32,
         keys: &mut [u32],
         positions: &mut [u32],
+        copy: Option<&mut [f32]>,
     ) -> usize {
         let len = source.len();
         assert!(keys.len().min(positions.len()) >= len, "short scan buffers");
-        on_backend!(self, candidates_body(source, floor, keys, positions))
+        if let Some(copy) = &copy {
+            assert!(
+                matches!(source, ScanSource::Delta { .. }),
+                "only a delta has a reference to copy"
+            );
+            assert_eq!(copy.len(), len, "copy sized for another block");
+        }
+        on_backend!(self, candidates_body(source, floor, keys, positions, copy))
     }
 }
 
@@ -293,40 +308,62 @@ fn advance_body<V: Lanes>(x: &[f32], scale: f32, old: &[f32], new: &mut [f32], q
     }
 }
 
-/// [`Backend::topk_candidates`] on `V`: each full group of eight is read
-/// as lanes (a delta as `(p - r) + 0.0`, [`ScanSource::value`]'s
-/// expression) and left-packed; the scalar tail writes every entry and
-/// advances past the candidates. Neither writes past the entry it reads,
-/// so buffers as long as the block suffice.
+/// [`Backend::topk_candidates`] on `V`, in chunks of [`SCAN_CHUNK`]
+/// groups of eight lanes, small enough to stay in L1 between their two
+/// passes:
+///
+/// 1. every group is read as lanes (a delta as `(p - r) + 0.0`,
+///    [`ScanSource::value`]'s expression), and one bit per group notes
+///    whether any lane reaches the floor: no branch, and no store but
+///    `copy`'s, which receives each reference lane as it is read;
+/// 2. each noted group is read again and left-packed.
+///
+/// A parameter stream's candidates are scattered: at top-1 % about one
+/// group in seven has one. A branch per group would mispredict about as
+/// often as it skips a pack, and a pack per group (its table load,
+/// permute and two stores) costs more than the whole first pass. The
+/// scalar tail writes every entry and advances past the candidates. No
+/// write goes past the entry read, so buffers as long as the block
+/// suffice.
 #[inline(always)]
 fn candidates_body<V: Lanes>(
     source: ScanSource<'_>,
     floor: u32,
     keys: &mut [u32],
     positions: &mut [u32],
+    mut copy: Option<&mut [f32]>,
 ) -> usize {
+    let groups = Groups::of(source);
     let mut count = 0;
-    let done = match source {
-        ScanSource::Values(x) => {
-            let xs = x.as_chunks::<LANES>().0;
-            for (g, xx) in xs.iter().enumerate() {
-                let v = V::load(xx);
-                let (k, p) = (&mut keys[count..], &mut positions[count..]);
-                count += v.pack_keys(v.key_mask(floor), (g * LANES) as u32, k, p);
+    for start in (0..groups.len()).step_by(SCAN_CHUNK) {
+        let chunk = groups.slice(start..groups.len().min(start + SCAN_CHUNK));
+        let mut noted = 0u64;
+        if let (Some(copy), Groups::Delta(params, reference)) = (&mut copy, chunk) {
+            let to = copy[start * LANES..].as_chunks_mut::<LANES>().0;
+            for (g, ((p, r), to)) in params.iter().zip(reference).zip(to).enumerate() {
+                let r = V::load(r);
+                r.store(to);
+                noted |= u64::from(delta(p, r).key_mask(floor) != 0) << g;
             }
-            xs.len() * LANES
-        }
-        ScanSource::Delta { params, reference } => {
-            let ps = params.as_chunks::<LANES>().0;
-            let rs = reference.as_chunks::<LANES>().0;
-            for (g, (pp, rr)) in ps.iter().zip(rs).enumerate() {
-                let v = V::load(pp).sub(V::load(rr)).add(V::splat(0.0));
-                let (k, p) = (&mut keys[count..], &mut positions[count..]);
-                count += v.pack_keys(v.key_mask(floor), (g * LANES) as u32, k, p);
+        } else {
+            for g in 0..chunk.len() {
+                noted |= u64::from(chunk.lanes::<V>(g).key_mask(floor) != 0) << g;
             }
-            ps.len() * LANES
         }
-    };
+        while noted != 0 {
+            let g = noted.trailing_zeros() as usize;
+            noted &= noted - 1;
+            let v = chunk.lanes::<V>(g);
+            let (k, p) = (&mut keys[count..], &mut positions[count..]);
+            count += v.pack_keys(v.key_mask(floor), ((start + g) * LANES) as u32, k, p);
+        }
+    }
+    let done = groups.len() * LANES;
+    if let (Some(copy), ScanSource::Delta { reference, .. }) = (copy, source) {
+        for (to, &from) in copy[done..].iter_mut().zip(&reference[done..]) {
+            *to = from;
+        }
+    }
     for i in done..source.len() {
         let key = super::magnitude_key(source.value(i));
         keys[count] = key;
@@ -334,4 +371,57 @@ fn candidates_body<V: Lanes>(
         count += usize::from(key >= floor);
     }
     count
+}
+
+/// Groups of eight lanes per chunk of [`candidates_body`], one bit each:
+/// 512 entries, 2 KB per input.
+const SCAN_CHUNK: usize = u64::BITS as usize;
+
+/// A [`ScanSource`]'s full groups of eight entries.
+#[derive(Clone, Copy)]
+enum Groups<'a> {
+    Values(&'a [[f32; LANES]]),
+    /// Parameters, reference.
+    Delta(&'a [[f32; LANES]], &'a [[f32; LANES]]),
+}
+
+impl<'a> Groups<'a> {
+    fn of(source: ScanSource<'a>) -> Self {
+        match source {
+            ScanSource::Values(x) => Groups::Values(x.as_chunks().0),
+            ScanSource::Delta { params, reference } => {
+                let groups = params.len() / LANES;
+                Groups::Delta(params.as_chunks().0, &reference.as_chunks().0[..groups])
+            }
+        }
+    }
+
+    fn len(self) -> usize {
+        match self {
+            Groups::Values(x) | Groups::Delta(x, _) => x.len(),
+        }
+    }
+
+    fn slice(self, range: std::ops::Range<usize>) -> Self {
+        match self {
+            Groups::Values(x) => Groups::Values(&x[range]),
+            Groups::Delta(p, r) => Groups::Delta(&p[range.clone()], &r[range]),
+        }
+    }
+
+    /// Group `g` as lanes.
+    #[inline(always)]
+    fn lanes<V: Lanes>(self, g: usize) -> V {
+        match self {
+            Groups::Values(x) => V::load(&x[g]),
+            Groups::Delta(p, r) => delta(&p[g], V::load(&r[g])),
+        }
+    }
+}
+
+/// A parameter stream's delta on lanes, `(p - r) + 0.0`:
+/// [`ScanSource::value`]'s expression.
+#[inline(always)]
+fn delta<V: Lanes>(p: &[f32], r: V) -> V {
+    V::load(p).sub(r).add(V::splat(0.0))
 }

@@ -131,6 +131,12 @@ impl ParamBlock {
             .as_mut_slice()
     }
 
+    /// Mutable access in place if no snapshot is alive, else `None`
+    /// (where [`Self::make_mut`] would copy).
+    pub(crate) fn unique_mut(&mut self) -> Option<&mut [f32]> {
+        Arc::get_mut(&mut self.data).map(Vec::as_mut_slice)
+    }
+
     /// The buffer itself if this is its last holder, else the block back.
     pub(crate) fn try_into_unique_vec(self) -> Result<Vec<f32>, Self> {
         Arc::try_unwrap(self.data).map_err(|data| Self { data })

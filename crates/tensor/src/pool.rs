@@ -156,11 +156,12 @@ impl BufferPool {
         }
     }
 
-    /// Takes back `block`, which this pool's caller has just replaced:
-    /// an unshared block is released at once; a shared one waits on the
-    /// retired list until its readers let go, and a later acquire reuses
-    /// it. When the list is full, its oldest block is reclaimed instead.
-    pub(crate) fn retire(&mut self, block: ParamBlock) {
+    /// Takes back `block`, which this pool's caller has just replaced or
+    /// handed to its readers: an unshared block is released at once; a
+    /// shared one waits on the retired list until its readers let go,
+    /// and a later acquire reuses it. When the list is full, its oldest
+    /// block is reclaimed instead.
+    pub fn retire(&mut self, block: ParamBlock) {
         match block.try_into_unique_vec() {
             Ok(buf) => self.release(buf),
             Err(block) => {

@@ -569,14 +569,18 @@ fn backends() -> Vec<Backend> {
 }
 
 /// A parameter stream's inputs whose delta holds `-0.0` (`-0.0 - 0.0`),
-/// subnormals and NaN every sixth entry each, among `block`'s specials.
+/// subnormals and NaN every sixth entry each, among `block`'s specials;
+/// the reference holds NaN, `-0.0`, both infinities and negative
+/// subnormals.
 fn delta_inputs(seed: u64, len: usize) -> (Vec<f32>, Vec<f32>) {
     let (mut params, mut reference) = (block(1, seed, len), values(seed ^ 0x5A, len));
+    let specials = [-0.0, f32::INFINITY, f32::NEG_INFINITY, -1e-45];
     for i in 0..len {
         match i % 6 {
             0 => (params[i], reference[i]) = (-0.0, 0.0),
             1 => (params[i], reference[i]) = (f32::from_bits(1 + i as u32), 0.0),
             2 => reference[i] = f32::NAN,
+            3 => reference[i] = specials[i / 6 % specials.len()],
             _ => {}
         }
     }
@@ -593,10 +597,12 @@ fn scan_oracle(w: &[f32], floor: u32) -> Vec<(u32, u32)> {
 /// Both value sources on every backend, at no floor, floor 0, a key in
 /// the block and a floor above every key: the scalar gather's candidates,
 /// from buffers exactly as long as the block. The delta source reads
-/// `(p - r) + 0.0`, so a `-0.0` difference is `+0.0`.
+/// `(p - r) + 0.0`, so a `-0.0` difference is `+0.0`. With a copy output
+/// the delta scan admits the same candidates and leaves the reference's
+/// exact bits (NaN payloads included) in a buffer poisoned beforehand.
 #[test]
 fn the_candidate_scan_equals_a_scalar_gather_on_every_backend() {
-    for len in (0..=67usize).chain([4099]) {
+    for len in (0..=67usize).chain([4099, 64 * 1024]) {
         let stored = block(1, len as u64, len);
         let (params, reference) = delta_inputs(len as u64, len);
         let delta: Vec<f32> = params
@@ -629,12 +635,133 @@ fn the_candidate_scan_equals_a_scalar_gather_on_every_backend() {
             {
                 for backend in backends() {
                     let (mut keys, mut positions) = (vec![0; len], vec![0; len]);
-                    let n = backend.topk_candidates(source, floor, &mut keys, &mut positions);
+                    let n = backend.topk_candidates(source, floor, &mut keys, &mut positions, None);
                     let got: Vec<(u32, u32)> = keys.into_iter().zip(positions).take(n).collect();
                     let at = format!("{backend:?} {name} len {len} floor {floor:#x}");
                     assert_eq!(got, scan_oracle(w, floor), "{at}");
+                    if let ScanSource::Delta { reference, .. } = source {
+                        let (mut keys, mut positions) = (vec![0; len], vec![0; len]);
+                        let mut copy = vec![f32::from_bits(0x7FC0_DEAD); len];
+                        let copy_out = Some(&mut copy[..]);
+                        let n = backend.topk_candidates(
+                            source,
+                            floor,
+                            &mut keys,
+                            &mut positions,
+                            copy_out,
+                        );
+                        let copied: Vec<(u32, u32)> =
+                            keys.into_iter().zip(positions).take(n).collect();
+                        assert_eq!(copied, got, "copying scan, {at}");
+                        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&copy), bits(reference), "copy, {at}");
+                    }
                 }
             }
+        }
+    }
+}
+
+/// Only a delta has a reference to copy.
+#[test]
+#[should_panic(expected = "only a delta has a reference to copy")]
+fn a_values_scan_refuses_a_copy_output() {
+    let (x, mut keys, mut positions, mut copy) = ([1.0f32; 8], [0; 8], [0; 8], [0.0; 8]);
+    let source = ScanSource::Values(&x);
+    Backend::host().topk_candidates(source, 0, &mut keys, &mut positions, Some(&mut copy));
+}
+
+/// A stream step whose floor misses (the first one, which has none, and
+/// one planted above every key) copies the reference during its first
+/// scan, then takes the histogram and scans again: the next reference is
+/// still the old one advanced by the kept entries, the old one is
+/// untouched for the receiver holding it, and an unshared stream, which
+/// advances in place, ends with the same bits.
+#[test]
+fn a_missed_floor_leaves_the_copied_reference_intact() {
+    let cfg = CompressionConfig::TopK { ratio: 0.01 };
+    for (len, kind) in [(67usize, 1u32), (4099, 0), (64 * 1024, 1)] {
+        let k = cfg.k_for(len);
+        let init = block(kind + 1, len as u64, len);
+        let params = block(kind, len as u64 ^ 0x3C, len);
+        for floor in [None, Some(0x7FFF_FFFF)] {
+            let at = format!("len {len} floor {floor:?}");
+            let mut pool = BufferPool::new();
+            let mut out = CompressedBlock::default();
+            let (mut copied, mut in_place) = (ParamStream::new(&init), ParamStream::new(&init));
+            copied.selection_mut().set_floor(floor);
+            in_place.selection_mut().set_floor(floor);
+            let held = copied.reference().snapshot();
+            let old = words(&held);
+            Codec::new(cfg).encode_step(&params, &mut copied, &mut pool, &mut out);
+            assert_eq!(copied.selection().histogram_passes(), 1, "{at}");
+            assert!(!copied.reference().ptr_eq(&held), "{at}");
+            assert_eq!(words(&held), old, "the receiver's reference, {at}");
+
+            let delta: Vec<f32> = params
+                .iter()
+                .zip(held.iter())
+                .map(|(p, r)| (p - r) + 0.0)
+                .collect();
+            let mut next = held.to_vec();
+            for i in oracle_kept(&delta, k) {
+                next[i as usize] += delta[i as usize];
+            }
+            assert_eq!(
+                words(copied.reference()),
+                words(&next),
+                "next reference, {at}"
+            );
+
+            drop(held);
+            let before = in_place.reference().as_slice().as_ptr();
+            let mut in_place_out = CompressedBlock::default();
+            Codec::new(cfg).encode_step(&params, &mut in_place, &mut pool, &mut in_place_out);
+            assert_eq!(in_place.reference().as_slice().as_ptr(), before, "{at}");
+            assert_eq!(block_words(&in_place_out), block_words(&out), "{at}");
+            assert_eq!(words(in_place.reference()), words(&next), "in place, {at}");
+        }
+    }
+}
+
+/// A receiver mirror whose reference nobody else holds applies each block
+/// in place; one whose every reference is held by a reader applies it
+/// into a pool buffer. Over rounds of both lossy codecs, with NaN, ±inf,
+/// −0.0 and subnormal parameters, the two stay bit-identical to the
+/// sender.
+#[test]
+fn apply_in_place_gives_the_out_of_place_bits() {
+    for cfg in LOSSY {
+        for (len, kind) in [(67usize, 1u32), (4099, 1), (64 * 1024, 0)] {
+            let init = block(kind + 1, 0xA11 ^ len as u64, len);
+            let mut codec = Codec::new(cfg);
+            let mut sender = ParamStream::new(&init);
+            let (mut alone, mut watched) = (ParamStream::new(&init), ParamStream::new(&init));
+            let (mut pool, mut out) = (BufferPool::new(), CompressedBlock::default());
+            let mut reader = None;
+            for round in 0..6u64 {
+                let at = format!("{} len {len} round {round}", cfg.label());
+                let params = block(kind + round as u32 % 2, round ^ len as u64, len);
+                codec.encode_step(&params, &mut sender, &mut pool, &mut out);
+                let before = alone.reference().as_slice().as_ptr();
+                alone.apply(&out, &mut pool);
+                assert_eq!(
+                    alone.reference().as_slice().as_ptr(),
+                    before,
+                    "in place, {at}"
+                );
+                let held = watched.reference().snapshot();
+                watched.apply(&out, &mut pool);
+                assert!(!watched.reference().ptr_eq(&held), "out of place, {at}");
+                reader = Some(held);
+                assert_eq!(words(alone.reference()), words(sender.reference()), "{at}");
+                assert_eq!(
+                    words(watched.reference()),
+                    words(sender.reference()),
+                    "{at}"
+                );
+            }
+            drop(reader);
         }
     }
 }

@@ -6,7 +6,9 @@
 //! the rest is the fixed per-variant body described on each variant. A
 //! blocking reader takes one frame at a time with [`read_message`]; a
 //! reader that buffers whatever a non-blocking socket had parses frames
-//! off the front of its buffer with [`next_frame`].
+//! off the front of its buffer with [`next_frame`], which decodes an
+//! update's block into a [`CompressedBlock`] the reader keeps, so a
+//! steady stream of updates allocates nothing.
 //!
 //! The format exists to make the simulated byte accounting *true on a
 //! real wire*: an [`Message::Update`] frame embeds a
@@ -374,23 +376,44 @@ pub fn read_message<R: Read>(r: &mut R) -> Result<Message, WireError> {
     decode_payload(&payload)
 }
 
+/// A frame [`next_frame`] decoded: an update, whose block went into the
+/// caller's [`CompressedBlock`], or any other message.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Frame {
+    /// A [`Message::Update`] without its block.
+    Update {
+        /// The update's `(iter, w_id)` tag.
+        tag: Tag,
+        /// Sender's Lamport clock at send time.
+        clock: u64,
+    },
+    /// Every other message.
+    Other(Message),
+}
+
 /// Parses the frame at the front of `buf`, a byte stream read so far:
 /// `Ok(None)` while `buf` holds only a proper prefix of a frame, else
-/// the message and the bytes it used (length prefix included).
+/// the frame and the bytes it used (length prefix included). An update's
+/// block is decoded into `block`, reusing its buffers when it already
+/// holds the same kind.
 ///
 /// # Errors
 ///
 /// Fails closed exactly like [`read_message`]:
 /// [`WireError::FrameTooLarge`] as soon as the 4 prefix bytes are in
 /// (nothing is sized from them), then the decode errors documented on
-/// [`WireError`] once the whole frame is.
-pub fn next_frame(buf: &[u8]) -> Result<Option<(Message, usize)>, WireError> {
+/// [`WireError`] once the whole frame is. After an error `block` holds
+/// unspecified values.
+pub fn next_frame(
+    buf: &[u8],
+    block: &mut CompressedBlock,
+) -> Result<Option<(Frame, usize)>, WireError> {
     let Some(&prefix) = buf.first_chunk::<4>() else {
         return Ok(None);
     };
     let end = 4 + payload_len(prefix)?;
     match buf.get(4..end) {
-        Some(payload) => Ok(Some((decode_payload(payload)?, end))),
+        Some(payload) => Ok(Some((decode_payload_into(payload, block)?, end))),
         None => Ok(None),
     }
 }
@@ -483,10 +506,7 @@ impl<'a> Body<'a> {
             n.checked_mul(4)
                 .ok_or(WireError::Malformed("f32 array count overflows the frame"))?,
         )?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+        Ok(le_f32s(raw).collect())
     }
 
     /// The remaining bytes as UTF-8 text.
@@ -517,6 +537,15 @@ impl<'a> Body<'a> {
 /// The decode errors documented on [`WireError`]; an empty payload is
 /// [`WireError::Malformed`].
 pub fn decode_payload(payload: &[u8]) -> Result<Message, WireError> {
+    let mut block = CompressedBlock::default();
+    Ok(match decode_payload_into(payload, &mut block)? {
+        Frame::Update { tag, clock } => Message::Update { tag, clock, block },
+        Frame::Other(msg) => msg,
+    })
+}
+
+/// [`decode_payload`], with an update's block decoded into `block`.
+fn decode_payload_into(payload: &[u8], block: &mut CompressedBlock) -> Result<Frame, WireError> {
     let Some((&tag, rest)) = payload.split_first() else {
         return Err(WireError::Malformed("empty payload"));
     };
@@ -530,12 +559,12 @@ pub fn decode_payload(payload: &[u8]) -> Result<Message, WireError> {
             let iter = b.u64()?;
             let w_id = b.u32()? as usize;
             let clock = b.u64()?;
-            let block = decode_block(&mut b)?;
-            Message::Update {
+            decode_block(&mut b, block)?;
+            b.finish()?;
+            return Ok(Frame::Update {
                 tag: Tag { iter, w_id },
                 clock,
-                block,
-            }
+            });
         }
         TAG_TOKEN => Message::Token {
             count: b.u64()?,
@@ -558,12 +587,20 @@ pub fn decode_payload(payload: &[u8]) -> Result<Message, WireError> {
         other => return Err(WireError::UnknownDiscriminant { tag: other }),
     };
     b.finish()?;
-    Ok(msg)
+    Ok(Frame::Other(msg))
+}
+
+/// `raw` read as little-endian `f32`s (a trailing partial word is
+/// ignored).
+fn le_f32s(raw: &[u8]) -> impl Iterator<Item = f32> + '_ {
+    let word = |c: &[u8]| c.try_into().expect("chunks_exact(4) yields 4 bytes");
+    raw.chunks_exact(4)
+        .map(move |c| f32::from_le_bytes(word(c)))
 }
 
 /// Decodes a block (kind byte + [`CompressedBlock::encoded_bytes`]
-/// payload bytes) from the remainder of an update body.
-fn decode_block(b: &mut Body<'_>) -> Result<CompressedBlock, WireError> {
+/// payload bytes) from the remainder of an update body into `block`.
+fn decode_block(b: &mut Body<'_>, block: &mut CompressedBlock) -> Result<(), WireError> {
     let kind = b.u8()?;
     match kind {
         KIND_DENSE => {
@@ -572,12 +609,10 @@ fn decode_block(b: &mut Body<'_>) -> Result<CompressedBlock, WireError> {
             if !b.remaining().is_multiple_of(4) {
                 return Err(WireError::Malformed("dense block not f32-aligned"));
             }
-            let n = b.remaining() / 4;
-            let mut values = Vec::with_capacity(n);
-            for _ in 0..n {
-                values.push(b.f32()?);
-            }
-            Ok(CompressedBlock::Dense { values })
+            let raw = b.take(b.remaining())?;
+            let values = block.make_dense();
+            values.clear();
+            values.extend(le_f32s(raw));
         }
         KIND_SPARSE => {
             let len = b.u32()?;
@@ -585,10 +620,11 @@ fn decode_block(b: &mut Body<'_>) -> Result<CompressedBlock, WireError> {
                 return Err(WireError::Malformed("sparse block pairs misaligned"));
             }
             let k = b.remaining() / 8;
+            let (indices, values) = block.make_sparse(len);
             // Canonical order is strictly ascending: a receiver advances
             // its reference by each entry once, so a repeated index must
             // not get through.
-            let mut indices: Vec<u32> = Vec::with_capacity(k);
+            indices.clear();
             for _ in 0..k {
                 let i = b.u32()?;
                 if i >= len {
@@ -599,15 +635,9 @@ fn decode_block(b: &mut Body<'_>) -> Result<CompressedBlock, WireError> {
                 }
                 indices.push(i);
             }
-            let mut values = Vec::with_capacity(k);
-            for _ in 0..k {
-                values.push(b.f32()?);
-            }
-            Ok(CompressedBlock::Sparse {
-                len,
-                indices,
-                values,
-            })
+            let raw = b.take(4 * k)?;
+            values.clear();
+            values.extend(le_f32s(raw));
         }
         KIND_QUANTIZED => {
             let len = b.u32()? as usize;
@@ -615,11 +645,14 @@ fn decode_block(b: &mut Body<'_>) -> Result<CompressedBlock, WireError> {
             if b.remaining() != len {
                 return Err(WireError::Malformed("quantized length word disagrees"));
             }
-            let values = b.take(len)?.iter().map(|&x| x as i8).collect();
-            Ok(CompressedBlock::Quantized { scale, values })
+            let raw = b.take(len)?;
+            let values = block.make_quantized(scale);
+            values.clear();
+            values.extend(raw.iter().map(|&x| x as i8));
         }
-        other => Err(WireError::UnknownBlockKind { kind: other }),
+        other => return Err(WireError::UnknownBlockKind { kind: other }),
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -691,6 +724,18 @@ mod tests {
         read_message(&mut &frame[..]).expect("frame decodes")
     }
 
+    /// [`next_frame`] with a fresh block, as a [`Message`].
+    fn next_message(buf: &[u8]) -> Result<Option<(Message, usize)>, WireError> {
+        let mut block = CompressedBlock::default();
+        Ok(next_frame(buf, &mut block)?.map(|(frame, used)| {
+            let msg = match frame {
+                Frame::Update { tag, clock } => Message::Update { tag, clock, block },
+                Frame::Other(msg) => msg,
+            };
+            (msg, used)
+        }))
+    }
+
     #[test]
     fn empty_stream_is_closed_and_partial_prefix_is_truncated() {
         assert!(matches!(read_message(&mut &[][..]), Err(WireError::Closed)));
@@ -740,7 +785,7 @@ mod tests {
             for cut in 0..frame.len() {
                 let prefix = &frame[..cut];
                 assert!(
-                    matches!(next_frame(prefix), Ok(None)),
+                    matches!(next_message(prefix), Ok(None)),
                     "{msg:?} cut at {cut}"
                 );
                 let expected_closed = cut == 0;
@@ -752,9 +797,12 @@ mod tests {
             }
             let mut two = frame.clone();
             two.extend_from_slice(&frame);
-            let (first, used) = next_frame(&two).unwrap().expect("a whole frame");
+            let (first, used) = next_message(&two).unwrap().expect("a whole frame");
             assert_eq!((first, used), (msg.clone(), frame.len()));
-            assert_eq!(next_frame(&two[used..]).unwrap(), Some((msg, frame.len())));
+            assert_eq!(
+                next_message(&two[used..]).unwrap(),
+                Some((msg, frame.len()))
+            );
         }
     }
 
@@ -768,10 +816,10 @@ mod tests {
         // The buffer parser rejects it at its 4th byte, not when (never)
         // 64 MiB more have arrived; shorter than that it cannot tell.
         for cut in 0..4 {
-            assert!(matches!(next_frame(&bytes[..cut]), Ok(None)));
+            assert!(matches!(next_message(&bytes[..cut]), Ok(None)));
         }
         assert!(matches!(
-            next_frame(&bytes),
+            next_message(&bytes),
             Err(WireError::FrameTooLarge { len }) if len == MAX_FRAME_LEN + 1
         ));
         // A complete frame with a bad body is a typed decode error.
@@ -779,7 +827,7 @@ mod tests {
         encode_frame(&Message::Token { count: 1, clock: 0 }, &mut frame);
         frame[4] = 0xEE;
         assert!(matches!(
-            next_frame(&frame),
+            next_message(&frame),
             Err(WireError::UnknownDiscriminant { tag: 0xEE })
         ));
     }
@@ -914,6 +962,66 @@ mod tests {
             decode_payload(&payload),
             Err(WireError::Malformed(_))
         ));
+    }
+
+    /// One kept block decodes a stream of updates of every kind: each
+    /// frame gives the block [`decode_payload`] gives, and a frame of the
+    /// kind the block already holds refills its buffers in place.
+    #[test]
+    fn a_kept_block_is_refilled_in_place() {
+        let blocks = [
+            CompressedBlock::Sparse {
+                len: 9,
+                indices: vec![0, 4, 8],
+                values: vec![1.0, -0.0, f32::NAN],
+            },
+            CompressedBlock::Sparse {
+                len: 9,
+                indices: vec![3, 7],
+                values: vec![2.5, -1.0],
+            },
+            CompressedBlock::Quantized {
+                scale: 0.25,
+                values: vec![-127, 0, 5],
+            },
+            CompressedBlock::Quantized {
+                scale: 0.5,
+                values: vec![1, 2],
+            },
+            CompressedBlock::Dense {
+                values: vec![1.5, -2.0],
+            },
+            CompressedBlock::Dense { values: vec![3.0] },
+        ];
+        let mut kept = CompressedBlock::default();
+        let mut frame = Vec::new();
+        let mut buffer: *const u8 = std::ptr::null();
+        for (n, block) in blocks.into_iter().enumerate() {
+            let tag = Tag {
+                iter: n as u64,
+                w_id: 1,
+            };
+            encode_update_frame(tag, 5, &block, &mut frame);
+            let (decoded, used) = next_frame(&frame, &mut kept).unwrap().expect("whole");
+            assert_eq!(
+                (decoded, used),
+                (Frame::Update { tag, clock: 5 }, frame.len())
+            );
+            let owned = decode_payload(&frame[4..]).unwrap();
+            let Message::Update { block: owned, .. } = owned else {
+                panic!("an update decodes as one");
+            };
+            assert_eq!(format!("{kept:?}"), format!("{owned:?}"), "frame {n}");
+            let here = match &kept {
+                CompressedBlock::Dense { values } => values.as_ptr().cast(),
+                CompressedBlock::Sparse { indices, .. } => indices.as_ptr().cast(),
+                CompressedBlock::Quantized { values, .. } => values.as_ptr().cast(),
+            };
+            if n % 2 == 1 {
+                assert_eq!(here, buffer, "frame {n} reallocated");
+            }
+            buffer = here;
+        }
     }
 
     #[test]
