@@ -72,15 +72,18 @@ pub(crate) enum Input {
 }
 
 /// The executor's state the machine reads and writes: the replica, its
-/// optimizer, the pool its blocks come from, the event sink, and the last
+/// optimizer, the pool its blocks come from, the event sink, the last
 /// gradient computed (the serial order applies it after the compute, the
-/// parallel order in the Reduce).
+/// parallel order in the Reduce), and the reference of the worker's
+/// outgoing int8 stream (`None` under any other codec), against which a
+/// parallel-order Reduce measures the next Send's scale.
 pub(crate) struct Parts<'e, S> {
     pub(crate) params: &'e mut ParamBlock,
     pub(crate) opt: &'e mut Sgd,
     pub(crate) pool: &'e mut BufferPool,
     pub(crate) sink: &'e mut S,
     pub(crate) grad: &'e [f32],
+    pub(crate) reference: Option<&'e [f32]>,
 }
 
 /// Whoever runs a [`HopWorker`]: what it asks for, carried out.
@@ -109,8 +112,10 @@ pub(crate) trait Executor {
         true
     }
 
-    /// The replica is final for the gradient of `iter`: before this
-    /// iteration's Send, so a helper can overlap the two.
+    /// The replica is final for the gradient of `iter`. In parallel order
+    /// this comes after the iteration's Send, which writes no parameter,
+    /// so the Send's sweeps run before a helper takes the gradient (and
+    /// can share them).
     fn compute_ready(&mut self, _iter: u64) {}
 
     /// Computes the gradient of `iter` (its `ComputeBegin` is on record)
@@ -118,11 +123,14 @@ pub(crate) trait Executor {
     fn compute(&mut self, iter: u64);
 
     /// Sends this iteration's update to the external out-neighbors,
-    /// emitting each `Send` through `step`.
+    /// emitting each `Send` through `step`. `max_delta` is `max|params -
+    /// reference|` against [`Parts::reference`] when the last Reduce
+    /// measured it, for the int8 encode to take instead of a sweep.
     fn send<S: SendStage>(
         &mut self,
         step: &Step<S>,
         params: &ParamBlock,
+        max_delta: Option<f32>,
     ) -> Result<(), Self::Error>;
 
     /// Grants `n` tokens to every external in-neighbor.
@@ -202,6 +210,9 @@ pub(crate) struct HopWorker {
     acks: usize,
     /// Tag of the last update consumed, for stall diagnostics.
     pub(crate) last_consumed: Option<Tag>,
+    /// `max|replica - Parts::reference|`, measured by the last Reduce for
+    /// the next Send; cleared by whatever else writes the replica.
+    delta_max: Option<f32>,
 }
 
 impl HopWorker {
@@ -218,6 +229,7 @@ impl HopWorker {
             tokens_from: cx.cfg.max_ig().map_or_else(Vec::new, |ig| vec![ig; outs]),
             acks: 0,
             last_consumed: None,
+            delta_max: None,
         }
     }
 
@@ -252,6 +264,8 @@ impl HopWorker {
     ) -> Result<(), E::Error> {
         self.phase = Phase::Stepping;
         self.acks = 0;
+        // The executor handed the worker a donor's replica.
+        self.delta_max = None;
         let catchup = target - self.iter;
         for avail in &mut self.tokens_from {
             debug_assert!(*avail >= catchup, "rejoin admitted on token credit");
@@ -287,10 +301,10 @@ impl HopWorker {
                 Ok(())
             };
         }
-        exec.compute_ready(iter);
         if cx.cfg.order == ComputeOrder::Parallel {
             self.send(cx, exec, &step)?;
         }
+        exec.compute_ready(iter);
         self.phase = Phase::Computing(step.begin_compute(exec.parts().sink));
         exec.compute(iter);
         Ok(())
@@ -310,7 +324,7 @@ impl HopWorker {
         if exec.alive() {
             self.admit(cx, exec, self.w, step.iter(), params.snapshot());
         }
-        exec.send(step, &params)?;
+        exec.send(step, &params, self.delta_max.take())?;
         exec.parts().pool.reclaim(params);
         Ok(())
     }
@@ -387,6 +401,7 @@ impl HopWorker {
             params, opt, grad, ..
         } = exec.parts();
         opt.step_block(params, grad);
+        self.delta_max = None;
         let outs = cx.topology.external_out_neighbors(self.w).len();
         if cx.cfg.sync == SyncMode::NotifyAck && self.iter > 0 && self.acks < outs {
             self.phase = Phase::WaitAck(step);
@@ -411,11 +426,12 @@ impl HopWorker {
     /// newest update of every in-neighbor within the staleness window
     /// (Fig. 9), or the quota of updates tagged `at` plus any extras
     /// already here (Fig. 8). A §5 renew (`renew`) draws on the external
-    /// in-neighbors only, under the renew quota.
-    fn gather(
+    /// in-neighbors only, under the renew quota. The stale updates the
+    /// rotating queue purges on the way go back to the pool.
+    fn gather<S: EventSink>(
         &mut self,
         cx: &mut Shared<'_>,
-        sink: &mut impl EventSink,
+        p: &mut Parts<'_, S>,
         at: u64,
         renew: bool,
         handle: &mut impl Consuming,
@@ -449,13 +465,15 @@ impl HopWorker {
             } else {
                 semantics::backup_quota(senders, cx.cfg.n_backup)
             };
+            let pool = &mut *p.pool;
+            self.queue.recycle_stale(at, |block| pool.reclaim(block));
             if self.queue.size(at) < quota {
                 return false;
             }
             self.queue.dequeue_up_to_into(senders, at, entries);
         }
         for entry in entries.iter() {
-            handle.consume(sink, entry.tag.w_id, entry.tag.iter);
+            handle.consume(p.sink, entry.tag.w_id, entry.tag.iter);
         }
         self.last_consumed = entries.last().map(|e| e.tag);
         true
@@ -469,11 +487,13 @@ impl HopWorker {
         exec: &mut E,
         mut step: Step<Exchanging>,
     ) -> Result<(), E::Error> {
+        let mut p = exec.parts();
         if E::EAGER_PURGE {
-            self.queue.discard_older_than(self.iter);
+            let pool = &mut *p.pool;
+            self.queue
+                .recycle_older_than(self.iter, |block| pool.reclaim(block));
         }
-        let p = exec.parts();
-        if !self.gather(cx, p.sink, self.iter, false, &mut step) {
+        if !self.gather(cx, &mut p, self.iter, false, &mut step) {
             self.phase = Phase::WaitUpdates(step);
             return Ok(());
         }
@@ -482,17 +502,12 @@ impl HopWorker {
         // gradient was taken at the replica the Reduce replaces, which
         // nothing wrote since; the snapshot (already shared with the
         // self-update) keeps it readable while the replica is rewritten.
-        let at = (cx.cfg.order == ComputeOrder::Parallel).then(|| p.params.snapshot());
+        let parallel = cx.cfg.order == ComputeOrder::Parallel;
+        let at = parallel.then(|| p.params.snapshot());
         let apply = at.as_ref().map(|at| p.opt.step_onto(at, p.grad));
-        reduce(
-            E::SENDER_ORDER,
-            cx,
-            self.iter,
-            None,
-            apply,
-            p.params,
-            p.pool,
-        );
+        // Only the parallel order sends what the Reduce writes.
+        let reference = p.reference.filter(|_| parallel);
+        self.delta_max = reduce::<E>(cx, self.iter, None, apply, reference, p.params, p.pool);
         if let Some(at) = at {
             p.pool.reclaim(at);
         }
@@ -555,8 +570,8 @@ impl HopWorker {
         mut renew: Renew,
     ) -> Result<(), E::Error> {
         let (target, at) = (renew.target(), renew.target() - 1);
-        let p = exec.parts();
-        if !self.gather(cx, p.sink, at, true, &mut renew) {
+        let mut p = exec.parts();
+        if !self.gather(cx, &mut p, at, true, &mut renew) {
             self.phase = Phase::JumpRecv(renew);
             return Ok(());
         }
@@ -565,7 +580,10 @@ impl HopWorker {
         // replica is rewritten.
         renew.renew_reduce(p.sink);
         let own = (self.iter, p.params.snapshot());
-        reduce(E::SENDER_ORDER, cx, at, Some(own), None, p.params, p.pool);
+        let reference = p
+            .reference
+            .filter(|_| cx.cfg.order == ComputeOrder::Parallel);
+        self.delta_max = reduce::<E>(cx, at, Some(own), None, reference, p.params, p.pool);
         p.opt.reset_velocity();
         self.enter(cx, exec, target, 0)
     }
@@ -574,35 +592,37 @@ impl HopWorker {
 /// `params ← mean(cx.entries ∪ own)`, then the SGD step `apply` if any —
 /// staleness-weighted for
 /// iteration `at` under the staleness mode; the entries in sender order if
-/// `sender_order`, `own` (a renew's pre-jump replica and its iteration)
-/// last — then recycles every block and leaves the entries empty. Full
-/// overwrite: a shared replica detaches without copying. The input lists
-/// are built by [`semantics::with_inline`], so an in-degree of 16 or less
-/// allocates nothing.
-fn reduce(
-    sender_order: bool,
+/// [`Executor::SENDER_ORDER`], `own` (a renew's pre-jump replica and its
+/// iteration) last — then recycles every block and leaves the entries
+/// empty. Full overwrite: a shared replica detaches without copying. The
+/// input lists are built by [`semantics::with_inline`], so an in-degree
+/// of 16 or less allocates nothing. Returns `max|params - reference|` if
+/// given a reference, measured in the same sweep.
+fn reduce<E: Executor>(
     cx: &mut Shared<'_>,
     at: u64,
     own: Option<(u64, ParamBlock)>,
     apply: Option<SgdStep<'_>>,
+    reference: Option<&[f32]>,
     params: &mut ParamBlock,
     pool: &mut BufferPool,
-) {
+) -> Option<f32> {
     let entries = &mut cx.entries;
-    if sender_order {
+    if E::SENDER_ORDER {
         entries.sort_unstable_by_key(|e| e.tag.w_id);
     }
     let views = entries.iter().map(|e| (e.tag.iter, e.value.as_slice()));
     let views = views.chain(own.as_ref().map(|(iter, p)| (*iter, p.as_slice())));
     let out = params.overwrite_mut(pool);
-    match cx.cfg.staleness {
+    let weighting = cx.cfg.staleness_weighting;
+    let max = match cx.cfg.staleness {
         Some(s) => semantics::with_inline(views, (0, &[][..]), |views| {
-            semantics::reduce_staleness_with(cx.cfg.staleness_weighting, views, at, s, apply, out);
+            semantics::reduce_staleness_with(weighting, views, at, s, apply, reference, out)
         }),
         None => semantics::with_inline(views.map(|(_, p)| p), &[][..], |views| {
-            semantics::reduce_mean(views, apply, out);
+            semantics::reduce_mean(views, apply, reference, out)
         }),
-    }
+    };
     for block in entries
         .drain(..)
         .map(|e| e.value)
@@ -610,4 +630,5 @@ fn reduce(
     {
         pool.reclaim(block);
     }
+    max
 }

@@ -1270,6 +1270,7 @@ impl Transport for RingTransport<'_> {
         &mut self,
         tag: Tag,
         params: &ParamBlock,
+        max_delta: Option<f32>,
         receivers: &[usize],
         plane: &mut CompressionPlane,
         pool: &mut BufferPool,
@@ -1280,7 +1281,9 @@ impl Transport for RingTransport<'_> {
         // One frame, encoded once (reading the clock after every Send
         // of this iteration was stamped) and fanned out.
         let block: &CompressedBlock = if plane.is_active() {
-            plane.encode_params_block(0, params.as_slice(), pool).0
+            plane
+                .encode_params_block(0, params.as_slice(), max_delta, pool)
+                .0
         } else {
             if let CompressedBlock::Dense { values } = &mut self.dense_scratch {
                 values.clear();

@@ -35,14 +35,29 @@ pub(crate) fn renew_quota(external_in: usize, n_backup: usize) -> usize {
 /// rides the same sweep: `apply` is `Sgd::step_onto` — the gradient, the
 /// pre-reduce parameters it was taken at and the velocity — which
 /// advances the velocity and makes `out` `mean + (-lr) * v`, bit for bit
-/// the separate velocity pass and `axpy` pass over the mean.
+/// the separate velocity pass and `axpy` pass over the mean. Given the
+/// `reference` of the worker's outgoing int8 stream, the sweep also
+/// returns the next step's scale input, `max|out - reference|`
+/// ([`ops::scaled_sum`]).
 ///
 /// # Panics
 ///
 /// Panics if `updates` is empty or lengths mismatch.
-pub fn reduce_mean(updates: &[&[f32]], apply: Option<SgdStep<'_>>, out: &mut [f32]) {
+pub fn reduce_mean(
+    updates: &[&[f32]],
+    apply: Option<SgdStep<'_>>,
+    reference: Option<&[f32]>,
+    out: &mut [f32],
+) -> Option<f32> {
     assert!(!updates.is_empty(), "reduce of zero updates");
-    ops::scaled_sum(updates, None, 1.0 / updates.len() as f32, apply, out);
+    ops::scaled_sum(
+        updates,
+        None,
+        1.0 / updates.len() as f32,
+        apply,
+        reference,
+        out,
+    )
 }
 
 /// Whether an update of iteration `update_iter` is *satisfactory* for a
@@ -100,7 +115,7 @@ pub fn staleness_weight_with(scheme: StalenessWeighting, update_iter: u64, k: u6
 /// Bounded-staleness Reduce (Fig. 9 lines 18–27, Eq. 2): the average of
 /// the newest satisfactory updates, weighted by `scheme` (Eq. 2's
 /// iteration weights under [`StalenessWeighting::Linear`]), with the
-/// parallel-order Apply folded in as in [`reduce_mean`].
+/// parallel-order Apply and the measured maximum as in [`reduce_mean`].
 ///
 /// # Panics
 ///
@@ -111,8 +126,9 @@ pub fn reduce_staleness_with(
     k: u64,
     s: u64,
     apply: Option<SgdStep<'_>>,
+    reference: Option<&[f32]>,
     out: &mut [f32],
-) {
+) -> Option<f32> {
     assert!(!updates.is_empty(), "reduce of zero updates");
     let weights = updates
         .iter()
@@ -121,9 +137,9 @@ pub fn reduce_staleness_with(
         with_inline(updates.iter().map(|&(_, x)| x), &[][..], |slices| {
             let wsum: f32 = weights.iter().sum();
             assert!(wsum > 0.0, "weight sum must be positive, got {wsum}");
-            ops::scaled_sum(slices, Some(weights), 1.0 / wsum, apply, out);
-        });
-    });
+            ops::scaled_sum(slices, Some(weights), 1.0 / wsum, apply, reference, out)
+        })
+    })
 }
 
 /// Calls `f` with `items` collected: into an array on the stack (the
@@ -217,7 +233,7 @@ mod tests {
         let a = [2.0, 0.0];
         let b = [0.0, 4.0];
         let mut out = [9.0, 9.0];
-        reduce_mean(&[&a, &b], None, &mut out);
+        reduce_mean(&[&a, &b], None, None, &mut out);
         assert_eq!(out, [1.0, 2.0]);
         // v = 0.5 * 3 + g + 0.25 * 2, then out = mean - 0.5 * v.
         let mut velocity = [3.0, 3.0];
@@ -229,9 +245,11 @@ mod tests {
             params: &[2.0, 2.0],
             velocity: &mut velocity,
         };
-        reduce_mean(&[&a, &b], Some(step), &mut out);
+        // The outgoing stream's receivers hold [0, 3]: |0.25|, |-0.75|.
+        let max = reduce_mean(&[&a, &b], Some(step), Some(&[0.0, 3.0]), &mut out);
         assert_eq!(velocity, [1.5, -0.5]);
         assert_eq!(out, [0.25, 2.25]);
+        assert_eq!(max, Some(0.75));
     }
 
     #[test]
@@ -276,6 +294,7 @@ mod tests {
             9,
             4,
             None,
+            None,
             &mut weighted,
         );
         assert_eq!(weighted, [1.0, 2.0]);
@@ -298,6 +317,7 @@ mod tests {
             &[(5, &newest), (3, &older)],
             5,
             2,
+            None,
             None,
             &mut out,
         );

@@ -111,14 +111,14 @@ impl AdPsgd<'_> {
         // is charged the encoded sizes.
         let (recons, wire_a, wire_b) = if self.plane.is_active() {
             let snap_a = eng.workers[active].params.snapshot();
-            let (recon_a, wa) = self
-                .plane
-                .encode_params(active, snap_a.as_slice(), &mut eng.pool);
+            let (recon_a, wa) =
+                self.plane
+                    .encode_params(active, snap_a.as_slice(), None, &mut eng.pool);
             eng.pool.reclaim(snap_a);
             let snap_b = eng.workers[passive].params.snapshot();
-            let (recon_b, wb) = self
-                .plane
-                .encode_params(passive, snap_b.as_slice(), &mut eng.pool);
+            let (recon_b, wb) =
+                self.plane
+                    .encode_params(passive, snap_b.as_slice(), None, &mut eng.pool);
             eng.pool.reclaim(snap_b);
             self.plane.charge(1, eng.param_bytes, wa);
             self.plane.charge(1, eng.param_bytes, wb);

@@ -11,11 +11,15 @@
 //!   reconstruction `x̂` itself. The delta carries every bit the
 //!   previous messages failed to move, so the reference *is* the error
 //!   feedback and no residual takes part. The step is
-//!   [`Codec::encode_step`] on a [`ParamStream`] — two fused sweeps for
-//!   int8; for top-k one candidate scan that computes the delta as it
-//!   reads, a threshold select and a k-entry advance — and the
-//!   reference it leaves behind is shared with the message, not copied
-//!   into it. Every receiver of the stream sees the identical
+//!   [`Codec::advance_step`] on a [`ParamStream`] — for int8 the
+//!   quantize sweep alone when the Reduce that wrote the parameters
+//!   measured the step's maximum (else a magnitude sweep first), and no
+//!   `i8` written, since no one reads the block; for top-k one candidate
+//!   scan that computes the delta as it reads, a threshold select and a
+//!   k-entry advance — and the reference it leaves behind is shared with
+//!   the message, not copied into it. (The process transport ships the
+//!   block itself: [`CompressionPlane::encode_params_block`] runs
+//!   [`Codec::encode_step`], which writes it.) Every receiver of the stream sees the identical
 //!   reconstruction, so a top-k message still moves *all* replicas — it
 //!   just moves them by a sparse, quantized step — and the Reduce
 //!   semantics of each protocol are untouched.
@@ -50,6 +54,11 @@ thread_local! {
     /// Tests set this to make every parameter-stream step on this thread
     /// start without a selection floor: a run's digest must not notice.
     pub(crate) static FORGET_FLOORS: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+
+    /// Tests set this to make every parameter-stream step on this thread
+    /// sweep for its int8 maximum, dropping the one its Reduce measured:
+    /// a run's digest must not notice either.
+    pub(crate) static DROP_MAX_HINTS: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// Per-stream codec state.
@@ -125,24 +134,57 @@ impl CompressionPlane {
         }
     }
 
-    /// One sender step of parameter stream `slot` ([`Codec::encode_step`]):
-    /// the block lands in `self.block`, and the stream's reference is
-    /// now the reconstruction to ship.
-    fn step(&mut self, slot: usize, params: &[f32], pool: &mut BufferPool) -> &ParamStream {
+    /// Parameter stream `slot`'s reference when the next step's int8
+    /// scale is `max|params - reference|`: what a Reduce writing the
+    /// parameters that stream sends next can measure on the way
+    /// ([`hop_tensor::ops::scaled_sum`]), for [`Self::encode_params`] to
+    /// take instead of a sweep. `None` under any other codec, and for a
+    /// gradient stream.
+    pub fn int8_reference(&self, slot: usize) -> Option<&[f32]> {
+        match (self.cfg, self.streams.get(slot)) {
+            (CompressionConfig::Int8Uniform, Some(Stream::Params(stream))) => {
+                Some(stream.reference().as_slice())
+            }
+            _ => None,
+        }
+    }
+
+    /// One sender step of parameter stream `slot`, writing the block to
+    /// `self.block` if `read` ([`Codec::encode_step`]) or only what the
+    /// step needs ([`Codec::advance_step`]); returns the wire bytes. The
+    /// stream's reference is then the reconstruction to ship.
+    fn step(
+        &mut self,
+        slot: usize,
+        params: &[f32],
+        max_delta: Option<f32>,
+        pool: &mut BufferPool,
+        read: bool,
+    ) -> u64 {
         let stream = param_stream(self.cfg, &mut self.streams, slot);
         #[cfg(test)]
         if FORGET_FLOORS.get() {
             stream.selection_mut().set_floor(None);
         }
-        self.codec
-            .encode_step(params, stream, pool, &mut self.block);
-        stream
+        #[cfg(test)]
+        let max_delta = max_delta.filter(|_| !DROP_MAX_HINTS.get());
+        if read {
+            self.codec
+                .encode_step(params, stream, max_delta, pool, &mut self.block);
+            self.block.encoded_bytes()
+        } else {
+            self.codec
+                .advance_step(params, stream, max_delta, pool, &mut self.block)
+        }
     }
 
     /// Encodes parameter stream `slot`'s step from its reference to
     /// `params`, advancing the reference by the decoded delta. Returns
     /// the reconstruction to ship (pool-backed, reclaimable) and the
-    /// encoded wire bytes to charge the network.
+    /// encoded wire bytes to charge the network. `max_delta` is the
+    /// step's int8 maximum if the caller measured it (see
+    /// [`Self::int8_reference`]; [`Codec::encode_step`] says what it must
+    /// be). No one reads the block, so an int8 step writes none.
     ///
     /// # Panics
     ///
@@ -152,10 +194,12 @@ impl CompressionPlane {
         &mut self,
         slot: usize,
         params: &[f32],
+        max_delta: Option<f32>,
         pool: &mut BufferPool,
     ) -> (ParamBlock, u64) {
-        let recon = self.step(slot, params, pool).reference().snapshot();
-        (recon, self.block.encoded_bytes())
+        let bytes = self.step(slot, params, max_delta, pool, false);
+        let stream = param_stream(self.cfg, &mut self.streams, slot);
+        (stream.reference().snapshot(), bytes)
     }
 
     /// Like [`Self::encode_params`], but returns the encoded wire block
@@ -172,10 +216,11 @@ impl CompressionPlane {
         &mut self,
         slot: usize,
         params: &[f32],
+        max_delta: Option<f32>,
         pool: &mut BufferPool,
     ) -> (&CompressedBlock, u64) {
-        self.step(slot, params, pool);
-        (&self.block, self.block.encoded_bytes())
+        let bytes = self.step(slot, params, max_delta, pool, true);
+        (&self.block, bytes)
     }
 
     /// Applies a received parameter-stream block to the local mirror of
@@ -266,11 +311,11 @@ mod tests {
         let init = [0.0f32; 4];
         plane.add_param_streams(1, &init);
         // Step to [4, 0.1, 0, 0]: top-2 of the delta keeps 4 and 0.1.
-        let (recon, wire) = plane.encode_params(0, &[4.0, 0.1, 0.0, 0.0], &mut pool);
+        let (recon, wire) = plane.encode_params(0, &[4.0, 0.1, 0.0, 0.0], None, &mut pool);
         assert_eq!(wire, 4 + 8 * 2);
         assert_eq!(recon.as_slice(), &[4.0, 0.1, 0.0, 0.0]);
         // Next step from the updated reference: only the change moves.
-        let (recon, _) = plane.encode_params(0, &[4.0, 0.1, 3.0, 0.2], &mut pool);
+        let (recon, _) = plane.encode_params(0, &[4.0, 0.1, 3.0, 0.2], None, &mut pool);
         assert_eq!(recon.as_slice(), &[4.0, 0.1, 3.0, 0.2]);
         // At ratio 0.5 on 4 elements the sparse format (20 B) exceeds the
         // dense one (16 B): the saving saturates at zero, never negative.
@@ -293,13 +338,13 @@ mod tests {
         plane.add_param_streams(1, &[0.0; 4]);
         // Only the largest of the four moves per message...
         let target = [1.0f32, 0.5, 0.25, 0.125];
-        let (recon, _) = plane.encode_params(0, &target, &mut pool);
+        let (recon, _) = plane.encode_params(0, &target, None, &mut pool);
         assert_eq!(recon.as_slice(), &[1.0, 0.0, 0.0, 0.0]);
         // ...but with a stationary sender the residual drains: after a
         // few messages the reconstruction converges to the target.
         let mut last = recon;
         for _ in 0..3 {
-            let (r, _) = plane.encode_params(0, &target, &mut pool);
+            let (r, _) = plane.encode_params(0, &target, None, &mut pool);
             last = r;
         }
         assert_eq!(last.as_slice(), &target);

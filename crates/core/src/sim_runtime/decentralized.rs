@@ -163,6 +163,7 @@ impl Executor for SimExec<'_, '_> {
             pool: &mut self.eng.pool,
             sink: &mut self.eng.conformance,
             grad: self.grad.as_slice(),
+            reference: self.plane.int8_reference(self.w),
         }
     }
 
@@ -184,10 +185,10 @@ impl Executor for SimExec<'_, '_> {
     }
 
     /// The gradient depends only on the replica as it stands now: the job
-    /// starts here, before this worker's own Send (the helper overlaps
-    /// that too), and is joined at the virtual completion time. Crashes
-    /// fire only at entry, so a job begins iff its `ComputeDone` will be
-    /// accepted.
+    /// starts here, after this worker's own Send (whose sweeps the helper
+    /// can then share), and is joined at the virtual completion time.
+    /// Crashes fire only at entry, so a job begins iff its `ComputeDone`
+    /// will be accepted.
     fn compute_ready(&mut self, _iter: u64) {
         if self.alive() {
             let grad = std::mem::take(self.grad);
@@ -217,11 +218,12 @@ impl Executor for SimExec<'_, '_> {
         &mut self,
         step: &Step<S>,
         params: &ParamBlock,
+        max_delta: Option<f32>,
     ) -> Result<(), Infallible> {
         let (eng, w, now, iter) = (&mut *self.eng, self.w, self.now, step.iter());
         let (mut wire, wire_bytes) = if self.plane.is_active() {
             self.plane
-                .encode_params(w, params.as_slice(), &mut eng.pool)
+                .encode_params(w, params.as_slice(), max_delta, &mut eng.pool)
         } else {
             (params.snapshot(), eng.param_bytes)
         };
@@ -729,6 +731,53 @@ mod tests {
             assert_eq!(hint.histogram_passes(), hint.encodes());
         }
         assert_eq!(digest, forgetful_digest);
+    }
+
+    /// Every block a worker lets go returns to the engine's one pool,
+    /// the stale updates its rotating queue purges included. So the
+    /// reference run (`sim_ref16_int8`'s recipe on 256 examples) stops
+    /// allocating 256 KB buffers once warm: as many fresh acquires after
+    /// 100 iterations as after 150, about the blocks in flight at once.
+    /// (A purge that dropped its blocks let them go outside the pool:
+    /// 257 fresh acquires by iteration 110, still climbing.)
+    #[test]
+    fn the_reference_runs_pool_stops_allocating_once_warm() {
+        use super::super::engine::POOL_STATS;
+
+        let mut cluster = ClusterSpec::uniform(16, 4, 0.05, LinkModel::ethernet_1gbps());
+        let mut rng = hop_util::Xoshiro256::seed_from_u64(1);
+        for w in 0..16 {
+            cluster.set_compute_time(w, 0.05 * (0.98 + 0.04 * rng.next_f64()));
+        }
+        let config = WebspamConfig {
+            dim: 64 * 1024,
+            nnz_per_example: 32,
+            label_noise: 0.05,
+        };
+        let dataset = SyntheticWebspam::generate_with(256, 1, config);
+        let model = Svm::log_loss(hop_data::Dataset::feature_dim(&dataset));
+        let cfg = HopConfig::backup(1, 5)
+            .with_skip(SkipConfig::with_max_jump(10))
+            .with_compression(CompressionConfig::Int8Uniform);
+        let fresh = |max_iters| {
+            let exp = SimExperiment {
+                topology: Topology::ring_based(16),
+                cluster: cluster.clone(),
+                slowdown: SlowdownModel::paper_straggler(16, 0, 6.0),
+                protocol: Protocol::Hop(cfg.clone()),
+                hyper: Hyper::svm(),
+                max_iters,
+                seed: 1,
+                eval_every: 10,
+                eval_examples: 256,
+            };
+            let report = exp.run(&model, &dataset).expect("valid Hop experiment");
+            assert!(!report.deadlocked);
+            POOL_STATS.get().fresh
+        };
+        let (warm, later) = (fresh(100), fresh(150));
+        assert_eq!(warm, later, "fresh buffers after 100 and 150 iterations");
+        assert!(warm <= 100, "{warm} fresh buffers");
     }
 
     #[test]

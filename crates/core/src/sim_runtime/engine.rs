@@ -54,8 +54,12 @@
 //! owns a pool, it keeps buffers from drifting between workers. The pool
 //! also recycles per-event gradient scratch
 //! ([`BufferPool::acquire_stale`]/[`release`](BufferPool::release)) and
-//! reclaims dequeued snapshots nobody retired once their last holder
-//! drops them.
+//! reclaims snapshots nobody retired once their last holder drops them.
+//! Every holder hands its snapshot back through
+//! [`reclaim`](BufferPool::reclaim) — a Reduce its inputs, the rotating
+//! queues the stale updates they purge — so a block the retired list
+//! evicted (one pool serves sixteen workers' blocks here) still returns
+//! to the pool, and a run stops allocating once warm.
 //! Per-example forward/backward intermediates live in each worker's
 //! [`GradScratch`], and the sampler draws each batch's indices into a
 //! buffer the running thread keeps. The steady state is not allocation-free: on
@@ -72,7 +76,10 @@
 //! virtual time and also runs it that way on the host: a protocol calls
 //! `begin_compute` when a worker's virtual compute phase *starts* — the
 //! snapshot the gradient is taken at is fixed from then on — and
-//! `join_compute` when its completion event pops. In between, the job
+//! `join_compute` when its completion event pops. Hop's parallel order
+//! begins the job right after the iteration's Send, which writes no
+//! parameter: the Send's encode runs while the helper is still free to
+//! share it, and the gradient is the same either way. In between, the job
 //! (draw the batch, `loss_grad_into` the worker's gradient buffer) waits
 //! in the pump's outbox, and the outbox goes to one helper thread as a
 //! single message — a *hand-off* — once the gradient work queued in it reaches
@@ -94,14 +101,18 @@
 //! installs it on its thread with a guard that uninstalls it however the
 //! pump ends. Every sweep of at least [`sweep::SPLIT_MIN`] elements the
 //! pump then runs through a splitting kernel — a Reduce with its SGD
-//! step (`scaled_sum`), an int8 encode (`max_abs_sum`, then
-//! `quantize_advance` or `quantize_feedback`), an evaluation's average —
-//! is posted in chunks: the pump runs them from the front, the helper,
-//! polling the board in `recv_spinning` while it waits for a hand-off,
-//! from the back; a helper busy with a gradient job leaves every chunk
-//! to the pump. Splitting cannot change a bit: each output element is
-//! computed by the same expression from the same-index inputs on either
-//! thread, and the int8 scale's maximum is exact under any grouping.
+//! step (`scaled_sum`, which under int8 also measures the scale of the
+//! worker's next Send), an int8 encode (`quantize_advance` alone after
+//! such a Reduce, else after a `max_abs_sum`; `quantize_feedback` on a
+//! gradient stream), an evaluation's average — is posted in chunks: the
+//! pump runs them from the front, the helper, polling the board in
+//! `recv_spinning` while it waits for a hand-off, from the back; a
+//! helper busy with a gradient job leaves every chunk to the pump. On
+//! `sim_ref16_int8` that makes an iteration two sweeps on the pump, the
+//! Reduce and the quantize. Splitting cannot change a bit: each output
+//! element is computed by the same expression from the same-index inputs
+//! on either thread, and the int8 scale's maximum is exact under any
+//! grouping.
 //! [`TrainingReport::sweep_chunks_helped`] counts the helper's chunks;
 //! unlike the hand-off counters, it depends on the schedule.
 //!
@@ -190,18 +201,41 @@ thread_local! {
     pub(crate) static SHARE_SWEEPS: Cell<bool> = const { Cell::new(true) };
 }
 
+#[cfg(test)]
+thread_local! {
+    /// The engine pool's counters when the last run driven on this
+    /// thread ended, for tests that count its allocations.
+    pub(crate) static POOL_STATS: Cell<hop_tensor::PoolStats> = Cell::new(Default::default());
+
+    /// Whether a board shared with the helper waits for the helper's
+    /// first claim ([`Board::awaiting_help`]), for tests that must see
+    /// a helped chunk.
+    pub(crate) static AWAIT_HELP: Cell<bool> = const { Cell::new(false) };
+}
+
 /// `rx.recv()` that polls for [`SPIN`] before it parks, calling `idle`
-/// between polls; work `idle` reports doing restarts the [`SPIN`].
+/// between polls; work `idle` reports doing restarts the [`SPIN`]. Only
+/// a poll whose `idle` reported nothing parks, however long the thread
+/// was descheduled since the last one.
 fn recv_spinning<T>(rx: &Receiver<T>, mut idle: impl FnMut() -> bool) -> Result<T, RecvError> {
     let mut start = Instant::now();
-    while start.elapsed() < SPIN {
+    loop {
         match rx.try_recv() {
             Err(TryRecvError::Empty) if idle() => start = Instant::now(),
-            Err(TryRecvError::Empty) => std::hint::spin_loop(),
+            Err(TryRecvError::Empty) if start.elapsed() < SPIN => std::hint::spin_loop(),
+            Err(TryRecvError::Empty) => return rx.recv(),
             settled => return settled.map_err(|_| RecvError),
         }
     }
-    rx.recv()
+}
+
+/// The board a pump with a helper shares its sweeps on.
+fn sweep_board() -> Board {
+    #[cfg(test)]
+    if AWAIT_HELP.get() {
+        return Board::awaiting_help();
+    }
+    Board::new()
 }
 
 /// One iteration's gradient work for one worker, owning all it mutates.
@@ -845,11 +879,11 @@ impl<'a, E> SimEngine<'a, E> {
                     outbox: Vec::with_capacity(per_handoff),
                     panic: None,
                 });
-                let board = SHARE_SWEEPS.get().then(|| Arc::new(Board::new()));
+                let board = SHARE_SWEEPS.get().then(|| Arc::new(sweep_board()));
                 self.board.clone_from(&board);
                 // Between hand-offs the helper runs chunks of the pump's
-                // sweeps.
-                let idle = move || board.as_ref().is_some_and(|b| b.help());
+                // sweeps (and, on a board awaiting help, keeps polling).
+                let idle = move || board.as_ref().is_some_and(|b| b.help() || b.wants_help());
                 // Until the engine drops its sender. A panicking job ends
                 // the hand-off there — it and the jobs behind it are
                 // dropped, its payload goes back — and ends the helper.
@@ -906,6 +940,8 @@ impl<'a, E> SimEngine<'a, E> {
         }
         let deadlocked = self.aborted || !self.all_finished();
         proto.on_finish(&mut self);
+        #[cfg(test)]
+        POOL_STATS.set(self.pool.stats());
         let fault_log = self.faults.take_log();
         let (mut messages_dropped, mut crashes, mut rejoins) = (0u64, 0u64, 0u64);
         for e in fault_log.events() {

@@ -176,7 +176,8 @@ impl WorkerProtocol for Prague {
                     for &m in &members {
                         let snap = eng.workers[m].params.snapshot();
                         let (recon, wire) =
-                            self.plane.encode_params(m, snap.as_slice(), &mut eng.pool);
+                            self.plane
+                                .encode_params(m, snap.as_slice(), None, &mut eng.pool);
                         eng.pool.reclaim(snap);
                         sum_wire += wire;
                         recons.push(recon);

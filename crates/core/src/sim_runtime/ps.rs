@@ -120,9 +120,9 @@ impl WorkerProtocol for BspServer {
         // the choreographies above — chaos experiments use the
         // per-message protocols.
         let (bcast, bcast_bytes) = if self.plane.is_active() {
-            let (recon, wire) = self
-                .plane
-                .encode_params(0, self.params.as_slice(), &mut eng.pool);
+            let (recon, wire) =
+                self.plane
+                    .encode_params(0, self.params.as_slice(), None, &mut eng.pool);
             self.plane.charge(n as u64, eng.param_bytes, wire);
             (Some(recon), wire)
         } else {
@@ -242,7 +242,9 @@ impl AsyncServer {
         param_bytes: u64,
     ) -> (ParamBlock, u64) {
         if self.plane.is_active() {
-            let (snap, wire) = self.plane.encode_params(w, self.params.as_slice(), pool);
+            let (snap, wire) = self
+                .plane
+                .encode_params(w, self.params.as_slice(), None, pool);
             self.plane.charge(1, param_bytes, wire);
             (snap, wire)
         } else {

@@ -141,7 +141,8 @@ impl Qgm<'_> {
         // own Reduce keeps its exact half-step.
         let half = eng.workers[w].params.snapshot();
         let (wire, wire_bytes) = if self.plane.is_active() {
-            self.plane.encode_params(w, half.as_slice(), &mut eng.pool)
+            self.plane
+                .encode_params(w, half.as_slice(), None, &mut eng.pool)
         } else {
             (half.snapshot(), eng.param_bytes)
         };
@@ -191,6 +192,7 @@ impl Qgm<'_> {
             // still in flight detach without copying.
             semantics::reduce_mean(
                 &views,
+                None,
                 None,
                 eng.workers[w].params.overwrite_mut(&mut eng.pool),
             );

@@ -266,6 +266,7 @@ impl Transport for InMemoryTransport<'_> {
         &mut self,
         tag: Tag,
         params: &ParamBlock,
+        max_delta: Option<f32>,
         receivers: &[usize],
         plane: &mut CompressionPlane,
         pool: &mut BufferPool,
@@ -276,7 +277,7 @@ impl Transport for InMemoryTransport<'_> {
         // depend on the plan); identity sends share the exact block.
         let externals_out = self.topo.external_out_neighbors(self.w);
         let recon = (plane.is_active() && !externals_out.is_empty())
-            .then(|| plane.encode_params(0, params.as_slice(), pool).0);
+            .then(|| plane.encode_params(0, params.as_slice(), max_delta, pool).0);
         let payload = recon.as_ref().unwrap_or(params);
         for &r in receivers {
             let mail = Mail::Update(tag, payload.snapshot());

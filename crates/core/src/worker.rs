@@ -81,11 +81,13 @@ pub(crate) trait Transport {
     /// Delivers this iteration's update, tagged `tag`, to the listed
     /// external out-neighbors (the ones the fault shim let through),
     /// stepping the worker's codec `plane` once however the transport
-    /// ships the result.
+    /// ships the result; `max_delta` is the step's int8 maximum if the
+    /// last Reduce measured it ([`Executor::send`]).
     fn deliver(
         &mut self,
         tag: Tag,
         params: &ParamBlock,
+        max_delta: Option<f32>,
         receivers: &[usize],
         plane: &mut CompressionPlane,
         pool: &mut BufferPool,
@@ -254,6 +256,7 @@ impl<T: Transport, S: EventSink> Executor for Real<'_, '_, T, S> {
             pool: &mut self.pool,
             sink: self.sink,
             grad: self.grad.as_slice(),
+            reference: self.plane.int8_reference(0),
         }
     }
 
@@ -292,6 +295,7 @@ impl<T: Transport, S: EventSink> Executor for Real<'_, '_, T, S> {
         &mut self,
         step: &Step<St>,
         params: &ParamBlock,
+        max_delta: Option<f32>,
     ) -> Result<(), RuntimeError> {
         let (job, k) = (self.job, step.iter());
         let w = job.w;
@@ -319,6 +323,7 @@ impl<T: Transport, S: EventSink> Executor for Real<'_, '_, T, S> {
         self.transport.deliver(
             tag,
             params,
+            max_delta,
             &self.receivers,
             &mut self.plane,
             &mut self.pool,
@@ -656,6 +661,7 @@ pub(crate) mod tests {
             &mut self,
             _tag: Tag,
             _params: &ParamBlock,
+            _max_delta: Option<f32>,
             _receivers: &[usize],
             _plane: &mut CompressionPlane,
             _pool: &mut BufferPool,

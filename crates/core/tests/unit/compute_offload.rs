@@ -10,15 +10,18 @@
 //! A cut of the reference run, whose 64K-parameter Reduces and int8
 //! encodes are long enough to split, runs a different three ways: on the
 //! pump alone, beside a helper that shares no sweep, and beside one that
-//! shares them on a sweep board.
+//! shares them on a sweep board. A longer cut runs with the int8 scales
+//! its Reduces measure and without them.
 //!
 //! Compiled into `hop_core`'s unit-test target (`#[path]` in
 //! `src/sim_runtime/mod.rs`): the threshold is crate-private.
 
-use super::engine::{OFFLOAD_MIN_PARAMS, SHARE_SWEEPS};
+use super::engine::{AWAIT_HELP, OFFLOAD_MIN_PARAMS, SHARE_SWEEPS};
 use crate::config::{PsConfig, PsMode, QgmConfig};
+use crate::conformance::ProtocolEvent;
 use crate::{HopConfig, Hyper, Protocol, SimExperiment, SkipConfig, TrainingReport};
 use hop_data::webspam::{SyntheticWebspam, WebspamConfig};
+use hop_data::InMemoryDataset;
 use hop_graph::Topology;
 use hop_model::svm::Svm;
 use hop_model::{GradScratch, Model};
@@ -284,11 +287,11 @@ fn the_10k_worker_shape_batches_64_jobs_to_a_hand_off_and_joins_under_1_percent_
     );
 }
 
-#[test]
-fn the_reference_run_gives_the_same_bits_with_its_sweeps_shared() {
-    // `sim_ref16_int8`'s recipe (`benchmark/src/workloads.rs`) cut to 12
-    // iterations and 256 examples: 64K parameters, so every Reduce,
-    // int8 encode and evaluation average is a sweep the board splits.
+/// `sim_ref16_int8`'s recipe (`benchmark/src/workloads.rs`) cut to
+/// `max_iters` iterations and 256 examples: 64K parameters, so every
+/// Reduce, int8 encode and evaluation average is a sweep the board
+/// splits.
+fn reference_run(max_iters: u64) -> (SimExperiment, InMemoryDataset, Svm) {
     let cfg = HopConfig::backup(1, 5)
         .with_skip(SkipConfig::with_max_jump(10))
         .with_compression(CompressionConfig::Int8Uniform);
@@ -303,7 +306,7 @@ fn the_reference_run_gives_the_same_bits_with_its_sweeps_shared() {
         slowdown: SlowdownModel::paper_straggler(16, 0, 6.0),
         protocol: Protocol::Hop(cfg),
         hyper: Hyper::svm(),
-        max_iters: 12,
+        max_iters,
         seed: 1,
         eval_every: 10,
         eval_examples: 256,
@@ -314,11 +317,20 @@ fn the_reference_run_gives_the_same_bits_with_its_sweeps_shared() {
         label_noise: 0.05,
     };
     let dataset = SyntheticWebspam::generate_with(256, 1, wide);
-    let model = Svm::log_loss(1 << 16);
+    (exp, dataset, Svm::log_loss(1 << 16))
+}
+
+#[test]
+fn the_reference_run_gives_the_same_bits_with_its_sweeps_shared() {
+    let (exp, dataset, model) = reference_run(12);
     let run = |min, share| {
         OFFLOAD_MIN_PARAMS.set(min);
         SHARE_SWEEPS.set(share);
-        exp.run_conformance(&model, &dataset).expect("valid")
+        // The board's first sweep waits for the helper's first claim.
+        AWAIT_HELP.set(share);
+        let report = exp.run_conformance(&model, &dataset).expect("valid");
+        AWAIT_HELP.set(false);
+        report
     };
     // On the pump alone (no helper, so no board); every job shipped to
     // a helper that shares no sweep; and shipped to one that does.
@@ -326,7 +338,8 @@ fn the_reference_run_gives_the_same_bits_with_its_sweeps_shared() {
     assert!(!serial.deadlocked);
     assert_eq!(serial.compute_handoffs, 0);
     assert_eq!(serial.sweep_chunks_helped + unshared.sweep_chunks_helped, 0);
-    // Schedule-dependent, so only its being nonzero is checked.
+    // Schedule-dependent beyond the first, so only its being nonzero is
+    // checked.
     assert!(shared.sweep_chunks_helped > 0, "the helper ran no chunk");
     for (way, offload) in [("unshared", &unshared), ("shared", &shared)] {
         assert_eq!(serial.digest(), offload.digest(), "{way}: digest");
@@ -451,4 +464,36 @@ fn a_panic_in_the_middle_of_a_hand_off_reraises_at_the_join_that_misses_its_job(
     // returns at all is the helper joined: `drive`'s scope cannot end
     // before it.
     run_broken(2, 4);
+}
+
+/// The int8 Send takes its scale from the maximum the Reduce before it
+/// measured (`ops::scaled_sum` against the stream's reference), on the
+/// pump and, split, beside the helper. Dropping every such maximum, so
+/// that each encode sweeps for its own, moves no bit: the same digest,
+/// events and event count, over a cut long enough for the straggler's
+/// §5 jumps, whose renewing Reduce has no SGD step.
+#[test]
+fn the_reference_run_gives_the_same_bits_without_its_measured_maxima() {
+    use super::compression::DROP_MAX_HINTS;
+
+    let (exp, dataset, model) = reference_run(40);
+    let run = |min, drop| {
+        OFFLOAD_MIN_PARAMS.set(min);
+        DROP_MAX_HINTS.set(drop);
+        let report = exp.run_conformance(&model, &dataset).expect("valid");
+        DROP_MAX_HINTS.set(false);
+        report
+    };
+    let measured = run(usize::MAX, false);
+    assert!(!measured.deadlocked);
+    let events = measured.conformance.as_ref().expect("traced").events();
+    let jumps = events
+        .iter()
+        .filter(|e| matches!(e, ProtocolEvent::Jump { .. }));
+    assert!(jumps.count() > 0, "the straggler never jumped");
+    for (way, other) in [("swept", run(usize::MAX, true)), ("split", run(0, false))] {
+        assert_eq!(measured.digest(), other.digest(), "{way}: digest");
+        assert_eq!(measured.conformance, other.conformance, "{way}: events");
+        assert_eq!(measured.events_processed, other.events_processed, "{way}");
+    }
 }

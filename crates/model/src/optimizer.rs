@@ -242,7 +242,14 @@ mod tests {
         a.step(&mut p1, &g);
         // The Reduce of `p2` alone, `(0.0 + p2) * 1.0`, is `p2`.
         let mut out = vec![f32::NAN; 3];
-        hop_tensor::ops::scaled_sum(&[&p2], None, 1.0, Some(b.step_onto(&p2, &g)), &mut out);
+        hop_tensor::ops::scaled_sum(
+            &[&p2],
+            None,
+            1.0,
+            Some(b.step_onto(&p2, &g)),
+            None,
+            &mut out,
+        );
         assert_eq!(a, b, "same velocity");
         assert_eq!(p2, vec![1.0, -2.0, 0.5], "parameters untouched");
         assert_eq!(out, p1);

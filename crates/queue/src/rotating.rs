@@ -126,11 +126,17 @@ impl<T> RotatingQueues<T> {
     /// Drops entries older than `iter` from the sub-queue for `iter`,
     /// counting them as stale.
     fn purge_stale(&mut self, iter: u64) {
+        self.recycle_stale(iter, drop);
+    }
+
+    /// The purge that [`Self::size`] and the dequeues of `iter` begin
+    /// with, made ahead of them: removes the entries older than `iter`
+    /// from its sub-queue, counting them as stale, and hands each value to
+    /// `recycle` (an owner that pools its updates' buffers gets them back).
+    pub fn recycle_stale(&mut self, iter: u64, recycle: impl FnMut(T)) {
         let n = self.n;
-        let dropped = self
-            .entries
-            .discard_where(|tag| tag.iter < iter && (iter - tag.iter).is_multiple_of(n));
-        self.stale_discarded += dropped as u64;
+        let stale = |tag: Tag| tag.iter < iter && (iter - tag.iter).is_multiple_of(n);
+        self.stale_discarded += self.entries.discard_where(stale, recycle) as u64;
     }
 
     /// Number of entries currently available for iteration `iter`
@@ -169,7 +175,15 @@ impl<T> RotatingQueues<T> {
     /// Discards entries older than `min_iter` in all sub-queues (the
     /// periodic cleanup of §4.3), returning the number dropped.
     pub fn discard_older_than(&mut self, min_iter: u64) -> usize {
-        let dropped = self.entries.discard_older_than(min_iter);
+        self.recycle_older_than(min_iter, drop)
+    }
+
+    /// [`Self::discard_older_than`], handing each dropped value to
+    /// `recycle`.
+    pub fn recycle_older_than(&mut self, min_iter: u64, recycle: impl FnMut(T)) -> usize {
+        let dropped = self
+            .entries
+            .discard_where(|tag| tag.iter < min_iter, recycle);
         self.stale_discarded += dropped as u64;
         dropped
     }

@@ -211,14 +211,29 @@ impl<T> TaggedQueue<T> {
     /// Discards all entries with `tag.iter < min_iter`, returning how many
     /// were dropped. This is the periodic stale-update cleanup of §4.3/§6.2.
     pub fn discard_older_than(&mut self, min_iter: u64) -> usize {
-        self.discard_where(|tag| tag.iter < min_iter)
+        self.discard_where(|tag| tag.iter < min_iter, drop)
     }
 
-    /// Discards every entry whose tag satisfies `stale`, returning how
-    /// many were dropped; the others keep their order.
-    pub(crate) fn discard_where(&mut self, stale: impl Fn(Tag) -> bool) -> usize {
+    /// Removes every entry whose tag satisfies `stale`, hands its value to
+    /// `recycle`, in FIFO order, and returns how many; the others keep
+    /// their order. A queue with none to remove is only scanned.
+    pub(crate) fn discard_where(
+        &mut self,
+        stale: impl Fn(Tag) -> bool,
+        mut recycle: impl FnMut(T),
+    ) -> usize {
         let before = self.entries.len();
-        self.entries.retain(|e| !stale(e.tag));
+        if self.entries.iter().any(|e| stale(e.tag)) {
+            // One full rotation: every entry leaves the front once.
+            for _ in 0..before {
+                let entry = self.entries.pop_front().expect("unvisited entries remain");
+                if stale(entry.tag) {
+                    recycle(entry.value);
+                } else {
+                    self.entries.push_back(entry);
+                }
+            }
+        }
         before - self.entries.len()
     }
 

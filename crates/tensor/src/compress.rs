@@ -33,7 +33,10 @@
 //!   `scale = max|v| / 127`, rounding half to even
 //!   (`f32::round_ties_even`). The reconstruction error of each entry is
 //!   at most half a quantization step. Two fused SIMD sweeps
-//!   ([`kernels`]): the magnitude scan, then quantize + state refresh.
+//!   ([`kernels`]): the magnitude scan, then quantize + state refresh. A
+//!   parameter stream's step can skip the first, given the maximum by
+//!   the Reduce that wrote its parameters, and the second's `i8` stores,
+//!   when its caller ships the reconstruction ([`Codec::advance_step`]).
 //!
 //! Two kinds of stream use the codecs, one step function each:
 //!
@@ -387,18 +390,17 @@ impl ParamStream {
                 self.advance_sparse(next, indices, values, pool);
             }
             CompressedBlock::Quantized { scale, values } => {
-                let step = |o: f32, q: i8| o + q as f32 * scale;
+                let backend = Backend::host();
                 match self.reference.unique_mut() {
-                    Some(reference) => {
-                        for (o, &q) in reference.iter_mut().zip(values) {
-                            *o = step(*o, q);
-                        }
-                    }
+                    Some(reference) => backend.advance_dequantized(values, *scale, None, reference),
                     None => {
                         let mut next = pool.acquire_stale(len);
-                        for ((n, &o), &q) in next.iter_mut().zip(&*self.reference).zip(values) {
-                            *n = step(o, q);
-                        }
+                        backend.advance_dequantized(
+                            values,
+                            *scale,
+                            Some(&self.reference),
+                            &mut next,
+                        );
                         self.replace(next, pool);
                     }
                 }
@@ -954,20 +956,30 @@ impl Int8Uniform {
         }
     }
 
-    /// The parameter-stream step (see [`Codec::encode_step`]).
+    /// The parameter-stream step (see [`Codec::encode_step`]), which
+    /// writes the block's entries only if `read`; returns its wire bytes.
     fn encode_step(
         params: &[f32],
         stream: &mut ParamStream,
+        max_delta: Option<f32>,
         pool: &mut BufferPool,
         out: &mut CompressedBlock,
-    ) {
+        read: bool,
+    ) -> u64 {
         let old = stream.reference.as_slice();
-        let scale = Self::scale_for(kernels::max_abs_sum(-1.0, old, params));
+        let sweep = || kernels::max_abs_sum(-1.0, old, params);
+        debug_assert!(
+            max_delta.is_none_or(|max| max.to_bits() == sweep().to_bits()),
+            "a measured maximum of another delta"
+        );
+        let scale = Self::scale_for(max_delta.unwrap_or_else(sweep));
         let values = out.make_quantized(scale);
-        values.resize(params.len(), 0);
+        values.resize(if read { params.len() } else { 0 }, 0);
+        let q = read.then_some(values.as_mut_slice());
         let mut next = pool.acquire_stale(old.len());
-        kernels::quantize_advance(params, scale, old, &mut next, values);
+        kernels::quantize_advance(params, scale, old, &mut next, q);
         stream.replace(next, pool);
+        4 + 4 + params.len() as u64
     }
 }
 
@@ -990,9 +1002,7 @@ impl Compressor for Int8Uniform {
         match block {
             CompressedBlock::Quantized { scale, values } => {
                 assert_eq!(values.len(), out.len(), "int8 decode length mismatch");
-                for (o, &q) in out.iter_mut().zip(values) {
-                    *o = q as f32 * scale;
-                }
+                Backend::host().dequantize(values, *scale, out);
             }
             _ => panic!("int8 codec fed a non-quantized block"),
         }
@@ -1026,6 +1036,13 @@ impl Codec {
     /// from `pool`; the previous one is retired to it and reused once
     /// unshared.
     ///
+    /// `max_delta`, if given, must be `max_i |params[i] + (-1) *
+    /// reference[i]|` as [`kernels::max_abs_sum`] computes it — what a
+    /// Reduce that wrote `params` measured ([`crate::ops::scaled_sum`]
+    /// given the reference) — and an int8 step takes it for its scale
+    /// instead of sweeping for it (debug builds sweep anyway and assert
+    /// the two are the same bits). Other codecs ignore it.
+    ///
     /// # Panics
     ///
     /// Panics if `params` and the stream have different lengths, or on
@@ -1034,9 +1051,46 @@ impl Codec {
         &mut self,
         params: &[f32],
         stream: &mut ParamStream,
+        max_delta: Option<f32>,
         pool: &mut BufferPool,
         out: &mut CompressedBlock,
     ) {
+        self.step(params, stream, max_delta, pool, out, true);
+    }
+
+    /// [`Self::encode_step`] for a sender that ships the reconstruction
+    /// ([`ParamStream::reference`]) instead of the block: the reference
+    /// advances to the same bits, and the block's wire bytes are
+    /// returned, but an int8 step writes no `i8` (`scratch` is left a
+    /// quantized block with the step's scale and no entries). A top-k
+    /// step needs its block to advance and writes it to `scratch` in
+    /// full.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::encode_step`].
+    pub fn advance_step(
+        &mut self,
+        params: &[f32],
+        stream: &mut ParamStream,
+        max_delta: Option<f32>,
+        pool: &mut BufferPool,
+        scratch: &mut CompressedBlock,
+    ) -> u64 {
+        self.step(params, stream, max_delta, pool, scratch, false)
+    }
+
+    /// [`Self::encode_step`], writing an int8 block's entries only if
+    /// `read`; returns the block's wire bytes.
+    fn step(
+        &mut self,
+        params: &[f32],
+        stream: &mut ParamStream,
+        max_delta: Option<f32>,
+        pool: &mut BufferPool,
+        out: &mut CompressedBlock,
+        read: bool,
+    ) -> u64 {
         assert_eq!(
             stream.reference.len(),
             params.len(),
@@ -1046,8 +1100,11 @@ impl Codec {
         );
         match self {
             Codec::Identity(_) => panic!("identity messages are the parameters themselves"),
-            Codec::TopK(c) => c.encode_step(params, stream, pool, out),
-            Codec::Int8(_) => Int8Uniform::encode_step(params, stream, pool, out),
+            Codec::TopK(c) => {
+                c.encode_step(params, stream, pool, out);
+                out.encoded_bytes()
+            }
+            Codec::Int8(_) => Int8Uniform::encode_step(params, stream, max_delta, pool, out, read),
         }
     }
 }
@@ -1204,15 +1261,15 @@ mod tests {
         let mut stream = ParamStream::new(&[0.0; 8]);
         let mut block = CompressedBlock::default();
         let params: Vec<f32> = (0..8).map(|i| i as f32).collect();
-        codec.encode_step(&params, &mut stream, &mut owner, &mut block);
+        codec.encode_step(&params, &mut stream, None, &mut owner, &mut block);
         let shipped = stream.reference().snapshot();
         let old = shipped.as_slice().as_ptr();
-        codec.encode_step(&params, &mut stream, &mut owner, &mut block);
+        codec.encode_step(&params, &mut stream, None, &mut owner, &mut block);
         // The receiver's reclaim only drops its reference: the buffer
         // belongs to the pool whose step replaced it.
         reader.reclaim(shipped);
         assert_eq!(reader.free_buffers(), 0);
-        codec.encode_step(&params, &mut stream, &mut owner, &mut block);
+        codec.encode_step(&params, &mut stream, None, &mut owner, &mut block);
         assert_eq!(stream.reference().as_slice().as_ptr(), old);
     }
 
@@ -1267,7 +1324,7 @@ mod tests {
         let mut warm = None;
         for round in 0..14 {
             let params: Vec<f32> = (0..len).map(|i| ((i * round) as f32).sin()).collect();
-            codec.encode_step(&params, &mut sender, &mut pool, &mut block);
+            codec.encode_step(&params, &mut sender, None, &mut pool, &mut block);
             receiver.apply(&block, &mut pool);
             held = hold.then(|| sender.reference().snapshot());
             let buffer = match &block {

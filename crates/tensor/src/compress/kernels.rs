@@ -19,6 +19,19 @@
 //!    also the reconstruction shipped to every receiver) is written out
 //!    of place from the old one.
 //!
+//! A parameter stream's step can be one sweep. Its first sweep's maximum
+//! is `max|params - reference|`, and the Reduce that wrote `params` can
+//! measure it as it writes them ([`crate::ops::scaled_sum`] given the
+//! reference: the same candidates, NaN skip and exact chunk fold). And a
+//! sender that ships the reconstruction, not the block, has no reader
+//! for the `i8`s: [`quantize_advance`] without a `q` advances the
+//! reference and writes nothing else.
+//!
+//! The receiving half is one sweep per block too: [`Backend::dequantize`]
+//! decodes a block, [`Backend::advance_dequantized`] adds it to a mirrored
+//! reference, both the scalar `q as f32 * scale` (then `old + …`) of
+//! [`super::reference`] in lanes.
+//!
 //! Like the kernels of [`crate::ops`], each is one body over eight lanes
 //! (see [`crate::ops::simd`]), run on either [`Backend`], and evaluates
 //! lane by lane the scalar expressions of the composed sequence it
@@ -90,20 +103,28 @@ pub fn quantize_feedback(x: &[f32], scale: f32, residual: &mut [f32], q: &mut [i
 }
 
 /// The parameter-stream quantize sweep: with `w = x[i] - old[i]`, writes
-/// `q[i] = quantize(w)` and `new[i] = old[i] + q[i] * scale`.
+/// `new[i] = old[i] + quantize(w) * scale`, and `q[i] = quantize(w)` if
+/// given a `q` (a sender that ships `new` has no reader for the block).
 /// SIMD-dispatched, and split on an installed [`sweep::Board`].
 ///
 /// # Panics
 ///
-/// Panics if the four slices have different lengths.
-pub fn quantize_advance(x: &[f32], scale: f32, old: &[f32], new: &mut [f32], q: &mut [i8]) {
-    assert_eq!(x.len(), old.len(), "quantize_advance length mismatch");
-    assert_eq!(x.len(), new.len(), "quantize_advance length mismatch");
-    assert_eq!(x.len(), q.len(), "quantize_advance length mismatch");
+/// Panics if the slices have different lengths.
+pub fn quantize_advance(x: &[f32], scale: f32, old: &[f32], new: &mut [f32], q: Option<&mut [i8]>) {
+    check_advance(x, old, new, q.as_deref());
     let backend = Backend::host();
     sweep::split(x.len(), (new, q), |range, (new, q)| {
         backend.quantize_advance(&x[range.clone()], scale, &old[range], new, q);
     });
+}
+
+/// [`quantize_advance`]'s shape checks.
+fn check_advance(x: &[f32], old: &[f32], new: &[f32], q: Option<&[i8]>) {
+    assert_eq!(x.len(), old.len(), "quantize_advance length mismatch");
+    assert_eq!(x.len(), new.len(), "quantize_advance length mismatch");
+    if let Some(q) = q {
+        assert_eq!(x.len(), q.len(), "quantize_advance length mismatch");
+    }
 }
 
 /// The int8 kernels on an explicit backend: the shape checks, then the
@@ -130,12 +151,34 @@ impl Backend {
         scale: f32,
         old: &[f32],
         new: &mut [f32],
-        q: &mut [i8],
+        q: Option<&mut [i8]>,
     ) {
-        assert_eq!(x.len(), old.len(), "quantize_advance length mismatch");
-        assert_eq!(x.len(), new.len(), "quantize_advance length mismatch");
-        assert_eq!(x.len(), q.len(), "quantize_advance length mismatch");
+        check_advance(x, old, new, q.as_deref());
         on_backend!(self, advance_body(x, scale, old, new, q));
+    }
+
+    /// The int8 decode: `out[i] = q[i] as f32 * scale`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` and `out` have different lengths.
+    pub fn dequantize(self, q: &[i8], scale: f32, out: &mut [f32]) {
+        assert_eq!(q.len(), out.len(), "dequantize length mismatch");
+        on_backend!(self, dequantize_body(q, scale, out));
+    }
+
+    /// A receiver's int8 stream step: `new[i] = old[i] + q[i] as f32 *
+    /// scale`, where `old` is `new` itself when not given (in place).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices have different lengths.
+    pub fn advance_dequantized(self, q: &[i8], scale: f32, old: Option<&[f32]>, new: &mut [f32]) {
+        assert_eq!(q.len(), new.len(), "advance_dequantized length mismatch");
+        if let Some(old) = old {
+            assert_eq!(old.len(), new.len(), "advance_dequantized length mismatch");
+        }
+        on_backend!(self, advance_dequantized_body(q, scale, old, new));
     }
 
     /// Top-k's candidate scan: writes to the front of `keys` /
@@ -255,19 +298,25 @@ fn max_abs_sum_body<V: Lanes>(alpha: f32, r: &[f32], x: &[f32]) -> f32 {
     max
 }
 
-/// [`quantize`] on lanes: writes the `i8`s to `q` and returns
-/// `q as f32 * scale`. A scale that is not
+/// [`quantize`] on lanes, as floats: `q as f32`. A scale that is not
 /// positive divides by `+inf` instead, which sends every `w` to `±0.0` or
 /// NaN: `0` once unordered lanes are cleared to `+0.0` — the scalar
-/// `NaN as i8 == 0` — before the clamp. The `+ 0.0` turns the `-0.0` that
-/// a small negative rounds to into the `+0.0` of `0i8 as f32`.
+/// `NaN as i8 == 0` — before the clamp. A lane may hold `-0.0`, which
+/// [`Lanes::store_i8`] stores as `0` and [`dequantize_lanes`] decodes as
+/// `+0.0`.
 #[inline(always)]
-fn quantize_lanes<V: Lanes>(w: V, scale: f32, q: &mut [i8]) -> V {
+fn quantize_lanes<V: Lanes>(w: V, scale: f32) -> V {
     let divisor = V::splat(if scale > 0.0 { scale } else { f32::INFINITY });
     let rounded = w.div(divisor).round_ties_even().zero_nan();
-    let clamped = rounded.max(V::splat(-127.0)).min(V::splat(127.0));
-    clamped.store_i8(q);
-    clamped.add(V::splat(0.0)).mul(V::splat(scale))
+    rounded.max(V::splat(-127.0)).min(V::splat(127.0))
+}
+
+/// `q as f32 * scale` from [`quantize_lanes`]' floats: the `+ 0.0` turns
+/// the `-0.0` that a small negative rounds to into the `+0.0` of `0i8 as
+/// f32`.
+#[inline(always)]
+fn dequantize_lanes<V: Lanes>(q: V, scale: f32) -> V {
+    q.add(V::splat(0.0)).mul(V::splat(scale))
 }
 
 /// [`quantize_feedback`] on `V`: per lane `w = x + r`, then
@@ -279,7 +328,9 @@ fn feedback_body<V: Lanes>(x: &[f32], scale: f32, residual: &mut [f32], q: &mut 
     let (qs, q_tail) = q.as_chunks_mut::<LANES>();
     for ((xx, rr), qq) in xs.iter().zip(rs.iter_mut()).zip(qs) {
         let w = V::load(xx).add(V::load(rr));
-        w.sub(quantize_lanes(w, scale, qq)).store(rr);
+        let quantized = quantize_lanes(w, scale);
+        quantized.store_i8(qq);
+        w.sub(dequantize_lanes(quantized, scale)).store(rr);
     }
     for ((&xi, ri), qi) in x_tail.iter().zip(r_tail).zip(q_tail) {
         let w = xi + *ri;
@@ -289,22 +340,66 @@ fn feedback_body<V: Lanes>(x: &[f32], scale: f32, residual: &mut [f32], q: &mut 
 }
 
 /// [`quantize_advance`] on `V`: per lane `x - old`, then
-/// [`quantize_lanes`], then `old + q * scale`: the scalar tail's order.
+/// [`quantize_lanes`] (stored to `q` if given), then `old + q * scale`:
+/// the scalar tail's order.
 #[inline(always)]
-fn advance_body<V: Lanes>(x: &[f32], scale: f32, old: &[f32], new: &mut [f32], q: &mut [i8]) {
+fn advance_body<V: Lanes>(
+    x: &[f32],
+    scale: f32,
+    old: &[f32],
+    new: &mut [f32],
+    q: Option<&mut [i8]>,
+) {
     let (xs, x_tail) = x.as_chunks::<LANES>();
     let (os, o_tail) = old.as_chunks::<LANES>();
     let (ns, n_tail) = new.as_chunks_mut::<LANES>();
-    let (qs, q_tail) = q.as_chunks_mut::<LANES>();
-    for (((xx, oo), nn), qq) in xs.iter().zip(os).zip(ns).zip(qs) {
+    let (mut qs, mut q_tail) = q.map(|q| q.as_chunks_mut::<LANES>()).unzip();
+    for (g, ((xx, oo), nn)) in xs.iter().zip(os).zip(ns).enumerate() {
         let vo = V::load(oo);
-        let d = quantize_lanes(V::load(xx).sub(vo), scale, qq);
-        vo.add(d).store(nn);
+        let quantized = quantize_lanes(V::load(xx).sub(vo), scale);
+        if let Some(qs) = &mut qs {
+            quantized.store_i8(&mut qs[g]);
+        }
+        vo.add(dequantize_lanes(quantized, scale)).store(nn);
     }
     let tail = x_tail.iter().zip(o_tail).zip(n_tail);
-    for (((&xi, &oi), ni), qi) in tail.zip(q_tail) {
-        *qi = quantize(xi - oi, scale);
-        *ni = oi + *qi as f32 * scale;
+    for (k, ((&xi, &oi), ni)) in tail.enumerate() {
+        let qi = quantize(xi - oi, scale);
+        if let Some(q_tail) = &mut q_tail {
+            q_tail[k] = qi;
+        }
+        *ni = oi + qi as f32 * scale;
+    }
+}
+
+/// [`Backend::dequantize`] on `V`.
+#[inline(always)]
+fn dequantize_body<V: Lanes>(q: &[i8], scale: f32, out: &mut [f32]) {
+    let (qs, q_tail) = q.as_chunks::<LANES>();
+    let (os, o_tail) = out.as_chunks_mut::<LANES>();
+    let vs = V::splat(scale);
+    for (qq, oo) in qs.iter().zip(os) {
+        V::load_i8(qq).mul(vs).store(oo);
+    }
+    for (&qi, oi) in q_tail.iter().zip(o_tail) {
+        *oi = qi as f32 * scale;
+    }
+}
+
+/// [`Backend::advance_dequantized`] on `V`: `old + q * scale`, the
+/// product rounded first.
+#[inline(always)]
+fn advance_dequantized_body<V: Lanes>(q: &[i8], scale: f32, old: Option<&[f32]>, new: &mut [f32]) {
+    let (qs, q_tail) = q.as_chunks::<LANES>();
+    let (ns, n_tail) = new.as_chunks_mut::<LANES>();
+    let (os, o_tail) = old.map(|old| old.as_chunks::<LANES>()).unzip();
+    let vs = V::splat(scale);
+    for (g, (qq, nn)) in qs.iter().zip(ns).enumerate() {
+        let vo = V::load(os.map_or(&*nn, |os| &os[g]));
+        vo.add(V::load_i8(qq).mul(vs)).store(nn);
+    }
+    for (k, (&qi, ni)) in q_tail.iter().zip(n_tail).enumerate() {
+        *ni = o_tail.map_or(*ni, |o| o[k]) + qi as f32 * scale;
     }
 }
 

@@ -68,6 +68,34 @@ pub fn quantize_advance(x: &[f32], scale: f32, old: &[f32], new: &mut [f32], q: 
     axpy(1.0, &decoded, new);
 }
 
+/// The int8 decode loop: `out[i] = q[i] as f32 * scale`.
+///
+/// # Panics
+///
+/// Panics if `q` and `out` have different lengths.
+pub fn dequantize(q: &[i8], scale: f32, out: &mut [f32]) {
+    assert_eq!(q.len(), out.len(), "dequantize length mismatch");
+    for (o, &qi) in out.iter_mut().zip(q) {
+        *o = qi as f32 * scale;
+    }
+}
+
+/// A receiver's int8 stream step as a loop: `new[i] = old[i] + q[i] as
+/// f32 * scale`, in place (`old` is `new` itself) when `old` is `None`.
+///
+/// # Panics
+///
+/// Panics if the slices have different lengths.
+pub fn advance_dequantized(q: &[i8], scale: f32, old: Option<&[f32]>, new: &mut [f32]) {
+    assert_eq!(q.len(), new.len(), "advance_dequantized length mismatch");
+    if let Some(old) = old {
+        new.copy_from_slice(old);
+    }
+    for (n, &qi) in new.iter_mut().zip(q) {
+        *n += qi as f32 * scale;
+    }
+}
+
 fn int8_scale(max_abs: f32) -> f32 {
     if max_abs > 0.0 {
         max_abs / 127.0
@@ -154,6 +182,9 @@ pub fn param_step(
     axpy(-1.0, reference, &mut delta);
     encode_into(cfg, &delta, &mut ErrorFeedback::new(), out);
     let mut decoded = vec![0.0f32; params.len()];
-    cfg.codec().decode_into(out, &mut decoded);
+    match out {
+        CompressedBlock::Quantized { scale, values } => dequantize(values, *scale, &mut decoded),
+        block => cfg.codec().decode_into(block, &mut decoded),
+    }
     axpy(1.0, &decoded, reference);
 }

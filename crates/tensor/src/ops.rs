@@ -33,12 +33,15 @@
 //! reassociates the floating-point sum, and those results feed the
 //! experiment digests. Only a *maximum* may be vectorised as a reduction
 //! — it is exact under any association — which is what the int8 codec's
-//! `max|v|` scan in [`crate::compress::kernels`] does. [`gemv_t`]
+//! `max|v|` scan in [`crate::compress::kernels`] does, and what a
+//! [`scaled_sum`] given a reference measures on the way: the int8 scale
+//! of the parameter-stream step that follows the Reduce. [`gemv_t`]
 //! composes [`axpy`], so it rides the SIMD backends for free without
 //! changing any accumulation order.
 
 pub mod simd;
 
+use crate::sweep::MaxBits;
 use simd::{on_backend, Backend, Lanes, LANES};
 
 /// `y += alpha * x` (AXPY), SIMD-dispatched.
@@ -95,7 +98,7 @@ pub fn fill(value: f32, x: &mut [f32]) {
 /// Panics if `inputs` is empty or any input length differs from `out`.
 pub fn mean_into(inputs: &[&[f32]], out: &mut [f32]) {
     assert!(!inputs.is_empty(), "mean of zero slices");
-    scaled_sum(inputs, None, 1.0 / inputs.len() as f32, None, out);
+    scaled_sum(inputs, None, 1.0 / inputs.len() as f32, None, None, out);
 }
 
 /// The SGD-with-momentum step a [`scaled_sum`] ends with: Fig. 2(b)'s
@@ -152,32 +155,44 @@ impl<'a> SgdStep<'a> {
 /// then advances its velocity and adds `(-lr) * v[i]` ([`SgdStep`]), bit
 /// for bit the velocity pass and the `axpy(-lr, v, out)` pass it saves.
 /// With `weights` and `factor = 1 / Σw` this is the bounded-staleness
-/// Reduce of Eq. (2). A long sweep is shared in chunks with a helper
-/// thread when a [`crate::sweep::Board`] is installed on this thread;
-/// each element is computed by the same expressions either way.
+/// Reduce of Eq. (2).
+///
+/// Given a `reference`, the sweep also returns the int8 scale input of
+/// the parameter-stream step that will encode `out` against it:
+/// `max_i |out[i] + (-1) * reference[i]|` over the non-NaN values, at
+/// least `0.0` — the bits [`crate::compress::kernels::max_abs_sum`]`(-1.0,
+/// reference, out)` returns, measured while `out` is in registers
+/// instead of in a second sweep. Without one it returns `None`.
+///
+/// A long sweep is shared in chunks with a helper thread when a
+/// [`crate::sweep::Board`] is installed on this thread; each element is
+/// computed by the same expressions either way, and the chunks' maxima
+/// combine exactly.
 ///
 /// # Panics
 ///
-/// Panics if any input or any of the step's vectors differs in length
-/// from `out`, or `weights` is given with a length other than
-/// `inputs.len()`.
+/// Panics if any input, any of the step's vectors or the reference
+/// differs in length from `out`, or `weights` is given with a length
+/// other than `inputs.len()`.
 pub fn scaled_sum(
     inputs: &[&[f32]],
     weights: Option<&[f32]>,
     factor: f32,
     step: Option<SgdStep<'_>>,
+    reference: Option<&[f32]>,
     out: &mut [f32],
-) {
-    check_scaled_sum(inputs, weights, step.as_ref(), out.len());
-    let backend = Backend::host();
+) -> Option<f32> {
+    check_scaled_sum(inputs, weights, step.as_ref(), reference, out.len());
+    let (backend, max) = (Backend::host(), MaxBits::new());
     let (terms, velocity) = step.map(SgdStep::into_parts).unzip();
     crate::sweep::split(out.len(), (out, velocity), |range, (out, velocity)| {
         let step = terms.zip(velocity);
-        on_backend!(
+        max.fold(on_backend!(
             backend,
-            scaled_sum_body(inputs, weights, factor, step, range.start, out)
-        );
+            scaled_sum_body(inputs, weights, factor, step, reference, range.start, out)
+        ));
     });
+    reference.map(|_| max.get())
 }
 
 /// [`scaled_sum`]'s shape checks, for an output of `len` elements.
@@ -185,12 +200,13 @@ fn check_scaled_sum(
     inputs: &[&[f32]],
     weights: Option<&[f32]>,
     step: Option<&SgdStep<'_>>,
+    reference: Option<&[f32]>,
     len: usize,
 ) {
     let step = step
         .into_iter()
         .flat_map(|s| [s.grad, s.params, &*s.velocity]);
-    for x in inputs.iter().copied().chain(step) {
+    for x in inputs.iter().copied().chain(step).chain(reference) {
         assert_eq!(x.len(), len, "scaled_sum length mismatch");
     }
     if let Some(w) = weights {
@@ -276,11 +292,16 @@ impl Backend {
         weights: Option<&[f32]>,
         factor: f32,
         step: Option<SgdStep<'_>>,
+        reference: Option<&[f32]>,
         out: &mut [f32],
-    ) {
-        check_scaled_sum(inputs, weights, step.as_ref(), out.len());
+    ) -> Option<f32> {
+        check_scaled_sum(inputs, weights, step.as_ref(), reference, out.len());
         let step = step.map(SgdStep::into_parts);
-        on_backend!(self, scaled_sum_body(inputs, weights, factor, step, 0, out));
+        let max = on_backend!(
+            self,
+            scaled_sum_body(inputs, weights, factor, step, reference, 0, out)
+        );
+        reference.map(|_| max)
     }
 
     /// [`axpy`] on this backend.
@@ -318,27 +339,35 @@ impl Backend {
 }
 
 /// [`scaled_sum`] on `V`, writing `out[i]` (and a step's `velocity[i]`)
-/// from element `base + i` of the inputs, the gradient and the parameters
-/// (`base` is where a split sweep's chunk starts). Each lane starts at
-/// `0.0` and adds its inputs left to right (`w_j * x_j` rounded before
-/// the add), then `* factor`; a step then computes
+/// from element `base + i` of the inputs, the gradient, the parameters
+/// and the reference (`base` is where a split sweep's chunk starts).
+/// Each lane starts at `0.0` and adds its inputs left to right (`w_j *
+/// x_j` rounded before the add), then `* factor`; a step then computes
 /// `(momentum * v + grad) + weight_decay * params` into the velocity and
 /// adds `(-lr) * v`, every product rounded first: the scalar tail's
 /// expressions, which are the composed reference's per-element order.
 /// Four accumulator chains per group hide the add latency without
 /// reordering any lane's sum, and cost one bounds check per input per 32
 /// elements.
+///
+/// With a reference, returns the maximum of `|out - reference|` — bit
+/// for bit `max_abs_sum_body`'s `|out + (-1) * reference|`, as negation
+/// is exact — formed as that body forms it (the candidate the first
+/// operand of every `max`, so NaN is skipped, and four accumulators from
+/// `0.0`), on every output, with a step or without; else `0.0`.
 #[inline(always)]
 fn scaled_sum_body<V: Lanes>(
     inputs: &[&[f32]],
     weights: Option<&[f32]>,
     factor: f32,
     mut step: Option<(StepTerms<'_>, &mut [f32])>,
+    reference: Option<&[f32]>,
     base: usize,
     out: &mut [f32],
-) {
+) -> f32 {
     const CHAINS: usize = 4;
     const GROUP: usize = CHAINS * LANES;
+    let mut max = [V::splat(0.0); CHAINS];
     let (groups, rest) = out.as_chunks_mut::<GROUP>();
     let done = groups.len() * GROUP;
     for (g, o) in groups.iter_mut().enumerate() {
@@ -351,31 +380,38 @@ fn scaled_sum_body<V: Lanes>(
                 *a = a.add(weights.map_or(v, |w| V::splat(w[j]).mul(v)));
             }
         }
-        let o = o.as_chunks_mut::<LANES>().0;
-        let r = acc.map(|a| a.mul(V::splat(factor)));
-        let Some((t, velocity)) = &mut step else {
-            for (r, oo) in r.into_iter().zip(o) {
-                r.store(oo);
+        let mut r = acc.map(|a| a.mul(V::splat(factor)));
+        if let Some((t, velocity)) = &mut step {
+            let grad = t.grad[i..i + GROUP].as_chunks::<LANES>().0;
+            let params = t.params[i..i + GROUP].as_chunks::<LANES>().0;
+            let vel = velocity[g * GROUP..(g + 1) * GROUP]
+                .as_chunks_mut::<LANES>()
+                .0;
+            let (m, wd, neg_lr) = (
+                V::splat(t.momentum),
+                V::splat(t.weight_decay),
+                V::splat(t.neg_lr),
+            );
+            for (k, r) in r.iter_mut().enumerate() {
+                let v = m.mul(V::load(&vel[k])).add(V::load(&grad[k]));
+                let v = v.add(wd.mul(V::load(&params[k])));
+                v.store(&mut vel[k]);
+                *r = r.add(neg_lr.mul(v));
             }
-            continue;
-        };
-        let grad = t.grad[i..i + GROUP].as_chunks::<LANES>().0;
-        let params = t.params[i..i + GROUP].as_chunks::<LANES>().0;
-        let vel = velocity[g * GROUP..(g + 1) * GROUP]
-            .as_chunks_mut::<LANES>()
-            .0;
-        let (m, wd, neg_lr) = (
-            V::splat(t.momentum),
-            V::splat(t.weight_decay),
-            V::splat(t.neg_lr),
-        );
-        for (k, (r, oo)) in r.into_iter().zip(o).enumerate() {
-            let v = m.mul(V::load(&vel[k])).add(V::load(&grad[k]));
-            let v = v.add(wd.mul(V::load(&params[k])));
-            v.store(&mut vel[k]);
-            r.add(neg_lr.mul(v)).store(oo);
+        }
+        for (r, oo) in r.iter().zip(o.as_chunks_mut::<LANES>().0) {
+            r.store(oo);
+        }
+        if let Some(reference) = reference {
+            let refs = reference[i..i + GROUP].as_chunks::<LANES>().0;
+            for ((m, r), rr) in max.iter_mut().zip(r).zip(refs) {
+                *m = r.sub(V::load(rr)).abs().max(*m);
+            }
         }
     }
+    let mut lanes = [0.0; LANES];
+    max[0].max(max[1]).max(max[2].max(max[3])).store(&mut lanes);
+    let mut max = lanes.into_iter().fold(0.0f32, f32::max);
     for (k, oi) in rest.iter_mut().enumerate() {
         let i = base + done + k;
         let mut acc = 0.0f32;
@@ -390,7 +426,11 @@ fn scaled_sum_body<V: Lanes>(
             }
             None => acc * factor,
         };
+        if let Some(reference) = reference {
+            max = max.max((*oi - reference[i]).abs());
+        }
     }
+    max
 }
 
 /// The loop of the elementwise kernels that rewrite `y` from `x` and
@@ -618,7 +658,14 @@ mod tests {
         let a = [4.0, 0.0];
         let b = [0.0, 4.0];
         let mut out = [0.0; 2];
-        scaled_sum(&[&a, &b], Some(&[3.0, 1.0]), 1.0 / 4.0, None, &mut out);
+        scaled_sum(
+            &[&a, &b],
+            Some(&[3.0, 1.0]),
+            1.0 / 4.0,
+            None,
+            None,
+            &mut out,
+        );
         assert_eq!(out, [3.0, 1.0]);
     }
 

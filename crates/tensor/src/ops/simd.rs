@@ -128,6 +128,9 @@ pub(crate) trait Lanes: Copy {
     /// (other lanes store unspecified bytes). Panics if `out` has fewer
     /// than 8 elements.
     fn store_i8(self, out: &mut [i8]);
+    /// `q[l] as f32` in every lane (exact: every `i8` is an `f32`).
+    /// Panics if `q` has fewer than 8 elements.
+    fn load_i8(q: &[i8]) -> Self;
     /// Bit `l` set iff `a.to_bits() & 0x7FFF_FFFF >= floor`: an integer
     /// compare of magnitude bits, so NaN ranks above `+inf`, and a floor
     /// above `0x7FFF_FFFF` admits no lane.
@@ -194,6 +197,9 @@ impl Lanes for [f32; LANES] {
         for (o, a) in out[..LANES].iter_mut().zip(self) {
             *o = a as i8;
         }
+    }
+    fn load_i8(q: &[i8]) -> Self {
+        std::array::from_fn(|l| f32::from(q[..LANES][l]))
     }
     fn key_mask(self, floor: u32) -> u32 {
         (0..LANES).fold(0, |mask, l| {
@@ -311,6 +317,15 @@ mod avx2 {
                     _mm256_extracti128_si256::<1>(bytes),
                 );
                 _mm_storel_epi64(out.as_mut_ptr().cast::<__m128i>(), packed);
+            }
+        }
+        #[inline(always)]
+        fn load_i8(q: &[i8]) -> Self {
+            let q = &q[..LANES];
+            // SAFETY: AVX2 is present; `q` holds the 8 bytes read.
+            unsafe {
+                let bytes = _mm_loadl_epi64(q.as_ptr().cast::<__m128i>());
+                _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(bytes))
             }
         }
         #[inline(always)]
@@ -450,6 +465,14 @@ mod tests {
             ints.store_i8(&mut p);
             __m256::load(&ints).store_i8(&mut v);
             assert_eq!(p, v, "store_i8 on {ints:?}");
+        }
+        for q in [
+            [i8::MIN, -127, -1, 0, 1, 64, 126, i8::MAX],
+            [5, -5, 100, -100, 2, -3, 0, -128],
+        ] {
+            let (p, v) = (<[f32; LANES]>::load_i8(&q), __m256::load_i8(&q));
+            assert_eq!(bits(p, false), bits(v, false), "load_i8 on {q:?}");
+            assert_eq!(p, q.map(f32::from), "load_i8 on {q:?}");
         }
     }
 

@@ -55,6 +55,8 @@ use std::collections::VecDeque;
 #[derive(Debug, Default)]
 pub struct BufferPool {
     free: Vec<Vec<f32>>,
+    /// The free list's capacity, in `f32`s.
+    free_floats: usize,
     /// Blocks this pool replaced while readers still held them, oldest
     /// first.
     retired: VecDeque<ParamBlock>,
@@ -67,10 +69,20 @@ pub struct BufferPool {
 /// cap bounds memory without costing hits.
 const MAX_FREE: usize = 64;
 
+/// Free-list capacity cap in `f32`s (4 MiB): sixteen 64K-parameter
+/// blocks. A pool whose readers return every block gets bursts back at
+/// once (a straggler's purged updates); beyond what the next acquires
+/// take, those are resident memory for nothing, and the allocator holds
+/// them as well. Small blocks stay under [`MAX_FREE`] first.
+const MAX_FREE_FLOATS: usize = 1 << 20;
+
 /// Retired-list length cap; retiring one more block hands the oldest to
 /// [`BufferPool::reclaim`], so a reader that never lets go pins at most
 /// this many buffers. Sixteen covers the blocks a Hop worker has in
-/// flight under any iteration-gap bound the runtimes use.
+/// flight under any iteration-gap bound the runtimes use. A pool that
+/// serves many workers (the simulator's) evicts blocks that still have
+/// readers; each comes back when its last reader reclaims it into the
+/// same pool, so its readers must reclaim, never drop.
 const MAX_RETIRED: usize = 16;
 
 /// A point-in-time snapshot of a pool's allocation behavior, used by
@@ -126,7 +138,9 @@ impl BufferPool {
     /// readers have all let go, keeping the acquire/reuse counters.
     fn recycle(&mut self) -> Option<Vec<f32>> {
         self.acquires += 1;
-        let buf = self.free.pop().or_else(|| self.take_retired());
+        let free = self.free.pop();
+        self.free_floats -= free.as_ref().map_or(0, Vec::capacity);
+        let buf = free.or_else(|| self.take_retired());
         self.reuses += u64::from(buf.is_some());
         buf
     }
@@ -139,9 +153,11 @@ impl BufferPool {
         self.retired.remove(i)?.try_into_unique_vec().ok()
     }
 
-    /// Returns a buffer to the free list.
+    /// Returns a buffer to the free list (dropped if the list is full).
     pub fn release(&mut self, buf: Vec<f32>) {
-        if self.free.len() < MAX_FREE && buf.capacity() > 0 {
+        let floats = self.free_floats + buf.capacity();
+        if self.free.len() < MAX_FREE && floats <= MAX_FREE_FLOATS && buf.capacity() > 0 {
+            self.free_floats = floats;
             self.free.push(buf);
         }
     }
@@ -343,5 +359,14 @@ mod tests {
             pool.release(vec![0.0; 2]);
         }
         assert!(pool.free_buffers() <= 64);
+        // 64K-float blocks: sixteen fill the list's 4 MiB.
+        let mut pool = BufferPool::new();
+        for _ in 0..40 {
+            pool.release(vec![0.0; 1 << 16]);
+        }
+        assert_eq!(pool.free_buffers(), 16);
+        let _taken = pool.acquire(1 << 16);
+        pool.release(vec![0.0; 1 << 16]);
+        assert_eq!(pool.free_buffers(), 16);
     }
 }

@@ -51,7 +51,11 @@
 //! closes the sweep the same way before it unwinds past the post.
 //!
 //! An occupied slot means a sweep is open: a second thread that tries
-//! to post on the same board meanwhile runs its sweep alone. The
+//! to post on the same board meanwhile runs its sweep alone.
+//!
+//! Which thread claims a chunk depends on the schedule, so a test that
+//! must see a helper run one uses [`Board::awaiting_help`]: the first
+//! sweep's poster claims nothing until a helper has claimed a chunk. The
 //! sequence number has 48 bits: a helper would have to sleep through
 //! 2^48 sweeps between copying a post and claiming from it to see its
 //! number come round again.
@@ -60,7 +64,7 @@ use std::any::Any;
 use std::cell::RefCell;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Elements in one chunk of a board's sweep, unless
@@ -129,6 +133,8 @@ pub struct Board {
     panic: Mutex<Option<Payload>>,
     /// [`Board::chunks_helped`].
     helped: AtomicU64,
+    /// Until a helper's first claim: [`Board::awaiting_help`].
+    awaiting: AtomicBool,
 }
 
 impl Default for Board {
@@ -161,7 +167,25 @@ impl Board {
             done: AtomicUsize::new(0),
             panic: Mutex::new(None),
             helped: AtomicU64::new(0),
+            awaiting: AtomicBool::new(false),
         }
+    }
+
+    /// A [`Board::new`] board whose first posted sweep waits, before its
+    /// poster claims any chunk, until a helper has claimed one: a test
+    /// that must see a helped chunk gets one whatever the schedule. Its
+    /// helpers must keep calling [`Board::help`] meanwhile, also between
+    /// other work, for as long as [`Board::wants_help`] says so.
+    pub fn awaiting_help() -> Self {
+        let board = Self::new();
+        board.awaiting.store(true, Ordering::Relaxed);
+        board
+    }
+
+    /// Whether the board still waits for a helper's first claim
+    /// ([`Board::awaiting_help`]).
+    pub fn wants_help(&self) -> bool {
+        self.awaiting.load(Ordering::Relaxed)
     }
 
     /// Chunks that [`Board::help`] calls ran, over the board's life.
@@ -279,6 +303,15 @@ impl Board {
             board: self,
             chunks,
         };
+        if self.wants_help() {
+            // Until a helper's claim moves `back` down. `Relaxed` here and
+            // on `awaiting`: neither publishes data, and the helper's
+            // chunk is ordered by `done`, as every helped chunk is.
+            while self.state.load(Ordering::Relaxed) & EDGE == chunks as u64 {
+                std::thread::yield_now();
+            }
+            self.awaiting.store(false, Ordering::Relaxed);
+        }
         while let Some(i) = self.claim(seq, End::Front) {
             kernel(i * chunk..len.min((i + 1) * chunk));
         }

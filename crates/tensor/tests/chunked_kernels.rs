@@ -359,7 +359,10 @@ impl Step {
 /// on hostile inputs, into a destination holding junk (the kernel must
 /// not read it) — and, with the fused SGD step, against that followed by
 /// [`composed_step`], on ordinary and hostile gradients, parameters and
-/// velocities: the same output and the same advanced velocity.
+/// velocities: the same output and the same advanced velocity. Given a
+/// reference (ordinary or hostile), each also returns the composed
+/// `max_abs_sum(-1, reference, out)` bit for bit, with or without the
+/// step (the §5 renew's Reduce has none).
 #[test]
 fn scaled_sum_backends_match_the_composed_reduce_up_to_67() {
     for len in 0..=67usize {
@@ -376,34 +379,50 @@ fn scaled_sum_backends_match_the_composed_reduce_up_to_67() {
             weights[0] = 1.0 / 3.0;
             let factor = 1.0 / weights.iter().sum::<f32>();
             let step = Step::new((len * 7 + n_inputs) as u64, len);
-            for w in [None, Some(weights.as_slice())] {
-                for stepped in [false, true] {
-                    let mut expect = vec![f32::NAN; len];
-                    let mut v_expect = step.velocity.clone();
-                    ops::reference::scaled_sum(&views, w, factor, &mut expect);
-                    if stepped {
-                        composed_step(&step, &mut v_expect, &mut expect);
-                    }
-                    for (name, backend) in backends() {
-                        let mut out = vec![-7.5f32; len];
-                        let mut velocity = step.velocity.clone();
-                        let s = stepped.then(|| step.view(&mut velocity));
-                        backend.scaled_sum(&views, w, factor, s, &mut out);
-                        let at = format!(
-                            "{name} len {len} inputs {n_inputs} weighted {} step {stepped}",
-                            w.is_some()
-                        );
-                        assert_eq!(
-                            bits_nan_folded(&out),
-                            bits_nan_folded(&expect),
-                            "scaled_sum/{at}"
-                        );
-                        assert_eq!(
-                            bits_nan_folded(&velocity),
-                            bits_nan_folded(&v_expect),
-                            "velocity/{at}"
-                        );
-                    }
+            let reference = match n_inputs % 2 {
+                0 => hostile(len as u64 * 3 + 1, len),
+                _ => values(len as u64 * 5 + 2, len),
+            };
+            for (w, stepped) in [None, Some(weights.as_slice())]
+                .into_iter()
+                .flat_map(|w| [(w, false), (w, true)])
+            {
+                let mut expect = vec![f32::NAN; len];
+                let mut v_expect = step.velocity.clone();
+                ops::reference::scaled_sum(&views, w, factor, &mut expect);
+                if stepped {
+                    composed_step(&step, &mut v_expect, &mut expect);
+                }
+                let max_expect = composed::max_abs_sum(-1.0, &reference, &expect);
+                for ((name, backend), r) in backends()
+                    .into_iter()
+                    .flat_map(|b| [(b, None), (b, Some(reference.as_slice()))])
+                {
+                    let mut out = vec![-7.5f32; len];
+                    let mut velocity = step.velocity.clone();
+                    let s = stepped.then(|| step.view(&mut velocity));
+                    let max = backend.scaled_sum(&views, w, factor, s, r, &mut out);
+                    let at = format!(
+                        "{name} len {len} inputs {n_inputs} weighted {} step {stepped} \
+                         reference {}",
+                        w.is_some(),
+                        r.is_some()
+                    );
+                    assert_eq!(
+                        max.map(f32::to_bits),
+                        r.map(|_| max_expect.to_bits()),
+                        "max/{at}"
+                    );
+                    assert_eq!(
+                        bits_nan_folded(&out),
+                        bits_nan_folded(&expect),
+                        "scaled_sum/{at}"
+                    );
+                    assert_eq!(
+                        bits_nan_folded(&velocity),
+                        bits_nan_folded(&v_expect),
+                        "velocity/{at}"
+                    );
                 }
             }
         }
@@ -447,13 +466,21 @@ fn int8_stream_kernels_match_the_composed_reference_up_to_67() {
                     );
 
                     let (mut new, mut new_expect) = (vec![5.5f32; len], vec![-5.5f32; len]);
-                    backend.quantize_advance(x, scale, state, &mut new, &mut q);
+                    backend.quantize_advance(x, scale, state, &mut new, Some(&mut q));
                     composed::quantize_advance(x, scale, state, &mut new_expect, &mut q_expect);
                     assert_eq!(q, q_expect, "advance q, scale {scale:e} {at}");
                     assert_eq!(
                         bits_nan_folded(&new),
                         bits_nan_folded(&new_expect),
                         "advance reference, scale {scale:e} {at}"
+                    );
+                    // Without a block: the same reference.
+                    let mut quiet = vec![3.25f32; len];
+                    backend.quantize_advance(x, scale, state, &mut quiet, None);
+                    assert_eq!(
+                        bits_nan_folded(&quiet),
+                        bits_nan_folded(&new_expect),
+                        "advance without a block, scale {scale:e} {at}"
                     );
                 }
             }
@@ -465,11 +492,15 @@ fn int8_stream_kernels_match_the_composed_reference_up_to_67() {
 /// maximum: 72 elements put two passes of the 4-accumulator loop and one
 /// 8-wide pass behind every lane, and every (maximum, NaN) placement is
 /// tried — a vector max with its operands the wrong way round forgets
-/// the running maximum of the lane a NaN lands in.
+/// the running maximum of the lane a NaN lands in. So must the maximum
+/// a `scaled_sum` measures against a reference, where 72 elements are
+/// two 32-wide groups and an 8-element scalar tail: one input at factor
+/// 1 writes `x` itself.
 #[test]
 fn max_abs_sum_skips_nan_at_every_position() {
     let len = 72;
     let state = vec![0.25f32; len];
+    let mut out = vec![0.0f32; len];
     for max_at in 0..len {
         for nan_at in (0..len).filter(|&i| i != max_at) {
             let mut x = values(max_at as u64 + 19, len);
@@ -478,6 +509,52 @@ fn max_abs_sum_skips_nan_at_every_position() {
             for (name, backend) in backends() {
                 let got = backend.max_abs_sum(1.0, &state, &x);
                 assert_eq!(got, 1e6 - 0.25, "{name}: max at {max_at}, NaN at {nan_at}");
+                let measured = backend.scaled_sum(&[&x], None, 1.0, None, Some(&state), &mut out);
+                assert_eq!(
+                    measured,
+                    Some(1e6 + 0.25),
+                    "{name} scaled_sum: max at {max_at}, NaN at {nan_at}"
+                );
+            }
+        }
+    }
+}
+
+/// The int8 receiver kernels on every backend against their scalar
+/// loops (`compress::reference`), 0..=67 entries: a block's decode, and
+/// a mirrored reference's advance in place and out of place, over every
+/// `i8` (−128 included, which no encoder writes but a wire may carry),
+/// ordinary and hostile references, at ordinary and degenerate scales.
+#[test]
+fn int8_receiver_kernels_match_their_loops_up_to_67() {
+    for len in 0..=67usize {
+        let q: Vec<i8> = (0..len).map(|i| (i as i32 * 37 - 128) as i8).collect();
+        for (case, old) in [values(len as u64 + 11, len), hostile(len as u64 + 13, len)]
+            .iter()
+            .enumerate()
+        {
+            for scale in [0.013f32, 0.0, f32::INFINITY, f32::from_bits(3), -2.5] {
+                let at = format!("len {len} case {case} scale {scale:e}");
+                let mut decoded = vec![f32::NAN; len];
+                composed::dequantize(&q, scale, &mut decoded);
+                let mut advanced = vec![f32::NAN; len];
+                composed::advance_dequantized(&q, scale, Some(old), &mut advanced);
+                for (name, backend) in backends() {
+                    let mut out = vec![7.0f32; len];
+                    backend.dequantize(&q, scale, &mut out);
+                    assert_eq!(
+                        bits_nan_folded(&out),
+                        bits_nan_folded(&decoded),
+                        "{name} {at}"
+                    );
+                    let mut out = vec![7.0f32; len];
+                    backend.advance_dequantized(&q, scale, Some(old), &mut out);
+                    let expect = bits_nan_folded(&advanced);
+                    assert_eq!(bits_nan_folded(&out), expect, "{name} out of place, {at}");
+                    let mut in_place = old.clone();
+                    backend.advance_dequantized(&q, scale, None, &mut in_place);
+                    assert_eq!(bits_nan_folded(&in_place), expect, "{name} in place, {at}");
+                }
             }
         }
     }

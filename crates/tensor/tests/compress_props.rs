@@ -310,23 +310,37 @@ fn check_feedback_rounds(cfg: CompressionConfig, kind: u32, seed: u64, len: usiz
 
 /// `rounds` parameter-stream steps: the fused sender, a receiver mirror
 /// fed the sender's blocks, and the composed reference stay bit-equal in
-/// block, reference and reconstruction.
+/// block, reference and reconstruction; so does a second sender that
+/// ships its reconstruction (`advance_step`, no int8 block written) and
+/// is handed the step's maximum every other round, as a Reduce that
+/// measured it would.
 fn check_stream_rounds(cfg: CompressionConfig, kind: u32, seed: u64, len: usize, rounds: u64) {
     let init = block(kind + 1, seed ^ 0xABCD, len);
     let mut codec = Codec::new(cfg);
     let (mut sender, mut receiver) = (ParamStream::new(&init), ParamStream::new(&init));
+    let mut quiet = ParamStream::new(&init);
     let mut reference = init;
     let (mut out, mut out_composed) = (CompressedBlock::default(), CompressedBlock::default());
+    let mut scratch = CompressedBlock::default();
     let mut pool = BufferPool::new();
     for round in 0..rounds {
         let params = block(kind + round as u32 % 3, seed ^ (round * 0x51ED), len);
-        codec.encode_step(&params, &mut sender, &mut pool, &mut out);
+        codec.encode_step(&params, &mut sender, None, &mut pool, &mut out);
         let shipped = sender.reference().snapshot();
         receiver.apply(&out, &mut pool);
         composed::param_step(cfg, &params, &mut reference, &mut out_composed);
+        let hint =
+            (round % 2 == 0).then(|| composed::max_abs_sum(-1.0, quiet.reference(), &params));
+        let bytes = codec.advance_step(&params, &mut quiet, hint, &mut pool, &mut scratch);
         let at = format!("{} kind {kind} len {len} round {round}", cfg.label());
         assert_eq!(block_words(&out), block_words(&out_composed), "block, {at}");
         assert_eq!(words(&shipped), words(&reference), "reference, {at}");
+        assert_eq!(
+            words(quiet.reference()),
+            words(&reference),
+            "unread block, {at}"
+        );
+        assert_eq!(bytes, out.encoded_bytes(), "unread block's bytes, {at}");
         assert_eq!(
             words(receiver.reference()),
             words(&reference),
@@ -444,7 +458,7 @@ fn check_hint_independence(cfg: CompressionConfig, kind: u32, seed: u64, len: us
     let mut ef = ErrorFeedback::new();
     codec.encode_into(&warmup, &mut ef, &mut pool, &mut out);
     let mut stream = ParamStream::new(&hint_block(kind + 2, seed ^ 0x99, len));
-    codec.encode_step(&warmup, &mut stream, &mut pool, &mut out);
+    codec.encode_step(&warmup, &mut stream, None, &mut pool, &mut out);
 
     // Error feedback: w = input + residual; kept entries ship verbatim
     // and leave a zero residual, the rest stay whole.
@@ -489,7 +503,7 @@ fn check_hint_independence(cfg: CompressionConfig, kind: u32, seed: u64, len: us
 
         let mut stream = stream.clone();
         stream.selection_mut().set_floor(hint);
-        codec.encode_step(&input, &mut stream, &mut pool, &mut out);
+        codec.encode_step(&input, &mut stream, None, &mut pool, &mut out);
         assert_eq!(
             block_words(&out),
             sparse_words(len, &kept_delta, &delta),
@@ -530,12 +544,12 @@ fn a_planted_floor_changes_the_candidates_but_not_the_block() {
     let mut codec = Codec::new(cfg);
     let mut stream = ParamStream::new(&vec![0.0; len]);
     let mut out = CompressedBlock::default();
-    codec.encode_step(&values(1, len), &mut stream, &mut pool, &mut out);
+    codec.encode_step(&values(1, len), &mut stream, None, &mut pool, &mut out);
     let params = values(2, len);
     let mut step = |floor: Option<u32>| {
         let mut stream = stream.clone();
         stream.selection_mut().set_floor(floor);
-        codec.encode_step(&params, &mut stream, &mut pool, &mut out);
+        codec.encode_step(&params, &mut stream, None, &mut pool, &mut out);
         let hint = stream.selection();
         (
             block_words(&out),
@@ -693,7 +707,7 @@ fn a_missed_floor_leaves_the_copied_reference_intact() {
             in_place.selection_mut().set_floor(floor);
             let held = copied.reference().snapshot();
             let old = words(&held);
-            Codec::new(cfg).encode_step(&params, &mut copied, &mut pool, &mut out);
+            Codec::new(cfg).encode_step(&params, &mut copied, None, &mut pool, &mut out);
             assert_eq!(copied.selection().histogram_passes(), 1, "{at}");
             assert!(!copied.reference().ptr_eq(&held), "{at}");
             assert_eq!(words(&held), old, "the receiver's reference, {at}");
@@ -716,7 +730,7 @@ fn a_missed_floor_leaves_the_copied_reference_intact() {
             drop(held);
             let before = in_place.reference().as_slice().as_ptr();
             let mut in_place_out = CompressedBlock::default();
-            Codec::new(cfg).encode_step(&params, &mut in_place, &mut pool, &mut in_place_out);
+            Codec::new(cfg).encode_step(&params, &mut in_place, None, &mut pool, &mut in_place_out);
             assert_eq!(in_place.reference().as_slice().as_ptr(), before, "{at}");
             assert_eq!(block_words(&in_place_out), block_words(&out), "{at}");
             assert_eq!(words(in_place.reference()), words(&next), "in place, {at}");
@@ -742,7 +756,7 @@ fn apply_in_place_gives_the_out_of_place_bits() {
             for round in 0..6u64 {
                 let at = format!("{} len {len} round {round}", cfg.label());
                 let params = block(kind + round as u32 % 2, round ^ len as u64, len);
-                codec.encode_step(&params, &mut sender, &mut pool, &mut out);
+                codec.encode_step(&params, &mut sender, None, &mut pool, &mut out);
                 let before = alone.reference().as_slice().as_ptr();
                 alone.apply(&out, &mut pool);
                 assert_eq!(
@@ -786,7 +800,7 @@ fn a_warm_scan_short_of_k_falls_back_to_the_histogram() {
         stream.selection_mut().set_floor(Some(short));
         let mut pool = BufferPool::new();
         let mut out = CompressedBlock::default();
-        Codec::new(cfg).encode_step(&input, &mut stream, &mut pool, &mut out);
+        Codec::new(cfg).encode_step(&input, &mut stream, None, &mut pool, &mut out);
         let kept = oracle_kept(&input, k);
         assert_eq!(block_words(&out), sparse_words(len, &kept, &input));
         assert_eq!(stream.selection().histogram_passes(), 1, "len {len}");
@@ -820,7 +834,7 @@ fn the_floor_stays_exact_and_recovers_across_scale_jumps() {
             .zip(&reference)
             .map(|(v, r)| r + scale * v)
             .collect();
-        codec.encode_step(&params, &mut stream, &mut pool, &mut out);
+        codec.encode_step(&params, &mut stream, None, &mut pool, &mut out);
         composed::param_step(cfg, &params, &mut reference, &mut out_composed);
         assert_eq!(block_words(&out), block_words(&out_composed), "step {step}");
         assert_eq!(words(stream.reference()), words(&reference), "step {step}");
@@ -855,8 +869,8 @@ fn streams_sharing_a_codec_keep_their_own_floor() {
                 .zip(together[s].reference().as_slice())
                 .map(|(v, r)| r + scales[s] * v)
                 .collect();
-            shared.encode_step(&params, &mut together[s], &mut pool, &mut out);
-            alone[s].encode_step(&params, &mut apart[s], &mut pool, &mut out_alone);
+            shared.encode_step(&params, &mut together[s], None, &mut pool, &mut out);
+            alone[s].encode_step(&params, &mut apart[s], None, &mut pool, &mut out_alone);
             assert_eq!(block_words(&out), block_words(&out_alone), "step {step}");
             assert_eq!(together[s].selection(), apart[s].selection(), "step {step}");
         }

@@ -1,9 +1,11 @@
 //! The sweep board (`hop_tensor::sweep`) against the serial kernels.
 //!
 //! Each kernel that splits on an installed board — `ops::scaled_sum`
-//! (with its SGD step's second output, the velocity, and `mean_into`),
+//! (with its SGD step's second output, the velocity, the maximum it
+//! measures against a reference, and `mean_into`),
 //! `compress::kernels::max_abs_sum`,
-//! `quantize_feedback` and `quantize_advance` — must give the bits of
+//! `quantize_feedback` and `quantize_advance` (with and without its
+//! block) — must give the bits of
 //! the explicit `Backend::host()` method, which never splits, whichever
 //! thread ran which chunk: with a helper thread polling the board, with
 //! none, and over many tiny sweeps in a row, where a claim on a sweep
@@ -115,29 +117,43 @@ fn sgd<'a>(step: Option<[&'a [f32]; 3]>, velocity: &'a mut [f32]) -> Option<ops:
 /// `Backend::host()`, which never splits, with the SGD step over `step`'s
 /// `(grad, params, velocity)` if given: the split sweep cuts the output
 /// and the velocity at the same points, and both must carry the serial
-/// bits.
+/// bits. Given a reference, both return the maximum `max_abs_sum(-1,
+/// reference, out)` gives, bit for bit: the chunks' maxima combine
+/// exactly.
 fn check_scaled_sum(
     len: usize,
     views: &[&[f32]],
     weights: Option<&[f32]>,
     factor: f32,
     step: Option<[&[f32]; 3]>,
+    reference: Option<&[f32]>,
     label: &str,
 ) {
     let host = Backend::host();
     let (mut split, mut serial) = (vec![7.0; len], vec![-7.0; len]);
     let velocity = step.map_or(&[][..], |[_, _, v]| v);
     let (mut v_split, mut v_serial) = (velocity.to_vec(), velocity.to_vec());
-    ops::scaled_sum(views, weights, factor, sgd(step, &mut v_split), &mut split);
-    host.scaled_sum(
+    let max_split = ops::scaled_sum(
+        views,
+        weights,
+        factor,
+        sgd(step, &mut v_split),
+        reference,
+        &mut split,
+    );
+    let max_serial = host.scaled_sum(
         views,
         weights,
         factor,
         sgd(step, &mut v_serial),
+        reference,
         &mut serial,
     );
     assert_eq!(bits(&split), bits(&serial), "scaled_sum, {label}");
     assert_eq!(bits(&v_split), bits(&v_serial), "velocity, {label}");
+    let max = reference.map(|r| host.max_abs_sum(-1.0, r, &serial).to_bits());
+    assert_eq!(max_split.map(f32::to_bits), max, "measured max, {label}");
+    assert_eq!(max_serial.map(f32::to_bits), max, "serial max, {label}");
 }
 
 /// Every split kernel at `len` on hostile inputs drawn from `rng`,
@@ -155,12 +171,14 @@ fn check_kernels(rng: &mut Stream, len: usize, inputs: usize) {
     for weighted in [false, true] {
         for step in [None, Some(sgd)] {
             let w = weighted.then_some(weights.as_slice());
-            check_scaled_sum(len, &views, w, 0.3, step, &label);
+            // The measured maximum with a step and without, weighted once.
+            let reference = (weighted != step.is_some()).then_some(params.as_slice());
+            check_scaled_sum(len, &views, w, 0.3, step, reference, &label);
         }
     }
     let (mut split, mut serial) = (vec![0.0; len], vec![1.0; len]);
     ops::mean_into(&views, &mut split);
-    host.scaled_sum(&views, None, 1.0 / inputs as f32, None, &mut serial);
+    host.scaled_sum(&views, None, 1.0 / inputs as f32, None, None, &mut serial);
     assert_eq!(bits(&split), bits(&serial), "mean_into, {label}");
 
     let (x, r) = (&xs[0], &addend);
@@ -186,10 +204,12 @@ fn check_kernels(rng: &mut Stream, len: usize, inputs: usize) {
 
         let (mut n_split, mut q_split) = (vec![5.0; len], vec![9i8; len]);
         let (mut n_serial, mut q_serial) = (vec![-5.0; len], vec![-9i8; len]);
-        kernels::quantize_advance(x, scale, r, &mut n_split, &mut q_split);
-        host.quantize_advance(x, scale, r, &mut n_serial, &mut q_serial);
+        kernels::quantize_advance(x, scale, r, &mut n_split, Some(&mut q_split));
+        host.quantize_advance(x, scale, r, &mut n_serial, Some(&mut q_serial));
         assert_eq!(q_split, q_serial, "quantize_advance q, {label}");
         assert_eq!(bits(&n_split), bits(&n_serial), "quantize_advance, {label}");
+        kernels::quantize_advance(x, scale, r, &mut n_split, None);
+        assert_eq!(bits(&n_split), bits(&n_serial), "unread block, {label}");
     }
 }
 
@@ -236,6 +256,39 @@ fn without_a_helper_the_poster_runs_every_chunk() {
 }
 
 #[test]
+fn a_board_awaiting_help_runs_a_late_helpers_chunk_first() {
+    // The helper starts polling only after the poster is about to post,
+    // and later still: a poster that did not wait would run every chunk
+    // itself. The sleep only makes that failure likely; a waiting poster
+    // passes however the threads are scheduled.
+    let board = Arc::new(Board::awaiting_help());
+    assert!(board.wants_help());
+    let mut rng = Stream(0x5EED_0004);
+    let len = 4 * SPLIT_MIN;
+    let (x, r) = (rng.hostile(len), rng.hostile(len));
+    let late = AtomicBool::new(false);
+    let stop = AtomicBool::new(false);
+    thread::scope(|scope| {
+        let _stop = RaiseOnDrop(&stop);
+        scope.spawn(|| {
+            while !late.load(Ordering::Acquire) {
+                std::hint::spin_loop();
+            }
+            thread::sleep(std::time::Duration::from_millis(20));
+            help_until(&board, &stop);
+        });
+        let _installed = sweep::install(Arc::clone(&board));
+        let (mut split, mut serial) = (vec![0.0; len], vec![1.0; len]);
+        late.store(true, Ordering::Release);
+        kernels::quantize_advance(&x, 0.01, &r, &mut split, None);
+        Backend::host().quantize_advance(&x, 0.01, &r, &mut serial, None);
+        assert_eq!(bits(&split), bits(&serial));
+    });
+    assert!(board.chunks_helped() > 0, "the poster did not wait");
+    assert!(!board.wants_help());
+}
+
+#[test]
 fn a_hundred_thousand_tiny_sweeps_never_run_a_stale_claim() {
     // Chunks of 64: a sweep of 128 to 2 048 elements is 2 to 32 chunks,
     // over in about a microsecond. Three helpers, more threads than two
@@ -265,8 +318,8 @@ fn a_hundred_thousand_tiny_sweeps_never_run_a_stale_claim() {
             q_expected.fill(99);
             match sweep % 4 {
                 0 => {
-                    ops::scaled_sum(&[x, y], None, factor, None, out);
-                    host.scaled_sum(&[x, y], None, factor, None, expected);
+                    ops::scaled_sum(&[x, y], None, factor, None, None, out);
+                    host.scaled_sum(&[x, y], None, factor, None, None, expected);
                 }
                 1 => {
                     let (a, b) = (
@@ -276,12 +329,13 @@ fn a_hundred_thousand_tiny_sweeps_never_run_a_stale_claim() {
                     assert_eq!(a.to_bits(), b.to_bits(), "sweep {sweep}");
                 }
                 2 => {
-                    kernels::quantize_advance(x, factor, y, out, q);
-                    host.quantize_advance(x, factor, y, expected, q_expected);
+                    kernels::quantize_advance(x, factor, y, out, Some(q));
+                    host.quantize_advance(x, factor, y, expected, Some(q_expected));
                 }
                 _ => {
                     let label = format!("sweep {sweep}, len {len}");
-                    check_scaled_sum(len, &[y], Some(&[factor]), 0.5, Some([x, y, z]), &label);
+                    let step = Some([x, y, z]);
+                    check_scaled_sum(len, &[y], Some(&[factor]), 0.5, step, Some(z), &label);
                     continue;
                 }
             }
@@ -311,7 +365,8 @@ fn the_fused_step_splits_its_output_and_velocity_beside_a_helper() {
             let (grad, params, velocity) = (rng.hostile(len), rng.hostile(len), rng.hostile(len));
             let step = Some([grad.as_slice(), &params, &velocity]);
             let label = format!("sweep {sweep}, len {len}, {inputs} inputs");
-            check_scaled_sum(len, &views, w, 1.0 / 3.0, step, &label);
+            let reference = (sweep % 3 == 0).then_some(params.as_slice());
+            check_scaled_sum(len, &views, w, 1.0 / 3.0, step, reference, &label);
         }
     });
 }
