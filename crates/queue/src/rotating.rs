@@ -123,12 +123,6 @@ impl<T> RotatingQueues<T> {
         self.entries.enqueue(value, tag)
     }
 
-    /// Drops entries older than `iter` from the sub-queue for `iter`,
-    /// counting them as stale.
-    fn purge_stale(&mut self, iter: u64) {
-        self.recycle_stale(iter, drop);
-    }
-
     /// The purge that [`Self::size`] and the dequeues of `iter` begin
     /// with, made ahead of them: removes the entries older than `iter`
     /// from its sub-queue, counting them as stale, and hands each value to
@@ -142,7 +136,7 @@ impl<T> RotatingQueues<T> {
     /// Number of entries currently available for iteration `iter`
     /// (after discarding stale entries sharing its sub-queue).
     pub fn size(&mut self, iter: u64) -> usize {
-        self.purge_stale(iter);
+        self.recycle_stale(iter, drop);
         self.entries.size(TagFilter::iter(iter))
     }
 
@@ -167,7 +161,7 @@ impl<T> RotatingQueues<T> {
     /// [`Self::dequeue_up_to`], appending to `out` instead of allocating
     /// (see [`TaggedQueue::dequeue_up_to_into`]).
     pub fn dequeue_up_to_into(&mut self, m: usize, iter: u64, out: &mut Vec<TaggedEntry<T>>) {
-        self.purge_stale(iter);
+        self.recycle_stale(iter, drop);
         self.entries
             .dequeue_up_to_into(m, TagFilter::iter(iter), out);
     }
@@ -232,6 +226,22 @@ mod tests {
         assert_eq!(got[0].value, "new");
         assert_eq!(q.stale_discarded(), 1);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn purged_entries_go_to_the_recycler_in_fifo_order() {
+        let mut q = RotatingQueues::new(1);
+        for (value, iter) in [("a", 0), ("b", 1), ("c", 2), ("d", 0), ("e", 3)] {
+            q.enqueue(value, tag(iter, 0)).unwrap();
+        }
+        let mut recycled = Vec::new();
+        // Sub-queue of iteration 2: its older entries are "a" and "d".
+        q.recycle_stale(2, |v| recycled.push(v));
+        assert_eq!(recycled, ["a", "d"]);
+        assert_eq!(q.stale_discarded(), 2);
+        assert_eq!(q.recycle_older_than(3, |v| recycled.push(v)), 2);
+        assert_eq!(recycled, ["a", "d", "b", "c"]);
+        assert_eq!(q.iter().map(|e| e.value).collect::<Vec<_>>(), ["e"]);
     }
 
     #[test]
