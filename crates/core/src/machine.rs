@@ -205,7 +205,7 @@ pub(crate) struct HopWorker {
     /// Tokens visible in each `TokenQ(o -> w)`, dense in
     /// `topology.external_out_neighbors(w)` order — the order of the
     /// `Jump` event's count vector, which it therefore is.
-    pub(crate) tokens_from: Vec<u64>,
+    pub(crate) tokens_from: TokenCounts,
     /// NOTIFY-ACK: ACKs received for the last sent iteration.
     acks: usize,
     /// Tag of the last update consumed, for stall diagnostics.
@@ -213,6 +213,58 @@ pub(crate) struct HopWorker {
     /// `max|replica - Parts::reference|`, measured by the last Reduce for
     /// the next Send; cleared by whatever else writes the replica.
     delta_max: Option<f32>,
+}
+
+/// Out-degrees whose token counts [`TokenCounts`] keeps inline: the
+/// expander and ring-based graphs of the ledger have at most four.
+const INLINE_OUTS: usize = 4;
+
+/// A worker's token counts, one per external out-neighbor: inside the
+/// machine itself up to [`INLINE_OUTS`] of them, so a grant or an
+/// advance touches no other cache line, else on the heap.
+#[derive(Clone)]
+pub(crate) enum TokenCounts {
+    Inline { len: u8, counts: [u64; INLINE_OUTS] },
+    Spilled(Vec<u64>),
+}
+
+impl TokenCounts {
+    /// `len` counts of `preload` each.
+    fn new(len: usize, preload: u64) -> Self {
+        match u8::try_from(len) {
+            Ok(n) if len <= INLINE_OUTS => Self::Inline {
+                len: n,
+                counts: [preload; INLINE_OUTS],
+            },
+            _ => Self::Spilled(vec![preload; len]),
+        }
+    }
+}
+
+impl std::ops::Deref for TokenCounts {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        match self {
+            Self::Inline { len, counts } => &counts[..usize::from(*len)],
+            Self::Spilled(counts) => counts,
+        }
+    }
+}
+
+impl std::ops::DerefMut for TokenCounts {
+    fn deref_mut(&mut self) -> &mut [u64] {
+        match self {
+            Self::Inline { len, counts } => &mut counts[..usize::from(*len)],
+            Self::Spilled(counts) => counts,
+        }
+    }
+}
+
+impl std::fmt::Debug for TokenCounts {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 impl HopWorker {
@@ -226,7 +278,8 @@ impl HopWorker {
             phase: Phase::Stepping,
             queue: RotatingQueues::new(cx.window),
             newest_from: vec![None; cx.topology.in_neighbors(w).len()],
-            tokens_from: cx.cfg.max_ig().map_or_else(Vec::new, |ig| vec![ig; outs]),
+            tokens_from: (cx.cfg.max_ig())
+                .map_or(TokenCounts::new(0, 0), |ig| TokenCounts::new(outs, ig)),
             acks: 0,
             last_consumed: None,
             delta_max: None,
@@ -267,7 +320,7 @@ impl HopWorker {
         // The executor handed the worker a donor's replica.
         self.delta_max = None;
         let catchup = target - self.iter;
-        for avail in &mut self.tokens_from {
+        for avail in self.tokens_from.iter_mut() {
             debug_assert!(*avail >= catchup, "rejoin admitted on token credit");
             *avail -= catchup.min(*avail);
         }
@@ -367,14 +420,27 @@ impl HopWorker {
         }
     }
 
+    /// Whether the worker is parked in a wait that an arrival can end:
+    /// only then does [`Input::Resume`] do anything.
+    pub(crate) fn waiting(&self) -> bool {
+        matches!(
+            self.phase,
+            Phase::WaitAck(_) | Phase::WaitUpdates(_) | Phase::WaitTokens(_) | Phase::JumpRecv(_)
+        )
+    }
+
     /// Makes whatever progress the phase allows with what has arrived.
+    /// A worker that is computing or finished reads and writes nothing.
     fn resume<E: Executor>(&mut self, cx: &mut Shared<'_>, exec: &mut E) -> Result<(), E::Error> {
-        let acked = self.acks >= cx.topology.external_out_neighbors(self.w).len();
+        if !self.waiting() {
+            return Ok(());
+        }
+        let outs = cx.topology.external_out_neighbors(self.w).len();
         match std::mem::replace(&mut self.phase, Phase::Stepping) {
             Phase::WaitUpdates(step) => self.try_recv(cx, exec, step),
             Phase::JumpRecv(renew) => self.try_jump_recv(cx, exec, renew),
             Phase::WaitTokens(step) => self.attempt_advance(cx, exec, step),
-            Phase::WaitAck(step) if acked => self.serial_send_then_recv(cx, exec, step),
+            Phase::WaitAck(step) if self.acks >= outs => self.serial_send_then_recv(cx, exec, step),
             other => {
                 self.phase = other;
                 Ok(())
@@ -466,11 +532,10 @@ impl HopWorker {
                 semantics::backup_quota(senders, cx.cfg.n_backup)
             };
             let pool = &mut *p.pool;
-            self.queue.recycle_stale(at, |block| pool.reclaim(block));
-            if self.queue.size(at) < quota {
+            let recycle = |block| pool.reclaim(block);
+            if !(self.queue).take_quota_into(quota, senders, at, entries, recycle) {
                 return false;
             }
-            self.queue.dequeue_up_to_into(senders, at, entries);
         }
         for entry in entries.iter() {
             handle.consume(p.sink, entry.tag.w_id, entry.tag.iter);
@@ -631,4 +696,147 @@ fn reduce<E: Executor>(
         pool.reclaim(block);
     }
     max
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::conformance::ProtocolTrace;
+    use std::convert::Infallible;
+
+    /// An executor that carries out nothing and counts what it is asked.
+    struct Probe {
+        params: ParamBlock,
+        opt: Sgd,
+        pool: BufferPool,
+        sink: ProtocolTrace,
+        grad: Vec<f32>,
+        calls: usize,
+    }
+
+    impl Probe {
+        /// Everything an input could have changed: the machine, the
+        /// replica and optimizer it was handed, the events emitted and
+        /// the calls made.
+        fn state(&self, worker: &HopWorker) -> String {
+            format!(
+                "{worker:?} {:?} {:?} {} {}",
+                self.params,
+                self.opt,
+                self.sink.len(),
+                self.calls
+            )
+        }
+    }
+
+    impl Executor for Probe {
+        type Error = Infallible;
+        type Sink = ProtocolTrace;
+        const SENDER_ORDER: bool = false;
+        const EAGER_PURGE: bool = false;
+
+        fn parts(&mut self) -> Parts<'_, ProtocolTrace> {
+            Parts {
+                params: &mut self.params,
+                opt: &mut self.opt,
+                pool: &mut self.pool,
+                sink: &mut self.sink,
+                grad: &self.grad,
+                reference: None,
+            }
+        }
+
+        fn enter(&mut self, _iter: u64) -> Result<(), Infallible> {
+            self.calls += 1;
+            Ok(())
+        }
+
+        fn compute_ready(&mut self, _iter: u64) {
+            self.calls += 1;
+        }
+
+        fn compute(&mut self, _iter: u64) {
+            self.calls += 1;
+        }
+
+        fn send<S: SendStage>(
+            &mut self,
+            _step: &Step<S>,
+            _params: &ParamBlock,
+            _max_delta: Option<f32>,
+        ) -> Result<(), Infallible> {
+            self.calls += 1;
+            Ok(())
+        }
+
+        fn grant(&mut self, _n: u64) -> Result<(), Infallible> {
+            self.calls += 1;
+            Ok(())
+        }
+
+        fn finish(&mut self) {
+            self.calls += 1;
+        }
+    }
+
+    #[test]
+    fn token_counts_read_the_same_inline_and_spilled() {
+        for len in [0, 3, INLINE_OUTS, INLINE_OUTS + 2] {
+            let mut counts = TokenCounts::new(len, 5);
+            assert_eq!(
+                matches!(counts, TokenCounts::Inline { .. }),
+                len <= INLINE_OUTS
+            );
+            assert_eq!(*counts, vec![5; len][..]);
+            for (i, c) in counts.iter_mut().enumerate() {
+                *c += i as u64;
+            }
+            let expect: Vec<u64> = (0..len as u64).map(|i| 5 + i).collect();
+            assert_eq!(format!("{counts:?}"), format!("{expect:?}"));
+        }
+    }
+
+    /// `Resume` is for a parked worker: fed to one that is computing (with
+    /// an update queued meanwhile) or finished, it changes no field and
+    /// emits nothing, so an executor may skip it there.
+    #[test]
+    fn a_resume_outside_a_wait_changes_nothing() {
+        const DIM: usize = 4;
+        let (cfg, topology) = (HopConfig::standard_with_tokens(2), Topology::ring(3));
+        let mut cx = Shared::new(&cfg, &topology, 1);
+        let mut worker = HopWorker::new(&cx, 0);
+        let mut exec = Probe {
+            params: ParamBlock::from_vec(vec![1.0; DIM]),
+            opt: Sgd::new(0.1, 0.9, 0.0, DIM),
+            pool: BufferPool::new(),
+            sink: ProtocolTrace::new(),
+            grad: vec![0.5; DIM],
+            calls: 0,
+        };
+        let mut feed = |worker: &mut HopWorker, exec: &mut Probe, input| {
+            let Ok(()) = worker.on(&mut cx, exec, input);
+        };
+        let update = |from| Input::Update {
+            from,
+            iter: 0,
+            params: ParamBlock::from_vec(vec![from as f32; DIM]),
+        };
+        feed(&mut worker, &mut exec, Input::Start);
+        feed(&mut worker, &mut exec, update(1));
+        assert!(matches!(worker.phase, Phase::Computing(_)));
+        assert!(!worker.waiting());
+        let computing = exec.state(&worker);
+        feed(&mut worker, &mut exec, Input::Resume);
+        assert_eq!(exec.state(&worker), computing);
+        // The Recv waits for the third update, which ends the run.
+        feed(&mut worker, &mut exec, Input::ComputeDone);
+        assert!(matches!(worker.phase, Phase::WaitUpdates(_)) && worker.waiting());
+        feed(&mut worker, &mut exec, update(2));
+        feed(&mut worker, &mut exec, Input::Resume);
+        assert!(matches!(worker.phase, Phase::Finished));
+        assert!(!worker.waiting());
+        let finished = exec.state(&worker);
+        feed(&mut worker, &mut exec, Input::Resume);
+        assert_eq!(exec.state(&worker), finished);
+    }
 }

@@ -23,6 +23,8 @@ use crate::semantics;
 use crate::trainer::SimRun;
 use hop_graph::Topology;
 use hop_model::Gradient;
+use hop_sim::Network;
+use hop_tensor::ops::simd::prefetch;
 use hop_tensor::ParamBlock;
 use std::convert::Infallible;
 
@@ -45,6 +47,8 @@ enum Ev {
         to: usize,
         from: usize,
         count: u64,
+        /// `from`'s slot among `to`'s external out-neighbors.
+        slot: usize,
     },
     Ack {
         to: usize,
@@ -77,6 +81,7 @@ struct Decentralized<'a> {
     workers: Vec<HopWorker>,
     /// Gradient buffer per worker; travels with the worker's compute job.
     grads: Vec<Gradient>,
+    grants: Grants,
     skipped_sends: u64,
     /// One parameter stream per worker (see
     /// [`super::compression`]); inactive under the identity codec, in
@@ -98,6 +103,7 @@ impl<'a> Decentralized<'a> {
                 .collect(),
             shared,
             grads: (0..topology.len()).map(|_| Gradient::zeros(dim)).collect(),
+            grants: Grants::new(topology, &eng.net),
             skipped_sends: 0,
             plane,
         }
@@ -123,6 +129,7 @@ impl<'a> Decentralized<'a> {
             grad: &mut self.grads[w],
             cfg: self.cfg,
             topology: self.topology,
+            grants: &self.grants,
             skipped_sends: &mut self.skipped_sends,
             w,
             now,
@@ -136,6 +143,50 @@ impl<'a> Decentralized<'a> {
     }
 }
 
+/// One edge a worker's grants travel: to external in-neighbor `to`,
+/// among whose external out-neighbors the granter is the `slot`-th, on
+/// control lane `lane` ([`hop_sim::Network::control_lane`]). A grant
+/// carries the slot, so neither end looks anything up.
+#[derive(Clone, Copy)]
+struct GrantEdge {
+    to: u32,
+    slot: u32,
+    lane: u8,
+}
+
+/// Every worker's grant edges, row `w` in
+/// `topology.external_in_neighbors(w)` order.
+struct Grants {
+    edges: Vec<GrantEdge>,
+    /// Row offsets, one per worker and one more.
+    at: Vec<usize>,
+}
+
+impl Grants {
+    fn new(topology: &Topology, net: &Network) -> Self {
+        let narrow = |i: usize| u32::try_from(i).expect("fewer than 2^32 workers");
+        let (mut edges, mut at) = (Vec::new(), vec![0]);
+        for w in 0..topology.len() {
+            edges.extend(topology.external_in_neighbors(w).iter().map(|&to| {
+                let outs = topology.external_out_neighbors(to);
+                let slot = outs.binary_search(&w).expect("an out-neighbor");
+                let lane = net.control_lane(w, to);
+                GrantEdge {
+                    to: narrow(to),
+                    slot: narrow(slot),
+                    lane: u8::try_from(lane).expect("two control lanes"),
+                }
+            }));
+            at.push(edges.len());
+        }
+        Self { edges, at }
+    }
+
+    fn row(&self, w: usize) -> &[GrantEdge] {
+        &self.edges[self.at[w]..self.at[w + 1]]
+    }
+}
+
 /// The simulation executor of worker `w` at virtual time `now`.
 struct SimExec<'e, 'g> {
     eng: &'e mut SimEngine<'g, Ev>,
@@ -143,6 +194,7 @@ struct SimExec<'e, 'g> {
     grad: &'e mut Gradient,
     cfg: &'e HopConfig,
     topology: &'e Topology,
+    grants: &'e Grants,
     skipped_sends: &'e mut u64,
     w: usize,
     now: f64,
@@ -279,9 +331,14 @@ impl Executor for SimExec<'_, '_> {
     /// Visibility is delayed by a control message.
     fn grant(&mut self, count: u64) -> Result<(), Infallible> {
         let (from, now) = (self.w, self.now);
-        for &to in self.topology.external_in_neighbors(from) {
-            self.eng
-                .push_control(from, to, now, Ev::Tokens { to, from, count });
+        for edge in self.grants.row(from) {
+            let grant = Ev::Tokens {
+                to: edge.to as usize,
+                from,
+                count,
+                slot: edge.slot as usize,
+            };
+            self.eng.push_control_on(usize::from(edge.lane), now, grant);
         }
         Ok(())
     }
@@ -340,13 +397,16 @@ impl WorkerProtocol for Decentralized<'_> {
                 }
                 (to, Input::Update { from, iter, params })
             }
-            Ev::Tokens { to, from, count } => {
+            Ev::Tokens {
+                to,
+                from,
+                count,
+                slot,
+            } => {
                 // Recorded at visibility (not grant) time: the conformance
                 // view of a token queue is exactly what the consumer can
                 // observe.
                 choreography::token_grant(&mut eng.conformance, from, to, count);
-                let outs = self.topology.external_out_neighbors(to);
-                let slot = outs.binary_search(&from).expect("an out-neighbor");
                 (to, Input::Tokens { slot, count })
             }
             Ev::Ack { to } => (to, Input::Ack),
@@ -354,10 +414,27 @@ impl WorkerProtocol for Decentralized<'_> {
         self.feed(eng, w, now, input);
         // A dead worker still *accrues* grants and ACKs (token
         // conservation: the queue exists whether or not its consumer is
-        // awake) but cannot wake; the balance is spent at rejoin.
-        if !eng.faults.is_dead(w) {
+        // awake) but cannot wake; the balance is spent at rejoin. A
+        // computing or finished worker has nothing to resume.
+        if self.workers[w].waiting() && !eng.faults.is_dead(w) {
             self.feed(eng, w, now, Input::Resume);
         }
+    }
+
+    /// Every event feeds one worker's machine. Only a compute completion
+    /// steps it: the Reduce, the Send and the next compute read its
+    /// gradient buffer and the engine's entries. An update, a grant or
+    /// an ACK is usually admitted and no more.
+    fn prefetch(&self, eng: &SimEngine<'_, Ev>, next: &Ev) {
+        let w = match *next {
+            Ev::ComputeDone { w, .. } => {
+                eng.prefetch_worker(w);
+                prefetch(&self.grads[w]);
+                w
+            }
+            Ev::Update { to, .. } | Ev::Tokens { to, .. } | Ev::Ack { to } => to,
+        };
+        prefetch(&self.workers[w]);
     }
 
     fn stale_discarded(&self, _eng: &SimEngine<'_, Ev>) -> u64 {

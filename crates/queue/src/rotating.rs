@@ -123,11 +123,12 @@ impl<T> RotatingQueues<T> {
         self.entries.enqueue(value, tag)
     }
 
-    /// The purge that [`Self::size`] and the dequeues of `iter` begin
-    /// with, made ahead of them: removes the entries older than `iter`
-    /// from its sub-queue, counting them as stale, and hands each value to
-    /// `recycle` (an owner that pools its updates' buffers gets them back).
-    pub fn recycle_stale(&mut self, iter: u64, recycle: impl FnMut(T)) {
+    /// The purge that [`Self::size`], the dequeues of `iter` and
+    /// [`Self::take_quota_into`] begin with: removes the entries older
+    /// than `iter` from its sub-queue, counting them as stale, and hands
+    /// each value to `recycle` (an owner that pools its updates' buffers
+    /// gets them back).
+    fn recycle_stale(&mut self, iter: u64, recycle: impl FnMut(T)) {
         let n = self.n;
         let stale = |tag: Tag| tag.iter < iter && (iter - tag.iter).is_multiple_of(n);
         self.stale_discarded += self.entries.discard_where(stale, recycle) as u64;
@@ -164,6 +165,32 @@ impl<T> RotatingQueues<T> {
         self.recycle_stale(iter, drop);
         self.entries
             .dequeue_up_to_into(m, TagFilter::iter(iter), out);
+    }
+
+    /// A whole backup-worker Recv (Fig. 8) on one purge: removes the
+    /// entries older than `iter` from its sub-queue, counting them as
+    /// stale and handing each value to `recycle` (an owner that pools its
+    /// updates' buffers gets them back), then, if at least `quota`
+    /// updates for `iter` remain, [`Self::dequeue_up_to_into`] of up to
+    /// `m` of them, returning whether it took them (else it takes
+    /// nothing). [`Self::size`] and the dequeues purge the same way each
+    /// time they are called; after the first purge a second finds
+    /// nothing.
+    pub fn take_quota_into(
+        &mut self,
+        quota: usize,
+        m: usize,
+        iter: u64,
+        out: &mut Vec<TaggedEntry<T>>,
+        recycle: impl FnMut(T),
+    ) -> bool {
+        self.recycle_stale(iter, recycle);
+        let filter = TagFilter::iter(iter);
+        if self.entries.size(filter) < quota {
+            return false;
+        }
+        self.entries.dequeue_up_to_into(m, filter, out);
+        true
     }
 
     /// Discards entries older than `min_iter` in all sub-queues (the
@@ -291,6 +318,37 @@ mod tests {
                 prop_assert_eq!(av, bv);
             }
             prop_assert_eq!(rot.stale_discarded(), 0);
+        }
+
+        /// `take_quota_into` is the purge, the size check and the dequeue
+        /// it replaces: the same entries taken, recycled and left behind,
+        /// and the same stale count, stale entries and aliasing included.
+        #[test]
+        fn take_quota_into_matches_purge_size_and_dequeue(
+            updates in proptest::collection::vec((0u64..12, 0usize..4), 0..40),
+            max_ig in 1u64..4,
+            recvs in proptest::collection::vec((0u64..12, 0usize..5, 0usize..5), 1..8),
+        ) {
+            let (mut one, mut three) = (RotatingQueues::new(max_ig), RotatingQueues::new(max_ig));
+            for (k, &(iter, w_id)) in updates.iter().enumerate() {
+                one.enqueue(k, tag(iter, w_id)).unwrap();
+                three.enqueue(k, tag(iter, w_id)).unwrap();
+            }
+            for &(iter, quota, m) in &recvs {
+                let (mut got, mut recycled) = (Vec::new(), Vec::new());
+                let took = one.take_quota_into(quota, m, iter, &mut got, |v| recycled.push(v));
+                let (mut expect, mut expect_recycled) = (Vec::new(), Vec::new());
+                three.recycle_stale(iter, |v| expect_recycled.push(v));
+                let enough = three.size(iter) >= quota;
+                if enough {
+                    three.dequeue_up_to_into(m, iter, &mut expect);
+                }
+                prop_assert_eq!(took, enough);
+                prop_assert_eq!(&got, &expect);
+                prop_assert_eq!(&recycled, &expect_recycled);
+                prop_assert_eq!(one.stale_discarded(), three.stale_discarded());
+                prop_assert_eq!(&one, &three);
+            }
         }
     }
 }

@@ -349,11 +349,12 @@ impl Network {
         bound * ((draw >> 11) as f64 * (1.0 / (1u64 << 53) as f64))
     }
 
-    /// Arrival time of a small control message sent at `now` (tokens,
-    /// ACKs); bypasses NIC serialization.
-    pub fn control(&self, now: SimTime, a: usize, b: usize) -> SimTime {
+    /// Arrival time of a small control message (tokens, ACKs) sent at
+    /// `now` in latency class `lane` ([`Self::control_lane`] of its
+    /// endpoints); bypasses NIC serialization.
+    pub fn control_after(&self, now: SimTime, lane: usize) -> SimTime {
         let latency = self.spec.link().control_latency;
-        match self.control_lane(a, b) {
+        match lane {
             0 => now + latency * 0.1,
             _ => now + latency,
         }
@@ -440,9 +441,9 @@ mod tests {
     #[test]
     fn control_messages_are_cheap_and_unserialized() {
         let net = Network::new(spec());
-        let t = net.control(1.0, 0, 2);
+        let t = net.control_after(1.0, net.control_lane(0, 2));
         assert!(t > 1.0 && t < 1.01);
-        let local = net.control(1.0, 0, 1);
+        let local = net.control_after(1.0, net.control_lane(0, 1));
         assert!(local < t);
         assert_eq!(
             [(0, 0), (0, 1), (0, 2)].map(|(a, b)| net.control_lane(a, b)),

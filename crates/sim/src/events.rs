@@ -50,7 +50,10 @@
 //! `hop_sim`'s differential suite (`tests/queue_differential.rs`) drives
 //! this queue and the retained heap (`tests/support/heap_queue.rs`)
 //! through random push/lane-push/pop interleavings with heavy same-time
-//! ties and asserts identical output streams.
+//! ties and asserts identical output streams. It also holds
+//! [`EventQueue::peek`] to its contract: a peek before every pop names
+//! the popped payload, and a queue peeked before every pop pops the
+//! stream, and rebuilds on the schedule, of one never peeked.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -345,19 +348,9 @@ impl<E> EventQueue<E> {
         if self.len == 0 {
             return None;
         }
-        let nbuckets = self.buckets.len() as u64;
-        // Scan forward one full rotation; matching on the exact tick
-        // (not the bucket) keeps far-future events out of early pops.
-        // Each bucket answers from its heap top alone: the top carries
-        // the bucket's minimal time, hence (monotone quantization) its
-        // minimal tick — if that tick is not the scanned one, nothing
-        // in the bucket is.
-        for tick in self.cur_tick..self.cur_tick.saturating_add(nbuckets) {
-            let b = (tick & self.mask) as usize;
-            if self.buckets[b].peek().is_some_and(|e| e.tick == tick) {
-                self.cur_tick = tick;
-                return Some(b);
-            }
+        if let Some((b, tick)) = self.scan() {
+            self.cur_tick = tick;
+            return Some(b);
         }
         // A full rotation came up empty: the next event is more than
         // `nbuckets` ticks ahead. Fall back to a global minimum scan;
@@ -369,6 +362,44 @@ impl<E> EventQueue<E> {
             .expect("chosen bucket non-empty")
             .tick;
         Some(b)
+    }
+
+    /// Scans forward one full rotation from the cursor for the bucket
+    /// holding the calendar's minimum, with its tick. Matching on the
+    /// exact tick (not the bucket) keeps far-future events out of early
+    /// pops. Each bucket answers from its heap top alone: the top carries
+    /// the bucket's minimal time, hence (monotone quantization) its
+    /// minimal tick — if that tick is not the scanned one, nothing in the
+    /// bucket is.
+    fn scan(&self) -> Option<(usize, u64)> {
+        let nbuckets = self.buckets.len() as u64;
+        (self.cur_tick..self.cur_tick.saturating_add(nbuckets)).find_map(|tick| {
+            let b = (tick & self.mask) as usize;
+            let top = self.buckets[b].peek()?;
+            (top.tick == tick).then_some((b, tick))
+        })
+    }
+
+    /// The payload the next [`pop`](Self::pop) returns, if no push comes
+    /// between them. A simulation's pump reads it to warm the state the
+    /// next event will touch. It moves nothing: not the clock, the scan
+    /// cursor or the count of scan misses that triggers a rebuild, so the
+    /// pops and rebuilds of a peeked queue are those of one never peeked.
+    pub fn peek(&self) -> Option<&E> {
+        let lane = self.lane_min();
+        let bucket = match self.len {
+            0 => None,
+            _ => (self.scan().map(|(b, _)| b)).or_else(|| self.global_min()),
+        };
+        let lane_front = |l: usize| self.lanes[l].front().map(|(_, _, payload)| payload);
+        let Some(b) = bucket else {
+            return lane_front(lane?.0);
+        };
+        let top = self.buckets[b].peek().expect("chosen bucket non-empty");
+        match lane {
+            Some((l, key)) if key < (top.time, top.seq) => lane_front(l),
+            _ => Some(&top.payload),
+        }
     }
 
     /// Time of the next event without popping.
@@ -581,6 +612,22 @@ mod tests {
         assert_eq!(q.capacity(), cap, "pushes within capacity reallocated");
         // Pre-sizing changes no behavior: pops still come in time order.
         assert_eq!(q.pop(), Some((0.0, 0)));
+    }
+
+    #[test]
+    fn peek_names_the_next_pop_across_lanes_and_the_fallback() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek(), None);
+        q.push(1.0, 1);
+        q.push_fifo(0, 0.5, 0);
+        q.push(1.0, 2);
+        q.push(1e6, 3); // beyond a rotation: found by the global scan
+        q.push_fifo(0, 1.0, 4);
+        for expect in [0, 1, 2, 4, 3] {
+            assert_eq!(q.peek(), Some(&expect));
+            assert_eq!(q.pop().map(|(_, e)| e), Some(expect));
+        }
+        assert_eq!(q.peek(), None);
     }
 
     #[test]

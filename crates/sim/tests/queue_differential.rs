@@ -8,6 +8,12 @@
 //! is what licenses swapping the scheduler under every digest table in
 //! the workspace. The lane suites hold `EventQueue::push_fifo` to the
 //! same bar: the oracle takes the lane events through plain `push`.
+//!
+//! Every suite also drives a twin calendar that is peeked before each
+//! pop. [`EventQueue::peek`] must name exactly the payload that pop
+//! returns, and the twin must pop the same stream as the calendar that
+//! is never peeked, at the same capacity after every operation: a peek
+//! that moved the order or the rebuild schedule fails here.
 
 #[path = "support/heap_queue.rs"]
 mod heap_queue;
@@ -16,6 +22,26 @@ use heap_queue::HeapEventQueue;
 use hop_sim::EventQueue;
 use proptest::prelude::*;
 
+/// Pops `peeked` after peeking it, asserting the peek named the popped
+/// payload; returns the pop.
+fn peek_then_pop(peeked: &mut EventQueue<u64>) -> Result<Option<(f64, u64)>, TestCaseError> {
+    let named = peeked.peek().copied();
+    let popped = peeked.pop();
+    prop_assert_eq!(named, popped.map(|(_, id)| id));
+    Ok(popped)
+}
+
+/// The twin peeked before every pop against the calendar never peeked:
+/// same pending count, clock, rebuild watermark and table (the `Debug`
+/// form names the bucket count and the width each rebuild re-estimates).
+fn twins_agree(calendar: &EventQueue<u64>, peeked: &EventQueue<u64>) -> Result<(), TestCaseError> {
+    prop_assert_eq!(calendar.len(), peeked.len());
+    prop_assert_eq!(calendar.capacity(), peeked.capacity());
+    prop_assert_eq!(calendar.reserved(), peeked.reserved());
+    prop_assert_eq!(format!("{calendar:?}"), format!("{peeked:?}"));
+    Ok(())
+}
+
 /// Drives both queues through one interleaving described by `ops` and
 /// asserts lock-step equality. Each op is `(kind, dt)`:
 /// `kind < 5` pushes at `now + dt * quantum` (a coarse quantum makes
@@ -23,35 +49,41 @@ use proptest::prelude::*;
 /// (exercises the full-rotation fallback), anything else pops.
 fn run_interleaving(ops: &[(u8, u64)], quantum: f64) -> Result<(), TestCaseError> {
     let mut calendar = EventQueue::new();
+    let mut peeked = EventQueue::new();
     let mut oracle = HeapEventQueue::new();
     let mut id = 0u64;
     for &(kind, dt) in ops {
-        match kind {
-            0..=4 => {
-                let at = calendar.now() + dt as f64 * quantum;
+        let at = match kind {
+            0..=4 => Some(calendar.now() + dt as f64 * quantum),
+            5 => Some(calendar.now() + 1e5 * (dt + 1) as f64),
+            _ => None,
+        };
+        match at {
+            Some(at) => {
                 calendar.push(at, id);
+                peeked.push(at, id);
                 oracle.push(at, id);
                 id += 1;
             }
-            5 => {
-                let at = calendar.now() + 1e5 * (dt + 1) as f64;
-                calendar.push(at, id);
-                oracle.push(at, id);
-                id += 1;
-            }
-            _ => {
-                prop_assert_eq!(calendar.pop(), oracle.pop());
+            None => {
+                let popped = calendar.pop();
+                prop_assert_eq!(popped, oracle.pop());
+                prop_assert_eq!(peek_then_pop(&mut peeked)?, popped);
                 prop_assert_eq!(calendar.now(), oracle.now());
             }
         }
         prop_assert_eq!(calendar.len(), oracle.len());
         prop_assert_eq!(calendar.peek_time(), oracle.peek_time());
+        twins_agree(&calendar, &peeked)?;
     }
     // Drain: the full residual streams must match too.
     while let Some(expect) = oracle.pop() {
         prop_assert_eq!(calendar.pop(), Some(expect));
+        prop_assert_eq!(peek_then_pop(&mut peeked)?, Some(expect));
+        twins_agree(&calendar, &peeked)?;
     }
     prop_assert_eq!(calendar.pop(), None);
+    prop_assert_eq!(peek_then_pop(&mut peeked)?, None);
     prop_assert!(calendar.is_empty());
     Ok(())
 }
@@ -60,6 +92,8 @@ fn run_interleaving(ops: &[(u8, u64)], quantum: f64) -> Result<(), TestCaseError
 /// takes every event through plain `push`.
 struct Laned {
     calendar: EventQueue<u64>,
+    /// The calendar's twin, peeked before every pop.
+    peeked: EventQueue<u64>,
     oracle: HeapEventQueue<u64>,
     /// Last time pushed to each lane.
     lane_last: [f64; 2],
@@ -70,6 +104,7 @@ impl Laned {
     fn new() -> Self {
         Self {
             calendar: EventQueue::new(),
+            peeked: EventQueue::new(),
             oracle: HeapEventQueue::new(),
             lane_last: [0.0; 2],
             next_id: 0,
@@ -85,12 +120,14 @@ impl Laned {
             None => {
                 let at = self.calendar.now() + dt as f64 * quantum;
                 self.calendar.push(at, id);
+                self.peeked.push(at, id);
                 self.oracle.push(at, id);
             }
             Some(l) => {
                 let at = self.lane_last[l].max(self.calendar.now()) + dt as f64 * quantum;
                 self.lane_last[l] = at;
                 self.calendar.push_fifo(l, at, id);
+                self.peeked.push_fifo(l, at, id);
                 self.oracle.push(at, id);
             }
         }
@@ -98,7 +135,9 @@ impl Laned {
     }
 
     fn pop(&mut self) -> Result<(), TestCaseError> {
-        prop_assert_eq!(self.calendar.pop(), self.oracle.pop());
+        let popped = self.calendar.pop();
+        prop_assert_eq!(popped, self.oracle.pop());
+        prop_assert_eq!(peek_then_pop(&mut self.peeked)?, popped);
         prop_assert_eq!(self.calendar.now(), self.oracle.now());
         self.check()
     }
@@ -107,7 +146,7 @@ impl Laned {
         prop_assert_eq!(self.calendar.len(), self.oracle.len());
         prop_assert_eq!(self.calendar.is_empty(), self.oracle.len() == 0);
         prop_assert_eq!(self.calendar.peek_time(), self.oracle.peek_time());
-        Ok(())
+        twins_agree(&self.calendar, &self.peeked)
     }
 
     fn drain(mut self) -> Result<(), TestCaseError> {
@@ -115,6 +154,7 @@ impl Laned {
             self.pop()?;
         }
         prop_assert_eq!(self.calendar.pop(), None);
+        prop_assert_eq!(peek_then_pop(&mut self.peeked)?, None);
         Ok(())
     }
 }
@@ -173,18 +213,49 @@ proptest! {
     fn push_storms_then_full_drains_match(sizes in (1usize..400, 1u64..9)) {
         let (n, spread) = sizes;
         let mut calendar = EventQueue::new();
+        let mut peeked = EventQueue::new();
         let mut oracle = HeapEventQueue::new();
         for i in 0..n as u64 {
             // A handful of distinct times shared by many events.
             let at = (i % spread) as f64 * 0.5;
             calendar.push(at, i);
+            peeked.push(at, i);
             oracle.push(at, i);
         }
+        // The drain shrinks the table through rebuilds.
         while let Some(expect) = oracle.pop() {
             prop_assert_eq!(calendar.pop(), Some(expect));
+            prop_assert_eq!(peek_then_pop(&mut peeked)?, Some(expect));
+            twins_agree(&calendar, &peeked)?;
         }
         prop_assert_eq!(calendar.pop(), None);
+        prop_assert_eq!(peek_then_pop(&mut peeked)?, None);
     }
+}
+
+#[test]
+fn peeking_keeps_the_fallback_rebuild_schedule() {
+    // One event per second under the initial 1 ms buckets: every pop but
+    // the first misses a full rotation and falls back to the global scan,
+    // and the eighth miss rebuilds at a re-estimated width. A peek
+    // answers such a miss itself without counting it, so the peeked twin
+    // must rebuild after the same pop.
+    let (mut calendar, mut peeked) = (EventQueue::new(), EventQueue::new());
+    for i in 1..=20u64 {
+        calendar.push(i as f64, i);
+        peeked.push(i as f64, i);
+    }
+    let mut rebuilt = false;
+    for i in 1..=20u64 {
+        assert_eq!(calendar.pop(), Some((i as f64, i)));
+        assert_eq!(peeked.peek(), Some(&i));
+        assert_eq!(peeked.peek(), Some(&i), "a second peek names it again");
+        assert_eq!(peeked.pop(), Some((i as f64, i)));
+        let table = format!("{calendar:?}");
+        assert_eq!(table, format!("{peeked:?}"), "after pop {i}");
+        rebuilt |= !table.contains("width: 0.001");
+    }
+    assert!(rebuilt, "no rebuild re-estimated the width");
 }
 
 #[test]

@@ -87,6 +87,33 @@ pub(crate) unsafe fn with_avx2<R>(kernel: impl FnOnce() -> R) -> R {
     kernel()
 }
 
+/// Asks the CPU to bring every cache line of `value` into L1, without
+/// waiting for it: a hint that changes no value and cannot fault. A
+/// loop calls it on state its next step will touch (the simulator's
+/// pump on the next event's worker) while the current step runs. Only
+/// the lines `value` itself spans are fetched, not what it points to.
+/// A no-op off x86-64.
+#[inline]
+pub fn prefetch<T: ?Sized>(value: &T) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        const LINE: usize = 64;
+        let start = value as *const T as *const u8;
+        let end = start.wrapping_add(std::mem::size_of_val(value));
+        let mut line = start.wrapping_sub(start as usize % LINE);
+        while line < end {
+            // SAFETY: SSE is part of the x86-64 baseline, and a prefetch
+            // only hints: it reads nothing into the program and does not
+            // fault, and every address here lies within `value`'s lines.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(line.cast::<i8>()) };
+            line = line.wrapping_add(LINE);
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = value;
+}
+
 /// Eight `f32` lanes. Each op is documented by the scalar expression it
 /// computes in every lane (`a` is `self`'s lane, `b` the argument's), and
 /// rounds once, on its own: no two ops fuse (no FMA).

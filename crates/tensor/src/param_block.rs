@@ -114,16 +114,17 @@ impl ParamBlock {
     /// Mutable access for *full overwrites* (`Reduce`-style writes that
     /// never read the old contents): like [`Self::make_mut`], but when
     /// the block is shared the old values are not copied — a same-length
-    /// buffer from [`BufferPool::acquire_stale`] replaces them, and the
-    /// old block is retired to `pool`, which reuses it once its readers
-    /// let go.
+    /// unshared block from `pool` replaces them (one its readers gave
+    /// back whole, so neither the buffer nor its `Arc` is allocated),
+    /// and the old block is retired to `pool`, which reuses it once its
+    /// readers let go.
     ///
     /// The returned slice holds unspecified values in the shared case and
     /// the previous contents in the unshared case; callers must overwrite
     /// every element.
     pub fn overwrite_mut(&mut self, pool: &mut BufferPool) -> &mut [f32] {
         if Arc::get_mut(&mut self.data).is_none() {
-            let next = Self::from_vec(pool.acquire_stale(self.data.len()));
+            let next = pool.acquire_block_stale(self.data.len());
             pool.retire(std::mem::replace(self, next));
         }
         Arc::get_mut(&mut self.data)
@@ -135,6 +136,16 @@ impl ParamBlock {
     /// (where [`Self::make_mut`] would copy).
     pub(crate) fn unique_mut(&mut self) -> Option<&mut [f32]> {
         Arc::get_mut(&mut self.data).map(Vec::as_mut_slice)
+    }
+
+    /// The buffer itself, `Vec` and all, if no snapshot is alive.
+    pub(crate) fn unique_vec_mut(&mut self) -> Option<&mut Vec<f32>> {
+        Arc::get_mut(&mut self.data)
+    }
+
+    /// The buffer's capacity, in `f32`s.
+    pub(crate) fn capacity(&self) -> usize {
+        self.data.capacity()
     }
 
     /// The buffer itself if this is its last holder, else the block back.
@@ -208,6 +219,27 @@ mod tests {
         let ptr = block.as_slice().as_ptr();
         assert_eq!(block.overwrite_mut(&mut pool), &[8.0, 9.0]);
         assert_eq!(block.as_slice().as_ptr(), ptr);
+    }
+
+    #[test]
+    fn overwrite_mut_reuses_blocks_whole() {
+        let mut pool = BufferPool::new();
+        // A reader's reclaim of the last holder keeps the `Arc` too.
+        let given = ParamBlock::from_vec(vec![1.0; 4]);
+        let given_arc = Arc::as_ptr(&given.data);
+        pool.reclaim(given);
+        let mut block = ParamBlock::from_vec(vec![0.0; 4]);
+        let reader = block.snapshot();
+        block.overwrite_mut(&mut pool).fill(2.0);
+        assert_eq!(Arc::as_ptr(&block.data), given_arc);
+        // So does the retired block once its reader lets go.
+        let retired_arc = Arc::as_ptr(&reader.data);
+        drop(reader);
+        let reader = block.snapshot();
+        block.overwrite_mut(&mut pool).fill(3.0);
+        assert_eq!(Arc::as_ptr(&block.data), retired_arc);
+        assert_eq!(reader.as_slice(), &[2.0; 4]);
+        assert_eq!(pool.stats().fresh, 0);
     }
 
     #[test]

@@ -55,7 +55,11 @@ use std::collections::VecDeque;
 #[derive(Debug, Default)]
 pub struct BufferPool {
     free: Vec<Vec<f32>>,
-    /// The free list's capacity, in `f32`s.
+    /// Unshared blocks handed back whole, `Arc` and all, so a block
+    /// acquire ([`ParamBlock::overwrite_mut`]) allocates nothing. They
+    /// count against the same caps as `free`.
+    blocks: Vec<ParamBlock>,
+    /// The capacity of `free` and `blocks`, in `f32`s.
     free_floats: usize,
     /// Blocks this pool replaced while readers still held them, oldest
     /// first.
@@ -64,10 +68,13 @@ pub struct BufferPool {
     reuses: u64,
 }
 
-/// Free-list length cap; beyond this, released buffers are dropped. The
-/// runtimes hold only a handful of scratch buffers at once, so a small
-/// cap bounds memory without costing hits.
-const MAX_FREE: usize = 64;
+/// Free-list length cap; beyond this, released buffers are dropped. A
+/// real worker holds only a handful of buffers at once, but the
+/// simulator's one pool serves every worker: at 10k workers their
+/// readers hand back thousands of small blocks between two acquires, and
+/// a cap of 64 dropped blocks the next Reduces then allocated afresh.
+/// [`MAX_FREE_FLOATS`] bounds the memory either way.
+const MAX_FREE: usize = 4096;
 
 /// Free-list capacity cap in `f32`s (4 MiB): sixteen 64K-parameter
 /// blocks. A pool whose readers return every block gets bursts back at
@@ -134,13 +141,44 @@ impl BufferPool {
         }
     }
 
-    /// Pops a free buffer, or else takes back any retired block whose
-    /// readers have all let go, keeping the acquire/reuse counters.
+    /// A unique block of length `len` with *unspecified* contents, as
+    /// [`Self::acquire_stale`] hands out a buffer, drawn in the same
+    /// order: a block given back whole, else a free buffer in a new
+    /// `Arc`, else a retired block whose readers have all let go. Only a
+    /// fresh or a rewrapped buffer allocates.
+    pub(crate) fn acquire_block_stale(&mut self, len: usize) -> ParamBlock {
+        self.acquires += 1;
+        let free = self
+            .blocks
+            .pop()
+            .or_else(|| self.free.pop().map(ParamBlock::from_vec));
+        self.free_floats -= free.as_ref().map_or(0, ParamBlock::capacity);
+        let Some(mut block) = free.or_else(|| self.take_retired()) else {
+            return ParamBlock::zeros(len);
+        };
+        self.reuses += 1;
+        let buf = block.unique_vec_mut().expect("a pooled block is unshared");
+        buf.resize(len, 0.0);
+        #[cfg(debug_assertions)]
+        buf.fill(f32::NAN);
+        block
+    }
+
+    /// Pops a free buffer, or else unwraps a block given back whole or
+    /// any retired block whose readers have all let go, keeping the
+    /// acquire/reuse counters.
     fn recycle(&mut self) -> Option<Vec<f32>> {
         self.acquires += 1;
-        let free = self.free.pop();
+        let free = self.free.pop().or_else(|| {
+            let block = self.blocks.pop()?;
+            Some(
+                block
+                    .try_into_unique_vec()
+                    .expect("a pooled block is unshared"),
+            )
+        });
         self.free_floats -= free.as_ref().map_or(0, Vec::capacity);
-        let buf = free.or_else(|| self.take_retired());
+        let buf = free.or_else(|| self.take_retired()?.try_into_unique_vec().ok());
         self.reuses += u64::from(buf.is_some());
         buf
     }
@@ -148,27 +186,39 @@ impl BufferPool {
     /// Removes the first retired block that has become unique. The scan
     /// covers the whole list: a long-lived reader (a run's initial
     /// parameters, say) must not hide the blocks retired after it.
-    fn take_retired(&mut self) -> Option<Vec<f32>> {
+    fn take_retired(&mut self) -> Option<ParamBlock> {
         let i = self.retired.iter().position(|b| b.strong_count() == 1)?;
-        self.retired.remove(i)?.try_into_unique_vec().ok()
+        self.retired.remove(i)
+    }
+
+    /// Whether a buffer of `capacity` floats fits under the free caps;
+    /// if so, counts it in.
+    fn admit(&mut self, capacity: usize) -> bool {
+        let floats = self.free_floats + capacity;
+        let fits = self.free.len() + self.blocks.len() < MAX_FREE
+            && floats <= MAX_FREE_FLOATS
+            && capacity > 0;
+        if fits {
+            self.free_floats = floats;
+        }
+        fits
     }
 
     /// Returns a buffer to the free list (dropped if the list is full).
     pub fn release(&mut self, buf: Vec<f32>) {
-        let floats = self.free_floats + buf.capacity();
-        if self.free.len() < MAX_FREE && floats <= MAX_FREE_FLOATS && buf.capacity() > 0 {
-            self.free_floats = floats;
+        if self.admit(buf.capacity()) {
             self.free.push(buf);
         }
     }
 
-    /// Recycles the allocation behind `block` if this was its last
-    /// holder; shared blocks are simply dropped (their other holders keep
-    /// the buffer alive). A block another pool retired is always shared
-    /// with that pool, so reclaiming it only drops a reference.
+    /// Recycles the allocation behind `block`, whole, if this was its
+    /// last holder; shared blocks are simply dropped (their other
+    /// holders keep the buffer alive). A block another pool retired is
+    /// always shared with that pool, so reclaiming it only drops a
+    /// reference.
     pub fn reclaim(&mut self, block: ParamBlock) {
-        if let Ok(buf) = block.try_into_unique_vec() {
-            self.release(buf);
+        if block.strong_count() == 1 && self.admit(block.capacity()) {
+            self.blocks.push(block);
         }
     }
 
@@ -178,21 +228,19 @@ impl BufferPool {
     /// and a later acquire reuses it. When the list is full, its oldest
     /// block is reclaimed instead.
     pub fn retire(&mut self, block: ParamBlock) {
-        match block.try_into_unique_vec() {
-            Ok(buf) => self.release(buf),
-            Err(block) => {
-                if self.retired.len() == MAX_RETIRED {
-                    let oldest = self.retired.pop_front().expect("the list is full");
-                    self.reclaim(oldest);
-                }
-                self.retired.push_back(block);
-            }
+        if block.strong_count() == 1 {
+            return self.reclaim(block);
         }
+        if self.retired.len() == MAX_RETIRED {
+            let oldest = self.retired.pop_front().expect("the list is full");
+            self.reclaim(oldest);
+        }
+        self.retired.push_back(block);
     }
 
-    /// Buffers currently on the free list.
+    /// Buffers currently free, whole blocks included.
     pub fn free_buffers(&self) -> usize {
-        self.free.len()
+        self.free.len() + self.blocks.len()
     }
 
     /// Total [`Self::acquire`] calls.
@@ -355,10 +403,10 @@ mod tests {
     #[test]
     fn free_list_is_bounded() {
         let mut pool = BufferPool::new();
-        for _ in 0..200 {
+        for _ in 0..MAX_FREE + 100 {
             pool.release(vec![0.0; 2]);
         }
-        assert!(pool.free_buffers() <= 64);
+        assert_eq!(pool.free_buffers(), MAX_FREE);
         // 64K-float blocks: sixteen fill the list's 4 MiB.
         let mut pool = BufferPool::new();
         for _ in 0..40 {
