@@ -73,8 +73,8 @@
 //! # The pump
 //!
 //! The pump behind [`SimEngine::drive`] pops an event, peeks at the
-//! next one ([`EventQueue::peek`], which moves nothing the pop order or
-//! a rebuild depends on), lets the protocol prefetch what handling that
+//! next one ([`EventQueue::peek`], which moves nothing the pop order
+//! depends on), lets the protocol prefetch what handling that
 //! one will touch ([`WorkerProtocol::prefetch`]), and only then handles
 //! the event it popped. At 10k workers the per-worker state is tens of
 //! megabytes and a worker's next event comes thousands of events after
@@ -97,17 +97,19 @@
 //! (11 of 12 pairs faster), and the skipped resumes, the grant slots,
 //! the single purge and the pooled `Arc` (below) each within the host's
 //! noise (−4 % to +4 %); all five together at −21 % (11 of 12). The
-//! queue itself was ruled out: replaying this run's 3.68 M queue
-//! operations through the calendar costs 150–190 ms in isolation, and
-//! neither sorted-on-activation buckets nor 24-byte keys with a payload
-//! slab beat it; bucket widths from 100 µs down to 2 µs (the table is
-//! pre-sized, so the 1 ms initial width is never re-estimated) moved the
-//! run by −4 % to +7 %, within the noise. Two further prefetches changed
-//! nothing measurable and are not here: a second level issued after each
-//! event for the next one (the rotating queue's buffer, the replica's
-//! header, the loss series' tails), and the Reduce's input blocks ahead
-//! of its sweep. The calendar's heap pops are still about a quarter of
-//! the pump's samples.
+//! queue is one binary heap on packed `u128` `(time, seq)` keys beside
+//! the FIFO lanes that carry grants and acks. It replaced a calendar
+//! queue (time buckets, each a heap) with throughput unchanged and peak
+//! RSS 6 % lower; sorted-on-activation buckets, 24-byte keys with a
+//! payload slab and bucket widths from 100 µs down to 2 µs had not made
+//! the calendar faster either. Keys compared as an `f64` and a `u64`
+//! cost 3.6–4.5 %, and sending grants and acks through the heap instead
+//! of lanes cost 12 %. Two further prefetches changed nothing
+//! measurable and are not here: a second level issued after each event
+//! for the next one (the rotating queue's buffer, the replica's header,
+//! the loss series' tails), and the Reduce's input blocks ahead of its
+//! sweep. Heap pops were about a quarter of the pump's samples
+//! under the calendar; the heap's share has not been profiled since.
 //!
 //! # Compute futures
 //!

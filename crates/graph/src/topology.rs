@@ -215,17 +215,6 @@ impl Topology {
         Self::from_undirected_edges(n, &edges)
     }
 
-    /// Path (line) graph `0 - 1 - ... - n-1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2`.
-    pub fn line(n: usize) -> Self {
-        assert!(n >= 2, "line needs at least 2 nodes");
-        let edges: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
-        Self::from_undirected_edges(n, &edges)
-    }
-
     /// Placement-aware hierarchical graph (Fig. 21 settings 2/3): an
     /// all-reduce (complete) graph within each machine, and a ring between
     /// machines. `machine_sizes[m]` is the number of workers on machine `m`;

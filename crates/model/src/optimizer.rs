@@ -50,11 +50,6 @@ impl Sgd {
         }
     }
 
-    /// Learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
     /// Applies one update in place.
     ///
     /// # Panics
@@ -149,16 +144,6 @@ impl QgmState {
             beta,
             momentum: vec![0.0; param_len],
         }
-    }
-
-    /// Momentum factor `mu`.
-    pub fn mu(&self) -> f32 {
-        self.mu
-    }
-
-    /// Displacement mixing weight `beta`.
-    pub fn beta(&self) -> f32 {
-        self.beta
     }
 
     /// The current momentum buffer (the running estimate of the global

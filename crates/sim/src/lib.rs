@@ -4,9 +4,10 @@
 //! with injected random (6×, probability 1/n) and deterministic (4×)
 //! slowdowns — is reproduced here as a virtual-clock simulator:
 //!
-//! * [`events::EventQueue`] — a total-ordered calendar queue (time, then
-//!   insertion sequence) over an arbitrary payload, with FIFO lanes for
-//!   events that arrive already in time order.
+//! * [`events::EventQueue`] — a total-ordered event queue (time, then
+//!   insertion sequence) over an arbitrary payload: one binary heap on
+//!   packed integer keys, with FIFO lanes for events that arrive already
+//!   in time order.
 //! * [`cluster::ClusterSpec`] — worker→machine placement, per-worker
 //!   compute times, link latency/bandwidth (intra vs inter machine), and
 //!   per-node NIC serialization (the effect that makes a parameter server

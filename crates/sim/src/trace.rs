@@ -48,11 +48,6 @@ impl Trace {
         }
     }
 
-    /// Number of workers.
-    pub fn n_workers(&self) -> usize {
-        self.n_workers
-    }
-
     /// Records that `worker` entered `iter` at `time`.
     ///
     /// # Panics

@@ -1,19 +1,21 @@
-//! Differential suite: the calendar-queue [`EventQueue`] against the
-//! retained binary-heap oracle [`HeapEventQueue`] (`support/heap_queue.rs`).
+//! Differential suite: [`EventQueue`] (one heap on packed integer keys,
+//! plus FIFO lanes) against the oracle [`HeapEventQueue`]
+//! (`support/heap_queue.rs`), a plain heap that compares `(time, seq)`
+//! as a float and an integer.
 //!
 //! The property is total behavioral equality: driven through the same
 //! random push/pop interleaving — with heavy same-time ties, clustered
-//! times and far-future outliers — both queues must produce the same
-//! `(time, payload)` stream, the same lengths and the same clock. This
-//! is what licenses swapping the scheduler under every digest table in
-//! the workspace. The lane suites hold `EventQueue::push_fifo` to the
-//! same bar: the oracle takes the lane events through plain `push`.
+//! times, far-future outliers and times from 1e-12 to 1e12 — both queues
+//! must produce the same `(time, payload)` stream, the same lengths and
+//! the same clock. This is what licenses the key encoding under every
+//! digest table in the workspace. The lane suites hold
+//! `EventQueue::push_fifo` to the same bar: the oracle takes the lane
+//! events through plain `push`.
 //!
-//! Every suite also drives a twin calendar that is peeked before each
-//! pop. [`EventQueue::peek`] must name exactly the payload that pop
-//! returns, and the twin must pop the same stream as the calendar that
-//! is never peeked, at the same capacity after every operation: a peek
-//! that moved the order or the rebuild schedule fails here.
+//! Every suite also drives a twin queue that is peeked before each pop.
+//! [`EventQueue::peek`] must name exactly the payload that pop returns,
+//! and the twin must pop the same stream as the queue that is never
+//! peeked: a peek that moved the order fails here.
 
 #[path = "support/heap_queue.rs"]
 mod heap_queue;
@@ -31,68 +33,65 @@ fn peek_then_pop(peeked: &mut EventQueue<u64>) -> Result<Option<(f64, u64)>, Tes
     Ok(popped)
 }
 
-/// The twin peeked before every pop against the calendar never peeked:
-/// same pending count, clock, rebuild watermark and table (the `Debug`
-/// form names the bucket count and the width each rebuild re-estimates).
-fn twins_agree(calendar: &EventQueue<u64>, peeked: &EventQueue<u64>) -> Result<(), TestCaseError> {
-    prop_assert_eq!(calendar.len(), peeked.len());
-    prop_assert_eq!(calendar.capacity(), peeked.capacity());
-    prop_assert_eq!(calendar.reserved(), peeked.reserved());
-    prop_assert_eq!(format!("{calendar:?}"), format!("{peeked:?}"));
+/// The twin peeked before every pop against the queue never peeked:
+/// same pending count and clock (the `Debug` form names both).
+fn twins_agree(queue: &EventQueue<u64>, peeked: &EventQueue<u64>) -> Result<(), TestCaseError> {
+    prop_assert_eq!(queue.len(), peeked.len());
+    prop_assert_eq!(format!("{queue:?}"), format!("{peeked:?}"));
     Ok(())
 }
 
 /// Drives both queues through one interleaving described by `ops` and
 /// asserts lock-step equality. Each op is `(kind, dt)`:
 /// `kind < 5` pushes at `now + dt * quantum` (a coarse quantum makes
-/// same-time ties common), `kind == 5` pushes a far-future outlier
-/// (exercises the full-rotation fallback), anything else pops.
+/// same-time ties common), `kind == 5` pushes a far-future outlier,
+/// anything else pops.
 fn run_interleaving(ops: &[(u8, u64)], quantum: f64) -> Result<(), TestCaseError> {
-    let mut calendar = EventQueue::new();
+    let mut queue = EventQueue::new();
     let mut peeked = EventQueue::new();
     let mut oracle = HeapEventQueue::new();
     let mut id = 0u64;
     for &(kind, dt) in ops {
         let at = match kind {
-            0..=4 => Some(calendar.now() + dt as f64 * quantum),
-            5 => Some(calendar.now() + 1e5 * (dt + 1) as f64),
+            0..=4 => Some(queue.now() + dt as f64 * quantum),
+            5 => Some(queue.now() + 1e5 * (dt + 1) as f64),
             _ => None,
         };
         match at {
             Some(at) => {
-                calendar.push(at, id);
+                queue.push(at, id);
                 peeked.push(at, id);
                 oracle.push(at, id);
                 id += 1;
             }
             None => {
-                let popped = calendar.pop();
+                let popped = queue.pop();
                 prop_assert_eq!(popped, oracle.pop());
                 prop_assert_eq!(peek_then_pop(&mut peeked)?, popped);
-                prop_assert_eq!(calendar.now(), oracle.now());
+                prop_assert_eq!(queue.now(), oracle.now());
             }
         }
-        prop_assert_eq!(calendar.len(), oracle.len());
-        prop_assert_eq!(calendar.peek_time(), oracle.peek_time());
-        twins_agree(&calendar, &peeked)?;
+        prop_assert_eq!(queue.len(), oracle.len());
+        prop_assert_eq!(queue.peek_time(), oracle.peek_time());
+        twins_agree(&queue, &peeked)?;
     }
     // Drain: the full residual streams must match too.
     while let Some(expect) = oracle.pop() {
-        prop_assert_eq!(calendar.pop(), Some(expect));
+        prop_assert_eq!(queue.pop(), Some(expect));
         prop_assert_eq!(peek_then_pop(&mut peeked)?, Some(expect));
-        twins_agree(&calendar, &peeked)?;
+        twins_agree(&queue, &peeked)?;
     }
-    prop_assert_eq!(calendar.pop(), None);
+    prop_assert_eq!(queue.pop(), None);
     prop_assert_eq!(peek_then_pop(&mut peeked)?, None);
-    prop_assert!(calendar.is_empty());
+    prop_assert!(queue.is_empty());
     Ok(())
 }
 
-/// The calendar, two FIFO lanes beside it, and the heap oracle that
-/// takes every event through plain `push`.
+/// The queue, two FIFO lanes beside it, and the heap oracle that takes
+/// every event through plain `push`.
 struct Laned {
-    calendar: EventQueue<u64>,
-    /// The calendar's twin, peeked before every pop.
+    queue: EventQueue<u64>,
+    /// The queue's twin, peeked before every pop.
     peeked: EventQueue<u64>,
     oracle: HeapEventQueue<u64>,
     /// Last time pushed to each lane.
@@ -103,7 +102,7 @@ struct Laned {
 impl Laned {
     fn new() -> Self {
         Self {
-            calendar: EventQueue::new(),
+            queue: EventQueue::new(),
             peeked: EventQueue::new(),
             oracle: HeapEventQueue::new(),
             lane_last: [0.0; 2],
@@ -118,15 +117,15 @@ impl Laned {
         self.next_id += 1;
         match lane {
             None => {
-                let at = self.calendar.now() + dt as f64 * quantum;
-                self.calendar.push(at, id);
+                let at = self.queue.now() + dt as f64 * quantum;
+                self.queue.push(at, id);
                 self.peeked.push(at, id);
                 self.oracle.push(at, id);
             }
             Some(l) => {
-                let at = self.lane_last[l].max(self.calendar.now()) + dt as f64 * quantum;
+                let at = self.lane_last[l].max(self.queue.now()) + dt as f64 * quantum;
                 self.lane_last[l] = at;
-                self.calendar.push_fifo(l, at, id);
+                self.queue.push_fifo(l, at, id);
                 self.peeked.push_fifo(l, at, id);
                 self.oracle.push(at, id);
             }
@@ -135,35 +134,34 @@ impl Laned {
     }
 
     fn pop(&mut self) -> Result<(), TestCaseError> {
-        let popped = self.calendar.pop();
+        let popped = self.queue.pop();
         prop_assert_eq!(popped, self.oracle.pop());
         prop_assert_eq!(peek_then_pop(&mut self.peeked)?, popped);
-        prop_assert_eq!(self.calendar.now(), self.oracle.now());
+        prop_assert_eq!(self.queue.now(), self.oracle.now());
         self.check()
     }
 
     fn check(&self) -> Result<(), TestCaseError> {
-        prop_assert_eq!(self.calendar.len(), self.oracle.len());
-        prop_assert_eq!(self.calendar.is_empty(), self.oracle.len() == 0);
-        prop_assert_eq!(self.calendar.peek_time(), self.oracle.peek_time());
-        twins_agree(&self.calendar, &self.peeked)
+        prop_assert_eq!(self.queue.len(), self.oracle.len());
+        prop_assert_eq!(self.queue.is_empty(), self.oracle.len() == 0);
+        prop_assert_eq!(self.queue.peek_time(), self.oracle.peek_time());
+        twins_agree(&self.queue, &self.peeked)
     }
 
     fn drain(mut self) -> Result<(), TestCaseError> {
         while self.oracle.len() > 0 {
             self.pop()?;
         }
-        prop_assert_eq!(self.calendar.pop(), None);
+        prop_assert_eq!(self.queue.pop(), None);
         prop_assert_eq!(peek_then_pop(&mut self.peeked)?, None);
         Ok(())
     }
 }
 
 /// Drives [`Laned`] through one interleaving. Each op is `(kind, dt)`:
-/// `kind < 2` pushes to the calendar, `kind` 2 or 3 to lane `kind - 2`,
+/// `kind < 2` pushes to the heap, `kind` 2 or 3 to lane `kind - 2`,
 /// `kind == 4` is a storm of `32 * (dt + 1)` pushes round-robin over
-/// the calendar and both lanes (it forces grow rebuilds, and the pops
-/// after it shrink rebuilds), anything else pops.
+/// the heap and both lanes, anything else pops.
 fn run_laned(ops: &[(u8, u64)], quantum: f64) -> Result<(), TestCaseError> {
     let mut q = Laned::new();
     for &(kind, dt) in ops {
@@ -192,7 +190,7 @@ proptest! {
 
     #[test]
     fn tie_heavy_lane_interleavings_match_the_heap(ops in proptest::collection::vec((0u8..8, 0u64..2), 0..300)) {
-        // Most lane and calendar events collide on one timestamp, so the
+        // Most lane and heap events collide on one timestamp, so the
         // shared `seq` carries the whole order.
         run_laned(&ops, 1e-6)?;
     }
@@ -210,58 +208,35 @@ proptest! {
     }
 
     #[test]
-    fn push_storms_then_full_drains_match(sizes in (1usize..400, 1u64..9)) {
+    fn push_storms_then_full_drains_match(sizes in (1usize..400, 1u64..26)) {
         let (n, spread) = sizes;
-        let mut calendar = EventQueue::new();
+        let mut queue = EventQueue::new();
         let mut peeked = EventQueue::new();
         let mut oracle = HeapEventQueue::new();
         for i in 0..n as u64 {
-            // A handful of distinct times shared by many events.
-            let at = (i % spread) as f64 * 0.5;
-            calendar.push(at, i);
+            // Up to 25 decades from 1e-12, three distinct times in each,
+            // shared by many events: the packed keys must order times
+            // many binades apart exactly as the oracle's floats do.
+            let decade = ((i / 3) % spread) as i32 - 12;
+            let at = (1.0 + (i % 3) as f64 * 0.25) * 10f64.powi(decade);
+            queue.push(at, i);
             peeked.push(at, i);
             oracle.push(at, i);
         }
-        // The drain shrinks the table through rebuilds.
         while let Some(expect) = oracle.pop() {
-            prop_assert_eq!(calendar.pop(), Some(expect));
+            prop_assert_eq!(queue.pop(), Some(expect));
             prop_assert_eq!(peek_then_pop(&mut peeked)?, Some(expect));
-            twins_agree(&calendar, &peeked)?;
+            twins_agree(&queue, &peeked)?;
         }
-        prop_assert_eq!(calendar.pop(), None);
+        prop_assert_eq!(queue.pop(), None);
         prop_assert_eq!(peek_then_pop(&mut peeked)?, None);
     }
 }
 
 #[test]
-fn peeking_keeps_the_fallback_rebuild_schedule() {
-    // One event per second under the initial 1 ms buckets: every pop but
-    // the first misses a full rotation and falls back to the global scan,
-    // and the eighth miss rebuilds at a re-estimated width. A peek
-    // answers such a miss itself without counting it, so the peeked twin
-    // must rebuild after the same pop.
-    let (mut calendar, mut peeked) = (EventQueue::new(), EventQueue::new());
-    for i in 1..=20u64 {
-        calendar.push(i as f64, i);
-        peeked.push(i as f64, i);
-    }
-    let mut rebuilt = false;
-    for i in 1..=20u64 {
-        assert_eq!(calendar.pop(), Some((i as f64, i)));
-        assert_eq!(peeked.peek(), Some(&i));
-        assert_eq!(peeked.peek(), Some(&i), "a second peek names it again");
-        assert_eq!(peeked.pop(), Some((i as f64, i)));
-        let table = format!("{calendar:?}");
-        assert_eq!(table, format!("{peeked:?}"), "after pop {i}");
-        rebuilt |= !table.contains("width: 0.001");
-    }
-    assert!(rebuilt, "no rebuild re-estimated the width");
-}
-
-#[test]
 fn identical_times_pop_in_insertion_order_across_rebuilds() {
-    // 5k ties at one timestamp force several grow rebuilds and a drain
-    // through shrink rebuilds; insertion order must survive all of them.
+    // 5k ties at one timestamp: the sequence half of the key alone
+    // carries the order through the heap's sifts.
     let mut q = EventQueue::new();
     for i in 0..5000u64 {
         q.push(1.0, i);

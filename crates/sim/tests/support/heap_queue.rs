@@ -1,7 +1,8 @@
 //! The original `BinaryHeap`-backed event queue, kept as the
-//! differential-testing oracle for the calendar `EventQueue`: same API,
-//! same deterministic order (earliest time first, FIFO on ties),
-//! O(log n) per operation.
+//! differential-testing oracle for `EventQueue`: same API, same
+//! deterministic order (earliest time first, FIFO on ties), but it
+//! compares `(time, seq)` as a float and an integer where `EventQueue`
+//! compares one packed integer key, and it has no FIFO lanes.
 //!
 //! Test support only, included with `#[path]` by `src/events.rs`'s unit
 //! tests and by `tests/queue_differential.rs`.
@@ -44,7 +45,7 @@ impl<E> Ord for HeapEntry<E> {
     }
 }
 
-/// The heap scheduler `EventQueue` replaced.
+/// A plain `(time, seq)` heap scheduler: the order `EventQueue` must match.
 pub struct HeapEventQueue<E> {
     heap: BinaryHeap<HeapEntry<E>>,
     seq: u64,
