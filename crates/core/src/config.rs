@@ -7,6 +7,7 @@
 //! skipping iterations §5), and the baselines (parameter server, ring
 //! all-reduce, AD-PSGD).
 
+use hop_graph::bounds::BaseSetting;
 use hop_graph::Topology;
 use hop_tensor::CompressionConfig;
 use std::fmt;
@@ -179,6 +180,17 @@ impl HopConfig {
         match self.sync {
             SyncMode::Queues { max_ig } => max_ig,
             SyncMode::NotifyAck => None,
+        }
+    }
+
+    /// The Table 1 row this configuration's gap bounds come from; its
+    /// [`BaseSetting::b0`] bounds a worker against each in-neighbor.
+    pub fn base_setting(&self) -> BaseSetting {
+        match (self.staleness, self.n_backup) {
+            (None, 0) => BaseSetting::Standard,
+            (Some(s), 0) => BaseSetting::BoundedStaleness(s),
+            (None, _) => BaseSetting::BackupWorkers,
+            (Some(_), _) => BaseSetting::Hybrid,
         }
     }
 

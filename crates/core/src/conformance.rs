@@ -34,8 +34,9 @@
 
 use crate::config::{ComputeOrder, HopConfig};
 use crate::semantics;
-use hop_graph::bounds::{BaseSetting, Bound};
-use hop_graph::{ShortestPaths, Topology};
+use hop_graph::bounds::Bound;
+use hop_graph::Topology;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -487,11 +488,12 @@ pub(crate) fn parse_event(line: &str) -> Result<ProtocolEvent, String> {
 /// message alone.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ViolationKind {
-    /// The observed iteration gap exceeded its Table 1 bound.
+    /// The observed iteration gap between two adjacent workers exceeded
+    /// its per-hop Table 1 bound.
     GapBound {
         /// The worker running ahead.
         ahead: usize,
-        /// The worker it outran.
+        /// The neighbor it outran.
         behind: usize,
         /// Observed `Iter(ahead) - Iter(behind)`.
         gap: i64,
@@ -840,8 +842,6 @@ pub struct ConformanceSummary {
     pub rejoins: u64,
     /// Licensed message losses replayed.
     pub messages_lost: u64,
-    /// Largest iteration gap observed between any pair.
-    pub max_gap: i64,
 }
 
 /// Replays a [`ProtocolTrace`] against the invariants a
@@ -849,9 +849,13 @@ pub struct ConformanceSummary {
 ///
 /// Checks, in replay order:
 ///
-/// * **(a) iteration gap** — after every `Advance`/`Jump`, each ordered
-///   pair's gap against its [`hop_graph::bounds`] Table 1 bound (token
-///   bounds when `max_ig` is set);
+/// * **(a) iteration gap** — after every `Advance`/`Jump` of `w`, Table 1
+///   on the edges at `w`: `Iter(w) - Iter(u) <= b0` for each external
+///   in-neighbor `u` (the base setting's per-hop bound, when finite) and
+///   `Iter(w) - Iter(v) <= max_ig` for each external out-neighbor `v`
+///   (with token queues). Every edge holds its per-hop bound exactly
+///   when every ordered pair holds its [`hop_graph::bounds`] pair bound,
+///   so the check keeps constant state per worker;
 /// * **(b) backup quota** — every backup/standard `Reduce` consumed
 ///   between `|Nin| - N_buw` and `|Nin|` updates, all tagged with the
 ///   reduce's own iteration (no cross-iteration tag leaks), each from a
@@ -891,20 +895,6 @@ impl<'a> Oracle<'a> {
         }
     }
 
-    /// The Table 1 bound on `Iter(i) - Iter(j)` for this configuration.
-    fn pair_bound(&self, sp: &ShortestPaths, i: usize, j: usize) -> Bound {
-        let base = match (self.cfg.staleness, self.cfg.n_backup) {
-            (None, 0) => BaseSetting::Standard,
-            (Some(s), 0) => BaseSetting::BoundedStaleness(s),
-            (None, _) => BaseSetting::BackupWorkers,
-            (Some(_), _) => BaseSetting::Hybrid,
-        };
-        match self.cfg.max_ig() {
-            Some(ig) => base.pair_bound_with_tokens(ig, sp.dist(j, i), sp.dist(i, j)),
-            None => base.pair_bound(sp.dist(j, i)),
-        }
-    }
-
     /// Replays `trace`, returning what it exercised or the first
     /// violation. Equivalent to [`Self::check_with_faults`] with an empty
     /// fault log: any `Crash`/`Rejoin`/`Lost` event in the trace is
@@ -928,33 +918,22 @@ impl<'a> Oracle<'a> {
     /// * a licensed `Rejoin` permits the following `Advance` straight to
     ///   the rejoin target, without the usual `+1`/reduce preconditions,
     ///   and mirrors the clamped token drain the runtime performs;
-    /// * Table 1 gap bounds are enforced among *live* workers only —
-    ///   pairs with a crashed endpoint are exempt until the rejoin;
-    /// * everything else — backup quotas, staleness windows, token
-    ///   conservation among live workers, jump legality — must still hold
-    ///   under fire.
+    /// * everything else — Table 1 gap bounds, backup quotas, staleness
+    ///   windows, token conservation among live workers, jump legality —
+    ///   must still hold under fire. A crashed worker sends and grants
+    ///   nothing, so its frozen counter still bounds its neighbors: the
+    ///   gap check keeps every edge, crashed endpoints included.
     ///
     /// # Errors
     ///
     /// Returns the first [`Violation`] encountered, anchored to its event
     /// index.
-    #[allow(clippy::too_many_lines)]
     pub fn check_with_faults(
         &self,
         trace: &ProtocolTrace,
         faults: &hop_sim::FaultLog,
     ) -> Result<ConformanceSummary, Violation> {
-        let n = self.topology.len();
-        let sp = ShortestPaths::new(self.topology);
-        let mut bounds = vec![vec![Bound::Unbounded; n]; n];
-        for (i, row) in bounds.iter_mut().enumerate() {
-            for (j, b) in row.iter_mut().enumerate() {
-                if i != j {
-                    *b = self.pair_bound(&sp, i, j);
-                }
-            }
-        }
-        let mut st = Replay::new(self.cfg, self.topology, self.max_iters, bounds, faults);
+        let mut st = Replay::new(self.cfg, self.topology, self.max_iters, faults);
         let mut summary = ConformanceSummary {
             events: trace.len(),
             ..ConformanceSummary::default()
@@ -966,7 +945,6 @@ impl<'a> Oracle<'a> {
                 kind,
             })?;
         }
-        summary.max_gap = st.max_gap;
         Ok(summary)
     }
 }
@@ -983,7 +961,6 @@ struct Replay<'a> {
     cfg: &'a HopConfig,
     topology: &'a Topology,
     max_iters: u64,
-    bounds: Vec<Vec<Bound>>,
     /// Logical iteration per worker: advanced eagerly at `Jump` (the
     /// runtime grants tokens for the whole jump before the renew
     /// completes, so neighbors legitimately treat the jumper as already
@@ -997,16 +974,13 @@ struct Replay<'a> {
     computing: Vec<Option<u64>>,
     last_computed: Vec<Option<u64>>,
     consumed: Vec<Vec<Pending>>,
-    /// Outstanding sends: `(from, to, iter)` -> undelivered copies.
+    /// Outstanding sends: `(from, to, iter)` -> undelivered copies (a key
+    /// leaves with its last copy).
     outstanding: HashMap<(usize, usize, u64), u32>,
     /// Staleness mode: newest admitted update per `(worker, from)`.
     newest: HashMap<(usize, usize), u64>,
     /// Token queues by `(owner, consumer)` edge; present iff `max_ig`.
     tokens: HashMap<(usize, usize), u64>,
-    /// Currently crashed workers: gap bounds are suspended for pairs with
-    /// a dead endpoint, and their in-flight compute/consume state died
-    /// with them.
-    dead: Vec<bool>,
     /// A licensed rejoin whose `Advance` to the target is still owed.
     rejoin_target: Vec<Option<u64>>,
     /// Licenses from the fault log: remaining loss credits per
@@ -1014,7 +988,6 @@ struct Replay<'a> {
     loss_license: HashMap<(usize, usize, u64), u32>,
     crash_license: HashMap<(usize, u64), u32>,
     rejoin_license: HashMap<(usize, u64), u32>,
-    max_gap: i64,
 }
 
 impl<'a> Replay<'a> {
@@ -1022,7 +995,6 @@ impl<'a> Replay<'a> {
         cfg: &'a HopConfig,
         topology: &'a Topology,
         max_iters: u64,
-        bounds: Vec<Vec<Bound>>,
         faults: &hop_sim::FaultLog,
     ) -> Self {
         let n = topology.len();
@@ -1058,7 +1030,6 @@ impl<'a> Replay<'a> {
             cfg,
             topology,
             max_iters,
-            bounds,
             logical: vec![0; n],
             entered: vec![0; n],
             started: vec![false; n],
@@ -1070,47 +1041,54 @@ impl<'a> Replay<'a> {
             outstanding: HashMap::new(),
             newest: HashMap::new(),
             tokens,
-            dead: vec![false; n],
             rejoin_target: vec![None; n],
             loss_license,
             crash_license,
             rejoin_license,
-            max_gap: 0,
         }
     }
 
-    /// Gap check after `w`'s logical iteration changed. Pairs with a
-    /// crashed endpoint are exempt: Table 1 speaks for live workers, and
-    /// the live cluster legitimately runs ahead of a frozen counter.
-    fn check_gaps(&mut self, w: usize) -> Result<(), ViolationKind> {
-        if self.dead[w] {
-            return Ok(());
-        }
-        for j in 0..self.logical.len() {
-            if j == w || self.dead[j] {
-                continue;
-            }
-            let gap = self.logical[w] as i64 - self.logical[j] as i64;
-            self.max_gap = self.max_gap.max(gap);
-            if !self.bounds[w][j].admits(gap) {
-                return Err(ViolationKind::GapBound {
-                    ahead: w,
-                    behind: j,
-                    gap,
-                    bound: self.bounds[w][j],
-                });
+    /// Gap check after `w`'s logical iteration moved up: only the edges
+    /// at `w` with `w` ahead can have broken. Summing the per-hop bounds
+    /// along a path gives Table 1's pair bound
+    /// `min(b0 * path(j -> i), max_ig * path(i -> j))`, and adjacent
+    /// workers are themselves a pair, so every edge holds its bound
+    /// exactly when every ordered pair holds its pair bound.
+    fn check_gaps(&self, w: usize) -> Result<(), ViolationKind> {
+        let edges = [
+            (
+                self.cfg.base_setting().b0().finite(),
+                self.topology.external_in_neighbors(w),
+            ),
+            (self.cfg.max_ig(), self.topology.external_out_neighbors(w)),
+        ];
+        for (bound, neighbors) in edges {
+            let Some(bound) = bound else { continue };
+            for &j in neighbors {
+                let gap = self.logical[w] as i64 - self.logical[j] as i64;
+                if gap > bound as i64 {
+                    return Err(ViolationKind::GapBound {
+                        ahead: w,
+                        behind: j,
+                        gap,
+                        bound: Bound::Finite(bound),
+                    });
+                }
             }
         }
         Ok(())
     }
 
     fn take_send(&mut self, from: usize, to: usize, iter: u64) -> Result<(), ViolationKind> {
-        match self.outstanding.get_mut(&(from, to, iter)) {
-            Some(count) if *count > 0 => {
-                *count -= 1;
+        match self.outstanding.entry((from, to, iter)) {
+            Entry::Occupied(mut copies) => {
+                *copies.get_mut() -= 1;
+                if *copies.get() == 0 {
+                    copies.remove();
+                }
                 Ok(())
             }
-            _ => Err(ViolationKind::UnknownUpdate {
+            Entry::Vacant(_) => Err(ViolationKind::UnknownUpdate {
                 worker: to,
                 from,
                 iter,
@@ -1455,7 +1433,6 @@ impl<'a> Replay<'a> {
                         })
                     }
                 }
-                self.dead[worker] = true;
                 // In-flight compute and the consume set die with the
                 // worker; its never-closed reduce is forgiven at rejoin.
                 self.computing[worker] = None;
@@ -1473,7 +1450,6 @@ impl<'a> Replay<'a> {
                         })
                     }
                 }
-                self.dead[worker] = false;
                 self.rejoin_target[worker] = Some(target);
                 // The crash fires at iteration entry, *before* the doomed
                 // iteration's `ComputeBegin` (mid-iteration crash: the
@@ -1679,7 +1655,6 @@ mod tests {
         assert_eq!(summary.advances, 4);
         assert_eq!(summary.reduces, 2);
         assert_eq!(summary.consumed, 4);
-        assert_eq!(summary.max_gap, 1);
     }
 
     #[test]
@@ -2180,28 +2155,125 @@ mod tests {
     }
 
     #[test]
-    fn dead_workers_are_exempt_from_gap_checks() {
-        // With worker 1 dead, worker 0 may run arbitrarily far ahead; the
-        // same iterations without the crash violate the Table 1 bound.
+    fn crashed_workers_still_bound_their_neighbors() {
+        // A crashed worker grants no tokens, so its frozen counter keeps
+        // bounding its neighbors: with worker 1 down at iteration 1,
+        // worker 0 may run `max_ig = 2` ahead of it, and its third
+        // iteration past the crash breaks the bound, crash or not.
         let cfg = HopConfig::backup(1, 2);
         let topo = two_ring();
-        let far = |crash: bool| {
+        let ahead = |iters: u64, crash: bool| {
             let mut t = legal_standard_trace();
             if crash {
                 t.push(ProtocolEvent::Crash { worker: 1, iter: 1 });
             }
-            for iter in 1..9 {
+            for iter in 1..=iters {
                 solo_iteration(&mut t, 0, iter);
             }
             t
         };
         let mut log = hop_sim::FaultLog::new();
         log.push(hop_sim::FaultEvent::Crash { worker: 1, iter: 1 });
-        Oracle::new(&cfg, &topo, 16)
-            .check_with_faults(&far(true), &log)
-            .expect("gap checks skip dead workers");
-        let v = Oracle::new(&cfg, &topo, 16).check(&far(false)).unwrap_err();
-        assert!(matches!(v.kind, ViolationKind::GapBound { .. }), "{v}");
+        let oracle = Oracle::new(&cfg, &topo, 16);
+        oracle
+            .check_with_faults(&ahead(2, true), &log)
+            .expect("a gap of max_ig over the frozen counter is legal");
+        let crashed = oracle.check_with_faults(&ahead(3, true), &log);
+        for v in [crashed, oracle.check(&ahead(3, false))] {
+            let v = v.unwrap_err();
+            assert!(
+                matches!(
+                    v.kind,
+                    ViolationKind::GapBound {
+                        ahead: 0,
+                        behind: 1,
+                        gap: 3,
+                        bound: Bound::Finite(2)
+                    }
+                ),
+                "{v}"
+            );
+        }
+    }
+
+    #[test]
+    fn edge_checks_accept_exactly_the_table_1_pair_bounds() {
+        // Random iteration vectors: the per-edge check (run at every
+        // worker) must accept exactly when every ordered pair satisfies
+        // the closed forms of `hop_graph::bounds` over shortest paths.
+        use hop_graph::bounds::BaseSetting;
+        use hop_graph::ShortestPaths;
+        let topologies = [
+            Topology::ring(7),
+            Topology::ring_based(8),
+            Topology::torus(3, 3),
+            Topology::expander(9, 4, 5),
+            Topology::complete(5),
+            Topology::from_edges(5, &[(0, 4), (4, 3), (3, 2), (2, 1), (1, 0), (0, 2)]),
+        ];
+        let bases = [
+            (BaseSetting::Standard, None, 0),
+            (BaseSetting::BoundedStaleness(2), Some(2), 0),
+            (BaseSetting::BackupWorkers, None, 1),
+            (BaseSetting::Hybrid, Some(2), 1),
+        ];
+        let settings: Vec<(BaseSetting, HopConfig)> = [None, Some(1), Some(3)]
+            .into_iter()
+            .flat_map(|max_ig| {
+                bases.map(|(base, staleness, n_backup)| {
+                    let cfg = HopConfig {
+                        staleness,
+                        n_backup,
+                        sync: crate::config::SyncMode::Queues { max_ig },
+                        ..HopConfig::standard()
+                    };
+                    (base, cfg)
+                })
+            })
+            .collect();
+        let mut rng = hop_util::rng::Xoshiro256::seed_from_u64(49);
+        let (mut accepted, mut rejected) = (0, 0);
+        let faults = hop_sim::FaultLog::new();
+        for topo in &topologies {
+            let sp = ShortestPaths::new(topo);
+            let n = topo.len();
+            for (base, cfg) in &settings {
+                assert_eq!(cfg.base_setting(), *base);
+                let pair = |i: usize, j: usize| match cfg.max_ig() {
+                    Some(ig) => base.pair_bound_with_tokens(ig, sp.dist(j, i), sp.dist(i, j)),
+                    None => base.pair_bound(sp.dist(j, i)),
+                };
+                let mut st = Replay::new(cfg, topo, 100, &faults);
+                for _ in 0..300 {
+                    let spread = rng.next_below(7);
+                    for it in &mut st.logical {
+                        *it = 10 + rng.next_below(spread + 1);
+                    }
+                    let edges_ok = (0..n).all(|w| st.check_gaps(w).is_ok());
+                    let pairs_ok = (0..n).all(|i| {
+                        (0..n).all(|j| {
+                            i == j || pair(i, j).admits(st.logical[i] as i64 - st.logical[j] as i64)
+                        })
+                    });
+                    assert_eq!(
+                        edges_ok,
+                        pairs_ok,
+                        "{base:?} max_ig {:?} on {topo:?} at {:?}",
+                        cfg.max_ig(),
+                        st.logical
+                    );
+                    if edges_ok {
+                        accepted += 1;
+                    } else {
+                        rejected += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            accepted > 1000 && rejected > 1000,
+            "{accepted} / {rejected}"
+        );
     }
 
     #[test]

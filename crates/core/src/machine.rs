@@ -176,8 +176,8 @@ pub(crate) struct Shared<'a> {
 impl<'a> Shared<'a> {
     pub(crate) fn new(cfg: &'a HopConfig, topology: &'a Topology, max_iters: u64) -> Self {
         let window = cfg.max_ig().unwrap_or_else(|| {
-            let sp = hop_graph::ShortestPaths::new(topology);
-            let diameter = sp.diameter().expect("validated: strongly connected") as u64;
+            let diameter =
+                hop_graph::paths::diameter(topology).expect("validated: strongly connected") as u64;
             // Theorem 1 (or its staleness generalization).
             let per_hop = cfg.staleness.map_or(1, |s| s + 1);
             (per_hop * diameter.max(1)).max(1)

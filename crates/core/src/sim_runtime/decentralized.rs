@@ -480,12 +480,19 @@ impl WorkerProtocol for Decentralized<'_> {
     }
 
     fn rejoin_admissible(&self, eng: &SimEngine<'_, Ev>, w: usize, target: u64) -> bool {
-        // Table 1's gap bound holds among *live* workers: re-entering at
-        // `target` while a live straggler sits more than `max_ig` behind
-        // would open an illegal gap the moment the worker is no longer
-        // exempt. Stay dead until the stragglers catch up.
+        // Table 1 holds on every edge, a crashed neighbor counting at its
+        // frozen iteration: re-entering at `target` more than `b0` ahead
+        // of an in-neighbor, or while a live straggler sits more than
+        // `max_ig` behind, would open an illegal gap with the rejoin's
+        // first advance. Stay dead until the stragglers catch up.
+        let in_ok = self.cfg.base_setting().b0().finite().is_none_or(|b0| {
+            self.topology
+                .external_in_neighbors(w)
+                .iter()
+                .all(|&u| target <= eng.iters[u] + b0)
+        });
         let Some(max_ig) = self.cfg.max_ig() else {
-            return true;
+            return in_ok;
         };
         let gap_ok = (0..eng.workers.len())
             .filter(|&o| o != w && !eng.faults.is_dead(o))
@@ -498,7 +505,7 @@ impl WorkerProtocol for Decentralized<'_> {
         // bound by the time the grant lands. Same condition as `gap_ok`
         // up to visibility lag, checked on the observable ledger.
         let catchup = target - eng.iters[w];
-        gap_ok && self.workers[w].tokens_from.iter().all(|&t| t >= catchup)
+        in_ok && gap_ok && self.workers[w].tokens_from.iter().all(|&t| t >= catchup)
     }
 
     fn on_rejoin(&mut self, eng: &mut SimEngine<'_, Ev>, w: usize, target: u64, now: f64) {

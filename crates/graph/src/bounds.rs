@@ -3,6 +3,15 @@
 //! All bounds are on `Iter(i) - Iter(j)`: how far worker `i` can run ahead
 //! of worker `j`. `path(j -> i)` denotes the directed shortest-path length
 //! from `j` to `i` excluding self-loops ([`crate::paths::ShortestPaths`]).
+//!
+//! Each pair bound is a per-hop bound summed along a shortest path: `b0`
+//! ([`BaseSetting::b0`], Table 1's "for j in Nin(i)" column) bounds a
+//! worker against each in-neighbor, and `max_ig` against each
+//! out-neighbor, so [`token_queues`] is
+//! `min(b0 * path(j -> i), max_ig * path(i -> j))`. Hence an iteration
+//! vector keeps every ordered pair within its bound exactly when it keeps
+//! every edge within its per-hop bound (adjacent workers are themselves
+//! a pair), which lets a checker hold Table 1 with per-edge state only.
 
 use std::fmt;
 

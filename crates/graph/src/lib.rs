@@ -10,8 +10,8 @@
 //! * [`weights`] — weighted adjacency matrices `W`: the uniform in-degree
 //!   weights of Eq. (1) and Metropolis–Hastings weights, with
 //!   doubly-stochastic checks.
-//! * [`paths`] — BFS all-pairs shortest paths, `length(Path_{j->i})` in the
-//!   iteration-gap theorems.
+//! * [`paths`] — BFS shortest paths, `length(Path_{j->i})` in the
+//!   iteration-gap theorems, and the graph diameter.
 //! * [`spectral`] — spectral-gap computation (`1 - |lambda_2(W)|`) via a
 //!   Jacobi eigensolver for symmetric `W` and a deflated power method for
 //!   general `W` (§7.3.6, Fig. 21).

@@ -6,7 +6,7 @@
 //! ```
 
 use hop::graph::bounds::{self, BaseSetting};
-use hop::graph::{spectral, ShortestPaths, Topology, WeightMatrix};
+use hop::graph::{paths, spectral, ShortestPaths, Topology, WeightMatrix};
 use hop::metrics::Table;
 
 fn main() {
@@ -27,13 +27,12 @@ fn main() {
         ("all-reduce(16)", Topology::complete(16)),
     ];
     for (name, topo) in &fig11 {
-        let sp = ShortestPaths::new(topo);
         let w = WeightMatrix::uniform(topo);
         graphs.add_row(vec![
             name.to_string(),
             topo.len().to_string(),
             topo.in_degree(0).to_string(),
-            sp.diameter().map_or("inf".into(), |d| d.to_string()),
+            paths::diameter(topo).map_or("inf".into(), |d| d.to_string()),
             format!("{:.4}", spectral::spectral_gap(&w)),
         ]);
     }

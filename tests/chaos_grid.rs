@@ -5,9 +5,10 @@
 //!
 //! 1. **Fault-aware conformance** — every trace replays clean through
 //!    [`Oracle::check_with_faults`] against the run's [`FaultLog`]: gap
-//!    bounds hold among live workers, token conservation holds modulo
-//!    tokens held by crashed workers, and every `Crash`/`Rejoin`/`Lost`
-//!    event in the trace is licensed by a logged fault.
+//!    bounds hold on every edge, a crashed worker's frozen counter
+//!    included, token conservation holds modulo tokens held by crashed
+//!    workers, and every `Crash`/`Rejoin`/`Lost` event in the trace is
+//!    licensed by a logged fault.
 //! 2. **Graceful degradation** — backup and skip modes complete the run
 //!    where standard mode (which waits on *every* in-neighbor each
 //!    iteration) deadlocks after the first lost update or crash.

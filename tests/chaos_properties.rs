@@ -1,9 +1,9 @@
 //! Property tests for the fault plane: randomized crash schedules over
 //! the trickiest protocol states.
 //!
-//! Two crash timings interact with subtle machinery and get their own
-//! properties, each swept over ring / torus / expander graphs with
-//! randomized fault plans:
+//! Two crash timings and one family of modes interact with subtle
+//! machinery and get their own properties, each swept over ring / torus /
+//! expander graphs with randomized fault plans:
 //!
 //! - **Crash during a jump** — skip mode can advance a worker several
 //!   iterations at once; a crash scheduled inside the jumped-over window
@@ -13,6 +13,11 @@
 //!   holds unspent send-permits; conservation must hold modulo the
 //!   crashed worker, and the rejoin must not be admitted on token
 //!   credit.
+//! - **Churn under a finite per-hop bound** — staleness and
+//!   standard-with-tokens modes bound a worker `b0` ahead of each
+//!   in-neighbor, so a rejoin must also wait until it lands within `b0`
+//!   of every in-neighbor, a crashed one counting at its frozen
+//!   iteration.
 //!
 //! Every trace replays through [`Oracle::check_with_faults`]; a run may
 //! legitimately deadlock (a 1-of-2 quorum stalls when both externals'
@@ -95,6 +100,25 @@ fn check_cell(cfg: &HopConfig, topo: Topology, plan: FaultPlan, seed: u64) -> bo
     !report.deadlocked
 }
 
+/// The smallest cell in which a rejoin landed more than `b0` ahead of a
+/// live in-neighbor: worker 1 re-entered at 11 with in-neighbor 5 at 7
+/// (`b0 = 3`).
+#[test]
+fn a_rejoin_waits_until_it_is_within_b0_of_its_in_neighbors() {
+    let crash = CrashSpec {
+        worker: 1,
+        at_iter: 10,
+        down_iters: 2,
+    };
+    let plan = plan(0.01, crash, false);
+    check_cell(
+        &HopConfig::staleness(2, 4),
+        Topology::expander(6, 4, 7),
+        plan,
+        410,
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -135,6 +159,29 @@ proptest! {
         let cfg = HopConfig::backup(1, 4);
         let crash = CrashSpec { worker: crash_worker, at_iter, down_iters };
         let plan = plan(loss_pct as f64 * 0.01, crash, byz == 1);
+        check_cell(&cfg, topology(topo_index), plan, seed);
+    }
+
+    /// Staleness and standard-with-tokens modes: every trace keeps each
+    /// worker within `b0` of its in-neighbors across the crash and the
+    /// rejoin.
+    #[test]
+    fn churn_under_a_finite_b0_stays_conformant(
+        seed in 0u64..200,
+        topo_index in 0usize..3,
+        loss_pct in 0u64..3,
+        crash_worker in 0usize..6,
+        at_iter in 2u64..15,
+        down_iters in 1u64..6,
+        staleness in 0u64..2,
+    ) {
+        let cfg = if staleness == 1 {
+            HopConfig::staleness(2, 4)
+        } else {
+            HopConfig::standard_with_tokens(3)
+        };
+        let crash = CrashSpec { worker: crash_worker, at_iter, down_iters };
+        let plan = plan(loss_pct as f64 * 0.01, crash, false);
         check_cell(&cfg, topology(topo_index), plan, seed);
     }
 }

@@ -279,7 +279,8 @@ fn one_thousand_workers_complete_and_digest_stably() {
     // stall) and is bit-for-bit reproducible — the digest, which eats the
     // full trace and every worker's final parameters, agrees across two
     // independent runs. Token mode keeps setup linear in workers (the
-    // tokenless rotation window computes an all-pairs graph diameter).
+    // tokenless rotation window runs a BFS from every worker for the
+    // graph diameter).
     // Dimensions are small so the test measures the pump, not the SVM.
     use hop::data::webspam::{SyntheticWebspam, WebspamConfig};
     let run_once = || {
@@ -329,7 +330,10 @@ fn one_thousand_workers_complete_and_digest_stably() {
 fn ten_thousand_workers_complete_without_deadlock() {
     // The event pump's scale point: a 10k-worker token-mode ring (64-dim
     // SVM, 3 iterations, no periodic eval, which would average 10k
-    // replicas) runs to completion instead of stalling.
+    // replicas) runs to completion instead of stalling, and its trace
+    // replays clean through the oracle, whose state is linear in the
+    // workers.
+    use hop::core::conformance::Oracle;
     use hop::data::webspam::{SyntheticWebspam, WebspamConfig};
     let n = 10_000;
     let dataset = SyntheticWebspam::generate_with(
@@ -342,18 +346,20 @@ fn ten_thousand_workers_complete_without_deadlock() {
         },
     );
     let model = Svm::log_loss(64);
+    let cfg = HopConfig::standard_with_tokens(4);
+    let topology = Topology::ring(n);
     let report = SimExperiment {
-        topology: Topology::ring(n),
+        topology: topology.clone(),
         cluster: ClusterSpec::uniform(n, 4, 0.05, LinkModel::ethernet_1gbps()),
         slowdown: SlowdownModel::None,
-        protocol: Protocol::Hop(HopConfig::standard_with_tokens(4)),
+        protocol: Protocol::Hop(cfg.clone()),
         hyper: Hyper::svm(),
         max_iters: 3,
         seed: 0xB10C,
         eval_every: 0,
         eval_examples: 32,
     }
-    .run(&model, &dataset)
+    .run_conformance(&model, &dataset)
     .expect("valid configuration");
     assert!(!report.deadlocked, "10k-worker run stalled");
     assert!(
@@ -361,6 +367,11 @@ fn ten_thousand_workers_complete_without_deadlock() {
         "10k-worker run blew the event budget"
     );
     assert!(report.events_processed > 0, "pump processed no events");
+    let trace = report.conformance.as_ref().expect("tracing was on");
+    let summary = Oracle::new(&cfg, &topology, 3)
+        .check(trace)
+        .unwrap_or_else(|v| panic!("oracle violation: {v}"));
+    assert_eq!(summary.advances, 4 * n as u64);
 }
 
 #[test]
